@@ -412,6 +412,30 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	env.Run()
 }
 
+// BenchmarkProcHandoff measures one sim.Proc activation: a Sleep round
+// trip is one event plus a coroutine switch into the proc and one back
+// to the event loop. It must stay at 0 allocs/op (scripts/check.sh
+// asserts it); scripts/bench.sh records it in BENCH_handoff.json.
+func BenchmarkProcHandoff(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Shutdown()
+	n := 0
+	env.Spawn("p", func(p *sim.Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+			n++
+		}
+	})
+	for n < 64 { // warm the event free list and the heap's capacity
+		env.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := n + b.N; n < end; {
+		env.Step()
+	}
+}
+
 func BenchmarkKernelSyscallPath(b *testing.B) {
 	env := sim.NewEnv(1)
 	prof := machine.AMD()

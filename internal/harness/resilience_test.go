@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"reqlens/internal/faults"
+	"reqlens/internal/kernel"
 	"reqlens/internal/resilience"
 	"reqlens/internal/telemetry"
 	"reqlens/internal/workloads"
@@ -94,6 +95,45 @@ func TestRunPointsPanicIsolation(t *testing.T) {
 		}
 		if !strings.Contains(st.String(), "1 gaps") {
 			t.Fatalf("par=%d: stats summary omits gaps: %s", par, st)
+		}
+	}
+}
+
+// TestRunPointsThreadPanicIsolation extends the isolation contract to a
+// panic raised on a simulated workload thread — a sim.Proc body deep
+// inside a real rig, not the point function itself: it surfaces from the
+// rig's event loop on the point's goroutine, becomes a PointError of
+// kind panic, the deferred Close drains the rig, and the other points'
+// results are untouched.
+func TestRunPointsThreadPanicIsolation(t *testing.T) {
+	spec := workloads.Silo()
+	labels := []string{"p0", "p1", "p2"}
+	point := func(buggy int) func(PointCtx, int) float64 {
+		return func(pc PointCtx, i int) float64 {
+			r := NewRig(spec, RigOptions{Seed: int64(10 + i), Rate: 0.3 * spec.FailureRPS, Probes: true, Clock: pc.Clock})
+			defer r.Close()
+			if i == buggy {
+				r.ServerK.NewProcess("buggy").SpawnThread("t", func(th *kernel.Thread) {
+					th.Sleep(150 * time.Millisecond) // inside the measurement window
+					panic("workload thread exploded")
+				})
+			}
+			r.Warmup(100 * time.Millisecond)
+			return r.Measure(100 * time.Millisecond).Load.RealRPS
+		}
+	}
+	clean, _ := RunPoints(ExpOptions{Parallelism: 1}, labels, point(-1))
+	for _, par := range []int{1, 2} {
+		out, st := RunPoints(ExpOptions{Parallelism: par, Supervise: true}, labels, point(1))
+		if out[0] != clean[0] || out[2] != clean[2] || clean[0] == 0 || clean[2] == 0 {
+			t.Fatalf("par=%d: bystander points perturbed: %v vs clean %v", par, out, clean)
+		}
+		if out[1] != 0 {
+			t.Fatalf("par=%d: gapped slot not zero: %v", par, out[1])
+		}
+		if len(st.Gaps) != 1 || st.Gaps[0].Index != 1 || st.Gaps[0].Kind != resilience.KindPanic ||
+			!strings.Contains(st.Gaps[0].Cause, "workload thread exploded") {
+			t.Fatalf("par=%d: gaps = %+v", par, st.Gaps)
 		}
 	}
 }

@@ -69,8 +69,8 @@ func TestClockWallDeadline(t *testing.T) {
 
 // TestShutdownBeforeProcStart: a budget that expires before the event
 // loop ever runs leaves spawned procs' start events unfired — their
-// goroutines don't exist yet. Shutdown must unregister them instead of
-// blocking forever on their resume channels.
+// bodies have not begun. Shutdown must discard them unrun instead of
+// waiting on them.
 func TestShutdownBeforeProcStart(t *testing.T) {
 	env := NewEnv(4)
 	c := NewClock(0)

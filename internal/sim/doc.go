@@ -2,11 +2,11 @@
 // every other subsystem runs on.
 //
 // An Env owns a virtual clock and an event heap. Simulated concurrent
-// activities are modeled as Procs: goroutines that are resumed one at a
-// time by the event loop, so that for a fixed seed every run is
-// bit-for-bit reproducible. All inter-proc wake-ups travel through the
-// event heap (ordered by virtual time, then insertion sequence), never
-// by direct goroutine-to-goroutine handoff. Randomness is drawn from
+// activities are modeled as Procs: coroutines (iter.Pull, so Go 1.23 or
+// later) that the event loop switches into one at a time, so that for a
+// fixed seed every run is bit-for-bit reproducible. All inter-proc
+// wake-ups travel through the event heap (ordered by virtual time, then
+// insertion sequence), never proc to proc. Randomness is drawn from
 // per-component streams derived via Env.NewRNG, so adding a component
 // never perturbs the draws seen by another.
 //
@@ -15,7 +15,7 @@
 // overhead study) share identical arrival sequences, and the harness's
 // parallel experiment engine can fan independent simulations across OS
 // threads while guaranteeing bit-identical results (each Env is
-// confined to the goroutines it spawned; nothing is shared).
+// confined to the coroutines it spawned; nothing is shared).
 //
 // Key entry points:
 //
@@ -24,8 +24,8 @@
 //   - Env.Spawn — start a Proc (a simulated thread of control); Proc
 //     offers Sleep, Park, and Wakers for inter-proc signaling.
 //   - Env.NewRNG — derive an independent deterministic random stream.
-//   - Env.Shutdown — terminate all procs and reclaim their goroutines
-//     (a Rig's Close calls this).
+//   - Env.Shutdown — terminate all procs, in spawn order, and reclaim
+//     their coroutines (a Rig's Close calls this).
 //
 // In paper terms this package replaces real wall-clock execution on the
 // authors' testbed; everything the probes timestamp (syscall enter/exit,

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -31,7 +30,6 @@ type Event struct {
 	fn       func()
 	canceled bool
 	poolable bool // fire-and-forget (Post/PostAt): recycled after firing
-	index    int  // heap index, -1 once popped
 }
 
 // Cancel prevents the event from firing. Canceling an already-fired or
@@ -48,11 +46,10 @@ func (e *Event) At() Time { return e.at }
 type Env struct {
 	now      Time
 	seq      uint64
-	events   eventHeap
+	events   []*Event // binary min-heap on (at, seq); see push and pop
 	rng      *rand.Rand
-	park     chan struct{} // running proc -> event loop handoff
-	procs    map[*Proc]struct{}
-	stopping bool
+	procs    Proc // sentinel of the circular list of live procs, in spawn order
+	live     int  // length of that list
 	executed uint64
 
 	// clock, when non-nil, is the cooperative execution budget: Step
@@ -80,11 +77,9 @@ type Env struct {
 // NewEnv returns an environment with the virtual clock at zero. The seed
 // feeds every RNG stream derived via NewRNG, so equal seeds give equal runs.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		rng:   rand.New(rand.NewSource(seed)),
-		park:  make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
+	e := &Env{rng: rand.New(rand.NewSource(seed))}
+	e.procs.older, e.procs.newer = &e.procs, &e.procs
+	return e
 }
 
 // Now returns the current virtual time.
@@ -125,7 +120,7 @@ func (e *Env) ScheduleAt(t Time, fn func()) *Event {
 	}
 	e.seq++
 	ev := &Event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.events, ev)
+	e.push(ev)
 	return ev
 }
 
@@ -157,7 +152,7 @@ func (e *Env) PostAt(t Time, fn func()) {
 	} else {
 		ev = &Event{at: t, seq: e.seq, fn: fn, poolable: true}
 	}
-	heap.Push(&e.events, ev)
+	e.push(ev)
 }
 
 // Step runs the single next event, advancing the clock to it. It returns
@@ -169,8 +164,8 @@ func (e *Env) Step() bool {
 	if e.clock != nil && e.executed&(clockCheckEvery-1) == 0 && e.clock.Expired() {
 		panic(Timeout{At: e.now, Events: e.executed})
 	}
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(*Event)
+	for len(e.events) > 0 {
+		ev := e.pop()
 		if ev.canceled {
 			continue
 		}
@@ -217,10 +212,10 @@ func (e *Env) RunUntil(t Time) {
 func (e *Env) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
 func (e *Env) peek() *Event {
-	for e.events.Len() > 0 {
+	for len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.canceled {
-			heap.Pop(&e.events)
+			e.pop()
 			continue
 		}
 		return ev
@@ -239,57 +234,62 @@ func (e *Env) Pending() int {
 	return n
 }
 
-// LiveProcs returns the number of procs that have started and not finished.
-func (e *Env) LiveProcs() int { return len(e.procs) }
+// LiveProcs returns the number of procs spawned and not yet finished.
+func (e *Env) LiveProcs() int { return e.live }
 
-// Shutdown terminates every live proc and drains their goroutines. Procs
-// blocked in Sleep, Park, or any derived primitive are woken and unwound
-// via a panic that the proc wrapper recovers. After Shutdown the
-// environment must not be reused.
+// Shutdown terminates every live proc, oldest first, and reclaims their
+// coroutines. Procs blocked in Sleep, Park, or any derived primitive are
+// unwound via a panic that the proc wrapper recovers; a proc whose spawn
+// event never fired is discarded unrun. After Shutdown the environment
+// must not be reused.
 func (e *Env) Shutdown() {
-	e.stopping = true
-	for len(e.procs) > 0 {
-		for p := range e.procs {
-			// A proc whose spawn event never fired (e.g. the execution
-			// budget expired before the loop ran it) has no goroutine to
-			// unwind; activating it would block on its resume channel
-			// forever. Just unregister it.
-			if !p.started {
-				delete(e.procs, p)
-				continue
-			}
-			if p.waiting {
-				p.activate()
-			}
+	for p := e.procs.newer; p != &e.procs; p = e.procs.newer {
+		p.stop()
+		p.exit()
+	}
+}
+
+// before is the heap's total order: virtual time, then insertion sequence.
+func (a *Event) before(b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// push inserts ev into the heap. The sift loops are typed, not
+// container/heap: heap.Interface costs an interface call per comparison
+// and swap, on what is the event loop's largest cost (DESIGN.md §7).
+func (e *Env) push(ev *Event) {
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(h[up]) {
+			break
 		}
+		h[i] = h[up]
+		i = up
 	}
+	h[i] = ev
+	e.events = h
 }
 
-// eventHeap orders events by (time, sequence).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// pop removes and returns the earliest event of a non-empty heap.
+func (e *Env) pop() *Event {
+	h := e.events
+	n := len(h) - 1
+	top, ev := h[0], h[n]
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 { // sift the last event down from the root
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+	h[i] = ev
+	h[n] = nil
+	e.events = h[:n]
+	return top
 }

@@ -66,34 +66,46 @@ func TestLockstepShardingInvariance(t *testing.T) {
 	}
 }
 
-// TestLockstepPanicPropagation: a panic inside any env surfaces on the
-// calling goroutine, and with several panicking envs the lowest index
-// wins regardless of worker count.
+// TestLockstepPanicPropagation: a panic inside any env — raised by an
+// event callback or by a proc body — surfaces on the calling goroutine,
+// and with several panicking envs the lowest index wins regardless of
+// worker count. Shutdown afterwards drains every env.
 func TestLockstepPanicPropagation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ls := NewLockstep(workers)
-		const n = 6
-		envs := make([]*Env, n)
-		for i := 0; i < n; i++ {
-			i := i
-			e := NewEnv(int64(i))
-			if i == 2 || i == 4 {
-				e.Post(time.Millisecond, func() { panic(i) })
-			}
-			envs[i] = e
-			ls.Add(e)
-		}
-		func() {
-			defer func() {
-				v := recover()
-				if v != 2 {
-					t.Fatalf("workers=%d: recovered %v, want panic from env 2", workers, v)
+	for _, fromProc := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			ls := NewLockstep(workers)
+			const n = 6
+			for i := 0; i < n; i++ {
+				i := i
+				e := NewEnv(int64(i))
+				e.Spawn("bystander", func(p *Proc) { p.Park() })
+				if buggy := i == 2 || i == 4; buggy && fromProc {
+					e.Spawn("buggy", func(p *Proc) {
+						p.Sleep(time.Millisecond)
+						panic(i)
+					})
+				} else if buggy {
+					e.Post(time.Millisecond, func() { panic(i) })
 				}
+				ls.Add(e)
+			}
+			func() {
+				defer func() {
+					v := recover()
+					if v != 2 {
+						t.Fatalf("fromProc=%v workers=%d: recovered %v, want panic from env 2", fromProc, workers, v)
+					}
+				}()
+				ls.AdvanceAll(Time(10 * time.Millisecond))
+				t.Fatalf("fromProc=%v workers=%d: Advance did not propagate the panic", fromProc, workers)
 			}()
-			ls.AdvanceAll(Time(10 * time.Millisecond))
-			t.Fatalf("workers=%d: Advance did not propagate the panic", workers)
-		}()
-		ls.Shutdown()
+			ls.Shutdown()
+			for i := 0; i < n; i++ {
+				if live := ls.Env(i).LiveProcs(); live != 0 {
+					t.Fatalf("fromProc=%v workers=%d: env %d has %d live procs after Shutdown", fromProc, workers, i, live)
+				}
+			}
+		}
 	}
 }
 

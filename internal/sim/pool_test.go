@@ -55,6 +55,28 @@ func TestSleepZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWakeAfterAllocatesOnlyItsEvent pins the timed wake-up (one per
+// timed epoll_wait) at a single allocation, the cancelable Event it
+// returns: the callback is the proc's hoisted activate, not a closure
+// built per call.
+func TestWakeAfterAllocatesOnlyItsEvent(t *testing.T) {
+	e := NewEnv(1)
+	var w *Waker
+	e.Spawn("p", func(p *Proc) {
+		w = p.NewWaker()
+		p.Park()
+	})
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		w.WakeAfter(time.Microsecond).Cancel()
+		e.Step() // pops the canceled event, so the heap does not grow
+	})
+	if allocs != 1 {
+		t.Fatalf("WakeAfter allocated %v allocs/op, want 1 (the Event)", allocs)
+	}
+	e.Shutdown()
+}
+
 // TestPostRecyclesEvents verifies the Event recycle loop: a fired
 // poolable event lands on the free list and the next Post reuses it.
 func TestPostRecyclesEvents(t *testing.T) {

@@ -1,56 +1,61 @@
+//go:build go1.23
+
 package sim
 
-import "time"
+import (
+	"iter"
+	"time"
+)
 
 // killed is the sentinel panic value used to unwind a proc during Shutdown.
 type killed struct{}
 
-// Proc is a simulated thread of control. Its body runs on a dedicated
-// goroutine, but the event loop resumes at most one proc at a time, so
+// Proc is a simulated thread of control. Its body is a coroutine
+// (iter.Pull): the event loop switches into it directly and it switches
+// back when it parks. The loop resumes at most one proc at a time, so
 // proc code needs no locking against other procs and execution order is
-// fully determined by the event heap.
+// fully determined by the event heap. A panic in the body surfaces from
+// the event that resumed it, on the goroutine driving the loop.
 type Proc struct {
-	env       *Env
-	name      string
-	resume    chan struct{}
-	waiting   bool // parked, waiting for activate
-	started   bool // the body goroutine exists (its spawn event has fired)
-	done      bool
-	activate0 func() // p.activate hoisted once; Sleep posts it without allocating
+	env          *Env
+	name         string
+	next         func() (struct{}, bool) // switch into the body until it yields
+	yield0       func(struct{}) bool     // switch back to the loop; false once stopped
+	stop         func()                  // unwind the body (or discard it unstarted)
+	done         bool
+	older, newer *Proc  // env.procs links: live procs in spawn order
+	activate0    func() // p.activate hoisted once; Sleep posts it without allocating
 }
 
 // Spawn starts a new proc whose body begins executing at the current
 // virtual time (after already-scheduled events at this time).
 func (e *Env) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name}
 	p.activate0 = p.activate
-	e.procs[p] = struct{}{}
-	p.waiting = true
-	e.Post(0, func() {
-		p.started = true
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(killed); !ok {
-						panic(r)
-					}
-				}
-				p.done = true
-				delete(e.procs, p)
-				e.park <- struct{}{}
-			}()
-			<-p.resume
-			p.waiting = false
-			if e.stopping {
-				panic(killed{})
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield0 = yield
+		defer func() {
+			p.exit()
+			if r := recover(); r != nil && r != (killed{}) {
+				panic(r) // iter.Pull re-raises it from next, in the event loop
 			}
-			body(p)
 		}()
-		// Hand control to the new goroutine and wait for it to park.
-		p.resume <- struct{}{}
-		<-e.park
+		body(p)
 	})
+	p.older, p.newer = e.procs.older, &e.procs
+	p.older.newer, e.procs.older = p, p
+	e.live++
+	e.Post(0, p.activate0)
 	return p
+}
+
+// exit marks the proc finished and unlinks it from the live list.
+func (p *Proc) exit() {
+	if !p.done {
+		p.done = true
+		p.older.newer, p.newer.older = p.newer, p.older
+		p.env.live--
+	}
 }
 
 // Name returns the proc's diagnostic name.
@@ -62,26 +67,20 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// activate resumes a parked proc and blocks until it parks again or
+// activate resumes a parked proc and returns once it parks again or
 // finishes. It must only be called from event-loop context (inside an
-// event callback), never from another proc's body.
+// event callback), never from a proc's body.
 func (p *Proc) activate() {
-	if p.done || !p.waiting {
-		return
+	if !p.done {
+		p.next()
 	}
-	p.waiting = false
-	p.resume <- struct{}{}
-	<-p.env.park
 }
 
 // yield parks the proc and returns control to the event loop. The proc
 // resumes when some event calls activate. Must be called from the proc's
-// own goroutine.
+// own body.
 func (p *Proc) yield() {
-	p.waiting = true
-	p.env.park <- struct{}{}
-	<-p.resume
-	if p.env.stopping {
+	if !p.yield0(struct{}{}) {
 		panic(killed{})
 	}
 }
@@ -130,5 +129,5 @@ func (w *Waker) Wake() {
 // WakeAfter schedules the proc to resume after d. It returns the event
 // so callers may cancel the wake-up (e.g. a timeout raced by readiness).
 func (w *Waker) WakeAfter(d time.Duration) *Event {
-	return w.p.env.Schedule(d, func() { w.p.activate() })
+	return w.p.env.Schedule(d, w.p.activate0)
 }

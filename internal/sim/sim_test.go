@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -227,6 +229,85 @@ func TestPropertyMonotonicClock(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: under a random mix of Schedule, Post and Cancel, issued both
+// before the run and from inside callbacks, events fire in exactly
+// (time, submission order) — the order of a sort.Slice oracle over the
+// events that were not canceled in time. Pins the heap independently of
+// the goldens.
+func TestPropertyHeapOrderMatchesSortOracle(t *testing.T) {
+	type rec struct {
+		at Time
+		id int // submission order, which is seq order
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		e := NewEnv(1)
+		var submitted, fired []rec
+		var handles []*Event // handles[i] belongs to submitted[ids[i]]
+		var ids []int
+		dead := map[int]bool{} // canceled before firing
+		done := map[int]bool{}
+		var submit func(depth int)
+		mutate := func(depth int) {
+			for k := rng.Intn(4); k > 0; k-- {
+				submit(depth)
+			}
+			if len(handles) > 0 && rng.Intn(2) == 0 {
+				h := rng.Intn(len(handles))
+				handles[h].Cancel()
+				if !done[ids[h]] {
+					dead[ids[h]] = true
+				}
+			}
+		}
+		submit = func(depth int) {
+			r := rec{e.Now().Add(time.Duration(rng.Intn(40))), len(submitted)}
+			submitted = append(submitted, r)
+			fn := func() {
+				fired = append(fired, r)
+				done[r.id] = true
+				if depth < 4 {
+					mutate(depth + 1)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				e.PostAt(r.at, fn)
+			} else {
+				handles = append(handles, e.ScheduleAt(r.at, fn))
+				ids = append(ids, r.id)
+			}
+		}
+		for k := 0; k < 1+rng.Intn(30); k++ {
+			mutate(0)
+		}
+		e.Run()
+
+		var want []rec
+		for _, r := range submitted {
+			if !dead[r.id] {
+				want = append(want, r)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].id < want[j].id
+		})
+		if len(fired) != len(want) {
+			t.Fatalf("trial %d: fired %d events, oracle has %d", trial, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("trial %d: event %d fired %+v, oracle says %+v", trial, i, fired[i], want[i])
+			}
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("trial %d: %d events pending after Run", trial, e.Pending())
+		}
 	}
 }
 

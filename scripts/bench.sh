@@ -22,6 +22,7 @@ interpreter|BenchmarkEBPFInterpreterListing1|.
 jit|BenchmarkEBPFCompiledListing1|.
 verifier|BenchmarkEBPFVerifier|.
 sim|BenchmarkSimulatorEventThroughput|.
+handoff|BenchmarkProcHandoff|.
 syscall|BenchmarkKernelSyscallPath|.
 "
 

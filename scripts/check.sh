@@ -5,9 +5,10 @@
 #   go vet ./...                          static analysis
 #   go build ./...                        everything compiles
 #   go test ./...                         tier-1 suite
-#   go test -race ./internal/harness/... ./internal/core/... ./internal/fleet/...
-#                                         engine + rig + observer attach
-#                                         + lockstep cluster paths under
+#   go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/...
+#                                         coroutine hand-off + engine +
+#                                         rig + observer attach +
+#                                         lockstep cluster paths under
 #                                         the race detector (the parallel
 #                                         engine's safety precondition)
 #   go test -cover (floors)               per-package coverage floors on
@@ -18,7 +19,9 @@
 #                                         comment (scripts/doclint)
 #   bench smoke                           the substrate benchmarks that
 #                                         scripts/bench.sh records run
-#                                         for one iteration each
+#                                         for one iteration each, and
+#                                         BenchmarkProcHandoff reports
+#                                         0 allocs/op
 #   fleet smoke                           the same cluster sweep at
 #                                         -parallel 1 and 2 must print
 #                                         byte-identical output
@@ -63,10 +66,10 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race ./internal/harness/... ./internal/core/... ./internal/fleet/..."
+echo "== go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/..."
 # The race-instrumented harness suite runs ~10x slower than native on a
 # single core; give it explicit headroom past go test's 10m default.
-go test -race -timeout 20m ./internal/harness/... ./internal/core/... ./internal/fleet/...
+go test -race -timeout 20m ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/...
 
 echo "== go test -cover (floors)"
 # cover_floor <pkg> <floor-pct> fails the gate when the package's
@@ -105,6 +108,13 @@ echo "== bench smoke (substrate benches, 1 iteration)"
 go test -run '^$' -benchtime 1x \
     -bench '^(BenchmarkEBPFInterpreterListing1|BenchmarkEBPFCompiledListing1|BenchmarkEBPFVerifier|BenchmarkSimulatorEventThroughput|BenchmarkKernelSyscallPath)$' \
     . >/dev/null
+# The proc hand-off is the simulator's innermost loop: besides running,
+# it must not allocate.
+if ! go test -run '^$' -benchtime 1000x -bench '^BenchmarkProcHandoff$' . |
+    grep '^BenchmarkProcHandoff.*[[:space:]]0 allocs/op' >/dev/null; then
+    echo "BenchmarkProcHandoff did not run or did not report 0 allocs/op" >&2
+    exit 1
+fi
 go test -run '^$' -benchtime 1x -bench '^(BenchmarkRingbufThroughput|BenchmarkSketchHotPath)$' \
     ./internal/ebpf/ >/dev/null
 go test -run '^$' -benchtime 1x -bench '^BenchmarkWaitStateHotPath$' \

@@ -24,8 +24,8 @@ func main() {
 	flag.Parse()
 
 	show := func(name string, p *ebpf.Program) {
-		fmt.Printf("; %s — %d instruction slots, verified OK (ctx %d bytes)\n",
-			name, p.Len(), p.CtxSize())
+		fmt.Printf("; %s — %d instruction slots, verified OK (ctx %d bytes), %d generic ops\n",
+			name, p.Len(), p.CtxSize(), p.GenericOps())
 		fmt.Print(p.Disassemble())
 	}
 

@@ -8,13 +8,18 @@ import (
 // Compile-to-closures backend. At Load time the verified instruction
 // stream is translated, one slot at a time, into a slice of pre-bound
 // Go closures (ops): every instruction field is decoded exactly once,
-// branch targets become closure indices, map handles resolve to their
-// Map values, and the common instruction forms (mov, add, compare,
-// load, store, the scalar helpers) get fully specialized closures that
-// skip the interpreter's per-step opcode switch. Execution is then a
-// tight index-advance loop: each op returns the index of its successor
-// (a captured constant for straight-line code, one of two captured
-// constants for branches) or exitOp when the program returns.
+// branch targets become closure indices, map fds resolve to their
+// handle regions, and every instruction form the verifier admits (each
+// ALU op and conditional jump in both widths and operand modes, loads,
+// stores, the atomic add, the scalar, map and sketch helpers) gets a
+// specialized closure: its hot path tests the operand tags once and
+// works in place, and anything else — pointer and map-handle operands,
+// every fault — falls back to the interpreter's generic routine
+// (vm.alu, vm.branch, vm.load, vm.store, vm.atomic), so results and
+// fault strings cannot drift. Execution is then a tight index-advance
+// loop: each op returns the index of its successor (a captured
+// constant for straight-line code, one of two captured constants for
+// branches) or exitOp when the program returns.
 //
 // The backend preserves the interpreter's semantics bit for bit,
 // including runtime fault messages and RunStats accounting; the
@@ -56,8 +61,9 @@ var vmPool = sync.Pool{New: func() any { return new(vm) }}
 // previous run (no pool round-trip, no synchronization — Run is
 // single-goroutine per Program); vmPool backs the first run and any
 // run whose predecessor's state was abandoned by a panic. The stack
-// buffer and spill array are allocated on first use of a pooled vm and
-// retained with it; steady-state acquisition only clears them.
+// buffer, its region, and the spill array are set up on first use of a
+// pooled vm and retained with it; steady-state acquisition clears the
+// dirty stack bytes and the 176-byte register file and rebinds ctx.
 func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 	m := p.rsCache
 	if m == nil {
@@ -68,6 +74,9 @@ func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 	if m.stackMem == nil {
 		m.stackMem = make([]byte, StackSize)
 		m.spillW = new([spillSlots]word)
+		m.stack = region{kind: regionStack, data: m.stackMem}
+		m.ctx = region{kind: regionCtx, readonly: true}
+		m.pooled = true
 	} else if m.stackLo < StackSize {
 		clear(m.stackMem[m.stackLo:])
 	}
@@ -75,15 +84,13 @@ func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 	m.prog, m.env = p, env
 	m.steps = 0
 	m.regs = [NumRegisters]word{}
-	m.stack = region{kind: regionStack, data: m.stackMem}
-	m.ctx = region{kind: regionCtx, data: ctx, readonly: true}
+	m.ctx.data = ctx
 	m.stats = RunStats{}
 	m.spillMask = 0
 	m.mvArena = m.mvArena[:0]
 	m.ret = 0
-	m.pooled = true
 	m.regs[R1] = word{region: &m.ctx}
-	m.regs[R10] = word{region: &m.stack, off: StackSize}
+	m.regs[R10] = word{region: &m.stack, v: StackSize}
 	return m
 }
 
@@ -92,8 +99,7 @@ func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 // for the next run when the slot is free, else returns it to vmPool.
 func putVM(p *Program, m *vm) {
 	m.prog, m.env = nil, nil
-	m.ctx = region{}
-	m.stack = region{}
+	m.ctx.data = nil
 	if p.rsCache == nil {
 		p.rsCache = m
 		return
@@ -122,25 +128,35 @@ const maxVMSteps = 4 * MaxInstructions
 // bounds how far a block can run past the fast loop's budget guard.
 const chainCap = 16
 
+// opCost is what dispatching ops[pc] accounts before the op runs:
+// steps against the dispatch budget (vm.steps' units) and instruction
+// slots into RunStats. The ops themselves count neither, so a chained
+// block costs one add of each however long it is.
+type opCost struct{ steps, insns uint16 }
+
 // execCompiled is the compiled dispatch loop. The fast loop dispatches
-// fused/chained ops, accounting their weight against the budget up
-// front — safe because its guard leaves more headroom than any one
-// block can consume. Within a block of the budget it falls back to the
+// fused/chained ops, accounting their cost up front — safe for the
+// budget because its guard leaves more headroom than any one block can
+// consume, and for RunStats because a block is straight-line: it either
+// runs to its end or faults, and faulted rewinds the count to the
+// faulting slot. Within a block of the budget it falls back to the
 // unfused table with the interpreter's exact per-dispatch check, so a
 // budget fault fires at the same instruction, with the same partial
 // RunStats, on both backends. The pc bounds check mirrors the
 // interpreter's defense in depth for stray (unverified) jumps.
 func (p *Program) execCompiled(m *vm) (uint64, error) {
-	ops, weights := p.ops, p.opWeights
+	ops, costs := p.ops, p.opCosts
 	pc := 0
 	for m.steps <= maxVMSteps-2*chainCap {
 		if pc < 0 || pc >= len(ops) {
 			return 0, m.fault(pc, "pc out of range")
 		}
-		m.steps += int(weights[pc])
+		c := costs[pc]
+		m.steps += int(c.steps)
+		m.stats.Instructions += int(c.insns)
 		next, err := ops[pc](m)
 		if err != nil {
-			return 0, err
+			return 0, m.faulted(err, pc+int(c.insns))
 		}
 		if next < 0 {
 			return m.ret, nil
@@ -155,10 +171,15 @@ func (p *Program) execCompiled(m *vm) (uint64, error) {
 		if pc < 0 || pc >= len(single) {
 			return 0, m.fault(pc, "pc out of range")
 		}
+		end := pc + 1
+		if p.insns[pc].IsWideLoad() && end < len(single) {
+			end++
+		}
+		m.stats.Instructions += end - pc
 		next, err := single[pc](m)
 		m.steps++
 		if err != nil {
-			return 0, err
+			return 0, m.faulted(err, end)
 		}
 		if next < 0 {
 			return m.ret, nil
@@ -167,14 +188,20 @@ func (p *Program) execCompiled(m *vm) (uint64, error) {
 	}
 }
 
+// faulted rewinds the up-front instruction count of a block ending
+// before slot end to what the interpreter would report: every slot up
+// to and including the faulting one (a wide load that faults has
+// counted only its first slot).
+func (m *vm) faulted(err error, end int) error {
+	if re, ok := err.(*RuntimeError); ok {
+		m.stats.Instructions -= end - (re.PC + 1)
+	}
+	return err
+}
+
 // setR0Scalar installs a helper's scalar return value and clobbers the
 // caller-saved argument registers, as vm.call does.
-func (m *vm) setR0Scalar(v uint64) {
-	m.regs[R0] = word{scalar: v}
-	for reg := R1; reg <= R5; reg++ {
-		m.regs[reg] = word{}
-	}
-}
+func (m *vm) setR0Scalar(v uint64) { m.setR0Word(word{v: v}) }
 
 // setR0Word is setR0Scalar for non-scalar returns (map-value pointers).
 func (m *vm) setR0Word(w word) {
@@ -184,33 +211,20 @@ func (m *vm) setR0Word(w word) {
 	}
 }
 
-// cstore is the compiled backend's store primitive: identical to
-// vm.store except that overlapping spill-slot invalidation clears bits
-// in spillMask instead of deleting from the interpreter's spill map.
-func (m *vm) cstore(pc int, base word, off int64, size int, v uint64) error {
-	if base.region != nil && base.region.readonly {
-		return m.fault(pc, "store to read-only %s", base.region.kind)
+// storeHot is the store every ST/STX op tries first: size bytes of v to
+// in-bounds writable memory, with the stack bookkeeping. false means
+// nothing was written and vm.store has the fault (storeSlow).
+func (m *vm) storeHot(base word, off int64, size int, v uint64) bool {
+	r := base.region
+	if r == nil || r.readonly {
+		return false
 	}
 	data, ok := fastSlice(base, off, size)
 	if !ok {
-		var err error
-		data, err = m.slice(pc, base, off, size)
-		if err != nil {
-			return err
-		}
+		return false
 	}
-	if base.region != nil && base.region.kind == regionStack {
-		start := base.off + off // in-bounds after slice: 0 <= start < StackSize
-		if start < m.stackLo {
-			m.stackLo = start
-		}
-		if m.spillMask != 0 {
-			lo := uint64(start) >> 3
-			hi := uint64(start+int64(size)-1) >> 3
-			for s := lo; s <= hi && s < spillSlots; s++ {
-				m.spillMask &^= 1 << s
-			}
-		}
+	if r.kind == regionStack {
+		m.dirtyStack(int64(base.v)+off, int64(size))
 	}
 	switch size {
 	case 1:
@@ -222,7 +236,44 @@ func (m *vm) cstore(pc int, base word, off int64, size int, v uint64) error {
 	default:
 		binary.LittleEndian.PutUint64(data, v)
 	}
-	return nil
+	return true
+}
+
+// dirtyStack records an in-bounds write of stack bytes [start,
+// start+size): it lowers the clear watermark and invalidates the
+// overlapping spill slots (bits in spillMask, where the interpreter
+// deletes from its spill map).
+func (m *vm) dirtyStack(start, size int64) {
+	if start < m.stackLo {
+		m.stackLo = start
+	}
+	if m.spillMask != 0 {
+		for s := uint64(start) >> 3; s <= uint64(start+size-1)>>3 && s < spillSlots; s++ {
+			m.spillMask &^= 1 << s
+		}
+	}
+}
+
+// memArg returns the size bytes a helper's pointer argument addresses.
+func (m *vm) memArg(pc int, reg Register, size int) ([]byte, error) {
+	if b, ok := fastSlice(m.regs[reg], 0, size); ok {
+		return b, nil
+	}
+	return m.slice(pc, m.regs[reg], 0, size)
+}
+
+// scalars is the tag test every specialised ALU and jump op leads with:
+// it returns dst, the right-hand operand (the immediate k, or src's
+// value when reg), and whether every operand is a scalar. When it is
+// not — a pointer or map-handle form, legal or faulting — the op hands
+// the slot to the interpreter's generic routine.
+func (m *vm) scalars(dst, src Register, k uint64, reg bool) (*word, uint64, bool) {
+	d := &m.regs[dst]
+	if reg {
+		s := &m.regs[src]
+		return d, s.v, d.region == nil && s.region == nil
+	}
+	return d, k, d.region == nil
 }
 
 // compileProgram translates a verified instruction stream into its op
@@ -231,7 +282,9 @@ func (m *vm) cstore(pc int, base word, off int64, size int, v uint64) error {
 // pair reached as a jump target) compile to ops that reproduce the
 // interpreter's runtime fault, keeping the two backends' observable
 // behavior identical even for programs that bypass the verifier.
-func compileProgram(insns []Instruction, maps map[int32]Map) (fast, single []cop, weights []uint16) {
+// generic counts the ALU, jump and store slots left on a wrapper around
+// the interpreter's generic routine (Program.GenericOps).
+func compileProgram(insns []Instruction, handles map[int32]*region) (fast, single []cop, costs []opCost, generic int) {
 	n := len(insns)
 	single = make([]cop, n)
 	wideSecond := make([]bool, n)
@@ -260,18 +313,22 @@ func compileProgram(insns []Instruction, maps map[int32]Map) (fast, single []cop
 			}
 		}
 	}
+	costs = make([]opCost, n)
 	for pc := range insns {
+		costs[pc] = opCost{1, 1}
 		if wideSecond[pc] {
 			// Reached only as a stray jump target; the interpreter
 			// decodes the slot as a malformed ClassLD.
 			pc := pc
 			single[pc] = func(m *vm) (int, error) {
-				m.stats.Instructions++
 				return 0, m.fault(pc, "invalid LD instruction")
 			}
 			continue
 		}
-		single[pc] = compileOne(insns, pc, maps)
+		single[pc] = compileOne(insns, pc, handles, &generic)
+		if insns[pc].IsWideLoad() && pc+1 < n {
+			costs[pc].insns = 2
+		}
 	}
 
 	// Fusion pass: replace recognized pairs with one op of dispatch
@@ -280,10 +337,6 @@ func compileProgram(insns []Instruction, maps map[int32]Map) (fast, single []cop
 	// serve the slow table).
 	fast = make([]cop, n)
 	copy(fast, single)
-	weights = make([]uint16, n)
-	for i := range weights {
-		weights[i] = 1
-	}
 	fusedAt := make([]bool, n)
 	consumed := make([]bool, n)
 	for pc := 0; pc < n; pc++ {
@@ -292,7 +345,7 @@ func compileProgram(insns []Instruction, maps map[int32]Map) (fast, single []cop
 		}
 		if op := fusePair(insns, pc, wideSecond, isTarget); op != nil {
 			fast[pc] = op
-			weights[pc] = 2
+			costs[pc] = opCost{2, 2}
 			fusedAt[pc] = true
 			consumed[pc+1] = true
 		}
@@ -302,16 +355,10 @@ func compileProgram(insns []Instruction, maps map[int32]Map) (fast, single []cop
 	// left-nested closure. The payoff is branch prediction: the
 	// dispatch loop's single indirect call site changes target every
 	// step and mispredicts chronically, while every call site inside a
-	// chain has exactly one target for the program's lifetime.
-	width := func(pc int) int {
-		if fusedAt[pc] {
-			return 2
-		}
-		if in := insns[pc]; in.Class() == ClassLD && in.IsWideLoad() && pc+1 < n {
-			return 2
-		}
-		return 1
-	}
+	// chain has exactly one target for the program's lifetime. (One
+	// closure looping over the block's []cop was measured ~4 % slower
+	// end to end: it brings the shared call site back.)
+	width := func(pc int) int { return int(costs[pc].insns) }
 	// isTerm reports whether the op at pc can leave the straight line:
 	// branches, exits, and the fused mov+exit epilogue.
 	isTerm := func(pc int) bool {
@@ -335,7 +382,7 @@ func compileProgram(insns []Instruction, maps map[int32]Map) (fast, single []cop
 		}
 		start := pc
 		chain := fast[pc]
-		cw := int(weights[pc])
+		cost := costs[pc]
 		cur := pc
 		for {
 			if isTerm(cur) {
@@ -343,21 +390,22 @@ func compileProgram(insns []Instruction, maps map[int32]Map) (fast, single []cop
 				break
 			}
 			succ := cur + width(cur)
-			if succ >= n || isTarget[succ] || cw >= chainCap {
+			if succ >= n || isTarget[succ] || cost.steps >= chainCap {
 				cur = succ
 				break
 			}
 			chain = combine(chain, fast[succ], succ)
-			cw += int(weights[succ])
+			cost.steps += costs[succ].steps
+			cost.insns += costs[succ].insns
 			cur = succ
 		}
 		if cur-start > width(start) {
 			fast[start] = chain
-			weights[start] = uint16(cw)
+			costs[start] = cost
 		}
 		pc = cur
 	}
-	return fast, single, weights
+	return fast, single, costs, generic
 }
 
 // combine chains two consecutive straight-line ops into one closure.
@@ -381,10 +429,9 @@ func combine(x, y cop, yIdx int) cop {
 //   - call <env helper> ; mov64 dst, r0 — capturing a timestamp or
 //     pid/tgid into a callee-saved register.
 //
-// Fusion preserves per-slot RunStats accounting and the interpreter's
-// fault points: the mov half is applied before the add half can fault.
-// It returns nil when the slots at pc do not match or the second slot
-// is a jump target.
+// Fusion preserves the interpreter's fault points: the mov half is
+// applied before the add half can fault. It returns nil when the slots
+// at pc do not match or the second slot is a jump target.
 func fusePair(insns []Instruction, pc int, wideSecond, isTarget []bool) cop {
 	if pc+1 >= len(insns) || wideSecond[pc+1] || isTarget[pc+1] {
 		return nil
@@ -394,20 +441,15 @@ func fusePair(insns []Instruction, pc int, wideSecond, isTarget []bool) cop {
 	if a.Class() == ClassALU64 && a.ALUOp() == ALUMov && !a.UsesImm() &&
 		b.Class() == ClassALU64 && b.ALUOp() == ALUAdd && b.UsesImm() && b.Dst == a.Dst {
 		dst, src := a.Dst, a.Src
-		k := int64(b.Imm)
+		k := uint64(int64(b.Imm))
 		faultPC := pc + 1
 		return func(m *vm) (int, error) {
-			m.stats.Instructions += 2
 			d := m.regs[src]
-			switch {
-			case d.region == nil && d.m == nil:
-				d.scalar += uint64(k)
-			case d.region != nil:
-				d.off += k
-			default:
+			if r := d.region; r != nil && r.kind == regionMapHandle {
 				m.regs[dst] = d // the mov executed before the add faulted
 				return 0, m.fault(faultPC, "arithmetic on map handle")
 			}
+			d.v += k
 			m.regs[dst] = d
 			return next, nil
 		}
@@ -416,8 +458,7 @@ func fusePair(insns []Instruction, pc int, wideSecond, isTarget []bool) cop {
 		b.Class() == ClassJMP && b.JmpOp() == JmpExit {
 		k := uint64(int64(a.Imm))
 		return func(m *vm) (int, error) {
-			m.stats.Instructions += 2
-			m.regs[R0] = word{scalar: k}
+			m.regs[R0] = word{v: k}
 			m.ret = k
 			return exitOp, nil
 		}
@@ -428,7 +469,6 @@ func fusePair(insns []Instruction, pc int, wideSecond, isTarget []bool) cop {
 		switch a.Imm {
 		case HelperKtimeGetNS:
 			return func(m *vm) (int, error) {
-				m.stats.Instructions += 2
 				m.stats.HelperCalls++
 				m.setR0Scalar(m.env.KtimeGetNS())
 				m.regs[dst] = m.regs[R0]
@@ -436,7 +476,6 @@ func fusePair(insns []Instruction, pc int, wideSecond, isTarget []bool) cop {
 			}
 		case HelperGetCurrentPidTgid:
 			return func(m *vm) (int, error) {
-				m.stats.Instructions += 2
 				m.stats.HelperCalls++
 				m.setR0Scalar(m.env.CurrentPidTgid())
 				m.regs[dst] = m.regs[R0]
@@ -444,7 +483,6 @@ func fusePair(insns []Instruction, pc int, wideSecond, isTarget []bool) cop {
 			}
 		case HelperGetSMPProcID:
 			return func(m *vm) (int, error) {
-				m.stats.Instructions += 2
 				m.stats.HelperCalls++
 				m.setR0Scalar(uint64(m.env.SMPProcessorID()))
 				m.regs[dst] = m.regs[R0]
@@ -455,17 +493,21 @@ func fusePair(insns []Instruction, pc int, wideSecond, isTarget []bool) cop {
 	return nil
 }
 
-// compileOne builds the op for the instruction at pc.
-func compileOne(insns []Instruction, pc int, maps map[int32]Map) cop {
+// compileOne builds the op for the instruction at pc. Ops do not count
+// their own instruction slots; the dispatch loop does (opCost).
+func compileOne(insns []Instruction, pc int, handles map[int32]*region, generic *int) cop {
 	in := insns[pc]
 	next := pc + 1
 	switch in.Class() {
-	case ClassALU64:
-		return compileALU(in, pc, next, false)
-	case ClassALU:
-		return compileALU(in, pc, next, true)
+	case ClassALU64, ClassALU:
+		is32 := in.Class() == ClassALU
+		if op := compileALU(in, pc, next, is32); op != nil {
+			return op
+		}
+		*generic++
+		return func(m *vm) (int, error) { return m.aluSlow(pc, in, is32, next) }
 	case ClassLD:
-		return compileWideLoad(insns, pc, maps)
+		return compileWideLoad(insns, pc, handles)
 	case ClassLDX:
 		return compileLoad(in, pc, next)
 	case ClassSTX:
@@ -474,147 +516,375 @@ func compileOne(insns []Instruction, pc int, maps map[int32]Map) cop {
 		}
 		return compileStoreReg(in, pc, next)
 	case ClassST:
-		return compileStoreImm(in, pc, next)
-	case ClassJMP32:
-		return compileBranch(in, pc, next, true)
-	case ClassJMP:
-		switch in.JmpOp() {
-		case JmpExit:
+		dst, off, size, v := in.Dst, int64(in.Off), in.Size(), uint64(int64(in.Imm))
+		return func(m *vm) (int, error) {
+			if base := m.regs[dst]; !m.storeHot(base, off, size, v) {
+				return m.storeSlow(pc, base, off, size, v, next)
+			}
+			return next, nil
+		}
+	case ClassJMP32, ClassJMP:
+		tgt := pc + 1 + int(in.Off)
+		is32 := in.Class() == ClassJMP32
+		switch {
+		case is32: // JMP32 has conditional jumps only
+		case in.JmpOp() == JmpExit:
 			return func(m *vm) (int, error) {
-				m.stats.Instructions++
 				r0 := m.regs[R0]
-				if r0.region != nil || r0.m != nil {
+				if r0.region != nil {
 					return 0, m.fault(pc, "exit with non-scalar R0")
 				}
-				m.ret = r0.scalar
+				m.ret = r0.v
 				return exitOp, nil
 			}
-		case JmpCall:
+		case in.JmpOp() == JmpCall:
 			return compileCall(in, pc, next)
-		case JmpJA:
-			tgt := pc + 1 + int(in.Off)
-			return func(m *vm) (int, error) {
-				m.stats.Instructions++
-				return tgt, nil
-			}
-		default:
-			return compileBranch(in, pc, next, false)
+		case in.JmpOp() == JmpJA:
+			return func(m *vm) (int, error) { return tgt, nil }
 		}
+		if op := compileBranch(in, pc, tgt, next, is32); op != nil {
+			return op
+		}
+		*generic++
+		return func(m *vm) (int, error) { return m.branchSlow(pc, in, tgt, next) }
 	}
 	op := in.Op
 	return func(m *vm) (int, error) {
-		m.stats.Instructions++
 		return 0, m.fault(pc, "unsupported class %#x", op&0x07)
 	}
 }
 
-// compileALU specializes the hot ALU forms (mov and add in both
-// operand modes) and falls back to the interpreter's generic vm.alu
-// for the rest — the decode, not the semantics, is what the
-// compilation pass removes.
+// aluSlow runs an ALU slot through the interpreter's generic vm.alu:
+// the cold half of every specialised ALU op (pointer and map-handle
+// operands, with vm.alu's results and fault strings) and the whole of
+// an op compileALU has no form for.
+func (m *vm) aluSlow(pc int, in Instruction, is32 bool, next int) (int, error) {
+	if err := m.alu(pc, in, is32); err != nil {
+		return 0, err
+	}
+	return next, nil
+}
+
+// compileALU specializes every ALU op, both widths and operand modes:
+// the hot path is the all-scalar form, computed in place on dst, and
+// anything else goes to aluSlow. Width is a captured mask (all ones, or
+// the low word — the low 32 bits of a 64-bit add, sub, mul, or, and,
+// xor or left shift are the 32-bit result); div, mod and the right
+// shifts mask their operands first. It returns nil for an undefined op.
 func compileALU(in Instruction, pc, next int, is32 bool) cop {
-	dst, src := in.Dst, in.Src
+	dst, src, reg := in.Dst, in.Src, !in.UsesImm()
+	k, mask := uint64(int64(in.Imm)), ^uint64(0)
+	if is32 {
+		mask = 1<<32 - 1
+		k &= mask
+	}
+	slow := func(m *vm) (int, error) { return m.aluSlow(pc, in, is32, next) }
+	op := in.ALUOp()
 	switch {
-	case !is32 && in.ALUOp() == ALUMov && in.UsesImm():
-		k := uint64(int64(in.Imm))
-		return func(m *vm) (int, error) {
-			m.stats.Instructions++
-			m.regs[dst] = word{scalar: k}
-			return next, nil
-		}
-	case !is32 && in.ALUOp() == ALUMov && !in.UsesImm():
+	case is32: // no pointer-carrying form: every op is in the table below
+	case op == ALUMov && reg:
 		// 64-bit register mov copies scalars, pointers, and map
 		// handles alike, exactly as every interpreter path does.
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.regs[dst] = m.regs[src]
 			return next, nil
 		}
-	case is32 && in.ALUOp() == ALUMov && in.UsesImm():
-		k := uint64(uint32(in.Imm))
+	case op == ALUMov:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
-			d := m.regs[dst]
-			if d.region != nil {
-				return 0, m.fault(pc, "32-bit ALU on pointer")
-			}
-			if d.m != nil {
-				return 0, m.fault(pc, "arithmetic on map handle")
-			}
-			m.regs[dst] = word{scalar: k}
+			m.regs[dst] = word{v: k}
 			return next, nil
 		}
-	case !is32 && in.ALUOp() == ALUAdd && in.UsesImm():
-		k := int64(in.Imm)
+	case op == ALUAdd && !reg:
+		// Scalar value and pointer offset share word.v, so the one add
+		// serves both; only a map handle faults.
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			d := &m.regs[dst]
-			switch {
-			case d.region == nil && d.m == nil:
-				d.scalar += uint64(k)
-			case d.region != nil:
-				d.off += k
-			default:
-				return 0, m.fault(pc, "arithmetic on map handle")
+			if r := d.region; r != nil && r.kind == regionMapHandle {
+				return slow(m)
 			}
+			d.v += k
 			return next, nil
 		}
-	case !is32 && in.ALUOp() == ALUAdd && !in.UsesImm():
-		inCopy := in
+	}
+	switch op {
+	case ALUMov:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
-			d, s := &m.regs[dst], m.regs[src]
-			if d.region == nil && d.m == nil && s.region == nil && s.m == nil {
-				d.scalar += s.scalar
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = b & mask
 				return next, nil
 			}
-			if err := m.alu(pc, inCopy, false); err != nil {
-				return 0, err
+			return slow(m)
+		}
+	case ALUAdd:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = (d.v + b) & mask
+				return next, nil
 			}
-			return next, nil
+			return slow(m)
+		}
+	case ALUSub:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = (d.v - b) & mask
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALUMul:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = (d.v * b) & mask
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALUDiv:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				if b &= mask; b == 0 {
+					d.v = 0 // Linux semantics: div by zero yields 0
+				} else {
+					d.v = (d.v & mask) / b
+				}
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALUMod:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v &= mask // Linux semantics: mod by zero leaves (truncated) dst
+				if b &= mask; b != 0 {
+					d.v %= b
+				}
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALUOr:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = (d.v | b) & mask
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALUAnd:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = d.v & b & mask
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALUXor:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = (d.v ^ b) & mask
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALULsh:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = (d.v << (b & 63)) & mask
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALURsh:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = (d.v & mask) >> (b & 63)
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALUArsh:
+		if is32 {
+			return func(m *vm) (int, error) {
+				if d, b, ok := m.scalars(dst, src, k, reg); ok {
+					d.v = uint64(uint32(int32(d.v) >> (b & 31)))
+					return next, nil
+				}
+				return slow(m)
+			}
+		}
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = uint64(int64(d.v) >> (b & 63))
+				return next, nil
+			}
+			return slow(m)
+		}
+	case ALUNeg:
+		return func(m *vm) (int, error) {
+			if d, _, ok := m.scalars(dst, src, k, reg); ok {
+				d.v = -d.v & mask
+				return next, nil
+			}
+			return slow(m)
 		}
 	}
-	inCopy := in
-	return func(m *vm) (int, error) {
-		m.stats.Instructions++
-		if err := m.alu(pc, inCopy, is32); err != nil {
-			return 0, err
-		}
-		return next, nil
+	return nil
+}
+
+// pick maps a decided compare onto the compiled successor indices.
+func pick(taken bool, tgt, next int) (int, error) {
+	if taken {
+		return tgt, nil
 	}
+	return next, nil
+}
+
+// branchSlow evaluates a branch through the interpreter's generic
+// vm.branch: the cold half of every specialised jump (null checks and
+// same-region pointer compares, or vm.branch's fault) and the whole of
+// an op compileBranch has no form for.
+func (m *vm) branchSlow(pc int, in Instruction, tgt, next int) (int, error) {
+	taken, err := m.branch(pc, in)
+	if err != nil {
+		return 0, err
+	}
+	return pick(taken, tgt, next)
+}
+
+// compileBranch specializes every conditional jump, both widths and
+// operand modes, with both successor indices resolved: the hot path is
+// the all-scalar compare, anything else goes to branchSlow. A 32-bit
+// jump compares the low words; shifting both sides up by sh = 32 lets
+// the same 64-bit compare, signed or unsigned, decide it. It returns
+// nil for an undefined op.
+func compileBranch(in Instruction, pc, tgt, next int, is32 bool) cop {
+	dst, src, reg := in.Dst, in.Src, !in.UsesImm()
+	k, sh := uint64(int64(in.Imm)), uint(0)
+	if is32 {
+		sh = 32
+	}
+	slow := func(m *vm) (int, error) { return m.branchSlow(pc, in, tgt, next) }
+	// The null check every map lookup is followed by needs no slow half:
+	// a pointer or map handle never equals zero.
+	null := !reg && k == 0
+	switch in.JmpOp() {
+	case JmpJEQ:
+		if null {
+			return func(m *vm) (int, error) {
+				d := &m.regs[dst]
+				return pick(d.region == nil && d.v<<sh == 0, tgt, next)
+			}
+		}
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(d.v<<sh == b<<sh, tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJNE:
+		if null {
+			return func(m *vm) (int, error) {
+				d := &m.regs[dst]
+				return pick(d.region != nil || d.v<<sh != 0, tgt, next)
+			}
+		}
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(d.v<<sh != b<<sh, tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJGT:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(d.v<<sh > b<<sh, tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJGE:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(d.v<<sh >= b<<sh, tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJLT:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(d.v<<sh < b<<sh, tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJLE:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(d.v<<sh <= b<<sh, tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJSET:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick((d.v&b)<<sh != 0, tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJSGT:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(int64(d.v<<sh) > int64(b<<sh), tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJSGE:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(int64(d.v<<sh) >= int64(b<<sh), tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJSLT:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(int64(d.v<<sh) < int64(b<<sh), tgt, next)
+			}
+			return slow(m)
+		}
+	case JmpJSLE:
+		return func(m *vm) (int, error) {
+			if d, b, ok := m.scalars(dst, src, k, reg); ok {
+				return pick(int64(d.v<<sh) <= int64(b<<sh), tgt, next)
+			}
+			return slow(m)
+		}
+	}
+	return nil
 }
 
 // compileWideLoad handles LdImmDW pairs: 64-bit constants materialize
-// as a captured scalar, map fds resolve to the Map handle at compile
-// time. Both count two instruction slots, as the interpreter does.
-func compileWideLoad(insns []Instruction, pc int, maps map[int32]Map) cop {
+// as a captured scalar, map fds resolve to the map's handle region at
+// compile time.
+func compileWideLoad(insns []Instruction, pc int, handles map[int32]*region) cop {
 	in := insns[pc]
 	if !in.IsWideLoad() || pc+1 >= len(insns) {
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			return 0, m.fault(pc, "invalid LD instruction")
 		}
 	}
 	dst, next := in.Dst, pc+2
+	w := word{v: uint64(uint32(in.Imm)) | uint64(uint32(insns[pc+1].Imm))<<32}
 	if in.Src == PseudoMapFD {
-		mp, ok := maps[in.Imm]
+		h, ok := handles[in.Imm]
 		if !ok {
 			fd := in.Imm
 			return func(m *vm) (int, error) {
-				m.stats.Instructions++
 				return 0, m.fault(pc, "unknown map fd %d", fd)
 			}
 		}
-		return func(m *vm) (int, error) {
-			m.stats.Instructions += 2
-			m.regs[dst] = word{m: mp}
-			return next, nil
-		}
+		w = word{region: h}
 	}
-	v := uint64(uint32(in.Imm)) | uint64(uint32(insns[pc+1].Imm))<<32
 	return func(m *vm) (int, error) {
-		m.stats.Instructions += 2
-		m.regs[dst] = word{scalar: v}
+		m.regs[dst] = w
 		return next, nil
 	}
 }
@@ -629,13 +899,20 @@ func compileLoad(in Instruction, pc, next int) cop {
 	dst, src := in.Dst, in.Src
 	off := int64(in.Off)
 	size := in.Size()
+	slow := func(m *vm) (int, error) {
+		v, err := m.load(pc, m.regs[src], off, size)
+		if err != nil {
+			return 0, err
+		}
+		m.regs[dst] = word{v: v}
+		return next, nil
+	}
 	switch size {
 	case 8:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			base := m.regs[src]
-			if base.region != nil && base.region.kind == regionStack {
-				if start := base.off + off; start&7 == 0 {
+			if m.spillMask != 0 && base.region != nil && base.region.kind == regionStack {
+				if start := int64(base.v) + off; start&7 == 0 {
 					if idx := uint64(start) >> 3; idx < spillSlots && m.spillMask&(1<<idx) != 0 {
 						m.regs[dst] = m.spillW[idx]
 						return next, nil
@@ -643,62 +920,45 @@ func compileLoad(in Instruction, pc, next int) cop {
 				}
 			}
 			if data, ok := fastSlice(base, off, 8); ok {
-				m.regs[dst] = word{scalar: binary.LittleEndian.Uint64(data)}
+				m.regs[dst] = word{v: binary.LittleEndian.Uint64(data)}
 				return next, nil
 			}
-			v, err := m.load(pc, base, off, size)
-			if err != nil {
-				return 0, err
-			}
-			m.regs[dst] = word{scalar: v}
-			return next, nil
+			return slow(m)
 		}
 	case 4:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
-			base := m.regs[src]
-			if data, ok := fastSlice(base, off, 4); ok {
-				m.regs[dst] = word{scalar: uint64(binary.LittleEndian.Uint32(data))}
+			if data, ok := fastSlice(m.regs[src], off, 4); ok {
+				m.regs[dst] = word{v: uint64(binary.LittleEndian.Uint32(data))}
 				return next, nil
 			}
-			v, err := m.load(pc, base, off, size)
-			if err != nil {
-				return 0, err
-			}
-			m.regs[dst] = word{scalar: v}
-			return next, nil
+			return slow(m)
 		}
 	case 2:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
-			base := m.regs[src]
-			if data, ok := fastSlice(base, off, 2); ok {
-				m.regs[dst] = word{scalar: uint64(binary.LittleEndian.Uint16(data))}
+			if data, ok := fastSlice(m.regs[src], off, 2); ok {
+				m.regs[dst] = word{v: uint64(binary.LittleEndian.Uint16(data))}
 				return next, nil
 			}
-			v, err := m.load(pc, base, off, size)
-			if err != nil {
-				return 0, err
-			}
-			m.regs[dst] = word{scalar: v}
-			return next, nil
+			return slow(m)
 		}
 	default:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
-			base := m.regs[src]
-			if data, ok := fastSlice(base, off, 1); ok {
-				m.regs[dst] = word{scalar: uint64(data[0])}
+			if data, ok := fastSlice(m.regs[src], off, 1); ok {
+				m.regs[dst] = word{v: uint64(data[0])}
 				return next, nil
 			}
-			v, err := m.load(pc, base, off, size)
-			if err != nil {
-				return 0, err
-			}
-			m.regs[dst] = word{scalar: v}
-			return next, nil
+			return slow(m)
 		}
 	}
+}
+
+// storeSlow runs a store storeHot refused through the interpreter's
+// vm.store, which faults: read-only, non-pointer or out of bounds.
+func (m *vm) storeSlow(pc int, base word, off int64, size int, v uint64, next int) (int, error) {
+	if err := m.store(pc, base, off, size, v); err != nil {
+		return 0, err
+	}
+	return next, nil
 }
 
 // compileStoreReg builds a non-atomic ClassSTX op. Whether the source
@@ -709,51 +969,22 @@ func compileStoreReg(in Instruction, pc, next int) cop {
 	off := int64(in.Off)
 	size := in.Size()
 	return func(m *vm) (int, error) {
-		m.stats.Instructions++
-		s := m.regs[src]
-		if s.region == nil && s.m == nil {
-			base := m.regs[dst]
-			// Inline the hot form — an in-bounds 8-byte scalar store to
-			// writable memory — and leave every other shape to cstore.
-			if size == 8 && base.region != nil && !base.region.readonly {
-				if data, ok := fastSlice(base, off, 8); ok {
-					if base.region.kind == regionStack {
-						start := base.off + off
-						if start < m.stackLo {
-							m.stackLo = start
-						}
-						if m.spillMask != 0 {
-							lo := uint64(start) >> 3
-							hi := uint64(start+7) >> 3
-							for sl := lo; sl <= hi && sl < spillSlots; sl++ {
-								m.spillMask &^= 1 << sl
-							}
-						}
-					}
-					binary.LittleEndian.PutUint64(data, s.scalar)
-					return next, nil
-				}
-			}
-			if err := m.cstore(pc, base, off, size, s.scalar); err != nil {
-				return 0, err
-			}
-			return next, nil
-		}
-		// Pointer/handle spill: verifier-restricted to aligned 8-byte
-		// stack slots; the raw bytes hold the word's region offset.
-		base := m.regs[dst]
-		if base.region == nil || base.region.kind != regionStack || size != 8 {
-			return 0, m.fault(pc, "pointer can only be spilled to an aligned 8-byte stack slot")
-		}
-		start := base.off + off
-		if start%8 != 0 {
-			return 0, m.fault(pc, "pointer spill must be 8-byte aligned")
-		}
-		if err := m.cstore(pc, base, off, 8, uint64(s.off)); err != nil {
-			return 0, err
-		}
+		s, base := m.regs[src], m.regs[dst]
 		if s.region != nil {
-			idx := uint64(start) >> 3
+			// Pointer/handle spill: verifier-restricted to aligned 8-byte
+			// stack slots; the raw bytes hold the word's region offset.
+			if !base.isPointer() || base.region.kind != regionStack || size != 8 {
+				return 0, m.fault(pc, "pointer can only be spilled to an aligned 8-byte stack slot")
+			}
+			if (int64(base.v)+off)%8 != 0 {
+				return 0, m.fault(pc, "pointer spill must be 8-byte aligned")
+			}
+		}
+		if !m.storeHot(base, off, size, s.v) {
+			return m.storeSlow(pc, base, off, size, s.v, next)
+		}
+		if s.isPointer() {
+			idx := uint64(int64(base.v)+off) >> 3
 			m.spillW[idx] = s
 			m.spillMask |= 1 << idx
 		}
@@ -761,170 +992,88 @@ func compileStoreReg(in Instruction, pc, next int) cop {
 	}
 }
 
-// compileStoreImm builds a ClassST op.
-func compileStoreImm(in Instruction, pc, next int) cop {
-	dst := in.Dst
-	off := int64(in.Off)
-	size := in.Size()
-	v := uint64(int64(in.Imm))
-	return func(m *vm) (int, error) {
-		m.stats.Instructions++
-		if err := m.cstore(pc, m.regs[dst], off, size, v); err != nil {
-			return 0, err
-		}
-		return next, nil
-	}
-}
-
-// compileAtomic builds a BPF_ATOMIC STX op (AtomicAdd). Statically
-// invalid forms compile to ops reproducing the interpreter's faults.
+// compileAtomic builds a BPF_ATOMIC STX op (AtomicAdd): the hot path
+// is a read-modify-write in place on the in-bounds writable slice;
+// statically invalid forms and every refused access go to vm.atomic
+// for the interpreter's faults.
 func compileAtomic(in Instruction, pc, next int) cop {
-	if in.Imm != AtomicAdd {
-		imm := in.Imm
-		return func(m *vm) (int, error) {
-			m.stats.Instructions++
-			s := m.regs[in.Src]
-			if s.region != nil || s.m != nil {
-				return 0, m.fault(pc, "atomic add of a pointer")
-			}
-			return 0, m.fault(pc, "unsupported atomic op %#x", imm)
-		}
-	}
 	dst, src := in.Dst, in.Src
 	off := int64(in.Off)
 	size := in.Size()
-	if size != 4 && size != 8 {
-		return func(m *vm) (int, error) {
-			m.stats.Instructions++
-			s := m.regs[src]
-			if s.region != nil || s.m != nil {
-				return 0, m.fault(pc, "atomic add of a pointer")
-			}
-			return 0, m.fault(pc, "atomic add requires 4- or 8-byte width")
-		}
-	}
+	valid := in.Imm == AtomicAdd && (size == 4 || size == 8)
 	return func(m *vm) (int, error) {
-		m.stats.Instructions++
-		s := m.regs[src]
-		if s.region != nil || s.m != nil {
+		s, base := m.regs[src], m.regs[dst]
+		if s.region != nil {
 			return 0, m.fault(pc, "atomic add of a pointer")
 		}
-		base := m.regs[dst]
-		if base.region != nil && base.region.readonly {
-			return 0, m.fault(pc, "atomic on read-only %s", base.region.kind)
+		if r := base.region; valid && r != nil && !r.readonly {
+			if data, ok := fastSlice(base, off, size); ok {
+				if r.kind == regionStack {
+					m.dirtyStack(int64(base.v)+off, int64(size))
+				}
+				if size == 8 {
+					binary.LittleEndian.PutUint64(data, binary.LittleEndian.Uint64(data)+s.v)
+				} else {
+					binary.LittleEndian.PutUint32(data, binary.LittleEndian.Uint32(data)+uint32(s.v))
+				}
+				return next, nil
+			}
 		}
-		cur, err := m.load(pc, base, off, size)
-		if err != nil {
-			return 0, err
-		}
-		if err := m.cstore(pc, base, off, size, cur+s.scalar); err != nil {
+		if err := m.atomic(pc, in, s.v); err != nil {
 			return 0, err
 		}
 		return next, nil
 	}
 }
 
-// compileBranch builds a conditional jump with both successor indices
-// resolved. The all-scalar immediate compares — the null checks and
-// syscall filters every probe leads with — run fully specialized; the
-// pointer-comparison and register-operand forms reuse vm.branch.
-func compileBranch(in Instruction, pc, next int, is32 bool) cop {
-	tgt := pc + 1 + int(in.Off)
-	if !is32 && in.UsesImm() {
-		dst := in.Dst
-		k := uint64(int64(in.Imm))
-		switch in.JmpOp() {
-		case JmpJEQ:
-			return func(m *vm) (int, error) {
-				m.stats.Instructions++
-				d := m.regs[dst]
-				if d.region == nil && d.m == nil {
-					if d.scalar == k {
-						return tgt, nil
-					}
-					return next, nil
-				}
-				return m.branchSlow(pc, in, tgt, next)
-			}
-		case JmpJNE:
-			return func(m *vm) (int, error) {
-				m.stats.Instructions++
-				d := m.regs[dst]
-				if d.region == nil && d.m == nil {
-					if d.scalar != k {
-						return tgt, nil
-					}
-					return next, nil
-				}
-				return m.branchSlow(pc, in, tgt, next)
-			}
-		}
-	}
-	inCopy := in
-	return func(m *vm) (int, error) {
-		m.stats.Instructions++
-		return m.branchSlow(pc, inCopy, tgt, next)
-	}
-}
-
-// branchSlow evaluates a branch through the interpreter's generic
-// vm.branch and maps taken/not-taken onto the compiled indices.
-func (m *vm) branchSlow(pc int, in Instruction, tgt, next int) (int, error) {
-	taken, err := m.branch(pc, in)
-	if err != nil {
-		return 0, err
-	}
-	if taken {
-		return tgt, nil
-	}
-	return next, nil
-}
-
-// compileCall specializes the three ambient-state helpers (no
-// arguments beyond the env, scalar return); map and ringbuf helpers
-// keep the interpreter's vm.call, which routes map-value regions
-// through the pooled arena when run state is pooled.
+// compileCall specializes the three ambient-state helpers and the map
+// and sketch helpers, with the map type resolved by a type switch so
+// lookup, update and delete on the three map types probes use are
+// direct calls; the ringbuf helpers keep the interpreter's vm.call.
 func compileCall(in Instruction, pc, next int) cop {
 	switch in.Imm {
 	case HelperKtimeGetNS:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.setR0Scalar(m.env.KtimeGetNS())
 			return next, nil
 		}
 	case HelperGetCurrentPidTgid:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.setR0Scalar(m.env.CurrentPidTgid())
 			return next, nil
 		}
 	case HelperGetSMPProcID:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.setR0Scalar(uint64(m.env.SMPProcessorID()))
 			return next, nil
 		}
 	case HelperMapLookupElem:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.stats.MapOps++
-			mp := m.regs[R1].m
-			if mp == nil {
+			h := m.regs[R1].handle()
+			if h == nil {
 				return 0, m.fault(pc, "map_lookup_elem: R1 is not a map")
 			}
-			key, ok := fastSlice(m.regs[R2], 0, mp.KeySize())
-			if !ok {
-				var err error
-				key, err = m.slice(pc, m.regs[R2], 0, mp.KeySize())
-				if err != nil {
-					return 0, err
-				}
+			key, err := m.memArg(pc, R2, h.keySize)
+			if err != nil {
+				return 0, err
 			}
-			v, ok := mp.Lookup(key)
+			var v []byte
+			var ok bool
+			switch mp := h.m.(type) {
+			case *LRUHashMap:
+				v, ok = mp.Lookup(key)
+			case *HashMap:
+				v, ok = mp.Lookup(key)
+			case *ArrayMap:
+				v, ok = mp.Lookup(key)
+			default:
+				v, ok = mp.Lookup(key)
+			}
 			if !ok {
 				m.setR0Scalar(0)
 				return next, nil
@@ -934,155 +1083,131 @@ func compileCall(in Instruction, pc, next int) cop {
 		}
 	case HelperMapUpdateElem:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.stats.MapOps++
-			mp := m.regs[R1].m
-			if mp == nil {
+			h := m.regs[R1].handle()
+			if h == nil {
 				return 0, m.fault(pc, "map_update_elem: R1 is not a map")
 			}
-			// Devirtualize the dominant map type so the size reads and
-			// the update are direct calls.
-			var ks, vs int
-			hm, isHash := mp.(*HashMap)
-			if isHash {
-				ks, vs = hm.keySize, hm.valueSize
-			} else {
-				ks, vs = mp.KeySize(), mp.ValueSize()
+			key, err := m.memArg(pc, R2, h.keySize)
+			if err != nil {
+				return 0, err
 			}
-			key, ok := fastSlice(m.regs[R2], 0, ks)
-			if !ok {
-				var err error
-				key, err = m.slice(pc, m.regs[R2], 0, ks)
-				if err != nil {
-					return 0, err
-				}
-			}
-			val, ok := fastSlice(m.regs[R3], 0, vs)
-			if !ok {
-				var err error
-				val, err = m.slice(pc, m.regs[R3], 0, vs)
-				if err != nil {
-					return 0, err
-				}
+			val, err := m.memArg(pc, R3, h.valueSize)
+			if err != nil {
+				return 0, err
 			}
 			flags := m.regs[R4]
 			if !flags.isScalar() {
 				return 0, m.fault(pc, "map_update_elem: flags not scalar")
 			}
-			var err error
-			if isHash {
-				err = hm.Update(key, val, int(flags.scalar))
-			} else {
-				err = mp.Update(key, val, int(flags.scalar))
+			switch mp := h.m.(type) {
+			case *LRUHashMap:
+				err = mp.Update(key, val, int(flags.v))
+			case *HashMap:
+				err = mp.Update(key, val, int(flags.v))
+			case *ArrayMap:
+				err = mp.Update(key, val, int(flags.v))
+			default:
+				err = mp.Update(key, val, int(flags.v))
 			}
-			if err != nil {
-				m.setR0Scalar(^uint64(0)) // -EEXIST and friends collapse to -1
-				return next, nil
-			}
-			m.setR0Scalar(0)
-			return next, nil
+			return m.retStatus(err, next)
 		}
 	case HelperMapDeleteElem:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.stats.MapOps++
-			mp := m.regs[R1].m
-			if mp == nil {
+			h := m.regs[R1].handle()
+			if h == nil {
 				return 0, m.fault(pc, "map_delete_elem: R1 is not a map")
 			}
-			key, ok := fastSlice(m.regs[R2], 0, mp.KeySize())
-			if !ok {
-				var err error
-				key, err = m.slice(pc, m.regs[R2], 0, mp.KeySize())
-				if err != nil {
-					return 0, err
-				}
+			key, err := m.memArg(pc, R2, h.keySize)
+			if err != nil {
+				return 0, err
 			}
-			if err := mp.Delete(key); err != nil {
-				m.setR0Scalar(^uint64(0))
-				return next, nil
+			switch mp := h.m.(type) {
+			case *LRUHashMap:
+				err = mp.Delete(key)
+			case *HashMap:
+				err = mp.Delete(key)
+			case *ArrayMap:
+				err = mp.Delete(key)
+			default:
+				err = mp.Delete(key)
 			}
-			m.setR0Scalar(0)
-			return next, nil
+			return m.retStatus(err, next)
 		}
 	case HelperCMSUpdate:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.stats.MapOps++
-			cs, ok := m.regs[R1].m.(*CMS)
+			cs, ok := m.regs[R1].mapOf().(*CMS)
 			if !ok {
 				return 0, m.fault(pc, "cms_update: R1 is not a cms")
 			}
-			key, ok := fastSlice(m.regs[R2], 0, cs.keySize)
-			if !ok {
-				var err error
-				key, err = m.slice(pc, m.regs[R2], 0, cs.keySize)
-				if err != nil {
-					return 0, err
-				}
+			key, err := m.memArg(pc, R2, cs.keySize)
+			if err != nil {
+				return 0, err
 			}
 			inc := m.regs[R3]
 			if !inc.isScalar() {
 				return 0, m.fault(pc, "cms_update: increment not scalar")
 			}
-			cs.Add(key, inc.scalar)
+			cs.Add(key, inc.v)
 			m.setR0Scalar(0)
 			return next, nil
 		}
 	case HelperCMSEstimate:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.stats.MapOps++
-			cs, ok := m.regs[R1].m.(*CMS)
+			cs, ok := m.regs[R1].mapOf().(*CMS)
 			if !ok {
 				return 0, m.fault(pc, "cms_estimate: R1 is not a cms")
 			}
-			key, ok := fastSlice(m.regs[R2], 0, cs.keySize)
-			if !ok {
-				var err error
-				key, err = m.slice(pc, m.regs[R2], 0, cs.keySize)
-				if err != nil {
-					return 0, err
-				}
+			key, err := m.memArg(pc, R2, cs.keySize)
+			if err != nil {
+				return 0, err
 			}
 			m.setR0Scalar(cs.Estimate(key))
 			return next, nil
 		}
 	case HelperHashPipeInsert:
 		return func(m *vm) (int, error) {
-			m.stats.Instructions++
 			m.stats.HelperCalls++
 			m.stats.MapOps++
-			hp, ok := m.regs[R1].m.(*HashPipe)
+			hp, ok := m.regs[R1].mapOf().(*HashPipe)
 			if !ok {
 				return 0, m.fault(pc, "hashpipe_insert: R1 is not a hashpipe")
 			}
-			key, ok := fastSlice(m.regs[R2], 0, hp.keySize)
-			if !ok {
-				var err error
-				key, err = m.slice(pc, m.regs[R2], 0, hp.keySize)
-				if err != nil {
-					return 0, err
-				}
+			key, err := m.memArg(pc, R2, hp.keySize)
+			if err != nil {
+				return 0, err
 			}
 			inc := m.regs[R3]
 			if !inc.isScalar() {
 				return 0, m.fault(pc, "hashpipe_insert: increment not scalar")
 			}
-			m.setR0Scalar(hp.Insert(key, inc.scalar))
+			m.setR0Scalar(hp.Insert(key, inc.v))
 			return next, nil
 		}
 	}
 	id := in.Imm
 	return func(m *vm) (int, error) {
-		m.stats.Instructions++
 		if err := m.call(pc, id); err != nil {
 			return 0, err
 		}
 		return next, nil
 	}
+}
+
+// retStatus returns a map helper's status in R0: 0, or -1 for any
+// error (-EEXIST and friends collapse to -1).
+func (m *vm) retStatus(err error, next int) (int, error) {
+	if err != nil {
+		m.setR0Scalar(^uint64(0))
+	} else {
+		m.setR0Scalar(0)
+	}
+	return next, nil
 }

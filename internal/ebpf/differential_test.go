@@ -896,12 +896,12 @@ func diffMaps() map[int32]Map {
 
 func vmRegDesc(w word) string {
 	switch {
-	case w.m != nil:
-		return fmt.Sprintf("map(%s)", w.m.Name())
+	case w.handle() != nil:
+		return fmt.Sprintf("map(%s)", w.handle().m.Name())
 	case w.region != nil:
-		return fmt.Sprintf("%s+%d", w.region.kind, w.off)
+		return fmt.Sprintf("%s+%d", w.region.kind, int64(w.v))
 	default:
-		return fmt.Sprintf("scalar(%#x)", w.scalar)
+		return fmt.Sprintf("scalar(%#x)", w.v)
 	}
 }
 
@@ -940,7 +940,7 @@ func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byt
 		ctx:   region{kind: regionCtx, data: ctx, readonly: true},
 	}
 	m.regs[R1] = word{region: &m.ctx}
-	m.regs[R10] = word{region: &m.stack, off: StackSize}
+	m.regs[R10] = word{region: &m.stack, v: StackSize}
 	vmRet, vmErr := m.exec()
 
 	// Compiled backend: a second Program over the same instruction
@@ -1178,8 +1178,10 @@ func genProgram(rng *rand.Rand) []Instruction {
 			op := jmpOps[rng.Intn(len(jmpOps))]
 			use32 := rng.Intn(2) == 0
 			block := 1 + rng.Intn(3)
-			if use32 {
+			if use32 && rng.Intn(2) == 0 {
 				a.Emit(JmpImm32(op, scal(), imm(), int16(block)))
+			} else if use32 {
+				a.Emit(JmpReg32(op, scal(), scal(), int16(block)))
 			} else if rng.Intn(2) == 0 {
 				a.JumpImm(op, scal(), imm(), l)
 			} else {

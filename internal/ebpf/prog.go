@@ -26,20 +26,23 @@ type Program struct {
 	name    string
 	insns   []Instruction
 	maps    map[int32]Map
+	handles map[int32]*region // one regionMapHandle region per map: what a map-fd load yields
 	ctxSize int
 	runs    uint64
 	vstates int     // abstract states the verifier explored to admit it
 	backend Backend // resolved at Load: interpreter or compiled
 	// Compiled backend state, nil/empty on the interpreter backend. ops
 	// is the dispatch table with pairs fused and straight-line blocks
-	// chained; opWeights[pc] is the dispatch-step cost of ops[pc] (see
-	// vm.steps); opsSingle is the unfused one-op-per-slot table the
-	// dispatch loop falls back to near budget exhaustion so budget
-	// faults land on the same instruction as the interpreter's.
-	ops       []cop
-	opsSingle []cop
-	opWeights []uint16
-	rsCache   *vm // parked run state; see getVM (Run is single-goroutine, like runs)
+	// chained; opCosts[pc] is what dispatching ops[pc] accounts (budget
+	// steps and instruction slots, see opCost); opsSingle is the unfused
+	// one-op-per-slot table the dispatch loop falls back to near budget
+	// exhaustion so budget faults land on the same instruction as the
+	// interpreter's; genericOps is what GenericOps reports.
+	ops        []cop
+	opsSingle  []cop
+	opCosts    []opCost
+	genericOps int
+	rsCache    *vm // parked run state; see getVM (Run is single-goroutine, like runs)
 }
 
 // Load verifies and loads a program. It fails exactly when the verifier
@@ -48,25 +51,35 @@ func Load(spec ProgramSpec) (*Program, error) {
 	if spec.CtxSize < 0 {
 		return nil, fmt.Errorf("ebpf: negative ctx size")
 	}
-	maps := spec.Maps
-	if maps == nil {
-		maps = map[int32]Map{}
+	if spec.Maps == nil {
+		spec.Maps = map[int32]Map{}
 	}
-	states, err := verify(spec.Insns, maps, spec.CtxSize)
+	states, err := verify(spec.Insns, spec.Maps, spec.CtxSize)
 	if err != nil {
 		return nil, fmt.Errorf("ebpf: load %q: %w", spec.Name, err)
 	}
+	return build(spec, states), nil
+}
+
+// build assembles the Program for an instruction stream the caller
+// vouches for: Load after the verifier admitted it in states states,
+// the fault-parity tests deliberately without.
+func build(spec ProgramSpec, states int) *Program {
 	insns := make([]Instruction, len(spec.Insns))
 	copy(insns, spec.Insns)
 	backend := spec.Backend
 	if backend == BackendAuto {
 		backend = DefaultBackend()
 	}
-	p := &Program{name: spec.Name, insns: insns, maps: maps, ctxSize: spec.CtxSize, vstates: states, backend: backend}
-	if backend == BackendCompiled {
-		p.ops, p.opsSingle, p.opWeights = compileProgram(p.insns, p.maps)
+	handles := make(map[int32]*region, len(spec.Maps))
+	for fd, mp := range spec.Maps {
+		handles[fd] = &region{kind: regionMapHandle, h: &mapHandle{m: mp, keySize: mp.KeySize(), valueSize: mp.ValueSize()}}
 	}
-	return p, nil
+	p := &Program{name: spec.Name, insns: insns, maps: spec.Maps, handles: handles, ctxSize: spec.CtxSize, vstates: states, backend: backend}
+	if backend == BackendCompiled {
+		p.ops, p.opsSingle, p.opCosts, p.genericOps = compileProgram(p.insns, handles)
+	}
+	return p
 }
 
 // MustLoad is Load but panics on error, for statically-known programs.
@@ -98,6 +111,13 @@ func (p *Program) VerifierStates() int { return p.vstates }
 // Backend returns the execution backend the program was loaded for
 // (never BackendAuto: auto resolves at Load time).
 func (p *Program) Backend() Backend { return p.backend }
+
+// GenericOps returns how many ALU, jump and store slots the compiled
+// backend left on a wrapper around the interpreter's generic routine
+// because it has no specialised form for them (always 0 on the
+// interpreter backend). Every op the verifier admits has a form, so a
+// shipped probe reports 0; a test in internal/probes holds them to it.
+func (p *Program) GenericOps() int { return p.genericOps }
 
 // Map returns the map loaded at fd, or nil.
 func (p *Program) Map(fd int32) Map { return p.maps[fd] }

@@ -46,6 +46,7 @@ const (
 	regionStack regionKind = iota
 	regionCtx
 	regionMapValue
+	regionMapHandle
 )
 
 func (k regionKind) String() string {
@@ -56,39 +57,65 @@ func (k regionKind) String() string {
 		return "ctx"
 	case regionMapValue:
 		return "map_value"
+	case regionMapHandle:
+		return "map"
 	}
 	return "?"
 }
 
-// region is a bounds-checked memory area addressable by the program.
+// region is a bounds-checked memory area addressable by the program,
+// or (kind regionMapHandle, no data) the identity of a loaded map: one
+// is allocated per map at Load time, so a map handle is a word like any
+// pointer and memory accesses through it fail the bounds check.
 type region struct {
-	kind     regionKind
 	data     []byte
+	h        *mapHandle // regionMapHandle only
+	kind     regionKind
 	readonly bool
 }
 
-// word is a register or stack slot value: a scalar, a pointer into a
-// region, or a map handle.
-type word struct {
-	scalar uint64
-	region *region
-	off    int64
-	m      Map
+// mapHandle is what a regionMapHandle region resolves to: the map and
+// its (immutable) key and value sizes, read once at Load.
+type mapHandle struct {
+	m                  Map
+	keySize, valueSize int
 }
 
-func scalarWord(v uint64) word { return word{scalar: v} }
+// word is a register or stack slot value, 16 bytes: a scalar (region
+// nil, v the value), a pointer into a region (v the int64 offset), or a
+// map handle (region.kind regionMapHandle, v zero). Sharing v between
+// value and offset is what lets add/sub/mov treat scalars and pointers
+// alike and keeps the register-file reset and the helper-call clobber
+// to 16 bytes a register.
+type word struct {
+	v      uint64
+	region *region
+}
 
-func (w word) isScalar() bool  { return w.region == nil && w.m == nil }
-func (w word) isPointer() bool { return w.region != nil }
+func scalarWord(v uint64) word { return word{v: v} }
+
+func (w word) isScalar() bool  { return w.region == nil }
+func (w word) isPointer() bool { return w.region != nil && w.region.kind != regionMapHandle }
+
+// handle returns the map handle w holds, or nil.
+func (w word) handle() *mapHandle {
+	if w.region == nil {
+		return nil
+	}
+	return w.region.h
+}
+
+// mapOf returns the map w is a handle to, or nil.
+func (w word) mapOf() Map {
+	if h := w.handle(); h != nil {
+		return h.m
+	}
+	return nil
+}
 
 // truthy reports whether the word compares non-zero (pointers and map
 // handles are always non-zero; null lookups return scalar 0).
-func (w word) truthy() bool {
-	if w.region != nil || w.m != nil {
-		return true
-	}
-	return w.scalar != 0
-}
+func (w word) truthy() bool { return w.region != nil || w.v != 0 }
 
 // RuntimeError is a fault during interpretation. A verified program
 // should never produce one; it exists as defense in depth and for tests
@@ -126,7 +153,8 @@ type vm struct {
 	// retained across runs so steady-state compiled execution never
 	// touches the heap. They are pointers/slices rather than inline
 	// arrays so the interpreter's per-run vm allocation stays small.
-	// stackMem backs stack.data (cleared, not reallocated, per run);
+	// stackMem backs stack.data (cleared, not reallocated, per run; the
+	// stack and ctx regions themselves are set up once, ctx.data rebound);
 	// spillMask bit i marks stack slot [8i,8i+8) as holding the live
 	// spilled word spillW[i]; mvArena is a bump arena for map-value
 	// regions, reset (not freed) per run; ret carries the exit value out
@@ -143,10 +171,11 @@ type vm struct {
 	// StackSize) is a superset of the dirty bytes and is all getVM must
 	// clear to hand the next run a zeroed stack.
 	stackLo int64
-	// steps counts completed dispatches against the instruction budget,
-	// in the interpreter's units (a wide LdImmDW is one dispatch, each
-	// half of a fused pair is one). Compiled-backend only; the
-	// interpreter keeps its counter in a loop variable.
+	// steps counts dispatches against the instruction budget, in the
+	// interpreter's units (a wide LdImmDW is one dispatch, each half of
+	// a fused pair is one), added a block at a time (opCost).
+	// Compiled-backend only; the interpreter keeps its counter in a
+	// loop variable.
 	steps int
 }
 
@@ -159,8 +188,15 @@ func (m *vm) mapValRegion(v []byte) *region {
 	if !m.pooled {
 		return &region{kind: regionMapValue, data: v}
 	}
-	m.mvArena = append(m.mvArena, region{kind: regionMapValue, data: v})
-	return &m.mvArena[len(m.mvArena)-1]
+	n := len(m.mvArena)
+	if n == cap(m.mvArena) {
+		m.mvArena = append(m.mvArena, region{})
+	} else {
+		m.mvArena = m.mvArena[:n+1]
+	}
+	r := &m.mvArena[n] // a slot only ever holds a map-value region: h stays nil
+	r.kind, r.data = regionMapValue, v
+	return r
 }
 
 // run interprets the program against ctx. ctx may be nil for programs
@@ -173,7 +209,7 @@ func (p *Program) run(ctx []byte, env HelperEnv) (uint64, RunStats, error) {
 		ctx:   region{kind: regionCtx, data: ctx, readonly: true},
 	}
 	m.regs[R1] = word{region: &m.ctx}
-	m.regs[R10] = word{region: &m.stack, off: StackSize}
+	m.regs[R10] = word{region: &m.stack, v: StackSize}
 	ret, err := m.exec()
 	return ret, m.stats, err
 }
@@ -211,11 +247,11 @@ func (m *vm) exec() (uint64, error) {
 			}
 			next := insns[pc+1]
 			if in.Src == PseudoMapFD {
-				mp, ok := m.prog.maps[in.Imm]
+				h, ok := m.prog.handles[in.Imm]
 				if !ok {
 					return 0, m.fault(pc, "unknown map fd %d", in.Imm)
 				}
-				m.regs[in.Dst] = word{m: mp}
+				m.regs[in.Dst] = word{region: h}
 			} else {
 				v := uint64(uint32(in.Imm)) | uint64(uint32(next.Imm))<<32
 				m.regs[in.Dst] = scalarWord(v)
@@ -240,7 +276,7 @@ func (m *vm) exec() (uint64, error) {
 				if !src.isScalar() {
 					return 0, m.fault(pc, "atomic add of a pointer")
 				}
-				if err := m.atomic(pc, in, src.scalar); err != nil {
+				if err := m.atomic(pc, in, src.v); err != nil {
 					return 0, err
 				}
 				pc++
@@ -253,7 +289,7 @@ func (m *vm) exec() (uint64, error) {
 				pc++
 				continue
 			}
-			if err := m.store(pc, m.regs[in.Dst], int64(in.Off), in.Size(), src.scalar); err != nil {
+			if err := m.store(pc, m.regs[in.Dst], int64(in.Off), in.Size(), src.v); err != nil {
 				return 0, err
 			}
 			pc++
@@ -279,7 +315,7 @@ func (m *vm) exec() (uint64, error) {
 				if !r0.isScalar() {
 					return 0, m.fault(pc, "exit with non-scalar R0")
 				}
-				return r0.scalar, nil
+				return r0.v, nil
 			case JmpCall:
 				if err := m.call(pc, in.Imm); err != nil {
 					return 0, err
@@ -328,28 +364,28 @@ func (m *vm) alu(pc int, in Instruction, is32 bool) error {
 		case ALUAdd:
 			switch {
 			case dst.isPointer() && src.isScalar():
-				dst.off += int64(src.scalar)
+				dst.v += src.v
 				m.regs[in.Dst] = dst
 				return nil
 			case src.isPointer() && dst.isScalar():
-				src.off += int64(dst.scalar)
+				src.v += dst.v
 				m.regs[in.Dst] = src
 				return nil
 			}
 		case ALUSub:
 			if dst.isPointer() && src.isScalar() {
-				dst.off -= int64(src.scalar)
+				dst.v -= src.v
 				m.regs[in.Dst] = dst
 				return nil
 			}
 			if dst.isPointer() && src.isPointer() && dst.region == src.region {
-				m.regs[in.Dst] = scalarWord(uint64(dst.off - src.off))
+				m.regs[in.Dst] = scalarWord(dst.v - src.v)
 				return nil
 			}
 		}
 		return m.fault(pc, "invalid pointer arithmetic op=%#x", op)
 	}
-	if dst.m != nil || src.m != nil {
+	if !dst.isScalar() || !src.isScalar() { // a map handle
 		if op == ALUMov && !is32 {
 			m.regs[in.Dst] = src
 			return nil
@@ -357,7 +393,7 @@ func (m *vm) alu(pc int, in Instruction, is32 bool) error {
 		return m.fault(pc, "arithmetic on map handle")
 	}
 
-	a, b := dst.scalar, src.scalar
+	a, b := dst.v, src.v
 	if is32 {
 		a, b = uint64(uint32(a)), uint64(uint32(b))
 	}
@@ -420,30 +456,30 @@ func (m *vm) branch(pc int, in Instruction) (bool, error) {
 	if !dst.isScalar() || !src.isScalar() {
 		switch in.JmpOp() {
 		case JmpJEQ:
-			if src.isScalar() && src.scalar == 0 {
+			if src.isScalar() && src.v == 0 {
 				return !dst.truthy(), nil
 			}
-			if dst.isScalar() && dst.scalar == 0 {
+			if dst.isScalar() && dst.v == 0 {
 				return !src.truthy(), nil
 			}
-			if dst.region != nil && src.region == dst.region {
-				return dst.off == src.off, nil
+			if dst.isPointer() && src.region == dst.region {
+				return dst.v == src.v, nil
 			}
 		case JmpJNE:
-			if src.isScalar() && src.scalar == 0 {
+			if src.isScalar() && src.v == 0 {
 				return dst.truthy(), nil
 			}
-			if dst.isScalar() && dst.scalar == 0 {
+			if dst.isScalar() && dst.v == 0 {
 				return src.truthy(), nil
 			}
-			if dst.region != nil && src.region == dst.region {
-				return dst.off != src.off, nil
+			if dst.isPointer() && src.region == dst.region {
+				return dst.v != src.v, nil
 			}
 		}
 		return false, m.fault(pc, "invalid pointer comparison")
 	}
 
-	a, b := dst.scalar, src.scalar
+	a, b := dst.v, src.v
 	if in.Class() == ClassJMP32 {
 		a, b = uint64(uint32(a)), uint64(uint32(b))
 		// Signed 32-bit comparisons sign-extend the low words.
@@ -517,7 +553,7 @@ func (m *vm) store(pc int, base word, off int64, size int, v uint64) error {
 	// Any stack overwrite invalidates overlapping spilled pointers, as in
 	// the verifier's model.
 	if base.isPointer() && base.region.kind == regionStack {
-		start := base.off + off
+		start := int64(base.v) + off
 		for slot := range m.spills {
 			if slot < start+int64(size) && slot+8 > start {
 				delete(m.spills, slot)
@@ -546,14 +582,14 @@ func (m *vm) spill(pc int, in Instruction, src word) error {
 	if !base.isPointer() || base.region.kind != regionStack || in.Size() != 8 {
 		return m.fault(pc, "pointer can only be spilled to an aligned 8-byte stack slot")
 	}
-	start := base.off + int64(in.Off)
+	start := int64(base.v) + int64(in.Off)
 	if start%8 != 0 {
 		return m.fault(pc, "pointer spill must be 8-byte aligned")
 	}
-	if err := m.store(pc, base, int64(in.Off), 8, uint64(src.off)); err != nil {
+	if err := m.store(pc, base, int64(in.Off), 8, src.v); err != nil {
 		return err
 	}
-	if src.region != nil {
+	if src.isPointer() {
 		if m.spills == nil {
 			m.spills = make(map[int64]word)
 		}
@@ -568,7 +604,7 @@ func (m *vm) unspill(base word, off int64, size int) (word, bool) {
 	if size != 8 || !base.isPointer() || base.region.kind != regionStack {
 		return word{}, false
 	}
-	start := base.off + off
+	start := int64(base.v) + off
 	if start%8 != 0 || start < 0 || start+8 > int64(len(base.region.data)) {
 		return word{}, false
 	}
@@ -588,7 +624,7 @@ func (m *vm) slice(pc int, base word, off int64, size int) ([]byte, error) {
 	if !base.isPointer() {
 		return nil, m.fault(pc, "memory access through non-pointer")
 	}
-	start := base.off + off
+	start := int64(base.v) + off
 	end := start + int64(size)
 	if start < 0 || end > int64(len(base.region.data)) {
 		return nil, m.fault(pc, "%s access [%d,%d) out of bounds [0,%d)",
@@ -605,7 +641,7 @@ func fastSlice(base word, off int64, size int) ([]byte, bool) {
 	if base.region == nil || size <= 0 {
 		return nil, false
 	}
-	start := base.off + off
+	start := int64(base.v) + off
 	if start < 0 || start+int64(size) > int64(len(base.region.data)) {
 		return nil, false
 	}
@@ -662,7 +698,7 @@ func (m *vm) call(pc int, id int32) error {
 		setR0(scalarWord(uint64(m.env.SMPProcessorID())))
 		return nil
 	case HelperMapLookupElem:
-		mp := r(R1).m
+		mp := r(R1).mapOf()
 		if mp == nil {
 			return m.fault(pc, "map_lookup_elem: R1 is not a map")
 		}
@@ -678,7 +714,7 @@ func (m *vm) call(pc int, id int32) error {
 		setR0(word{region: m.mapValRegion(v)})
 		return nil
 	case HelperMapUpdateElem:
-		mp := r(R1).m
+		mp := r(R1).mapOf()
 		if mp == nil {
 			return m.fault(pc, "map_update_elem: R1 is not a map")
 		}
@@ -694,14 +730,14 @@ func (m *vm) call(pc int, id int32) error {
 		if !flags.isScalar() {
 			return m.fault(pc, "map_update_elem: flags not scalar")
 		}
-		if err := mp.Update(key, val, int(flags.scalar)); err != nil {
+		if err := mp.Update(key, val, int(flags.v)); err != nil {
 			setR0(scalarWord(^uint64(0))) // -EEXIST and friends collapse to -1
 			return nil
 		}
 		setR0(scalarWord(0))
 		return nil
 	case HelperMapDeleteElem:
-		mp := r(R1).m
+		mp := r(R1).mapOf()
 		if mp == nil {
 			return m.fault(pc, "map_delete_elem: R1 is not a map")
 		}
@@ -716,7 +752,7 @@ func (m *vm) call(pc int, id int32) error {
 		setR0(scalarWord(0))
 		return nil
 	case HelperRingbufOutput:
-		rb, ok := r(R1).m.(*RingBuf)
+		rb, ok := r(R1).mapOf().(*RingBuf)
 		if !ok {
 			return m.fault(pc, "ringbuf_output: R1 is not a ringbuf")
 		}
@@ -724,7 +760,7 @@ func (m *vm) call(pc int, id int32) error {
 		if !size.isScalar() {
 			return m.fault(pc, "ringbuf_output: size not scalar")
 		}
-		data, err := m.slice(pc, r(R2), 0, int(size.scalar))
+		data, err := m.slice(pc, r(R2), 0, int(size.v))
 		if err != nil {
 			return err
 		}
@@ -735,7 +771,7 @@ func (m *vm) call(pc int, id int32) error {
 		}
 		return nil
 	case HelperRingbufQuery:
-		rb, ok := r(R1).m.(*RingBuf)
+		rb, ok := r(R1).mapOf().(*RingBuf)
 		if !ok {
 			return m.fault(pc, "ringbuf_query: R1 is not a ringbuf")
 		}
@@ -743,10 +779,10 @@ func (m *vm) call(pc int, id int32) error {
 		if !flags.isScalar() {
 			return m.fault(pc, "ringbuf_query: flags not scalar")
 		}
-		setR0(scalarWord(rb.Query(flags.scalar)))
+		setR0(scalarWord(rb.Query(flags.v)))
 		return nil
 	case HelperCMSUpdate:
-		cs, ok := r(R1).m.(*CMS)
+		cs, ok := r(R1).mapOf().(*CMS)
 		if !ok {
 			return m.fault(pc, "cms_update: R1 is not a cms")
 		}
@@ -758,11 +794,11 @@ func (m *vm) call(pc int, id int32) error {
 		if !inc.isScalar() {
 			return m.fault(pc, "cms_update: increment not scalar")
 		}
-		cs.Add(key, inc.scalar)
+		cs.Add(key, inc.v)
 		setR0(scalarWord(0))
 		return nil
 	case HelperCMSEstimate:
-		cs, ok := r(R1).m.(*CMS)
+		cs, ok := r(R1).mapOf().(*CMS)
 		if !ok {
 			return m.fault(pc, "cms_estimate: R1 is not a cms")
 		}
@@ -773,7 +809,7 @@ func (m *vm) call(pc int, id int32) error {
 		setR0(scalarWord(cs.Estimate(key)))
 		return nil
 	case HelperHashPipeInsert:
-		hp, ok := r(R1).m.(*HashPipe)
+		hp, ok := r(R1).mapOf().(*HashPipe)
 		if !ok {
 			return m.fault(pc, "hashpipe_insert: R1 is not a hashpipe")
 		}
@@ -785,7 +821,7 @@ func (m *vm) call(pc int, id int32) error {
 		if !inc.isScalar() {
 			return m.fault(pc, "hashpipe_insert: increment not scalar")
 		}
-		setR0(scalarWord(hp.Insert(key, inc.scalar)))
+		setR0(scalarWord(hp.Insert(key, inc.v)))
 		return nil
 	}
 	return m.fault(pc, "unknown helper %d", id)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"reqlens/internal/ebpf"
 	"reqlens/internal/kernel"
 	"reqlens/internal/machine"
 	"reqlens/internal/sim"
@@ -366,5 +367,42 @@ func TestProbeOverheadSmall(t *testing.T) {
 	}
 	if per == 0 {
 		t.Fatal("no probe cost charged")
+	}
+}
+
+// TestShippedProgramsHaveNoGenericOps holds every probe program this
+// package builds — delta, poll, hist, stream, wait-state, attribution,
+// in their map and ring variants — to the compiled backend's
+// specialised forms: a probe that leans on an op with no form would run
+// through the interpreter's generic routine on every tracepoint hit.
+func TestShippedProgramsHaveNoGenericOps(t *testing.T) {
+	nrs := []int{kernel.SysEpollWait, kernel.SysSelect}
+	ring := ebpf.NewRingBuf("ring", 1<<16)
+	delta := MustNewDeltaProbe("send", 42, []int{kernel.SysSendto, kernel.SysSendmsg})
+	deltaS, err := NewDeltaProbeStream("send", 42, []int{kernel.SysSendto}, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll := MustNewPollProbe("poll", 42, nrs)
+	pollS, err := NewPollProbeStream("poll", 42, nrs, ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := MustNewHistProbe("hist", 42, nrs)
+	stream := MustNewStreamProbe("raw", 42, 1<<16)
+	wait := MustNewWaitStateProbe("ws", WaitStateConfig{})
+	waitT := MustNewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 42})
+	attr := MustNewAttributionProbe("attr", AttributionConfig{Oracle: true})
+	for _, p := range []*ebpf.Program{
+		delta.prog, deltaS.prog, poll.enter, poll.exit, pollS.enter, pollS.exit,
+		hist.enter, hist.exit, stream.enter, stream.exit,
+		wait.switchProg, wait.wakeupProg, waitT.switchProg, waitT.wakeupProg, attr.prog,
+	} {
+		if p.Backend() != ebpf.BackendCompiled {
+			t.Fatalf("%s loaded for %v, not the compiled backend", p.Name(), p.Backend())
+		}
+		if n := p.GenericOps(); n != 0 {
+			t.Errorf("%s: %d generic ops\n%s", p.Name(), n, p.Disassemble())
+		}
 	}
 }

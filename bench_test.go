@@ -412,28 +412,38 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	env.Run()
 }
 
-// BenchmarkProcHandoff measures one sim.Proc activation: a Sleep round
-// trip is one event plus a coroutine switch into the proc and one back
-// to the event loop. It must stay at 0 allocs/op (scripts/check.sh
-// asserts it); scripts/bench.sh records it in BENCH_handoff.json.
-func BenchmarkProcHandoff(b *testing.B) {
+// BenchmarkProcHandoff measures a Sleep with nothing else due before it
+// ends: under RunFor a lone sleeper's Sleep advances the clock itself
+// (sim.Proc.Sleep's elision), so this is the cost of the elided path,
+// not of a coroutine switch — BenchmarkProcHandoffContended keeps that
+// number. It must stay at 0 allocs/op (scripts/check.sh asserts it).
+func BenchmarkProcHandoff(b *testing.B) { benchHandoff(b, 1) }
+
+// BenchmarkProcHandoffContended measures one sim.Proc activation: two
+// procs sleep alternately, each Sleep ends after the other's pending
+// wake-up and so parks — one event plus a coroutine switch into the proc
+// and one back to the event loop. 0 allocs/op (scripts/check.sh);
+// scripts/bench.sh records it in BENCH_handoff.json.
+func BenchmarkProcHandoffContended(b *testing.B) { benchHandoff(b, 2) }
+
+// benchHandoff runs procs sleepers, staggered so that one wakes every
+// microsecond, for b.N wake-ups.
+func benchHandoff(b *testing.B, procs int) {
 	env := sim.NewEnv(1)
 	defer env.Shutdown()
-	n := 0
-	env.Spawn("p", func(p *sim.Proc) {
-		for {
-			p.Sleep(time.Microsecond)
-			n++
-		}
-	})
-	for n < 64 { // warm the event free list and the heap's capacity
-		env.Step()
+	for i := 0; i < procs; i++ {
+		i := i
+		env.Spawn("p", func(p *sim.Proc) {
+			p.Sleep(time.Duration(i) * time.Microsecond)
+			for {
+				p.Sleep(time.Duration(procs) * time.Microsecond)
+			}
+		})
 	}
+	env.RunFor(64 * time.Microsecond) // warm the event free list and the heap's capacity
 	b.ReportAllocs()
 	b.ResetTimer()
-	for end := n + b.N; n < end; {
-		env.Step()
-	}
+	env.RunFor(time.Duration(b.N) * time.Microsecond)
 }
 
 func BenchmarkKernelSyscallPath(b *testing.B) {

@@ -6,7 +6,12 @@
 // later) that the event loop switches into one at a time, so that for a
 // fixed seed every run is bit-for-bit reproducible. All inter-proc
 // wake-ups travel through the event heap (ordered by virtual time, then
-// insertion sequence), never proc to proc. Randomness is drawn from
+// insertion sequence), never proc to proc. The one event that may not
+// be posted at all is a Sleep's own wake-up: when the loop is inside
+// Run or RunUntil, the wake-up time is within that call's bound and no
+// pending event is due at or before it, Sleep advances the clock and
+// counts the event itself — the order of everything else, Executed and
+// the Clock cadence are as if it had parked. Randomness is drawn from
 // per-component streams derived via Env.NewRNG, so adding a component
 // never perturbs the draws seen by another.
 //

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -52,6 +53,11 @@ type Env struct {
 	live     int  // length of that list
 	executed uint64
 
+	// until is the bound of the Run/RunUntil call driving the loop, or
+	// idle when none is: the horizon up to which Proc.Sleep may advance
+	// the clock itself instead of posting its own wake-up.
+	until Time
+
 	// clock, when non-nil, is the cooperative execution budget: Step
 	// checks it every clockCheckEvery events and panics with Timeout
 	// once it expires (see clock.go). Nil — the default — keeps the
@@ -77,7 +83,7 @@ type Env struct {
 // NewEnv returns an environment with the virtual clock at zero. The seed
 // feeds every RNG stream derived via NewRNG, so equal seeds give equal runs.
 func NewEnv(seed int64) *Env {
-	e := &Env{rng: rand.New(rand.NewSource(seed))}
+	e := &Env{rng: rand.New(rand.NewSource(seed)), until: idle}
 	e.procs.older, e.procs.newer = &e.procs, &e.procs
 	return e
 }
@@ -155,23 +161,37 @@ func (e *Env) PostAt(t Time, fn func()) {
 	e.push(ev)
 }
 
-// Step runs the single next event, advancing the clock to it. It returns
-// false when no events remain. With a Clock attached, every
-// clockCheckEvery-th step first verifies the execution budget and
-// panics with Timeout when it is exhausted — the cooperative
-// cancellation point that lets a supervisor abandon a hung rig.
-func (e *Env) Step() bool {
+// idle is Env.until outside Run and RunUntil: before every valid time.
+const idle Time = -1
+
+// checkClock is the cooperative cancellation point that lets a
+// supervisor abandon a hung rig: with a Clock attached, every
+// clockCheckEvery-th event first verifies the execution budget and
+// panics with Timeout when it is exhausted.
+func (e *Env) checkClock() {
 	if e.clock != nil && e.executed&(clockCheckEvery-1) == 0 && e.clock.Expired() {
 		panic(Timeout{At: e.now, Events: e.executed})
 	}
+}
+
+// advance moves the clock to t and counts one event fired there.
+func (e *Env) advance(t Time) {
+	e.now = t
+	e.executed++
+	e.telEvents.Inc()
+}
+
+// Step runs the single next event, advancing the clock to it, after the
+// Clock budget check (checkClock). It returns false when no events
+// remain.
+func (e *Env) Step() bool {
+	e.checkClock()
 	for len(e.events) > 0 {
 		ev := e.pop()
 		if ev.canceled {
 			continue
 		}
-		e.now = ev.at
-		e.executed++
-		e.telEvents.Inc()
+		e.advance(ev.at)
 		fn := ev.fn
 		if ev.poolable {
 			// Recycle before running fn: the callback may itself Post, and
@@ -189,6 +209,8 @@ func (e *Env) Step() bool {
 
 // Run processes events until the heap is empty.
 func (e *Env) Run() {
+	defer func(prev Time) { e.until = prev }(e.until)
+	e.until = math.MaxInt64
 	for e.Step() {
 	}
 }
@@ -196,6 +218,8 @@ func (e *Env) Run() {
 // RunUntil processes events with timestamps <= t, then sets the clock to
 // t. Events scheduled beyond t remain pending.
 func (e *Env) RunUntil(t Time) {
+	defer func(prev Time) { e.until = prev }(e.until)
+	e.until = t
 	for {
 		ev := e.peek()
 		if ev == nil || ev.at > t {

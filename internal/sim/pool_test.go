@@ -27,8 +27,10 @@ func TestPostZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSleepZeroAllocs pins Proc.Sleep at zero allocations per cycle:
-// the activate callback is hoisted at Spawn and posted fire-and-forget.
+// TestSleepZeroAllocs pins Proc.Sleep at zero allocations per cycle on
+// both its paths: parked (driven by Step, which never elides), where
+// the activate callback is hoisted at Spawn and posted fire-and-forget,
+// and elided (a lone sleeper under RunFor), which posts nothing.
 func TestSleepZeroAllocs(t *testing.T) {
 	e := NewEnv(1)
 	cycles := 0
@@ -52,6 +54,12 @@ func TestSleepZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, step)
 	if allocs != 0 {
 		t.Fatalf("steady-state Sleep allocated %v allocs/op, want 0", allocs)
+	}
+	// Under RunFor only the Sleep that crosses each call's bound parks.
+	seq, start := e.seq, cycles
+	allocs = testing.AllocsPerRun(100, func() { e.RunFor(10 * time.Microsecond) })
+	if posted, slept := int(e.seq-seq), cycles-start; allocs != 0 || posted != 101 || slept != 1010 {
+		t.Fatalf("elided Sleep: %v allocs/op, %d of %d sleeps posted a wake-up; want 0, 101 of 1010", allocs, posted, slept)
 	}
 }
 

@@ -85,9 +85,25 @@ func (p *Proc) yield() {
 	}
 }
 
-// Sleep suspends the proc for virtual duration d.
+// Sleep suspends the proc for virtual duration d. When nothing else can
+// run before the wake-up it would post — the loop is inside Run or
+// RunUntil, now+d does not pass that call's bound, and no pending event
+// is due at or before now+d (one at exactly now+d was posted earlier
+// and fires first) — parking would only switch to the loop, pop that
+// one event and switch straight back. Sleep then advances the clock
+// and counts the event itself, budget check included, and returns; the
+// order of every other event, Executed and sim_events_total are as if
+// it had parked. Otherwise, and always outside the loop, it parks.
 func (p *Proc) Sleep(d time.Duration) {
-	p.env.Post(d, p.activate0)
+	e := p.env
+	if t := e.now.Add(d); d >= 0 && t <= e.until {
+		if next := e.peek(); next == nil || next.at > t {
+			e.checkClock()
+			e.advance(t)
+			return
+		}
+	}
+	e.Post(d, p.activate0)
 	p.yield()
 }
 

@@ -1,0 +1,185 @@
+//go:build go1.23
+
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// parkedSleep is Sleep without the elision: always one posted wake-up
+// and a round trip through the event loop.
+func parkedSleep(p *Proc, d time.Duration) {
+	p.env.Post(d, p.activate0)
+	p.Park()
+}
+
+// sleepProgram runs one random program of procs and callbacks — sleeps
+// of tying and zero durations, posted callbacks, cross-proc wakes that
+// cut sleeps short — with the given sleep primitive, driven by a mix of
+// RunFor slices and a final Run, and returns the (time, who) log, the
+// event count after each slice, and the last sequence number issued.
+func sleepProgram(seed int64, sleep func(*Proc, time.Duration)) (log []string, executed []uint64, seq uint64) {
+	e := NewEnv(seed)
+	shape := rand.New(rand.NewSource(seed))
+	note := func(who string) { log = append(log, fmt.Sprintf("%v %s", e.Now(), who)) }
+	nprocs := 1 + shape.Intn(5)
+	wakers := make([]*Waker, nprocs)
+	for i := 0; i < nprocs; i++ {
+		i := i
+		rng := rand.New(rand.NewSource(seed*31 + int64(i)))
+		steps := 5 + shape.Intn(40)
+		e.Spawn("p", func(p *Proc) {
+			wakers[i] = p.NewWaker()
+			for s := 0; s < steps; s++ {
+				note(fmt.Sprintf("p%d", i))
+				switch rng.Intn(6) {
+				case 0:
+					e.Post(time.Duration(rng.Intn(4))*time.Microsecond, func() { note(fmt.Sprintf("cb%d", i)) })
+				case 1:
+					if w := wakers[rng.Intn(nprocs)]; w != nil {
+						w.Wake()
+					}
+				}
+				sleep(p, time.Duration(rng.Intn(4))*time.Microsecond)
+			}
+		})
+	}
+	for i := 0; i < 6; i++ {
+		e.RunFor(time.Duration(1+shape.Intn(9)) * time.Microsecond)
+		note("slice")
+		executed = append(executed, e.Executed())
+	}
+	e.Run()
+	note("end")
+	executed = append(executed, e.Executed())
+	e.Shutdown()
+	return log, executed, e.seq
+}
+
+// TestSleepElisionIsInvisible: the same program written with Sleep and
+// with the always-parking form logs the same (time, who) sequence and
+// counts the same events, slice by slice — and Sleep did elide.
+func TestSleepElisionIsInvisible(t *testing.T) {
+	elided := false
+	for seed := int64(1); seed <= 300; seed++ {
+		gotLog, gotN, gotSeq := sleepProgram(seed, (*Proc).Sleep)
+		wantLog, wantN, wantSeq := sleepProgram(seed, parkedSleep)
+		if fmt.Sprint(gotLog) != fmt.Sprint(wantLog) {
+			t.Fatalf("seed %d: Sleep logged\n%v\nalways-parking form logged\n%v", seed, gotLog, wantLog)
+		}
+		if fmt.Sprint(gotN) != fmt.Sprint(wantN) {
+			t.Fatalf("seed %d: Executed() per slice %v with Sleep, %v always parking", seed, gotN, wantN)
+		}
+		elided = elided || gotSeq < wantSeq
+	}
+	if !elided {
+		t.Fatal("no Sleep was elided in 300 programs: the property was not exercised")
+	}
+}
+
+// TestSleepParksAtRunUntilBound: a Sleep that would cross the RunUntil
+// target parks, RunUntil leaves the clock exactly on the target, and
+// the proc resumes at its own wake-up time in a later call.
+func TestSleepParksAtRunUntilBound(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Shutdown()
+	var woke Time = -1
+	e.Spawn("p", func(p *Proc) {
+		p.Sleep(10 * time.Microsecond)
+		woke = p.Now()
+	})
+	e.RunUntil(Time(4 * time.Microsecond))
+	if e.Now() != Time(4*time.Microsecond) || woke != -1 || e.Executed() != 1 {
+		t.Fatalf("after RunUntil(4µs): now %v, woke %v, %d events; want 4µs, not woken, 1", e.Now(), woke, e.Executed())
+	}
+	e.RunUntil(Time(10 * time.Microsecond)) // a Sleep ending on the bound is inside it
+	if woke != Time(10*time.Microsecond) || e.Executed() != 2 {
+		t.Fatalf("woke at %v after %d events, want 10µs, 2", woke, e.Executed())
+	}
+}
+
+// TestSleepElisionChecksClock: a lone proc in a Sleep loop never
+// returns to Step, so the elided path must run the budget check itself,
+// at Step's cadence — else a supervised deadline kill would hang.
+func TestSleepElisionChecksClock(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Shutdown()
+	c := NewClock(0)
+	e.SetClock(c)
+	cycles := 0
+	e.Spawn("p", func(p *Proc) {
+		c.Expire()
+		for cycles < 4*clockCheckEvery {
+			p.Sleep(time.Microsecond)
+			cycles++
+		}
+	})
+	defer func() {
+		if _, ok := recover().(Timeout); !ok || cycles > clockCheckEvery {
+			t.Fatalf("recovered Timeout: %v after %d elided wake-ups, want one within %d", ok, cycles, clockCheckEvery)
+		}
+	}()
+	e.Run()
+}
+
+// TestLockstepSharedClockElided is TestLockstepSharedClock for
+// environments that never leave the elided path: the clock one of them
+// expires still stops every one of them short of the target.
+func TestLockstepSharedClockElided(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		ls := NewLockstep(workers)
+		c := NewClock(0)
+		for i := 0; i < 4; i++ {
+			i := i
+			e := NewEnv(int64(i))
+			e.Spawn("p", func(p *Proc) {
+				for n := 0; ; n++ {
+					if i == 0 && n == 10 {
+						c.Expire()
+					}
+					p.Sleep(time.Microsecond)
+				}
+			})
+			ls.Add(e)
+		}
+		ls.SetClock(c)
+		target := Time(20 * time.Second) // ~0.1 s of host time to reach, were the clock ignored
+		func() {
+			defer func() {
+				if _, ok := recover().(Timeout); !ok {
+					t.Fatalf("workers=%d: expected a sim.Timeout from the shared clock", workers)
+				}
+			}()
+			ls.AdvanceAll(target)
+		}()
+		for i := 0; i < ls.Len(); i++ {
+			if now := ls.Env(i).Now(); now >= target {
+				t.Fatalf("workers=%d: env %d ran to %v under an expired clock", workers, i, now)
+			}
+		}
+		ls.Shutdown()
+	}
+}
+
+// TestSleepDuringShutdownDoesNotAdvance: Shutdown unwinds procs outside
+// the event loop, so a Sleep in a deferred function must park (and be
+// unwound again), not move the clock.
+func TestSleepDuringShutdownDoesNotAdvance(t *testing.T) {
+	e := NewEnv(1)
+	ran := false
+	e.Spawn("p", func(p *Proc) {
+		defer func() {
+			ran = true
+			p.Sleep(time.Second)
+		}()
+		p.Park()
+	})
+	e.RunFor(time.Millisecond)
+	e.Shutdown()
+	if !ran || e.Now() != Time(time.Millisecond) || e.LiveProcs() != 0 {
+		t.Fatalf("deferred Sleep ran %v, now %v, %d live procs; want true, 1ms, 0", ran, e.Now(), e.LiveProcs())
+	}
+}

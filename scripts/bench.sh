@@ -22,7 +22,7 @@ interpreter|BenchmarkEBPFInterpreterListing1|.
 jit|BenchmarkEBPFCompiledListing1|.
 verifier|BenchmarkEBPFVerifier|.
 sim|BenchmarkSimulatorEventThroughput|.
-handoff|BenchmarkProcHandoff|.
+handoff|BenchmarkProcHandoffContended|.
 syscall|BenchmarkKernelSyscallPath|.
 "
 

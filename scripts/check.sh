@@ -20,8 +20,9 @@
 #   bench smoke                           the substrate benchmarks that
 #                                         scripts/bench.sh records run
 #                                         for one iteration each, and
-#                                         BenchmarkProcHandoff reports
-#                                         0 allocs/op
+#                                         BenchmarkProcHandoff and
+#                                         BenchmarkProcHandoffContended
+#                                         report 0 allocs/op
 #   fleet smoke                           the same cluster sweep at
 #                                         -parallel 1 and 2 must print
 #                                         byte-identical output
@@ -109,12 +110,15 @@ go test -run '^$' -benchtime 1x \
     -bench '^(BenchmarkEBPFInterpreterListing1|BenchmarkEBPFCompiledListing1|BenchmarkEBPFVerifier|BenchmarkSimulatorEventThroughput|BenchmarkKernelSyscallPath)$' \
     . >/dev/null
 # The proc hand-off is the simulator's innermost loop: besides running,
-# it must not allocate.
-if ! go test -run '^$' -benchtime 1000x -bench '^BenchmarkProcHandoff$' . |
-    grep '^BenchmarkProcHandoff.*[[:space:]]0 allocs/op' >/dev/null; then
-    echo "BenchmarkProcHandoff did not run or did not report 0 allocs/op" >&2
-    exit 1
-fi
+# neither Sleep path — elided (a lone sleeper) or parked (contended) —
+# may allocate.
+handoff=$(go test -run '^$' -benchtime 1000x -bench '^BenchmarkProcHandoff(Contended)?$' .)
+for bench in BenchmarkProcHandoff BenchmarkProcHandoffContended; do
+    if ! echo "$handoff" | grep "^$bench\(-[0-9]*\)\?[[:space:]].*[[:space:]]0 allocs/op" >/dev/null; then
+        echo "$bench did not run or did not report 0 allocs/op" >&2
+        exit 1
+    fi
+done
 go test -run '^$' -benchtime 1x -bench '^(BenchmarkRingbufThroughput|BenchmarkSketchHotPath)$' \
     ./internal/ebpf/ >/dev/null
 go test -run '^$' -benchtime 1x -bench '^BenchmarkWaitStateHotPath$' \

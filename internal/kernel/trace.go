@@ -21,6 +21,7 @@ const (
 	RawSysExit
 	SchedSwitch
 	SchedWakeup
+	numTracepoints // sizes Tracer.links: the hooks index it on every fire
 )
 
 // Context struct sizes and field offsets, mirroring the Linux tracepoint
@@ -143,7 +144,7 @@ func (l *Link) Program() *ebpf.Program { return l.prog }
 // slot suffices).
 type Tracer struct {
 	k         *Kernel
-	links     map[Tracepoint][]*Link
+	links     [numTracepoints][]*Link
 	listeners []Listener
 	cur       *Thread
 
@@ -175,7 +176,7 @@ type Tracer struct {
 }
 
 func newTracer(k *Kernel) *Tracer {
-	return &Tracer{k: k, links: make(map[Tracepoint][]*Link)}
+	return &Tracer{k: k}
 }
 
 // Attach verifies ctx-size compatibility and attaches prog to tp.

@@ -245,16 +245,10 @@ func diffRun(t *testing.T, insns []Instruction) uint64 {
 	if err != nil {
 		t.Fatalf("load: %v\n%s", err, Disassemble(insns))
 	}
-	ctx := make([]byte, diffCtxSize)
-	runDifferential(t, prog, insns, ctx)
 	if n := prog.GenericOps(); n != 0 {
 		t.Fatalf("%d generic ops in a verified program\n%s", n, Disassemble(insns))
 	}
-	ret, _, err := prog.Run(ctx, &FixedEnv{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ret
+	return runDifferential(t, prog, insns, make([]byte, diffCtxSize))
 }
 
 // Edge operands for the op-form tables: zero, one, the 32- and 64-bit

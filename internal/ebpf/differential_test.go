@@ -923,8 +923,9 @@ func refRegDesc(v refVal) string {
 // runDifferential executes one verifier-accepted program on all three
 // machines — the interpreter, the compiled backend, and the reference
 // evaluator — and reports the first disagreement. Each execution gets
-// its own map instances so map mutations cannot couple the runs.
-func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byte) {
+// its own map instances so map mutations cannot couple the runs. It
+// returns the agreed return value.
+func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byte) uint64 {
 	t.Helper()
 	env := &FixedEnv{TimeNS: 112233, PidTgid: 42<<32 | 7, CPU: 3}
 
@@ -996,6 +997,7 @@ func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byt
 
 	diffCompareMaps(fail, "vm", prog.maps, ref)
 	diffCompareMaps(fail, "compiled", cprog.maps, ref)
+	return refRet
 }
 
 // diffCompareMaps checks one production map set — hash contents, array

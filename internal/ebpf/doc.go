@@ -19,11 +19,15 @@
 //   - The compiled backend (compile.go) translates the verified stream
 //     once, at Load time, into pre-bound Go closures: branch targets
 //     become closure indices, helpers and map handles are resolved up
-//     front, and adjacent instruction idioms (lea, call+mov, mov+exit)
-//     are fused. Run state — stack, registers, spill slots, map-value
-//     regions — comes from a per-Program pooled arena, so steady-state
-//     execution performs zero heap allocations and runs ~5x faster
-//     (BENCH_interpreter.json vs BENCH_jit.json).
+//     front, every instruction form has a closure whose hot path tests
+//     the operand tags once and works in place (the interpreter's
+//     generic routine is its cold half; Program.GenericOps counts slots
+//     with no such form), and adjacent instruction idioms (lea,
+//     call+mov, mov+exit) are fused. Run state — stack, registers,
+//     spill slots, map-value regions — comes from a per-Program pooled
+//     arena, so steady-state execution performs zero heap allocations
+//     and runs several times faster (BENCH_interpreter.json vs
+//     BENCH_jit.json).
 //
 // The backends are semantically identical — return values, faults
 // (string, program counter, and partial RunStats included), register

@@ -5,8 +5,9 @@
 check: ## gofmt + vet + build + tests + race on the harness
 	./scripts/check.sh
 
-golden: ## regenerate the Fig2/Table2 golden window fixtures
+golden: ## regenerate every golden fixture: the .json windows, then the CLI's .txt renderings
 	go test ./internal/harness -run TestGolden -update
+	go test ./cmd/reqlens -run TestGoldenEntries -update
 
 build:
 	go build ./...

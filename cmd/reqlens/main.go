@@ -1,155 +1,99 @@
 // Command reqlens regenerates the paper's tables and figures from the
-// simulated substrate. Each subcommand corresponds to one artifact of
-// the evaluation section:
+// simulated substrate. Every subcommand is one entry of the table in
+// experiments.go; `reqlens` with no arguments prints it with a one-line
+// summary each:
 //
-//	reqlens table1                      # Table I: system specification
-//	reqlens fig1  [-workload W]         # syscall stream phases
-//	reqlens fig2  [-workload W] [flags] # RPS correlation + residuals
-//	reqlens fig3  [-workload W] [flags] # send-delta variance knee
-//	reqlens fig4  [-workload W] [flags] # epoll-duration slack signal
-//	reqlens fig5  [flags]               # Triton-gRPC loss impact
-//	reqlens table2 [flags]              # R^2 under netem configs
-//	reqlens overhead [flags]            # probe cost on tail latency
-//	reqlens iouring [flags]             # Section V-C blind spot
-//	reqlens stream [flags]              # batch vs streaming observer agreement
-//	reqlens robustness [flags]          # R^2 deltas under kernel fault plans
-//	reqlens waitstates [-workload W] [flags] # sched-probe wait-state decomposition + fault diagnosis
-//	reqlens fleet [-nodes N] [flags]    # multi-node cluster sweep with scrape/merge rollups
-//	reqlens cardinality [flags]         # sketch error/memory vs key cardinality (1e2..1e6)
-//	reqlens attribution [-trials N] [flags] # supervised fault-attribution matrix (precision/recall/delay)
-//	reqlens autoscale [flags]           # closed-loop autoscaler: QoS recovery vs actuation latency
-//	reqlens telemetry -journal F [-top N] # render a recorded run journal
-//	reqlens resume -journal F           # re-run a journaled sweep, skipping done points
-//	reqlens all   [flags]               # everything above except robustness
+//	table1 fig1 fig2 fig3 fig4 fig5 table2 overhead iouring stream
+//	robustness waitstates fleet cardinality attribution autoscale all
+//	telemetry resume
 //
-// -quick shrinks windows/levels for a fast smoke run; -workload selects
-// one workload (default: all nine); -parallel N fans independent load
-// points across N workers (0 = GOMAXPROCS, 1 = sequential — results are
-// identical either way, only wall-clock changes); -progress logs each
-// completed point and the engine's timing summary to stderr; -stream
-// attaches the ring-buffer streaming observer alongside the batch probes
-// in sweep commands (fig3/fig4), and -streambytes sizes its ring (power
-// of two; 0 = the 4 MiB default — undersize it to study the drop path).
-// -backend selects the eBPF execution backend (compiled — the default —
-// or interpreter); the two produce bit-identical results, compiled is
-// ~5x faster, so the flag exists for debugging and for measuring the
-// dispatch-cost difference.
+// `all` runs table1, fig1 (data-caching), fig2, fig3+fig4 from one
+// sweep, fig5, table2, overhead, iouring and stream (data-caching); it
+// omits robustness, waitstates, fleet, cardinality, attribution and
+// autoscale.
 //
-// Supervision flags (see internal/resilience) harden long sweeps:
-// -deadline D bounds each experiment point's wall clock — an overrunning
-// point is killed at the event loop's next budget check and recorded as
-// a gap instead of hanging the run; -retries N re-runs a panicked or
-// killed point up to N times with the same derived seed, so a
-// successful retry is bit-identical to first-try success; -chaos arms
-// the deterministic fault schedule (a panic every 5th point, a hang
-// every 7th) to exercise that machinery on demand. Any of these enables
-// supervised execution; with none set the engine runs undecorated.
-//
-// The fleet subcommand simulates a whole cluster per load level: -nodes
-// sizes the fleet (heterogeneous workload mix), -scrape-interval,
-// -skew, -staleness and -missrate shape the scrape/merge aggregation
-// plane, -epochs sets the scrape rounds per level, and -topk sizes the
-// per-epoch rankings. Each level's cluster is one supervised engine
-// point, so -parallel, -deadline, -retries and -journal compose with it
-// unchanged, and results are bit-identical at any -parallel value.
-//
-// The cardinality subcommand sweeps key cardinality (100 .. 1e6, or a
-// reduced range with -quick) through the compiled sketch helpers and
-// reports count-min error against the εN bound, HashPipe top-K recall
-// against an exact oracle, and sketch-versus-exact-map memory — the
-// "does fixed map space survive high cardinality" question.
-//
-// Every experiment subcommand also accepts the self-telemetry flags:
-// -metrics F writes the run's metric registry to F in Prometheus text
-// format on exit (including the supervisor's panic/retry/gap counters
-// when supervision is on), and -journal F records a JSONL run journal:
-// one span per experiment, point and estimation window, plus a
-// checkpoint record per completed point, each appended and fsynced so
-// every checkpoint survives even if the process is killed mid-run (a
-// torn final line is tolerated on read). `reqlens telemetry -journal F`
-// renders a recorded journal; `reqlens resume -journal F` re-runs the
-// command recorded in the journal's header, replaying completed points
-// from their checkpoints — the resumed run appends to the journal it
-// resumes from, so its checkpoints survive a second kill, and its
-// output is byte-identical to an uninterrupted one. Telemetry and
-// journals are write-only observers: enabling them cannot change any
-// reported result (the simulated clock never sees them).
+// Every entry parses the same flag set (`reqlens <command> -h` lists it):
+// scale and selection (-quick, -workload, -seed, -intel), execution
+// (-parallel, -progress, -backend), the streaming observer (-stream,
+// -streambytes), supervision (-deadline, -retries, -chaos; any of them
+// turns a failing point into a marked gap instead of a crash),
+// self-telemetry (-metrics, -journal) and the few flags single entries
+// read (fleet's -nodes/-epochs/-topk/-scrape-interval/-skew/-staleness/
+// -missrate, attribution's -trials, telemetry's -top). Results are
+// bit-identical at any -parallel, with or without supervision, metrics
+// or a journal. A journal holds a fsynced checkpoint per completed
+// point, so `reqlens resume -journal F` after a kill replays them,
+// recomputes the rest, appends to F, and prints the bytes an
+// uninterrupted run would have.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 	"time"
 
 	"reqlens/internal/ebpf"
-	"reqlens/internal/faults"
 	"reqlens/internal/fleet"
 	"reqlens/internal/harness"
 	"reqlens/internal/machine"
-	"reqlens/internal/netsim"
 	"reqlens/internal/telemetry"
 	"reqlens/internal/workloads"
 )
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: reqlens <table1|fig1|fig2|fig3|fig4|fig5|table2|overhead|iouring|stream|robustness|waitstates|fleet|cardinality|attribution|autoscale|telemetry|resume|all> [flags]")
-	os.Exit(2)
-}
-
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		os.Exit(usage(os.Stderr))
 	}
-	if os.Args[1] == "resume" {
-		runResume(os.Args[2:])
-		return
-	}
-	run(os.Args[1], os.Args[2:], nil)
+	os.Exit(dispatch(os.Args[1], os.Args[2:], nil, os.Stdout, os.Stderr))
 }
 
-// runResume re-executes the command recorded in a journal's run header,
-// seeding the engine with the journal's completed-point checkpoints so
-// only the missing points are recomputed. Because checkpoints replay
-// byte-for-byte and retries reuse derived seeds, the resumed run's
-// output is identical to an uninterrupted run of the original command.
-func runResume(args []string) {
-	fs := flag.NewFlagSet("resume", flag.ExitOnError)
-	journalPath := fs.String("journal", "", "journal file recorded by the interrupted run")
-	if err := fs.Parse(args); err != nil || *journalPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: reqlens resume -journal <file>")
-		os.Exit(2)
+// usage prints the experiment table and returns the exit status of a
+// command line that names no entry of it.
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, "usage: reqlens <command> [flags]")
+	for _, e := range experiments() {
+		fmt.Fprintf(stderr, "  %-12s %s\n", e.name, e.summary)
 	}
-	f, err := os.Open(*journalPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "resume:", err)
-		os.Exit(1)
-	}
-	recs, err := telemetry.ReadJournal(f)
-	f.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "resume:", err)
-		os.Exit(1)
-	}
-	hdr, ok := telemetry.LastRunHeader(recs)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "resume: %s has no run header (recorded with -journal?)\n", *journalPath)
-		os.Exit(1)
-	}
-	cps := telemetry.Checkpoints(recs)
-	fmt.Fprintf(os.Stderr, "resume: reqlens %s %s (%d checkpointed point(s))\n",
-		hdr.Name, strings.Join(hdr.Args, " "), len(cps))
-	run(hdr.Name, hdr.Args, cps)
+	return 2
 }
 
-// run executes one experiment subcommand. resume, when non-nil, maps
-// point labels to their checkpoint records from a prior journal; the
-// engine replays matching points instead of recomputing them.
-func run(cmd string, args []string, resume map[string]telemetry.Record) {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced scale for a fast smoke run")
-	name := fs.String("workload", "", "single workload name (default: all)")
+// runCtx is what the shared flag set resolves to: the experiment options
+// plus the values only some entries read.
+type runCtx struct {
+	opt   harness.ExpOptions
+	quick bool
+	specs []workloads.Spec // -workload, or all nine
+
+	fleet  fleet.SweepOptions // fleet
+	trials int                // attribution
+
+	journal string // telemetry, resume: the journal to read
+	top     int    // telemetry
+	stderr  io.Writer
+}
+
+// dispatch runs the table entry called name with args and returns the
+// process exit status. resume, when non-nil, maps checkpoint keys to
+// their records from a prior journal; the engine replays matching
+// points instead of recomputing them.
+func dispatch(name string, args []string, resume map[string]telemetry.Record, stdout, stderr io.Writer) int {
+	var exp *experiment
+	for _, e := range experiments() {
+		if e.name == name {
+			exp = &e
+			break
+		}
+	}
+	if exp == nil {
+		return usage(stderr)
+	}
+
+	rc := &runCtx{stderr: stderr}
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs.BoolVar(&rc.quick, "quick", false, "reduced scale for a fast smoke run")
+	workload := fs.String("workload", "", "single workload name (default: all)")
 	seed := fs.Int64("seed", 42, "simulation seed")
 	intel := fs.Bool("intel", false, "use the Intel Xeon profile instead of AMD")
 	parallel := fs.Int("parallel", 0, "experiment-point workers: 0 = GOMAXPROCS, 1 = sequential")
@@ -157,37 +101,34 @@ func run(cmd string, args []string, resume map[string]telemetry.Record) {
 	stream := fs.Bool("stream", false, "attach the streaming observer alongside the batch probes in sweeps")
 	streamBytes := fs.Int("streambytes", 0, "streaming ring size in bytes (power of two; 0 = 4 MiB default)")
 	metricsPath := fs.String("metrics", "", "write the run's metrics to this file in Prometheus text format on exit")
-	journalPath := fs.String("journal", "", "record a JSONL run journal with per-point checkpoints to this file (telemetry subcommand: read it)")
-	topN := fs.Int("top", 5, "telemetry subcommand: number of slowest points to list")
+	fs.StringVar(&rc.journal, "journal", "", "record a JSONL run journal with per-point checkpoints to this file (telemetry, resume: read it)")
+	fs.IntVar(&rc.top, "top", 5, "telemetry subcommand: number of slowest points to list")
 	deadline := fs.Duration("deadline", 0, "per-point wall-clock budget; an overrunning point is killed and recorded as a gap (0 = none)")
 	retries := fs.Int("retries", 0, "re-run a failed point up to N times with the same derived seed")
 	chaos := fs.Bool("chaos", false, "inject a deterministic panic every 5th point and a hang every 7th (exercise supervision)")
 	backendName := fs.String("backend", "", "eBPF execution backend: auto, interpreter, or compiled (default: compiled)")
 	nodes := fs.Int("nodes", 16, "fleet subcommand: cluster size")
-	scrapeInterval := fs.Duration("scrape-interval", 0, "fleet subcommand: scrape period (0 = 250ms)")
-	skew := fs.Duration("skew", 0, "fleet subcommand: per-node scrape jitter bound (0 = interval/10, negative = none)")
-	staleness := fs.Duration("staleness", 0, "fleet subcommand: max sample age before a node is excluded as stale (0 = 2*interval+skew)")
-	missRate := fs.Float64("missrate", 0.05, "fleet subcommand: probability a scrape attempt fails")
-	epochs := fs.Int("epochs", 8, "fleet subcommand: scrape rounds per load level")
-	topK := fs.Int("topk", 3, "fleet subcommand: entries in the per-epoch saturation/noise rankings")
-	trials := fs.Int("trials", 5, "attribution subcommand: trials per fault scenario")
-	if err := fs.Parse(args); err != nil {
-		usage()
-	}
+	fs.DurationVar(&rc.fleet.Scrape.Interval, "scrape-interval", 0, "fleet subcommand: scrape period (0 = 250ms)")
+	fs.DurationVar(&rc.fleet.Scrape.Skew, "skew", 0, "fleet subcommand: per-node scrape jitter bound (0 = interval/10, negative = none)")
+	fs.DurationVar(&rc.fleet.Scrape.Staleness, "staleness", 0, "fleet subcommand: max sample age before a node is excluded as stale (0 = 2*interval+skew)")
+	fs.Float64Var(&rc.fleet.Scrape.MissRate, "missrate", 0.05, "fleet subcommand: probability a scrape attempt fails")
+	fs.IntVar(&rc.fleet.Epochs, "epochs", 8, "fleet subcommand: scrape rounds per load level")
+	fs.IntVar(&rc.fleet.TopK, "topk", 3, "fleet subcommand: entries in the per-epoch saturation/noise rankings")
+	fs.IntVar(&rc.trials, "trials", 5, "attribution subcommand: trials per fault scenario")
+	fs.Parse(args) // ExitOnError: a bad flag has already exited with status 2
+	rc.fleet.Nodes = fleet.DefaultSpecs(*nodes)
 	backend, err := ebpf.ParseBackend(*backendName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	ebpf.SetDefaultBackend(backend)
-
-	if cmd == "telemetry" {
-		renderJournal(*journalPath, *topN)
-		return
+	if exp.offline != nil {
+		return exp.offline(rc, stdout)
 	}
 
 	opt := harness.ExpOptions{Seed: *seed}
-	if *quick {
+	if rc.quick {
 		opt = harness.Quick()
 		opt.Seed = *seed
 	}
@@ -205,34 +146,31 @@ func run(cmd string, args []string, resume map[string]telemetry.Record) {
 	}
 	if *metricsPath != "" {
 		opt.Telemetry = telemetry.New()
-		defer writeMetrics(opt.Telemetry, *metricsPath)
 	}
-	if *journalPath != "" {
+	if rc.journal != "" {
 		// A resumed run appends to the journal it is resuming from
 		// (ResumeJournal) instead of truncating it (OpenJournal): if the
 		// resumed process is killed before re-checkpointing anything, the
 		// prior run's checkpoints must still be on disk — that crash
 		// window is exactly what resume exists to survive.
-		var j *telemetry.Journal
-		var err error
+		open := telemetry.OpenJournal
 		if resume != nil {
-			j, err = telemetry.ResumeJournal(*journalPath)
-		} else {
-			j, err = telemetry.OpenJournal(*journalPath)
+			open = telemetry.ResumeJournal
 		}
+		j, err := open(rc.journal)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "journal:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "journal:", err)
+			return 1
 		}
 		defer func() {
 			if err := j.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "journal:", err)
+				fmt.Fprintln(stderr, "journal:", err)
 			}
 		}()
 		// The header records the command so `reqlens resume` can replay
 		// it; a resumed run re-records the original command, not
 		// "resume", so resuming is idempotent.
-		j.RunHeader(cmd, args)
+		j.RunHeader(name, args)
 		opt.Journal = j
 	}
 	if *progress {
@@ -244,233 +182,44 @@ func run(cmd string, args []string, resume map[string]telemetry.Record) {
 			if p.Gap {
 				note = " [gap]"
 			}
-			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-32s %8v (worker %d)%s\n",
+			fmt.Fprintf(stderr, "[%3d/%3d] %-32s %8v (worker %d)%s\n",
 				p.Index+1, p.Total, p.Label, p.Wall.Round(time.Millisecond), p.Worker, note)
 		}
 		opt.Stats = func(s harness.RunStats) {
-			fmt.Fprintln(os.Stderr, "engine:", s)
+			fmt.Fprintln(stderr, "engine:", s)
 		}
 	}
+	rc.opt = opt
 
-	specs := workloads.All()
-	if *name != "" {
-		s, ok := workloads.ByName(*name)
+	rc.specs = workloads.All()
+	if *workload != "" {
+		s, ok := workloads.ByName(*workload)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *name)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown workload %q\n", *workload)
+			return 2
 		}
-		specs = []workloads.Spec{s}
+		rc.specs = []workloads.Spec{s}
 	}
 
-	switch cmd {
-	case "table1":
-		fmt.Print(machine.TableI())
-	case "fig1":
-		runFig1(specs[min(5, len(specs)-1)], opt)
-	case "fig2":
-		for _, s := range specs {
-			res := harness.Fig2(s, opt)
-			fmt.Print(harness.RenderFig2(res))
-			fmt.Println()
+	exp.run(rc, stdout)
+	if *metricsPath != "" {
+		if err := writeMetrics(opt.Telemetry, *metricsPath); err != nil {
+			fmt.Fprintln(stderr, "metrics:", err)
+			return 1
 		}
-	case "fig3", "fig4":
-		o := sweepOptions(opt, *quick)
-		for _, s := range specs {
-			res := harness.SaturationSweep(s, o)
-			if cmd == "fig3" {
-				fmt.Print(harness.RenderFig3(res))
-			} else {
-				fmt.Print(harness.RenderFig4(res))
-			}
-			fmt.Println()
-		}
-	case "fig5":
-		runFig5(opt, *quick)
-	case "table2":
-		runTable2(specs, opt)
-	case "overhead":
-		runOverhead(specs, opt)
-	case "iouring":
-		fmt.Print(harness.RenderIOUring(harness.IOUring(0.6, opt)))
-	case "stream":
-		for _, s := range specs {
-			fmt.Print(harness.RenderStreamAgreement(harness.StreamAgreement(s, opt)))
-			fmt.Println()
-		}
-	case "robustness":
-		runRobustness(specs, opt)
-	case "waitstates":
-		res := harness.WaitStateSweep(specs, opt)
-		fmt.Print(harness.RenderWaitStates(res))
-		fmt.Println()
-		fmt.Print(harness.RenderWaitFolded(res))
-	case "cardinality":
-		cards := harness.DefaultCardinalities()
-		if *quick {
-			cards = []int{100, 1_000, 10_000}
-		}
-		fmt.Print(harness.RenderCardinality(harness.CardinalitySweep(cards, opt)))
-	case "attribution":
-		fmt.Print(harness.RenderAttribution(harness.AttributionMatrix(opt, *trials)))
-	case "autoscale":
-		res := harness.AutoscaleScenario(harness.DefaultAutoscaleLatencies(), opt)
-		fmt.Print(harness.RenderAutoscale(res))
-	case "fleet":
-		runFleet(opt, fleet.SweepOptions{
-			Nodes:  fleet.DefaultSpecs(*nodes),
-			Epochs: *epochs,
-			TopK:   *topK,
-			Scrape: fleet.ScrapeConfig{
-				Interval:  *scrapeInterval,
-				Skew:      *skew,
-				Staleness: *staleness,
-				MissRate:  *missRate,
-			},
-		})
-	case "all":
-		fmt.Print(machine.TableI())
-		fmt.Println()
-		runFig1(workloads.DataCaching(), opt)
-		for _, s := range specs {
-			fmt.Print(harness.RenderFig2(harness.Fig2(s, opt)))
-			fmt.Println()
-		}
-		o := sweepOptions(opt, *quick)
-		for _, s := range specs {
-			res := harness.SaturationSweep(s, o)
-			fmt.Print(harness.RenderFig3(res))
-			fmt.Print(harness.RenderFig4(res))
-			fmt.Println()
-		}
-		runFig5(opt, *quick)
-		runTable2(specs, opt)
-		runOverhead(specs, opt)
-		fmt.Print(harness.RenderIOUring(harness.IOUring(0.6, opt)))
-		fmt.Println()
-		fmt.Print(harness.RenderStreamAgreement(harness.StreamAgreement(workloads.DataCaching(), opt)))
-	default:
-		usage()
 	}
-}
-
-// sweepOptions widens the load range past saturation for the Fig. 3/4
-// sweeps.
-func sweepOptions(opt harness.ExpOptions, quick bool) harness.ExpOptions {
-	if quick {
-		opt.Levels = []float64{0.5, 0.8, 1.0, 1.15}
-	} else {
-		opt.Levels = []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.2, 1.3}
-	}
-	return opt
-}
-
-func runFig1(spec workloads.Spec, opt harness.ExpOptions) {
-	capture := 2 * time.Second
-	if opt.MinSends > 0 && opt.MinSends < 2048 { // quick mode
-		capture = 300 * time.Millisecond
-	}
-	fmt.Printf("workload: %s\n", spec)
-	fmt.Print(harness.RenderFig1(harness.Fig1(spec, 0.5, capture, opt)))
-	fmt.Println()
-}
-
-// netemConfigs are the paper's two Table II network settings.
-func netemConfigs() ([]netsim.Config, []string) {
-	return []netsim.Config{
-		{},
-		{Delay: 10 * time.Millisecond, Loss: 0.01},
-	}, []string{"0ms / 0% loss", "10ms / 1% loss"}
-}
-
-func runTable2(specs []workloads.Spec, opt harness.ExpOptions) {
-	cfgs, names := netemConfigs()
-	rows := harness.Table2(specs, cfgs, opt)
-	fmt.Print(harness.RenderTable2(rows, names))
-	fmt.Println()
-}
-
-func runFig5(opt harness.ExpOptions, quick bool) {
-	o := sweepOptions(opt, quick)
-	cfgs, _ := netemConfigs()
-	res := harness.Fig5(workloads.TritonGRPC(), cfgs, o)
-	fmt.Print(harness.RenderFig5(res))
-	fmt.Println()
-}
-
-// runFleet runs the cluster saturation sweep and prints the level
-// table plus the highest surviving level's final-epoch rollup (the
-// "what the scraper saw" view, with any stale exclusions called out).
-func runFleet(opt harness.ExpOptions, fopt fleet.SweepOptions) {
-	res := fleet.Sweep(opt, fopt)
-	fmt.Print(fleet.RenderSweep(res))
-	for i := len(res.Points) - 1; i >= 0; i-- {
-		p := res.Points[i]
-		if p.Gap || len(p.Rollups) == 0 {
-			continue
-		}
-		fmt.Printf("final epoch at level %.2f:\n", p.Level)
-		fmt.Print(fleet.RenderRollup(p.Rollups[len(p.Rollups)-1]))
-		break
-	}
-	fmt.Println()
-}
-
-// runRobustness reruns the Fig. 2 correlation protocol under every
-// standard fault plan (netem shaping plus the kernel-side injectors)
-// and reports each plan's R^2 delta against the fault-free baseline.
-func runRobustness(specs []workloads.Spec, opt harness.ExpOptions) {
-	rows := harness.RobustnessMatrix(specs, faults.StandardPlans(), opt)
-	fmt.Print(harness.RenderRobustness(rows))
-	fmt.Println()
-}
-
-func runOverhead(specs []workloads.Spec, opt harness.ExpOptions) {
-	var rs []harness.OverheadResult
-	for _, s := range specs {
-		rs = append(rs, harness.Overhead(s, 0.7, opt))
-	}
-	fmt.Print(harness.RenderOverhead(rs))
-	fmt.Println()
+	return 0
 }
 
 // writeMetrics dumps the registry to path in Prometheus text format.
-func writeMetrics(r *telemetry.Registry, path string) {
+func writeMetrics(r *telemetry.Registry, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "metrics:", err)
-		os.Exit(1)
+		return err
 	}
-	defer f.Close()
 	if err := r.WriteProm(f); err != nil {
-		fmt.Fprintln(os.Stderr, "metrics:", err)
-		os.Exit(1)
+		f.Close()
+		return err
 	}
-}
-
-// renderJournal reads a recorded run journal and prints its per-phase
-// summary and slowest points.
-func renderJournal(path string, topN int) {
-	if path == "" {
-		fmt.Fprintln(os.Stderr, "usage: reqlens telemetry -journal <file> [-top N]")
-		os.Exit(2)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "telemetry:", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	recs, err := telemetry.ReadJournal(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "telemetry:", err)
-		os.Exit(1)
-	}
-	fmt.Print(telemetry.RenderJournal(recs, topN))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return f.Close()
 }

@@ -21,8 +21,8 @@
 // node's environment is advanced by exactly one lockstep worker per
 // round and shares no state with any other node, so the lockstep
 // worker count cannot affect any sample. Across a sweep, each fleet
-// point (one cluster per load level) is a supervised harness.RunPoints
-// unit with PR 5 deadlines, retries and gap accounting.
+// point (one cluster per load level) is a cell of a supervised
+// harness.RunCells grid, with PR 5 deadlines, retries and gap accounting.
 // TestFleetParallelDeterminism pins byte-identical sweep results at
 // parallelism 1, 4 and GOMAXPROCS.
 package fleet

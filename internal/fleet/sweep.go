@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"fmt"
 	"runtime"
 
 	"reqlens/internal/harness"
@@ -98,30 +97,27 @@ type SweepResult struct {
 	Gaps []string `json:",omitempty"`
 }
 
-// sweepLevel runs one cluster at one load level. Pure in (opt, fopt,
-// li): the cluster seed derives from the root seed and the level index
-// only, so the result is bit-identical at any engine or lockstep
-// parallelism — and across supervision retries.
-func sweepLevel(opt harness.ExpOptions, fopt SweepOptions, pc harness.PointCtx, li int) LevelPoint {
-	level := opt.Levels[li]
-	reg, done := opt.PointTelemetry(fmt.Sprintf("fleet level=%.2f", level))
-	defer done()
+// sweepLevel runs one cluster at one load level. The cluster seed is
+// the cell's, derived from the root seed and the level index only, so
+// the result is bit-identical at any engine or lockstep parallelism —
+// and across supervision retries.
+func sweepLevel(fopt SweepOptions, pc harness.PointCtx, cell harness.Cell) LevelPoint {
 	c := NewCluster(Options{
-		Seed:        opt.Seed + int64(li)*levelSeedStride,
+		Seed:        cell.Seed,
 		Nodes:       fopt.Nodes,
-		Level:       level,
+		Level:       cell.Level,
 		Scrape:      fopt.Scrape,
 		TopK:        fopt.TopK,
-		Warmup:      opt.Warmup,
+		Warmup:      cell.Warm,
 		Parallelism: fopt.ClusterParallelism,
 		Clock:       pc.Clock,
-		Telemetry:   reg,
+		Telemetry:   pc.Telemetry,
 	})
 	// Deferred so a deadline kill unwinding out of any node's event loop
 	// still drains every node's goroutines instead of leaking them.
 	defer c.Close()
 	p := LevelPoint{
-		Level:   level,
+		Level:   cell.Level,
 		Nodes:   len(c.Nodes),
 		Rollups: c.Run(fopt.Epochs),
 		Truth:   c.GroundTruth(),
@@ -147,24 +143,14 @@ func sweepLevel(opt harness.ExpOptions, fopt SweepOptions, pc harness.PointCtx, 
 // Sweep drives the whole fleet across load levels: at each level a
 // fresh cluster of fopt.Nodes members splits level * sum(capacity)
 // between them, runs fopt.Epochs scrape rounds, and reports the rollup
-// series against summed ground truth. Levels run on the harness engine,
-// so every cluster is a supervised point with PR 5 deadline/retry/gap
-// semantics and checkpoint resume.
+// series against summed ground truth. Levels are cells of one harness
+// grid, so every cluster is a supervised point with PR 5
+// deadline/retry/gap semantics and checkpoint resume.
 func Sweep(opt harness.ExpOptions, fopt SweepOptions) SweepResult {
-	opt = opt.WithDefaults()
 	fopt = fopt.withDefaults(opt)
-	opt, sp := opt.Scope("fleet")
-	defer opt.EndScope(sp)
-	labels := make([]string, len(opt.Levels))
-	for i, l := range opt.Levels {
-		labels[i] = fmt.Sprintf("fleet level=%.2f", l)
-	}
-	points, st := harness.RunPoints(opt, labels,
-		func(pc harness.PointCtx, li int) LevelPoint { return sweepLevel(opt, fopt, pc, li) })
-	for _, g := range st.Gaps {
-		if g.Index >= 0 && g.Index < len(points) {
-			points[g.Index] = LevelPoint{Level: opt.Levels[g.Index], Gap: true}
-		}
-	}
+	points, st := harness.RunCells(opt, "fleet",
+		opt.LevelCells(harness.Cell{Label: "fleet"}, levelSeedStride),
+		func(pc harness.PointCtx, c harness.Cell) LevelPoint { return sweepLevel(fopt, pc, c) },
+		func(c harness.Cell) LevelPoint { return LevelPoint{Level: c.Level, Gap: true} })
 	return SweepResult{Nodes: len(fopt.Nodes), Points: points, Gaps: st.GapLabels()}
 }

@@ -191,22 +191,13 @@ func CardinalitySweep(cards []int, opt ExpOptions) CardinalityResult {
 		cards = DefaultCardinalities()
 	}
 	opt = opt.withDefaults()
-	opt, sp := opt.expScope("cardinality")
-	defer opt.expEnd(sp)
-	labels := make([]string, len(cards))
+	cells := make([]Cell, len(cards))
 	for i, k := range cards {
-		labels[i] = fmt.Sprintf("cardinality keys=%d", k)
+		cells[i] = Cell{Label: fmt.Sprintf("cardinality keys=%d", k), Seed: opt.Seed + int64(i), Row: i}
 	}
-	points, st := RunPoints(opt, labels, func(pc PointCtx, i int) CardinalityPoint {
-		pt := opt.pointBegin(labels[i])
-		defer pt.done()
-		return cardinalityPoint(cards[i], opt.Seed+int64(i))
-	})
-	for _, g := range st.Gaps {
-		if g.Index >= 0 && g.Index < len(points) {
-			points[g.Index] = CardinalityPoint{Keys: cards[g.Index], Gap: true}
-		}
-	}
+	points, _ := RunCells(opt, "cardinality", cells,
+		func(_ PointCtx, c Cell) CardinalityPoint { return cardinalityPoint(cards[c.Row], c.Seed) },
+		func(c Cell) CardinalityPoint { return CardinalityPoint{Keys: cards[c.Row], Gap: true} })
 	return CardinalityResult{
 		CMSWidth: cardCMSWidth, CMSDepth: cardCMSDepth,
 		TopStages: cardTopStages, TopSlots: cardTopSlots,

@@ -18,7 +18,7 @@ import (
 // against injected faults with known ground-truth onsets, and
 // AutoscaleScenario drives the capacity controller end to end and
 // measures QoS recovery time as a function of actuation latency. Both
-// fan out on RunPoints like every other driver, so results are
+// are RunCells grids like every other driver, so results are
 // bit-identical at any Parallelism and resumable from a journal.
 
 // Attribution trials run the fixed diagnosis workload (Silo) at the
@@ -188,21 +188,12 @@ func (c *attrSketchCursor) foreignShare() float64 {
 // attrTrial runs one supervised trial on a private rig: calibrate the
 // detector on a healthy span, inject the scenario's fault at a recorded
 // onset, and score detection plus attribution against that ground
-// truth. Pure in (sc, trial, opt, seed).
-func attrTrial(sc attrScenario, trial int, opt ExpOptions, pc PointCtx, seed int64, pt pointTelemetry) AttributionTrial {
-	spec := waitDiagSpec()
-	rate := attrLevel * spec.FailureRPS
-	rig := NewRig(spec, RigOptions{
-		Seed: seed, Profile: opt.Profile, Netem: opt.Netem,
-		Rate: rate, Probes: true, WaitStates: true, Attribution: true,
-		Poisson:   opt.Poisson,
-		Telemetry: pt.reg, Clock: pc.Clock,
-	})
-	defer rig.Close()
-	rig.Warmup(opt.Warmup)
+// truth.
+func attrTrial(sc attrScenario, pc PointCtx, c Cell) AttributionTrial {
+	rig := pc.rig(c, RigOptions{Probes: true, WaitStates: true, Attribution: true})
 
 	det := control.NewSaturationDetector(control.DetectorConfig{
-		Warmup: attrDetWarm, Telemetry: pt.reg,
+		Warmup: attrDetWarm, Telemetry: pc.Telemetry,
 	})
 	attr := control.NewAttributor(control.AttributorConfig{})
 	cursor := newAttrSketchCursor(rig.Attr)
@@ -210,9 +201,9 @@ func attrTrial(sc attrScenario, trial int, opt ExpOptions, pc PointCtx, seed int
 	cursor.expect(rig.Client.TGID())
 	cursor.foreignShare() // prime: first window diffs against warmup, not attach
 
-	win := windowFor(opt.MinSends, rate)
-	now := opt.Warmup
-	res := AttributionTrial{Scenario: sc.name, Trial: trial, True: sc.cause}
+	win := windowFor(pc.opt.MinSends, c.Rate())
+	now := c.Warm
+	res := AttributionTrial{Scenario: sc.name, Trial: c.Col, True: sc.cause}
 
 	// observe runs one estimation window and folds it into the charts.
 	observe := func() (control.Alarm, bool, control.Evidence) {
@@ -244,13 +235,8 @@ func attrTrial(sc attrScenario, trial int, opt ExpOptions, pc PointCtx, seed int
 	// Fault onset, at a known instant.
 	onset := now
 	if sc.surge > 0 {
-		surge := loadgen.New(rig.ClientK, rig.Server.Listener(), loadgen.Options{
-			Rate:      sc.surge * spec.FailureRPS,
-			Conns:     2 * spec.Workers,
-			ReqSize:   spec.ReqSize,
-			PerOpCost: spec.ClientPerOpCost(),
-		})
-		cursor.expect(surge.TGID()) // more load is overload, not a foreign tenant
+		// More load is overload, not a foreign tenant.
+		cursor.expect(rig.surge(sc.surge).TGID())
 	}
 	if !sc.plan.Empty() {
 		rig.Arm(sc.plan)
@@ -339,32 +325,27 @@ func AttributionMatrix(opt ExpOptions, trials int) AttributionResult {
 		trials = 5
 	}
 	opt = opt.withDefaults()
-	opt, sp := opt.expScope("attribution")
-	defer opt.expEnd(sp)
-
-	scens := attrScenarios()
-	labels := make([]string, 0, len(scens)*trials)
-	for _, sc := range scens {
-		for t := 0; t < trials; t++ {
-			labels = append(labels, fmt.Sprintf("attribution %s trial=%d", sc.name, t))
-		}
-	}
-	points, st := RunPoints(opt, labels, func(pc PointCtx, i int) AttributionTrial {
-		pt := opt.pointBegin(labels[i])
-		defer pt.done()
-		return attrTrial(scens[i/trials], i%trials, opt, pc, opt.Seed+int64(i), pt)
-	})
-	for _, g := range st.Gaps {
-		if g.Index < 0 || g.Index >= len(points) {
-			continue
-		}
-		sc := scens[g.Index/trials]
-		points[g.Index] = AttributionTrial{
-			Scenario: sc.name, Trial: g.Index % trials, True: sc.cause, Gap: true,
-		}
-	}
-
 	spec := waitDiagSpec()
+	scens := attrScenarios()
+	var cells []Cell
+	for si, sc := range scens {
+		for t := 0; t < trials; t++ {
+			// No Plan: the scenario's own fault, armed by the trial at its
+			// recorded onset, is the only perturbation.
+			cells = append(cells, Cell{
+				Label: fmt.Sprintf("attribution %s trial=%d", sc.name, t), Spec: spec, Level: attrLevel,
+				Seed: opt.Seed + int64(len(cells)), Netem: opt.Netem, Warm: opt.Warmup,
+				Row: si, Col: t,
+			})
+		}
+	}
+	points, st := RunCells(opt, "attribution", cells,
+		func(pc PointCtx, c Cell) AttributionTrial { return attrTrial(scens[c.Row], pc, c) },
+		func(c Cell) AttributionTrial {
+			sc := scens[c.Row]
+			return AttributionTrial{Scenario: sc.name, Trial: c.Col, True: sc.cause, Gap: true}
+		})
+
 	res := AttributionResult{
 		Workload: spec.Name, Level: attrLevel, Trials: trials,
 		Window: windowFor(opt.MinSends, attrLevel*spec.FailureRPS),
@@ -496,32 +477,24 @@ func DefaultAutoscaleLatencies() []time.Duration {
 // estimator feed the controller each window, and committed decisions
 // actuate kernel.SetOnlineCPUs after the modeled latency — entirely
 // inside the simulation clock, so the loop is deterministic.
-func autoscalePoint(latency time.Duration, opt ExpOptions, pc PointCtx, seed int64, pt pointTelemetry) AutoscalePoint {
-	spec := waitDiagSpec()
-	rate := autoBase * spec.FailureRPS
-	rig := NewRig(spec, RigOptions{
-		Seed: seed, Profile: opt.Profile, Netem: opt.Netem,
-		Rate: rate, Probes: true,
-		Poisson:   opt.Poisson,
-		Telemetry: pt.reg, Clock: pc.Clock,
-	})
-	defer rig.Close()
+func autoscalePoint(latency time.Duration, pc PointCtx, c Cell) AutoscalePoint {
+	rig := pc.build(c, RigOptions{Probes: true})
 	rig.ServerK.SetOnlineCPUs(autoCPUs) // nominal allocation before traffic settles
-	rig.Warmup(opt.Warmup)
+	rig.start(c)
 
-	win := windowFor(opt.MinSends, rate)
+	win := windowFor(pc.opt.MinSends, c.Rate())
 	det := control.NewSaturationDetector(control.DetectorConfig{
-		Warmup: autoDetWarm, Telemetry: pt.reg,
+		Warmup: autoDetWarm, Telemetry: pc.Telemetry,
 	})
 	slack := core.NewSlackEstimator()
 	as := control.NewAutoscaler(autoCPUs, control.AutoscalerConfig{
 		Min: autoCPUs, Max: workloads.ServerCores,
 		Cooldown: 4 * win, Latency: latency,
-		Telemetry: pt.reg,
+		Telemetry: pc.Telemetry,
 	})
 
 	res := AutoscalePoint{Latency: latency}
-	now := opt.Warmup
+	now := c.Warm
 
 	// step runs one window and closes the loop: measure, detect, decide,
 	// and schedule the actuation inside the simulation.
@@ -556,18 +529,13 @@ func autoscalePoint(latency time.Duration, opt ExpOptions, pc PointCtx, seed int
 	}
 
 	onset := now
-	loadgen.New(rig.ClientK, rig.Server.Listener(), loadgen.Options{
-		Rate:      autoSurge * spec.FailureRPS,
-		Conns:     2 * spec.Workers,
-		ReqSize:   spec.ReqSize,
-		PerOpCost: spec.ClientPerOpCost(),
-	})
+	rig.surge(autoSurge)
 	for w := 0; w < autoFault; w++ {
 		load := step()
 		if load.P99 > res.PeakP99 {
 			res.PeakP99 = load.P99
 		}
-		if load.P99 > spec.QoS {
+		if load.P99 > c.Spec.QoS {
 			res.Breached = true
 		} else if res.Breached && !res.Recovered {
 			res.Recovered = true
@@ -586,26 +554,18 @@ func AutoscaleScenario(latencies []time.Duration, opt ExpOptions) AutoscaleResul
 		latencies = DefaultAutoscaleLatencies()
 	}
 	opt = opt.withDefaults()
-	opt, sp := opt.expScope("autoscale")
-	defer opt.expEnd(sp)
-
-	labels := make([]string, len(latencies))
-	for i, l := range latencies {
-		labels[i] = fmt.Sprintf("autoscale latency=%v", l)
-	}
-	points, st := RunPoints(opt, labels, func(pc PointCtx, i int) AutoscalePoint {
-		pt := opt.pointBegin(labels[i])
-		defer pt.done()
-		return autoscalePoint(latencies[i], opt, pc, opt.Seed+int64(i), pt)
-	})
-	for _, g := range st.Gaps {
-		if g.Index < 0 || g.Index >= len(points) {
-			continue
-		}
-		points[g.Index] = AutoscalePoint{Latency: latencies[g.Index], Gap: true}
-	}
-
 	spec := waitDiagSpec()
+	cells := make([]Cell, len(latencies))
+	for i, l := range latencies {
+		cells[i] = Cell{
+			Label: fmt.Sprintf("autoscale latency=%v", l), Spec: spec, Level: autoBase,
+			Seed: opt.Seed + int64(i), Netem: opt.Netem, Warm: opt.Warmup, Row: i,
+		}
+	}
+	points, st := RunCells(opt, "autoscale", cells,
+		func(pc PointCtx, c Cell) AutoscalePoint { return autoscalePoint(latencies[c.Row], pc, c) },
+		func(c Cell) AutoscalePoint { return AutoscalePoint{Latency: latencies[c.Row], Gap: true} })
+
 	return AutoscaleResult{
 		Workload: spec.Name, QoS: spec.QoS,
 		Base: autoBase, Surge: autoSurge, StartCPUs: autoCPUs,

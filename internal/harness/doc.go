@@ -21,36 +21,33 @@
 // and Measurement pairs every batch window with its stream-reconstructed
 // twin.
 //
-// # Experiment drivers
+// # Experiments: cells, one point protocol, one engine
 //
-// Each paper artifact has a driver taking an ExpOptions:
+// Every artifact is the same protocol — offer a fraction of the failure
+// RPS, warm up, arm any fault plan, measure, compare probe and client —
+// so every driver (Fig1 … AutoscaleScenario, taking one ExpOptions) has
+// the same three steps. It declares its grid as []Cell: each cell
+// carries label, workload, level, seed, link, plan and warm-up as data,
+// so what differs between experiments (Fig. 2 never over-warms;
+// Fig5/Table2/Robustness seed by level within a block, the wait-state
+// and control grids by flat index) is visible in the cells, not buried
+// in code paths. RunCells runs the grid: defaults, the experiment span
+// that also namespaces checkpoints, one journal span and private
+// telemetry registry per point, and gap(cell) in the slot of any point
+// lost to supervision. The body turns a cell into a rig through
+// PointCtx.rig — the only caller of NewRig — measures, and returns a
+// JSON-serializable value; the driver assembles the slice. Render*
+// print each result as the ASCII analogue of the paper's figure.
 //
-//   - Fig1 — raw syscall stream capture and phase segmentation.
-//   - Fig2 — the RPS_obsv vs RPS_real correlation study (Eq. 1).
-//   - SaturationSweep — the Fig. 3 (send-delta variance) and Fig. 4
-//     (poll duration) load sweeps with the QoS crossing located.
-//   - Fig5 — tail latency vs in-kernel signals under packet loss.
-//   - Table2 — R^2 of the Fig. 2 fit under netem configurations.
-//   - Overhead — the Section VI probe-cost A/B study.
-//   - IOUring — the Section V-C blind-spot demonstration.
-//   - StreamAgreement / StreamDrops — batch vs streaming observer
-//     side-by-side: exact window agreement with a healthy ring, and the
-//     deterministic loss profile of a deliberately undersized one.
-//
-// RenderFig1..RenderOverhead print each result as the ASCII analogue of
-// the paper's figure (`cmd/reqlens` wraps them all).
-//
-// # The parallel experiment engine
-//
-// Drivers decompose their protocol into independent points — one
-// (workload, netem, load level) measurement on its own Rig — and hand
-// them to RunPoints, a bounded worker pool (ExpOptions.Parallelism;
-// GOMAXPROCS by default). Per-point seeds are derived as ExpOptions.Seed
-// + int64(levelIndex) and results are reassembled in point order, so
-// output is bit-identical to a sequential run at any parallelism —
-// TestParallelSweepDeterminism asserts it. ExpOptions.Progress streams
-// per-point completions; ExpOptions.Stats reports batch timing
-// (RunStats).
+// RunCells sits on RunPoints, a bounded worker pool
+// (ExpOptions.Parallelism; GOMAXPROCS by default). Points share nothing
+// and results are reassembled in point order, so output is bit-identical
+// to a sequential run at any parallelism (TestParallelSweepDeterminism).
+// Only wall-clock accounting (RunStats, PointDone.Wall) reflects real
+// time and scheduling, and it never feeds back into results; telemetry
+// is write-only and merges by commutative addition. Under supervision
+// a point may be killed, retried with the same inputs, or replayed from
+// a checkpoint without changing a byte.
 //
 // Quick returns the reduced scale used by tests; the zero ExpOptions is
 // paper scale.

@@ -13,34 +13,24 @@ import (
 	"reqlens/internal/telemetry"
 )
 
-// This file is the parallel experiment engine. Every figure/table driver
-// in this package decomposes its protocol into independent *points* — a
-// (workload, netem, load level) tuple measured on its own Rig — and hands
-// them to RunPoints, which fans them out across a bounded worker pool.
-//
-// The engine preserves the sequential drivers' semantics exactly:
-//
-//   - Each point derives its own seed (the drivers use opt.Seed +
-//     int64(levelIndex)), builds a private Rig with a private sim.Env,
-//     and never shares mutable state with other points. A point's result
-//     therefore depends only on its inputs, not on scheduling.
-//   - Results are written to the slot matching the point's index, so the
-//     assembled output is bit-identical to a sequential run regardless of
-//     completion order or worker count. TestParallelSweepDeterminism
-//     asserts this.
-//
-// Only wall-clock accounting (RunStats, PointDone.Wall) reflects real
-// time and real scheduling; it never feeds back into results.
-
 // PointCtx is the execution context RunPoints hands each point
 // function. Clock is the attempt's budget clock under supervision (nil
-// otherwise); points that build rigs wire it into RigOptions.Clock so
-// the event loop honors the deadline. Attempt is 0 on the first try and
+// otherwise); a rig built through the point (or RigOptions.Clock, for a
+// direct RunPoints caller) makes the event loop honor the deadline. Attempt is 0 on the first try and
 // increments per retry — the point's *inputs* never depend on it, which
 // is what makes a retried success bit-identical to a first-try one.
+//
+// Telemetry is set by RunCells only: the point's private registry (nil
+// when the run is uninstrumented), merged into the run-level registry
+// when the point returns. A body that builds its own simulation
+// (internal/fleet) instruments it into this registry.
 type PointCtx struct {
-	Clock   *sim.Clock
-	Attempt int
+	Clock     *sim.Clock
+	Attempt   int
+	Telemetry *telemetry.Registry
+
+	opt  ExpOptions // resolved options of the grid the point belongs to
+	rigs *[]*Rig    // rigs built through the point, closed when it returns
 }
 
 // PointDone reports the completion of one experiment point to an
@@ -69,9 +59,9 @@ type RunStats struct {
 	// Cached counts points satisfied from resume checkpoints.
 	Cached int
 	// Gaps lists the points that failed after every supervision attempt,
-	// sorted by point index. Their result slots hold the zero value;
-	// drivers propagate the holes so renderers can mark them instead of
-	// reporting poisoned aggregates.
+	// sorted by point index. Their result slots hold the zero value, or
+	// under RunCells the grid's gap(cell), so renderers can mark the
+	// holes instead of reporting poisoned aggregates.
 	Gaps []*resilience.PointError
 }
 
@@ -163,15 +153,21 @@ func (o ExpOptions) workers(n int) int {
 //
 // Checkpointing (opt.Journal non-nil): every completed point is recorded
 // as a checkpoint carrying its JSON-serialized result, keyed by the
-// driver's experiment scope plus the point label — labels repeat across
+// experiment scope plus the point label. Resume (opt.Resume non-nil):
+// points whose (experiment, label) key maps to an ok checkpoint with a
+// matching root seed and point index are satisfied from the journal
+// without recomputation — and re-checkpointed, so a resumed run's
+// journal is itself resumable. A direct RunPoints batch has the empty
+// scope; RunCells names one per experiment.
+func RunPoints[T any](opt ExpOptions, labels []string, fn func(pc PointCtx, i int) T) ([]T, RunStats) {
+	return runPoints(opt, "", labels, fn)
+}
+
+// runPoints is RunPoints under an experiment scope. Labels repeat across
 // experiments (sweep and stream-agreement both use "<workload>
 // level=X"), so the scope is what keeps one journal's checkpoints from
-// shadowing each other. Resume (opt.Resume non-nil): points whose
-// (experiment, label) key maps to an ok checkpoint with a matching root
-// seed and point index are satisfied from the journal without
-// recomputation — and re-checkpointed, so a resumed run's journal is
-// itself resumable.
-func RunPoints[T any](opt ExpOptions, labels []string, fn func(pc PointCtx, i int) T) ([]T, RunStats) {
+// shadowing each other.
+func runPoints[T any](opt ExpOptions, scope string, labels []string, fn func(pc PointCtx, i int) T) ([]T, RunStats) {
 	n := len(labels)
 	out := make([]T, n)
 	stats := RunStats{
@@ -207,7 +203,7 @@ func RunPoints[T any](opt ExpOptions, labels []string, fn func(pc PointCtx, i in
 		if opt.Journal == nil {
 			return
 		}
-		rec := telemetry.Record{Experiment: opt.exp, Name: labels[i], Index: i, Seed: seed, Attempts: attempts}
+		rec := telemetry.Record{Experiment: scope, Name: labels[i], Index: i, Seed: seed, Attempts: attempts}
 		if perr != nil {
 			rec.Status = telemetry.CheckpointFailed
 			rec.Error = perr.Error()
@@ -228,7 +224,7 @@ func RunPoints[T any](opt ExpOptions, labels []string, fn func(pc PointCtx, i in
 		// round-trip JSON exactly). A checkpoint from another seed or
 		// batch position, a failed one, or one whose payload no longer
 		// parses falls through to recomputation.
-		if rec, ok := opt.Resume[telemetry.CheckpointKey(opt.exp, labels[i])]; ok &&
+		if rec, ok := opt.Resume[telemetry.CheckpointKey(scope, labels[i])]; ok &&
 			rec.Index == i && rec.Seed == seed &&
 			rec.Status == telemetry.CheckpointOK && len(rec.Result) > 0 {
 			t0 := time.Now()
@@ -323,13 +319,4 @@ func RunPoints[T any](opt ExpOptions, labels []string, fn func(pc PointCtx, i in
 		opt.Stats(stats)
 	}
 	return out, stats
-}
-
-// levelLabels names one point per load level, e.g. "silo level=0.50".
-func levelLabels(prefix string, levels []float64) []string {
-	ls := make([]string, len(levels))
-	for i, l := range levels {
-		ls[i] = fmt.Sprintf("%s level=%.2f", prefix, l)
-	}
-	return ls
 }

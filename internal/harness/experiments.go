@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"reqlens/internal/faults"
+	"reqlens/internal/kernel"
 	"reqlens/internal/machine"
 	"reqlens/internal/netsim"
 	"reqlens/internal/probes"
@@ -20,9 +21,9 @@ import (
 // fills any field left zero. Every figure/table driver accepts one.
 //
 // Determinism: for a fixed Seed, results are bit-identical across runs
-// and across Parallelism settings — each load-level point runs on an
-// isolated Rig seeded with Seed + int64(levelIndex), so neither real
-// time nor goroutine scheduling can leak into results.
+// and across Parallelism settings — each point runs on an isolated Rig
+// seeded from Seed and the point's position in its grid (Cell.Seed), so
+// neither real time nor goroutine scheduling can leak into results.
 type ExpOptions struct {
 	// Seed is the root seed of every simulation the experiment builds.
 	// Point li of a sweep uses Seed + int64(li). 0 defaults to 42.
@@ -153,12 +154,6 @@ type ExpOptions struct {
 	// of recomputed; the assembled output is byte-identical to an
 	// uninterrupted run.
 	Resume map[string]telemetry.Record
-
-	// exp is the experiment scope RunPoints namespaces checkpoints and
-	// resume lookups under; drivers set it through expScope. Different
-	// experiments reuse identical point labels, so the scope is what
-	// keeps one journal's checkpoints from colliding.
-	exp string
 }
 
 // Supervised reports whether RunPoints should wrap points in a
@@ -192,13 +187,6 @@ func (o ExpOptions) withDefaults() ExpOptions {
 	return o
 }
 
-// WithDefaults is the exported form of withDefaults, for experiment
-// drivers outside this package (internal/fleet): fleet sweeps must
-// resolve Seed and Levels exactly as the in-package drivers do, or
-// their checkpoint keys and derived rig seeds would drift from what
-// RunPoints records.
-func (o ExpOptions) WithDefaults() ExpOptions { return o.withDefaults() }
-
 // Quick returns a reduced-scale configuration for unit tests: small
 // windows (128 sends), 3 estimates over 3 levels, short warmups. Fields
 // it leaves zero (Seed, Parallelism, ...) still pick up withDefaults.
@@ -210,15 +198,6 @@ func Quick() ExpOptions {
 		Warmup:    500 * time.Millisecond,
 		OverWarm:  time.Second,
 	}
-}
-
-// planNetem resolves the link configuration for a measured point: a
-// plan carrying a netem config overrides opt.Netem for the whole run.
-func planNetem(opt ExpOptions) netsim.Config {
-	if opt.Plan.HasNetem() {
-		return opt.Plan.Netem
-	}
-	return opt.Netem
 }
 
 // windowFor sizes a measurement window to gather at least minSends send
@@ -258,26 +237,11 @@ type Fig2Result struct {
 
 // fig2Level measures one load level of the Fig. 2 protocol on a private
 // rig: opt.Estimates windows of >= MinSends sends, each paired with the
-// client-reported RPS of the whole level. Pure in (spec, opt, li); safe
-// to run concurrently with other levels.
-func fig2Level(spec workloads.Spec, opt ExpOptions, pc PointCtx, li int) []Estimate {
-	level := opt.Levels[li]
-	rate := level * spec.FailureRPS
-	label := fmt.Sprintf("%s level=%.2f", spec.Name, level)
-	pt := opt.pointBegin(label)
-	defer pt.done()
-	rig := NewRig(spec, RigOptions{
-		Seed: opt.Seed + int64(li), Profile: opt.Profile, Netem: planNetem(opt),
-		Rate: rate, Probes: true,
-		Poisson: opt.Poisson, SeparateClient: opt.SeparateClient,
-		Telemetry: pt.reg, Clock: pc.Clock,
-	})
-	defer rig.Close()
-	rig.Warmup(opt.Warmup)
-	if !opt.Plan.Empty() {
-		rig.Arm(opt.Plan)
-	}
-	win := windowFor(opt.MinSends, rate)
+// client-reported RPS of the whole level.
+func fig2Level(pc PointCtx, c Cell) []Estimate {
+	opt := pc.opt
+	rig := pc.rig(c, RigOptions{Probes: true})
+	win := windowFor(opt.MinSends, c.Rate())
 	// The paper pairs each estimation window's RPS_obsv with the
 	// benchmark-reported RPS of the whole load level, so the client
 	// measures across all windows while the probe is sampled per
@@ -285,7 +249,7 @@ func fig2Level(spec workloads.Spec, opt ExpOptions, pc PointCtx, li int) []Estim
 	rig.Client.StartMeasurement()
 	obsvs := make([]float64, 0, opt.Estimates)
 	for e := 0; e < opt.Estimates; e++ {
-		wsp := pt.window(fmt.Sprintf("%s window=%d", label, e))
+		wsp := opt.Journal.Begin(telemetry.KindWindow, fmt.Sprintf("%s window=%d", c.Label, e))
 		rig.Env.RunFor(win)
 		w := rig.Obs.Sample()
 		wsp.End(nil)
@@ -294,7 +258,7 @@ func fig2Level(spec workloads.Spec, opt ExpOptions, pc PointCtx, li int) []Estim
 	real := rig.Client.Snapshot().RealRPS
 	ests := make([]Estimate, 0, opt.Estimates)
 	for _, ob := range obsvs {
-		ests = append(ests, Estimate{Level: level, RealRPS: real, ObsvRPS: ob})
+		ests = append(ests, Estimate{Level: c.Level, RealRPS: real, ObsvRPS: ob})
 	}
 	return ests
 }
@@ -320,15 +284,13 @@ func fig2Assemble(workload string, perLevel [][]Estimate) Fig2Result {
 // Fig2 runs the paper's Fig. 2 protocol for one workload: at each load
 // level, take opt.Estimates windows of >= MinSends send syscalls, pair
 // the eBPF RPS estimate (Eq. 1) with the client-reported RPS, and fit a
-// linear regression. Load levels run on the parallel engine.
+// linear regression. The protocol never over-warms: level 1.00 warms up
+// for Warmup like every other level.
 func Fig2(spec workloads.Spec, opt ExpOptions) Fig2Result {
-	opt = opt.withDefaults()
-	opt, sp := opt.expScope("fig2 " + spec.Name)
-	perLevel, st := RunPoints(opt, levelLabels(spec.Name, opt.Levels),
-		func(pc PointCtx, li int) []Estimate { return fig2Level(spec, opt, pc, li) })
+	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec, Netem: opt.Netem, Plan: opt.Plan}, 1)
+	perLevel, st := RunCells(opt, "fig2 "+spec.Name, cells, fig2Level, nil)
 	res := fig2Assemble(spec.Name, perLevel)
 	res.Gaps = st.GapLabels()
-	opt.expEnd(sp)
 	return res
 }
 
@@ -366,42 +328,20 @@ type SweepResult struct {
 }
 
 // sweepLevel measures one load level of a saturation sweep on a private
-// rig. Pure in (spec, opt, li); safe to run concurrently with other
-// levels.
-func sweepLevel(spec workloads.Spec, opt ExpOptions, pc PointCtx, li int) SweepPoint {
-	level := opt.Levels[li]
-	rate := level * spec.FailureRPS
-	pt := opt.pointBegin(fmt.Sprintf("%s level=%.2f", spec.Name, level))
-	defer pt.done()
-	rig := NewRig(spec, RigOptions{
-		Seed: opt.Seed + int64(li), Profile: opt.Profile, Netem: planNetem(opt),
-		Rate: rate, Probes: true,
-		Stream: opt.Stream, StreamBytes: opt.StreamBytes,
-		Poisson: opt.Poisson, SeparateClient: opt.SeparateClient,
-		Telemetry: pt.reg, Clock: pc.Clock,
-	})
-	// Deferred so a deadline kill unwinding out of the event loop still
-	// drains the rig's goroutines instead of leaking them.
-	defer rig.Close()
-	warm := opt.Warmup
-	if level >= 0.95 {
-		warm = opt.OverWarm // let overload queues accumulate
-	}
-	rig.Warmup(warm)
-	if !opt.Plan.Empty() {
-		rig.Arm(opt.Plan)
-	}
-	win := windowFor(opt.MinSends, rate)
-	m := rig.Measure(win)
+// rig.
+func sweepLevel(pc PointCtx, c Cell) SweepPoint {
+	opt := pc.opt
+	rig := pc.rig(c, RigOptions{Probes: true, Stream: opt.Stream, StreamBytes: opt.StreamBytes})
+	m := rig.Measure(windowFor(opt.MinSends, c.Rate()))
 	p := SweepPoint{
-		Level:      level,
+		Level:      c.Level,
 		RealRPS:    m.Load.RealRPS,
 		ObsvRPS:    m.RPSObsv,
 		SendVarUS2: m.SendVarUS2,
 		RecvVarUS2: m.RecvVarUS2,
 		PollMeanNS: m.PollMeanNS,
 		P99:        m.Load.P99,
-		QoSFail:    m.Load.P99 > spec.QoS,
+		QoSFail:    m.Load.P99 > c.Spec.QoS,
 	}
 	if opt.Stream {
 		p.StreamObsvRPS = m.Stream.Send.RatePerSec
@@ -411,6 +351,10 @@ func sweepLevel(spec workloads.Spec, opt ExpOptions, pc PointCtx, li int) SweepP
 	}
 	return p
 }
+
+// sweepGap is a lost sweep level: it keeps its Level (the zero value
+// would mislabel the hole as level 0) and nothing else.
+func sweepGap(c Cell) SweepPoint { return SweepPoint{Level: c.Level, Gap: true} }
 
 // assembleSweep orders points into a SweepResult and locates the QoS
 // crossing.
@@ -430,27 +374,9 @@ func assembleSweep(spec workloads.Spec, points []SweepPoint) SweepResult {
 // against the client-observed QoS state. Load levels run on the
 // parallel engine; the result is identical at any Parallelism.
 func SaturationSweep(spec workloads.Spec, opt ExpOptions) SweepResult {
-	opt = opt.withDefaults()
-	opt, sp := opt.expScope("sweep " + spec.Name)
-	points, st := RunPoints(opt, levelLabels(spec.Name, opt.Levels),
-		func(pc PointCtx, li int) SweepPoint { return sweepLevel(spec, opt, pc, li) })
-	markSweepGaps(points, opt.Levels, st)
-	res := assembleSweep(spec, points)
-	opt.expEnd(sp)
-	return res
-}
-
-// markSweepGaps flags gapped sweep points and restores their Level (the
-// zero value the engine left would mislabel the hole as level 0). It
-// handles flat (config x level) grids too: batch index i maps to level
-// i mod len(levels).
-func markSweepGaps(points []SweepPoint, levels []float64, st RunStats) {
-	for _, g := range st.Gaps {
-		if g.Index < 0 || g.Index >= len(points) {
-			continue
-		}
-		points[g.Index] = SweepPoint{Level: levels[g.Index%len(levels)], Gap: true}
-	}
+	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec, Netem: opt.Netem, Plan: opt.Plan}, 1)
+	points, _ := RunCells(opt, "sweep "+spec.Name, opt.overWarm(cells), sweepLevel, sweepGap)
+	return assembleSweep(spec, points)
 }
 
 // Fig5Result compares tail latency and the epoll-duration signal under
@@ -466,22 +392,15 @@ type Fig5Result struct {
 // levels.
 func Fig5(spec workloads.Spec, configs []netsim.Config, opt ExpOptions) Fig5Result {
 	opt = opt.withDefaults()
-	opt, sp := opt.expScope("fig5 " + spec.Name)
-	defer opt.expEnd(sp)
-	nl := len(opt.Levels)
-	labels := make([]string, 0, len(configs)*nl)
-	for ci := range configs {
-		for _, l := range opt.Levels {
-			labels = append(labels, fmt.Sprintf("%s cfg=%d level=%.2f", spec.Name, ci, l))
-		}
+	var cells []Cell
+	for ci, cfg := range configs {
+		cells = append(cells, opt.LevelCells(Cell{
+			Label: fmt.Sprintf("%s cfg=%d", spec.Name, ci), Spec: spec, Netem: cfg, Plan: opt.Plan,
+		}, 1)...)
 	}
-	points, st := RunPoints(opt, labels, func(pc PointCtx, i int) SweepPoint {
-		o := opt
-		o.Netem = configs[i/nl]
-		return sweepLevel(spec, o, pc, i%nl)
-	})
-	markSweepGaps(points, opt.Levels, st)
+	points, _ := RunCells(opt, "fig5 "+spec.Name, opt.overWarm(cells), sweepLevel, sweepGap)
 	res := Fig5Result{Workload: spec.Name, Configs: configs}
+	nl := len(opt.Levels)
 	for ci := range configs {
 		res.Sweeps = append(res.Sweeps, assembleSweep(spec, points[ci*nl:(ci+1)*nl]))
 	}
@@ -505,42 +424,32 @@ type Table2Row struct {
 // The whole workload x config x level grid fans out as one engine batch.
 func Table2(specs []workloads.Spec, configs []netsim.Config, opt ExpOptions) []Table2Row {
 	opt = opt.withDefaults()
-	opt, sp := opt.expScope("table2")
-	defer opt.expEnd(sp)
-	nl := len(opt.Levels)
-	labels := make([]string, 0, len(specs)*len(configs)*nl)
-	for _, spec := range specs {
-		for ci := range configs {
-			for _, l := range opt.Levels {
-				labels = append(labels, fmt.Sprintf("%s cfg=%d level=%.2f", spec.Name, ci, l))
-			}
+	var cells []Cell
+	for si, spec := range specs {
+		for ci, cfg := range configs {
+			cells = append(cells, opt.LevelCells(Cell{
+				Label: fmt.Sprintf("%s cfg=%d", spec.Name, ci), Spec: spec, Netem: cfg, Plan: opt.Plan,
+				Row: si, Col: ci,
+			}, 1)...)
 		}
 	}
-	ests, st := RunPoints(opt, labels, func(pc PointCtx, i int) []Estimate {
-		si, ci, li := i/(len(configs)*nl), (i/nl)%len(configs), i%nl
-		o := opt
-		o.Netem = configs[ci]
-		return fig2Level(specs[si], o, pc, li)
-	})
-	gapped := map[int]bool{} // batch index of each gapped cell's config block
-	for _, g := range st.Gaps {
-		gapped[g.Index/nl] = true
-	}
+	ests, st := RunCells(opt, "table2", cells, fig2Level, nil)
+	nl := len(opt.Levels)
 	rows := make([]Table2Row, 0, len(specs))
 	for si, spec := range specs {
 		row := Table2Row{Workload: spec.Name}
 		for ci := range configs {
 			block := si*len(configs) + ci
-			f2 := fig2Assemble(spec.Name, ests[block*nl:(block+1)*nl])
-			row.R2 = append(row.R2, f2.Fit.R2)
-			if gapped[block] {
-				if row.Gapped == nil {
-					row.Gapped = make([]bool, len(configs))
-				}
-				row.Gapped[ci] = true
-			}
+			row.R2 = append(row.R2, fig2Assemble(spec.Name, ests[block*nl:(block+1)*nl]).Fit.R2)
 		}
 		rows = append(rows, row)
+	}
+	for _, g := range st.Gaps {
+		row := &rows[cells[g.Index].Row]
+		if row.Gapped == nil {
+			row.Gapped = make([]bool, len(configs))
+		}
+		row.Gapped[cells[g.Index].Col] = true
 	}
 	return rows
 }
@@ -574,32 +483,22 @@ type overheadRun struct {
 
 // Overhead measures the paper's Section VI claim: attach the full probe
 // set, compare client p99 against an unprobed run at the same load. The
-// probes-off and probes-on arms run as two engine points (both from
-// opt.Seed, as an A/B pair must).
+// probes-off and probes-on arms run as two engine points, both from
+// opt.Seed, as an A/B pair must.
 func Overhead(spec workloads.Spec, level float64, opt ExpOptions) OverheadResult {
 	opt = opt.withDefaults()
-	opt, esp := opt.expScope("overhead " + spec.Name)
-	defer opt.expEnd(esp)
-	rate := level * spec.FailureRPS
-	win := windowFor(4*opt.MinSends, rate)
-
-	run := func(pc PointCtx, probesOn bool) overheadRun {
-		arm := "off"
-		if probesOn {
-			arm = "on"
-		}
-		pt := opt.pointBegin(fmt.Sprintf("%s probes=%s", spec.Name, arm))
-		defer pt.done()
-		rig := NewRig(spec, RigOptions{
-			Seed: opt.Seed, Profile: opt.Profile, Netem: opt.Netem,
-			Rate: rate, Probes: probesOn,
-			Poisson: opt.Poisson, SeparateClient: opt.SeparateClient,
-			Telemetry: pt.reg, Clock: pc.Clock,
+	var cells []Cell
+	for on, arm := range []string{"off", "on"} {
+		cells = append(cells, Cell{
+			Label: spec.Name + " probes=" + arm, Spec: spec, Level: level, Seed: opt.Seed,
+			Netem: opt.Netem, Plan: opt.Plan, Warm: opt.Warmup, Col: on,
 		})
-		defer rig.Close()
-		rig.Warmup(opt.Warmup)
-		m := rig.Measure(win)
-		var r overheadRun
+	}
+	runs, st := RunCells(opt, "overhead "+spec.Name, cells, func(pc PointCtx, c Cell) overheadRun {
+		probesOn := c.Col == 1
+		rig := pc.rig(c, RigOptions{Probes: probesOn})
+		m := rig.Measure(windowFor(4*opt.MinSends, c.Rate()))
+		r := overheadRun{P99: m.Load.P99}
 		if probesOn {
 			var total, cpu time.Duration
 			var calls uint64
@@ -615,12 +514,8 @@ func Overhead(spec workloads.Spec, level float64, opt ExpOptions) OverheadResult
 				r.Share = 100 * float64(total) / float64(cpu)
 			}
 		}
-		r.P99 = m.Load.P99
 		return r
-	}
-
-	labels := []string{spec.Name + " probes=off", spec.Name + " probes=on"}
-	runs, st := RunPoints(opt, labels, func(pc PointCtx, i int) overheadRun { return run(pc, i == 1) })
+	}, nil)
 	off, on := runs[0], runs[1]
 	res := OverheadResult{
 		Workload: spec.Name, Level: level,
@@ -641,38 +536,41 @@ type IOUringResult struct {
 	ObsvRPS     float64 // from the send probe: should be ~0
 	PollCount   uint64  // epoll activity: should be ~0
 	IoUringRate float64 // io_uring_enter calls per second
+
+	// Gap marks a run lost to supervision: every measurement is zero
+	// and renderers print it as missing. Absent from JSON otherwise.
+	Gap bool `json:",omitempty"`
 }
 
-// IOUring runs the blind-spot demonstration at the given load fraction.
+// IOUring runs the blind-spot demonstration at the given load fraction,
+// as a one-cell grid: supervised, checkpointed and resumable like every
+// other experiment.
 func IOUring(level float64, opt ExpOptions) IOUringResult {
 	opt = opt.withDefaults()
-	esp := opt.expBegin("iouring")
-	defer opt.expEnd(esp)
 	spec := workloads.DataCachingIOUring()
-	rate := level * spec.FailureRPS
-	pt := opt.pointBegin(fmt.Sprintf("%s level=%.2f", spec.Name, level))
-	defer pt.done()
-	rig := NewRig(spec, RigOptions{
-		Seed: opt.Seed, Rate: rate, Probes: true,
-		Poisson: opt.Poisson, SeparateClient: opt.SeparateClient,
-		Telemetry: pt.reg,
-	})
-	defer rig.Close()
-	uring := probes.MustNewDeltaProbe("uring", rig.Server.Process().TGID(),
-		[]int{kernelIoUringEnter})
-	if err := uring.Attach(rig.ServerK.Tracer()); err != nil {
-		panic(err)
+	cell := Cell{
+		Label: fmt.Sprintf("%s level=%.2f", spec.Name, level), Spec: spec, Level: level, Seed: opt.Seed,
+		Netem: opt.Netem, Plan: opt.Plan, Warm: opt.Warmup,
 	}
-	rig.Warmup(opt.Warmup)
-	win := windowFor(opt.MinSends, rate)
-	m := rig.Measure(win)
-	u := uring.Snapshot()
-	return IOUringResult{
-		RealRPS:     m.Load.RealRPS,
-		ObsvRPS:     m.RPSObsv,
-		PollCount:   m.Obs.Poll.Calls,
-		IoUringRate: u.RateObsv(),
-	}
+	res, _ := RunCells(opt, "iouring", []Cell{cell}, func(pc PointCtx, c Cell) IOUringResult {
+		rig := pc.build(c, RigOptions{Probes: true})
+		// Attached before warm-up: the rate is taken over everything the
+		// probe has seen.
+		uring := probes.MustNewDeltaProbe("uring", rig.Server.Process().TGID(),
+			[]int{kernel.SysIoUringEnter})
+		if err := uring.Attach(rig.ServerK.Tracer()); err != nil {
+			panic(err)
+		}
+		rig.start(c)
+		m := rig.Measure(windowFor(opt.MinSends, c.Rate()))
+		return IOUringResult{
+			RealRPS:     m.Load.RealRPS,
+			ObsvRPS:     m.RPSObsv,
+			PollCount:   m.Obs.Poll.Calls,
+			IoUringRate: uring.Snapshot().RateObsv(),
+		}
+	}, func(Cell) IOUringResult { return IOUringResult{Gap: true} })
+	return res[0]
 }
 
 // Fig1Result is the trace-structure study of Fig. 1: the raw stream, its
@@ -685,39 +583,36 @@ type Fig1Result struct {
 }
 
 // Fig1 captures a short raw syscall stream of one workload through the
-// streaming eBPF probe and segments it into lifecycle phases.
+// streaming eBPF probe and segments it into lifecycle phases. It is the
+// one experiment that stays off the engine — its result is the raw
+// capture, tens of MB as a JSON checkpoint — but its rig is built by the
+// same step as every other point's.
 func Fig1(spec workloads.Spec, level float64, capture time.Duration, opt ExpOptions) Fig1Result {
 	opt = opt.withDefaults()
-	esp := opt.expBegin("fig1 " + spec.Name)
-	defer opt.expEnd(esp)
-	pt := opt.pointBegin(fmt.Sprintf("%s level=%.2f capture=%v", spec.Name, level, capture))
-	defer pt.done()
-	rig := NewRig(spec, RigOptions{
-		Seed: opt.Seed, Rate: level * spec.FailureRPS, Probes: false,
-		Poisson: opt.Poisson, SeparateClient: opt.SeparateClient,
-		Telemetry: pt.reg,
+	defer opt.experiment("fig1 " + spec.Name)()
+	c := Cell{
+		Label: fmt.Sprintf("%s level=%.2f capture=%v", spec.Name, level, capture),
+		Spec:  spec, Level: level, Seed: opt.Seed, Netem: opt.Netem,
+	}
+	return point(opt, PointCtx{}, c.Label, func(pc PointCtx) Fig1Result {
+		rig := pc.build(c, RigOptions{})
+		sp := probes.MustNewStreamProbe("raw", rig.Server.Process().TGID(), 64<<20)
+		if err := sp.Attach(rig.ServerK.Tracer()); err != nil {
+			panic(err)
+		}
+		rig.Env.RunFor(capture)
+		evs := sp.Drain()
+		dropped := sp.Dropped()
+
+		tev := make([]trace.Event, len(evs))
+		for i, e := range evs {
+			tev[i] = trace.Event{Time: e.Time, PidTgid: e.PidTgid, NR: e.NR, Enter: e.Enter, Ret: e.Ret}
+		}
+		return Fig1Result{
+			Events:   evs,
+			Segments: trace.Segment(tev),
+			Counts:   trace.CountByName(tev),
+			Dropped:  dropped,
+		}
 	})
-	defer rig.Close()
-	sp := probes.MustNewStreamProbe("raw", rig.Server.Process().TGID(), 64<<20)
-	if err := sp.Attach(rig.ServerK.Tracer()); err != nil {
-		panic(err)
-	}
-	rig.Env.RunFor(capture)
-	evs := sp.Drain()
-	dropped := sp.Dropped()
-
-	tev := make([]trace.Event, len(evs))
-	for i, e := range evs {
-		tev[i] = trace.Event{Time: e.Time, PidTgid: e.PidTgid, NR: e.NR, Enter: e.Enter, Ret: e.Ret}
-	}
-	return Fig1Result{
-		Events:   evs,
-		Segments: trace.Segment(tev),
-		Counts:   trace.CountByName(tev),
-		Dropped:  dropped,
-	}
 }
-
-// kernelIoUringEnter mirrors kernel.SysIoUringEnter without widening the
-// experiments' import surface.
-const kernelIoUringEnter = 426

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -21,22 +22,8 @@ func asciiPlot(title, xlab, ylab string, xs, ys []float64, markX float64) string
 		b.WriteString("  (no data)\n")
 		return b.String()
 	}
-	minX, maxX := xs[0], xs[0]
-	minY, maxY := ys[0], ys[0]
-	for i := range xs {
-		if xs[i] < minX {
-			minX = xs[i]
-		}
-		if xs[i] > maxX {
-			maxX = xs[i]
-		}
-		if ys[i] < minY {
-			minY = ys[i]
-		}
-		if ys[i] > maxY {
-			maxY = ys[i]
-		}
-	}
+	minX, maxX := slices.Min(xs), slices.Max(xs)
+	minY, maxY := slices.Min(ys), slices.Max(ys)
 	if maxX == minX {
 		maxX = minX + 1
 	}
@@ -48,14 +35,7 @@ func asciiPlot(title, xlab, ylab string, xs, ys []float64, markX float64) string
 		grid[r] = []byte(strings.Repeat(" ", w))
 	}
 	col := func(x float64) int {
-		c := int((x - minX) / (maxX - minX) * float64(w-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= w {
-			c = w - 1
-		}
-		return c
+		return min(max(int((x-minX)/(maxX-minX)*float64(w-1)), 0), w-1)
 	}
 	if markX >= minX && markX <= maxX {
 		c := col(markX)
@@ -64,13 +44,7 @@ func asciiPlot(title, xlab, ylab string, xs, ys []float64, markX float64) string
 		}
 	}
 	for i := range xs {
-		r := int((ys[i] - minY) / (maxY - minY) * float64(h-1))
-		if r < 0 {
-			r = 0
-		}
-		if r >= h {
-			r = h - 1
-		}
+		r := min(max(int((ys[i]-minY)/(maxY-minY)*float64(h-1)), 0), h-1)
 		grid[h-1-r][col(xs[i])] = '*'
 	}
 	for r := 0; r < h; r++ {
@@ -144,51 +118,34 @@ func gapFootnote(gaps []float64) string {
 	return fmt.Sprintf("gap levels (%s): %s\n", gapMark, strings.Join(parts, ", "))
 }
 
+// sweepPlot is the panel Figs. 3 and 4 share: one signal of a sweep,
+// normalized by its maximum, against normalized RPS, with a marker
+// column at the QoS crossing and the omitted levels footnoted.
+func sweepPlot(r SweepResult, title, ylab string, y func(SweepPoint) float64) string {
+	xs, ys, gaps := sweepSeries(r, y)
+	mark := -1.0
+	if i := r.QoSCrossIdx; i >= 0 && !r.Points[i].Gap {
+		mark = 0 // a one-value x range normalizes to 0
+		if lo, hi := slices.Min(xs), slices.Max(xs); hi != lo {
+			mark = (r.Points[i].RealRPS - lo) / (hi - lo)
+		}
+	}
+	return asciiPlot(title, "RPS (norm)", ylab, stats.Normalize(xs), stats.NormalizeByMax(ys), mark) +
+		gapFootnote(gaps)
+}
+
 // RenderFig3 formats one workload's Fig. 3 panel: normalized send-delta
 // variance vs normalized RPS with the QoS-crossing line.
 func RenderFig3(r SweepResult) string {
-	xs, ys, gaps := sweepSeries(r, func(p SweepPoint) float64 { return p.SendVarUS2 })
-	mark := -1.0
-	if r.QoSCrossIdx >= 0 && !r.Points[r.QoSCrossIdx].Gap {
-		mark = normOf(xs, r.Points[r.QoSCrossIdx].RealRPS)
-	}
-	return asciiPlot(
-		fmt.Sprintf("Fig.3 %s: normalized var(dt_send) vs normalized RPS (| = QoS fail)", r.Workload),
-		"RPS (norm)", "var (norm)", stats.Normalize(xs), stats.NormalizeByMax(ys), mark) +
-		gapFootnote(gaps)
+	return sweepPlot(r, fmt.Sprintf("Fig.3 %s: normalized var(dt_send) vs normalized RPS (| = QoS fail)", r.Workload),
+		"var (norm)", func(p SweepPoint) float64 { return p.SendVarUS2 })
 }
 
 // RenderFig4 formats one workload's Fig. 4 panel: normalized mean poll
 // duration vs normalized RPS with the QoS-crossing line.
 func RenderFig4(r SweepResult) string {
-	xs, ys, gaps := sweepSeries(r, func(p SweepPoint) float64 { return p.PollMeanNS })
-	mark := -1.0
-	if r.QoSCrossIdx >= 0 && !r.Points[r.QoSCrossIdx].Gap {
-		mark = normOf(xs, r.Points[r.QoSCrossIdx].RealRPS)
-	}
-	return asciiPlot(
-		fmt.Sprintf("Fig.4 %s: normalized epoll duration vs RPS (| = QoS fail)", r.Workload),
-		"RPS (norm)", "poll dur (norm)", stats.Normalize(xs), stats.NormalizeByMax(ys), mark) +
-		gapFootnote(gaps)
-}
-
-func normOf(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	if hi == lo {
-		return 0
-	}
-	return (v - lo) / (hi - lo)
+	return sweepPlot(r, fmt.Sprintf("Fig.4 %s: normalized epoll duration vs RPS (| = QoS fail)", r.Workload),
+		"poll dur (norm)", func(p SweepPoint) float64 { return p.PollMeanNS })
 }
 
 // RenderFig5 formats the loss-impact comparison: p99 (top) and poll
@@ -279,6 +236,9 @@ func RenderOverhead(rs []OverheadResult) string {
 
 // RenderIOUring formats the Section V-C blind-spot demonstration.
 func RenderIOUring(r IOUringResult) string {
+	if r.Gap {
+		return "io_uring blind spot (Section V-C)\n  " + gapMark + " run lost to supervision gap\n"
+	}
 	return fmt.Sprintf(
 		"io_uring blind spot (Section V-C)\n"+
 			"  server throughput (client-measured): %8.1f RPS\n"+

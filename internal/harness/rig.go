@@ -291,8 +291,14 @@ func NewRig(spec workloads.Spec, opt RigOptions) *Rig {
 // Warmup advances the simulation without measuring.
 func (r *Rig) Warmup(d time.Duration) {
 	r.Advance(d)
+	r.rebase()
+}
+
+// rebase discards every attached observer's accumulated window, so the
+// next Sample covers only what happens from now on.
+func (r *Rig) rebase() {
 	if r.Obs != nil {
-		r.Obs.Sample() // discard: rebases the observation window
+		r.Obs.Sample()
 	}
 	if r.Stream != nil {
 		r.Stream.Sample()
@@ -300,6 +306,19 @@ func (r *Rig) Warmup(d time.Duration) {
 	if r.Wait != nil {
 		r.Wait.Sample()
 	}
+}
+
+// surge starts a second load generator offering frac of the workload's
+// failure RPS on top of the rig's own client — a demand step at the
+// current simulated instant.
+func (r *Rig) surge(frac float64) *loadgen.Client {
+	spec := r.Server.Spec()
+	return loadgen.New(r.ClientK, r.Server.Listener(), loadgen.Options{
+		Rate:      frac * spec.FailureRPS,
+		Conns:     2 * spec.Workers,
+		ReqSize:   spec.ReqSize,
+		PerOpCost: spec.ClientPerOpCost(),
+	})
 }
 
 // Measurement is one window's paired ground truth and eBPF observations.
@@ -326,15 +345,7 @@ type Measurement struct {
 // paired observations.
 func (r *Rig) Measure(d time.Duration) Measurement {
 	r.Client.StartMeasurement()
-	if r.Obs != nil {
-		r.Obs.Sample() // rebase
-	}
-	if r.Stream != nil {
-		r.Stream.Sample() // rebase
-	}
-	if r.Wait != nil {
-		r.Wait.Sample() // rebase
-	}
+	r.rebase()
 	r.Advance(d)
 	m := Measurement{Load: r.Client.Snapshot()}
 	if r.Obs != nil {

@@ -44,32 +44,21 @@ type RobustnessRow struct {
 // windows exactly.
 func RobustnessMatrix(specs []workloads.Spec, plans []faults.Plan, opt ExpOptions) []RobustnessRow {
 	opt = opt.withDefaults()
-	opt, sp := opt.expScope("robustness")
-	defer opt.expEnd(sp)
 	all := append([]faults.Plan{{Name: "baseline"}}, plans...)
-	nl, np := len(opt.Levels), len(all)
-	labels := make([]string, 0, len(specs)*np*nl)
-	for _, spec := range specs {
+	var cells []Cell
+	for si, spec := range specs {
 		for _, p := range all {
-			for _, l := range opt.Levels {
-				labels = append(labels, fmt.Sprintf("%s plan=%s level=%.2f", spec.Name, p.Name, l))
-			}
+			cells = append(cells, opt.LevelCells(Cell{
+				Label: fmt.Sprintf("%s plan=%s", spec.Name, p.Name), Spec: spec, Netem: opt.Netem, Plan: p,
+				Row: si,
+			}, 1)...)
 		}
 	}
-	ests, st := RunPoints(opt, labels, func(pc PointCtx, i int) []Estimate {
-		si, pi, li := i/(np*nl), (i/nl)%np, i%nl
-		o := opt
-		o.Plan = all[pi]
-		return fig2Level(specs[si], o, pc, li)
-	})
-	gapsBySpec := map[int][]string{}
-	for _, g := range st.Gaps {
-		si := g.Index / (np * nl)
-		gapsBySpec[si] = append(gapsBySpec[si], g.Label)
-	}
+	ests, st := RunCells(opt, "robustness", cells, fig2Level, nil)
+	nl, np := len(opt.Levels), len(all)
 	rows := make([]RobustnessRow, 0, len(specs))
 	for si, spec := range specs {
-		row := RobustnessRow{Workload: spec.Name, Gaps: gapsBySpec[si]}
+		row := RobustnessRow{Workload: spec.Name}
 		r2 := make([]float64, np)
 		for pi := range all {
 			base := (si*np + pi) * nl
@@ -82,6 +71,10 @@ func RobustnessMatrix(specs []workloads.Spec, plans []faults.Plan, opt ExpOption
 			})
 		}
 		rows = append(rows, row)
+	}
+	for _, g := range st.Gaps {
+		row := &rows[cells[g.Index].Row]
+		row.Gaps = append(row.Gaps, g.Label)
 	}
 	return rows
 }

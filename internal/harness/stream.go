@@ -44,50 +44,24 @@ type StreamAgreementResult struct {
 	TotalDropped uint64
 }
 
-// streamAgreementLevel measures one load level with both observers
-// attached to the same kernel. Pure in (spec, opt, li); safe to run
-// concurrently with other levels.
-func streamAgreementLevel(spec workloads.Spec, opt ExpOptions, pc PointCtx, li int) AgreementPoint {
-	level := opt.Levels[li]
-	rate := level * spec.FailureRPS
-	pt := opt.pointBegin(fmt.Sprintf("%s level=%.2f", spec.Name, level))
-	defer pt.done()
-	rig := NewRig(spec, RigOptions{
-		Seed: opt.Seed + int64(li), Profile: opt.Profile, Netem: opt.Netem,
-		Rate: rate, Probes: true, Stream: true, StreamBytes: opt.StreamBytes,
-		Poisson: opt.Poisson, SeparateClient: opt.SeparateClient,
-		Telemetry: pt.reg, Clock: pc.Clock,
-	})
-	defer rig.Close()
-	warm := opt.Warmup
-	if level >= 0.95 {
-		warm = opt.OverWarm
-	}
-	rig.Warmup(warm)
-	m := rig.Measure(windowFor(opt.MinSends, rate))
-	return AgreementPoint{
-		Level:  level,
-		Batch:  m.Obs,
-		Stream: m.Stream,
-		Agree:  m.Stream.Window == m.Obs,
-	}
-}
-
-// StreamAgreement runs batch and streaming observers side by side at
-// every load level and records whether their windows agree exactly. Load
-// levels run on the parallel engine; results are identical at any
-// Parallelism.
+// StreamAgreement runs batch and streaming observers side by side on the
+// same kernel at every load level and records whether their windows
+// agree exactly. Load levels run on the parallel engine; results are
+// identical at any Parallelism.
 func StreamAgreement(spec workloads.Spec, opt ExpOptions) StreamAgreementResult {
-	opt = opt.withDefaults()
-	opt, sp := opt.expScope("stream-agreement " + spec.Name)
-	defer opt.expEnd(sp)
-	points, st := RunPoints(opt, levelLabels(spec.Name, opt.Levels),
-		func(pc PointCtx, li int) AgreementPoint { return streamAgreementLevel(spec, opt, pc, li) })
-	for _, g := range st.Gaps {
-		if g.Index >= 0 && g.Index < len(points) {
-			points[g.Index] = AgreementPoint{Level: opt.Levels[g.Index], Gap: true}
-		}
-	}
+	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec, Netem: opt.Netem, Plan: opt.Plan}, 1)
+	points, _ := RunCells(opt, "stream-agreement "+spec.Name, opt.overWarm(cells),
+		func(pc PointCtx, c Cell) AgreementPoint {
+			rig := pc.rig(c, RigOptions{Probes: true, Stream: true, StreamBytes: pc.opt.StreamBytes})
+			m := rig.Measure(windowFor(pc.opt.MinSends, c.Rate()))
+			return AgreementPoint{
+				Level:  c.Level,
+				Batch:  m.Obs,
+				Stream: m.Stream,
+				Agree:  m.Stream.Window == m.Obs,
+			}
+		},
+		func(c Cell) AgreementPoint { return AgreementPoint{Level: c.Level, Gap: true} })
 	res := StreamAgreementResult{Workload: spec.Name, RingBytes: opt.StreamBytes, Points: points}
 	for _, p := range points {
 		if p.Gap {

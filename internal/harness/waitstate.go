@@ -108,35 +108,15 @@ type WaitStateResult struct {
 	Diagnosis []WaitScenarioResult
 }
 
-// waitPoint measures one cell on a private rig: warmup, arm the plan,
-// then one window pairing the wait-state decomposition with the client
-// ground truth. Pure in (spec, level, plan, opt, seed).
-func waitPoint(spec workloads.Spec, level float64, plan faults.Plan, opt ExpOptions, pc PointCtx, seed int64, pt pointTelemetry) WaitPoint {
-	rate := level * spec.FailureRPS
-	netem := opt.Netem
-	if plan.HasNetem() {
-		netem = plan.Netem
-	}
-	rig := NewRig(spec, RigOptions{
-		Seed: seed, Profile: opt.Profile, Netem: netem,
-		Rate: rate, Probes: true, WaitStates: true,
-		Poisson: opt.Poisson, SeparateClient: opt.SeparateClient,
-		Telemetry: pt.reg, Clock: pc.Clock,
-	})
-	defer rig.Close()
-	warm := opt.Warmup
-	if level >= 0.95 {
-		warm = opt.OverWarm
-	}
-	rig.Warmup(warm)
-	if !plan.Empty() {
-		rig.Arm(plan)
-	}
-	m := rig.Measure(windowFor(opt.MinSends, rate))
+// waitPoint measures one cell on a private rig: one window pairing the
+// wait-state decomposition with the client ground truth.
+func waitPoint(pc PointCtx, c Cell) WaitPoint {
+	rig := pc.rig(c, RigOptions{Probes: true, WaitStates: true})
+	m := rig.Measure(windowFor(pc.opt.MinSends, c.Rate()))
 	on, run, blk := m.Wait.Shares()
 	return WaitPoint{
-		Workload: spec.Name, Level: level,
-		RealRPS: m.Load.RealRPS, P99: m.Load.P99, QoSFail: m.Load.P99 > spec.QoS,
+		Workload: c.Spec.Name, Level: c.Level,
+		RealRPS: m.Load.RealRPS, P99: m.Load.P99, QoSFail: m.Load.P99 > c.Spec.QoS,
 		OnCPU: m.Wait.OnCPU, Runnable: m.Wait.Runnable, Blocked: m.Wait.Blocked,
 		OnCPUShare: on, RunnableShare: run, BlockedShare: blk,
 		PollMeanNS: m.PollMeanNS, SendVarUS2: m.SendVarUS2,
@@ -154,46 +134,28 @@ func WaitStateSweep(specs []workloads.Spec, opt ExpOptions) WaitStateResult {
 		specs = workloads.All()
 	}
 	opt = opt.withDefaults()
-	opt, sp := opt.expScope("waitstates")
-	defer opt.expEnd(sp)
+	var cells []Cell
+	for _, s := range specs {
+		cells = append(cells, opt.LevelCells(Cell{
+			Label: "waitstate " + s.Name, Spec: s, Netem: opt.Netem, Plan: opt.Plan,
+		}, 1)...)
+	}
+	scens := waitScenarios()
+	for _, sc := range scens {
+		cells = append(cells, Cell{
+			Label: "waitstate diag " + sc.name, Spec: waitDiagSpec(), Level: sc.level,
+			Netem: opt.Netem, Plan: sc.plan, Warm: opt.Warmup,
+		})
+	}
+	// This grid seeds by flat index across workloads and scenarios, not
+	// by level within each block.
+	for i := range cells {
+		cells[i].Seed = opt.Seed + int64(i)
+	}
+	points, _ := RunCells(opt, "waitstates", opt.overWarm(cells), waitPoint,
+		func(c Cell) WaitPoint { return WaitPoint{Workload: c.Spec.Name, Level: c.Level, Gap: true} })
 
 	nl := len(opt.Levels)
-	scens := waitScenarios()
-	sweepN := len(specs) * nl
-	labels := make([]string, 0, sweepN+len(scens))
-	for _, s := range specs {
-		for _, lv := range opt.Levels {
-			labels = append(labels, fmt.Sprintf("waitstate %s level=%.2f", s.Name, lv))
-		}
-	}
-	for _, sc := range scens {
-		labels = append(labels, "waitstate diag "+sc.name)
-	}
-
-	points, st := RunPoints(opt, labels, func(pc PointCtx, i int) WaitPoint {
-		pt := opt.pointBegin(labels[i])
-		defer pt.done()
-		if i < sweepN {
-			return waitPoint(specs[i/nl], opt.Levels[i%nl], opt.Plan, opt, pc, opt.Seed+int64(i), pt)
-		}
-		sc := scens[i-sweepN]
-		return waitPoint(waitDiagSpec(), sc.level, sc.plan, opt, pc, opt.Seed+int64(i), pt)
-	})
-	for _, g := range st.Gaps {
-		if g.Index < 0 || g.Index >= len(points) {
-			continue
-		}
-		gp := WaitPoint{Gap: true}
-		if g.Index < sweepN {
-			gp.Workload = specs[g.Index/nl].Name
-			gp.Level = opt.Levels[g.Index%nl]
-		} else {
-			gp.Workload = waitDiagSpec().Name
-			gp.Level = scens[g.Index-sweepN].level
-		}
-		points[g.Index] = gp
-	}
-
 	res := WaitStateResult{Levels: opt.Levels}
 	for wi, s := range specs {
 		res.Workloads = append(res.Workloads, WaitWorkload{
@@ -204,7 +166,7 @@ func WaitStateSweep(specs []workloads.Spec, opt ExpOptions) WaitStateResult {
 	for si, sc := range scens {
 		res.Diagnosis = append(res.Diagnosis, WaitScenarioResult{
 			Scenario: sc.name,
-			Point:    points[sweepN+si],
+			Point:    points[len(specs)*nl+si],
 		})
 	}
 	return res

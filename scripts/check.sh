@@ -26,25 +26,34 @@
 #   fleet smoke                           the same cluster sweep at
 #                                         -parallel 1 and 2 must print
 #                                         byte-identical output
-#   cardinality smoke                     the quick sketch sweep must
-#                                         match its checked-in golden
-#                                         rendering byte-for-byte
-#   waitstates smoke                      the quick wait-state sweep
-#                                         must match its checked-in
-#                                         golden rendering byte-for-byte
-#   attribution smoke                     the quick fault-attribution
-#                                         matrix and autoscale table
-#                                         must match their checked-in
-#                                         golden renderings
+#   resilience smoke                      kill -9 a journaled sweep,
+#                                         resume it, diff against an
+#                                         uninterrupted run
 #   examples smoke                        build and run every examples/*
 #                                         binary with tiny parameters so
 #                                         the documented entry points
 #                                         cannot rot
+#
+# The rendered goldens (cardinality, waitstates, attribution, autoscale)
+# are diffed by `go test ./cmd/reqlens`, through the same run that main
+# dispatches to. Each leg prints its elapsed seconds, and the script the
+# total, so the gate's time budget is measured here.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== gofmt"
+t_start=$(date +%s)
+leg_name=
+# leg <name> reports how long the previous leg took and announces the next.
+leg() {
+    now=$(date +%s)
+    [ -z "$leg_name" ] || echo "   ($leg_name: $((now - t_leg))s)"
+    echo "== $1"
+    leg_name=$1
+    t_leg=$now
+}
+
+leg "gofmt"
 fmt=$(gofmt -l .)
 if [ -n "$fmt" ]; then
     echo "gofmt needed on:" >&2
@@ -52,27 +61,27 @@ if [ -n "$fmt" ]; then
     exit 1
 fi
 
-echo "== go vet"
+leg "go vet"
 go vet ./...
 
-echo "== doclint (internal/ebpf)"
+leg "doclint (internal/ebpf)"
 # Exported identifiers in the VM package must carry doc comments; the
 # two-backend API surface is documented by contract (see
 # scripts/doclint).
 go run ./scripts/doclint ./internal/ebpf
 
-echo "== go build"
+leg "go build"
 go build ./...
 
-echo "== go test"
+leg "go test"
 go test ./...
 
-echo "== go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/..."
+leg "go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/..."
 # The race-instrumented harness suite runs ~10x slower than native on a
 # single core; give it explicit headroom past go test's 10m default.
 go test -race -timeout 20m ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/...
 
-echo "== go test -cover (floors)"
+leg "go test -cover (floors)"
 # cover_floor <pkg> <floor-pct> fails the gate when the package's
 # statement coverage drops below the floor.
 cover_floor() {
@@ -102,7 +111,7 @@ cover_floor ./internal/resilience 70
 cover_floor ./internal/fleet 70
 cover_floor ./internal/control 70
 
-echo "== bench smoke (substrate benches, 1 iteration)"
+leg "bench smoke (substrate benches, 1 iteration)"
 # Every microbenchmark scripts/bench.sh records must still run; a
 # broken bench would otherwise surface only at `make bench` time. One
 # iteration each — this checks they execute, not their numbers.
@@ -128,119 +137,55 @@ go test -run '^$' -benchtime 1x -bench '^BenchmarkDetectorHotPath$' \
 go test -run '^$' -benchtime 1x -bench '^BenchmarkFleetEpochs$' \
     ./internal/fleet/ >/dev/null
 
-echo "== fleet smoke (cluster sweep, parallel vs sequential)"
-# The fleet layer's determinism contract, exercised against the real
-# binary: the same cluster sweep at -parallel 1 and -parallel 2 must
-# print byte-identical output.
-fldir=$(mktemp -d)
-go build -o "$fldir/reqlens" ./cmd/reqlens
-"$fldir/reqlens" fleet -quick -nodes 6 -epochs 4 -parallel 1 >"$fldir/seq.out"
-"$fldir/reqlens" fleet -quick -nodes 6 -epochs 4 -parallel 2 >"$fldir/par.out"
-if ! diff -u "$fldir/seq.out" "$fldir/par.out"; then
+# The two legs below need a real process (a second -parallel setting, a
+# SIGKILL), so cmd/reqlens is built once for both.
+bindir=$(mktemp -d)
+trap 'rm -rf "$bindir"' EXIT
+go build -o "$bindir/reqlens" ./cmd/reqlens
+
+leg "fleet smoke (cluster sweep, parallel vs sequential)"
+"$bindir/reqlens" fleet -quick -nodes 6 -epochs 4 -parallel 1 >"$bindir/seq.out"
+"$bindir/reqlens" fleet -quick -nodes 6 -epochs 4 -parallel 2 >"$bindir/par.out"
+if ! diff -u "$bindir/seq.out" "$bindir/par.out"; then
     echo "fleet sweep diverged between -parallel 1 and -parallel 2" >&2
-    rm -rf "$fldir"
     exit 1
 fi
 echo "   parallel vs sequential fleet sweep: byte-identical"
-rm -rf "$fldir"
 
-echo "== cardinality smoke (sketch sweep vs golden)"
-# The sketch pipeline's end-to-end contract against the real binary:
-# the quick cardinality sweep (compiled sketch helpers, Zipf stream,
-# bound/recall columns) must match the checked-in rendering
-# byte-for-byte. `make golden` regenerates the fixture after an
-# intentional change.
-cddir=$(mktemp -d)
-go build -o "$cddir/reqlens" ./cmd/reqlens
-"$cddir/reqlens" cardinality -quick >"$cddir/card.out"
-if ! diff -u internal/harness/testdata/golden/cardinality.txt "$cddir/card.out"; then
-    echo "cardinality output diverged from golden (make golden if intentional)" >&2
-    rm -rf "$cddir"
-    exit 1
-fi
-echo "   cardinality sweep vs golden: byte-identical"
-rm -rf "$cddir"
-
-echo "== waitstates smoke (wait-state sweep vs golden)"
-# The wait-state pipeline's end-to-end contract against the real
-# binary: the quick silo sweep (sched-probe decomposition table + fault
-# diagnosis + folded stacks) must match the checked-in rendering
-# byte-for-byte. `make golden` regenerates the fixture after an
-# intentional change.
-wsdir=$(mktemp -d)
-go build -o "$wsdir/reqlens" ./cmd/reqlens
-"$wsdir/reqlens" waitstates -quick -workload silo >"$wsdir/ws.out"
-if ! diff -u internal/harness/testdata/golden/waitstates.txt "$wsdir/ws.out"; then
-    echo "waitstates output diverged from golden (make golden if intentional)" >&2
-    rm -rf "$wsdir"
-    exit 1
-fi
-echo "   wait-state sweep vs golden: byte-identical"
-rm -rf "$wsdir"
-
-echo "== attribution smoke (fault matrix vs golden)"
-# The closed-loop control path's end-to-end contract against the real
-# binary: the quick supervised attribution matrix (online detector +
-# cause attributor over injected faults, scored against ground truth)
-# must match the checked-in rendering byte-for-byte. `make golden`
-# regenerates the fixture after an intentional change.
-atdir=$(mktemp -d)
-go build -o "$atdir/reqlens" ./cmd/reqlens
-"$atdir/reqlens" attribution -quick -trials 2 >"$atdir/attr.out"
-if ! diff -u internal/harness/testdata/golden/attribution.txt "$atdir/attr.out"; then
-    echo "attribution output diverged from golden (make golden if intentional)" >&2
-    rm -rf "$atdir"
-    exit 1
-fi
-"$atdir/reqlens" autoscale -quick >"$atdir/auto.out"
-if ! diff -u internal/harness/testdata/golden/autoscale.txt "$atdir/auto.out"; then
-    echo "autoscale output diverged from golden (make golden if intentional)" >&2
-    rm -rf "$atdir"
-    exit 1
-fi
-echo "   attribution matrix + autoscale vs golden: byte-identical"
-rm -rf "$atdir"
-
-echo "== resilience smoke (kill -9 mid-sweep, resume, diff)"
-# The supervision stack's end-to-end contract, exercised against the
-# real binary: a journaled sweep is SIGKILLed after its first
-# checkpoint lands, resumed from the (possibly torn) journal, and the
-# resumed output must be byte-identical to an uninterrupted run.
-rsdir=$(mktemp -d)
-go build -o "$rsdir/reqlens" ./cmd/reqlens
-"$rsdir/reqlens" fig2 -quick -workload silo -seed 42 >"$rsdir/full.out"
-"$rsdir/reqlens" fig2 -quick -workload silo -seed 42 \
-    -journal "$rsdir/run.jsonl" -parallel 2 >/dev/null &
+leg "resilience smoke (kill -9 mid-sweep, resume, diff)"
+# The journaled sweep is SIGKILLed after its first checkpoint lands and
+# resumed from the (possibly torn) journal.
+"$bindir/reqlens" fig2 -quick -workload silo -seed 42 >"$bindir/full.out"
+"$bindir/reqlens" fig2 -quick -workload silo -seed 42 \
+    -journal "$bindir/run.jsonl" -parallel 2 >/dev/null &
 pid=$!
 # Kill as soon as the first checkpoint is durably in the journal.
 for _ in $(seq 1 600); do
-    if grep -q '"kind":"checkpoint"' "$rsdir/run.jsonl" 2>/dev/null; then
+    if grep -q '"kind":"checkpoint"' "$bindir/run.jsonl" 2>/dev/null; then
         break
     fi
     sleep 0.1
 done
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
-if ! grep -q '"kind":"checkpoint"' "$rsdir/run.jsonl"; then
+if ! grep -q '"kind":"checkpoint"' "$bindir/run.jsonl"; then
     # The quick sweep can outrun the poll loop; a completed journal
     # still exercises the resume path (all points cached).
     echo "   (sweep finished before the kill; resuming a complete journal)"
 fi
-"$rsdir/reqlens" resume -journal "$rsdir/run.jsonl" >"$rsdir/resumed.out" 2>/dev/null
-if ! diff -u "$rsdir/full.out" "$rsdir/resumed.out"; then
+"$bindir/reqlens" resume -journal "$bindir/run.jsonl" >"$bindir/resumed.out" 2>/dev/null
+if ! diff -u "$bindir/full.out" "$bindir/resumed.out"; then
     echo "resumed output diverged from the uninterrupted run" >&2
-    rm -rf "$rsdir"
     exit 1
 fi
 echo "   kill -9 + resume: byte-identical"
-rm -rf "$rsdir"
 
-echo "== examples smoke"
+leg "examples smoke"
 # Build every example binary, then run each with parameters small enough
 # to keep the leg under a couple of minutes. Output is discarded; a
 # non-zero exit fails the gate.
-exdir=$(mktemp -d)
-trap 'rm -rf "$exdir"' EXIT
+exdir="$bindir/examples"
+mkdir "$exdir"
 go build -o "$exdir" ./examples/...
 for ex in examples/*/; do
     name=$(basename "$ex")
@@ -257,4 +202,5 @@ for ex in examples/*/; do
     "$exdir/$name" $args >/dev/null
 done
 
-echo "check: ok"
+leg "done"
+echo "check: ok ($(($(date +%s) - t_start))s in total)"

@@ -42,3 +42,31 @@ func BenchmarkFleetEpochs(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScrapeEpoch measures the scrape plane in its densest
+// setting, the one `reqlens fleet -scrape-interval 1ms` runs: one
+// iteration advances a warmed 16-node cluster by one 1 ms epoch, scrapes
+// every node (export, decode) and computes the rollup. No setting has
+// less simulated time per scrape, so none shows the plane's cost more.
+// allocs/op counts plane and simulation; scripts/check.sh gates it.
+func BenchmarkScrapeEpoch(b *testing.B) {
+	const nodes = 16
+	c := NewCluster(Options{
+		Seed:   42,
+		Nodes:  DefaultSpecs(nodes),
+		Level:  0.5,
+		Scrape: ScrapeConfig{Interval: time.Millisecond},
+		Warmup: 100 * time.Millisecond,
+	})
+	defer c.Close()
+	c.Warmup()
+	c.ScrapeEpoch() // first decode allocates the nodes' name strings
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.ScrapeEpoch()
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(nodes*b.N)/secs, "scrapes/s")
+	}
+}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -92,11 +91,10 @@ type Options struct {
 	// begin (0 defaults to 1s).
 	Warmup time.Duration
 
-	// Parallelism bounds the lockstep workers advancing node
-	// simulations concurrently: 0 means one worker per node capped at
-	// GOMAXPROCS-like fan-out is NOT applied here — the caller (sweep
-	// or command) passes its resolved worker count; 1 is sequential.
-	// Results are identical at any setting.
+	// Parallelism is the number of lockstep workers advancing node
+	// simulations concurrently. Values below 1 resolve to 1
+	// (sequential); the caller (sweep or command) passes its resolved
+	// worker count. Results are identical at any setting.
 	Parallelism int
 
 	// Clock, when non-nil, is a shared cooperative execution budget
@@ -142,6 +140,10 @@ type Cluster struct {
 	step   *sim.Lockstep
 	epoch  int
 	warmed bool
+
+	// Per-epoch scrape targets and miss draws, one slot per node.
+	targets []sim.Time
+	miss    []bool
 }
 
 // NewCluster builds the members and registers them with the lockstep
@@ -152,7 +154,12 @@ func NewCluster(opt Options) *Cluster {
 	if len(opt.Nodes) == 0 {
 		panic("fleet: NewCluster needs at least one node")
 	}
-	c := &Cluster{opt: opt, step: sim.NewLockstep(opt.Parallelism)}
+	c := &Cluster{
+		opt:     opt,
+		step:    sim.NewLockstep(opt.Parallelism),
+		targets: make([]sim.Time, len(opt.Nodes)),
+		miss:    make([]bool, len(opt.Nodes)),
+	}
 	for i, spec := range opt.Nodes {
 		n := newNode(i, spec, opt.Seed+int64(i)*nodeSeedStride, opt.Level, opt.Clock, opt.Attribution, opt.WaitStates)
 		c.Nodes = append(c.Nodes, n)
@@ -196,33 +203,37 @@ func (c *Cluster) ScrapeEpoch() Rollup {
 	// goroutine, in node order, from the node's private RNG: two draws
 	// per node per epoch, always both, so the sequence is fixed
 	// regardless of outcomes or worker scheduling.
-	targets := make([]sim.Time, len(c.Nodes))
-	miss := make([]bool, len(c.Nodes))
 	for i, n := range c.Nodes {
 		jitter := time.Duration(0)
 		if cfg.Skew > 0 {
 			jitter = time.Duration(n.rng.Int63n(int64(cfg.Skew) + 1))
 		}
-		miss[i] = n.rng.Float64() < cfg.MissRate
-		targets[i] = nominal.Add(jitter)
+		c.miss[i] = n.rng.Float64() < cfg.MissRate
+		c.targets[i] = nominal.Add(jitter)
 	}
-	c.step.Advance(targets)
+	c.step.Advance(c.targets)
+	return c.collect(nominal)
+}
 
+// collect is the scraper's half of an epoch, behind the barrier: pull
+// and decode every node's export unless its scrape was drawn as a miss,
+// then fold the rollup. In steady state it allocates each scrape's Raw
+// and the rollup's result slices, nothing else.
+func (c *Cluster) collect(nominal sim.Time) Rollup {
 	missed := 0
 	for i, n := range c.Nodes {
-		if miss[i] {
+		if c.miss[i] {
 			n.missed++
 			missed++
 			continue // previous sample stays; ages toward staleness
 		}
 		raw := n.Export()
-		metrics, err := telemetry.ParseProm(bytes.NewReader(raw))
-		if err != nil {
-			// WriteProm output is ParseProm's own format; failing to
-			// read it back is a programming error, not a data error.
+		if err := n.last.Metrics.Decode(raw); err != nil {
+			// AppendProm output is Decode's own format; failing to read
+			// it back is a programming error, not a data error.
 			panic(fmt.Sprintf("fleet: node %d export unparsable: %v", n.ID, err))
 		}
-		n.last = Sample{Node: n.ID, At: targets[i], Metrics: metrics, Raw: raw}
+		n.last.Node, n.last.At, n.last.Raw = n.ID, c.targets[i], raw
 		n.lastOK = true
 		if n.Rig.Attr != nil {
 			// Scrape the sketch plane alongside the text plane: a
@@ -233,7 +244,7 @@ func (c *Cluster) ScrapeEpoch() Rollup {
 			n.lastAttrOK = true
 		}
 	}
-	return computeRollup(c.epoch, nominal, c.Nodes, c.opt.TopK, missed, cfg.Staleness)
+	return computeRollup(c.epoch, nominal, c.Nodes, c.opt.TopK, missed, c.opt.Scrape.Staleness)
 }
 
 // Run warms up (if not already) and executes epochs scrape rounds,
@@ -266,6 +277,7 @@ func (c *Cluster) MissedScrapes() int {
 
 // Sample returns node id's latest successful sample and whether one
 // exists (tests and renderers; the rollup path reads the same state).
+// Its Metrics are valid until the node's next successful scrape.
 func (c *Cluster) Sample(id int) (Sample, bool) {
 	n := c.Nodes[id]
 	return n.last, n.lastOK

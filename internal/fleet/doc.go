@@ -7,9 +7,9 @@
 //
 // The aggregation plane models a production metrics pipeline the way
 // the simulation models a kernel: a Scraper pulls each node's
-// Prometheus text export (telemetry.WriteProm) on a configurable
+// Prometheus text export (telemetry.AppendProm) on a configurable
 // interval, with per-node scrape-time jitter (clock skew between
-// scrape targets) and deterministic scrape misses; ParseProm
+// scrape targets) and deterministic scrape misses; Series.Decode
 // reconstructs the samples losslessly, and per-epoch Rollups compute
 // the cluster view — global observed RPS, per-node saturation, top-K
 // saturated and noisy nodes. Nodes whose last successful scrape is

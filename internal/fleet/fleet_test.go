@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"reqlens/internal/harness"
 	"reqlens/internal/resilience"
 	"reqlens/internal/sim"
+	"reqlens/internal/telemetry"
 )
 
 // quickSweep is the reduced-scale sweep configuration the tests share:
@@ -179,10 +181,11 @@ func TestScrapeMissesBecomeStaleGaps(t *testing.T) {
 func TestRollupExcludesStaleNotZeroFill(t *testing.T) {
 	at := sim.Time(0).Add(time.Second)
 	staleness := 200 * time.Millisecond
-	fresh := &Node{ID: 0, lastOK: true, last: Sample{Node: 0, At: at,
-		Metrics: map[string]float64{metricObsvRPS: 100, metricSaturation: 0.95}}}
-	aged := &Node{ID: 1, lastOK: true, last: Sample{Node: 1, At: at.Add(-time.Second),
-		Metrics: map[string]float64{metricObsvRPS: 50, metricSaturation: 0.5}}}
+	view := func(rps, sat float64) telemetry.Series {
+		return telemetry.Series{Names: []string{metricObsvRPS, metricSaturation}, Values: []float64{rps, sat}}
+	}
+	fresh := &Node{ID: 0, lastOK: true, last: Sample{Node: 0, At: at, Metrics: view(100, 0.95)}}
+	aged := &Node{ID: 1, lastOK: true, last: Sample{Node: 1, At: at.Add(-time.Second), Metrics: view(50, 0.5)}}
 	never := &Node{ID: 2}
 
 	r := computeRollup(1, at, []*Node{fresh, aged, never}, 2, 0, staleness)
@@ -203,15 +206,85 @@ func TestRollupExcludesStaleNotZeroFill(t *testing.T) {
 	if r.SaturatedNodes != 1 {
 		t.Errorf("saturated = %d, want 1", r.SaturatedNodes)
 	}
+	// Rankings follow the same rule: only the fresh node can be ranked,
+	// and no wait-state series means no queueing ranking at all.
+	if len(r.TopSaturated) != 1 || r.TopSaturated[0].Node != 0 || len(r.TopNoisy) != 1 || r.TopQueued != nil {
+		t.Errorf("rankings = %+v / %+v / %+v, want the fresh node alone and no TopQueued",
+			r.TopSaturated, r.TopNoisy, r.TopQueued)
+	}
+}
+
+// TestScrapeViewMatchesFreshDecode is the fleet side of the decoder's
+// stale-state check: the view a node keeps re-decoding into must equal
+// a fresh decode of that scrape's Raw, epoch after epoch, on nodes that
+// export wait-state gauges and across an instrument registered mid-run
+// (it sorts first, so every later series moves one slot down).
+func TestScrapeViewMatchesFreshDecode(t *testing.T) {
+	c := NewCluster(Options{
+		Seed:       5,
+		Nodes:      DefaultSpecs(2),
+		Scrape:     ScrapeConfig{Interval: 20 * time.Millisecond},
+		Warmup:     100 * time.Millisecond,
+		WaitStates: true,
+	})
+	defer c.Close()
+	for epoch := 0; epoch < 4; epoch++ {
+		if epoch == 2 {
+			c.Nodes[0].Rig.Reg.Counter("aaa_registered_mid_run_total").Inc()
+		}
+		r := c.ScrapeEpoch()
+		if len(r.TopQueued) == 0 {
+			t.Fatalf("epoch %d: wait-state series not decoded: %+v", epoch, r)
+		}
+		for id := range c.Nodes {
+			s, _ := c.Sample(id)
+			var fresh telemetry.Series
+			if err := fresh.Decode(s.Raw); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fresh, s.Metrics) {
+				t.Fatalf("epoch %d node %d: reused view diverges from a fresh decode\nreused: %v\nfresh:  %v",
+					epoch, id, s.Metrics, fresh)
+			}
+		}
+	}
+	if s, _ := c.Sample(0); s.Metrics.Names[0] != "aaa_registered_mid_run_total" {
+		t.Errorf("mid-run instrument not first in node 0's view: %v", s.Metrics.Names[:3])
+	}
+}
+
+// TestScrapePlaneAllocs pins the scraper's steady-state budget: behind
+// the barrier an epoch allocates one Raw per scraped node and the two
+// ranking slices of the rollup, nothing else.
+func TestScrapePlaneAllocs(t *testing.T) {
+	c := NewCluster(Options{
+		Seed:   9,
+		Nodes:  DefaultSpecs(4),
+		Scrape: ScrapeConfig{Interval: 10 * time.Millisecond},
+		Warmup: 100 * time.Millisecond,
+	})
+	defer c.Close()
+	c.Run(2) // the first decode allocates each node's name strings
+	at := sim.Time(0).Add(c.opt.Warmup + 2*c.opt.Scrape.Interval)
+	if got, want := testing.AllocsPerRun(20, func() { c.collect(at) }), float64(len(c.Nodes)+2); got != want {
+		t.Errorf("collect allocated %v times per epoch, want %v (one Raw per node + TopSaturated + TopNoisy)", got, want)
+	}
 }
 
 // TestTopByRanking pins the ranking order and the node-ID tie-break
 // that keeps rollup rankings stable across runs.
 func TestTopByRanking(t *testing.T) {
+	topBy := func(stats []NodeStat, k int, better func(a, b NodeStat) bool) []NodeStat {
+		var top []NodeStat
+		for _, st := range stats {
+			top = rank(top, k, st, better)
+		}
+		return top
+	}
 	stats := []NodeStat{
 		{Node: 3, Saturation: 0.5},
+		{Node: 2, Saturation: 0.9}, // ties with node 1 and arrives first
 		{Node: 1, Saturation: 0.9},
-		{Node: 2, Saturation: 0.9},
 		{Node: 0, Saturation: 0.1},
 	}
 	top := topBy(stats, 3, func(a, b NodeStat) bool { return a.Saturation > b.Saturation })

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"math/rand"
 	"time"
 
@@ -103,7 +102,14 @@ type Node struct {
 	// scrape decision — is independent of lockstep worker scheduling.
 	rng *rand.Rand
 
-	// Scrape-plane state: the last successful scrape's parsed sample
+	// Exporter state: the node_* instruments, resolved once, and the
+	// scratch buffer every export is encoded into.
+	obsvRPS, sendVar, recvVar, pollMean, saturation *telemetry.FloatGauge
+	waitOnCPU, waitRunnable, waitBlocked            *telemetry.FloatGauge // nil without Rig.Wait
+	scrapes, sends                                  *telemetry.Counter
+	scratch                                         []byte
+
+	// Scrape-plane state: the last successful scrape's decoded sample
 	// and sim instant, and the running miss count.
 	last   Sample
 	lastOK bool
@@ -134,41 +140,54 @@ func newNode(id int, spec NodeSpec, seed int64, level float64, clock *sim.Clock,
 		Telemetry:   reg,
 		Clock:       clock,
 	})
-	return &Node{
+	n := &Node{
 		ID:   id,
 		Spec: spec,
 		Rig:  rig,
 		Rate: rate,
 		rng:  rand.New(rand.NewSource(seed ^ 0x5eed1e7)),
+
+		obsvRPS:    reg.FloatGauge(metricObsvRPS),
+		sendVar:    reg.FloatGauge(metricSendVarUS2),
+		recvVar:    reg.FloatGauge(metricRecvVarUS2),
+		pollMean:   reg.FloatGauge(metricPollMeanNS),
+		saturation: reg.FloatGauge(metricSaturation),
+		scrapes:    reg.Counter(metricScrapes),
+		sends:      reg.Counter(metricSends),
 	}
+	if rig.Wait != nil {
+		n.waitOnCPU = reg.FloatGauge(metricWaitOnCPU)
+		n.waitRunnable = reg.FloatGauge(metricWaitRunnable)
+		n.waitBlocked = reg.FloatGauge(metricWaitBlocked)
+	}
+	return n
 }
 
 // Export samples the node's observer into its registry and serializes
-// the registry in Prometheus text format — one scrape response. The
-// observer window spans the time since the previous successful scrape
-// (missed scrapes leave the window accumulating, exactly like a real
-// exporter whose caller went away).
+// the registry in Prometheus text format — one scrape response, owned
+// by the caller. The observer window spans the time since the previous
+// successful scrape (missed scrapes leave the window accumulating,
+// exactly like a real exporter whose caller went away).
 func (n *Node) Export() []byte {
 	w := n.Rig.Obs.Sample()
-	reg := n.Rig.Reg
-	reg.FloatGauge(metricObsvRPS).Set(w.Send.RatePerSec)
-	reg.FloatGauge(metricSendVarUS2).Set(w.Send.VarianceUS2)
-	reg.FloatGauge(metricRecvVarUS2).Set(w.Recv.VarianceUS2)
-	reg.FloatGauge(metricPollMeanNS).Set(float64(w.Poll.MeanDuration))
-	reg.FloatGauge(metricSaturation).Set(w.Send.RatePerSec / n.Spec.Workload.FailureRPS)
+	n.obsvRPS.Set(w.Send.RatePerSec)
+	n.sendVar.Set(w.Send.VarianceUS2)
+	n.recvVar.Set(w.Recv.VarianceUS2)
+	n.pollMean.Set(float64(w.Poll.MeanDuration))
+	n.saturation.Set(w.Send.RatePerSec / n.Spec.Workload.FailureRPS)
 	if n.Rig.Wait != nil {
 		on, run, blk := n.Rig.Wait.Sample().Shares()
-		reg.FloatGauge(metricWaitOnCPU).Set(on)
-		reg.FloatGauge(metricWaitRunnable).Set(run)
-		reg.FloatGauge(metricWaitBlocked).Set(blk)
+		n.waitOnCPU.Set(on)
+		n.waitRunnable.Set(run)
+		n.waitBlocked.Set(blk)
 	}
-	reg.Counter(metricScrapes).Inc()
-	reg.Counter(metricSends).Add(w.Send.Calls)
-	var buf bytes.Buffer
-	if err := reg.WriteProm(&buf); err != nil {
-		panic(err) // bytes.Buffer cannot fail; a failure here is a bug
-	}
-	return buf.Bytes()
+	n.scrapes.Inc()
+	n.sends.Add(w.Send.Calls)
+	// The exactly-sized copy is the one allocation of a scrape.
+	n.scratch = n.Rig.Reg.AppendProm(n.scratch[:0])
+	raw := make([]byte, len(n.scratch))
+	copy(raw, n.scratch)
+	return raw
 }
 
 // Truth is one node's ground-truth view at the end of a run — the

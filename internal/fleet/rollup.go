@@ -2,26 +2,27 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"reqlens/internal/probes"
 	"reqlens/internal/sim"
+	"reqlens/internal/telemetry"
 )
 
-// Sample is one node's scraped, parsed export.
+// Sample is one node's scraped, decoded export.
 type Sample struct {
 	Node int
 	At   sim.Time // sim instant the scrape completed (includes jitter)
 
-	// Metrics is the flat name -> value view ParseProm reconstructs
-	// from the node's Prometheus text. The round-trip is lossless
-	// (telemetry.WriteProm pins the formatting), so these equal the
-	// exporter's values bit-for-bit.
-	Metrics map[string]float64
+	// Metrics is the name/value view telemetry.Series.Decode
+	// reconstructs from the node's Prometheus text. The round-trip is
+	// lossless (telemetry.AppendProm pins the formatting), so these
+	// equal the exporter's values bit-for-bit. The node's next
+	// successful scrape decodes into the same storage.
+	Metrics telemetry.Series
 
-	// Raw is the exported text itself. Tests compare it byte-for-byte
-	// across runs (fault isolation, determinism); renderers ignore it.
+	// Raw is the exported text, owned by this sample. Tests compare it
+	// byte-for-byte across runs (fault isolation, determinism).
 	Raw []byte `json:"-"`
 }
 
@@ -110,40 +111,48 @@ const saturationThreshold = 0.9
 // are bit-stable at any worker count.
 func computeRollup(epoch int, at sim.Time, nodes []*Node, topK int, missed int, staleness time.Duration) Rollup {
 	r := Rollup{Epoch: epoch, At: at, Missed: missed}
-	var stats, waitStats []NodeStat
+	k := min(topK, len(nodes)) // a ranking holds no more than the fleet
 	for _, n := range nodes {
 		if !n.lastOK || at.Sub(n.last.At) > staleness {
 			r.Stale = append(r.Stale, n.ID)
 			continue
 		}
-		m := n.last.Metrics
-		st := NodeStat{
-			Node:       n.ID,
-			ObsvRPS:    m[metricObsvRPS],
-			Saturation: m[metricSaturation],
-			SendVarUS2: m[metricSendVarUS2],
-			PollMeanNS: m[metricPollMeanNS],
+		st := NodeStat{Node: n.ID}
+		hasWait := false
+		for i, name := range n.last.Metrics.Names {
+			v := n.last.Metrics.Values[i]
+			switch name {
+			case metricObsvRPS:
+				st.ObsvRPS = v
+			case metricSaturation:
+				st.Saturation = v
+			case metricSendVarUS2:
+				st.SendVarUS2 = v
+			case metricPollMeanNS:
+				st.PollMeanNS = v
+			case metricWaitOnCPU:
+				st.OnCPUShare = v
+			case metricWaitRunnable:
+				st.RunnableShare, hasWait = v, true
+			case metricWaitBlocked:
+				st.BlockedShare = v
+			}
 		}
-		if _, ok := m[metricWaitRunnable]; ok {
-			st.OnCPUShare = m[metricWaitOnCPU]
-			st.RunnableShare = m[metricWaitRunnable]
-			st.BlockedShare = m[metricWaitBlocked]
-			waitStats = append(waitStats, st)
-		}
-		stats = append(stats, st)
+		r.Fresh++
 		r.GlobalObsvRPS += st.ObsvRPS
 		r.MeanSaturation += st.Saturation
 		if st.Saturation >= saturationThreshold {
 			r.SaturatedNodes++
 		}
+		r.TopSaturated = rank(r.TopSaturated, k, st, func(a, b NodeStat) bool { return a.Saturation > b.Saturation })
+		r.TopNoisy = rank(r.TopNoisy, k, st, func(a, b NodeStat) bool { return a.SendVarUS2 > b.SendVarUS2 })
+		if hasWait {
+			r.TopQueued = rank(r.TopQueued, k, st, func(a, b NodeStat) bool { return a.RunnableShare > b.RunnableShare })
+		}
 	}
-	r.Fresh = len(stats)
 	if r.Fresh > 0 {
 		r.MeanSaturation /= float64(r.Fresh)
 	}
-	r.TopSaturated = topBy(stats, topK, func(a, b NodeStat) bool { return a.Saturation > b.Saturation })
-	r.TopNoisy = topBy(stats, topK, func(a, b NodeStat) bool { return a.SendVarUS2 > b.SendVarUS2 })
-	r.TopQueued = topBy(waitStats, topK, func(a, b NodeStat) bool { return a.RunnableShare > b.RunnableShare })
 	r.TopOffenders = mergeOffenders(nodes, at, staleness, topK)
 	return r
 }
@@ -177,23 +186,24 @@ func mergeOffenders(nodes []*Node, at sim.Time, staleness time.Duration, topK in
 	return acc.TopOffenders(topK)
 }
 
-// topBy returns the k highest-ranked stats under less (a strict
-// "better-than" order), ties broken by node ID for run-to-run
-// stability.
-func topBy(stats []NodeStat, k int, better func(a, b NodeStat) bool) []NodeStat {
-	if k <= 0 || len(stats) == 0 {
-		return nil
+// rank inserts st into top, a ranking of at most k stats held best
+// first under better (a strict "better-than" order), ties broken by
+// node ID for run-to-run stability.
+func rank(top []NodeStat, k int, st NodeStat, better func(a, b NodeStat) bool) []NodeStat {
+	i := len(top)
+	for i > 0 && (better(st, top[i-1]) || !better(top[i-1], st) && st.Node < top[i-1].Node) {
+		i--
 	}
-	s := make([]NodeStat, len(stats))
-	copy(s, stats)
-	sort.SliceStable(s, func(i, j int) bool {
-		if better(s[i], s[j]) != better(s[j], s[i]) {
-			return better(s[i], s[j])
-		}
-		return s[i].Node < s[j].Node
-	})
-	if k > len(s) {
-		k = len(s)
+	if i == k {
+		return top
 	}
-	return s[:k]
+	if top == nil {
+		top = make([]NodeStat, 0, k)
+	}
+	if len(top) < k {
+		top = append(top, st)
+	}
+	copy(top[i+1:], top[i:])
+	top[i] = st
+	return top
 }

@@ -123,7 +123,7 @@ type Node struct {
 
 	// Reg is the registry the node's hot paths are instrumented into
 	// (RigOptions.Telemetry; nil when uninstrumented). The fleet scraper
-	// serializes it with telemetry.WriteProm — this is the node's
+	// serializes it with telemetry.AppendProm — this is the node's
 	// "metrics endpoint".
 	Reg *telemetry.Registry
 }

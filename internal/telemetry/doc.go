@@ -22,7 +22,8 @@
 //     registry by addition, so totals are independent of the parallel
 //     engine's completion order.
 //
-// Entry points: New (registry), Registry.WriteProm (Prometheus text
-// export), NewJournal/Begin/End (JSONL run journal), ReadJournal and
+// Entry points: New (registry), Registry.AppendProm / WriteProm
+// (Prometheus text export) and Series.Decode / ParseProm (reading it
+// back), NewJournal/Begin/End (JSONL run journal), ReadJournal and
 // RenderJournal (the `reqlens telemetry` subcommand).
 package telemetry

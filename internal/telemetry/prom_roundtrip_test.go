@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,28 +25,104 @@ import (
 //   - serialization is canonical: equal registries produce identical
 //     bytes, so scrape comparisons can be byte-level.
 
-// TestPromRoundTripProperty drives randomized registries through
-// WriteProm -> ParseProm and checks every reconstructed value against
-// the live instrument.
+// writePromReference is the fmt-based encoder AppendProm replaced, kept
+// as its oracle. It shares nothing with AppendProm but histHigh: names
+// are sorted here, not taken in table order.
+func writePromReference(r *Registry) []byte {
+	var buf bytes.Buffer
+	if r == nil {
+		return nil
+	}
+	counters, gauges, fgauges, hists := r.tables()
+	sorted := func(n int, name func(int) string) []int {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool { return name(idx[a]) < name(idx[b]) })
+		return idx
+	}
+	for _, i := range sorted(len(counters), func(i int) string { return counters[i].name }) {
+		name := counters[i].name
+		fmt.Fprintf(&buf, "# TYPE %s counter\n%s %d\n", name, name, counters[i].inst.Value())
+	}
+	for _, i := range sorted(len(gauges), func(i int) string { return gauges[i].name }) {
+		name := gauges[i].name
+		fmt.Fprintf(&buf, "# TYPE %s gauge\n%s %d\n", name, name, gauges[i].inst.Value())
+	}
+	for _, i := range sorted(len(fgauges), func(i int) string { return fgauges[i].name }) {
+		name := fgauges[i].name
+		fmt.Fprintf(&buf, "# TYPE %s gauge\n%s %s\n", name, name,
+			strconv.FormatFloat(fgauges[i].inst.Value(), 'g', -1, 64))
+	}
+	for _, i := range sorted(len(hists), func(i int) string { return hists[i].name }) {
+		name, h := hists[i].name, hists[i].inst
+		fmt.Fprintf(&buf, "# TYPE %s histogram\n", name)
+		var cum uint64
+		for i := range h.buckets {
+			c := h.buckets[i].Load()
+			if c == 0 {
+				continue
+			}
+			cum += c
+			if i+1 >= len(h.buckets) {
+				continue // top bucket has no finite bound; +Inf covers it
+			}
+			fmt.Fprintf(&buf, "%s_bucket{le=\"%d\"} %d\n", name, histHigh(i), cum)
+		}
+		fmt.Fprintf(&buf, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count())
+		fmt.Fprintf(&buf, "%s_sum %d\n", name, h.Sum())
+		fmt.Fprintf(&buf, "%s_count %d\n", name, h.Count())
+	}
+	return buf.Bytes()
+}
+
+// The values an exporter can reach that a careless encoder or decoder
+// gets wrong: the float specials, signed zero, subnormals, and the
+// integer extremes (past float64's exact range, so the decimal text and
+// the live value must round the same way).
+var (
+	edgeFloats   = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 5e-324, -2.5e-310, math.MaxFloat64}
+	edgeCounters = []uint64{0, 1 << 53, 1<<53 + 1, math.MaxUint64}
+	edgeGauges   = []int64{math.MinInt64, math.MaxInt64, -1}
+	// Histogram observations on both sides of the linear/log seam
+	// (histSub), around the first full exponent, and at the largest
+	// value there is.
+	edgeObservations = []int64{0, histSub - 1, histSub, histSub + 1, 2*histSub - 1, 2 * histSub, 63, 64, 65, math.MaxInt64}
+)
+
+// TestPromRoundTripProperty drives randomized registries — all four
+// kinds, the edge values above, and the empty and nil registries —
+// through every encoder and decoder entry point: AppendProm, WriteProm
+// and the reference encoder must agree byte for byte, Series.Decode and
+// ParseProm must agree bit for bit, and every reconstructed value must
+// equal the live instrument.
 func TestPromRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		r := New()
 		type inst struct {
 			name string
 			want float64
 		}
 		var insts []inst
+		edge := func() bool { return rng.Intn(4) == 0 }
 
 		for i, n := 0, rng.Intn(6); i < n; i++ {
 			name := fmt.Sprintf("ctr_%d", i)
-			v := rng.Uint64() >> uint(11+rng.Intn(40)) // keep within float64's exact range
+			v := rng.Uint64() >> uint(11+rng.Intn(40)) // within float64's exact range
+			if edge() {
+				v = edgeCounters[rng.Intn(len(edgeCounters))]
+			}
 			r.Counter(name).Add(v)
 			insts = append(insts, inst{name, float64(v)})
 		}
 		for i, n := 0, rng.Intn(6); i < n; i++ {
 			name := fmt.Sprintf("gauge_%d", i)
 			v := rng.Int63n(1<<52) - 1<<51
+			if edge() {
+				v = edgeGauges[rng.Intn(len(edgeGauges))]
+			}
 			r.Gauge(name).Set(v)
 			insts = append(insts, inst{name, float64(v)})
 		}
@@ -56,6 +134,9 @@ func TestPromRoundTripProperty(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				v = 0
 			}
+			if edge() {
+				v = edgeFloats[rng.Intn(len(edgeFloats))]
+			}
 			r.FloatGauge(name).Set(v)
 			insts = append(insts, inst{name, v})
 		}
@@ -65,15 +146,54 @@ func TestPromRoundTripProperty(t *testing.T) {
 			for o, n := 0, rng.Intn(200); o < n; o++ {
 				h.Observe(rng.Int63n(1 << uint(1+rng.Intn(40))))
 			}
+			for o, n := 0, rng.Intn(4); o < n; o++ {
+				h.Observe(edgeObservations[rng.Intn(len(edgeObservations))])
+			}
+		}
+		switch trial {
+		case 0:
+			r, insts, nhist = New(), nil, 0 // empty: encodes to nothing
+		case 1:
+			r, insts, nhist = nil, nil, 0 // disabled telemetry
+		case 2:
+			// No int64 observation reaches the top bucket (exponent 63);
+			// a count there has no finite bound and prints as +Inf alone.
+			h := r.Histogram("hist_top")
+			h.buckets[len(h.buckets)-1].Add(1)
+			h.count.Add(1)
+			if got := string(r.AppendProm(nil)); !strings.Contains(got, "# TYPE hist_top histogram\nhist_top_bucket{le=\"+Inf\"} 1\n") {
+				t.Fatalf("top-bucket-only histogram must print +Inf alone:\n%s", got)
+			}
 		}
 
+		text := r.AppendProm(nil)
 		var buf bytes.Buffer
 		if err := r.WriteProm(&buf); err != nil {
 			t.Fatalf("trial %d: WriteProm: %v", trial, err)
 		}
-		got, err := ParseProm(bytes.NewReader(buf.Bytes()))
+		if ref := writePromReference(r); !bytes.Equal(text, ref) || !bytes.Equal(buf.Bytes(), ref) {
+			t.Fatalf("trial %d: encoders disagree\nAppendProm:\n%s\nWriteProm:\n%s\nreference:\n%s", trial, text, buf.Bytes(), ref)
+		}
+		// Appending extends dst and leaves what it held alone.
+		if got := r.AppendProm([]byte("prefix\n")); string(got) != "prefix\n"+string(text) {
+			t.Fatalf("trial %d: AppendProm onto a non-empty dst:\n%s", trial, got)
+		}
+
+		got, err := ParseProm(bytes.NewReader(text))
 		if err != nil {
-			t.Fatalf("trial %d: ParseProm: %v\n%s", trial, err, buf.String())
+			t.Fatalf("trial %d: ParseProm: %v\n%s", trial, err, text)
+		}
+		var view Series
+		if err := view.Decode(text); err != nil {
+			t.Fatalf("trial %d: Decode: %v\n%s", trial, err, text)
+		}
+		if len(view.Names) != len(got) || len(view.Values) != len(got) {
+			t.Fatalf("trial %d: view has %d names / %d values, map %d entries", trial, len(view.Names), len(view.Values), len(got))
+		}
+		for i, name := range view.Names {
+			if v, ok := got[name]; !ok || math.Float64bits(v) != math.Float64bits(view.Values[i]) {
+				t.Fatalf("trial %d: %s decodes to %v in the view, %v (present %v) in the map", trial, name, view.Values[i], v, ok)
+			}
 		}
 
 		for _, in := range insts {
@@ -81,7 +201,7 @@ func TestPromRoundTripProperty(t *testing.T) {
 			if !ok {
 				t.Fatalf("trial %d: %s missing from parsed export", trial, in.name)
 			}
-			if v != in.want { // bit-exact, not approximate
+			if math.Float64bits(v) != math.Float64bits(in.want) { // bit-exact, not approximate
 				t.Fatalf("trial %d: %s round-tripped %v -> %v", trial, in.name, in.want, v)
 			}
 		}
@@ -92,18 +212,118 @@ func TestPromRoundTripProperty(t *testing.T) {
 				t.Fatalf("trial %d: %s sum/count mismatch: parsed (%v, %v) want (%d, %d)",
 					trial, name, got[name+"_sum"], got[name+"_count"], h.Sum(), h.Count())
 			}
-			checkBucketOrdering(t, buf.String(), name, h.Count())
+			checkBucketOrdering(t, string(text), name, h.Count())
 		}
 
 		// Canonical bytes: re-serializing the same registry must be
 		// byte-identical (the scraper diffs exports directly).
-		var again bytes.Buffer
-		if err := r.WriteProm(&again); err != nil {
-			t.Fatalf("trial %d: WriteProm (second): %v", trial, err)
-		}
-		if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		if again := r.AppendProm(nil); !bytes.Equal(text, again) {
 			t.Fatalf("trial %d: serialization is not canonical", trial)
 		}
+	}
+}
+
+// TestPromSteadyStateAllocs pins the scrape plane's budget at its
+// source: encoding into a buffer with room and decoding into a Series
+// that has seen the exposition's shape both allocate nothing.
+func TestPromSteadyStateAllocs(t *testing.T) {
+	r := New()
+	r.Counter("reqs_total").Add(12345)
+	r.Gauge("inflight").Set(-3)
+	r.FloatGauge("rps").Set(61234.56789)
+	h := r.Histogram("lat_ns")
+	for v := int64(1); v < 1<<20; v *= 3 {
+		h.Observe(v)
+	}
+	buf := r.AppendProm(nil)
+	if n := testing.AllocsPerRun(100, func() { buf = r.AppendProm(buf[:0]) }); n != 0 {
+		t.Errorf("AppendProm into a sized buffer: %v allocs, want 0", n)
+	}
+	var view Series
+	if err := view.Decode(buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("reqs_total").Inc() // values move between scrapes; names do not
+		buf = r.AppendProm(buf[:0])
+		if err := view.Decode(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("steady-state encode + decode: %v allocs, want 0", n)
+	}
+}
+
+// TestSeriesReuseMatchesFreshDecode is the stale-state check on the
+// reusable view: whatever a Series decoded before — a longer exposition,
+// a shorter one, the same names shifted by an instrument registered
+// mid-run, a malformed one — decoding into it must leave exactly what
+// decoding into a new Series leaves.
+func TestSeriesReuseMatchesFreshDecode(t *testing.T) {
+	r := New()
+	r.Counter("sim_events_total").Add(10)
+	r.FloatGauge("node_obsv_rps").Set(1.5)
+	small := r.AppendProm(nil)
+	r.FloatGauge("node_wait_runnable_share").Set(0.25) // appears only with wait states on
+	r.Counter("aaa_first_total").Inc()                 // sorts first: shifts every later slot
+	r.Histogram("lat_ns").Observe(9)
+	large := r.AppendProm(nil)
+
+	var reused Series
+	for step, text := range [][]byte{small, large, small, large, nil, large} {
+		if err := reused.Decode(text); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		var fresh Series
+		if err := fresh.Decode(text); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if len(fresh.Names) != len(reused.Names) || len(fresh.Values) != len(reused.Values) ||
+			(len(fresh.Names) > 0 && (!reflect.DeepEqual(fresh.Names, reused.Names) || !reflect.DeepEqual(fresh.Values, reused.Values))) {
+			t.Fatalf("step %d: reused view diverges from a fresh decode\nreused: %v %v\nfresh:  %v %v",
+				step, reused.Names, reused.Values, fresh.Names, fresh.Values)
+		}
+	}
+
+	// A malformed line reports its line number, in the text ParseProm has
+	// always used, and leaves nothing half-written behind.
+	for _, c := range []struct{ text, want string }{
+		{"a 1\n# c\nnovalue\nb 2\n", `telemetry: prom line 3: no value in "novalue"`},
+		{"a 1\n\nb x1\n", `telemetry: prom line 3: bad value "x1": strconv.ParseFloat: parsing "x1": invalid syntax`},
+	} {
+		err := reused.Decode([]byte(c.text))
+		if err == nil || err.Error() != c.want {
+			t.Fatalf("Decode(%q) error = %v, want %s", c.text, err, c.want)
+		}
+		if len(reused.Names) != 0 || len(reused.Values) != 0 {
+			t.Fatalf("failed decode left %v %v behind", reused.Names, reused.Values)
+		}
+		if _, perr := ParseProm(strings.NewReader(c.text)); perr == nil || perr.Error() != c.want {
+			t.Fatalf("ParseProm(%q) error = %v, want %s", c.text, perr, c.want)
+		}
+	}
+	if err := reused.Decode(large); err != nil {
+		t.Fatal(err)
+	}
+	var fresh Series
+	if err := fresh.Decode(large); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh, reused) {
+		t.Fatalf("view after a failed decode diverges: %v vs %v", reused, fresh)
+	}
+}
+
+// TestParsePromLongLine pins that a sample line has no length limit
+// (bufio.Scanner's 64 KiB token limit used to fail it).
+func TestParsePromLongLine(t *testing.T) {
+	name := `x{label="` + strings.Repeat("a", 70_000) + `"}`
+	m, err := ParseProm(strings.NewReader("first 1\n" + name + " 2.5\nlast 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m) != 3 || m[name] != 2.5 || m["last"] != 3 {
+		t.Fatalf("long line lost: %d entries, long = %v, last = %v", len(m), m[name], m["last"])
 	}
 }
 

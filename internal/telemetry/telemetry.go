@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -144,7 +145,7 @@ func histIndex(v int64) int {
 	if v < histSub {
 		return int(v)
 	}
-	exp := 63 - leadingZeros64(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	shift := exp - histSubL
 	sub := int((uint64(v) >> uint(shift)) & (histSub - 1))
 	return exp*histSub + sub
@@ -179,18 +180,6 @@ func histHigh(i int) int64 {
 	}
 	shift := exp - histSubL
 	return (int64(1) << uint(exp)) + (int64(sub+1) << uint(shift)) - 1
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-		if n == 64 {
-			break
-		}
-	}
-	return n
 }
 
 // Observe records one value. Negative values count as zero.
@@ -308,22 +297,45 @@ func (h *Histogram) merge(o *Histogram) {
 // lock-free. A nil *Registry returns nil instruments from every lookup,
 // so a single nil check at wiring time disables a whole subsystem's
 // telemetry at zero ongoing cost.
+//
+// Each kind's instruments live in a table sorted by name, which is the
+// export order. Registering a new name copies the table (registration
+// is rare, exports are not), so a table read under mu stays a
+// consistent snapshot after mu is released: exports and merges walk it
+// without holding the lock and without sorting.
 type Registry struct {
 	mu          sync.Mutex
-	counters    map[string]*Counter
-	gauges      map[string]*Gauge
-	floatGauges map[string]*FloatGauge
-	histograms  map[string]*Histogram
+	counters    []named[Counter]
+	gauges      []named[Gauge]
+	floatGauges []named[FloatGauge]
+	histograms  []named[Histogram]
+}
+
+// named is one row of an instrument table.
+type named[T any] struct {
+	name string
+	inst *T
 }
 
 // New returns an empty registry.
-func New() *Registry {
-	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		floatGauges: make(map[string]*FloatGauge),
-		histograms:  make(map[string]*Histogram),
+func New() *Registry { return &Registry{} }
+
+// lookup returns the instrument registered under name in *table,
+// inserting a new one at its sorted position on first use.
+func lookup[T any](mu *sync.Mutex, table *[]named[T], name string) *T {
+	mu.Lock()
+	defer mu.Unlock()
+	t := *table
+	i := sort.Search(len(t), func(i int) bool { return t[i].name >= name })
+	if i < len(t) && t[i].name == name {
+		return t[i].inst
 	}
+	grown := make([]named[T], len(t)+1)
+	copy(grown, t[:i])
+	grown[i] = named[T]{name, new(T)}
+	copy(grown[i+1:], t[i:])
+	*table = grown
+	return grown[i].inst
 }
 
 // Counter returns the counter registered under name, creating it on
@@ -332,14 +344,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(&r.mu, &r.counters, name)
 }
 
 // Gauge returns the gauge registered under name, creating it on first
@@ -348,14 +353,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(&r.mu, &r.gauges, name)
 }
 
 // FloatGauge returns the float gauge registered under name, creating it
@@ -364,14 +362,7 @@ func (r *Registry) FloatGauge(name string) *FloatGauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.floatGauges[name]
-	if !ok {
-		g = &FloatGauge{}
-		r.floatGauges[name] = g
-	}
-	return g
+	return lookup(&r.mu, &r.floatGauges, name)
 }
 
 // Histogram returns the histogram registered under name, creating it on
@@ -380,14 +371,14 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
+	return lookup(&r.mu, &r.histograms, name)
+}
+
+// tables returns a consistent snapshot of the four instrument tables.
+func (r *Registry) tables() ([]named[Counter], []named[Gauge], []named[FloatGauge], []named[Histogram]) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = &Histogram{}
-		r.histograms[name] = h
-	}
-	return h
+	return r.counters, r.gauges, r.floatGauges, r.histograms
 }
 
 // Merge folds every instrument of o into r: counters and histograms add,
@@ -398,38 +389,19 @@ func (r *Registry) Merge(o *Registry) {
 	if r == nil || o == nil {
 		return
 	}
-	// Snapshot o's instrument tables under its lock, then fold without
-	// holding both locks at once.
-	o.mu.Lock()
-	counters := make(map[string]*Counter, len(o.counters))
-	for k, v := range o.counters {
-		counters[k] = v
+	// Fold from a snapshot of o, so the two locks are never held at once.
+	counters, gauges, fgauges, hists := o.tables()
+	for _, e := range counters {
+		r.Counter(e.name).Add(e.inst.Value())
 	}
-	gauges := make(map[string]*Gauge, len(o.gauges))
-	for k, v := range o.gauges {
-		gauges[k] = v
+	for _, e := range gauges {
+		r.Gauge(e.name).Add(e.inst.Value())
 	}
-	fgauges := make(map[string]*FloatGauge, len(o.floatGauges))
-	for k, v := range o.floatGauges {
-		fgauges[k] = v
+	for _, e := range fgauges {
+		r.FloatGauge(e.name).Add(e.inst.Value())
 	}
-	hists := make(map[string]*Histogram, len(o.histograms))
-	for k, v := range o.histograms {
-		hists[k] = v
-	}
-	o.mu.Unlock()
-
-	for name, c := range counters {
-		r.Counter(name).Add(c.Value())
-	}
-	for name, g := range gauges {
-		r.Gauge(name).Add(g.Value())
-	}
-	for name, g := range fgauges {
-		r.FloatGauge(name).Add(g.Value())
-	}
-	for name, h := range hists {
-		r.Histogram(name).merge(h)
+	for _, e := range hists {
+		r.Histogram(e.name).merge(e.inst)
 	}
 }
 
@@ -441,47 +413,25 @@ func (r *Registry) Snapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.counters)+len(r.gauges)+len(r.floatGauges)+len(r.histograms) == 0 {
+	counters, gauges, fgauges, hists := r.tables()
+	n := len(counters) + len(gauges) + len(fgauges) + 3*len(hists)
+	if n == 0 {
 		return nil
 	}
-	out := make(map[string]float64, len(r.counters)+len(r.gauges)+len(r.floatGauges)+3*len(r.histograms))
-	for name, c := range r.counters {
-		out[name] = float64(c.Value())
+	out := make(map[string]float64, n)
+	for _, e := range counters {
+		out[e.name] = float64(e.inst.Value())
 	}
-	for name, g := range r.gauges {
-		out[name] = float64(g.Value())
+	for _, e := range gauges {
+		out[e.name] = float64(e.inst.Value())
 	}
-	for name, g := range r.floatGauges {
-		out[name] = g.Value()
+	for _, e := range fgauges {
+		out[e.name] = e.inst.Value()
 	}
-	for name, h := range r.histograms {
-		out[name+"_count"] = float64(h.Count())
-		out[name+"_sum"] = float64(h.Sum())
-		out[name+"_max"] = float64(h.Max())
+	for _, e := range hists {
+		out[e.name+"_count"] = float64(e.inst.Count())
+		out[e.name+"_sum"] = float64(e.inst.Sum())
+		out[e.name+"_max"] = float64(e.inst.Max())
 	}
 	return out
-}
-
-// names returns the sorted instrument names of each kind (for
-// deterministic export ordering).
-func (r *Registry) names() (counters, gauges, fgauges, hists []string) {
-	for name := range r.counters {
-		counters = append(counters, name)
-	}
-	for name := range r.gauges {
-		gauges = append(gauges, name)
-	}
-	for name := range r.floatGauges {
-		fgauges = append(fgauges, name)
-	}
-	for name := range r.histograms {
-		hists = append(hists, name)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(fgauges)
-	sort.Strings(hists)
-	return
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -33,6 +34,9 @@ func TestNilSafety(t *testing.T) {
 	New().Merge(r)
 	if err := r.WriteProm(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
+	}
+	if out := r.AppendProm([]byte("kept")); string(out) != "kept" {
+		t.Fatalf("nil registry appended %q", out)
 	}
 }
 
@@ -147,6 +151,85 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if g.Value() != 0 {
 		t.Fatalf("gauge = %d, want 0", g.Value())
+	}
+}
+
+// TestConcurrentRegistrationAndExport races registration against every
+// reader of the instrument tables: while some goroutines register new
+// names (every name from every writer) and update them,
+// exporters, snapshotters and mergers run. Every exposition must decode,
+// list each kind's names in strictly increasing order — sorted, and no
+// instrument twice — and end up complete. Run under -race by
+// scripts/check.sh.
+func TestConcurrentRegistrationAndExport(t *testing.T) {
+	const writers, perWriter, readers = 4, 40, 3
+	r := New()
+	c := r.Counter("c_hot")
+	var writing, reading sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for i := 0; i < perWriter; i++ {
+				// Every writer registers every name, each in its own order.
+				n := (i*7 + w*11) % perWriter
+				r.Counter(fmt.Sprintf("c_%03d", n)).Inc()
+				r.Gauge(fmt.Sprintf("g_%03d", n)).Add(1)
+				r.FloatGauge(fmt.Sprintf("f_%03d", n)).Set(float64(n))
+				r.Histogram(fmt.Sprintf("h_%03d", n)).Observe(int64(n))
+				c.Inc()
+			}
+		}(w)
+	}
+	check := func(text []byte) {
+		var view Series
+		if err := view.Decode(text); err != nil {
+			t.Errorf("exposition does not decode: %v", err)
+			return
+		}
+		last := map[byte]string{} // per kind, keyed by the name's first letter
+		for _, line := range strings.Split(string(text), "\n") {
+			if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				name, _, _ = strings.Cut(name, " ")
+				if prev := last[name[0]]; name <= prev {
+					t.Errorf("%s exported after %s: unsorted or duplicated", name, prev)
+				}
+				last[name[0]] = name
+			}
+		}
+	}
+	for g := 0; g < readers; g++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			var buf []byte
+			into := New()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				buf = r.AppendProm(buf[:0])
+				check(buf)
+				r.Snapshot()
+				into.Merge(r)
+			}
+		}()
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+
+	final := r.AppendProm(nil)
+	check(final)
+	snap := r.Snapshot()
+	if got, want := len(snap), 1+perWriter*(3+3); got != want {
+		t.Fatalf("snapshot has %d series, want %d", got, want)
+	}
+	if snap["c_hot"] != writers*perWriter || snap["c_007"] != writers {
+		t.Fatalf("lost updates: c_hot = %v, c_007 = %v", snap["c_hot"], snap["c_007"])
 	}
 }
 

@@ -5,12 +5,14 @@
 #   go vet ./...                          static analysis
 #   go build ./...                        everything compiles
 #   go test ./...                         tier-1 suite
-#   go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/...
+#   go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
 #                                         coroutine hand-off + engine +
 #                                         rig + observer attach +
-#                                         lockstep cluster paths under
-#                                         the race detector (the parallel
-#                                         engine's safety precondition)
+#                                         lockstep cluster paths +
+#                                         registration against export
+#                                         under the race detector (the
+#                                         parallel engine's safety
+#                                         precondition)
 #   go test -cover (floors)               per-package coverage floors on
 #                                         the packages where a silent
 #                                         regression is most dangerous
@@ -22,7 +24,9 @@
 #                                         for one iteration each, and
 #                                         BenchmarkProcHandoff and
 #                                         BenchmarkProcHandoffContended
-#                                         report 0 allocs/op
+#                                         report 0 allocs/op, and
+#                                         BenchmarkScrapeEpoch stays at
+#                                         its allocs/op
 #   fleet smoke                           the same cluster sweep at
 #                                         -parallel 1 and 2 must print
 #                                         byte-identical output
@@ -76,10 +80,10 @@ go build ./...
 leg "go test"
 go test ./...
 
-leg "go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/..."
+leg "go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/..."
 # The race-instrumented harness suite runs ~10x slower than native on a
 # single core; give it explicit headroom past go test's 10m default.
-go test -race -timeout 20m ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/...
+go test -race -timeout 20m ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
 
 leg "go test -cover (floors)"
 # cover_floor <pkg> <floor-pct> fails the gate when the package's
@@ -136,6 +140,19 @@ go test -run '^$' -benchtime 1x -bench '^BenchmarkDetectorHotPath$' \
     ./internal/control/ >/dev/null
 go test -run '^$' -benchtime 1x -bench '^BenchmarkFleetEpochs$' \
     ./internal/fleet/ >/dev/null
+# The scrape plane's budget is one allocation per scrape (its Raw) plus
+# the rollup's two ranking slices: 18 of an epoch's allocs/op on 16
+# nodes. The other 155 are the simulated 1 ms of traffic (per-message
+# state in kernel and netsim), which is seeded, so at a fixed iteration
+# count the sum repeats exactly. TestScrapePlaneAllocs pins the 18 alone.
+scrape_allocs_max=173
+scrape=$(go test -run '^$' -benchtime 500x -bench '^BenchmarkScrapeEpoch$' ./internal/fleet/)
+allocs=$(echo "$scrape" | sed -n 's/^BenchmarkScrapeEpoch.*[[:space:]]\([0-9][0-9]*\) allocs\/op.*/\1/p')
+if [ -z "$allocs" ] || [ "$allocs" -gt "$scrape_allocs_max" ]; then
+    echo "BenchmarkScrapeEpoch did not run or allocates ${allocs:-?} times per epoch, above $scrape_allocs_max:" >&2
+    echo "$scrape" >&2
+    exit 1
+fi
 
 # The two legs below need a real process (a second -parallel setting, a
 # SIGKILL), so cmd/reqlens is built once for both.

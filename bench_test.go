@@ -466,6 +466,45 @@ func BenchmarkKernelSyscallPath(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSyscallPathContended is the syscall path with twice as
+// many threads as CPUs (16 on 8), so nearly every compute goes through
+// the run queue — hand-off from the releasing thread, switch cost, run —
+// which BenchmarkKernelSyscallPath's lone thread never does. One op is
+// one syscall. 0 allocs/op (scripts/check.sh); scripts/bench.sh records
+// it in BENCH_syscall_contended.json.
+func BenchmarkKernelSyscallPathContended(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Shutdown()
+	prof := machine.AMD()
+	prof.Sockets, prof.CoresPerSock, prof.ThreadsPerCore = 1, 8, 1
+	k := kernel.New(env, prof)
+	p := k.NewProcess("bench")
+	left := 4096 // warm-up: the event free list, the heap's and the run queue's capacity
+	var threads []*kernel.Thread
+	for i := 0; i < 16; i++ {
+		threads = append(threads, p.SpawnThread("w", func(t *kernel.Thread) {
+			for {
+				for left == 0 {
+					t.Park()
+				}
+				left--
+				t.Invoke(kernel.SysSendto, [6]uint64{}, func() int64 { return 0 })
+			}
+		}))
+	}
+	env.Run() // until the budget is spent and every thread has parked
+	left = b.N
+	for _, t := range threads {
+		t.Waker().Wake()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+	if left != 0 {
+		b.Fatalf("%d syscalls not issued", left)
+	}
+}
+
 func BenchmarkHistogramRecord(b *testing.B) {
 	h := stats.NewHistogram()
 	for i := 0; i < b.N; i++ {

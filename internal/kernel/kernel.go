@@ -71,7 +71,7 @@ func (k *Kernel) Tracer() *Tracer { return k.tracer }
 func (k *Kernel) CPUs() int { return k.sched.ncpu }
 
 // RunQueueLen returns the instantaneous run queue depth (diagnostics).
-func (k *Kernel) RunQueueLen() int { return len(k.sched.runq) }
+func (k *Kernel) RunQueueLen() int { return k.sched.runq.Len() }
 
 // OnlineCPUs returns how many CPUs currently accept dispatches.
 func (k *Kernel) OnlineCPUs() int { return k.sched.onlineCount() }
@@ -146,6 +146,8 @@ func (p *Process) SpawnThread(name string, body func(*Thread)) *Thread {
 		name: name,
 	}
 	p.threads = append(p.threads, t)
+	sched := p.k.sched
+	t.step0 = func() bool { return sched.step(t) }
 	t.sp = p.k.env.Spawn(fmt.Sprintf("%s/%s", p.name, name), func(sp *sim.Proc) {
 		t.waker = sp.NewWaker()
 		body(t)
@@ -164,6 +166,8 @@ type Thread struct {
 
 	// scheduling state
 	quantum time.Duration // remaining timeslice, carried across Computes
+	run     run           // the compute in flight
+	step0   func() bool   // scheduler.step(t), hoisted once: compute Blocks on it
 
 	// accounting
 	cpuTime   time.Duration
@@ -219,10 +223,7 @@ func (t *Thread) RunQueueWaits() uint64 { return t.runqWaits }
 // exceed d when sched-tracepoint programs ran on the thread's
 // transitions (their cost extends the timeslice).
 func (t *Thread) Compute(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t.cpuTime += t.proc.k.sched.compute(t, d)
+	t.proc.k.sched.compute(t, d, 0)
 }
 
 // Sleep suspends the thread for d without consuming CPU.
@@ -245,8 +246,10 @@ func (t *Thread) Waker() *sim.Waker { return t.waker }
 func (t *Thread) Invoke(nr int, args [6]uint64, body func() int64) int64 {
 	t.syscalls++
 	t.inSyscall = int32(nr)
-	t.proc.k.tracer.sysEnter(t, nr, args)
-	t.Compute(t.proc.k.prof.SyscallCost)
+	k := t.proc.k
+	// One blocked span for both computes: the thread's coroutine is not
+	// switched into between the probe cost and the syscall cost.
+	k.sched.compute(t, k.tracer.sysEnter(t, nr, args), k.prof.SyscallCost)
 	ret := body()
 	t.proc.k.tracer.sysExit(t, nr, ret)
 	t.inSyscall = -1
@@ -258,7 +261,7 @@ func (t *Thread) Invoke(nr int, args [6]uint64, body func() int64) int64 {
 func (t *Thread) InvokeFast(nr int, args [6]uint64, body func() int64) int64 {
 	t.syscalls++
 	t.inSyscall = int32(nr)
-	t.proc.k.tracer.sysEnter(t, nr, args)
+	t.Compute(t.proc.k.tracer.sysEnter(t, nr, args))
 	ret := body()
 	t.proc.k.tracer.sysExit(t, nr, ret)
 	t.inSyscall = -1

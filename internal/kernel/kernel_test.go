@@ -103,13 +103,6 @@ func TestComputeContentionSerializes(t *testing.T) {
 	}
 }
 
-func min(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestContextSwitchCostCharged(t *testing.T) {
 	env := sim.NewEnv(1)
 	prof := smallProfile(1)

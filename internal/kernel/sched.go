@@ -3,6 +3,7 @@ package kernel
 import (
 	"time"
 
+	"reqlens/internal/sim"
 	"reqlens/internal/telemetry"
 )
 
@@ -24,7 +25,7 @@ type scheduler struct {
 	ncpu       int
 	timeslice  time.Duration
 	switchCost time.Duration
-	runq       []*Thread
+	runq       sim.FIFO[*Thread]
 
 	dispatches  uint64
 	preemptions uint64
@@ -65,41 +66,12 @@ func (s *scheduler) idleCPU(t *Thread) *cpu {
 	return free
 }
 
-// acquire obtains a CPU for t, queueing when all are busy. On return,
-// t.cpu is set and any context-switch penalty has been paid.
-func (s *scheduler) acquire(t *Thread) {
-	if c := s.idleCPU(t); c != nil {
-		c.busy = true
-		s.assign(t, c)
-		return
-	}
-	t.runqWaits++
-	s.runq = append(s.runq, t)
-	for t.cpu == nil {
-		t.sp.Park() // woken by release/preempt handing us a CPU
-	}
-	s.chargeSwitch(t)
-}
-
-// assign puts t on c, charging the switch cost when the CPU last ran a
-// different thread. The CPU was idle, so the switch event's outgoing
-// task is the idle task.
-func (s *scheduler) assign(t *Thread, c *cpu) {
-	t.cpu = c
-	s.dispatches++
-	s.telDispatches.Inc()
-	s.k.tracer.schedSwitch(nil, TaskRunning, t)
-	if c.last != t {
-		s.chargeSwitch(t)
-	}
-}
-
-func (s *scheduler) chargeSwitch(t *Thread) {
+// chargeSwitch counts a context switch onto t's CPU and starts its
+// cost elapsing; it reports whether the cost has already elapsed.
+func (s *scheduler) chargeSwitch(t *Thread) bool {
 	s.ctxSwitches++
 	s.telCtxSwitches.Inc()
-	if s.switchCost > 0 {
-		t.sp.Sleep(s.switchCost)
-	}
+	return s.switchCost <= 0 || t.sp.Elapse(s.switchCost)
 }
 
 // release frees t's CPU, handing it directly to the next queued thread
@@ -116,18 +88,24 @@ func (s *scheduler) release(t *Thread, prevState uint64) {
 	t.cpu = nil
 	// An offlined CPU finishes its current occupant but accepts no new
 	// work until it comes back online.
-	if len(s.runq) > 0 && !c.offline {
-		next := s.runq[0]
-		s.runq = s.runq[1:]
-		next.cpu = c
-		s.dispatches++
-		s.telDispatches.Inc()
-		s.k.tracer.schedSwitch(t, prevState, next)
-		next.waker.Wake()
+	if s.runq.Len() > 0 && !c.offline {
+		s.handOff(c, t, prevState)
 		return
 	}
 	c.busy = false
 	s.k.tracer.schedSwitch(t, prevState, nil)
+}
+
+// handOff gives c to the thread at the head of the run queue and wakes
+// it; prev is the thread leaving c, nil when c was idle.
+func (s *scheduler) handOff(c *cpu, prev *Thread, prevState uint64) {
+	next := s.runq.Pop()
+	next.cpu = c
+	c.busy = true
+	s.dispatches++
+	s.telDispatches.Inc()
+	s.k.tracer.schedSwitch(prev, prevState, next)
+	next.waker.Wake()
 }
 
 // offlineCPUs removes up to n CPUs from dispatch (highest ids first),
@@ -159,15 +137,8 @@ func (s *scheduler) onlineAllCPUs() {
 			continue
 		}
 		c.offline = false
-		if !c.busy && len(s.runq) > 0 {
-			next := s.runq[0]
-			s.runq = s.runq[1:]
-			next.cpu = c
-			c.busy = true
-			s.dispatches++
-			s.telDispatches.Inc()
-			s.k.tracer.schedSwitch(nil, TaskRunning, next)
-			next.waker.Wake()
+		if !c.busy && s.runq.Len() > 0 {
+			s.handOff(c, nil, TaskRunning)
 		}
 	}
 }
@@ -198,15 +169,8 @@ func (s *scheduler) setOnlineCPUs(n int) int {
 		}
 		c.offline = false
 		cur++
-		if !c.busy && len(s.runq) > 0 {
-			next := s.runq[0]
-			s.runq = s.runq[1:]
-			next.cpu = c
-			c.busy = true
-			s.dispatches++
-			s.telDispatches.Inc()
-			s.k.tracer.schedSwitch(nil, TaskRunning, next)
-			next.waker.Wake()
+		if !c.busy && s.runq.Len() > 0 {
+			s.handOff(c, nil, TaskRunning)
 		}
 	}
 	return cur
@@ -231,9 +195,29 @@ func (s *scheduler) flushAffinity() {
 	}
 }
 
-// compute runs t for total CPU time d and returns the CPU time actually
-// consumed: d plus any pending sched-probe cost folded into the run.
-// The thread's quantum carries across Compute calls (as a real
+// stage is where a thread's compute resumes at its next activation.
+type stage uint8
+
+const (
+	stAcquire stage = iota // needs a CPU, unless a refreshed quantum kept it
+	stQueued               // on the run queue, parked until handed a CPU
+	stRun                  // on a CPU, any switch cost paid: run the next slice
+	stRan                  // the slice's wait is over: account it
+)
+
+// run is a thread's compute in flight.
+type run struct {
+	stage            stage
+	total, remaining time.Duration // CPU time charged so far / still to run
+	slice            time.Duration // the run being waited out in stRan
+	then             time.Duration // a second compute to start when this one ends
+}
+
+// compute runs t for CPU time d and then, back to back, for then (a
+// syscall's sys_enter probe cost, then its in-kernel cost), skipping a
+// non-positive part. Each part, as it ends, adds to t.cpuTime what it
+// consumed: its duration plus any pending sched-probe cost folded into
+// the run. The thread's quantum carries across computes (as a real
 // scheduler's timeslice spans syscalls), so a thread that has been
 // running for a while can be preempted at the quantum boundary even
 // inside a short critical-section compute — the lock-holder-preemption
@@ -244,42 +228,98 @@ func (s *scheduler) flushAffinity() {
 // sched_wakeup. Pending probe cost accrued by scheduler hooks is folded
 // into the timeslice at each dispatch, extending the run the way a real
 // sched program extends the switch path it instruments.
-func (s *scheduler) compute(t *Thread, d time.Duration) time.Duration {
+func (s *scheduler) compute(t *Thread, d, then time.Duration) {
+	if d <= 0 {
+		d, then = then, 0
+	}
+	if d <= 0 {
+		return
+	}
 	s.k.tracer.schedWakeup(t)
-	total := d
-	remaining := d
+	t.run = run{total: d, remaining: d, then: then}
+	t.sp.Block(t.step0)
+}
+
+// step advances t's compute as far as it goes without waiting and
+// reports whether it is finished. It is a sim.Proc.Block continuation —
+// called on the thread's coroutine first, then from whichever event
+// activates the parked thread — so it never parks: a stage that has to
+// wait records where to resume and returns false. Between two waits it
+// does what a compute written as Sleeps and Parks on the coroutine
+// would, in that order, so every event, counter and tracepoint stays
+// where that form put it. Its quirk too: a queued thread activated
+// before it has a CPU stays queued, but any activation during a
+// switch-cost or run wait (a stray Waker.Wake, say) ends the wait early.
+func (s *scheduler) step(t *Thread) bool {
+	r := &t.run
 	for {
-		if t.cpu == nil {
-			s.acquire(t)
-		}
-		if p := t.pendingProbe; p > 0 {
-			t.pendingProbe = 0
-			remaining += p
-			total += p
-		}
-		if t.quantum <= 0 {
-			t.quantum = s.timeslice
-		}
-		run := remaining
-		if t.quantum < run {
-			run = t.quantum
-		}
-		t.sp.Sleep(run)
-		remaining -= run
-		t.quantum -= run
-		if remaining <= 0 {
-			// Voluntary yield: keep the leftover quantum.
-			s.release(t, TaskBlocked)
-			return total
-		}
-		if t.quantum <= 0 {
-			if len(s.runq) > 0 {
-				// Quantum expired with waiters: yield the CPU and requeue.
-				s.preemptions++
-				s.telPreemptions.Inc()
-				s.release(t, TaskRunning)
-			} else {
+		switch r.stage {
+		case stAcquire:
+			r.stage = stRun
+			if t.cpu != nil {
+				continue
+			}
+			c := s.idleCPU(t)
+			if c == nil {
+				t.runqWaits++
+				s.runq.Push(t)
+				r.stage = stQueued
+				return false // woken by release or an onlined CPU handing us one
+			}
+			// The CPU was idle, so the switch event's outgoing task is
+			// the idle task; the cost is due when it last ran another.
+			c.busy = true
+			t.cpu = c
+			s.dispatches++
+			s.telDispatches.Inc()
+			s.k.tracer.schedSwitch(nil, TaskRunning, t)
+			if c.last != t && !s.chargeSwitch(t) {
+				return false
+			}
+		case stQueued:
+			if t.cpu == nil {
+				return false
+			}
+			r.stage = stRun
+			if !s.chargeSwitch(t) {
+				return false
+			}
+		case stRun:
+			if p := t.pendingProbe; p > 0 {
+				t.pendingProbe = 0
+				r.remaining += p
+				r.total += p
+			}
+			if t.quantum <= 0 {
 				t.quantum = s.timeslice
+			}
+			r.slice = min(r.remaining, t.quantum)
+			r.stage = stRan
+			if !t.sp.Elapse(r.slice) {
+				return false
+			}
+		case stRan:
+			r.remaining -= r.slice
+			t.quantum -= r.slice
+			r.stage = stAcquire
+			if r.remaining <= 0 {
+				// Voluntary yield: keep the leftover quantum.
+				s.release(t, TaskBlocked)
+				t.cpuTime += r.total
+				if r.then <= 0 {
+					return true
+				}
+				s.k.tracer.schedWakeup(t)
+				r.total, r.remaining, r.then = r.then, r.then, 0
+			} else if t.quantum <= 0 {
+				if s.runq.Len() > 0 {
+					// Quantum expired with waiters: yield the CPU and requeue.
+					s.preemptions++
+					s.telPreemptions.Inc()
+					s.release(t, TaskRunning)
+				} else {
+					t.quantum = s.timeslice
+				}
 			}
 		}
 	}

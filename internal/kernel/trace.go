@@ -249,13 +249,16 @@ func (tr *Tracer) SMPProcessorID() uint32 {
 	return 0
 }
 
-func (tr *Tracer) sysEnter(t *Thread, nr int, args [6]uint64) {
+// sysEnter fires raw_syscalls:sys_enter and returns the probe cost,
+// which the caller runs as a compute (Invoke chains it to the syscall's
+// own cost).
+func (tr *Tracer) sysEnter(t *Thread, nr int, args [6]uint64) time.Duration {
 	for _, fn := range tr.listeners {
 		fn(SyscallEvent{Time: tr.k.env.Now(), Thread: t, NR: nr, Enter: true, Args: args})
 	}
 	links := tr.links[RawSysEnter]
 	if len(links) == 0 {
-		return
+		return 0
 	}
 	tr.telFires.Inc()
 	ctx := tr.enterCtx[:]
@@ -266,7 +269,7 @@ func (tr *Tracer) sysEnter(t *Thread, nr int, args [6]uint64) {
 	for i, a := range args {
 		binary.LittleEndian.PutUint64(ctx[CtxOffArgs+8*i:], a)
 	}
-	tr.dispatch(t, links, ctx)
+	return tr.dispatch(t, links, ctx)
 }
 
 func (tr *Tracer) sysExit(t *Thread, nr int, ret int64) {
@@ -284,7 +287,7 @@ func (tr *Tracer) sysExit(t *Thread, nr int, ret int64) {
 	}
 	binary.LittleEndian.PutUint64(ctx[CtxOffID:], uint64(int64(nr)))
 	binary.LittleEndian.PutUint64(ctx[CtxOffRet:], uint64(ret))
-	tr.dispatch(t, links, ctx)
+	t.Compute(tr.dispatch(t, links, ctx))
 }
 
 // schedSwitch fires sched:sched_switch: next is taking prev's CPU. A
@@ -336,16 +339,15 @@ func (tr *Tracer) schedWakeup(t *Thread) {
 	tr.dispatchSched(t, links, ctx)
 }
 
-// dispatch runs every attached program and charges the aggregate
-// execution cost to the thread as CPU time.
-func (tr *Tracer) dispatch(t *Thread, links []*Link, ctx []byte) {
+// dispatch runs every attached program and returns the aggregate
+// execution cost, booked to the thread as probe cost; the caller
+// charges it as CPU time.
+func (tr *Tracer) dispatch(t *Thread, links []*Link, ctx []byte) time.Duration {
 	tr.cur = t
 	cost := tr.runLinks(links, ctx)
 	tr.cur = nil
-	if cost > 0 {
-		t.probeCost += cost
-		t.Compute(cost)
-	}
+	t.probeCost += cost
+	return cost
 }
 
 // dispatchSched runs the attached programs for a scheduler tracepoint.

@@ -69,29 +69,38 @@ func (ep *Epoll) notify() {
 func (ep *Epoll) TotalQueued() int {
 	n := 0
 	for _, s := range ep.socks {
-		n += len(s.rx.queue)
+		n += s.rx.queue.Len()
 	}
 	return n
 }
 
-// ready collects readable sockets.
-func (ep *Epoll) ready() []*Sock {
-	var out []*Sock
+// readyCount counts readable sockets and, in total, those plus pending
+// connections on registered listeners.
+func (ep *Epoll) readyCount() (socks, total int) {
+	for _, s := range ep.socks {
+		if s.Readable() {
+			socks++
+		}
+	}
+	total = socks
+	for _, l := range ep.listeners {
+		total += len(l.pending)
+	}
+	return socks, total
+}
+
+// ready collects the n readable sockets (nil when there are none).
+func (ep *Epoll) ready(n int) []*Sock {
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Sock, 0, n)
 	for _, s := range ep.socks {
 		if s.Readable() {
 			out = append(out, s)
 		}
 	}
 	return out
-}
-
-// readyCount also counts pending listeners.
-func (ep *Epoll) readyCount() int {
-	n := len(ep.ready())
-	for _, l := range ep.listeners {
-		n += len(l.pending)
-	}
-	return n
 }
 
 // Wait blocks as syscall nr (SysEpollWait or SysSelect) until readiness
@@ -106,8 +115,8 @@ func (ep *Epoll) Wait(t *kernel.Thread, nr int, timeout time.Duration) []*Sock {
 			deadline = t.Now().Add(timeout)
 		}
 		for {
-			if n := ep.readyCount(); n > 0 {
-				out = ep.ready()
+			if socks, n := ep.readyCount(); n > 0 {
+				out = ep.ready(socks)
 				if timeoutEv != nil {
 					timeoutEv.Cancel()
 				}

@@ -11,13 +11,13 @@ const EAGAIN = -11
 // endpoint is the receive side of one connection direction: a FIFO of
 // delivered messages plus the readers and pollers to wake on delivery.
 type endpoint struct {
-	queue   []*Message
+	queue   sim.FIFO[*Message]
 	readers []*sim.Waker
 	sock    *Sock
 }
 
 func (e *endpoint) deliver(m *Message) {
-	e.queue = append(e.queue, m)
+	e.queue.Push(m)
 	for _, w := range e.readers {
 		w.Wake()
 	}
@@ -43,10 +43,10 @@ type Sock struct {
 func (s *Sock) FD() int { return s.fd }
 
 // Readable reports whether a message is waiting (without a syscall).
-func (s *Sock) Readable() bool { return len(s.rx.queue) > 0 }
+func (s *Sock) Readable() bool { return s.rx.queue.Len() > 0 }
 
 // QueueLen returns the number of queued messages (diagnostics).
-func (s *Sock) QueueLen() int { return len(s.rx.queue) }
+func (s *Sock) QueueLen() int { return s.rx.queue.Len() }
 
 // NewConn creates an established connection: (a, b) are the two sides,
 // each direction shaped by cfg. Used directly by tests; workloads
@@ -79,11 +79,10 @@ func (s *Sock) Send(t *kernel.Thread, nr int, m *Message) int64 {
 func (s *Sock) TryRecv(t *kernel.Thread, nr int) (*Message, int64) {
 	var m *Message
 	ret := t.Invoke(nr, [6]uint64{uint64(s.fd)}, func() int64 {
-		if len(s.rx.queue) == 0 {
+		if s.rx.queue.Len() == 0 {
 			return EAGAIN
 		}
-		m = s.rx.queue[0]
-		s.rx.queue = s.rx.queue[1:]
+		m = s.rx.queue.Pop()
 		return int64(m.Size)
 	})
 	return m, ret
@@ -94,12 +93,11 @@ func (s *Sock) TryRecv(t *kernel.Thread, nr int) (*Message, int64) {
 func (s *Sock) Recv(t *kernel.Thread, nr int) *Message {
 	var m *Message
 	t.Invoke(nr, [6]uint64{uint64(s.fd)}, func() int64 {
-		for len(s.rx.queue) == 0 {
+		for s.rx.queue.Len() == 0 {
 			s.rx.readers = append(s.rx.readers, t.Waker())
 			t.Park()
 		}
-		m = s.rx.queue[0]
-		s.rx.queue = s.rx.queue[1:]
+		m = s.rx.queue.Pop()
 		return int64(m.Size)
 	})
 	return m
@@ -114,22 +112,20 @@ func (s *Sock) SendBypass(m *Message) {
 // RecvBypass blocks for a message without any syscall (io_uring-style
 // completion-queue wait).
 func (s *Sock) RecvBypass(t *kernel.Thread) *Message {
-	for len(s.rx.queue) == 0 {
+	for s.rx.queue.Len() == 0 {
 		s.rx.readers = append(s.rx.readers, t.Waker())
 		t.Park()
 	}
-	m := s.rx.queue[0]
-	s.rx.queue = s.rx.queue[1:]
+	m := s.rx.queue.Pop()
 	return m
 }
 
 // TryRecvBypass pops a message without blocking or syscalls.
 func (s *Sock) TryRecvBypass() *Message {
-	if len(s.rx.queue) == 0 {
+	if s.rx.queue.Len() == 0 {
 		return nil
 	}
-	m := s.rx.queue[0]
-	s.rx.queue = s.rx.queue[1:]
+	m := s.rx.queue.Pop()
 	return m
 }
 

@@ -52,6 +52,7 @@ type Env struct {
 	procs    Proc // sentinel of the circular list of live procs, in spawn order
 	live     int  // length of that list
 	executed uint64
+	switches uint64 // coroutine switches into a proc (Proc.activate)
 
 	// until is the bound of the Run/RunUntil call driving the loop, or
 	// idle when none is: the horizon up to which Proc.Sleep may advance
@@ -68,7 +69,8 @@ type Env struct {
 	// environment is instrumented; nil (a no-op) otherwise. Telemetry is
 	// write-only from the simulation's point of view, so instrumenting an
 	// environment cannot change its event order or results.
-	telEvents *telemetry.Counter
+	telEvents   *telemetry.Counter
+	telSwitches *telemetry.Counter // mirrors switches the same way
 
 	// free is the recycle list for fire-and-forget events (Post/PostAt).
 	// Step returns a poolable event here after it fires, so a steady-state
@@ -92,15 +94,21 @@ func NewEnv(seed int64) *Env {
 func (e *Env) Now() Time { return e.now }
 
 // Instrument wires the environment's hot-path counters into r
-// (sim_events_total: events popped off the heap). A nil registry leaves
-// the environment uninstrumented — the disabled path costs one nil check
-// per event.
+// (sim_events_total: events popped off the heap; sim_proc_switches_total:
+// coroutine switches into a proc). A nil registry leaves the environment
+// uninstrumented — the disabled path costs one nil check per update.
 func (e *Env) Instrument(r *telemetry.Registry) {
 	e.telEvents = r.Counter("sim_events_total")
+	e.telSwitches = r.Counter("sim_proc_switches_total")
 }
 
 // Executed returns the number of events processed so far.
 func (e *Env) Executed() uint64 { return e.executed }
+
+// Switches returns how many times the loop has switched into a proc's
+// coroutine: one per resume, none for an event that only ran a Block
+// continuation or for a Sleep that advanced the clock itself.
+func (e *Env) Switches() uint64 { return e.switches }
 
 // NewRNG returns an independent deterministic random stream derived from
 // the environment seed. Components should each hold their own stream so

@@ -23,8 +23,9 @@ type Proc struct {
 	yield0       func(struct{}) bool     // switch back to the loop; false once stopped
 	stop         func()                  // unwind the body (or discard it unstarted)
 	done         bool
-	older, newer *Proc  // env.procs links: live procs in spawn order
-	activate0    func() // p.activate hoisted once; Sleep posts it without allocating
+	older, newer *Proc       // env.procs links: live procs in spawn order
+	activate0    func()      // p.activate hoisted once; Sleep posts it without allocating
+	step         func() bool // continuation of the Block the proc is parked in, else nil
 }
 
 // Spawn starts a new proc whose body begins executing at the current
@@ -68,12 +69,23 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // activate resumes a parked proc and returns once it parks again or
-// finishes. It must only be called from event-loop context (inside an
-// event callback), never from a proc's body.
+// finishes; a proc parked in Block first has its continuation run here,
+// and is resumed only when that returns true. It must only be called
+// from event-loop context (inside an event callback), never from a
+// proc's body.
 func (p *Proc) activate() {
-	if !p.done {
-		p.next()
+	if p.done {
+		return
 	}
+	if p.step != nil {
+		if !p.step() {
+			return
+		}
+		p.step = nil
+	}
+	p.env.switches++
+	p.env.telSwitches.Inc()
+	p.next()
 }
 
 // yield parks the proc and returns control to the event loop. The proc
@@ -95,16 +107,43 @@ func (p *Proc) yield() {
 // order of every other event, Executed and sim_events_total are as if
 // it had parked. Otherwise, and always outside the loop, it parks.
 func (p *Proc) Sleep(d time.Duration) {
+	if !p.Elapse(d) {
+		p.yield()
+	}
+}
+
+// Elapse is Sleep without the parking: it reports true when it advanced
+// the clock by d itself (Sleep's elided case), and otherwise posts the
+// proc's wake-up at now+d and reports false, leaving the waiting to the
+// caller — Sleep parks; a Block continuation returns false.
+func (p *Proc) Elapse(d time.Duration) bool {
 	e := p.env
 	if t := e.now.Add(d); d >= 0 && t <= e.until {
 		if next := e.peek(); next == nil || next.at > t {
 			e.checkClock()
 			e.advance(t)
-			return
+			return true
 		}
 	}
 	e.Post(d, p.activate0)
-	p.yield()
+	return false
+}
+
+// Block runs step until it reports true: once here, on the proc, and if
+// that is not enough the proc parks and every later activation — its
+// own posted wake-up, a Waker, a WakeAfter timer — calls step in the
+// activating event's context instead of switching into the coroutine,
+// which is resumed only when step returns true. A multi-stage wait
+// written this way costs one coroutine switch however many stages
+// wait, and the event order is the one the same stages written as
+// Sleeps and Parks on the coroutine would give, provided step does
+// between two waits exactly what that code did. step must not park:
+// it waits by returning false, after Elapse or with a wake-up arranged.
+func (p *Proc) Block(step func() bool) {
+	if !step() {
+		p.step = step
+		p.yield()
+	}
 }
 
 // Park suspends the proc until another component wakes it via the

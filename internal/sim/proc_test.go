@@ -84,6 +84,7 @@ func TestShutdownReclaimsGoroutines(t *testing.T) {
 				p.Sleep(time.Microsecond)
 			}
 		})
+		e.Spawn("blocked on a continuation", blockedForever)
 	}
 	cases := map[string]func(e *Env){
 		"finished and parked": func(e *Env) {

@@ -24,6 +24,7 @@ verifier|BenchmarkEBPFVerifier|.
 sim|BenchmarkSimulatorEventThroughput|.
 handoff|BenchmarkProcHandoffContended|.
 syscall|BenchmarkKernelSyscallPath|.
+syscall_contended|BenchmarkKernelSyscallPathContended|.
 "
 
 filter="${1:-}"

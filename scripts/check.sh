@@ -5,8 +5,11 @@
 #   go vet ./...                          static analysis
 #   go build ./...                        everything compiles
 #   go test ./...                         tier-1 suite
-#   go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
-#                                         coroutine hand-off + engine +
+#   go test -race ./internal/sim/... ./internal/kernel/... ./internal/netsim/...
+#                 ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
+#                                         coroutine hand-off + scheduler
+#                                         continuations run from the
+#                                         event loop + engine +
 #                                         rig + observer attach +
 #                                         lockstep cluster paths +
 #                                         registration against export
@@ -22,8 +25,9 @@
 #   bench smoke                           the substrate benchmarks that
 #                                         scripts/bench.sh records run
 #                                         for one iteration each, and
-#                                         BenchmarkProcHandoff and
-#                                         BenchmarkProcHandoffContended
+#                                         BenchmarkProcHandoff,
+#                                         BenchmarkProcHandoffContended and
+#                                         BenchmarkKernelSyscallPathContended
 #                                         report 0 allocs/op, and
 #                                         BenchmarkScrapeEpoch stays at
 #                                         its allocs/op
@@ -80,10 +84,12 @@ go build ./...
 leg "go test"
 go test ./...
 
-leg "go test -race ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/..."
+race_pkgs="./internal/sim/... ./internal/kernel/... ./internal/netsim/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/..."
+leg "go test -race $race_pkgs"
 # The race-instrumented harness suite runs ~10x slower than native on a
 # single core; give it explicit headroom past go test's 10m default.
-go test -race -timeout 20m ./internal/sim/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
+# shellcheck disable=SC2086 # race_pkgs is a deliberate word list
+go test -race -timeout 20m $race_pkgs
 
 leg "go test -cover (floors)"
 # cover_floor <pkg> <floor-pct> fails the gate when the package's
@@ -124,9 +130,9 @@ go test -run '^$' -benchtime 1x \
     . >/dev/null
 # The proc hand-off is the simulator's innermost loop: besides running,
 # neither Sleep path — elided (a lone sleeper) or parked (contended) —
-# may allocate.
-handoff=$(go test -run '^$' -benchtime 1000x -bench '^BenchmarkProcHandoff(Contended)?$' .)
-for bench in BenchmarkProcHandoff BenchmarkProcHandoffContended; do
+# may allocate, nor may a syscall that goes through the run queue.
+handoff=$(go test -run '^$' -benchtime 1000x -bench '^(BenchmarkProcHandoff(Contended)?|BenchmarkKernelSyscallPathContended)$' .)
+for bench in BenchmarkProcHandoff BenchmarkProcHandoffContended BenchmarkKernelSyscallPathContended; do
     if ! echo "$handoff" | grep "^$bench\(-[0-9]*\)\?[[:space:]].*[[:space:]]0 allocs/op" >/dev/null; then
         echo "$bench did not run or did not report 0 allocs/op" >&2
         exit 1
@@ -142,10 +148,11 @@ go test -run '^$' -benchtime 1x -bench '^BenchmarkFleetEpochs$' \
     ./internal/fleet/ >/dev/null
 # The scrape plane's budget is one allocation per scrape (its Raw) plus
 # the rollup's two ranking slices: 18 of an epoch's allocs/op on 16
-# nodes. The other 155 are the simulated 1 ms of traffic (per-message
-# state in kernel and netsim), which is seeded, so at a fixed iteration
-# count the sum repeats exactly. TestScrapePlaneAllocs pins the 18 alone.
-scrape_allocs_max=173
+# nodes. The other 108 are the simulated 1 ms of traffic (per-message
+# state in netsim, the eBPF hash maps, loadgen and the workloads), which
+# is seeded, so at a fixed iteration count the sum repeats exactly.
+# TestScrapePlaneAllocs pins the 18 alone.
+scrape_allocs_max=126
 scrape=$(go test -run '^$' -benchtime 500x -bench '^BenchmarkScrapeEpoch$' ./internal/fleet/)
 allocs=$(echo "$scrape" | sed -n 's/^BenchmarkScrapeEpoch.*[[:space:]]\([0-9][0-9]*\) allocs\/op.*/\1/p')
 if [ -z "$allocs" ] || [ "$allocs" -gt "$scrape_allocs_max" ]; then

@@ -11,6 +11,11 @@
 // bursty (Fig. 3's variance knee), and poll durations collapse
 // (Fig. 4). Nothing is scripted to produce the curves.
 //
+// A Compute's waits (run queue, switch cost, each timeslice) are stages
+// of one sim.Proc.Block continuation, scheduler.step, that mostly runs
+// in event-loop context rather than on the thread's coroutine. The
+// convention: a continuation never parks and never calls Sleep or Park.
+//
 // Key entry points:
 //
 //   - New(env, profile) — build a Kernel on a sim.Env with a

@@ -131,23 +131,13 @@ func (s *scheduler) offlineCPUs(n int) int {
 
 // onlineAllCPUs returns every offlined CPU to service, dispatching
 // queued threads onto the freed CPUs immediately.
-func (s *scheduler) onlineAllCPUs() {
-	for _, c := range s.cpus {
-		if !c.offline {
-			continue
-		}
-		c.offline = false
-		if !c.busy && s.runq.Len() > 0 {
-			s.handOff(c, nil, TaskRunning)
-		}
-	}
-}
+func (s *scheduler) onlineAllCPUs() { s.setOnlineCPUs(s.ncpu) }
 
 // setOnlineCPUs adjusts the online CPU count to n, clamped to
 // [1, ncpu]: shrinking offlines highest-id CPUs first (as offlineCPUs),
 // growing onlines lowest-id offline CPUs and dispatches queued threads
-// onto each freed CPU immediately (as onlineAllCPUs). Returns the
-// resulting online count — the autoscaler's actuation primitive.
+// onto each freed CPU immediately. Returns the resulting online count —
+// the autoscaler's actuation primitive.
 func (s *scheduler) setOnlineCPUs(n int) int {
 	if n < 1 {
 		n = 1
@@ -237,12 +227,14 @@ func (s *scheduler) compute(t *Thread, d, then time.Duration) {
 	}
 	s.k.tracer.schedWakeup(t)
 	t.run = run{total: d, remaining: d, then: then}
-	t.sp.Block(t.step0)
+	if !s.step(t) {
+		t.sp.Block(t.step0)
+	}
 }
 
 // step advances t's compute as far as it goes without waiting and
 // reports whether it is finished. It is a sim.Proc.Block continuation —
-// called on the thread's coroutine first, then from whichever event
+// called by compute on the thread's coroutine, then by whichever event
 // activates the parked thread — so it never parks: a stage that has to
 // wait records where to resume and returns false. Between two waits it
 // does what a compute written as Sleeps and Parks on the coroutine

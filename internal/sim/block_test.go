@@ -15,19 +15,32 @@ import (
 // microseconds, or (gate) a wait for the proc's token.
 const gate = -1
 
-// sleepChain runs a chain the plain way: Sleeps and Parks on the
-// coroutine, one switch per stage that waits.
-func sleepChain(p *Proc, chain []int, token *int, after func(stage int)) {
-	for i, d := range chain {
-		if d == gate {
-			for *token == 0 {
-				p.Park()
+// block waits on a continuation the way Block's callers do: step runs
+// on the proc first, which parks only if that was not enough.
+func block(p *Proc, step func() bool) {
+	if !step() {
+		p.Block(step)
+	}
+}
+
+// chainRunner waits out one chain on p, calling after(i) as stage i ends.
+type chainRunner func(p *Proc, chain []int, token *int, after func(stage int))
+
+// sleepChain runs a chain the plain way, with the given sleep primitive:
+// sleeps and Parks on the coroutine, one switch per stage that waits.
+func sleepChain(sleep func(*Proc, time.Duration)) chainRunner {
+	return func(p *Proc, chain []int, token *int, after func(stage int)) {
+		for i, d := range chain {
+			if d == gate {
+				for *token == 0 {
+					p.Park()
+				}
+				*token--
+			} else {
+				sleep(p, time.Duration(d)*time.Microsecond)
 			}
-			*token--
-		} else {
-			p.Sleep(time.Duration(d) * time.Microsecond)
+			after(i)
 		}
-		after(i)
 	}
 }
 
@@ -35,7 +48,7 @@ func sleepChain(p *Proc, chain []int, token *int, after func(stage int)) {
 // waits is what sleepChain runs between the same two yields.
 func blockChain(p *Proc, chain []int, token *int, after func(stage int)) {
 	i, waiting := 0, false
-	p.Block(func() bool {
+	step := func() bool {
 		for ; i < len(chain); i++ {
 			if chain[i] == gate {
 				if *token == 0 {
@@ -50,7 +63,8 @@ func blockChain(p *Proc, chain []int, token *int, after func(stage int)) {
 			after(i)
 		}
 		return true
-	})
+	}
+	block(p, step)
 }
 
 // chainProgram runs one random program — procs running chains of tying
@@ -59,7 +73,7 @@ func blockChain(p *Proc, chain []int, token *int, after func(stage int)) {
 // driven by RunFor slices and a final Run, and returns the (time, who)
 // log, the event count after each slice, the last sequence number
 // issued and the coroutine switches made.
-func chainProgram(seed int64, run func(*Proc, []int, *int, func(int))) (log []string, executed []uint64, seq, switches uint64) {
+func chainProgram(seed int64, run chainRunner) (log []string, executed []uint64, seq, switches uint64) {
 	e := NewEnv(seed)
 	shape := rand.New(rand.NewSource(seed))
 	note := func(who string) { log = append(log, fmt.Sprintf("%v %s", e.Now(), who)) }
@@ -116,7 +130,7 @@ func TestBlockIsInvisible(t *testing.T) {
 	var blockSwitches, sleepSwitches uint64
 	for seed := int64(1); seed <= 300; seed++ {
 		gotLog, gotN, gotSeq, gotSw := chainProgram(seed, blockChain)
-		wantLog, wantN, wantSeq, wantSw := chainProgram(seed, sleepChain)
+		wantLog, wantN, wantSeq, wantSw := chainProgram(seed, sleepChain((*Proc).Sleep))
 		if fmt.Sprint(gotLog) != fmt.Sprint(wantLog) {
 			t.Fatalf("seed %d: Block logged\n%v\nSleep chains logged\n%v", seed, gotLog, wantLog)
 		}
@@ -137,7 +151,7 @@ func TestBlockIsInvisible(t *testing.T) {
 // blockedForever parks p on a continuation that is activated every
 // microsecond and never finishes.
 func blockedForever(p *Proc) {
-	p.Block(func() bool {
+	block(p, func() bool {
 		for p.Elapse(time.Microsecond) {
 		}
 		return false
@@ -151,7 +165,7 @@ func TestBlockStepPanicSurfacesAtRun(t *testing.T) {
 	e := NewEnv(1)
 	calls := 0
 	e.Spawn("buggy", func(p *Proc) {
-		p.Block(func() bool {
+		block(p, func() bool {
 			if calls++; calls == 3 {
 				panic("continuation bug")
 			}
@@ -188,7 +202,7 @@ func TestBlockElisionChecksClock(t *testing.T) {
 	cycles, inLoop := 0, false
 	e.Post(time.Microsecond, func() {}) // ties with the first Elapse, so that one posts
 	e.Spawn("p", func(p *Proc) {
-		p.Block(func() bool {
+		block(p, func() bool {
 			for cycles < 4*clockCheckEvery {
 				elided := p.Elapse(time.Microsecond)
 				if cycles++; !elided {
@@ -216,7 +230,7 @@ func TestStepDrivenLoopNeverElides(t *testing.T) {
 	defer e.Shutdown()
 	elided, stages := 0, 0
 	e.Spawn("p", func(p *Proc) {
-		p.Block(func() bool {
+		block(p, func() bool {
 			for stages < 10 {
 				stages++
 				if !p.Elapse(time.Microsecond) {

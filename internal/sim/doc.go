@@ -11,7 +11,12 @@
 // Run or RunUntil, the wake-up time is within that call's bound and no
 // pending event is due at or before it, Sleep advances the clock and
 // counts the event itself — the order of everything else, Executed and
-// the Clock cadence are as if it had parked. Randomness is drawn from
+// the Clock cadence are as if it had parked. A wait of several stages
+// can be one Proc.Block over a continuation that the activating events
+// run in loop context, so the coroutine is switched into once, not once
+// per stage; the convention is that a continuation never parks and
+// never calls Sleep or Park — it waits by returning false, after
+// Proc.Elapse or with a wake-up arranged. Randomness is drawn from
 // per-component streams derived via Env.NewRNG, so adding a component
 // never perturbs the draws seen by another.
 //
@@ -27,7 +32,8 @@
 //   - NewEnv(seed) — build an environment; Env.Run / RunFor / RunUntil
 //     drive it; Env.Schedule posts events.
 //   - Env.Spawn — start a Proc (a simulated thread of control); Proc
-//     offers Sleep, Park, and Wakers for inter-proc signaling.
+//     offers Sleep, Park, and Wakers for inter-proc signaling, and
+//     Block/Elapse for multi-stage waits; Env.Switches counts resumes.
 //   - Env.NewRNG — derive an independent deterministic random stream.
 //   - Env.Shutdown — terminate all procs, in spawn order, and reclaim
 //     their coroutines (a Rig's Close calls this).

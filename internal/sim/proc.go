@@ -129,21 +129,20 @@ func (p *Proc) Elapse(d time.Duration) bool {
 	return false
 }
 
-// Block runs step until it reports true: once here, on the proc, and if
-// that is not enough the proc parks and every later activation — its
-// own posted wake-up, a Waker, a WakeAfter timer — calls step in the
-// activating event's context instead of switching into the coroutine,
-// which is resumed only when step returns true. A multi-stage wait
-// written this way costs one coroutine switch however many stages
-// wait, and the event order is the one the same stages written as
-// Sleeps and Parks on the coroutine would give, provided step does
-// between two waits exactly what that code did. step must not park:
-// it waits by returning false, after Elapse or with a wake-up arranged.
+// Block parks the proc until step reports true: every activation — the
+// proc's own posted wake-up, a Waker, a WakeAfter timer — calls step in
+// the activating event's context instead of switching into the
+// coroutine, which is resumed only when step returns true. A wait of
+// several stages written this way (the caller runs step itself first,
+// and Blocks if that returns false) costs one coroutine switch however
+// many stages wait, and the event order is the one the same stages
+// written as Sleeps and Parks on the coroutine would give, provided
+// step does between two waits exactly what that code did. step must not
+// park: it waits by returning false, after Elapse or with a wake-up
+// arranged.
 func (p *Proc) Block(step func() bool) {
-	if !step() {
-		p.step = step
-		p.yield()
-	}
+	p.step = step
+	p.yield()
 }
 
 // Park suspends the proc until another component wakes it via the

@@ -4,7 +4,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -16,57 +15,15 @@ func parkedSleep(p *Proc, d time.Duration) {
 	p.Park()
 }
 
-// sleepProgram runs one random program of procs and callbacks — sleeps
-// of tying and zero durations, posted callbacks, cross-proc wakes that
-// cut sleeps short — with the given sleep primitive, driven by a mix of
-// RunFor slices and a final Run, and returns the (time, who) log, the
-// event count after each slice, and the last sequence number issued.
-func sleepProgram(seed int64, sleep func(*Proc, time.Duration)) (log []string, executed []uint64, seq uint64) {
-	e := NewEnv(seed)
-	shape := rand.New(rand.NewSource(seed))
-	note := func(who string) { log = append(log, fmt.Sprintf("%v %s", e.Now(), who)) }
-	nprocs := 1 + shape.Intn(5)
-	wakers := make([]*Waker, nprocs)
-	for i := 0; i < nprocs; i++ {
-		i := i
-		rng := rand.New(rand.NewSource(seed*31 + int64(i)))
-		steps := 5 + shape.Intn(40)
-		e.Spawn("p", func(p *Proc) {
-			wakers[i] = p.NewWaker()
-			for s := 0; s < steps; s++ {
-				note(fmt.Sprintf("p%d", i))
-				switch rng.Intn(6) {
-				case 0:
-					e.Post(time.Duration(rng.Intn(4))*time.Microsecond, func() { note(fmt.Sprintf("cb%d", i)) })
-				case 1:
-					if w := wakers[rng.Intn(nprocs)]; w != nil {
-						w.Wake()
-					}
-				}
-				sleep(p, time.Duration(rng.Intn(4))*time.Microsecond)
-			}
-		})
-	}
-	for i := 0; i < 6; i++ {
-		e.RunFor(time.Duration(1+shape.Intn(9)) * time.Microsecond)
-		note("slice")
-		executed = append(executed, e.Executed())
-	}
-	e.Run()
-	note("end")
-	executed = append(executed, e.Executed())
-	e.Shutdown()
-	return log, executed, e.seq
-}
-
-// TestSleepElisionIsInvisible: the same program written with Sleep and
-// with the always-parking form logs the same (time, who) sequence and
-// counts the same events, slice by slice — and Sleep did elide.
+// TestSleepElisionIsInvisible: the same program (chainProgram, in
+// block_test.go) written with Sleep and with the always-parking form
+// logs the same (time, who) sequence and counts the same events, slice
+// by slice — and Sleep did elide.
 func TestSleepElisionIsInvisible(t *testing.T) {
 	elided := false
 	for seed := int64(1); seed <= 300; seed++ {
-		gotLog, gotN, gotSeq := sleepProgram(seed, (*Proc).Sleep)
-		wantLog, wantN, wantSeq := sleepProgram(seed, parkedSleep)
+		gotLog, gotN, gotSeq, _ := chainProgram(seed, sleepChain((*Proc).Sleep))
+		wantLog, wantN, wantSeq, _ := chainProgram(seed, sleepChain(parkedSleep))
 		if fmt.Sprint(gotLog) != fmt.Sprint(wantLog) {
 			t.Fatalf("seed %d: Sleep logged\n%v\nalways-parking form logged\n%v", seed, gotLog, wantLog)
 		}

@@ -1,11 +1,15 @@
 // Command bpfasm inspects the probe programs that ship with reqlens:
 // it builds them through the assembler, runs them through the verifier,
 // and prints the disassembly — a loader's-eye view of the paper's
-// Listing 1 and the in-kernel statistics programs.
+// Listing 1 and the in-kernel statistics programs. Beside each slot it
+// prints the op the compiled backend decoded it to ("cold" means the
+// slot has no hot half) and marks fused pairs, so "why is this slot
+// generic, or unfused" is answerable here.
 //
 //	bpfasm -prog list
 //	bpfasm -prog send-delta
 //	bpfasm -prog poll-enter -tgid 4242
+//	bpfasm -prog waitstate-switch -tgid 0
 package main
 
 import (
@@ -18,49 +22,101 @@ import (
 	"reqlens/internal/probes"
 )
 
+var pollNRs = []int{kernel.SysEpollWait, kernel.SysSelect}
+
+// programs is the -prog table: what `list` prints and how each entry is
+// built for a tgid.
+var programs = []struct {
+	name, about string
+	build       func(tgid int) (*ebpf.Program, error)
+}{
+	{"send-delta", "Eq.1/Eq.2 inter-send statistics (sys_enter)", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewDeltaProbe("send", tgid, []int{kernel.SysSendto, kernel.SysSendmsg})
+		return prog(p, err, (*probes.DeltaProbe).Program)
+	}},
+	{"recv-delta", "same, for the recv family", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewDeltaProbe("recv", tgid, []int{kernel.SysRecvfrom, kernel.SysRecvmsg, kernel.SysRead})
+		return prog(p, err, (*probes.DeltaProbe).Program)
+	}},
+	{"send-delta-stream", "send-delta emitting one ring record per event", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewDeltaProbeStream("send", tgid, []int{kernel.SysSendto, kernel.SysSendmsg}, ebpf.NewRingBuf("ring", 1<<20))
+		return prog(p, err, (*probes.DeltaProbe).Program)
+	}},
+	{"poll-enter", "Listing 1 entry half: stamp epoll_wait entry", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewPollProbe("poll", tgid, pollNRs)
+		return prog(p, err, (*probes.PollProbe).EnterProgram)
+	}},
+	{"poll-exit", "Listing 1 exit half: duration accumulation", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewPollProbe("poll", tgid, pollNRs)
+		return prog(p, err, (*probes.PollProbe).ExitProgram)
+	}},
+	{"poll-stream-enter", "poll-enter of the ring-record variant", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewPollProbeStream("poll", tgid, pollNRs, ebpf.NewRingBuf("ring", 1<<20))
+		return prog(p, err, (*probes.PollProbe).EnterProgram)
+	}},
+	{"poll-stream-exit", "poll-exit emitting one ring record per event", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewPollProbeStream("poll", tgid, pollNRs, ebpf.NewRingBuf("ring", 1<<20))
+		return prog(p, err, (*probes.PollProbe).ExitProgram)
+	}},
+	{"stream-enter", "raw trace record to ring buffer (sys_enter)", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewStreamProbe("raw", tgid, 1<<20)
+		return prog(p, err, (*probes.StreamProbe).EnterProgram)
+	}},
+	{"stream-exit", "raw trace record to ring buffer (sys_exit)", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewStreamProbe("raw", tgid, 1<<20)
+		return prog(p, err, (*probes.StreamProbe).ExitProgram)
+	}},
+	{"poll-hist", "exit half: log2 duration histogram via atomic adds", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewHistProbe("hist", tgid, pollNRs)
+		return prog(p, err, (*probes.HistProbe).ExitProgram)
+	}},
+	{"waitstate-switch", "sched_switch: close on-CPU and runnable intervals (-tgid 0 tracks every process)", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewWaitStateProbe("ws", probes.WaitStateConfig{TrackTGID: tgid})
+		return prog(p, err, (*probes.WaitStateProbe).SwitchProgram)
+	}},
+	{"waitstate-wakeup", "sched_wakeup: close blocked intervals (-tgid as above)", func(tgid int) (*ebpf.Program, error) {
+		p, err := probes.NewWaitStateProbe("ws", probes.WaitStateConfig{TrackTGID: tgid})
+		return prog(p, err, (*probes.WaitStateProbe).WakeupProgram)
+	}},
+	{"attribution", "per-tgid syscall/send/time sketches and top-K (all processes; -tgid unused)", func(int) (*ebpf.Program, error) {
+		p, err := probes.NewAttributionProbe("attr", probes.AttributionConfig{})
+		return prog(p, err, (*probes.AttributionProbe).Program)
+	}},
+}
+
+// prog picks one program out of a freshly built probe.
+func prog[P any](p P, err error, pick func(P) *ebpf.Program) (*ebpf.Program, error) {
+	if err != nil {
+		return nil, err
+	}
+	return pick(p), nil
+}
+
 func main() {
-	prog := flag.String("prog", "list", "program: send-delta | recv-delta | poll-enter | poll-exit | poll-hist | stream-enter | stream-exit")
+	name := flag.String("prog", "list", "program to show, or list")
 	tgid := flag.Int("tgid", 4242, "tgid filter baked into the program")
 	flag.Parse()
 
-	show := func(name string, p *ebpf.Program) {
+	if *name == "list" {
+		for _, e := range programs {
+			fmt.Printf("%-18s %s\n", e.name, e.about)
+		}
+		return
+	}
+	for _, e := range programs {
+		if e.name != *name {
+			continue
+		}
+		p, err := e.build(*tgid)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 		fmt.Printf("; %s — %d instruction slots, verified OK (ctx %d bytes), %d generic ops\n",
-			name, p.Len(), p.CtxSize(), p.GenericOps())
+			e.name, p.Len(), p.CtxSize(), p.GenericOps())
 		fmt.Print(p.Disassemble())
+		return
 	}
-
-	switch *prog {
-	case "list":
-		fmt.Println("send-delta   Eq.1/Eq.2 inter-send statistics (sys_enter)")
-		fmt.Println("recv-delta   same, for the recv family")
-		fmt.Println("poll-enter   Listing 1 entry half: stamp epoll_wait entry")
-		fmt.Println("poll-exit    Listing 1 exit half: duration accumulation")
-		fmt.Println("stream-enter raw trace record to ring buffer (sys_enter)")
-		fmt.Println("stream-exit  raw trace record to ring buffer (sys_exit)")
-		fmt.Println("poll-hist    log2 duration histogram via atomic adds")
-	case "send-delta":
-		p := probes.MustNewDeltaProbe("send", *tgid, []int{kernel.SysSendto, kernel.SysSendmsg})
-		show("send-delta", p.Program())
-	case "recv-delta":
-		p := probes.MustNewDeltaProbe("recv", *tgid, []int{kernel.SysRecvfrom, kernel.SysRecvmsg, kernel.SysRead})
-		show("recv-delta", p.Program())
-	case "poll-enter":
-		p := probes.MustNewPollProbe("poll", *tgid, []int{kernel.SysEpollWait, kernel.SysSelect})
-		show("poll-enter", p.EnterProgram())
-	case "poll-exit":
-		p := probes.MustNewPollProbe("poll", *tgid, []int{kernel.SysEpollWait, kernel.SysSelect})
-		show("poll-exit", p.ExitProgram())
-	case "stream-enter":
-		p := probes.MustNewStreamProbe("raw", *tgid, 1<<20)
-		show("stream-enter", p.EnterProgram())
-	case "stream-exit":
-		p := probes.MustNewStreamProbe("raw", *tgid, 1<<20)
-		show("stream-exit", p.ExitProgram())
-	case "poll-hist":
-		p := probes.MustNewHistProbe("hist", *tgid, []int{kernel.SysEpollWait, kernel.SysSelect})
-		show("poll-hist (exit half: log2 bucketing + atomic add)", p.ExitProgram())
-	default:
-		fmt.Fprintf(os.Stderr, "unknown program %q\n", *prog)
-		os.Exit(2)
-	}
+	fmt.Fprintf(os.Stderr, "unknown program %q\n", *name)
+	os.Exit(2)
 }

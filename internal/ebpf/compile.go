@@ -2,24 +2,21 @@ package ebpf
 
 import (
 	"encoding/binary"
+	"math"
 	"sync"
 )
 
-// Compile-to-closures backend. At Load time the verified instruction
-// stream is translated, one slot at a time, into a slice of pre-bound
-// Go closures (ops): every instruction field is decoded exactly once,
-// branch targets become closure indices, map fds resolve to their
-// handle regions, and every instruction form the verifier admits (each
-// ALU op and conditional jump in both widths and operand modes, loads,
-// stores, the atomic add, the scalar, map and sketch helpers) gets a
-// specialized closure: its hot path tests the operand tags once and
-// works in place, and anything else — pointer and map-handle operands,
-// every fault — falls back to the interpreter's generic routine
-// (vm.alu, vm.branch, vm.load, vm.store, vm.atomic), so results and
-// fault strings cannot drift. Execution is then a tight index-advance
-// loop: each op returns the index of its successor (a captured
-// constant for straight-line code, one of two captured constants for
-// branches) or exitOp when the program returns.
+// Compiled backend: one decoded program, one loop. At Load time decode
+// turns every verified slot into a fixed-size, self-contained op record
+// — a specialised opcode, the registers, access size, resolved jump
+// target, immediate and width mask, and the map-handle word of an lddw
+// — fusing three adjacent-pair idioms by rewriting the pair's leader.
+// dispatch is a single for/switch over that array. Each case is an op's hot
+// half: it tests the operand tags once and works in place. Anything
+// else — pointer and map-handle operands, a live spill slot, every
+// fault — leaves the switch for the one cold tail, which runs the slot
+// through the interpreter's own vm.alu, vm.branch, vm.load, vm.store,
+// vm.atomic and vm.call, so results and fault strings cannot drift.
 //
 // The backend preserves the interpreter's semantics bit for bit,
 // including runtime fault messages and RunStats accounting; the
@@ -37,13 +34,113 @@ import (
 // one run's registers or stack into a later run (the invariant
 // resilience.Run's recovery relies on).
 
-// cop is one compiled operation: it executes against the run state and
-// returns the index of the next op, or exitOp when the program exits
-// with m.ret set.
-type cop func(m *vm) (int, error)
+// opcode is a decoded op form. The scalar ALU block and the jump block
+// follow the ISA's operation numbering (in.ALUOp()>>4, in.JmpOp()>>4),
+// so decode indexes them instead of mapping them.
+type opcode uint8
 
-// exitOp is the successor index meaning "program returned".
-const exitOp = -1
+const (
+	// opCold has no hot half: undefined op codes, malformed or
+	// unresolvable wide loads, invalid atomics. Always the cold tail.
+	opCold opcode = iota
+
+	// Scalar ALU, either width (op.mask) and operand mode (op.reg).
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opOr
+	opAnd
+	opLsh
+	opRsh
+	opNeg
+	opMod
+	opXor
+	opMov
+	opArsh
+
+	opArsh32 // arsh32 sign-extends from bit 31, which no mask expresses
+	opMov64X // 64-bit register mov copies scalars, pointers and handles alike
+	opMov64K
+	opAdd64K // value and pointer offset share word.v: one add serves both
+
+	// Jumps, either width (op.sh) and operand mode.
+	opJa
+	opJeq
+	opJgt
+	opJge
+	opJset
+	opJne
+	opJsgt
+	opJsge
+	opCall // any helper without a form below, through vm.call
+	opExit
+	opJlt
+	opJle
+	opJslt
+	opJsle
+
+	opJeq0 // the null check after a lookup: a pointer is never zero,
+	opJne0 // so these two have no cold half
+
+	opCallEnv // ktime_get_ns, get_current_pid_tgid, get_smp_processor_id
+	opCallMap // map_lookup_elem, map_update_elem, map_delete_elem
+
+	opLddw
+	opLdx8 // the only load that can restore a spilled pointer
+	opLdx  // 1-, 2- and 4-byte loads
+	opSt
+	opStx
+	opSt8
+	opStx8
+	opAtomic
+
+	// Fused pairs (width 2). The second slot keeps its own record: it
+	// runs when the leader refuses or the budget ends between the two.
+	opLea        // mov64 dst, src ; add64 dst, imm
+	opMovExit    // mov64 r0, imm ; exit
+	opCallEnvMov // call <env helper> ; mov64 dst, r0
+
+	numOpcodes
+)
+
+var opcodeNames = [numOpcodes]string{
+	opCold: "cold", opAdd: "add", opSub: "sub", opMul: "mul", opDiv: "div", opOr: "or", opAnd: "and",
+	opLsh: "lsh", opRsh: "rsh", opNeg: "neg", opMod: "mod", opXor: "xor", opMov: "mov", opArsh: "arsh",
+	opArsh32: "arsh32", opMov64X: "mov64x", opMov64K: "mov64k", opAdd64K: "add64k",
+	opJa: "ja", opJeq: "jeq", opJgt: "jgt", opJge: "jge", opJset: "jset", opJne: "jne", opJsgt: "jsgt",
+	opJsge: "jsge", opCall: "call", opExit: "exit", opJlt: "jlt", opJle: "jle", opJslt: "jslt", opJsle: "jsle",
+	opJeq0: "jeq0", opJne0: "jne0", opCallEnv: "call.env", opCallMap: "call.map",
+	opLddw: "lddw", opLdx8: "ldx8", opLdx: "ldx", opSt: "st", opStx: "stx", opSt8: "st8", opStx8: "stx8", opAtomic: "xadd",
+	opLea: "lea", opMovExit: "mov+exit", opCallEnvMov: "call.env+mov",
+}
+
+func (c opcode) String() string { return opcodeNames[c] }
+
+// op is one decoded slot, 40 bytes and self-contained: dispatch reads
+// nothing else on the hot path. (A 24-byte record with the handle word
+// in a side table measured ~11 % slower end to end.)
+type op struct {
+	code     opcode
+	dst, src Register
+	size     uint8 // memory access width in bytes
+	sh       uint8 // jumps: 32 compares the low words, 0 the whole register
+	width    uint8 // slots retired: 2 for lddw and fused pairs
+	reg      bool  // right-hand operand is src, not k
+	off      int16
+	tgt      int32   // taken-branch successor
+	k        uint64  // immediate (sign-extended; truncated for 32-bit ALU), helper id
+	mask     uint64  // ALU result width
+	h        *region // lddw of a map fd: the handle region
+}
+
+// regMask bounds a register index to the 16-entry file (vm.regs): a
+// record's 4-bit register fields then index it with no bounds check.
+const regMask = 15
+
+// exitOp is the successor meaning "program returned" (m.ret holds the
+// value); no jump target can reach it (|Off| < 1<<15).
+const exitOp = math.MinInt32
 
 // spillSlots is the number of 8-byte-aligned stack slots that can hold
 // a spilled pointer; the compiled backend tracks their liveness in a
@@ -63,7 +160,7 @@ var vmPool = sync.Pool{New: func() any { return new(vm) }}
 // run whose predecessor's state was abandoned by a panic. The stack
 // buffer, its region, and the spill array are set up on first use of a
 // pooled vm and retained with it; steady-state acquisition clears the
-// dirty stack bytes and the 176-byte register file and rebinds ctx.
+// dirty stack bytes and the 256-byte register file and rebinds ctx.
 func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 	m := p.rsCache
 	if m == nil {
@@ -83,7 +180,7 @@ func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 	m.stackLo = StackSize
 	m.prog, m.env = p, env
 	m.steps = 0
-	m.regs = [NumRegisters]word{}
+	m.regs = [regMask + 1]word{}
 	m.ctx.data = ctx
 	m.stats = RunStats{}
 	m.spillMask = 0
@@ -124,79 +221,456 @@ func (p *Program) runCompiled(ctx []byte, env HelperEnv) (uint64, RunStats, erro
 // guard; verified programs are loop-free DAGs and cannot reach it.
 const maxVMSteps = 4 * MaxInstructions
 
-// chainCap bounds the dispatch weight of one chained block, which also
-// bounds how far a block can run past the fast loop's budget guard.
-const chainCap = 16
+// opTrace is a test seam (the opcode coverage gate sets it, nothing
+// else does): when non-nil every run dispatches slot by slot from the
+// start and reports each record dispatched and whether it went cold.
+var opTrace func(c opcode, cold bool)
 
-// opCost is what dispatching ops[pc] accounts before the op runs:
-// steps against the dispatch budget (vm.steps' units) and instruction
-// slots into RunStats. The ops themselves count neither, so a chained
-// block costs one add of each however long it is.
-type opCost struct{ steps, insns uint16 }
-
-// execCompiled is the compiled dispatch loop. The fast loop dispatches
-// fused/chained ops, accounting their cost up front — safe for the
-// budget because its guard leaves more headroom than any one block can
-// consume, and for RunStats because a block is straight-line: it either
-// runs to its end or faults, and faulted rewinds the count to the
-// faulting slot. Within a block of the budget it falls back to the
-// unfused table with the interpreter's exact per-dispatch check, so a
-// budget fault fires at the same instruction, with the same partial
-// RunStats, on both backends. The pc bounds check mirrors the
-// interpreter's defense in depth for stray (unverified) jumps.
+// execCompiled runs the decoded program. dispatch checks the budget only
+// where a program can loop — at taken jumps — which is safe while a
+// whole straight-line segment (at most len(code) steps) still fits;
+// past that, and once dispatch falls off the end, the loop below dispatches
+// the same array one slot at a time with the interpreter's exact
+// checks before each, so "instruction budget exhausted" and "pc out of
+// range" land on the same instruction, with the same partial RunStats,
+// on both backends.
 func (p *Program) execCompiled(m *vm) (uint64, error) {
-	ops, costs := p.ops, p.opCosts
-	pc := 0
-	for m.steps <= maxVMSteps-2*chainCap {
-		if pc < 0 || pc >= len(ops) {
-			return 0, m.fault(pc, "pc out of range")
-		}
-		c := costs[pc]
-		m.steps += int(c.steps)
-		m.stats.Instructions += int(c.insns)
-		next, err := ops[pc](m)
-		if err != nil {
-			return 0, m.faulted(err, pc+int(c.insns))
-		}
-		if next < 0 {
-			return m.ret, nil
-		}
-		pc = next
+	code := p.code
+	pc, err := 0, error(nil)
+	if opTrace == nil {
+		pc, err = p.dispatch(m, code, 0, maxVMSteps-len(code))
 	}
-	single := p.opsSingle
-	for {
+	for err == nil && pc != exitOp {
 		if m.steps > maxVMSteps {
 			return 0, m.fault(pc, "instruction budget exhausted")
 		}
-		if pc < 0 || pc >= len(single) {
+		if pc < 0 || pc >= len(code) {
 			return 0, m.fault(pc, "pc out of range")
 		}
-		end := pc + 1
-		if p.insns[pc].IsWideLoad() && end < len(single) {
-			end++
+		d, cold := &code[pc], p.coldOps
+		if m.steps == maxVMSteps && d.width == 2 && d.code != opLddw {
+			// Only a fused pair's first half is inside the budget.
+			pc, err = p.coldStep(m, pc)
+		} else {
+			pc, err = p.dispatch(m, code[:pc+int(d.width)], pc, -1)
 		}
-		m.stats.Instructions += end - pc
-		next, err := single[pc](m)
-		m.steps++
-		if err != nil {
-			return 0, m.faulted(err, end)
+		if opTrace != nil {
+			opTrace(d.code, p.coldOps != cold)
 		}
-		if next < 0 {
-			return m.ret, nil
-		}
-		pc = next
 	}
+	return m.ret, err
 }
 
-// faulted rewinds the up-front instruction count of a block ending
-// before slot end to what the interpreter would report: every slot up
-// to and including the faulting one (a wide load that faults has
-// counted only its first slot).
-func (m *vm) faulted(err error, end int) error {
-	if re, ok := err.(*RuntimeError); ok {
-		m.stats.Instructions -= end - (re.PC + 1)
+// retire accounts n executed slots. Every op advances pc by the slots
+// it covers, so a straight-line segment's count is end − start; a wide
+// load is two slots but one dispatch, and takes its extra step back.
+func (m *vm) retire(n int) {
+	m.stats.Instructions += n
+	m.steps += n
+}
+
+// coldStep runs slot pc through cold, accounted as the interpreter
+// accounts any dispatch: one step and one slot before it executes.
+func (p *Program) coldStep(m *vm, pc int) (int, error) {
+	p.coldOps++
+	m.retire(1)
+	return m.cold(pc)
+}
+
+// dispatch runs code from pc until the program exits (it returns
+// exitOp), faults, leaves code (code may be a window of p.code ending
+// after one op: that is how execCompiled single-steps), or completes a
+// jump or a cold op with m.steps past soft. It returns the successor.
+func (p *Program) dispatch(m *vm, code []op, pc, soft int) (int, error) {
+	regs := &m.regs
+	seg := pc // first slot of the straight-line segment not yet retired
+	var d *op
+	var err error
+top:
+	for uint(pc) < uint(len(code)) {
+		d = &code[pc]
+		pc++ // past the slot: a case covering two moves it once more
+		switch d.code {
+		case opMov64X:
+			regs[d.dst&regMask] = regs[d.src&regMask]
+			continue
+		case opMov64K:
+			regs[d.dst&regMask] = word{v: d.k}
+			continue
+		case opAdd64K:
+			a := &regs[d.dst&regMask]
+			if r := a.region; r == nil || r.kind != regionMapHandle {
+				a.v += d.k
+				continue
+			}
+		case opLea:
+			a := regs[d.src&regMask]
+			if r := a.region; r == nil || r.kind != regionMapHandle {
+				a.v += d.k
+				regs[d.dst&regMask] = a
+				pc++
+				continue
+			}
+		case opAdd:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = (a.v + b) & d.mask
+				continue
+			}
+		case opSub:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = (a.v - b) & d.mask
+				continue
+			}
+		case opMul:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = (a.v * b) & d.mask
+				continue
+			}
+		case opDiv:
+			if a, b, ok := m.scalars(d); ok {
+				if b &= d.mask; b == 0 {
+					a.v = 0 // Linux semantics: div by zero yields 0
+				} else {
+					a.v = (a.v & d.mask) / b
+				}
+				continue
+			}
+		case opMod:
+			if a, b, ok := m.scalars(d); ok {
+				a.v &= d.mask // Linux semantics: mod by zero leaves (truncated) dst
+				if b &= d.mask; b != 0 {
+					a.v %= b
+				}
+				continue
+			}
+		case opOr:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = (a.v | b) & d.mask
+				continue
+			}
+		case opAnd:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = a.v & b & d.mask
+				continue
+			}
+		case opXor:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = (a.v ^ b) & d.mask
+				continue
+			}
+		case opLsh:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = (a.v << (b & 63)) & d.mask
+				continue
+			}
+		case opRsh:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = (a.v & d.mask) >> (b & 63)
+				continue
+			}
+		case opArsh:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = uint64(int64(a.v) >> (b & 63))
+				continue
+			}
+		case opArsh32:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = uint64(uint32(int32(a.v) >> (b & 31)))
+				continue
+			}
+		case opNeg:
+			if a, _, ok := m.scalars(d); ok {
+				a.v = -a.v & d.mask
+				continue
+			}
+		case opMov:
+			if a, b, ok := m.scalars(d); ok {
+				a.v = b & d.mask
+				continue
+			}
+
+		case opJa:
+			goto taken
+		case opJeq0:
+			if a := &regs[d.dst&regMask]; a.region == nil && a.v<<d.sh == 0 {
+				goto taken
+			}
+			continue
+		case opJne0:
+			if a := &regs[d.dst&regMask]; a.region != nil || a.v<<d.sh != 0 {
+				goto taken
+			}
+			continue
+		case opJeq:
+			if a, b, ok := m.scalars(d); ok {
+				if a.v<<d.sh == b<<d.sh {
+					goto taken
+				}
+				continue
+			}
+		case opJne:
+			if a, b, ok := m.scalars(d); ok {
+				if a.v<<d.sh != b<<d.sh {
+					goto taken
+				}
+				continue
+			}
+		case opJgt:
+			if a, b, ok := m.scalars(d); ok {
+				if a.v<<d.sh > b<<d.sh {
+					goto taken
+				}
+				continue
+			}
+		case opJge:
+			if a, b, ok := m.scalars(d); ok {
+				if a.v<<d.sh >= b<<d.sh {
+					goto taken
+				}
+				continue
+			}
+		case opJlt:
+			if a, b, ok := m.scalars(d); ok {
+				if a.v<<d.sh < b<<d.sh {
+					goto taken
+				}
+				continue
+			}
+		case opJle:
+			if a, b, ok := m.scalars(d); ok {
+				if a.v<<d.sh <= b<<d.sh {
+					goto taken
+				}
+				continue
+			}
+		case opJset:
+			if a, b, ok := m.scalars(d); ok {
+				if (a.v&b)<<d.sh != 0 {
+					goto taken
+				}
+				continue
+			}
+		case opJsgt:
+			if a, b, ok := m.scalars(d); ok {
+				if int64(a.v<<d.sh) > int64(b<<d.sh) {
+					goto taken
+				}
+				continue
+			}
+		case opJsge:
+			if a, b, ok := m.scalars(d); ok {
+				if int64(a.v<<d.sh) >= int64(b<<d.sh) {
+					goto taken
+				}
+				continue
+			}
+		case opJslt:
+			if a, b, ok := m.scalars(d); ok {
+				if int64(a.v<<d.sh) < int64(b<<d.sh) {
+					goto taken
+				}
+				continue
+			}
+		case opJsle:
+			if a, b, ok := m.scalars(d); ok {
+				if int64(a.v<<d.sh) <= int64(b<<d.sh) {
+					goto taken
+				}
+				continue
+			}
+		case opExit:
+			if r0 := &regs[R0]; r0.region == nil {
+				m.retire(pc - seg)
+				m.ret = r0.v
+				return exitOp, nil
+			}
+		case opMovExit:
+			regs[R0] = word{v: d.k}
+			m.retire(pc + 1 - seg)
+			m.ret = d.k
+			return exitOp, nil
+
+		case opLddw:
+			regs[d.dst&regMask] = word{v: d.k, region: d.h}
+			m.steps-- // two slots, one dispatch
+			pc++
+			continue
+		case opLdx8:
+			base := &regs[d.src&regMask]
+			if r := base.region; r != nil && m.spillMask == 0 {
+				if start := int64(base.v) + int64(d.off); start >= 0 && start+8 <= int64(len(r.data)) {
+					regs[d.dst&regMask] = word{v: binary.LittleEndian.Uint64(r.data[start:])}
+					continue
+				}
+			}
+		case opLdx:
+			if data, ok := fastSlice(regs[d.src&regMask], int64(d.off), int(d.size)); ok {
+				regs[d.dst&regMask] = word{v: loadLE(data, int(d.size))}
+				continue
+			}
+		case opSt8, opStx8:
+			v := d.k
+			if s := &regs[d.src&regMask]; d.reg {
+				if v = s.v; s.region != nil {
+					break
+				}
+			}
+			base := &regs[d.dst&regMask]
+			if r := base.region; r != nil && !r.readonly {
+				if start := int64(base.v) + int64(d.off); start >= 0 && start+8 <= int64(len(r.data)) {
+					if r.kind == regionStack {
+						m.dirtyStack(start, 8)
+					}
+					binary.LittleEndian.PutUint64(r.data[start:], v)
+					continue
+				}
+			}
+		case opSt:
+			if m.storeHot(regs[d.dst&regMask], int64(d.off), int(d.size), d.k, false) {
+				continue
+			}
+		case opStx:
+			if s := &regs[d.src&regMask]; s.region == nil && m.storeHot(regs[d.dst&regMask], int64(d.off), int(d.size), s.v, false) {
+				continue
+			}
+		case opAtomic:
+			if s := &regs[d.src&regMask]; s.region == nil && m.storeHot(regs[d.dst&regMask], int64(d.off), int(d.size), s.v, true) {
+				continue
+			}
+
+		case opCallEnv:
+			m.stats.HelperCalls++
+			m.setR0Scalar(m.envCall(d.k))
+			continue
+		case opCallEnvMov:
+			m.stats.HelperCalls++
+			m.setR0Scalar(m.envCall(d.k))
+			regs[d.dst&regMask] = regs[R0]
+			pc++
+			continue
+		case opCallMap:
+			if m.mapCall(d.k) {
+				continue
+			}
+		case opCall:
+			if err = m.call(pc-1, int32(d.k)); err != nil {
+				m.retire(pc - seg)
+				return 0, err
+			}
+			continue
+		}
+
+		// The cold tail: whatever the hot half refused, and opCold. A
+		// fused leader runs as its first half alone; the second slot's
+		// own record is next.
+		m.retire(pc - 1 - seg)
+		if pc, err = p.coldStep(m, pc-1); err != nil || m.steps > soft {
+			return pc, err
+		}
+		seg = pc
 	}
-	return err
+	m.retire(pc - seg)
+	return pc, nil
+
+taken:
+	m.retire(pc - seg)
+	pc = int(d.tgt)
+	seg = pc
+	if m.steps <= soft {
+		goto top
+	}
+	return pc, nil
+}
+
+// cold is the single-slot step behind every hot half: the interpreter's
+// generic routine for the slot, over pooled run state (spills live in
+// spillMask/spillW, stack writes keep dirtyStack's books). It handles
+// what dispatch can send it — any refusal, and the first half of a fused
+// pair — and returns the successor.
+func (m *vm) cold(pc int) (int, error) {
+	in := m.prog.insns[pc]
+	next := pc + 1
+	var err error
+	switch cls := in.Class(); cls {
+	case ClassALU64, ClassALU:
+		err = m.alu(pc, in, cls == ClassALU)
+	case ClassLD:
+		if !in.IsWideLoad() || next >= len(m.prog.insns) {
+			return 0, m.fault(pc, "invalid LD instruction")
+		}
+		return 0, m.fault(pc, "unknown map fd %d", in.Imm)
+	case ClassLDX:
+		base, off := m.regs[in.Src], int64(in.Off)
+		if w, ok := m.restore(base, off, in.Size()); ok {
+			m.regs[in.Dst] = w
+			break
+		}
+		var v uint64
+		if v, err = m.load(pc, base, off, in.Size()); err == nil {
+			m.regs[in.Dst] = word{v: v}
+		}
+	case ClassSTX:
+		s, base, off := m.regs[in.Src], m.regs[in.Dst], int64(in.Off)
+		switch {
+		case in.Op&0xe0 == ModeAtomic && s.region != nil:
+			err = m.fault(pc, "atomic add of a pointer")
+		case in.Op&0xe0 == ModeAtomic:
+			err = m.atomic(pc, in, s.v) // storeHot refused: vm.atomic has the fault
+		case s.region != nil && (!base.isPointer() || base.region.kind != regionStack || in.Size() != 8):
+			// Pointer/handle spill: verifier-restricted to aligned 8-byte
+			// stack slots; the raw bytes hold the word's region offset.
+			err = m.fault(pc, "pointer can only be spilled to an aligned 8-byte stack slot")
+		case s.region != nil && (int64(base.v)+off)%8 != 0:
+			err = m.fault(pc, "pointer spill must be 8-byte aligned")
+		case !m.storeHot(base, off, in.Size(), s.v, false):
+			err = m.store(pc, base, off, in.Size(), s.v)
+		case s.isPointer():
+			idx := uint64(int64(base.v)+off) >> 3
+			m.spillW[idx] = s
+			m.spillMask |= 1 << idx
+		}
+	case ClassST: // storeHot refused: vm.store has the fault
+		err = m.store(pc, m.regs[in.Dst], int64(in.Off), in.Size(), uint64(int64(in.Imm)))
+	default: // ClassJMP, ClassJMP32
+		switch op := in.JmpOp(); {
+		case cls == ClassJMP && op == JmpExit:
+			err = m.fault(pc, "exit with non-scalar R0")
+		case cls == ClassJMP && op == JmpCall:
+			err = m.call(pc, in.Imm)
+		default:
+			var taken bool
+			if taken, err = m.branch(pc, in); taken {
+				next += int(in.Off)
+			}
+		}
+	}
+	return next, err
+}
+
+// restore returns the pointer spilled to the aligned 8-byte stack slot
+// an LDX addresses, if that slot is live.
+func (m *vm) restore(base word, off int64, size int) (word, bool) {
+	if size == 8 && m.spillMask != 0 && base.region != nil && base.region.kind == regionStack {
+		if start := int64(base.v) + off; start&7 == 0 {
+			if idx := uint64(start) >> 3; idx < spillSlots && m.spillMask&(1<<idx) != 0 {
+				return m.spillW[idx], true
+			}
+		}
+	}
+	return word{}, false
+}
+
+// scalars is the tag test every scalar ALU and jump op leads with: it
+// returns dst, the right-hand operand (the immediate, or src's value),
+// and whether every operand is a scalar. When one is not — a pointer or
+// map-handle form, legal or faulting — the op refuses.
+func (m *vm) scalars(d *op) (*word, uint64, bool) {
+	a := &m.regs[d.dst&regMask]
+	if d.reg {
+		s := &m.regs[d.src&regMask]
+		return a, s.v, a.region == nil && s.region == nil
+	}
+	return a, d.k, a.region == nil
 }
 
 // setR0Scalar installs a helper's scalar return value and clobbers the
@@ -211,10 +685,100 @@ func (m *vm) setR0Word(w word) {
 	}
 }
 
+// envCall reads the ambient-state helper id names; decode admits no other.
+func (m *vm) envCall(id uint64) uint64 {
+	switch id {
+	case HelperKtimeGetNS:
+		return m.env.KtimeGetNS()
+	case HelperGetCurrentPidTgid:
+		return m.env.CurrentPidTgid()
+	}
+	return uint64(m.env.SMPProcessorID())
+}
+
+// mapCall is the hot half of map_lookup_elem, map_update_elem and
+// map_delete_elem: handle and sizes from the mapHandle, arguments in
+// bounds, and a type switch so the three map types probes use are
+// direct calls. false means nothing happened and vm.call has the fault.
+func (m *vm) mapCall(id uint64) bool {
+	h := m.regs[R1].handle()
+	if h == nil {
+		return false
+	}
+	key, ok := fastSlice(m.regs[R2], 0, h.keySize)
+	if !ok {
+		return false
+	}
+	var err error
+	switch id {
+	case HelperMapLookupElem:
+		var v []byte
+		switch mp := h.m.(type) {
+		case *LRUHashMap:
+			v, ok = mp.Lookup(key)
+		case *HashMap:
+			v, ok = mp.Lookup(key)
+		case *ArrayMap:
+			v, ok = mp.Lookup(key)
+		default:
+			v, ok = mp.Lookup(key)
+		}
+		if ok {
+			m.setR0Word(word{region: m.mapValRegion(v)})
+		} else {
+			m.setR0Scalar(0)
+		}
+	case HelperMapUpdateElem:
+		val, ok := fastSlice(m.regs[R3], 0, h.valueSize)
+		flags := m.regs[R4]
+		if !ok || flags.region != nil {
+			return false
+		}
+		switch mp := h.m.(type) {
+		case *LRUHashMap:
+			err = mp.Update(key, val, int(flags.v))
+		case *HashMap:
+			err = mp.Update(key, val, int(flags.v))
+		case *ArrayMap:
+			err = mp.Update(key, val, int(flags.v))
+		default:
+			err = mp.Update(key, val, int(flags.v))
+		}
+		m.setR0Status(err)
+	default:
+		switch mp := h.m.(type) {
+		case *LRUHashMap:
+			err = mp.Delete(key)
+		case *HashMap:
+			err = mp.Delete(key)
+		case *ArrayMap:
+			err = mp.Delete(key)
+		default:
+			err = mp.Delete(key)
+		}
+		m.setR0Status(err)
+	}
+	m.stats.HelperCalls++
+	m.stats.MapOps++
+	return true
+}
+
+// setR0Status returns a map helper's status in R0: 0, or -1 for any
+// error (-EEXIST and friends collapse to -1).
+func (m *vm) setR0Status(err error) {
+	if err != nil {
+		m.setR0Scalar(^uint64(0))
+	} else {
+		m.setR0Scalar(0)
+	}
+}
+
 // storeHot is the store every ST/STX op tries first: size bytes of v to
-// in-bounds writable memory, with the stack bookkeeping. false means
-// nothing was written and vm.store has the fault (storeSlow).
-func (m *vm) storeHot(base word, off int64, size int, v uint64) bool {
+// in-bounds writable memory, with the stack bookkeeping; add makes it
+// the atomic add's read-modify-write (decode admits widths 4 and 8
+// only). false means nothing was written and vm.store or vm.atomic has
+// the fault.
+func (m *vm) storeHot(base word, off int64, size int, v uint64, add bool) bool {
 	r := base.region
 	if r == nil || r.readonly {
 		return false
@@ -226,16 +790,10 @@ func (m *vm) storeHot(base word, off int64, size int, v uint64) bool {
 	if r.kind == regionStack {
 		m.dirtyStack(int64(base.v)+off, int64(size))
 	}
-	switch size {
-	case 1:
-		data[0] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(data, uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(data, uint32(v))
-	default:
-		binary.LittleEndian.PutUint64(data, v)
+	if add {
+		v += loadLE(data, size)
 	}
+	storeLE(data, size, v)
 	return true
 }
 
@@ -254,960 +812,130 @@ func (m *vm) dirtyStack(start, size int64) {
 	}
 }
 
-// memArg returns the size bytes a helper's pointer argument addresses.
-func (m *vm) memArg(pc int, reg Register, size int) ([]byte, error) {
-	if b, ok := fastSlice(m.regs[reg], 0, size); ok {
-		return b, nil
-	}
-	return m.slice(pc, m.regs[reg], 0, size)
-}
-
-// scalars is the tag test every specialised ALU and jump op leads with:
-// it returns dst, the right-hand operand (the immediate k, or src's
-// value when reg), and whether every operand is a scalar. When it is
-// not — a pointer or map-handle form, legal or faulting — the op hands
-// the slot to the interpreter's generic routine.
-func (m *vm) scalars(dst, src Register, k uint64, reg bool) (*word, uint64, bool) {
-	d := &m.regs[dst]
-	if reg {
-		s := &m.regs[src]
-		return d, s.v, d.region == nil && s.region == nil
-	}
-	return d, k, d.region == nil
-}
-
-// compileProgram translates a verified instruction stream into its op
-// slice. It never fails for verifier-accepted programs; statically
-// malformed slots (a truncated wide load, the second slot of a wide
-// pair reached as a jump target) compile to ops that reproduce the
-// interpreter's runtime fault, keeping the two backends' observable
-// behavior identical even for programs that bypass the verifier.
-// generic counts the ALU, jump and store slots left on a wrapper around
-// the interpreter's generic routine (Program.GenericOps).
-func compileProgram(insns []Instruction, handles map[int32]*region) (fast, single []cop, costs []opCost, generic int) {
+// decode translates an instruction stream into its op records, and
+// counts the ALU and jump slots whose op code has no form
+// (Program.GenericOps). It never fails: a slot the verifier would have
+// rejected — an undefined op, a truncated wide load or an unknown map
+// fd, the second slot of a wide pair reached as a jump target — decodes
+// to opCold, and the cold tail reproduces the interpreter's fault, so
+// the backends agree even on programs that bypass the verifier.
+func decode(insns []Instruction, handles map[int32]*region) (code []op, generic int) {
 	n := len(insns)
-	single = make([]cop, n)
-	wideSecond := make([]bool, n)
-	for pc := 0; pc < n; pc++ {
-		if insns[pc].IsWideLoad() && pc+1 < n && !wideSecond[pc] {
-			wideSecond[pc+1] = true
-		}
-	}
-	// isTarget marks slots some jump can land on. Fused pairs and
-	// chained blocks hide their non-leader members from dispatch, which
-	// is only sound when nothing can enter a block in the middle — and
-	// eBPF has no indirect jumps, so the static target set is exact.
+	code = make([]op, n)
+	// isTarget marks slots some jump can land on: a fused pair hides its
+	// second slot from dispatch, which is only sound when nothing can
+	// enter there — and eBPF has no indirect jumps, so the set is exact.
 	isTarget := make([]bool, n)
-	for pc, in := range insns {
-		if wideSecond[pc] {
-			continue
-		}
-		switch in.Class() {
-		case ClassJMP, ClassJMP32:
-			switch in.JmpOp() {
-			case JmpCall, JmpExit:
-			default:
-				if t := pc + 1 + int(in.Off); t >= 0 && t < n {
-					isTarget[t] = true
-				}
-			}
-		}
-	}
-	costs = make([]opCost, n)
-	for pc := range insns {
-		costs[pc] = opCost{1, 1}
-		if wideSecond[pc] {
-			// Reached only as a stray jump target; the interpreter
-			// decodes the slot as a malformed ClassLD.
-			pc := pc
-			single[pc] = func(m *vm) (int, error) {
-				return 0, m.fault(pc, "invalid LD instruction")
-			}
-			continue
-		}
-		single[pc] = compileOne(insns, pc, handles, &generic)
-		if insns[pc].IsWideLoad() && pc+1 < n {
-			costs[pc].insns = 2
-		}
-	}
-
-	// Fusion pass: replace recognized pairs with one op of dispatch
-	// weight 2. The member slots keep their single ops (unreachable —
-	// fusePair refuses jump targets — but they keep the table total and
-	// serve the slow table).
-	fast = make([]cop, n)
-	copy(fast, single)
-	fusedAt := make([]bool, n)
-	consumed := make([]bool, n)
 	for pc := 0; pc < n; pc++ {
-		if wideSecond[pc] || consumed[pc] {
-			continue
-		}
-		if op := fusePair(insns, pc, wideSecond, isTarget); op != nil {
-			fast[pc] = op
-			costs[pc] = opCost{2, 2}
-			fusedAt[pc] = true
-			consumed[pc+1] = true
-		}
-	}
-
-	// Chaining pass: collapse each maximal straight-line run into one
-	// left-nested closure. The payoff is branch prediction: the
-	// dispatch loop's single indirect call site changes target every
-	// step and mispredicts chronically, while every call site inside a
-	// chain has exactly one target for the program's lifetime. (One
-	// closure looping over the block's []cop was measured ~4 % slower
-	// end to end: it brings the shared call site back.)
-	width := func(pc int) int { return int(costs[pc].insns) }
-	// isTerm reports whether the op at pc can leave the straight line:
-	// branches, exits, and the fused mov+exit epilogue.
-	isTerm := func(pc int) bool {
 		in := insns[pc]
-		if fusedAt[pc] {
-			nx := insns[pc+1]
-			return nx.Class() == ClassJMP && nx.JmpOp() == JmpExit
+		d := &code[pc]
+		*d = op{dst: in.Dst, src: in.Src, size: uint8(in.Size()), width: 1, reg: !in.UsesImm(),
+			off: in.Off, tgt: int32(pc + 1 + int(in.Off)), k: uint64(int64(in.Imm)), mask: ^uint64(0)}
+		num := opcode(in.Op >> 4)
+		switch cls := in.Class(); cls {
+		case ClassALU64, ClassALU:
+			if num <= opcode(ALUArsh>>4) {
+				d.code = opAdd + num
+			}
+			switch {
+			case cls == ClassALU:
+				d.mask = 1<<32 - 1
+				d.k &= d.mask
+				if d.code == opArsh {
+					d.code = opArsh32
+				}
+			case d.code == opMov && d.reg:
+				d.code = opMov64X
+			case d.code == opMov:
+				d.code = opMov64K
+			case d.code == opAdd && !d.reg:
+				d.code = opAdd64K
+			}
+			if d.code == opCold {
+				generic++
+			}
+		case ClassLD:
+			if !in.IsWideLoad() || pc+1 >= n {
+				break
+			}
+			if in.Src == PseudoMapFD {
+				d.k, d.h = 0, handles[in.Imm]
+			} else {
+				d.k = uint64(uint32(in.Imm)) | uint64(uint32(insns[pc+1].Imm))<<32
+			}
+			if in.Src != PseudoMapFD || d.h != nil {
+				d.code, d.width = opLddw, 2
+				pc++
+				code[pc].width = 1 // the second slot stays opCold
+			}
+		case ClassLDX:
+			if d.code = opLdx; d.size == 8 {
+				d.code = opLdx8
+			}
+		case ClassSTX:
+			if d.code, d.reg = opStx, true; d.size == 8 {
+				d.code = opStx8
+			}
+			if in.Op&0xe0 == ModeAtomic {
+				d.code = opCold
+				if in.Imm == AtomicAdd && (d.size == 4 || d.size == 8) {
+					d.code = opAtomic
+				}
+			}
+		case ClassST:
+			if d.code, d.reg = opSt, false; d.size == 8 {
+				d.code = opSt8
+			}
+		default: // ClassJMP, ClassJMP32
+			if num <= opcode(JmpJSLE>>4) {
+				d.code = opJa + num
+			}
+			switch {
+			case cls == ClassJMP32:
+				d.sh = 32
+				if d.code == opJa || d.code == opCall || d.code == opExit {
+					d.code = opCold // JMP32 has conditional jumps only
+				}
+			case d.code == opCall:
+				switch in.Imm {
+				case HelperKtimeGetNS, HelperGetCurrentPidTgid, HelperGetSMPProcID:
+					d.code = opCallEnv
+				case HelperMapLookupElem, HelperMapUpdateElem, HelperMapDeleteElem:
+					d.code = opCallMap
+				}
+			}
+			if null := !d.reg && d.k == 0; null && d.code == opJeq {
+				d.code = opJeq0
+			} else if null && d.code == opJne {
+				d.code = opJne0
+			}
+			if d.code == opCold {
+				generic++
+			} else if t := int(d.tgt); d.code != opCall && d.code != opCallEnv && d.code != opCallMap && d.code != opExit && t >= 0 && t < n {
+				isTarget[t] = true
+			}
 		}
-		switch in.Class() {
-		case ClassJMP32:
-			return true
-		case ClassJMP:
-			return in.JmpOp() != JmpCall
-		}
-		return false
 	}
-	for pc := 0; pc < n; {
-		if wideSecond[pc] || consumed[pc] {
-			pc++
+	// Fusion: rewrite the leader of each recognized pair whose second
+	// slot nothing jumps to. The mov+add lea is the pointer
+	// materialization every map call leads with; call+mov captures a
+	// timestamp or pid_tgid into a callee-saved register.
+	for pc := 0; pc+1 < n; pc++ {
+		a, b := &code[pc], code[pc+1]
+		switch {
+		case isTarget[pc+1]:
+			continue
+		case a.code == opMov64X && b.code == opAdd64K && b.dst == a.dst:
+			a.code, a.k = opLea, b.k
+		case a.code == opMov64K && a.dst == R0 && b.code == opExit:
+			a.code = opMovExit
+		case a.code == opCallEnv && b.code == opMov64X && b.src == R0:
+			a.code, a.dst = opCallEnvMov, b.dst
+		default:
 			continue
 		}
-		start := pc
-		chain := fast[pc]
-		cost := costs[pc]
-		cur := pc
-		for {
-			if isTerm(cur) {
-				cur += width(cur)
-				break
-			}
-			succ := cur + width(cur)
-			if succ >= n || isTarget[succ] || cost.steps >= chainCap {
-				cur = succ
-				break
-			}
-			chain = combine(chain, fast[succ], succ)
-			cost.steps += costs[succ].steps
-			cost.insns += costs[succ].insns
-			cur = succ
-		}
-		if cur-start > width(start) {
-			fast[start] = chain
-			costs[start] = cost
-		}
-		pc = cur
+		a.width = 2
+		pc++
 	}
-	return fast, single, costs, generic
-}
-
-// combine chains two consecutive straight-line ops into one closure.
-// The mid-chain `n != yIdx` guard is defensive: a non-terminal member
-// always returns its static successor or an error.
-func combine(x, y cop, yIdx int) cop {
-	return func(m *vm) (int, error) {
-		n, err := x(m)
-		if err != nil || n != yIdx {
-			return n, err
-		}
-		return y(m)
-	}
-}
-
-// fusePair recognizes the two hottest straight-line pairs and compiles
-// them into a single op (one dispatch for two slots):
-//
-//   - mov64 dst, src ; add64 dst, imm — the pointer-materialization
-//     idiom (mov rX, r10; add rX, -off) every map call leads with;
-//   - call <env helper> ; mov64 dst, r0 — capturing a timestamp or
-//     pid/tgid into a callee-saved register.
-//
-// Fusion preserves the interpreter's fault points: the mov half is
-// applied before the add half can fault. It returns nil when the slots
-// at pc do not match or the second slot is a jump target.
-func fusePair(insns []Instruction, pc int, wideSecond, isTarget []bool) cop {
-	if pc+1 >= len(insns) || wideSecond[pc+1] || isTarget[pc+1] {
-		return nil
-	}
-	a, b := insns[pc], insns[pc+1]
-	next := pc + 2
-	if a.Class() == ClassALU64 && a.ALUOp() == ALUMov && !a.UsesImm() &&
-		b.Class() == ClassALU64 && b.ALUOp() == ALUAdd && b.UsesImm() && b.Dst == a.Dst {
-		dst, src := a.Dst, a.Src
-		k := uint64(int64(b.Imm))
-		faultPC := pc + 1
-		return func(m *vm) (int, error) {
-			d := m.regs[src]
-			if r := d.region; r != nil && r.kind == regionMapHandle {
-				m.regs[dst] = d // the mov executed before the add faulted
-				return 0, m.fault(faultPC, "arithmetic on map handle")
-			}
-			d.v += k
-			m.regs[dst] = d
-			return next, nil
-		}
-	}
-	if a.Class() == ClassALU64 && a.ALUOp() == ALUMov && a.UsesImm() && a.Dst == R0 &&
-		b.Class() == ClassJMP && b.JmpOp() == JmpExit {
-		k := uint64(int64(a.Imm))
-		return func(m *vm) (int, error) {
-			m.regs[R0] = word{v: k}
-			m.ret = k
-			return exitOp, nil
-		}
-	}
-	if a.Class() == ClassJMP && a.JmpOp() == JmpCall &&
-		b.Class() == ClassALU64 && b.ALUOp() == ALUMov && !b.UsesImm() && b.Src == R0 {
-		dst := b.Dst
-		switch a.Imm {
-		case HelperKtimeGetNS:
-			return func(m *vm) (int, error) {
-				m.stats.HelperCalls++
-				m.setR0Scalar(m.env.KtimeGetNS())
-				m.regs[dst] = m.regs[R0]
-				return next, nil
-			}
-		case HelperGetCurrentPidTgid:
-			return func(m *vm) (int, error) {
-				m.stats.HelperCalls++
-				m.setR0Scalar(m.env.CurrentPidTgid())
-				m.regs[dst] = m.regs[R0]
-				return next, nil
-			}
-		case HelperGetSMPProcID:
-			return func(m *vm) (int, error) {
-				m.stats.HelperCalls++
-				m.setR0Scalar(uint64(m.env.SMPProcessorID()))
-				m.regs[dst] = m.regs[R0]
-				return next, nil
-			}
-		}
-	}
-	return nil
-}
-
-// compileOne builds the op for the instruction at pc. Ops do not count
-// their own instruction slots; the dispatch loop does (opCost).
-func compileOne(insns []Instruction, pc int, handles map[int32]*region, generic *int) cop {
-	in := insns[pc]
-	next := pc + 1
-	switch in.Class() {
-	case ClassALU64, ClassALU:
-		is32 := in.Class() == ClassALU
-		if op := compileALU(in, pc, next, is32); op != nil {
-			return op
-		}
-		*generic++
-		return func(m *vm) (int, error) { return m.aluSlow(pc, in, is32, next) }
-	case ClassLD:
-		return compileWideLoad(insns, pc, handles)
-	case ClassLDX:
-		return compileLoad(in, pc, next)
-	case ClassSTX:
-		if in.Op&0xe0 == ModeAtomic {
-			return compileAtomic(in, pc, next)
-		}
-		return compileStoreReg(in, pc, next)
-	case ClassST:
-		dst, off, size, v := in.Dst, int64(in.Off), in.Size(), uint64(int64(in.Imm))
-		return func(m *vm) (int, error) {
-			if base := m.regs[dst]; !m.storeHot(base, off, size, v) {
-				return m.storeSlow(pc, base, off, size, v, next)
-			}
-			return next, nil
-		}
-	case ClassJMP32, ClassJMP:
-		tgt := pc + 1 + int(in.Off)
-		is32 := in.Class() == ClassJMP32
-		switch {
-		case is32: // JMP32 has conditional jumps only
-		case in.JmpOp() == JmpExit:
-			return func(m *vm) (int, error) {
-				r0 := m.regs[R0]
-				if r0.region != nil {
-					return 0, m.fault(pc, "exit with non-scalar R0")
-				}
-				m.ret = r0.v
-				return exitOp, nil
-			}
-		case in.JmpOp() == JmpCall:
-			return compileCall(in, pc, next)
-		case in.JmpOp() == JmpJA:
-			return func(m *vm) (int, error) { return tgt, nil }
-		}
-		if op := compileBranch(in, pc, tgt, next, is32); op != nil {
-			return op
-		}
-		*generic++
-		return func(m *vm) (int, error) { return m.branchSlow(pc, in, tgt, next) }
-	}
-	op := in.Op
-	return func(m *vm) (int, error) {
-		return 0, m.fault(pc, "unsupported class %#x", op&0x07)
-	}
-}
-
-// aluSlow runs an ALU slot through the interpreter's generic vm.alu:
-// the cold half of every specialised ALU op (pointer and map-handle
-// operands, with vm.alu's results and fault strings) and the whole of
-// an op compileALU has no form for.
-func (m *vm) aluSlow(pc int, in Instruction, is32 bool, next int) (int, error) {
-	if err := m.alu(pc, in, is32); err != nil {
-		return 0, err
-	}
-	return next, nil
-}
-
-// compileALU specializes every ALU op, both widths and operand modes:
-// the hot path is the all-scalar form, computed in place on dst, and
-// anything else goes to aluSlow. Width is a captured mask (all ones, or
-// the low word — the low 32 bits of a 64-bit add, sub, mul, or, and,
-// xor or left shift are the 32-bit result); div, mod and the right
-// shifts mask their operands first. It returns nil for an undefined op.
-func compileALU(in Instruction, pc, next int, is32 bool) cop {
-	dst, src, reg := in.Dst, in.Src, !in.UsesImm()
-	k, mask := uint64(int64(in.Imm)), ^uint64(0)
-	if is32 {
-		mask = 1<<32 - 1
-		k &= mask
-	}
-	slow := func(m *vm) (int, error) { return m.aluSlow(pc, in, is32, next) }
-	op := in.ALUOp()
-	switch {
-	case is32: // no pointer-carrying form: every op is in the table below
-	case op == ALUMov && reg:
-		// 64-bit register mov copies scalars, pointers, and map
-		// handles alike, exactly as every interpreter path does.
-		return func(m *vm) (int, error) {
-			m.regs[dst] = m.regs[src]
-			return next, nil
-		}
-	case op == ALUMov:
-		return func(m *vm) (int, error) {
-			m.regs[dst] = word{v: k}
-			return next, nil
-		}
-	case op == ALUAdd && !reg:
-		// Scalar value and pointer offset share word.v, so the one add
-		// serves both; only a map handle faults.
-		return func(m *vm) (int, error) {
-			d := &m.regs[dst]
-			if r := d.region; r != nil && r.kind == regionMapHandle {
-				return slow(m)
-			}
-			d.v += k
-			return next, nil
-		}
-	}
-	switch op {
-	case ALUMov:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = b & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUAdd:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = (d.v + b) & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUSub:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = (d.v - b) & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUMul:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = (d.v * b) & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUDiv:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				if b &= mask; b == 0 {
-					d.v = 0 // Linux semantics: div by zero yields 0
-				} else {
-					d.v = (d.v & mask) / b
-				}
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUMod:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v &= mask // Linux semantics: mod by zero leaves (truncated) dst
-				if b &= mask; b != 0 {
-					d.v %= b
-				}
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUOr:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = (d.v | b) & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUAnd:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = d.v & b & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUXor:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = (d.v ^ b) & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALULsh:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = (d.v << (b & 63)) & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALURsh:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = (d.v & mask) >> (b & 63)
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUArsh:
-		if is32 {
-			return func(m *vm) (int, error) {
-				if d, b, ok := m.scalars(dst, src, k, reg); ok {
-					d.v = uint64(uint32(int32(d.v) >> (b & 31)))
-					return next, nil
-				}
-				return slow(m)
-			}
-		}
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = uint64(int64(d.v) >> (b & 63))
-				return next, nil
-			}
-			return slow(m)
-		}
-	case ALUNeg:
-		return func(m *vm) (int, error) {
-			if d, _, ok := m.scalars(dst, src, k, reg); ok {
-				d.v = -d.v & mask
-				return next, nil
-			}
-			return slow(m)
-		}
-	}
-	return nil
-}
-
-// pick maps a decided compare onto the compiled successor indices.
-func pick(taken bool, tgt, next int) (int, error) {
-	if taken {
-		return tgt, nil
-	}
-	return next, nil
-}
-
-// branchSlow evaluates a branch through the interpreter's generic
-// vm.branch: the cold half of every specialised jump (null checks and
-// same-region pointer compares, or vm.branch's fault) and the whole of
-// an op compileBranch has no form for.
-func (m *vm) branchSlow(pc int, in Instruction, tgt, next int) (int, error) {
-	taken, err := m.branch(pc, in)
-	if err != nil {
-		return 0, err
-	}
-	return pick(taken, tgt, next)
-}
-
-// compileBranch specializes every conditional jump, both widths and
-// operand modes, with both successor indices resolved: the hot path is
-// the all-scalar compare, anything else goes to branchSlow. A 32-bit
-// jump compares the low words; shifting both sides up by sh = 32 lets
-// the same 64-bit compare, signed or unsigned, decide it. It returns
-// nil for an undefined op.
-func compileBranch(in Instruction, pc, tgt, next int, is32 bool) cop {
-	dst, src, reg := in.Dst, in.Src, !in.UsesImm()
-	k, sh := uint64(int64(in.Imm)), uint(0)
-	if is32 {
-		sh = 32
-	}
-	slow := func(m *vm) (int, error) { return m.branchSlow(pc, in, tgt, next) }
-	// The null check every map lookup is followed by needs no slow half:
-	// a pointer or map handle never equals zero.
-	null := !reg && k == 0
-	switch in.JmpOp() {
-	case JmpJEQ:
-		if null {
-			return func(m *vm) (int, error) {
-				d := &m.regs[dst]
-				return pick(d.region == nil && d.v<<sh == 0, tgt, next)
-			}
-		}
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(d.v<<sh == b<<sh, tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJNE:
-		if null {
-			return func(m *vm) (int, error) {
-				d := &m.regs[dst]
-				return pick(d.region != nil || d.v<<sh != 0, tgt, next)
-			}
-		}
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(d.v<<sh != b<<sh, tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJGT:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(d.v<<sh > b<<sh, tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJGE:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(d.v<<sh >= b<<sh, tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJLT:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(d.v<<sh < b<<sh, tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJLE:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(d.v<<sh <= b<<sh, tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJSET:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick((d.v&b)<<sh != 0, tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJSGT:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(int64(d.v<<sh) > int64(b<<sh), tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJSGE:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(int64(d.v<<sh) >= int64(b<<sh), tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJSLT:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(int64(d.v<<sh) < int64(b<<sh), tgt, next)
-			}
-			return slow(m)
-		}
-	case JmpJSLE:
-		return func(m *vm) (int, error) {
-			if d, b, ok := m.scalars(dst, src, k, reg); ok {
-				return pick(int64(d.v<<sh) <= int64(b<<sh), tgt, next)
-			}
-			return slow(m)
-		}
-	}
-	return nil
-}
-
-// compileWideLoad handles LdImmDW pairs: 64-bit constants materialize
-// as a captured scalar, map fds resolve to the map's handle region at
-// compile time.
-func compileWideLoad(insns []Instruction, pc int, handles map[int32]*region) cop {
-	in := insns[pc]
-	if !in.IsWideLoad() || pc+1 >= len(insns) {
-		return func(m *vm) (int, error) {
-			return 0, m.fault(pc, "invalid LD instruction")
-		}
-	}
-	dst, next := in.Dst, pc+2
-	w := word{v: uint64(uint32(in.Imm)) | uint64(uint32(insns[pc+1].Imm))<<32}
-	if in.Src == PseudoMapFD {
-		h, ok := handles[in.Imm]
-		if !ok {
-			fd := in.Imm
-			return func(m *vm) (int, error) {
-				return 0, m.fault(pc, "unknown map fd %d", fd)
-			}
-		}
-		w = word{region: h}
-	}
-	return func(m *vm) (int, error) {
-		m.regs[dst] = w
-		return next, nil
-	}
-}
-
-// compileLoad builds a ClassLDX op, specialized on the (static) access
-// width so the decode is a single fixed-width read. An aligned 8-byte
-// load from a live spill slot restores the spilled word (checked
-// against spillMask); anything else reads raw bytes. Out-of-bounds or
-// non-pointer bases fall back to vm.load for the interpreter's exact
-// fault.
-func compileLoad(in Instruction, pc, next int) cop {
-	dst, src := in.Dst, in.Src
-	off := int64(in.Off)
-	size := in.Size()
-	slow := func(m *vm) (int, error) {
-		v, err := m.load(pc, m.regs[src], off, size)
-		if err != nil {
-			return 0, err
-		}
-		m.regs[dst] = word{v: v}
-		return next, nil
-	}
-	switch size {
-	case 8:
-		return func(m *vm) (int, error) {
-			base := m.regs[src]
-			if m.spillMask != 0 && base.region != nil && base.region.kind == regionStack {
-				if start := int64(base.v) + off; start&7 == 0 {
-					if idx := uint64(start) >> 3; idx < spillSlots && m.spillMask&(1<<idx) != 0 {
-						m.regs[dst] = m.spillW[idx]
-						return next, nil
-					}
-				}
-			}
-			if data, ok := fastSlice(base, off, 8); ok {
-				m.regs[dst] = word{v: binary.LittleEndian.Uint64(data)}
-				return next, nil
-			}
-			return slow(m)
-		}
-	case 4:
-		return func(m *vm) (int, error) {
-			if data, ok := fastSlice(m.regs[src], off, 4); ok {
-				m.regs[dst] = word{v: uint64(binary.LittleEndian.Uint32(data))}
-				return next, nil
-			}
-			return slow(m)
-		}
-	case 2:
-		return func(m *vm) (int, error) {
-			if data, ok := fastSlice(m.regs[src], off, 2); ok {
-				m.regs[dst] = word{v: uint64(binary.LittleEndian.Uint16(data))}
-				return next, nil
-			}
-			return slow(m)
-		}
-	default:
-		return func(m *vm) (int, error) {
-			if data, ok := fastSlice(m.regs[src], off, 1); ok {
-				m.regs[dst] = word{v: uint64(data[0])}
-				return next, nil
-			}
-			return slow(m)
-		}
-	}
-}
-
-// storeSlow runs a store storeHot refused through the interpreter's
-// vm.store, which faults: read-only, non-pointer or out of bounds.
-func (m *vm) storeSlow(pc int, base word, off int64, size int, v uint64, next int) (int, error) {
-	if err := m.store(pc, base, off, size, v); err != nil {
-		return 0, err
-	}
-	return next, nil
-}
-
-// compileStoreReg builds a non-atomic ClassSTX op. Whether the source
-// register holds a scalar or a pointer is a runtime property, so the
-// op decides between a raw store and a spill per execution.
-func compileStoreReg(in Instruction, pc, next int) cop {
-	dst, src := in.Dst, in.Src
-	off := int64(in.Off)
-	size := in.Size()
-	return func(m *vm) (int, error) {
-		s, base := m.regs[src], m.regs[dst]
-		if s.region != nil {
-			// Pointer/handle spill: verifier-restricted to aligned 8-byte
-			// stack slots; the raw bytes hold the word's region offset.
-			if !base.isPointer() || base.region.kind != regionStack || size != 8 {
-				return 0, m.fault(pc, "pointer can only be spilled to an aligned 8-byte stack slot")
-			}
-			if (int64(base.v)+off)%8 != 0 {
-				return 0, m.fault(pc, "pointer spill must be 8-byte aligned")
-			}
-		}
-		if !m.storeHot(base, off, size, s.v) {
-			return m.storeSlow(pc, base, off, size, s.v, next)
-		}
-		if s.isPointer() {
-			idx := uint64(int64(base.v)+off) >> 3
-			m.spillW[idx] = s
-			m.spillMask |= 1 << idx
-		}
-		return next, nil
-	}
-}
-
-// compileAtomic builds a BPF_ATOMIC STX op (AtomicAdd): the hot path
-// is a read-modify-write in place on the in-bounds writable slice;
-// statically invalid forms and every refused access go to vm.atomic
-// for the interpreter's faults.
-func compileAtomic(in Instruction, pc, next int) cop {
-	dst, src := in.Dst, in.Src
-	off := int64(in.Off)
-	size := in.Size()
-	valid := in.Imm == AtomicAdd && (size == 4 || size == 8)
-	return func(m *vm) (int, error) {
-		s, base := m.regs[src], m.regs[dst]
-		if s.region != nil {
-			return 0, m.fault(pc, "atomic add of a pointer")
-		}
-		if r := base.region; valid && r != nil && !r.readonly {
-			if data, ok := fastSlice(base, off, size); ok {
-				if r.kind == regionStack {
-					m.dirtyStack(int64(base.v)+off, int64(size))
-				}
-				if size == 8 {
-					binary.LittleEndian.PutUint64(data, binary.LittleEndian.Uint64(data)+s.v)
-				} else {
-					binary.LittleEndian.PutUint32(data, binary.LittleEndian.Uint32(data)+uint32(s.v))
-				}
-				return next, nil
-			}
-		}
-		if err := m.atomic(pc, in, s.v); err != nil {
-			return 0, err
-		}
-		return next, nil
-	}
-}
-
-// compileCall specializes the three ambient-state helpers and the map
-// and sketch helpers, with the map type resolved by a type switch so
-// lookup, update and delete on the three map types probes use are
-// direct calls; the ringbuf helpers keep the interpreter's vm.call.
-func compileCall(in Instruction, pc, next int) cop {
-	switch in.Imm {
-	case HelperKtimeGetNS:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.setR0Scalar(m.env.KtimeGetNS())
-			return next, nil
-		}
-	case HelperGetCurrentPidTgid:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.setR0Scalar(m.env.CurrentPidTgid())
-			return next, nil
-		}
-	case HelperGetSMPProcID:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.setR0Scalar(uint64(m.env.SMPProcessorID()))
-			return next, nil
-		}
-	case HelperMapLookupElem:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.stats.MapOps++
-			h := m.regs[R1].handle()
-			if h == nil {
-				return 0, m.fault(pc, "map_lookup_elem: R1 is not a map")
-			}
-			key, err := m.memArg(pc, R2, h.keySize)
-			if err != nil {
-				return 0, err
-			}
-			var v []byte
-			var ok bool
-			switch mp := h.m.(type) {
-			case *LRUHashMap:
-				v, ok = mp.Lookup(key)
-			case *HashMap:
-				v, ok = mp.Lookup(key)
-			case *ArrayMap:
-				v, ok = mp.Lookup(key)
-			default:
-				v, ok = mp.Lookup(key)
-			}
-			if !ok {
-				m.setR0Scalar(0)
-				return next, nil
-			}
-			m.setR0Word(word{region: m.mapValRegion(v)})
-			return next, nil
-		}
-	case HelperMapUpdateElem:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.stats.MapOps++
-			h := m.regs[R1].handle()
-			if h == nil {
-				return 0, m.fault(pc, "map_update_elem: R1 is not a map")
-			}
-			key, err := m.memArg(pc, R2, h.keySize)
-			if err != nil {
-				return 0, err
-			}
-			val, err := m.memArg(pc, R3, h.valueSize)
-			if err != nil {
-				return 0, err
-			}
-			flags := m.regs[R4]
-			if !flags.isScalar() {
-				return 0, m.fault(pc, "map_update_elem: flags not scalar")
-			}
-			switch mp := h.m.(type) {
-			case *LRUHashMap:
-				err = mp.Update(key, val, int(flags.v))
-			case *HashMap:
-				err = mp.Update(key, val, int(flags.v))
-			case *ArrayMap:
-				err = mp.Update(key, val, int(flags.v))
-			default:
-				err = mp.Update(key, val, int(flags.v))
-			}
-			return m.retStatus(err, next)
-		}
-	case HelperMapDeleteElem:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.stats.MapOps++
-			h := m.regs[R1].handle()
-			if h == nil {
-				return 0, m.fault(pc, "map_delete_elem: R1 is not a map")
-			}
-			key, err := m.memArg(pc, R2, h.keySize)
-			if err != nil {
-				return 0, err
-			}
-			switch mp := h.m.(type) {
-			case *LRUHashMap:
-				err = mp.Delete(key)
-			case *HashMap:
-				err = mp.Delete(key)
-			case *ArrayMap:
-				err = mp.Delete(key)
-			default:
-				err = mp.Delete(key)
-			}
-			return m.retStatus(err, next)
-		}
-	case HelperCMSUpdate:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.stats.MapOps++
-			cs, ok := m.regs[R1].mapOf().(*CMS)
-			if !ok {
-				return 0, m.fault(pc, "cms_update: R1 is not a cms")
-			}
-			key, err := m.memArg(pc, R2, cs.keySize)
-			if err != nil {
-				return 0, err
-			}
-			inc := m.regs[R3]
-			if !inc.isScalar() {
-				return 0, m.fault(pc, "cms_update: increment not scalar")
-			}
-			cs.Add(key, inc.v)
-			m.setR0Scalar(0)
-			return next, nil
-		}
-	case HelperCMSEstimate:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.stats.MapOps++
-			cs, ok := m.regs[R1].mapOf().(*CMS)
-			if !ok {
-				return 0, m.fault(pc, "cms_estimate: R1 is not a cms")
-			}
-			key, err := m.memArg(pc, R2, cs.keySize)
-			if err != nil {
-				return 0, err
-			}
-			m.setR0Scalar(cs.Estimate(key))
-			return next, nil
-		}
-	case HelperHashPipeInsert:
-		return func(m *vm) (int, error) {
-			m.stats.HelperCalls++
-			m.stats.MapOps++
-			hp, ok := m.regs[R1].mapOf().(*HashPipe)
-			if !ok {
-				return 0, m.fault(pc, "hashpipe_insert: R1 is not a hashpipe")
-			}
-			key, err := m.memArg(pc, R2, hp.keySize)
-			if err != nil {
-				return 0, err
-			}
-			inc := m.regs[R3]
-			if !inc.isScalar() {
-				return 0, m.fault(pc, "hashpipe_insert: increment not scalar")
-			}
-			m.setR0Scalar(hp.Insert(key, inc.v))
-			return next, nil
-		}
-	}
-	id := in.Imm
-	return func(m *vm) (int, error) {
-		if err := m.call(pc, id); err != nil {
-			return 0, err
-		}
-		return next, nil
-	}
-}
-
-// retStatus returns a map helper's status in R0: 0, or -1 for any
-// error (-EEXIST and friends collapse to -1).
-func (m *vm) retStatus(err error, next int) (int, error) {
-	if err != nil {
-		m.setR0Scalar(^uint64(0))
-	} else {
-		m.setR0Scalar(0)
-	}
-	return next, nil
+	return code, generic
 }

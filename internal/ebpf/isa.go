@@ -3,6 +3,7 @@ package ebpf
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // Register names R0..R10. R0 holds return values, R1-R5 are helper/entry
@@ -316,21 +317,26 @@ func (i Instruction) String() string {
 
 // Disassemble renders a program one instruction per line, fusing wide
 // loads into a single line.
-func Disassemble(insns []Instruction) string {
-	out := ""
+func Disassemble(insns []Instruction) string { return disassemble(insns, nil) }
+
+// disassemble is Disassemble with an optional trailing column: note
+// returns what to print beside the slot at pc ("" for nothing).
+func disassemble(insns []Instruction, note func(pc int) string) string {
+	var out strings.Builder
 	for pc := 0; pc < len(insns); pc++ {
 		in := insns[pc]
+		text, at := in.String(), pc
 		if in.IsWideLoad() && pc+1 < len(insns) {
-			imm := uint64(uint32(in.Imm)) | uint64(uint32(insns[pc+1].Imm))<<32
-			if in.Src == PseudoMapFD {
-				out += fmt.Sprintf("%4d: lddw %s, map_fd(%d)\n", pc, in.Dst, in.Imm)
-			} else {
-				out += fmt.Sprintf("%4d: lddw %s, %#x\n", pc, in.Dst, imm)
+			if in.Src != PseudoMapFD {
+				text = fmt.Sprintf("lddw %s, %#x", in.Dst, uint64(uint32(in.Imm))|uint64(uint32(insns[pc+1].Imm))<<32)
 			}
 			pc++
-			continue
 		}
-		out += fmt.Sprintf("%4d: %s\n", pc, in)
+		if note == nil || note(at) == "" {
+			fmt.Fprintf(&out, "%4d: %s\n", at, text)
+		} else {
+			fmt.Fprintf(&out, "%4d: %-28s ; %s\n", at, text, note(at))
+		}
 	}
-	return out
+	return out.String()
 }

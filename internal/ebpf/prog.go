@@ -31,17 +31,12 @@ type Program struct {
 	runs    uint64
 	vstates int     // abstract states the verifier explored to admit it
 	backend Backend // resolved at Load: interpreter or compiled
-	// Compiled backend state, nil/empty on the interpreter backend. ops
-	// is the dispatch table with pairs fused and straight-line blocks
-	// chained; opCosts[pc] is what dispatching ops[pc] accounts (budget
-	// steps and instruction slots, see opCost); opsSingle is the unfused
-	// one-op-per-slot table the dispatch loop falls back to near budget
-	// exhaustion so budget faults land on the same instruction as the
-	// interpreter's; genericOps is what GenericOps reports.
-	ops        []cop
-	opsSingle  []cop
-	opCosts    []opCost
+	// Compiled backend state, nil/zero on the interpreter backend: code
+	// is the decoded program, one record per slot (compile.go);
+	// genericOps and coldOps are what GenericOps and ColdOps report.
+	code       []op
 	genericOps int
+	coldOps    uint64
 	rsCache    *vm // parked run state; see getVM (Run is single-goroutine, like runs)
 }
 
@@ -77,7 +72,7 @@ func build(spec ProgramSpec, states int) *Program {
 	}
 	p := &Program{name: spec.Name, insns: insns, maps: spec.Maps, handles: handles, ctxSize: spec.CtxSize, vstates: states, backend: backend}
 	if backend == BackendCompiled {
-		p.ops, p.opsSingle, p.opCosts, p.genericOps = compileProgram(p.insns, handles)
+		p.code, p.genericOps = decode(p.insns, handles)
 	}
 	return p
 }
@@ -112,18 +107,39 @@ func (p *Program) VerifierStates() int { return p.vstates }
 // (never BackendAuto: auto resolves at Load time).
 func (p *Program) Backend() Backend { return p.backend }
 
-// GenericOps returns how many ALU, jump and store slots the compiled
-// backend left on a wrapper around the interpreter's generic routine
-// because it has no specialised form for them (always 0 on the
+// GenericOps returns how many ALU and jump slots the compiled backend
+// decoded with no hot half, because their op code has no form: they run
+// through the interpreter's generic routine every time (always 0 on the
 // interpreter backend). Every op the verifier admits has a form, so a
 // shipped probe reports 0; a test in internal/probes holds them to it.
 func (p *Program) GenericOps() int { return p.genericOps }
 
+// ColdOps is GenericOps' runtime twin: how many slots, over all runs so
+// far, a hot half refused and the interpreter's generic routine
+// executed instead — a pointer spill or restore, pointer arithmetic or
+// a pointer compare, and every fault (always 0 on the interpreter
+// backend). The shipped probes never take it; a test holds them to it.
+func (p *Program) ColdOps() uint64 { return p.coldOps }
+
 // Map returns the map loaded at fd, or nil.
 func (p *Program) Map(fd int32) Map { return p.maps[fd] }
 
-// Disassemble renders the loaded program.
-func (p *Program) Disassemble() string { return Disassemble(p.insns) }
+// Disassemble renders the loaded program. On the compiled backend each
+// line also names the op the slot decoded to — "cold" has no hot half —
+// and marks the leader of a fused pair, whose second slot then runs only
+// when the leader refuses.
+func (p *Program) Disassemble() string {
+	if p.code == nil {
+		return Disassemble(p.insns)
+	}
+	return disassemble(p.insns, func(pc int) string {
+		d := &p.code[pc]
+		if d.width == 2 && d.code != opLddw {
+			return d.code.String() + " (fused, 2 slots)"
+		}
+		return d.code.String()
+	})
+}
 
 // Run executes the program once against ctx on the backend it was
 // loaded for. The context length must match the spec's CtxSize. The
@@ -139,7 +155,7 @@ func (p *Program) Run(ctx []byte, env HelperEnv) (uint64, RunStats, error) {
 		return 0, RunStats{}, fmt.Errorf("ebpf: run %q: ctx size %d, verified for %d", p.name, len(ctx), p.ctxSize)
 	}
 	p.runs++
-	if p.ops != nil {
+	if p.code != nil {
 		return p.runCompiled(ctx, env)
 	}
 	return p.run(ctx, env)

@@ -137,7 +137,7 @@ func (e *RuntimeError) Error() string {
 type vm struct {
 	prog  *Program
 	env   HelperEnv
-	regs  [NumRegisters]word
+	regs  [regMask + 1]word // r0-r10; sized so a 4-bit field indexes it unchecked
 	stack region
 	ctx   region
 	stats RunStats
@@ -173,9 +173,9 @@ type vm struct {
 	stackLo int64
 	// steps counts dispatches against the instruction budget, in the
 	// interpreter's units (a wide LdImmDW is one dispatch, each half of
-	// a fused pair is one), added a block at a time (opCost).
-	// Compiled-backend only; the interpreter keeps its counter in a
-	// loop variable.
+	// a fused pair is one), added a straight-line segment at a time
+	// (retire). Compiled-backend only; the interpreter keeps its counter
+	// in a loop variable.
 	steps int
 }
 
@@ -530,15 +530,34 @@ func (m *vm) load(pc int, base word, off int64, size int) (uint64, error) {
 			return 0, err
 		}
 	}
+	return loadLE(data, size), nil
+}
+
+// loadLE reads a size-byte (1, 2, 4 or 8) little-endian value.
+func loadLE(data []byte, size int) uint64 {
 	switch size {
 	case 1:
-		return uint64(data[0]), nil
+		return uint64(data[0])
 	case 2:
-		return uint64(binary.LittleEndian.Uint16(data)), nil
+		return uint64(binary.LittleEndian.Uint16(data))
 	case 4:
-		return uint64(binary.LittleEndian.Uint32(data)), nil
+		return uint64(binary.LittleEndian.Uint32(data))
 	default:
-		return binary.LittleEndian.Uint64(data), nil
+		return binary.LittleEndian.Uint64(data)
+	}
+}
+
+// storeLE writes the low size bytes (1, 2, 4 or 8) of v, little-endian.
+func storeLE(data []byte, size int, v uint64) {
+	switch size {
+	case 1:
+		data[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(data, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(data, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(data, v)
 	}
 }
 
@@ -560,16 +579,7 @@ func (m *vm) store(pc int, base word, off int64, size int, v uint64) error {
 			}
 		}
 	}
-	switch size {
-	case 1:
-		data[0] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(data, uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(data, uint32(v))
-	default:
-		binary.LittleEndian.PutUint64(data, v)
-	}
+	storeLE(data, size, v)
 	return nil
 }
 

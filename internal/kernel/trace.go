@@ -373,10 +373,10 @@ func (tr *Tracer) dispatchSched(t *Thread, links []*Link, ctx []byte) {
 // modeled execution cost. tr.cur must already identify the context
 // thread.
 func (tr *Tracer) runLinks(links []*Link, ctx []byte) time.Duration {
-	var cost time.Duration
+	var sum ebpf.RunStats // over the fire's successful runs: one telemetry add each, not one per link
+	var ok int
 	for _, l := range links {
 		tr.runs++
-		tr.telRuns.Inc()
 		_, st, err := l.prog.Run(ctx, tr)
 		if err != nil {
 			tr.runErrs++
@@ -384,12 +384,16 @@ func (tr *Tracer) runLinks(links []*Link, ctx []byte) time.Duration {
 			tr.lastErr = err
 			continue
 		}
-		tr.telInsns.Add(uint64(st.Instructions))
-		tr.telHelpers.Add(uint64(st.HelperCalls))
-		tr.telMapOps.Add(uint64(st.MapOps))
-		cost += hookBaseCost +
-			time.Duration(st.Instructions)*perInsnCost +
-			time.Duration(st.HelperCalls)*perHelperCost
+		ok++
+		sum.Instructions += st.Instructions
+		sum.HelperCalls += st.HelperCalls
+		sum.MapOps += st.MapOps
 	}
-	return cost
+	tr.telRuns.Add(uint64(len(links)))
+	tr.telInsns.Add(uint64(sum.Instructions))
+	tr.telHelpers.Add(uint64(sum.HelperCalls))
+	tr.telMapOps.Add(uint64(sum.MapOps))
+	return time.Duration(ok)*hookBaseCost +
+		time.Duration(sum.Instructions)*perInsnCost +
+		time.Duration(sum.HelperCalls)*perHelperCost
 }

@@ -1,6 +1,7 @@
 package probes
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -370,14 +371,15 @@ func TestProbeOverheadSmall(t *testing.T) {
 	}
 }
 
-// TestShippedProgramsHaveNoGenericOps holds every probe program this
-// package builds — delta, poll, hist, stream, wait-state, attribution,
-// in their map and ring variants — to the compiled backend's
-// specialised forms: a probe that leans on an op with no form would run
-// through the interpreter's generic routine on every tracepoint hit.
-func TestShippedProgramsHaveNoGenericOps(t *testing.T) {
+// shippedPrograms builds every probe program this package ships —
+// delta, poll, hist, stream, wait-state, attribution, in their map and
+// ring variants — filtered to tgid 42 where the probe has a filter. The
+// delta and poll ring variants share one ring of ringCap bytes, the raw
+// stream probe has its own.
+func shippedPrograms(t *testing.T, ringCap int) (progs []*ebpf.Program, rings []*ebpf.RingBuf) {
+	t.Helper()
 	nrs := []int{kernel.SysEpollWait, kernel.SysSelect}
-	ring := ebpf.NewRingBuf("ring", 1<<16)
+	ring := ebpf.NewRingBuf("ring", ringCap)
 	delta := MustNewDeltaProbe("send", 42, []int{kernel.SysSendto, kernel.SysSendmsg})
 	deltaS, err := NewDeltaProbeStream("send", 42, []int{kernel.SysSendto}, ring)
 	if err != nil {
@@ -389,20 +391,95 @@ func TestShippedProgramsHaveNoGenericOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist := MustNewHistProbe("hist", 42, nrs)
-	stream := MustNewStreamProbe("raw", 42, 1<<16)
+	stream := MustNewStreamProbe("raw", 42, ringCap)
 	wait := MustNewWaitStateProbe("ws", WaitStateConfig{})
 	waitT := MustNewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 42})
 	attr := MustNewAttributionProbe("attr", AttributionConfig{Oracle: true})
-	for _, p := range []*ebpf.Program{
+	return []*ebpf.Program{
 		delta.prog, deltaS.prog, poll.enter, poll.exit, pollS.enter, pollS.exit,
 		hist.enter, hist.exit, stream.enter, stream.exit,
 		wait.switchProg, wait.wakeupProg, waitT.switchProg, waitT.wakeupProg, attr.prog,
-	} {
+	}, []*ebpf.RingBuf{ring, stream.Ring}
+}
+
+// TestShippedProgramsHaveNoGenericOps holds every shipped program to the
+// compiled backend's specialised forms: a probe that leans on an op with
+// no form would run through the interpreter's generic routine on every
+// tracepoint hit.
+func TestShippedProgramsHaveNoGenericOps(t *testing.T) {
+	progs, _ := shippedPrograms(t, 1<<16)
+	if len(progs) != 15 {
+		t.Fatalf("%d shipped programs, want 15", len(progs))
+	}
+	for _, p := range progs {
 		if p.Backend() != ebpf.BackendCompiled {
 			t.Fatalf("%s loaded for %v, not the compiled backend", p.Name(), p.Backend())
 		}
 		if n := p.GenericOps(); n != 0 {
 			t.Errorf("%s: %d generic ops\n%s", p.Name(), n, p.Disassemble())
 		}
+	}
+}
+
+// TestShippedProgramsNeverGoCold is the runtime twin: a slot can have a
+// hot half and still refuse at run time (a pointer spill, a pointer
+// compare), which GenericOps cannot see. Every shipped program runs its
+// first-sight insert, hit, filtered-tgid, filtered-syscall and full-ring
+// paths — the enter half before the exit half, three rounds with the
+// clock advancing, so round one inserts what later rounds find — and
+// none may send a single slot to the cold tail.
+func TestShippedProgramsNeverGoCold(t *testing.T) {
+	progs, rings := shippedPrograms(t, 64) // one record fills it
+	const tracked, foreign = 42<<32 | 7, 99<<32 | 3
+	sys := func(size int, nr int) []byte {
+		ctx := make([]byte, size)
+		binary.LittleEndian.PutUint64(ctx[kernel.CtxOffID:], uint64(nr))
+		binary.LittleEndian.PutUint64(ctx[kernel.CtxOffRet:], 5) // sys_exit ret, sys_enter arg 0
+		return ctx
+	}
+	wakeup := func(t uint64) []byte {
+		ctx := make([]byte, kernel.SchedWakeupCtxSize)
+		binary.LittleEndian.PutUint64(ctx[kernel.CtxOffWakePidTgid:], t)
+		return ctx
+	}
+	ctxs := map[int][][]byte{kernel.SchedWakeupCtxSize: {wakeup(tracked), wakeup(foreign), wakeup(0)}}
+	for _, size := range []int{kernel.SysEnterCtxSize, kernel.SysExitCtxSize} {
+		for _, nr := range []int{kernel.SysSendto, kernel.SysEpollWait, kernel.SysSelect, kernel.SysFutex} {
+			ctxs[size] = append(ctxs[size], sys(size, nr))
+		}
+	}
+	for _, st := range []uint64{kernel.TaskRunning, kernel.TaskBlocked} {
+		ctxs[kernel.SchedSwitchCtxSize] = append(ctxs[kernel.SchedSwitchCtxSize],
+			switchCtx(tracked, foreign, st), switchCtx(foreign, tracked, st), switchCtx(0, tracked, st), switchCtx(tracked, 0, st))
+	}
+	env := &ebpf.FixedEnv{}
+	var helpers [2]int // by env: tracked, foreign
+	for round := 0; round < 3; round++ {
+		for _, p := range progs {
+			for i, pt := range []uint64{tracked, foreign} {
+				env.PidTgid = pt
+				for _, ctx := range ctxs[p.CtxSize()] {
+					env.TimeNS += 1000
+					_, st, err := p.Run(ctx, env)
+					if err != nil {
+						t.Fatalf("%s: %v", p.Name(), err)
+					}
+					helpers[i] += st.HelperCalls
+				}
+			}
+		}
+	}
+	for _, p := range progs {
+		if n := p.ColdOps(); n != 0 {
+			t.Errorf("%s: %d slots went to the cold tail over %d runs\n%s", p.Name(), n, p.Runs(), p.Disassemble())
+		}
+	}
+	for _, ring := range rings {
+		if ring.Dropped() == 0 || ring.Written() == 0 {
+			t.Errorf("%s: %d written, %d dropped: the full-ring path did not run", ring.Name(), ring.Written(), ring.Dropped())
+		}
+	}
+	if helpers[0] <= helpers[1] {
+		t.Errorf("%d helper calls as the tracked tgid, %d as a foreign one: the tgid filter did not bite", helpers[0], helpers[1])
 	}
 }

@@ -15,13 +15,13 @@ import (
 //     execution (a switch over the opcode class per step) and
 //     allocates its run state per run. It is the debugging baseline
 //     and the anchor for BENCH_interpreter.json.
-//   - BackendCompiled translates the instruction stream once, at Load
-//     time, into a slice of pre-bound closures: branch targets are
-//     resolved to closure indices, map handles and helpers are
-//     pre-looked-up, and run state (stack, register file, spill slots,
-//     map-value regions) comes from a pooled arena, so steady-state
-//     execution performs zero heap allocations. It is the default and
-//     the subject of BENCH_jit.json.
+//   - BackendCompiled decodes the instruction stream once, at Load
+//     time, into an array of self-contained op records — specialised
+//     opcode, resolved jump target, pre-looked-up map handle — and runs
+//     them from one switch loop; run state (stack, register file, spill
+//     slots, map-value regions) comes from a pooled arena, so
+//     steady-state execution performs zero heap allocations. It is the
+//     default and the subject of BENCH_jit.json.
 type Backend uint8
 
 const (
@@ -31,7 +31,7 @@ const (
 	BackendAuto Backend = iota
 	// BackendInterpreter selects the decode-per-step interpreter.
 	BackendInterpreter
-	// BackendCompiled selects the compile-to-closures backend.
+	// BackendCompiled selects the pre-decoded switch-loop backend.
 	BackendCompiled
 )
 

@@ -911,7 +911,7 @@ func decode(insns []Instruction, handles map[int32]*region) (code []op, generic 
 			}
 			if d.code == opCold {
 				generic++
-			} else if t := int(d.tgt); d.code != opCall && d.code != opCallEnv && d.code != opCallMap && d.code != opExit && t >= 0 && t < n {
+			} else if t := int(d.tgt); num != JmpCall>>4 && num != JmpExit>>4 && t >= 0 && t < n {
 				isTarget[t] = true
 			}
 		}

@@ -16,18 +16,20 @@
 //   - The interpreter (vm.go) decodes each instruction slot on every
 //     run — a switch over opcode class per step — and allocates fresh
 //     run state per run. It is the debugging baseline.
-//   - The compiled backend (compile.go) translates the verified stream
-//     once, at Load time, into pre-bound Go closures: branch targets
-//     become closure indices, helpers and map handles are resolved up
-//     front, every instruction form has a closure whose hot path tests
-//     the operand tags once and works in place (the interpreter's
-//     generic routine is its cold half; Program.GenericOps counts slots
-//     with no such form), and adjacent instruction idioms (lea,
-//     call+mov, mov+exit) are fused. Run state — stack, registers,
-//     spill slots, map-value regions — comes from a per-Program pooled
-//     arena, so steady-state execution performs zero heap allocations
-//     and runs several times faster (BENCH_interpreter.json vs
-//     BENCH_jit.json).
+//   - The compiled backend (compile.go) decodes the verified stream
+//     once, at Load time, into one array of fixed-size op records —
+//     a specialised opcode, resolved jump target, immediate or mask, the
+//     handle of a map-fd load — with three adjacent idioms (lea,
+//     call+mov, mov+exit) fused into their leader, and runs it from a
+//     single switch loop. Each case is an op's hot half: it tests the
+//     operand tags once and works in place; anything else goes to one
+//     cold tail that runs the interpreter's generic routine for the slot
+//     (Program.GenericOps counts slots with no hot half, Program.ColdOps
+//     the slots that took the tail at run time). Run state — stack,
+//     registers, spill slots, map-value regions — comes from a
+//     per-Program pooled arena, so steady-state execution performs zero
+//     heap allocations and runs several times faster
+//     (BENCH_interpreter.json vs BENCH_jit.json).
 //
 // The backends are semantically identical — return values, faults
 // (string, program counter, and partial RunStats included), register

@@ -320,7 +320,7 @@ func (i Instruction) String() string {
 func Disassemble(insns []Instruction) string { return disassemble(insns, nil) }
 
 // disassemble is Disassemble with an optional trailing column: note
-// returns what to print beside the slot at pc ("" for nothing).
+// returns what to print beside the slot at pc.
 func disassemble(insns []Instruction, note func(pc int) string) string {
 	var out strings.Builder
 	for pc := 0; pc < len(insns); pc++ {
@@ -332,11 +332,10 @@ func disassemble(insns []Instruction, note func(pc int) string) string {
 			}
 			pc++
 		}
-		if note == nil || note(at) == "" {
-			fmt.Fprintf(&out, "%4d: %s\n", at, text)
-		} else {
-			fmt.Fprintf(&out, "%4d: %-28s ; %s\n", at, text, note(at))
+		if note != nil {
+			text = fmt.Sprintf("%-28s ; %s", text, note(at))
 		}
+		fmt.Fprintf(&out, "%4d: %s\n", at, text)
 	}
 	return out.String()
 }

@@ -1,6 +1,6 @@
 # Developer entry points. `make check` is the gate each PR must pass.
 
-.PHONY: check test race bench bench-ringbuf fmt vet build golden
+.PHONY: check test race bench bench-ringbuf fmt vet build golden pgo
 
 check: ## gofmt + vet + build + tests + race on the harness
 	./scripts/check.sh
@@ -11,6 +11,10 @@ golden: ## regenerate every golden fixture: the .json windows, then the CLI's .t
 
 build:
 	go build ./...
+
+pgo: ## refresh cmd/reqlens/default.pgo: a CPU profile of the bench/ basket, run in-process
+	go test -run '^$$' -bench '^BenchmarkBasketProfile$$' -benchtime 2x -cpuprofile cmd/reqlens/default.pgo ./cmd/reqlens
+	rm -f reqlens.test
 
 test:
 	go test ./...

@@ -470,8 +470,11 @@ func BenchmarkKernelSyscallPath(b *testing.B) {
 // many threads as CPUs (16 on 8), so nearly every compute goes through
 // the run queue — hand-off from the releasing thread, switch cost, run —
 // which BenchmarkKernelSyscallPath's lone thread never does. One op is
-// one syscall. 0 allocs/op (scripts/check.sh); scripts/bench.sh records
-// it in BENCH_syscall_contended.json.
+// one syscall, whose body takes a unit of the budget or waits for the
+// benchmark to refill it. A syscall's stages are one continuation, so
+// its thread's coroutine is switched into at most once, when it
+// returns: ≤ 1.00 switches/op and 0 allocs/op (scripts/check.sh);
+// scripts/bench.sh records it in BENCH_syscall_contended.json.
 func BenchmarkKernelSyscallPathContended(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Shutdown()
@@ -480,28 +483,86 @@ func BenchmarkKernelSyscallPathContended(b *testing.B) {
 	k := kernel.New(env, prof)
 	p := k.NewProcess("bench")
 	left := 4096 // warm-up: the event free list, the heap's and the run queue's capacity
+	take := func(*kernel.Thread) (int64, bool) {
+		if left == 0 {
+			return 0, false // woken when the budget is refilled
+		}
+		left--
+		return 0, true
+	}
 	var threads []*kernel.Thread
 	for i := 0; i < 16; i++ {
 		threads = append(threads, p.SpawnThread("w", func(t *kernel.Thread) {
 			for {
-				for left == 0 {
-					t.Park()
-				}
-				left--
-				t.Invoke(kernel.SysSendto, [6]uint64{}, func() int64 { return 0 })
+				t.Syscall(kernel.SysSendto, [6]uint64{}, take)
 			}
 		}))
 	}
-	env.Run() // until the budget is spent and every thread has parked
+	env.Run() // until the budget is spent and every thread waits in its syscall
 	left = b.N
 	for _, t := range threads {
 		t.Waker().Wake()
 	}
+	switches := env.Switches()
 	b.ReportAllocs()
 	b.ResetTimer()
 	env.Run()
+	b.ReportMetric(float64(env.Switches()-switches)/float64(b.N), "switches/op")
 	if left != 0 {
 		b.Fatalf("%d syscalls not issued", left)
+	}
+}
+
+// BenchmarkNetRecvBlocking is one request/response round trip over
+// netsim: the client sends and blocks in Recv; the server waits in
+// epoll_wait, drains the socket with TryRecv and replies. Every blocking
+// body is a continuation step that reads its operands from its thread,
+// and delivery pops a per-pipe queue, so a round trip allocates nothing:
+// 0 allocs/op (scripts/check.sh).
+func BenchmarkNetRecvBlocking(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Shutdown()
+	prof := machine.AMD()
+	prof.Sockets, prof.CoresPerSock, prof.ThreadsPerCore = 1, 2, 1
+	k := kernel.New(env, prof)
+	n := netsim.New(env)
+	cli, srv := n.NewConn(netsim.Config{Delay: 10 * time.Microsecond})
+	ep := n.NewEpoll()
+	ep.Add(nil, srv)
+	p := k.NewProcess("bench")
+	req, resp := &netsim.Message{Size: 64}, &netsim.Message{Size: 256}
+	p.SpawnThread("server", func(t *kernel.Thread) {
+		for {
+			for _, s := range ep.Wait(t, kernel.SysEpollWait, 0) {
+				for {
+					if _, ret := s.TryRecv(t, kernel.SysRecvfrom); ret == netsim.EAGAIN {
+						break
+					}
+					s.Send(t, kernel.SysSendto, resp)
+				}
+			}
+		}
+	})
+	left := 1024 // warm-up: the free list, the queues, the threads' frames
+	more := func(*kernel.Thread) (int64, bool) { return 0, left > 0 }
+	client := p.SpawnThread("client", func(t *kernel.Thread) {
+		for {
+			t.Wait(more) // woken when the budget is refilled
+			left--
+			cli.Send(t, kernel.SysSendto, req)
+			cli.Recv(t, kernel.SysRecvfrom)
+		}
+	})
+	env.Run()
+	left = b.N
+	client.Waker().Wake()
+	switches := env.Switches()
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
+	b.ReportMetric(float64(env.Switches()-switches)/float64(b.N), "switches/op")
+	if left != 0 {
+		b.Fatalf("%d round trips not made", left)
 	}
 }
 

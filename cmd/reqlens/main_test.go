@@ -131,3 +131,28 @@ func TestDocsListEveryEntry(t *testing.T) {
 		}
 	}
 }
+
+// basket is the argument lists of bench/'s five workloads
+// (bench/workloads.go), each run at -seed 42.
+var basket = [][]string{
+	{"fig3", "-quick", "-workload", "data-caching", "-parallel", "1"},
+	{"fig3", "-quick", "-workload", "data-caching", "-parallel", "1", "-stream"},
+	{"waitstates", "-quick", "-workload", "data-caching", "-parallel", "1"},
+	{"fleet", "-quick", "-nodes", "16", "-epochs", "16", "-parallel", "2"},
+	{"fleet", "-quick", "-nodes", "16", "-scrape-interval", "1ms", "-epochs", "1000", "-parallel", "1"},
+}
+
+// BenchmarkBasketProfile runs the basket once per iteration, in-process,
+// through the dispatch main calls. Run with -cpuprofile, it writes the
+// merged profile the CLI is built with: `make pgo` refreshes
+// default.pgo from it.
+func BenchmarkBasketProfile(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, args := range basket {
+			argv := append(append([]string{}, args[1:]...), "-seed", "42")
+			if out, errs, status := runEntry(args[0], argv...); status != 0 || out == "" {
+				b.Fatalf("%v: exit %d\n%s", args, status, errs)
+			}
+		}
+	}
+}

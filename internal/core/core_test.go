@@ -37,10 +37,7 @@ func TestObserverEndToEnd(t *testing.T) {
 	// Simulated request loop: poll (2ms idle), recv, send, 1000/s.
 	srv.SpawnThread("w", func(th *kernel.Thread) {
 		for i := 0; i < 500; i++ {
-			th.Invoke(kernel.SysEpollWait, [6]uint64{}, func() int64 {
-				th.Sleep(600 * time.Microsecond)
-				return 1
-			})
+			th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(600*time.Microsecond, 1))
 			th.Invoke(kernel.SysRecvfrom, [6]uint64{}, func() int64 { return 64 })
 			th.Compute(300 * time.Microsecond)
 			th.Invoke(kernel.SysSendto, [6]uint64{}, func() int64 { return 64 })

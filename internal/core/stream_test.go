@@ -21,10 +21,7 @@ func streamConfig(tgid int) Config {
 // compute, send.
 func requestLoop(th *kernel.Thread, n int) {
 	for i := 0; i < n; i++ {
-		th.Invoke(kernel.SysEpollWait, [6]uint64{}, func() int64 {
-			th.Sleep(600 * time.Microsecond)
-			return 1
-		})
+		th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(600*time.Microsecond, 1))
 		th.Invoke(kernel.SysRecvfrom, [6]uint64{}, func() int64 { return 64 })
 		th.Compute(300 * time.Microsecond)
 		th.Invoke(kernel.SysSendto, [6]uint64{}, func() int64 { return 64 })

@@ -191,10 +191,7 @@ func (c *Controller) spawnNeighbor(inj *injector) {
 		proc.SpawnThread(fmt.Sprintf("noise%d", i), func(t *kernel.Thread) {
 			t.Sleep(phase)
 			for !inj.stop {
-				t.InvokeFast(kernel.SysSendto, [6]uint64{}, func() int64 {
-					t.Compute(inj.f.Burn)
-					return 0
-				})
+				t.Burn(kernel.SysSendto, [6]uint64{}, inj.f.Burn)
 				t.Sleep(inj.f.Period)
 			}
 		})

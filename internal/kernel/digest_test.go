@@ -95,10 +95,8 @@ func scheduleDigest(t *testing.T, seed int64, ncpu, nthreads int) (digest, summa
 					th.Compute(time.Duration(5+rng.Intn(30)) * time.Microsecond)
 					mu.Unlock(th)
 				case 4:
-					th.InvokeFast(SysEpollWait, [6]uint64{}, func() int64 {
-						th.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
-						return 0
-					})
+					// Only the probe cost runs before the sleep.
+					th.syscall(SysEpollWait, [6]uint64{}, 0, Sleeping(time.Duration(rng.Intn(50))*time.Microsecond, 0))
 				case 5:
 					th.Sleep(time.Duration(rng.Intn(80)) * time.Microsecond)
 				}

@@ -11,17 +11,19 @@
 // bursty (Fig. 3's variance knee), and poll durations collapse
 // (Fig. 4). Nothing is scripted to produce the curves.
 //
-// A Compute's waits (run queue, switch cost, each timeslice) are stages
-// of one sim.Proc.Block continuation, scheduler.step, that mostly runs
-// in event-loop context rather than on the thread's coroutine. The
-// convention: a continuation never parks and never calls Sleep or Park.
+// Every wait of a thread — a Compute's run queue, switch cost and
+// timeslices; a syscall's enter cost, body and exit cost — is a stage of
+// one sim.Proc.Block continuation (Thread.resume) that mostly runs in
+// event-loop context, so the coroutine resumes once per syscall. The
+// convention: a syscall body never parks. It is a Step that arranges its
+// wake-up and returns not done; no continuation calls Sleep or Park.
 //
 // Key entry points:
 //
 //   - New(env, profile) — build a Kernel on a sim.Env with a
 //     machine.Profile topology.
 //   - Kernel.NewProcess / Process.SpawnThread — create simulated
-//     threads; Thread.Invoke issues a syscall (firing tracepoints),
+//     threads; Thread.Syscall/Invoke issue a syscall (firing tracepoints),
 //     Thread.Compute burns CPU, Mutex provides contended locking.
 //   - Kernel.Tracer — the tracepoint hub; Tracer.Attach loads a
 //     verified ebpf program on RawSysEnter/RawSysExit, exactly where

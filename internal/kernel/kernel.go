@@ -20,6 +20,9 @@ type Kernel struct {
 	nextID int
 	procs  []*Process
 	rng    *rand.Rand
+
+	spurious    uint64             // see SpuriousWakeups
+	telSpurious *telemetry.Counter // mirrors spurious; nil until instrumented
 }
 
 // New creates a kernel on env with the given hardware profile.
@@ -37,10 +40,11 @@ func (k *Kernel) Env() *sim.Env { return k.env }
 // activity (sched_dispatches_total, sched_preemptions_total,
 // sched_ctx_switches_total), tracepoint dispatch
 // (trace_tracepoint_fires_total, plus trace_sched_switch_fires_total /
-// trace_sched_wakeup_fires_total for the scheduler pair), and per-run
+// trace_sched_wakeup_fires_total for the scheduler pair), per-run
 // eBPF execution totals
 // (vm_runs_total, vm_run_errors_total, vm_instructions_total,
-// vm_helper_calls_total, vm_map_ops_total). A nil registry leaves the
+// vm_helper_calls_total, vm_map_ops_total), and
+// kernel_spurious_wakeups_total (SpuriousWakeups). A nil registry leaves the
 // kernel uninstrumented; the disabled path costs one nil check per
 // update. Telemetry is write-only, so instrumenting a kernel cannot
 // change scheduling, probe cost accounting, or results.
@@ -56,7 +60,12 @@ func (k *Kernel) Instrument(r *telemetry.Registry) {
 	k.tracer.telInsns = r.Counter("vm_instructions_total")
 	k.tracer.telHelpers = r.Counter("vm_helper_calls_total")
 	k.tracer.telMapOps = r.Counter("vm_map_ops_total")
+	k.telSpurious = r.Counter("kernel_spurious_wakeups_total")
 }
+
+// SpuriousWakeups counts activations of a waiting syscall body (or
+// Wait) that re-checked its condition and waited again.
+func (k *Kernel) SpuriousWakeups() uint64 { return k.spurious }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() sim.Time { return k.env.Now() }
@@ -146,8 +155,7 @@ func (p *Process) SpawnThread(name string, body func(*Thread)) *Thread {
 		name: name,
 	}
 	p.threads = append(p.threads, t)
-	sched := p.k.sched
-	t.step0 = func() bool { return sched.step(t) }
+	t.resume0 = t.resume
 	t.sp = p.k.env.Spawn(fmt.Sprintf("%s/%s", p.name, name), func(sp *sim.Proc) {
 		t.waker = sp.NewWaker()
 		body(t)
@@ -167,13 +175,17 @@ type Thread struct {
 	// scheduling state
 	quantum time.Duration // remaining timeslice, carried across Computes
 	run     run           // the compute in flight
-	step0   func() bool   // scheduler.step(t), hoisted once: compute Blocks on it
+	sys     sysCall       // the syscall in flight: a thread issues one at a time
+	resume0 func() bool   // t.resume, hoisted once: every wait Blocks on it
+
+	// Ops is where a layer above keeps the operands of the thread's Steps
+	// (netsim's per-thread frame), so that no call allocates a closure.
+	Ops any
 
 	// accounting
 	cpuTime   time.Duration
 	syscalls  uint64
 	probeCost time.Duration
-	inSyscall int32 // current syscall nr, -1 when in userspace
 	runqWaits uint64
 
 	// pendingProbe is sched-tracepoint program cost accrued inside the
@@ -223,47 +235,130 @@ func (t *Thread) RunQueueWaits() uint64 { return t.runqWaits }
 // exceed d when sched-tracepoint programs ran on the thread's
 // transitions (their cost extends the timeslice).
 func (t *Thread) Compute(d time.Duration) {
-	t.proc.k.sched.compute(t, d, 0)
+	t.sys.stage = inTail
+	if !t.proc.k.sched.start(t, d, 0) {
+		t.sp.Block(t.resume0)
+	}
 }
 
 // Sleep suspends the thread for d without consuming CPU.
 func (t *Thread) Sleep(d time.Duration) { t.sp.Sleep(d) }
 
-// Park suspends the thread until woken via Waker (used by blocking
-// syscalls waiting on I/O readiness). Callers must re-check their wait
-// condition on wake: wake-ups can be spurious.
-func (t *Thread) Park() { t.sp.Park() }
-
 // Waker returns the thread's waker for readiness notifications.
 func (t *Thread) Waker() *sim.Waker { return t.waker }
 
-// Invoke runs body as the syscall numbered nr: it fires sys_enter, pays
-// the base in-kernel syscall cost, runs the body (which may block), and
-// fires sys_exit with the body's return value.
-//
-// Workload code never calls Invoke directly; the netsim package wraps
-// each socket operation in it.
-func (t *Thread) Invoke(nr int, args [6]uint64, body func() int64) int64 {
-	t.syscalls++
-	t.inSyscall = int32(nr)
-	k := t.proc.k
-	// One blocked span for both computes: the thread's coroutine is not
-	// switched into between the probe cost and the syscall cost.
-	k.sched.compute(t, k.tracer.sysEnter(t, nr, args), k.prof.SyscallCost)
-	ret := body()
-	t.proc.k.tracer.sysExit(t, nr, ret)
-	t.inSyscall = -1
-	return ret
+// Step is a syscall body (or a Wait's): a stage of the thread's
+// continuation that, after its first run, runs in the activating event's
+// context, so it never parks, sleeps or computes. It returns the result
+// and whether it is done; if not, it has arranged its own wake-up (a
+// waiter list, a WakeAfter timer, Proc.Elapse) and runs again at every
+// activation, whoever sent it. Hot paths capture nothing in it and keep
+// their operands in Thread.Ops.
+type Step func(t *Thread) (ret int64, done bool)
+
+// sysStage is where a thread's wait goes on at its next activation.
+type sysStage uint8
+
+const (
+	inEnter sysStage = iota // sys_enter's probe cost and the in-kernel cost are running
+	inBody                  // the body is waiting
+	inTail                  // the last compute is running: sys_exit's probe cost, or a Compute
+)
+
+// sysCall is a thread's syscall in flight.
+type sysCall struct {
+	nr    int // -1 for a Wait, which fires no sys_exit
+	stage sysStage
+	woken bool // the body is being run again by an activation
+	body  Step
+	ret   int64
+	fn    func() int64 // Invoke's body
+	mu    *Mutex       // futexWait's mutex
 }
 
-// InvokeFast is Invoke for syscalls whose in-kernel work is subsumed in
-// the body (used when the body itself computes).
-func (t *Thread) InvokeFast(nr int, args [6]uint64, body func() int64) int64 {
+// Syscall issues syscall nr: it fires sys_enter and charges that probe
+// cost and the profile's SyscallCost as one compute, runs body until it
+// is done, then fires sys_exit and charges that probe cost. The stages
+// are one sim.Proc.Block continuation, so the coroutine resumes once,
+// when the syscall returns. The netsim package wraps each socket
+// operation in it.
+func (t *Thread) Syscall(nr int, args [6]uint64, body Step) int64 {
+	return t.syscall(nr, args, t.proc.k.prof.SyscallCost, body)
+}
+
+// Burn issues syscall nr whose whole in-kernel work is cost of CPU, in
+// place of the profile's SyscallCost: a send that copies its own buffer.
+func (t *Thread) Burn(nr int, args [6]uint64, cost time.Duration) int64 {
+	return t.syscall(nr, args, cost, nop)
+}
+
+func nop(*Thread) (int64, bool) { return 0, true }
+
+// Invoke is Syscall with a body that never waits, as a plain function;
+// it runs where a Step does.
+func (t *Thread) Invoke(nr int, args [6]uint64, body func() int64) int64 {
+	t.sys.fn = body
+	return t.Syscall(nr, args, invoke)
+}
+
+func invoke(t *Thread) (int64, bool) { return t.sys.fn(), true }
+
+// Sleeping returns a body that sleeps for d and returns ret (nanosleep,
+// or a wait that times out). As with sim.Proc.Sleep, any activation ends
+// it early.
+func Sleeping(d time.Duration, ret int64) Step {
+	return func(t *Thread) (int64, bool) { return ret, t.sys.woken || t.sp.Elapse(d) }
+}
+
+// Wait blocks the thread until body is done, with no syscall around it:
+// a worker waiting for work, or on a kernel-bypass completion queue.
+func (t *Thread) Wait(body Step) {
+	t.sys.nr, t.sys.woken, t.sys.body = -1, false, body
+	if !t.runBody() {
+		t.sp.Block(t.resume0)
+	}
+}
+
+func (t *Thread) syscall(nr int, args [6]uint64, cost time.Duration, body Step) int64 {
+	k, s := t.proc.k, &t.sys
 	t.syscalls++
-	t.inSyscall = int32(nr)
-	t.Compute(t.proc.k.tracer.sysEnter(t, nr, args))
-	ret := body()
-	t.proc.k.tracer.sysExit(t, nr, ret)
-	t.inSyscall = -1
-	return ret
+	s.nr, s.stage, s.woken, s.body = nr, inEnter, false, body
+	if !k.sched.start(t, k.tracer.sysEnter(t, nr, args), cost) || !t.runBody() {
+		t.sp.Block(t.resume0)
+	}
+	return s.ret
+}
+
+// runBody runs the body and, once it is done, fires sys_exit and starts
+// its probe cost; it reports whether the wait is over.
+func (t *Thread) runBody() bool {
+	s, k := &t.sys, t.proc.k
+	s.stage = inBody
+	ret, done := s.body(t)
+	if !done {
+		return false
+	}
+	s.ret, s.stage = ret, inTail
+	return s.nr < 0 || k.sched.start(t, k.tracer.sysExit(t, s.nr, ret), 0)
+}
+
+// resume is the continuation every wait of the thread Blocks on; it
+// reports whether the coroutine can resume. Between two waits it does
+// what the same code did on the coroutine between the same two yields,
+// so no event, counter or tracepoint moves; as there, any activation
+// re-runs the waiting stage's check.
+func (t *Thread) resume() bool {
+	s, k := &t.sys, t.proc.k
+	if s.stage != inBody {
+		return k.sched.step(t) && (s.stage == inTail || t.runBody())
+	}
+	s.woken = true
+	if t.runBody() {
+		return true
+	}
+	if s.stage == inBody {
+		k.spurious++
+		k.telSpurious.Inc()
+	}
+	return false
 }

@@ -172,10 +172,7 @@ func TestInvokeFiresListeners(t *testing.T) {
 	p := k.NewProcess("srv")
 	var gotRet int64
 	p.SpawnThread("w", func(th *Thread) {
-		gotRet = th.Invoke(SysSendto, [6]uint64{7, 128}, func() int64 {
-			th.Compute(10 * time.Microsecond)
-			return 128
-		})
+		gotRet = th.Syscall(SysSendto, [6]uint64{7, 128}, Sleeping(10*time.Microsecond, 128))
 	})
 	env.Run()
 	if gotRet != 128 {

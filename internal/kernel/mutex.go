@@ -15,7 +15,7 @@ import "time"
 // single-threaded applications do not show the effect (Section IV-C.1).
 type Mutex struct {
 	holder  *Thread
-	waiters []*Thread
+	waiters []*Thread // FIFO; edited in place, so a steady state never reallocates
 
 	acquisitions uint64
 	contended    uint64
@@ -50,25 +50,32 @@ func (m *Mutex) LockSpin(t *Thread, spin time.Duration) {
 		}
 	}
 	for m.holder != nil {
-		// futex_wait: park until some unlock wakes us, then re-compete.
-		t.Invoke(SysFutex, [6]uint64{}, func() int64 {
-			if m.holder == nil {
-				return 0 // raced with an unlock; retry without sleeping
-			}
-			m.waiters = append(m.waiters, t)
-			t.Park()
-			// Drop any stale queue entry (spurious wake or lost race)
-			// so the waiter list cannot accumulate duplicates.
-			for i, w := range m.waiters {
-				if w == t {
-					m.waiters = append(m.waiters[:i:i], m.waiters[i+1:]...)
-					break
-				}
-			}
-			return 0
-		})
+		// futex_wait: sleep until some unlock wakes us, then re-compete.
+		t.sys.mu = m
+		t.Syscall(SysFutex, [6]uint64{}, futexWait)
 	}
 	m.holder = t
+}
+
+// futexWait is futex_wait's body: queue on the mutex unless an unlock
+// raced ahead; at the next activation, whoever sent it, drop any stale
+// queue entry so the waiter list cannot accumulate duplicates.
+func futexWait(t *Thread) (int64, bool) {
+	m := t.sys.mu
+	if t.sys.woken {
+		for i, w := range m.waiters {
+			if w == t {
+				m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
+				break
+			}
+		}
+		return 0, true
+	}
+	if m.holder == nil {
+		return 0, true // raced with an unlock; retry without sleeping
+	}
+	m.waiters = append(m.waiters, t)
+	return 0, false
 }
 
 // Unlock releases the mutex and wakes the oldest parked waiter, which
@@ -82,7 +89,7 @@ func (m *Mutex) Unlock(t *Thread) {
 	m.holder = nil
 	if len(m.waiters) > 0 {
 		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		m.waiters = append(m.waiters[:0], m.waiters[1:]...)
 		next.Waker().Wake()
 	}
 }

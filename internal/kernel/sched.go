@@ -112,13 +112,7 @@ func (s *scheduler) handOff(c *cpu, prev *Thread, prevState uint64) {
 // always leaving at least one online. A busy CPU finishes its current
 // occupant and then idles. Returns how many CPUs were newly offlined.
 func (s *scheduler) offlineCPUs(n int) int {
-	online := 0
-	for _, c := range s.cpus {
-		if !c.offline {
-			online++
-		}
-	}
-	took := 0
+	online, took := s.onlineCount(), 0
 	for i := len(s.cpus) - 1; i >= 0 && took < n && online-took > 1; i-- {
 		c := s.cpus[i]
 		if !c.offline {
@@ -139,12 +133,7 @@ func (s *scheduler) onlineAllCPUs() { s.setOnlineCPUs(s.ncpu) }
 // onto each freed CPU immediately. Returns the resulting online count —
 // the autoscaler's actuation primitive.
 func (s *scheduler) setOnlineCPUs(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	if n > s.ncpu {
-		n = s.ncpu
-	}
+	n = min(max(n, 1), s.ncpu)
 	cur := s.onlineCount()
 	if n < cur {
 		s.offlineCPUs(cur - n)
@@ -203,9 +192,11 @@ type run struct {
 	then             time.Duration // a second compute to start when this one ends
 }
 
-// compute runs t for CPU time d and then, back to back, for then (a
-// syscall's sys_enter probe cost, then its in-kernel cost), skipping a
-// non-positive part. Each part, as it ends, adds to t.cpuTime what it
+// start begins t's compute of CPU time d and then, back to back, of then
+// (a syscall's sys_enter probe cost, then its in-kernel cost), skipping
+// a non-positive part, and runs it as far as step goes without waiting;
+// it reports whether the compute is already over, and otherwise the
+// caller waits on step. Each part, as it ends, adds to t.cpuTime what it
 // consumed: its duration plus any pending sched-probe cost folded into
 // the run. The thread's quantum carries across computes (as a real
 // scheduler's timeslice spans syscalls), so a thread that has been
@@ -218,24 +209,23 @@ type run struct {
 // sched_wakeup. Pending probe cost accrued by scheduler hooks is folded
 // into the timeslice at each dispatch, extending the run the way a real
 // sched program extends the switch path it instruments.
-func (s *scheduler) compute(t *Thread, d, then time.Duration) {
+func (s *scheduler) start(t *Thread, d, then time.Duration) bool {
 	if d <= 0 {
 		d, then = then, 0
 	}
 	if d <= 0 {
-		return
+		return true
 	}
 	s.k.tracer.schedWakeup(t)
 	t.run = run{total: d, remaining: d, then: then}
-	if !s.step(t) {
-		t.sp.Block(t.step0)
-	}
+	return s.step(t)
 }
 
 // step advances t's compute as far as it goes without waiting and
-// reports whether it is finished. It is a sim.Proc.Block continuation —
-// called by compute on the thread's coroutine, then by whichever event
-// activates the parked thread — so it never parks: a stage that has to
+// reports whether it is finished. It is a stage of the thread's
+// sim.Proc.Block continuation (Thread.resume) — called by start on the
+// thread's coroutine or in a syscall's continuation, then by whichever
+// event activates the parked thread — so it never parks: a stage that has to
 // wait records where to resume and returns false. Between two waits it
 // does what a compute written as Sleeps and Parks on the coroutine
 // would, in that order, so every event, counter and tracepoint stays

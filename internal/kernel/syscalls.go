@@ -1,5 +1,7 @@
 package kernel
 
+import "strconv"
+
 // x86-64 syscall numbers for the request-oriented syscalls the paper
 // monitors (Section III), plus the setup-phase calls seen in Fig. 1.
 const (
@@ -54,29 +56,7 @@ func SyscallName(nr int) string {
 	if n, ok := syscallNames[nr]; ok {
 		return n
 	}
-	return "sys_" + itoa(nr)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return "sys_" + strconv.Itoa(nr)
 }
 
 // RecvFamily reports whether nr receives request payloads (read/recv*).

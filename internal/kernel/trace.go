@@ -250,8 +250,8 @@ func (tr *Tracer) SMPProcessorID() uint32 {
 }
 
 // sysEnter fires raw_syscalls:sys_enter and returns the probe cost,
-// which the caller runs as a compute (Invoke chains it to the syscall's
-// own cost).
+// which the caller runs as a compute (a syscall chains it to its own
+// in-kernel cost); sysExit is the same for sys_exit.
 func (tr *Tracer) sysEnter(t *Thread, nr int, args [6]uint64) time.Duration {
 	for _, fn := range tr.listeners {
 		fn(SyscallEvent{Time: tr.k.env.Now(), Thread: t, NR: nr, Enter: true, Args: args})
@@ -262,9 +262,7 @@ func (tr *Tracer) sysEnter(t *Thread, nr int, args [6]uint64) time.Duration {
 	}
 	tr.telFires.Inc()
 	ctx := tr.enterCtx[:]
-	for i := range ctx {
-		ctx[i] = 0
-	}
+	clear(ctx)
 	binary.LittleEndian.PutUint64(ctx[CtxOffID:], uint64(int64(nr)))
 	for i, a := range args {
 		binary.LittleEndian.PutUint64(ctx[CtxOffArgs+8*i:], a)
@@ -272,22 +270,20 @@ func (tr *Tracer) sysEnter(t *Thread, nr int, args [6]uint64) time.Duration {
 	return tr.dispatch(t, links, ctx)
 }
 
-func (tr *Tracer) sysExit(t *Thread, nr int, ret int64) {
+func (tr *Tracer) sysExit(t *Thread, nr int, ret int64) time.Duration {
 	for _, fn := range tr.listeners {
 		fn(SyscallEvent{Time: tr.k.env.Now(), Thread: t, NR: nr, Enter: false, Ret: ret})
 	}
 	links := tr.links[RawSysExit]
 	if len(links) == 0 {
-		return
+		return 0
 	}
 	tr.telFires.Inc()
 	ctx := tr.exitCtx[:]
-	for i := range ctx {
-		ctx[i] = 0
-	}
+	clear(ctx)
 	binary.LittleEndian.PutUint64(ctx[CtxOffID:], uint64(int64(nr)))
 	binary.LittleEndian.PutUint64(ctx[CtxOffRet:], uint64(ret))
-	t.Compute(tr.dispatch(t, links, ctx))
+	return tr.dispatch(t, links, ctx)
 }
 
 // schedSwitch fires sched:sched_switch: next is taking prev's CPU. A
@@ -303,9 +299,7 @@ func (tr *Tracer) schedSwitch(prev *Thread, prevState uint64, next *Thread) {
 	tr.telFires.Inc()
 	tr.telSwitchFires.Inc()
 	ctx := tr.switchCtx[:]
-	for i := range ctx {
-		ctx[i] = 0
-	}
+	clear(ctx)
 	if prev != nil {
 		binary.LittleEndian.PutUint64(ctx[CtxOffPrevPidTgid:], prev.PidTgid())
 	}
@@ -332,9 +326,7 @@ func (tr *Tracer) schedWakeup(t *Thread) {
 	tr.telFires.Inc()
 	tr.telWakeupFires.Inc()
 	ctx := tr.wakeupCtx[:]
-	for i := range ctx {
-		ctx[i] = 0
-	}
+	clear(ctx)
 	binary.LittleEndian.PutUint64(ctx[CtxOffWakePidTgid:], t.PidTgid())
 	tr.dispatchSched(t, links, ctx)
 }
@@ -351,22 +343,13 @@ func (tr *Tracer) dispatch(t *Thread, links []*Link, ctx []byte) time.Duration {
 }
 
 // dispatchSched runs the attached programs for a scheduler tracepoint.
-// Unlike dispatch it cannot charge the cost through Compute — these
-// hooks fire from inside the scheduler, where re-entering it would
+// Unlike dispatch's caller it cannot charge the cost through a compute —
+// these hooks fire from inside the scheduler, where re-entering it would
 // corrupt dispatch state — so the cost is parked on the thread and
 // folded into its next timeslice, the way a real sched_switch program
-// extends the context switch it instruments. It saves and restores the
-// current-thread slot because scheduler hooks can fire nested inside a
-// syscall-probe dispatch (the cost charge of which runs the scheduler).
+// extends the context switch it instruments.
 func (tr *Tracer) dispatchSched(t *Thread, links []*Link, ctx []byte) {
-	saved := tr.cur
-	tr.cur = t
-	cost := tr.runLinks(links, ctx)
-	tr.cur = saved
-	if cost > 0 && t != nil {
-		t.probeCost += cost
-		t.pendingProbe += cost
-	}
+	t.pendingProbe += tr.dispatch(t, links, ctx)
 }
 
 // runLinks executes each attached program against ctx and returns the

@@ -20,8 +20,10 @@
 //     Sock pairs, Network.NewEpoll builds a readiness multiplexer.
 //   - Config — netem knobs: Delay, Jitter, Loss, and RTO (shrinking RTO
 //     to fast-retransmit scale is the datagram ablation).
-//   - Sock.Send / TryRecv — message I/O issued through a kernel.Thread
-//     so every operation appears as a syscall to the tracepoints.
+//   - Sock.Send / TryRecv / Recv — message I/O issued through a
+//     kernel.Thread so every operation appears as a syscall to the
+//     tracepoints. A syscall body never parks: each blocking call is a
+//     kernel.Step reading its operands from the thread's frame.
 //   - Epoll — readiness multiplexing; epoll wait durations are the raw
 //     material of the Fig. 4 slack signal. EAGAIN mirrors the kernel's
 //     would-block return.

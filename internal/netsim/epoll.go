@@ -13,7 +13,6 @@ import (
 // readable or the timeout expires; the duration of that syscall is the
 // paper's saturation-slack signal (Fig. 4).
 type Epoll struct {
-	net       *Network
 	socks     []*Sock
 	listeners []*Listener
 	waiters   []*sim.Waker
@@ -21,22 +20,17 @@ type Epoll struct {
 
 // NewEpoll creates an epoll instance.
 func (n *Network) NewEpoll() *Epoll {
-	return &Epoll{net: n}
+	return &Epoll{}
 }
 
 // Add registers s for readiness. When t is non-nil an epoll_ctl syscall
 // is issued (visible in traces, as in the paper's Fig. 1 setup phase).
 func (ep *Epoll) Add(t *kernel.Thread, s *Sock) {
-	reg := func() int64 {
+	ctl(t, uint64(s.fd), func() int64 {
 		ep.socks = append(ep.socks, s)
-		s.epolls = append(s.epolls, ep)
+		s.rx.epolls = append(s.rx.epolls, ep)
 		return 0
-	}
-	if t != nil {
-		t.Invoke(kernel.SysEpollCtl, [6]uint64{uint64(s.fd)}, reg)
-	} else {
-		reg()
-	}
+	})
 	if s.Readable() {
 		ep.notify() // data arrived before registration
 	}
@@ -44,16 +38,20 @@ func (ep *Epoll) Add(t *kernel.Thread, s *Sock) {
 
 // AddListener registers l for accept-readiness.
 func (ep *Epoll) AddListener(t *kernel.Thread, l *Listener) {
-	reg := func() int64 {
+	ctl(t, 0, func() int64 {
 		ep.listeners = append(ep.listeners, l)
 		l.epolls = append(l.epolls, ep)
 		return 0
-	}
-	if t != nil {
-		t.Invoke(kernel.SysEpollCtl, [6]uint64{}, reg)
-	} else {
+	})
+}
+
+// ctl runs reg as an epoll_ctl syscall on fd, or directly with no thread.
+func ctl(t *kernel.Thread, fd uint64, reg func() int64) {
+	if t == nil {
 		reg()
+		return
 	}
+	t.Invoke(kernel.SysEpollCtl, [6]uint64{fd}, reg)
 }
 
 // notify wakes all waiters; they re-check readiness.
@@ -74,63 +72,54 @@ func (ep *Epoll) TotalQueued() int {
 	return n
 }
 
-// readyCount counts readable sockets and, in total, those plus pending
-// connections on registered listeners.
-func (ep *Epoll) readyCount() (socks, total int) {
-	for _, s := range ep.socks {
-		if s.Readable() {
-			socks++
-		}
-	}
-	total = socks
-	for _, l := range ep.listeners {
-		total += len(l.pending)
-	}
-	return socks, total
-}
-
-// ready collects the n readable sockets (nil when there are none).
-func (ep *Epoll) ready(n int) []*Sock {
-	if n == 0 {
-		return nil
-	}
-	out := make([]*Sock, 0, n)
+// ready appends the readable sockets to out, which is empty, and counts
+// them plus the connections pending on registered listeners.
+func (ep *Epoll) ready(out []*Sock) ([]*Sock, int) {
 	for _, s := range ep.socks {
 		if s.Readable() {
 			out = append(out, s)
 		}
 	}
-	return out
+	n := len(out)
+	for _, l := range ep.listeners {
+		n += l.queue.Len()
+	}
+	return out, n
 }
 
 // Wait blocks as syscall nr (SysEpollWait or SysSelect) until readiness
 // or timeout (timeout <= 0 waits forever). It returns the readable
-// sockets; an empty slice means the timeout fired.
+// sockets; an empty slice means the timeout fired. The slice is the
+// thread's own and is reused by its next Wait.
 func (ep *Epoll) Wait(t *kernel.Thread, nr int, timeout time.Duration) []*Sock {
-	var out []*Sock
-	t.Invoke(nr, [6]uint64{}, func() int64 {
-		var timeoutEv *sim.Event
-		deadline := sim.Time(-1)
-		if timeout > 0 {
-			deadline = t.Now().Add(timeout)
+	f := frameOf(t)
+	f.ep, f.timeout, f.deadline, f.timer, f.ready = ep, timeout, -1, nil, f.ready[:0]
+	t.Syscall(nr, [6]uint64{}, waitBody)
+	return f.ready
+}
+
+// waitBody is Wait's body. Its first run fixes the deadline; every run
+// returns what is ready, or times out, or joins the waiters and arms the
+// timeout once. A timeout leaves the waker on the waiter list.
+func waitBody(t *kernel.Thread) (int64, bool) {
+	f := t.Ops.(*frame)
+	if f.deadline < 0 && f.timeout > 0 {
+		f.deadline = t.Now().Add(f.timeout)
+	}
+	ready, n := f.ep.ready(f.ready)
+	if n > 0 {
+		f.ready = ready
+		if f.timer != nil {
+			f.timer.Cancel()
 		}
-		for {
-			if socks, n := ep.readyCount(); n > 0 {
-				out = ep.ready(socks)
-				if timeoutEv != nil {
-					timeoutEv.Cancel()
-				}
-				return int64(n)
-			}
-			if deadline >= 0 && t.Now() >= deadline {
-				return 0
-			}
-			ep.waiters = append(ep.waiters, t.Waker())
-			if deadline >= 0 && timeoutEv == nil {
-				timeoutEv = t.Waker().WakeAfter(deadline.Sub(t.Now()))
-			}
-			t.Park()
-		}
-	})
-	return out
+		return int64(n), true
+	}
+	if f.deadline >= 0 && t.Now() >= f.deadline {
+		return 0, true
+	}
+	f.ep.waiters = append(f.ep.waiters, t.Waker())
+	if f.deadline >= 0 && f.timer == nil {
+		f.timer = t.Waker().WakeAfter(f.deadline.Sub(t.Now()))
+	}
+	return 0, false
 }

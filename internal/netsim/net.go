@@ -110,10 +110,22 @@ type Message struct {
 type pipe struct {
 	net         *Network
 	cfg         Config
-	dst         *endpoint
+	dst         *inbox[*Message]
 	lastRelease sim.Time
 	prevSend    sim.Time
 	hasPrev     bool
+
+	// inflight holds the sent, undelivered messages in send order. Every
+	// send posts deliver0 at its arrival, and arrivals never decrease, so
+	// each firing pops the message it was posted for.
+	inflight sim.FIFO[*Message]
+	deliver0 func()
+}
+
+func newPipe(n *Network, cfg Config, dst *inbox[*Message]) *pipe {
+	p := &pipe{net: n, cfg: cfg, dst: dst}
+	p.deliver0 = func() { p.dst.push(p.inflight.Pop()) }
+	return p
 }
 
 // send schedules delivery of m according to delay, jitter, loss with
@@ -175,5 +187,6 @@ func (p *pipe) send(m *Message) {
 		arrival = p.lastRelease // in-order delivery: HOL blocking
 	}
 	p.lastRelease = arrival
-	p.net.env.PostAt(arrival, func() { p.dst.deliver(m) })
+	p.inflight.Push(m)
+	p.net.env.PostAt(arrival, p.deliver0)
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"time"
+
 	"reqlens/internal/kernel"
 	"reqlens/internal/sim"
 )
@@ -8,35 +10,45 @@ import (
 // EAGAIN is the non-blocking "no data" return value.
 const EAGAIN = -11
 
-// endpoint is the receive side of one connection direction: a FIFO of
-// delivered messages plus the readers and pollers to wake on delivery.
-type endpoint struct {
-	queue   sim.FIFO[*Message]
-	readers []*sim.Waker
-	sock    *Sock
+// inbox is a receive queue that readers block on: a connection
+// direction's delivered messages, or a listener's pending connections.
+type inbox[T any] struct {
+	queue   sim.FIFO[T]
+	waiters []*sim.Waker
+	epolls  []*Epoll
 }
 
-func (e *endpoint) deliver(m *Message) {
-	e.queue.Push(m)
-	for _, w := range e.readers {
+// push queues v and wakes the blocked readers, then the epolls watching.
+func (b *inbox[T]) push(v T) {
+	b.queue.Push(v)
+	for _, w := range b.waiters {
 		w.Wake()
 	}
-	e.readers = e.readers[:0]
-	if e.sock != nil {
-		for _, ep := range e.sock.epolls {
-			ep.notify()
-		}
+	b.waiters = b.waiters[:0]
+	for _, ep := range b.epolls {
+		ep.notify()
 	}
+}
+
+// pop is the core of a receive body: it pops the head into v and reports
+// ok, or with nothing queued it is done at once, or, blocking, joins the
+// waiters and is not.
+func (b *inbox[T]) pop(t *kernel.Thread, block bool, v *T) (ok, done bool) {
+	if b.queue.Len() > 0 {
+		*v = b.queue.Pop()
+		return true, true
+	}
+	if block {
+		b.waiters = append(b.waiters, t.Waker())
+	}
+	return false, !block
 }
 
 // Sock is one side of an established connection.
 type Sock struct {
-	net    *Network
-	fd     int
-	rx     *endpoint
-	tx     *pipe
-	epolls []*Epoll
-	peerFD int
+	fd int
+	rx *inbox[*Message]
+	tx *pipe
 }
 
 // FD returns the socket's file descriptor number.
@@ -52,55 +64,78 @@ func (s *Sock) QueueLen() int { return s.rx.queue.Len() }
 // each direction shaped by cfg. Used directly by tests; workloads
 // usually go through Listen/Dial/Accept.
 func (n *Network) NewConn(cfg Config) (a, b *Sock) {
-	a = &Sock{net: n, fd: n.fd(), rx: &endpoint{}}
-	b = &Sock{net: n, fd: n.fd(), rx: &endpoint{}}
-	a.rx.sock = a
-	b.rx.sock = b
-	a.tx = &pipe{net: n, cfg: cfg, dst: b.rx}
-	b.tx = &pipe{net: n, cfg: cfg, dst: a.rx}
-	a.peerFD = b.fd
-	b.peerFD = a.fd
+	a = &Sock{fd: n.fd(), rx: &inbox[*Message]{}}
+	b = &Sock{fd: n.fd(), rx: &inbox[*Message]{}}
+	a.tx = newPipe(n, cfg, b.rx)
+	b.tx = newPipe(n, cfg, a.rx)
 	return a, b
+}
+
+// frame holds one thread's operands for netsim's syscall bodies, which
+// read them from the thread (kernel.Thread.Ops) instead of from a closure
+// allocated per call; a thread issues one syscall at a time.
+type frame struct {
+	sock     *Sock
+	l        *Listener
+	ep       *Epoll
+	msg      *Message
+	block    bool // wait for a message or connection instead of returning EAGAIN
+	timeout  time.Duration
+	deadline sim.Time   // Wait's, -1 until its body first runs or with no timeout
+	timer    *sim.Event // Wait's timeout wake-up, once armed
+	ready    []*Sock    // Wait's result, reused by the thread's next Wait
+}
+
+// frameOf returns t's frame, making it on t's first netsim syscall.
+func frameOf(t *kernel.Thread) *frame {
+	f, ok := t.Ops.(*frame)
+	if !ok {
+		f = new(frame)
+		t.Ops = f
+	}
+	return f
 }
 
 // Send transmits m to the peer as syscall nr (sendto/sendmsg/write). It
 // never blocks: buffers are unbounded, as for a server whose responses
 // fit the socket buffer.
 func (s *Sock) Send(t *kernel.Thread, nr int, m *Message) int64 {
-	return t.Invoke(nr, [6]uint64{uint64(s.fd), uint64(m.Size)}, func() int64 {
-		s.tx.send(m)
-		return int64(m.Size)
-	})
+	f := frameOf(t)
+	f.sock, f.msg = s, m
+	return t.Syscall(nr, [6]uint64{uint64(s.fd), uint64(m.Size)}, sendBody)
+}
+
+func sendBody(t *kernel.Thread) (int64, bool) {
+	f := t.Ops.(*frame)
+	f.sock.tx.send(f.msg)
+	return int64(f.msg.Size), true
 }
 
 // TryRecv performs a non-blocking receive as syscall nr (read/recvfrom/
 // recvmsg), returning EAGAIN when no message is queued — the pattern of
 // epoll-driven servers.
-func (s *Sock) TryRecv(t *kernel.Thread, nr int) (*Message, int64) {
-	var m *Message
-	ret := t.Invoke(nr, [6]uint64{uint64(s.fd)}, func() int64 {
-		if s.rx.queue.Len() == 0 {
-			return EAGAIN
-		}
-		m = s.rx.queue.Pop()
-		return int64(m.Size)
-	})
-	return m, ret
-}
+func (s *Sock) TryRecv(t *kernel.Thread, nr int) (*Message, int64) { return s.recv(t, nr, false) }
 
 // Recv performs a blocking receive as syscall nr: the syscall's duration
 // includes the wait for data.
 func (s *Sock) Recv(t *kernel.Thread, nr int) *Message {
-	var m *Message
-	t.Invoke(nr, [6]uint64{uint64(s.fd)}, func() int64 {
-		for s.rx.queue.Len() == 0 {
-			s.rx.readers = append(s.rx.readers, t.Waker())
-			t.Park()
-		}
-		m = s.rx.queue.Pop()
-		return int64(m.Size)
-	})
+	m, _ := s.recv(t, nr, true)
 	return m
+}
+
+func (s *Sock) recv(t *kernel.Thread, nr int, block bool) (*Message, int64) {
+	f := frameOf(t)
+	f.sock, f.msg, f.block = s, nil, block
+	ret := t.Syscall(nr, [6]uint64{uint64(s.fd)}, recvBody)
+	return f.msg, ret
+}
+
+func recvBody(t *kernel.Thread) (int64, bool) {
+	f := t.Ops.(*frame)
+	if ok, done := f.sock.rx.pop(t, f.block, &f.msg); !ok {
+		return EAGAIN, done
+	}
+	return int64(f.msg.Size), true
 }
 
 // SendBypass transmits without any syscall: the io_uring-style
@@ -112,30 +147,23 @@ func (s *Sock) SendBypass(m *Message) {
 // RecvBypass blocks for a message without any syscall (io_uring-style
 // completion-queue wait).
 func (s *Sock) RecvBypass(t *kernel.Thread) *Message {
-	for s.rx.queue.Len() == 0 {
-		s.rx.readers = append(s.rx.readers, t.Waker())
-		t.Park()
-	}
-	m := s.rx.queue.Pop()
-	return m
+	f := frameOf(t)
+	f.sock, f.block = s, true
+	t.Wait(recvBody)
+	return f.msg
 }
 
 // TryRecvBypass pops a message without blocking or syscalls.
-func (s *Sock) TryRecvBypass() *Message {
-	if s.rx.queue.Len() == 0 {
-		return nil
-	}
-	m := s.rx.queue.Pop()
+func (s *Sock) TryRecvBypass() (m *Message) {
+	s.rx.pop(nil, false, &m)
 	return m
 }
 
 // Listener accepts incoming connections.
 type Listener struct {
-	net     *Network
-	cfg     Config
-	pending []*Sock // server-side socks awaiting accept
-	waiters []*sim.Waker
-	epolls  []*Epoll
+	inbox[*Sock] // server-side socks awaiting accept
+	net          *Network
+	cfg          Config
 }
 
 // Listen creates a listener whose accepted connections are shaped by cfg.
@@ -152,16 +180,7 @@ func (l *Listener) Dial(t *kernel.Thread) *Sock {
 	t.Invoke(kernel.SysSocket, [6]uint64{}, func() int64 {
 		var server *Sock
 		client, server = l.net.NewConn(l.cfg)
-		l.net.env.Post(l.net.effective(l.cfg).Delay, func() {
-			l.pending = append(l.pending, server)
-			for _, w := range l.waiters {
-				w.Wake()
-			}
-			l.waiters = l.waiters[:0]
-			for _, ep := range l.epolls {
-				ep.notify()
-			}
-		})
+		l.net.env.Post(l.net.effective(l.cfg).Delay, func() { l.push(server) })
 		return int64(client.fd)
 	})
 	return client
@@ -169,34 +188,26 @@ func (l *Listener) Dial(t *kernel.Thread) *Sock {
 
 // Accept blocks in an accept syscall until a connection is pending and
 // returns the server-side socket.
-func (l *Listener) Accept(t *kernel.Thread) *Sock {
-	var s *Sock
-	t.Invoke(kernel.SysAccept, [6]uint64{}, func() int64 {
-		for len(l.pending) == 0 {
-			l.waiters = append(l.waiters, t.Waker())
-			t.Park()
-		}
-		s = l.pending[0]
-		l.pending = l.pending[1:]
-		return int64(s.fd)
-	})
-	return s
-}
+func (l *Listener) Accept(t *kernel.Thread) *Sock { return l.accept(t, true) }
 
 // TryAccept accepts without blocking, returning nil when no connection
 // is pending.
-func (l *Listener) TryAccept(t *kernel.Thread) *Sock {
-	var s *Sock
-	t.Invoke(kernel.SysAccept, [6]uint64{}, func() int64 {
-		if len(l.pending) == 0 {
-			return EAGAIN
-		}
-		s = l.pending[0]
-		l.pending = l.pending[1:]
-		return int64(s.fd)
-	})
-	return s
+func (l *Listener) TryAccept(t *kernel.Thread) *Sock { return l.accept(t, false) }
+
+func (l *Listener) accept(t *kernel.Thread, block bool) *Sock {
+	f := frameOf(t)
+	f.l, f.sock, f.block = l, nil, block
+	t.Syscall(kernel.SysAccept, [6]uint64{}, acceptBody)
+	return f.sock
+}
+
+func acceptBody(t *kernel.Thread) (int64, bool) {
+	f := t.Ops.(*frame)
+	if ok, done := f.l.pop(t, f.block, &f.sock); !ok {
+		return EAGAIN, done
+	}
+	return int64(f.sock.fd), true
 }
 
 // Pending returns the accept-queue depth (diagnostics).
-func (l *Listener) Pending() int { return len(l.pending) }
+func (l *Listener) Pending() int { return l.queue.Len() }

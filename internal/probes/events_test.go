@@ -93,10 +93,7 @@ func TestPollProbeStreamMatchesAggregates(t *testing.T) {
 	}
 	srv.SpawnThread("w", func(th *kernel.Thread) {
 		for i := 0; i < 50; i++ {
-			th.Invoke(kernel.SysEpollWait, [6]uint64{}, func() int64 {
-				th.Sleep(time.Duration(200+10*i) * time.Microsecond)
-				return 1
-			})
+			th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(time.Duration(200+10*i)*time.Microsecond, 1))
 			th.Sleep(100 * time.Microsecond)
 		}
 	})

@@ -19,16 +19,10 @@ func TestHistProbeBucketsDurations(t *testing.T) {
 	// (bucket 12: 4096..8192us).
 	srv.SpawnThread("w", func(th *kernel.Thread) {
 		for i := 0; i < 10; i++ {
-			th.Invoke(kernel.SysEpollWait, [6]uint64{}, func() int64 {
-				th.Sleep(100 * time.Microsecond)
-				return 0
-			})
+			th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(100*time.Microsecond, 0))
 		}
 		for i := 0; i < 5; i++ {
-			th.Invoke(kernel.SysEpollWait, [6]uint64{}, func() int64 {
-				th.Sleep(5 * time.Millisecond)
-				return 0
-			})
+			th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(5*time.Millisecond, 0))
 		}
 	})
 	env.Run()
@@ -73,10 +67,7 @@ func TestHistProbeSubMicrosecondGoesToBucketZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SpawnThread("w", func(th *kernel.Thread) {
-		th.Invoke(kernel.SysEpollWait, [6]uint64{}, func() int64 {
-			th.Sleep(200 * time.Nanosecond)
-			return 0
-		})
+		th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(200*time.Nanosecond, 0))
 	})
 	env.Run()
 	counts := probe.Snapshot()

@@ -208,10 +208,7 @@ func TestPollProbeMeasuresDuration(t *testing.T) {
 	const waitDur = 7 * time.Millisecond
 	srv.SpawnThread("w", func(th *kernel.Thread) {
 		for i := 0; i < 20; i++ {
-			th.Invoke(kernel.SysEpollWait, [6]uint64{}, func() int64 {
-				th.Sleep(waitDur) // idle wait inside the syscall
-				return 0
-			})
+			th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(waitDur, 0)) // idle wait inside the syscall
 		}
 	})
 	env.Run()
@@ -244,10 +241,7 @@ func TestPollProbeConcurrentThreadsDoNotCollide(t *testing.T) {
 		_ = i
 		srv.SpawnThread("w", func(th *kernel.Thread) {
 			for j := 0; j < 10; j++ {
-				th.Invoke(kernel.SysEpollWait, [6]uint64{}, func() int64 {
-					th.Sleep(d)
-					return 0
-				})
+				th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(d, 0))
 			}
 		})
 	}
@@ -271,10 +265,7 @@ func TestPollProbeSelectVariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SpawnThread("w", func(th *kernel.Thread) {
-		th.Invoke(kernel.SysSelect, [6]uint64{}, func() int64 {
-			th.Sleep(3 * time.Millisecond)
-			return 0
-		})
+		th.Syscall(kernel.SysSelect, [6]uint64{}, kernel.Sleeping(3*time.Millisecond, 0))
 	})
 	env.Run()
 	if s := probe.Snapshot(); s.Count != 1 {

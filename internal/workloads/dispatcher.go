@@ -14,15 +14,7 @@ import (
 // network thread through an eventfd-style notification socket (write/
 // read — deliberately outside the send/recv families the probes watch,
 // matching how gRPC internals are invisible to the paper's filters).
-type dispatcher struct {
-	spec     Spec
-	proc     *kernel.Process
-	listener *netsim.Listener
-}
-
-func (w *dispatcher) Spec() Spec                 { return w.spec }
-func (w *dispatcher) Process() *kernel.Process   { return w.proc }
-func (w *dispatcher) Listener() *netsim.Listener { return w.listener }
+type dispatcher struct{ server }
 
 // workItem is a request in flight between network and worker threads.
 type workItem struct {
@@ -40,11 +32,7 @@ type netThread struct {
 }
 
 func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsim.Config) Server {
-	w := &dispatcher{
-		spec:     spec,
-		proc:     k.NewProcess(spec.Name),
-		listener: n.Listen(linkCfg),
-	}
+	w := &dispatcher{newServer(k, n, spec, spec.Name, linkCfg)}
 	demand := newDemandSampler(k.Env().NewRNG(), spec.ServiceMean, spec.ServiceCV)
 	var mu kernel.Mutex
 
@@ -63,6 +51,15 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 			wk.Wake()
 		}
 		idleWorkers = idleWorkers[:0]
+	}
+	// idle is a worker's wait for work: on the idle list until pushWork
+	// wakes it with the queue non-empty.
+	idle := func(t *kernel.Thread) (int64, bool) {
+		if len(queue) > 0 {
+			return 0, true
+		}
+		idleWorkers = append(idleWorkers, t.Waker())
+		return 0, false
 	}
 
 	nets := make([]*netThread, nNet)
@@ -111,10 +108,7 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 		w.proc.SpawnThread(fmt.Sprintf("infer%d", i), func(t *kernel.Thread) {
 			sinceSweep := 0
 			for {
-				for len(queue) == 0 {
-					idleWorkers = append(idleWorkers, t.Waker())
-					t.Park()
-				}
+				t.Wait(idle)
 				it := queue[0]
 				queue = queue[1:]
 				sinceSweep++

@@ -14,27 +14,16 @@ import (
 // occasional io_uring_enter when the completion queue runs dry — so the
 // paper's recv/send/poll probes observe (almost) nothing, and
 // syscall-derived metrics go blind.
-type ioUringServer struct {
-	spec     Spec
-	proc     *kernel.Process
-	listener *netsim.Listener
-}
-
-func (w *ioUringServer) Spec() Spec                 { return w.spec }
-func (w *ioUringServer) Process() *kernel.Process   { return w.proc }
-func (w *ioUringServer) Listener() *netsim.Listener { return w.listener }
+type ioUringServer struct{ server }
 
 func launchIOUring(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsim.Config) Server {
-	w := &ioUringServer{
-		spec:     spec,
-		proc:     k.NewProcess(spec.Name),
-		listener: n.Listen(linkCfg),
-	}
+	w := &ioUringServer{newServer(k, n, spec, spec.Name, linkCfg)}
 	demand := newDemandSampler(k.Env().NewRNG(), spec.ServiceMean, spec.ServiceCV)
 	var mu kernel.Mutex
 
 	var conns [][]*netsim.Sock // per-worker connection sets
 	conns = make([][]*netsim.Sock, spec.Workers)
+	dry := kernel.Sleeping(200*time.Microsecond, 0)
 
 	for i := 0; i < spec.Workers; i++ {
 		i := i
@@ -56,10 +45,7 @@ func launchIOUring(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsi
 					// Completion queue dry: a single io_uring_enter to
 					// wait, then poll the CQ again. This is the only
 					// syscall footprint of the fast path.
-					t.Invoke(kernel.SysIoUringEnter, [6]uint64{}, func() int64 {
-						t.Sleep(200 * time.Microsecond)
-						return 0
-					})
+					t.Syscall(kernel.SysIoUringEnter, [6]uint64{}, dry)
 				}
 			}
 		})

@@ -41,22 +41,12 @@ func Launch(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsim.Confi
 // an epoll (or select set) over a share of the connections and runs
 // poll -> drain(recv -> compute -> send).
 type workerPool struct {
-	spec     Spec
-	proc     *kernel.Process
-	listener *netsim.Listener
-	epolls   []*netsim.Epoll
+	server
+	epolls []*netsim.Epoll
 }
 
-func (w *workerPool) Spec() Spec                 { return w.spec }
-func (w *workerPool) Process() *kernel.Process   { return w.proc }
-func (w *workerPool) Listener() *netsim.Listener { return w.listener }
-
 func launchWorkerPool(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsim.Config) Server {
-	w := &workerPool{
-		spec:     spec,
-		proc:     k.NewProcess(spec.Name),
-		listener: n.Listen(linkCfg),
-	}
+	w := &workerPool{server: newServer(k, n, spec, spec.Name, linkCfg)}
 	demand := newDemandSampler(k.Env().NewRNG(), spec.ServiceMean, spec.ServiceCV)
 	var mu kernel.Mutex // shared queue/LRU maintenance lock
 

@@ -283,3 +283,19 @@ type Server interface {
 	// Listener is where clients dial.
 	Listener() *netsim.Listener
 }
+
+// server is what every Server model embeds: its spec, its client-facing
+// process and its listener.
+type server struct {
+	spec     Spec
+	proc     *kernel.Process
+	listener *netsim.Listener
+}
+
+func newServer(k *kernel.Kernel, n *netsim.Network, spec Spec, proc string, linkCfg netsim.Config) server {
+	return server{spec: spec, proc: k.NewProcess(proc), listener: n.Listen(linkCfg)}
+}
+
+func (w *server) Spec() Spec                 { return w.spec }
+func (w *server) Process() *kernel.Process   { return w.proc }
+func (w *server) Listener() *netsim.Listener { return w.listener }

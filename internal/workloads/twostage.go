@@ -16,26 +16,16 @@ import (
 // internal forwards — the structural reason the paper measures its
 // weakest RPS correlation (R^2 = 0.86) on this workload.
 type twoStage struct {
-	spec     Spec
-	front    *kernel.Process
-	back     *kernel.Process
-	listener *netsim.Listener
+	server // its process is the front end
+	back   *kernel.Process
 }
-
-func (w *twoStage) Spec() Spec                 { return w.spec }
-func (w *twoStage) Process() *kernel.Process   { return w.front }
-func (w *twoStage) Listener() *netsim.Listener { return w.listener }
 
 // Backend returns the index-search process.
 func (w *twoStage) Backend() *kernel.Process { return w.back }
 
 func launchTwoStage(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsim.Config) Server {
-	w := &twoStage{
-		spec:     spec,
-		front:    k.NewProcess(spec.Name + "-front"),
-		back:     k.NewProcess(spec.Name + "-index"),
-		listener: n.Listen(linkCfg),
-	}
+	w := &twoStage{server: newServer(k, n, spec, spec.Name+"-front", linkCfg)}
+	w.back = k.NewProcess(spec.Name + "-index")
 	frontShare := spec.FrontShare
 	if frontShare <= 0 {
 		frontShare = 0.1
@@ -57,21 +47,7 @@ func launchTwoStage(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg nets
 			for {
 				ready := backEp.Wait(t, spec.PollNR, 0)
 				for _, s := range ready {
-					for {
-						m, ret := s.TryRecv(t, spec.RecvNR)
-						if ret == netsim.EAGAIN {
-							break
-						}
-						serveOne(t, spec, backDemand.sample(), &backMu)
-						s.Send(t, spec.SendNR, &netsim.Message{ID: m.ID, Size: spec.RespSize, Payload: m.Payload})
-						if spec.MaintenanceEvery > 0 {
-							sinceSweep++
-							if sinceSweep >= spec.MaintenanceEvery {
-								sinceSweep = 0
-								maintain(t, spec, backEp.TotalQueued(), &backMu)
-							}
-						}
-					}
+					drainAndServe(t, s, spec, backDemand, &backMu, backEp, &sinceSweep)
 				}
 			}
 		})
@@ -110,7 +86,7 @@ func launchTwoStage(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg nets
 	for i := 0; i < spec.Workers; i++ {
 		ep := n.NewEpoll()
 		frontEps[i] = ep
-		w.front.SpawnThread(fmt.Sprintf("front%d", i), func(t *kernel.Thread) {
+		w.proc.SpawnThread(fmt.Sprintf("front%d", i), func(t *kernel.Thread) {
 			backConn := internal.Dial(t)
 			sinceSweep := 0
 			for {
@@ -146,7 +122,7 @@ func launchTwoStage(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg nets
 			}
 		})
 	}
-	w.front.SpawnThread("main", func(t *kernel.Thread) {
+	w.proc.SpawnThread("main", func(t *kernel.Thread) {
 		emitSetup(t)
 		for i := 0; ; i++ {
 			s := w.listener.Accept(t)

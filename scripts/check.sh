@@ -26,9 +26,11 @@
 #                                         scripts/bench.sh records run
 #                                         for one iteration each, and
 #                                         BenchmarkProcHandoff,
-#                                         BenchmarkProcHandoffContended and
+#                                         BenchmarkProcHandoffContended,
 #                                         BenchmarkKernelSyscallPathContended
-#                                         report 0 allocs/op, and
+#                                         and BenchmarkNetRecvBlocking
+#                                         report 0 allocs/op, the contended
+#                                         syscall ≤ 1.00 switches/op, and
 #                                         BenchmarkScrapeEpoch stays at
 #                                         its allocs/op; the compiled
 #                                         eBPF benches report 0 allocs/op
@@ -133,14 +135,23 @@ go test -run '^$' -benchtime 1x \
     . >/dev/null
 # The proc hand-off is the simulator's innermost loop: besides running,
 # neither Sleep path — elided (a lone sleeper) or parked (contended) —
-# may allocate, nor may a syscall that goes through the run queue.
-handoff=$(go test -run '^$' -benchtime 1000x -bench '^(BenchmarkProcHandoff(Contended)?|BenchmarkKernelSyscallPathContended)$' .)
-for bench in BenchmarkProcHandoff BenchmarkProcHandoffContended BenchmarkKernelSyscallPathContended; do
+# may allocate, nor may a syscall that goes through the run queue, nor a
+# round trip through netsim's blocking recv and epoll_wait. A syscall's
+# stages are one continuation: its thread's coroutine resumes at most
+# once per syscall.
+handoff=$(go test -run '^$' -benchtime 1000x -bench '^(BenchmarkProcHandoff(Contended)?|BenchmarkKernelSyscallPathContended|BenchmarkNetRecvBlocking)$' .)
+for bench in BenchmarkProcHandoff BenchmarkProcHandoffContended BenchmarkKernelSyscallPathContended BenchmarkNetRecvBlocking; do
     if ! echo "$handoff" | grep "^$bench\(-[0-9]*\)\?[[:space:]].*[[:space:]]0 allocs/op" >/dev/null; then
         echo "$bench did not run or did not report 0 allocs/op" >&2
         exit 1
     fi
 done
+switches=$(echo "$handoff" | sed -n 's/^BenchmarkKernelSyscallPathContended.*[[:space:]]\([0-9.]*\) switches\/op.*/\1/p')
+if [ -z "$switches" ] || [ "$(awk -v s="$switches" 'BEGIN { print (s <= 1.00) ? "ok" : "high" }')" != ok ]; then
+    echo "BenchmarkKernelSyscallPathContended switched into a coroutine ${switches:-?} times per syscall, above 1.00:" >&2
+    echo "$handoff" >&2
+    exit 1
+fi
 go test -run '^$' -benchtime 1x -bench '^(BenchmarkRingbufThroughput|BenchmarkSketchHotPath)$' \
     ./internal/ebpf/ >/dev/null
 # The compiled eBPF backend runs on pooled state: no run may allocate.
@@ -161,11 +172,11 @@ go test -run '^$' -benchtime 1x -bench '^BenchmarkFleetEpochs$' \
     ./internal/fleet/ >/dev/null
 # The scrape plane's budget is one allocation per scrape (its Raw) plus
 # the rollup's two ranking slices: 18 of an epoch's allocs/op on 16
-# nodes. The other 108 are the simulated 1 ms of traffic (per-message
-# state in netsim, the eBPF hash maps, loadgen and the workloads), which
+# nodes. The other 62 are the simulated 1 ms of traffic (the request and
+# response messages, the eBPF hash maps, loadgen's bookkeeping), which
 # is seeded, so at a fixed iteration count the sum repeats exactly.
 # TestScrapePlaneAllocs pins the 18 alone.
-scrape_allocs_max=126
+scrape_allocs_max=80
 scrape=$(go test -run '^$' -benchtime 500x -bench '^BenchmarkScrapeEpoch$' ./internal/fleet/)
 allocs=$(echo "$scrape" | sed -n 's/^BenchmarkScrapeEpoch.*[[:space:]]\([0-9][0-9]*\) allocs\/op.*/\1/p')
 if [ -z "$allocs" ] || [ "$allocs" -gt "$scrape_allocs_max" ]; then

@@ -307,12 +307,12 @@ func BenchmarkSweepParallelism(b *testing.B) {
 
 // --- Substrate microbenchmarks ---
 
-// benchListing1 runs the paper's Listing 1 probe on the given VM
-// backend. Every VM bench reports insns/op (accumulated through the
-// telemetry registry, the same counter the kernel tracer feeds) so
-// BENCH_interpreter.json and BENCH_jit.json carry comparable
-// insns_per_op fields and ns/insn can be derived for either backend.
-func benchListing1(b *testing.B, backend ebpf.Backend) {
+// BenchmarkEBPFCompiledListing1 runs the paper's Listing 1 probe through
+// Program.Run (BENCH_jit.json): decoded ops, pooled run state, zero
+// allocations per run. It reports insns/op, accumulated through the
+// telemetry registry (the same counter the kernel tracer feeds), so
+// ns/insn can be derived.
+func BenchmarkEBPFCompiledListing1(b *testing.B) {
 	start := ebpf.NewHashMap("start", 8, 8, 4096)
 	a := ebpf.NewAssembler()
 	a.Emit(ebpf.Mov64Reg(ebpf.R6, ebpf.R1))
@@ -338,7 +338,7 @@ func benchListing1(b *testing.B, backend ebpf.Backend) {
 	a.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
 	prog := ebpf.MustLoad(ebpf.ProgramSpec{
 		Name: "listing1", Insns: a.MustAssemble(),
-		Maps: map[int32]ebpf.Map{1: start}, CtxSize: 64, Backend: backend,
+		Maps: map[int32]ebpf.Map{1: start}, CtxSize: 64,
 	})
 	ctx := make([]byte, 64)
 	ctx[8] = 232
@@ -357,20 +357,6 @@ func benchListing1(b *testing.B, backend ebpf.Backend) {
 	b.StopTimer()
 	insns.Add(retired)
 	b.ReportMetric(float64(insns.Value())/float64(b.N), "insns/op")
-}
-
-// BenchmarkEBPFInterpreterListing1 pins the decode-per-step interpreter
-// — the BENCH_interpreter.json baseline the compiled backend's ≥5x
-// target is measured against.
-func BenchmarkEBPFInterpreterListing1(b *testing.B) {
-	benchListing1(b, ebpf.BackendInterpreter)
-}
-
-// BenchmarkEBPFCompiledListing1 runs the same probe on the
-// compile-to-closures backend (BENCH_jit.json): pre-bound ops, pooled
-// run state, zero allocations per run.
-func BenchmarkEBPFCompiledListing1(b *testing.B) {
-	benchListing1(b, ebpf.BackendCompiled)
 }
 
 func BenchmarkEBPFVerifier(b *testing.B) {

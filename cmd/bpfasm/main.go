@@ -2,7 +2,7 @@
 // it builds them through the assembler, runs them through the verifier,
 // and prints the disassembly — a loader's-eye view of the paper's
 // Listing 1 and the in-kernel statistics programs. Beside each slot it
-// prints the op the compiled backend decoded it to ("cold" means the
+// prints the op Load decoded it to ("cold" means the
 // slot has no hot half) and marks fused pairs, so "why is this slot
 // generic, or unfused" is answerable here.
 //

@@ -14,7 +14,7 @@
 //
 // Every entry parses the same flag set (`reqlens <command> -h` lists it):
 // scale and selection (-quick, -workload, -seed, -intel), execution
-// (-parallel, -progress, -backend), the streaming observer (-stream,
+// (-parallel, -progress), the streaming observer (-stream,
 // -streambytes), supervision (-deadline, -retries, -chaos; any of them
 // turns a failing point into a marked gap instead of a crash),
 // self-telemetry (-metrics, -journal) and the few flags single entries
@@ -34,7 +34,6 @@ import (
 	"os"
 	"time"
 
-	"reqlens/internal/ebpf"
 	"reqlens/internal/fleet"
 	"reqlens/internal/harness"
 	"reqlens/internal/machine"
@@ -106,7 +105,6 @@ func dispatch(name string, args []string, resume map[string]telemetry.Record, st
 	deadline := fs.Duration("deadline", 0, "per-point wall-clock budget; an overrunning point is killed and recorded as a gap (0 = none)")
 	retries := fs.Int("retries", 0, "re-run a failed point up to N times with the same derived seed")
 	chaos := fs.Bool("chaos", false, "inject a deterministic panic every 5th point and a hang every 7th (exercise supervision)")
-	backendName := fs.String("backend", "", "eBPF execution backend: auto, interpreter, or compiled (default: compiled)")
 	nodes := fs.Int("nodes", 16, "fleet subcommand: cluster size")
 	fs.DurationVar(&rc.fleet.Scrape.Interval, "scrape-interval", 0, "fleet subcommand: scrape period (0 = 250ms)")
 	fs.DurationVar(&rc.fleet.Scrape.Skew, "skew", 0, "fleet subcommand: per-node scrape jitter bound (0 = interval/10, negative = none)")
@@ -117,12 +115,6 @@ func dispatch(name string, args []string, resume map[string]telemetry.Record, st
 	fs.IntVar(&rc.trials, "trials", 5, "attribution subcommand: trials per fault scenario")
 	fs.Parse(args) // ExitOnError: a bad flag has already exited with status 2
 	rc.fleet.Nodes = fleet.DefaultSpecs(*nodes)
-	backend, err := ebpf.ParseBackend(*backendName)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ebpf.SetDefaultBackend(backend)
 	if exp.offline != nil {
 		return exp.offline(rc, stdout)
 	}

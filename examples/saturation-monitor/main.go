@@ -1,10 +1,11 @@
 // Saturation monitor: detect a QoS failure from kernel space alone.
 //
-// Load ramps up in steps. A SaturationDetector watches the variance of
-// inter-send deltas (the paper's Eq. 2 / Fig. 3 signal) and a
-// SlackEstimator tracks remaining headroom from epoll durations
-// (Fig. 4). The printout pairs every in-kernel verdict with the ground
-// truth the detector cannot see: the client's p99 against the QoS limit.
+// Load ramps up in steps. control.SaturationDetector charts the variance
+// of inter-send deltas (the paper's Eq. 2 / Fig. 3 signal) and the mean
+// epoll duration (Fig. 4) against a baseline it learns from the first
+// windows, and a SlackEstimator tracks the remaining headroom. The
+// printout pairs every in-kernel verdict with the ground truth the
+// detector cannot see: the client's p99 against the QoS limit.
 //
 //	go run ./examples/saturation-monitor
 package main
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"reqlens/internal/control"
 	"reqlens/internal/core"
 	"reqlens/internal/harness"
 	"reqlens/internal/loadgen"
@@ -28,7 +30,11 @@ func main() {
 	})
 	defer rig.Close()
 
-	detector := core.NewSaturationDetector(1.8, 8)
+	// The baseline is the five base-load windows before the first step.
+	// The poll chart is two-sided, so a wide limit keeps it from
+	// alarming on the shift of a healthy step (epoll waits up to ~2.5x
+	// shorter) and leaves it the collapse of the slack.
+	detector := control.NewSaturationDetector(control.DetectorConfig{Warmup: 5, PollLimit: 40})
 	slack := core.NewSlackEstimator()
 
 	fmt.Printf("workload %s: QoS limit p99 <= %v, paper failure at %.0f RPS\n\n",
@@ -39,6 +45,7 @@ func main() {
 	rig.Warmup(2 * time.Second)
 
 	step := 0
+	var now time.Duration
 	for tick := 0; tick < 36; tick++ {
 		// Every 6 ticks, another traffic source joins (+20% of failure).
 		if tick%6 == 5 && step < 3 {
@@ -51,13 +58,16 @@ func main() {
 			})
 		}
 		m := rig.Measure(time.Second)
-		saturated := detector.Observe(m.SendVarUS2)
+		now += time.Second
+		alarm, saturated := detector.Observe(now, control.Sample{
+			SendVarUS2: m.SendVarUS2, RPS: m.RPSObsv, PollMeanNS: m.PollMeanNS,
+		})
 		sl := slack.Observe(time.Duration(m.PollMeanNS))
 
 		verdict := "ok"
 		if saturated {
-			verdict = "SATURATED"
-		} else if !detector.Warm() {
+			verdict = "ALARM " + alarm.Signal.String()
+		} else if !detector.Warmed() {
 			verdict = "(warmup)"
 		} else if sl < 0.1 {
 			verdict = "low slack"
@@ -71,8 +81,6 @@ func main() {
 			m.Load.P99.Round(time.Millisecond), verdict, truth)
 	}
 
-	fmt.Println("\nThe slack signal collapses in the same step the client-side p99")
-	fmt.Println("crosses the QoS limit, and the variance alarm fires as the overload")
-	fmt.Println("persists and queue-management contention builds — all without any")
-	fmt.Println("client feedback.")
+	fmt.Println("\nThe poll chart alarms in the step the client-side p99 crosses the")
+	fmt.Println("QoS limit, as the epoll slack collapses — without any client feedback.")
 }

@@ -6,6 +6,7 @@ import (
 
 	"reqlens/internal/kernel"
 	"reqlens/internal/machine"
+	"reqlens/internal/probes"
 	"reqlens/internal/sim"
 )
 
@@ -98,40 +99,37 @@ func TestObserverWindowsAreDisjoint(t *testing.T) {
 	}
 }
 
-func TestSaturationDetectorWarmupAndAlarm(t *testing.T) {
-	d := NewSaturationDetector(4, 8)
-	for i := 0; i < 8; i++ {
-		if d.Observe(100) {
-			t.Fatal("alarm during warmup")
+// TestWaitProfileWindow attaches the wait-state pair to one thread that
+// alternates 1 ms of CPU with a 1 ms blocking syscall: a window splits
+// the thread's time between on-CPU and blocked, and the shares sum to 1.
+func TestWaitProfileWindow(t *testing.T) {
+	env, k := rig()
+	srv := k.NewProcess("srv")
+	wp := MustAttachWaitProfile(k, srv.TGID(), probes.WaitStateConfig{TrackTGID: srv.TGID()})
+	srv.SpawnThread("w", func(th *kernel.Thread) {
+		for i := 0; i < 100; i++ {
+			th.Compute(time.Millisecond)
+			th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(time.Millisecond, 1))
 		}
+	})
+	env.RunFor(10 * time.Millisecond)
+	wp.Sample() // discard warmup
+	env.RunFor(40 * time.Millisecond)
+	w := wp.Sample()
+	if w.Duration != 40*time.Millisecond {
+		t.Fatalf("window duration = %v, want 40ms", w.Duration)
 	}
-	if !d.Warm() {
-		t.Fatal("should be warm after History windows")
+	oncpu, runnable, blocked := w.Shares()
+	if oncpu < 0.3 || blocked < 0.3 {
+		t.Fatalf("shares on-CPU %.2f, blocked %.2f: want each near half", oncpu, blocked)
 	}
-	if d.Observe(150) {
-		t.Fatal("within-threshold variance should not alarm")
+	if sum := oncpu + runnable + blocked; sum < 0.999 || sum > 1.001 {
+		t.Fatalf("shares sum to %v", sum)
 	}
-	if !d.Observe(1000) {
-		t.Fatal("10x variance should alarm")
+	if _, ok := wp.SnapshotAll()[uint64(srv.TGID())]; !ok || wp.Bytes() <= 0 {
+		t.Fatal("tracked tgid missing from the snapshot, or no map footprint")
 	}
-	// The anomaly must not poison the baseline.
-	if d.Baseline() > 200 {
-		t.Fatalf("baseline = %v after anomaly", d.Baseline())
-	}
-	// Still alarming on sustained overload.
-	if !d.Observe(900) {
-		t.Fatal("sustained overload should keep alarming")
-	}
-}
-
-func TestSaturationDetectorDefaults(t *testing.T) {
-	d := NewSaturationDetector(0, 0)
-	if d.Factor != 4 || d.History != 16 {
-		t.Fatalf("defaults = %+v", d)
-	}
-	if d.Observe(-5) || d.Observe(0) {
-		t.Fatal("nonpositive variance should never alarm")
-	}
+	wp.Detach()
 }
 
 func TestSlackEstimator(t *testing.T) {

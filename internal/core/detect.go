@@ -1,66 +1,6 @@
 package core
 
-import (
-	"math"
-	"sort"
-	"time"
-)
-
-// SaturationDetector implements the paper's Section IV-C.1 strategy: an
-// "unexpected rise" in the variance of send/recv inter-syscall deltas
-// signals saturation-induced QoS risk. The detector keeps a rolling
-// history of recent windows and alarms when the current variance exceeds
-// Factor times the history median. Alarmed windows are not folded into
-// the history, so a sustained overload cannot normalize itself away.
-type SaturationDetector struct {
-	Factor  float64 // alarm threshold multiplier (e.g. 4)
-	History int     // baseline window count (e.g. 16)
-
-	hist []float64
-}
-
-// NewSaturationDetector returns a detector with the given threshold
-// multiplier and baseline history length.
-func NewSaturationDetector(factor float64, history int) *SaturationDetector {
-	if factor <= 1 {
-		factor = 4
-	}
-	if history <= 0 {
-		history = 16
-	}
-	return &SaturationDetector{Factor: factor, History: history}
-}
-
-// Baseline returns the current history median, or 0 while warming up.
-func (d *SaturationDetector) Baseline() float64 {
-	if len(d.hist) == 0 {
-		return 0
-	}
-	s := make([]float64, len(d.hist))
-	copy(s, d.hist)
-	sort.Float64s(s)
-	return s[len(s)/2]
-}
-
-// Warm reports whether the baseline history is full.
-func (d *SaturationDetector) Warm() bool { return len(d.hist) >= d.History }
-
-// Observe folds one window's variance and reports whether it indicates
-// saturation. The first History windows only build the baseline.
-func (d *SaturationDetector) Observe(varianceUS2 float64) bool {
-	if math.IsNaN(varianceUS2) || varianceUS2 < 0 {
-		return false
-	}
-	if !d.Warm() {
-		d.hist = append(d.hist, varianceUS2)
-		return false
-	}
-	if varianceUS2 > d.Factor*d.Baseline() {
-		return true // do not absorb the anomaly into the baseline
-	}
-	d.hist = append(d.hist[1:], varianceUS2)
-	return false
-}
+import "time"
 
 // SlackEstimator implements Section IV-C.2: the mean duration of poll
 // syscalls measures idleness; normalized against the largest observed

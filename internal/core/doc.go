@@ -14,10 +14,10 @@
 //   - mean poll (epoll_wait/select) duration — the idleness/saturation
 //     slack signal of Fig. 4.
 //
-// SaturationDetector and SlackEstimator turn those raw signals into
-// decisions a management runtime (DVFS governor, core allocator,
-// autoscaler) can act on, as motivated in Sections I and VI; see
-// examples/saturation-monitor and examples/blackbox-autoscaler.
+// SlackEstimator, and internal/control's SaturationDetector, turn those
+// raw signals into decisions a management runtime (DVFS governor, core
+// allocator, autoscaler) can act on, as motivated in Sections I and VI;
+// see examples/saturation-monitor and examples/blackbox-autoscaler.
 //
 // Key entry points:
 //
@@ -32,7 +32,6 @@
 //     aggregates, exposing the same Window the batch Observer produces
 //     together with a producer-side Dropped counter. A lossless stream
 //     reconstructs the batch windows bit-for-bit.
-//   - NewSaturationDetector — variance-anomaly alarm over Eq. 2.
 //   - NewSlackEstimator — normalized idle headroom from poll durations.
 //   - AttachStages / MultiObserver — per-stage observers across a
 //     multi-process pipeline, naming the bottleneck stage (the Section

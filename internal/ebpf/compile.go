@@ -6,28 +6,29 @@ import (
 	"sync"
 )
 
-// Compiled backend: one decoded program, one loop. At Load time decode
-// turns every verified slot into a fixed-size, self-contained op record
-// — a specialised opcode, the registers, access size, resolved jump
-// target, immediate and width mask, and the map-handle word of an lddw
-// — fusing three adjacent-pair idioms by rewriting the pair's leader.
-// dispatch is a single for/switch over that array. Each case is an op's hot
-// half: it tests the operand tags once and works in place. Anything
-// else — pointer and map-handle operands, a live spill slot, every
-// fault — leaves the switch for the one cold tail, which runs the slot
-// through the interpreter's own vm.alu, vm.branch, vm.load, vm.store,
-// vm.atomic and vm.call, so results and fault strings cannot drift.
+// The execution engine: one decoded program, one loop. At Load time
+// decode turns every verified slot into a fixed-size, self-contained op
+// record — a specialised opcode, the registers, access size, resolved
+// jump target, immediate and width mask, and the map-handle word of an
+// lddw — fusing three adjacent-pair idioms by rewriting the pair's
+// leader. dispatch is a single for/switch over that array. Each case is
+// an op's hot half: it tests the operand tags once and works in place.
+// Anything else — pointer and map-handle operands, a live spill slot,
+// every fault — leaves the switch for the one cold tail, which runs the
+// slot through vm.go's generic per-op routines (vm.alu, vm.branch,
+// vm.load, vm.store, vm.atomic and vm.call).
 //
-// The backend preserves the interpreter's semantics bit for bit,
-// including runtime fault messages and RunStats accounting; the
-// differential suite (differential_test.go) executes every generated
-// and fuzzed program on interpreter, compiled backend, and reference
-// evaluator and requires full-state agreement.
+// The tests hold the engine to a decode-per-step oracle over those same
+// routines (oracle_test.go), bit for bit, including runtime fault
+// messages and RunStats accounting; the differential suite
+// (differential_test.go) executes every generated and fuzzed program on
+// the oracle, Program.Run and a reference evaluator and requires
+// full-state agreement.
 //
 // Run state is pooled (vmPool): the register file, the stack, the
 // spill tracking, and the map-value region arena all live in one
 // reusable allocation, reset on every acquisition, so steady-state
-// compiled execution performs zero heap allocations. Pooled state is
+// execution performs zero heap allocations. Pooled state is
 // returned only on normal completion — a panic unwinding through a run
 // (a cooperative sim.Clock timeout, chaos injection) abandons the
 // state to the garbage collector, so a recovered panic can never leak
@@ -143,11 +144,11 @@ const regMask = 15
 const exitOp = math.MinInt32
 
 // spillSlots is the number of 8-byte-aligned stack slots that can hold
-// a spilled pointer; the compiled backend tracks their liveness in a
-// single uint64 bitmask (spillMask) instead of the interpreter's map.
+// a spilled pointer; their liveness is a single uint64 bitmask
+// (spillMask).
 const spillSlots = StackSize / 8
 
-// vmPool recycles compiled-backend run state across Program.Run calls.
+// vmPool recycles run state across Program.Run calls.
 // It is shared process-wide: run state is program-independent (fixed
 // stack and register file; the arena grows to the busiest program's
 // per-run lookup count and stays).
@@ -173,7 +174,6 @@ func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 		m.spillW = new([spillSlots]word)
 		m.stack = region{kind: regionStack, data: m.stackMem}
 		m.ctx = region{kind: regionCtx, readonly: true}
-		m.pooled = true
 	} else if m.stackLo < StackSize {
 		clear(m.stackMem[m.stackLo:])
 	}
@@ -204,21 +204,8 @@ func putVM(p *Program, m *vm) {
 	vmPool.Put(m)
 }
 
-// runCompiled executes the compiled program once against pooled run
-// state. State is recycled on normal return and on runtime faults
-// (fault errors copy what they report); it is deliberately NOT
-// recycled when a panic unwinds through the run — see the package
-// comment above.
-func (p *Program) runCompiled(ctx []byte, env HelperEnv) (uint64, RunStats, error) {
-	m := getVM(p, ctx, env)
-	ret, err := p.execCompiled(m)
-	st := m.stats
-	putVM(p, m)
-	return ret, st, err
-}
-
-// maxVMSteps is the dispatch budget shared with the interpreter's loop
-// guard; verified programs are loop-free DAGs and cannot reach it.
+// maxVMSteps is the dispatch budget; verified programs are loop-free
+// DAGs and cannot reach it.
 const maxVMSteps = 4 * MaxInstructions
 
 // opTrace is a test seam (the opcode coverage gate sets it, nothing
@@ -230,10 +217,10 @@ var opTrace func(c opcode, cold bool)
 // where a program can loop — at taken jumps — which is safe while a
 // whole straight-line segment (at most len(code) steps) still fits;
 // past that, and once dispatch falls off the end, the loop below dispatches
-// the same array one slot at a time with the interpreter's exact
-// checks before each, so "instruction budget exhausted" and "pc out of
-// range" land on the same instruction, with the same partial RunStats,
-// on both backends.
+// the same array one slot at a time with a step loop's exact checks
+// before each, so "instruction budget exhausted" and "pc out of range"
+// land on the same instruction, with the same partial RunStats, as in a
+// run that checks before every slot.
 func (p *Program) execCompiled(m *vm) (uint64, error) {
 	code := p.code
 	pc, err := 0, error(nil)
@@ -269,8 +256,8 @@ func (m *vm) retire(n int) {
 	m.steps += n
 }
 
-// coldStep runs slot pc through cold, accounted as the interpreter
-// accounts any dispatch: one step and one slot before it executes.
+// coldStep runs slot pc through cold, accounted as a step loop accounts
+// any dispatch: one step and one slot before it executes.
 func (p *Program) coldStep(m *vm, pc int) (int, error) {
 	p.coldOps++
 	m.retire(1)
@@ -582,8 +569,8 @@ taken:
 	return pc, nil
 }
 
-// cold is the single-slot step behind every hot half: the interpreter's
-// generic routine for the slot, over pooled run state (spills live in
+// cold is the single-slot step behind every hot half: the generic
+// per-op routine for the slot, over pooled run state (spills live in
 // spillMask/spillW, stack writes keep dirtyStack's books). It handles
 // what dispatch can send it — any refusal, and the first half of a fused
 // pair — and returns the successor.
@@ -799,8 +786,7 @@ func (m *vm) storeHot(base word, off int64, size int, v uint64, add bool) bool {
 
 // dirtyStack records an in-bounds write of stack bytes [start,
 // start+size): it lowers the clear watermark and invalidates the
-// overlapping spill slots (bits in spillMask, where the interpreter
-// deletes from its spill map).
+// overlapping spill slots (bits in spillMask).
 func (m *vm) dirtyStack(start, size int64) {
 	if start < m.stackLo {
 		m.stackLo = start
@@ -817,8 +803,8 @@ func (m *vm) dirtyStack(start, size int64) {
 // (Program.GenericOps). It never fails: a slot the verifier would have
 // rejected — an undefined op, a truncated wide load or an unknown map
 // fd, the second slot of a wide pair reached as a jump target — decodes
-// to opCold, and the cold tail reproduces the interpreter's fault, so
-// the backends agree even on programs that bypass the verifier.
+// to opCold, and the cold tail raises the generic routine's fault, so a
+// program that bypasses the verifier faults as a step loop would.
 func decode(insns []Instruction, handles map[int32]*region) (code []op, generic int) {
 	n := len(insns)
 	code = make([]op, n)

@@ -5,95 +5,48 @@ import (
 	"testing"
 )
 
-func TestBackendString(t *testing.T) {
-	cases := []struct {
-		b    Backend
-		want string
-	}{
-		{BackendAuto, "auto"},
-		{BackendInterpreter, "interpreter"},
-		{BackendCompiled, "compiled"},
-		{Backend(9), "backend(9)"},
-	}
-	for _, c := range cases {
-		if got := c.b.String(); got != c.want {
-			t.Errorf("Backend(%d).String() = %q, want %q", c.b, got, c.want)
-		}
-	}
-}
-
-func TestParseBackend(t *testing.T) {
-	for _, s := range []string{"auto", "interpreter", "compiled", ""} {
-		b, err := ParseBackend(s)
-		if err != nil {
-			t.Fatalf("ParseBackend(%q): %v", s, err)
-		}
-		if s != "" && b.String() != s {
-			t.Errorf("ParseBackend(%q) = %v, not a round-trip", s, b)
-		}
-	}
-	if _, err := ParseBackend("jit"); err == nil {
-		t.Fatal("ParseBackend accepted an unknown backend name")
-	}
-}
-
-func TestSetDefaultBackendRestore(t *testing.T) {
-	prev := SetDefaultBackend(BackendInterpreter)
-	defer SetDefaultBackend(prev)
-	if DefaultBackend() != BackendInterpreter {
-		t.Fatal("SetDefaultBackend did not take effect")
-	}
-	p := MustLoad(ProgramSpec{Name: "d", Insns: []Instruction{Mov64Imm(R0, 1), Exit()}, CtxSize: 0})
-	if p.Backend() != BackendInterpreter {
-		t.Fatalf("BackendAuto resolved to %v, want interpreter", p.Backend())
-	}
-	if SetDefaultBackend(BackendAuto); DefaultBackend() != BackendCompiled {
-		t.Fatal("SetDefaultBackend(BackendAuto) did not restore the built-in default")
-	}
-}
-
-// runBothBackends loads insns once per backend (fresh maps each) and
-// requires identical return values and stats. It returns the shared
-// result.
-func runBothBackends(t *testing.T, insns []Instruction, mkMaps func() map[int32]Map, ctxSize int, ctx []byte) (uint64, RunStats) {
+// runBoth runs insns on the oracle and on Program.Run, each loaded with
+// fresh maps, and requires identical return values and stats. It
+// returns the shared result.
+func runBoth(t *testing.T, insns []Instruction, mkMaps func() map[int32]Map, ctxSize int, ctx []byte) (uint64, RunStats) {
 	t.Helper()
 	env := &FixedEnv{TimeNS: 5, PidTgid: 99<<32 | 3, CPU: 1}
 	var rets [2]uint64
 	var stats [2]RunStats
-	for i, backend := range []Backend{BackendInterpreter, BackendCompiled} {
+	for i, e := range engines {
 		var maps map[int32]Map
 		if mkMaps != nil {
 			maps = mkMaps()
 		}
-		p, err := Load(ProgramSpec{Name: "parity", Insns: insns, Maps: maps, CtxSize: ctxSize, Backend: backend})
+		p, err := Load(ProgramSpec{Name: "parity", Insns: insns, Maps: maps, CtxSize: ctxSize})
 		if err != nil {
-			t.Fatalf("load (%v): %v", backend, err)
+			t.Fatalf("load: %v", err)
 		}
-		rets[i], stats[i], err = p.Run(ctx, env)
+		rets[i], stats[i], err = e.run(p, ctx, env)
 		if err != nil {
-			t.Fatalf("run (%v): %v", backend, err)
+			t.Fatalf("run (%s): %v", e.name, err)
 		}
 	}
 	if rets[0] != rets[1] {
-		t.Fatalf("return: interpreter %#x, compiled %#x\n%s", rets[0], rets[1], Disassemble(insns))
+		t.Fatalf("return: oracle %#x, Run %#x\n%s", rets[0], rets[1], Disassemble(insns))
 	}
 	if stats[0] != stats[1] {
-		t.Fatalf("stats: interpreter %+v, compiled %+v\n%s", stats[0], stats[1], Disassemble(insns))
+		t.Fatalf("stats: oracle %+v, Run %+v\n%s", stats[0], stats[1], Disassemble(insns))
 	}
 	return rets[0], stats[0]
 }
 
 // TestCompiledFusionParity pins the pair-fusion peepholes (lea idiom,
-// call+mov, mov+exit) to interpreter-identical results and stats.
+// call+mov, mov+exit) to oracle-identical results and stats.
 func TestCompiledFusionParity(t *testing.T) {
 	// mov64 r0, imm + exit — the fused epilogue.
-	ret, st := runBothBackends(t, []Instruction{Mov64Imm(R0, 42), Exit()}, nil, 0, nil)
+	ret, st := runBoth(t, []Instruction{Mov64Imm(R0, 42), Exit()}, nil, 0, nil)
 	if ret != 42 || st.Instructions != 2 {
 		t.Fatalf("fused mov+exit: ret %d stats %+v", ret, st)
 	}
 
 	// call env-helper + mov64 dst, r0 — the fused result capture.
-	ret, st = runBothBackends(t, []Instruction{
+	ret, st = runBoth(t, []Instruction{
 		Call(HelperKtimeGetNS),
 		Mov64Reg(R7, R0),
 		Mov64Reg(R0, R7),
@@ -104,7 +57,7 @@ func TestCompiledFusionParity(t *testing.T) {
 	}
 
 	// mov64 reg + add64 imm — the lea idiom feeding a map key pointer.
-	ret, _ = runBothBackends(t, []Instruction{
+	ret, _ = runBoth(t, []Instruction{
 		StoreImm(R10, -8, 7, SizeDW),
 		StoreImm(R10, -16, 123, SizeDW),
 		LoadMapFD(R1, 1)[0], LoadMapFD(R1, 1)[1],
@@ -128,7 +81,7 @@ func TestCompiledFusionParity(t *testing.T) {
 // targets what would be the second half of a fused pair, the pair must
 // stay unfused and the jump must land exactly there.
 func TestCompiledJumpIntoPairParity(t *testing.T) {
-	ret, st := runBothBackends(t, []Instruction{
+	ret, st := runBoth(t, []Instruction{
 		Mov64Imm(R0, 5),
 		Mov64Imm(R7, 0),
 		JmpImm(JmpJEQ, R7, 0, 1), // taken: lands on the Exit below
@@ -143,11 +96,11 @@ func TestCompiledJumpIntoPairParity(t *testing.T) {
 	}
 }
 
-// TestCompiledSpillParity runs the pointer spill/restore idiom on both
-// backends.
+// TestCompiledSpillParity runs the pointer spill/restore idiom on the
+// oracle and Program.Run.
 func TestCompiledSpillParity(t *testing.T) {
 	ctx := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	ret, _ := runBothBackends(t, []Instruction{
+	ret, _ := runBoth(t, []Instruction{
 		Mov64Reg(R6, R1),
 		StoreMem(R10, -8, R6, SizeDW),
 		LoadMem(R2, R10, -8, SizeDW),
@@ -159,10 +112,10 @@ func TestCompiledSpillParity(t *testing.T) {
 	}
 }
 
-// TestCompiledAtomicParity runs atomic adds (both widths) on both
-// backends.
+// TestCompiledAtomicParity runs atomic adds (both widths) on the oracle
+// and Program.Run.
 func TestCompiledAtomicParity(t *testing.T) {
-	ret, _ := runBothBackends(t, []Instruction{
+	ret, _ := runBoth(t, []Instruction{
 		StoreImm(R10, -8, 10, SizeDW),
 		Mov64Imm(R3, 32),
 		AtomicAdd64(R10, -8, R3),
@@ -185,7 +138,7 @@ func TestCompiledRunReusesState(t *testing.T) {
 		StoreImm(R10, -8, 7, SizeDW),
 		LoadMem(R0, R10, -8, SizeDW),
 		Exit(),
-	}, CtxSize: 0, Backend: BackendCompiled})
+	}, CtxSize: 0})
 	if _, _, err := p.Run(nil, &FixedEnv{}); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +174,7 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 		JmpImm(JmpJEQ, R0, 0, 1),
 		LoadMem(R0, R0, 0, SizeDW),
 		Exit(),
-	}, Maps: maps, CtxSize: 0, Backend: BackendCompiled})
+	}, Maps: maps, CtxSize: 0})
 	env := &FixedEnv{TimeNS: 77}
 	if _, _, err := p.Run(nil, env); err != nil {
 		t.Fatal(err)
@@ -237,7 +190,7 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 }
 
 // diffRun loads insns against the differential suite's maps and runs
-// them on interpreter, compiled backend and reference evaluator with
+// them on the oracle, Program.Run and the reference evaluator with
 // full-state comparison, returning the agreed result.
 func diffRun(t *testing.T, insns []Instruction) uint64 {
 	t.Helper()
@@ -370,8 +323,8 @@ func TestCompiledJumpFormParity(t *testing.T) {
 }
 
 // TestCompiledPointerFormParity covers the legal pointer forms, which
-// have no scalar hot path and must reach the interpreter's generic
-// routine with its results: add/sub on a stack pointer in both operand
+// have no scalar hot path and must reach the generic per-op routine
+// with its results: add/sub on a stack pointer in both operand
 // modes, scalar + pointer, pointer - pointer within one region, the
 // null check on a map-value pointer (hit and miss, imm and reg), and a
 // same-region pointer compare. Narrow ST/STX and both atomic widths
@@ -433,11 +386,10 @@ func TestCompiledPointerFormParity(t *testing.T) {
 	}
 }
 
-// TestCompiledFaultParity runs unverified programs on both backends and
-// requires the same fault string and PC and the same partial RunStats:
-// the compiled backend counts a block's instructions up front and
-// rewinds to the faulting slot, and every fault comes out of the
-// interpreter's generic routines.
+// TestCompiledFaultParity runs unverified programs on the oracle and
+// Program.Run and requires the same fault string and PC and the same
+// partial RunStats: Program.Run counts a segment's instructions when it
+// leaves it, and every fault comes out of the generic per-op routines.
 func TestCompiledFaultParity(t *testing.T) {
 	lddw := func(r Register, v uint64) []Instruction { p := LoadImm64(r, v); return p[:] }
 	mapfd := func(r Register, fd int32) []Instruction { p := LoadMapFD(r, fd); return p[:] }
@@ -497,24 +449,12 @@ func TestCompiledFaultParity(t *testing.T) {
 			"pc=1: unsupported jump op 0xe0", 2},
 	}
 	for _, c := range cases {
-		var errs [2]string
-		var stats [2]RunStats
-		for i, backend := range []Backend{BackendInterpreter, BackendCompiled} {
-			p := build(ProgramSpec{Name: "fault", Insns: c.prog, Maps: diffMaps(), CtxSize: 8, Backend: backend}, 0)
-			_, st, err := p.Run(make([]byte, 8), &FixedEnv{})
-			if err == nil {
-				t.Fatalf("%s (%v): no fault", c.name, backend)
-			}
-			errs[i], stats[i] = err.Error(), st
+		fault, st := runBothFaulting(t, c.name, c.prog)
+		if !strings.HasSuffix(fault, c.fault) {
+			t.Errorf("%s: fault %q, want suffix %q", c.name, fault, c.fault)
 		}
-		if errs[0] != errs[1] || stats[0] != stats[1] {
-			t.Errorf("%s: interpreter %q %+v, compiled %q %+v", c.name, errs[0], stats[0], errs[1], stats[1])
-		}
-		if !strings.HasSuffix(errs[1], c.fault) {
-			t.Errorf("%s: fault %q, want suffix %q", c.name, errs[1], c.fault)
-		}
-		if c.insns >= 0 && stats[1].Instructions != c.insns {
-			t.Errorf("%s: %d instructions at the fault, want %d", c.name, stats[1].Instructions, c.insns)
+		if c.insns >= 0 && st.Instructions != c.insns {
+			t.Errorf("%s: %d instructions at the fault, want %d", c.name, st.Instructions, c.insns)
 		}
 	}
 }
@@ -528,7 +468,7 @@ func TestGenericOps(t *testing.T) {
 		{Op: ClassALU | 0xf0 | SrcX, Dst: R0, Src: R1},
 		{Op: ClassJMP | 0xe0 | SrcK, Dst: R0},
 		Mov64Imm(R0, 0), Exit(),
-	}, Backend: BackendCompiled}, 0)
+	}}, 0)
 	if got := p.GenericOps(); got != 3 {
 		t.Fatalf("GenericOps() = %d, want 3", got)
 	}

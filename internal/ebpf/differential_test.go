@@ -1,11 +1,11 @@
 package ebpf
 
-// Differential testing of the eBPF interpreter: every verifier-accepted
-// program is executed both by the production VM (vm.go) and by refExec,
-// an independently written reference evaluator, and the two must agree
-// on the return value, the full register file, execution stats, the
-// final stack image, all map contents, and the ring buffer's records
-// and drop accounting. genProgram builds random verifier-accepted
+// Differential testing of the eBPF engine: every verifier-accepted
+// program is executed by the step oracle (oracle_test.go), by
+// Program.Run, and by refExec, an independently written reference
+// evaluator, and the three must agree on the return value, the full
+// register file, execution stats, the final stack image, all map
+// contents, and the ring buffer's records and drop accounting. genProgram builds random verifier-accepted
 // programs from a grammar that covers scalar ALU (both widths), stack
 // and ctx memory, pointer spill/restore, branches, and every helper;
 // FuzzDifferential extends the property to arbitrary mutated byte
@@ -921,7 +921,7 @@ func refRegDesc(v refVal) string {
 }
 
 // runDifferential executes one verifier-accepted program on all three
-// machines — the interpreter, the compiled backend, and the reference
+// machines — the step oracle, Program.Run's engine, and the reference
 // evaluator — and reports the first disagreement. Each execution gets
 // its own map instances so map mutations cannot couple the runs. It
 // returns the agreed return value.
@@ -934,22 +934,15 @@ func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byt
 		t.Fatalf("%s\nprogram:\n%s", fmt.Sprintf(format, args...), Disassemble(insns))
 	}
 
-	m := &vm{
-		prog:  prog,
-		env:   env,
-		stack: region{kind: regionStack, data: make([]byte, StackSize)},
-		ctx:   region{kind: regionCtx, data: ctx, readonly: true},
-	}
-	m.regs[R1] = word{region: &m.ctx}
-	m.regs[R10] = word{region: &m.stack, v: StackSize}
+	m := newStepVM(prog, ctx, env)
 	vmRet, vmErr := m.exec()
 
-	// Compiled backend: a second Program over the same instruction
-	// stream, driven through getVM directly (no putVM recycle) so the
-	// final register file and stack image stay inspectable.
-	cprog, err := Load(ProgramSpec{Name: "diff-compiled", Insns: insns, Maps: diffMaps(), CtxSize: len(ctx), Backend: BackendCompiled})
+	// The engine: a second Program over the same instruction stream,
+	// driven through getVM directly (no putVM recycle) so the final
+	// register file and stack image stay inspectable.
+	cprog, err := Load(ProgramSpec{Name: "diff-compiled", Insns: insns, Maps: diffMaps(), CtxSize: len(ctx)})
 	if err != nil {
-		fail("compiled load rejected a program the interpreter load accepted: %v", err)
+		fail("second load rejected a program the first load accepted: %v", err)
 	}
 	cm := getVM(cprog, ctx, env)
 	cRet, cErr := cprog.execCompiled(cm)
@@ -958,44 +951,44 @@ func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byt
 	refRet, refErr := ref.exec()
 
 	if vmErr != nil {
-		fail("verified program faulted in the VM: %v", vmErr)
+		fail("verified program faulted in the oracle: %v", vmErr)
 	}
 	if cErr != nil {
-		fail("verified program faulted in the compiled backend: %v", cErr)
+		fail("verified program faulted in the engine: %v", cErr)
 	}
 	if refErr != nil {
 		fail("verified program faulted in the reference evaluator: %v", refErr)
 	}
 	if vmRet != refRet {
-		fail("return value: vm %#x, ref %#x", vmRet, refRet)
+		fail("return value: oracle %#x, ref %#x", vmRet, refRet)
 	}
 	if cRet != refRet {
 		fail("return value: compiled %#x, ref %#x", cRet, refRet)
 	}
 	if m.stats.Instructions != ref.insnN || m.stats.HelperCalls != ref.helperN {
-		fail("stats: vm (%d insns, %d helpers), ref (%d, %d)",
+		fail("stats: oracle (%d insns, %d helpers), ref (%d, %d)",
 			m.stats.Instructions, m.stats.HelperCalls, ref.insnN, ref.helperN)
 	}
 	if cm.stats != m.stats {
-		fail("stats: compiled %+v, vm %+v", cm.stats, m.stats)
+		fail("stats: compiled %+v, oracle %+v", cm.stats, m.stats)
 	}
 	for r := 0; r < NumRegisters; r++ {
 		want := refRegDesc(ref.regs[r])
 		if got := vmRegDesc(m.regs[r]); got != want {
-			fail("register r%d: vm %s, ref %s", r, got, want)
+			fail("register r%d: oracle %s, ref %s", r, got, want)
 		}
 		if got := vmRegDesc(cm.regs[r]); got != want {
 			fail("register r%d: compiled %s, ref %s", r, got, want)
 		}
 	}
 	if !bytes.Equal(m.stack.data, ref.stack[:]) {
-		fail("final stack image differs (vm vs ref)")
+		fail("final stack image differs (oracle vs ref)")
 	}
 	if !bytes.Equal(cm.stack.data, ref.stack[:]) {
 		fail("final stack image differs (compiled vs ref)")
 	}
 
-	diffCompareMaps(fail, "vm", prog.maps, ref)
+	diffCompareMaps(fail, "oracle", prog.maps, ref)
 	diffCompareMaps(fail, "compiled", cprog.maps, ref)
 	return refRet
 }
@@ -1335,8 +1328,8 @@ func genProgram(rng *rand.Rand) []Instruction {
 	return a.MustAssemble()
 }
 
-// TestDifferentialVM cross-checks the interpreter against the reference
-// evaluator on a few hundred random verifier-accepted programs.
+// TestDifferentialVM cross-checks the oracle and Program.Run against the
+// reference evaluator on a few hundred random verifier-accepted programs.
 func TestDifferentialVM(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -1422,7 +1415,7 @@ func TestSpillRestorePrograms(t *testing.T) {
 
 // FuzzDifferential extends the differential property to arbitrary
 // verifier-accepted byte streams: whatever mutation survives the
-// verifier must execute identically on both machines.
+// verifier must execute identically on all three machines.
 func FuzzDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {

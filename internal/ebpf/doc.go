@@ -3,40 +3,31 @@
 // instruction encoding, an assembler and disassembler, hash/array/
 // ring-buffer maps, a static verifier enforcing the kernel's headline
 // constraints (no back-edges, bounded stack, checked pointer
-// arithmetic, mandatory null checks on map lookups), and two execution
-// backends that charge a deterministic per-instruction cost so probe
+// arithmetic, mandatory null checks on map lookups), and an execution
+// engine that charges a deterministic per-instruction cost so probe
 // overhead can be measured (the Section VI study).
 //
-// # Execution backends
+// # Execution engine
 //
-// A loaded Program executes on one of two backends selected by
-// ProgramSpec.Backend (default: DefaultBackend, normally
-// BackendCompiled):
+// Load decodes the verified stream once (compile.go) into one array of
+// fixed-size op records — a specialised opcode, resolved jump target,
+// immediate or mask, the handle of a map-fd load — with three adjacent
+// idioms (lea, call+mov, mov+exit) fused into their leader, and
+// Program.Run runs it from a single switch loop. Each case is an op's
+// hot half: it tests the operand tags once and works in place; anything
+// else goes to one cold tail that runs vm.go's generic per-op routine
+// for the slot (Program.GenericOps counts slots with no hot half,
+// Program.ColdOps the slots that took the tail at run time). Run state
+// — stack, registers, spill slots, map-value regions — comes from a
+// per-Program pooled arena, so steady-state execution performs zero
+// heap allocations (BENCH_jit.json).
 //
-//   - The interpreter (vm.go) decodes each instruction slot on every
-//     run — a switch over opcode class per step — and allocates fresh
-//     run state per run. It is the debugging baseline.
-//   - The compiled backend (compile.go) decodes the verified stream
-//     once, at Load time, into one array of fixed-size op records —
-//     a specialised opcode, resolved jump target, immediate or mask, the
-//     handle of a map-fd load — with three adjacent idioms (lea,
-//     call+mov, mov+exit) fused into their leader, and runs it from a
-//     single switch loop. Each case is an op's hot half: it tests the
-//     operand tags once and works in place; anything else goes to one
-//     cold tail that runs the interpreter's generic routine for the slot
-//     (Program.GenericOps counts slots with no hot half, Program.ColdOps
-//     the slots that took the tail at run time). Run state — stack,
-//     registers, spill slots, map-value regions — comes from a
-//     per-Program pooled arena, so steady-state execution performs zero
-//     heap allocations and runs several times faster
-//     (BENCH_interpreter.json vs BENCH_jit.json).
-//
-// The backends are semantically identical — return values, faults
-// (string, program counter, and partial RunStats included), register
-// files, stack images, and map contents all match. The differential
-// suite (differential_test.go) enforces this three ways: interpreter
-// vs compiled vs an independently written reference evaluator, over
-// hundreds of seeded random programs and a fuzzer.
+// The tests hold Program.Run to two oracles: a decode-per-step loop
+// over the same per-op routines, and an independently written reference
+// evaluator. Return values, faults (string, program counter, and
+// partial RunStats included), register files, stack images, and map
+// contents all match, over hundreds of seeded random programs and a
+// fuzzer (differential_test.go).
 //
 // The subset implemented is the subset the paper's probes need (Listing
 // 1 and the in-kernel statistics programs), but the encoding and the
@@ -51,8 +42,7 @@
 //     (`cmd/bpfasm` shows the probe listings).
 //   - Load / MustLoad — verify a ProgramSpec and return a runnable
 //     Program; Program.Run executes it against a context and a
-//     HelperEnv on the backend chosen at Load (see ParseBackend /
-//     SetDefaultBackend for the flag surface).
+//     HelperEnv.
 //   - NewHashMap / NewLRUHashMap / NewArrayMap / NewRingBuf — map
 //     types; Map is their shared interface. RingBuf follows the kernel's
 //     BPF_MAP_TYPE_RINGBUF model: power-of-two byte capacity, monotonic

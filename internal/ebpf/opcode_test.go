@@ -32,22 +32,23 @@ var neverCold = map[opcode]bool{
 	opCallEnv: true, opCallEnvMov: true, opMovExit: true, opCall: true,
 }
 
-// runBothFaulting runs an unverified program on both backends and
-// requires the same fault (string and PC) and the same partial RunStats.
+// runBothFaulting runs an unverified program on the oracle and on
+// Program.Run and requires the same fault (string and PC) and the same
+// partial RunStats. It returns Program.Run's.
 func runBothFaulting(t *testing.T, name string, prog []Instruction) (string, RunStats) {
 	t.Helper()
 	var errs [2]string
 	var stats [2]RunStats
-	for i, backend := range []Backend{BackendInterpreter, BackendCompiled} {
-		p := build(ProgramSpec{Name: "fault", Insns: prog, Maps: diffMaps(), CtxSize: 8, Backend: backend}, 0)
-		_, st, err := p.Run(make([]byte, 8), &FixedEnv{TimeNS: 9, PidTgid: 7})
+	for i, e := range engines {
+		p := build(ProgramSpec{Name: "fault", Insns: prog, Maps: diffMaps(), CtxSize: 8}, 0)
+		_, st, err := e.run(p, make([]byte, 8), &FixedEnv{TimeNS: 9, PidTgid: 7})
 		if err == nil {
-			t.Fatalf("%s (%v): no fault\n%s", name, backend, Disassemble(prog))
+			t.Fatalf("%s (%s): no fault\n%s", name, e.name, Disassemble(prog))
 		}
 		errs[i], stats[i] = err.Error(), st
 	}
 	if errs[0] != errs[1] || stats[0] != stats[1] {
-		t.Errorf("%s: interpreter %q %+v, compiled %q %+v\n%s", name, errs[0], stats[0], errs[1], stats[1], Disassemble(prog))
+		t.Errorf("%s: oracle %q %+v, Run %q %+v\n%s", name, errs[0], stats[0], errs[1], stats[1], Disassemble(prog))
 	}
 	return errs[1], stats[1]
 }
@@ -57,8 +58,8 @@ func runBothFaulting(t *testing.T, name string, prog []Instruction) (string, Run
 // in both widths on a pointer operand, a narrow load and store and an
 // atomic add through a scalar, an invalid atomic, map helpers on a
 // non-map, and a pointer spill followed by its restore and by a load
-// beside it. Faults must match the interpreter's; the spill program
-// must return what the interpreter returns. One last program takes the
+// beside it. Faults must match the oracle's; the spill program must
+// return what the oracle returns. One last program takes the
 // hot halves those tests never reach: an unfused ambient helper, an
 // 8-byte register store, and a helper that goes through vm.call.
 func TestCompiledColdHalfParity(t *testing.T) {
@@ -95,7 +96,7 @@ func TestCompiledColdHalfParity(t *testing.T) {
 	}
 	// A live spill slot sends every 8-byte load cold: the restore, and a
 	// plain load from the slot beside it.
-	ret, st := runBothBackends(t, []Instruction{
+	ret, st := runBoth(t, []Instruction{
 		StoreImm(R10, -16, 40, SizeDW),
 		StoreMem(R10, -8, R1, SizeDW),
 		LoadMem(R7, R10, -16, SizeDW),
@@ -107,7 +108,7 @@ func TestCompiledColdHalfParity(t *testing.T) {
 	if ret != 42 || st.Instructions != 7 {
 		t.Errorf("spill, load beside it, restore: ret %d, %+v", ret, st)
 	}
-	ret, st = runBothBackends(t, NewAssembler().Emit(
+	ret, st = runBoth(t, NewAssembler().Emit(
 		Call(HelperGetSMPProcID),
 		StoreMem(R10, -8, R0, SizeDW),
 	).EmitWide(LoadMapFD(R1, 4)).Emit(
@@ -159,9 +160,10 @@ func TestOpcodeCoverage(t *testing.T) {
 // load and all three fused leaders runs until the budget ends it; the
 // padding in front of the loop moves the step the budget lands on
 // across every slot of the body, the second slot of each fused pair
-// included, and both backends must fault at the same PC with the same
-// RunStats each time. The mov+exit epilogue is reached only by the
-// counted variant, which stops just short of, at, or past the budget.
+// included, and the oracle and Program.Run must fault at the same PC
+// with the same RunStats each time. The mov+exit epilogue is reached
+// only by the counted variant, which stops just short of, at, or past
+// the budget.
 func TestBudgetHandover(t *testing.T) {
 	lddw := LoadImm64(R8, 1<<40)
 	body := []Instruction{
@@ -198,15 +200,15 @@ func TestBudgetHandover(t *testing.T) {
 		var rets [2]uint64
 		var errs [2]string
 		var stats [2]RunStats
-		for i, backend := range []Backend{BackendInterpreter, BackendCompiled} {
-			p := build(ProgramSpec{Name: "counted", Insns: prog, Backend: backend}, 0)
+		for i, e := range engines {
+			p := build(ProgramSpec{Name: "counted", Insns: prog}, 0)
 			var err error
-			if rets[i], stats[i], err = p.Run(nil, &FixedEnv{}); err != nil {
+			if rets[i], stats[i], err = e.run(p, nil, &FixedEnv{}); err != nil {
 				errs[i] = err.Error()
 			}
 		}
 		if rets[0] != rets[1] || errs[0] != errs[1] || stats[0] != stats[1] {
-			t.Errorf("counted loop, pad %d: interpreter %d %q %+v, compiled %d %q %+v",
+			t.Errorf("counted loop, pad %d: oracle %d %q %+v, Run %d %q %+v",
 				pad, rets[0], errs[0], stats[0], rets[1], errs[1], stats[1])
 		}
 		if errs[1] == "" {
@@ -218,7 +220,7 @@ func TestBudgetHandover(t *testing.T) {
 	}
 	// A segment that faults mid-way, on the loop's second trip (r9 is a
 	// stack pointer on the first, a scalar after it): the count is the
-	// interpreter's, through two taken jumps, wide loads and fused pairs.
+	// oracle's, through two taken jumps, wide loads and fused pairs.
 	prog := append([]Instruction{Mov64Reg(R9, R10), Mov64Imm(R6, 0)}, body...)
 	prog = append(prog, LoadMem(R3, R9, -8, SizeDW), Mov64Imm(R9, 8), Ja(int16(-len(body)-3)))
 	fault, st := runBothFaulting(t, "fault on the second trip", prog)
@@ -239,7 +241,7 @@ func TestDifferentialColdForms(t *testing.T) {
 			insns := genProgram(rng)
 			ctx := make([]byte, diffCtxSize)
 			rng.Read(ctx)
-			p := MustLoad(ProgramSpec{Name: "cold", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize, Backend: BackendCompiled})
+			p := MustLoad(ProgramSpec{Name: "cold", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize})
 			if _, _, err := p.Run(ctx, &FixedEnv{TimeNS: 112233, PidTgid: 42<<32 | 7, CPU: 3}); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

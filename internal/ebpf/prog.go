@@ -3,9 +3,9 @@ package ebpf
 import "fmt"
 
 // ProgramSpec describes a program before loading: its instruction stream,
-// the maps referenced by file descriptor, the size of the context
+// the maps referenced by file descriptor, and the size of the context
 // struct it will be attached against (the verifier bounds all R1-relative
-// reads by it), and the execution backend to load it for.
+// reads by it).
 type ProgramSpec struct {
 	// Name labels the program in errors and diagnostics.
 	Name string
@@ -16,9 +16,6 @@ type ProgramSpec struct {
 	// CtxSize is the context struct size the program is verified
 	// against.
 	CtxSize int
-	// Backend selects the execution backend; the zero value
-	// (BackendAuto) resolves to DefaultBackend at Load time.
-	Backend Backend
 }
 
 // Program is a verified, loaded eBPF program.
@@ -29,10 +26,8 @@ type Program struct {
 	handles map[int32]*region // one regionMapHandle region per map: what a map-fd load yields
 	ctxSize int
 	runs    uint64
-	vstates int     // abstract states the verifier explored to admit it
-	backend Backend // resolved at Load: interpreter or compiled
-	// Compiled backend state, nil/zero on the interpreter backend: code
-	// is the decoded program, one record per slot (compile.go);
+	vstates int // abstract states the verifier explored to admit it
+	// code is the decoded program, one record per slot (compile.go);
 	// genericOps and coldOps are what GenericOps and ColdOps report.
 	code       []op
 	genericOps int
@@ -62,18 +57,12 @@ func Load(spec ProgramSpec) (*Program, error) {
 func build(spec ProgramSpec, states int) *Program {
 	insns := make([]Instruction, len(spec.Insns))
 	copy(insns, spec.Insns)
-	backend := spec.Backend
-	if backend == BackendAuto {
-		backend = DefaultBackend()
-	}
 	handles := make(map[int32]*region, len(spec.Maps))
 	for fd, mp := range spec.Maps {
 		handles[fd] = &region{kind: regionMapHandle, h: &mapHandle{m: mp, keySize: mp.KeySize(), valueSize: mp.ValueSize()}}
 	}
-	p := &Program{name: spec.Name, insns: insns, maps: spec.Maps, handles: handles, ctxSize: spec.CtxSize, vstates: states, backend: backend}
-	if backend == BackendCompiled {
-		p.code, p.genericOps = decode(p.insns, handles)
-	}
+	p := &Program{name: spec.Name, insns: insns, maps: spec.Maps, handles: handles, ctxSize: spec.CtxSize, vstates: states}
+	p.code, p.genericOps = decode(p.insns, handles)
 	return p
 }
 
@@ -103,35 +92,28 @@ func (p *Program) Runs() uint64 { return p.runs }
 // telemetry registry as verifier_states_total.
 func (p *Program) VerifierStates() int { return p.vstates }
 
-// Backend returns the execution backend the program was loaded for
-// (never BackendAuto: auto resolves at Load time).
-func (p *Program) Backend() Backend { return p.backend }
-
-// GenericOps returns how many ALU and jump slots the compiled backend
-// decoded with no hot half, because their op code has no form: they run
-// through the interpreter's generic routine every time (always 0 on the
-// interpreter backend). Every op the verifier admits has a form, so a
-// shipped probe reports 0; a test in internal/probes holds them to it.
+// GenericOps returns how many ALU and jump slots Load decoded with no
+// hot half, because their op code has no form: they run through the
+// generic per-op routine every time. Every op the verifier admits has a
+// form, so a shipped probe reports 0; a test in internal/probes holds
+// them to it.
 func (p *Program) GenericOps() int { return p.genericOps }
 
 // ColdOps is GenericOps' runtime twin: how many slots, over all runs so
-// far, a hot half refused and the interpreter's generic routine
-// executed instead — a pointer spill or restore, pointer arithmetic or
-// a pointer compare, and every fault (always 0 on the interpreter
-// backend). The shipped probes never take it; a test holds them to it.
+// far, a hot half refused and the generic per-op routine executed
+// instead — a pointer spill or restore, pointer arithmetic or a pointer
+// compare, and every fault. The shipped probes never take it; a test
+// holds them to it.
 func (p *Program) ColdOps() uint64 { return p.coldOps }
 
 // Map returns the map loaded at fd, or nil.
 func (p *Program) Map(fd int32) Map { return p.maps[fd] }
 
-// Disassemble renders the loaded program. On the compiled backend each
-// line also names the op the slot decoded to — "cold" has no hot half —
-// and marks the leader of a fused pair, whose second slot then runs only
-// when the leader refuses.
+// Disassemble renders the loaded program. Each line also names the op
+// the slot decoded to — "cold" has no hot half — and marks the leader of
+// a fused pair, whose second slot then runs only when the leader
+// refuses.
 func (p *Program) Disassemble() string {
-	if p.code == nil {
-		return Disassemble(p.insns)
-	}
 	return disassemble(p.insns, func(pc int) string {
 		d := &p.code[pc]
 		if d.width == 2 && d.code != opLddw {
@@ -141,24 +123,26 @@ func (p *Program) Disassemble() string {
 	})
 }
 
-// Run executes the program once against ctx on the backend it was
-// loaded for. The context length must match the spec's CtxSize. The
-// returned RunStats lets the caller charge execution cost to the
-// traced thread; both backends report identical stats for identical
-// runs (the differential suite enforces it).
+// Run executes the decoded program once against ctx. The context length
+// must match the spec's CtxSize. The returned RunStats lets the caller
+// charge execution cost to the traced thread.
 //
 // Run is not safe for concurrent use of one Program (it updates the
-// run counter and, on the compiled backend, recycles per-Program run
-// state); each simulated CPU loads its own Program instance.
+// run counter and recycles per-Program run state); each simulated CPU
+// loads its own Program instance. Run state is recycled on normal
+// return and on runtime faults (fault errors copy what they report);
+// it is deliberately not recycled when a panic unwinds through the run
+// (see compile.go).
 func (p *Program) Run(ctx []byte, env HelperEnv) (uint64, RunStats, error) {
 	if len(ctx) != p.ctxSize {
 		return 0, RunStats{}, fmt.Errorf("ebpf: run %q: ctx size %d, verified for %d", p.name, len(ctx), p.ctxSize)
 	}
 	p.runs++
-	if p.code != nil {
-		return p.runCompiled(ctx, env)
-	}
-	return p.run(ctx, env)
+	m := getVM(p, ctx, env)
+	ret, err := p.execCompiled(m)
+	st := m.stats
+	putVM(p, m)
+	return ret, st, err
 }
 
 // FixedEnv is a HelperEnv with fixed values, for tests and offline runs.

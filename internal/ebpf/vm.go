@@ -21,10 +21,9 @@ type HelperEnv interface {
 // RunStats reports the dynamic cost of one program execution, used by the
 // kernel to charge probe overhead to the traced thread. MapOps is
 // telemetry-only: the cost model charges instructions and helper calls,
-// and map operations are a subset of the latter. Both execution
-// backends produce identical RunStats for identical runs, so the
-// charged probe cost — and therefore every simulation result — is
-// backend-independent.
+// and map operations are a subset of the latter. The counts are those
+// of a slot-by-slot run, however the engine batches them (the tests
+// hold Program.Run to a step-loop oracle).
 type RunStats struct {
 	// Instructions is the number of instruction slots executed; a wide
 	// LdImmDW counts both of its slots, matching the kernel's insn
@@ -130,10 +129,9 @@ func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("ebpf: runtime fault at pc=%d: %s", e.PC, e.Reason)
 }
 
-// vm is the run state shared by both execution backends: the register
-// file, the stack, the context window, and spill tracking. The
-// interpreter allocates one per run; the compiled backend recycles
-// them through vmPool (compile.go) with the pooled fields below.
+// vm is one run's state: the register file, the stack, the context
+// window, and spill tracking. Program.Run recycles it through vmPool
+// (compile.go).
 type vm struct {
 	prog  *Program
 	env   HelperEnv
@@ -141,53 +139,36 @@ type vm struct {
 	stack region
 	ctx   region
 	stats RunStats
-	// spills tracks pointer words spilled to aligned 8-byte stack slots,
-	// keyed by absolute stack offset — the runtime twin of the verifier's
-	// spill map. The slot's raw bytes hold the pointer's region offset so
-	// partial re-reads (which lose pointer identity, as in the verifier's
-	// model) stay deterministic. Interpreter-only: the compiled backend
-	// tracks the same liveness in spillMask/spillW.
-	spills map[int64]word
 
-	// Pooled (compiled-backend) state, allocated once per pooled vm and
-	// retained across runs so steady-state compiled execution never
-	// touches the heap. They are pointers/slices rather than inline
-	// arrays so the interpreter's per-run vm allocation stays small.
-	// stackMem backs stack.data (cleared, not reallocated, per run; the
-	// stack and ctx regions themselves are set up once, ctx.data rebound);
-	// spillMask bit i marks stack slot [8i,8i+8) as holding the live
-	// spilled word spillW[i]; mvArena is a bump arena for map-value
-	// regions, reset (not freed) per run; ret carries the exit value out
-	// of the compiled dispatch loop. pooled routes mapValRegion through
-	// the arena.
+	// Allocated once per pooled vm and retained across runs so
+	// steady-state execution never touches the heap. stackMem backs
+	// stack.data (cleared, not reallocated, per run; the stack and ctx
+	// regions themselves are set up once, ctx.data rebound); spillMask
+	// bit i marks stack slot [8i,8i+8) as holding the live spilled word
+	// spillW[i] — the runtime twin of the verifier's spill map; mvArena
+	// is a bump arena for map-value regions, reset (not freed) per run;
+	// ret carries the exit value out of the dispatch loop.
 	stackMem  []byte
 	spillW    *[spillSlots]word
 	spillMask uint64
 	mvArena   []region
 	ret       uint64
-	pooled    bool
 	// stackLo is the lowest stack offset the run has written (StackSize
 	// when untouched). Probes address downward from R10, so [stackLo,
 	// StackSize) is a superset of the dirty bytes and is all getVM must
 	// clear to hand the next run a zeroed stack.
 	stackLo int64
-	// steps counts dispatches against the instruction budget, in the
-	// interpreter's units (a wide LdImmDW is one dispatch, each half of
-	// a fused pair is one), added a straight-line segment at a time
-	// (retire). Compiled-backend only; the interpreter keeps its counter
-	// in a loop variable.
+	// steps counts dispatches against the instruction budget, in a step
+	// loop's units (a wide LdImmDW is one dispatch, each half of a fused
+	// pair is one), added a straight-line segment at a time (retire).
 	steps int
 }
 
-// mapValRegion mints the fresh region identity a map lookup returns.
-// Pooled run state serves it from the per-run arena (zero steady-state
-// allocations — the arena keeps its capacity across runs); interpreter
-// runs allocate, as they always have. Identity semantics are the same
-// either way: each lookup yields a distinct *region.
+// mapValRegion mints the fresh region identity a map lookup returns,
+// from the per-run arena: zero steady-state allocations, since the
+// arena keeps its capacity across runs, and each lookup yields a
+// distinct *region.
 func (m *vm) mapValRegion(v []byte) *region {
-	if !m.pooled {
-		return &region{kind: regionMapValue, data: v}
-	}
 	n := len(m.mvArena)
 	if n == cap(m.mvArena) {
 		m.mvArena = append(m.mvArena, region{})
@@ -199,145 +180,8 @@ func (m *vm) mapValRegion(v []byte) *region {
 	return r
 }
 
-// run interprets the program against ctx. ctx may be nil for programs
-// that never touch R1.
-func (p *Program) run(ctx []byte, env HelperEnv) (uint64, RunStats, error) {
-	m := &vm{
-		prog:  p,
-		env:   env,
-		stack: region{kind: regionStack, data: make([]byte, StackSize)},
-		ctx:   region{kind: regionCtx, data: ctx, readonly: true},
-	}
-	m.regs[R1] = word{region: &m.ctx}
-	m.regs[R10] = word{region: &m.stack, v: StackSize}
-	ret, err := m.exec()
-	return ret, m.stats, err
-}
-
 func (m *vm) fault(pc int, format string, args ...any) error {
 	return &RuntimeError{PC: pc, Reason: fmt.Sprintf(format, args...)}
-}
-
-func (m *vm) exec() (uint64, error) {
-	insns := m.prog.insns
-	pc := 0
-	for steps := 0; ; steps++ {
-		if steps > 4*MaxInstructions {
-			return 0, m.fault(pc, "instruction budget exhausted")
-		}
-		if pc < 0 || pc >= len(insns) {
-			return 0, m.fault(pc, "pc out of range")
-		}
-		in := insns[pc]
-		m.stats.Instructions++
-		switch in.Class() {
-		case ClassALU64:
-			if err := m.alu(pc, in, false); err != nil {
-				return 0, err
-			}
-			pc++
-		case ClassALU:
-			if err := m.alu(pc, in, true); err != nil {
-				return 0, err
-			}
-			pc++
-		case ClassLD:
-			if !in.IsWideLoad() || pc+1 >= len(insns) {
-				return 0, m.fault(pc, "invalid LD instruction")
-			}
-			next := insns[pc+1]
-			if in.Src == PseudoMapFD {
-				h, ok := m.prog.handles[in.Imm]
-				if !ok {
-					return 0, m.fault(pc, "unknown map fd %d", in.Imm)
-				}
-				m.regs[in.Dst] = word{region: h}
-			} else {
-				v := uint64(uint32(in.Imm)) | uint64(uint32(next.Imm))<<32
-				m.regs[in.Dst] = scalarWord(v)
-			}
-			m.stats.Instructions++ // second slot
-			pc += 2
-		case ClassLDX:
-			if w, ok := m.unspill(m.regs[in.Src], int64(in.Off), in.Size()); ok {
-				m.regs[in.Dst] = w
-				pc++
-				continue
-			}
-			v, err := m.load(pc, m.regs[in.Src], int64(in.Off), in.Size())
-			if err != nil {
-				return 0, err
-			}
-			m.regs[in.Dst] = scalarWord(v)
-			pc++
-		case ClassSTX:
-			src := m.regs[in.Src]
-			if in.Op&0xe0 == ModeAtomic {
-				if !src.isScalar() {
-					return 0, m.fault(pc, "atomic add of a pointer")
-				}
-				if err := m.atomic(pc, in, src.v); err != nil {
-					return 0, err
-				}
-				pc++
-				continue
-			}
-			if !src.isScalar() {
-				if err := m.spill(pc, in, src); err != nil {
-					return 0, err
-				}
-				pc++
-				continue
-			}
-			if err := m.store(pc, m.regs[in.Dst], int64(in.Off), in.Size(), src.v); err != nil {
-				return 0, err
-			}
-			pc++
-		case ClassST:
-			if err := m.store(pc, m.regs[in.Dst], int64(in.Off), in.Size(), uint64(int64(in.Imm))); err != nil {
-				return 0, err
-			}
-			pc++
-		case ClassJMP32:
-			taken, err := m.branch(pc, in)
-			if err != nil {
-				return 0, err
-			}
-			if taken {
-				pc += 1 + int(in.Off)
-			} else {
-				pc++
-			}
-		case ClassJMP:
-			switch in.JmpOp() {
-			case JmpExit:
-				r0 := m.regs[R0]
-				if !r0.isScalar() {
-					return 0, m.fault(pc, "exit with non-scalar R0")
-				}
-				return r0.v, nil
-			case JmpCall:
-				if err := m.call(pc, in.Imm); err != nil {
-					return 0, err
-				}
-				pc++
-			case JmpJA:
-				pc += 1 + int(in.Off)
-			default:
-				taken, err := m.branch(pc, in)
-				if err != nil {
-					return 0, err
-				}
-				if taken {
-					pc += 1 + int(in.Off)
-				} else {
-					pc++
-				}
-			}
-		default:
-			return 0, m.fault(pc, "unsupported class %#x", in.Class())
-		}
-	}
 }
 
 func (m *vm) aluOperand(in Instruction) (word, bool) {
@@ -569,57 +413,8 @@ func (m *vm) store(pc int, base word, off int64, size int, v uint64) error {
 	if err != nil {
 		return err
 	}
-	// Any stack overwrite invalidates overlapping spilled pointers, as in
-	// the verifier's model.
-	if base.isPointer() && base.region.kind == regionStack {
-		start := int64(base.v) + off
-		for slot := range m.spills {
-			if slot < start+int64(size) && slot+8 > start {
-				delete(m.spills, slot)
-			}
-		}
-	}
 	storeLE(data, size, v)
 	return nil
-}
-
-// spill stores a pointer or map handle word to the stack. The verifier
-// restricts these to aligned 8-byte stack slots. Map handles are written
-// as raw bytes only (re-reading one yields a scalar); pointers are
-// additionally recorded for restoration by an aligned 8-byte load.
-func (m *vm) spill(pc int, in Instruction, src word) error {
-	base := m.regs[in.Dst]
-	if !base.isPointer() || base.region.kind != regionStack || in.Size() != 8 {
-		return m.fault(pc, "pointer can only be spilled to an aligned 8-byte stack slot")
-	}
-	start := int64(base.v) + int64(in.Off)
-	if start%8 != 0 {
-		return m.fault(pc, "pointer spill must be 8-byte aligned")
-	}
-	if err := m.store(pc, base, int64(in.Off), 8, src.v); err != nil {
-		return err
-	}
-	if src.isPointer() {
-		if m.spills == nil {
-			m.spills = make(map[int64]word)
-		}
-		m.spills[start] = src
-	}
-	return nil
-}
-
-// unspill restores a spilled pointer: an aligned 8-byte load from a live
-// spill slot. Any other access reads the slot's raw bytes.
-func (m *vm) unspill(base word, off int64, size int) (word, bool) {
-	if size != 8 || !base.isPointer() || base.region.kind != regionStack {
-		return word{}, false
-	}
-	start := int64(base.v) + off
-	if start%8 != 0 || start < 0 || start+8 > int64(len(base.region.data)) {
-		return word{}, false
-	}
-	w, ok := m.spills[start]
-	return w, ok
 }
 
 // slice bounds-checks a memory access and returns the addressed bytes.
@@ -646,7 +441,7 @@ func (m *vm) slice(pc int, base word, off int64, size int) ([]byte, error) {
 // fastSlice resolves the common in-bounds access without slice's fault
 // machinery; ok=false means "fall back to slice for the diagnostic",
 // not "fault". It is small enough for the compiler to inline into the
-// compiled backend's memory ops.
+// dispatch loop's memory ops.
 func fastSlice(base word, off int64, size int) ([]byte, bool) {
 	if base.region == nil || size <= 0 {
 		return nil, false

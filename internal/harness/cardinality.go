@@ -85,7 +85,6 @@ func cardProgram(cms *ebpf.CMS, pipe *ebpf.HashPipe) *ebpf.Program {
 		},
 		Maps:    map[int32]ebpf.Map{1: cms, 2: pipe},
 		CtxSize: 16,
-		Backend: ebpf.BackendCompiled,
 	})
 }
 

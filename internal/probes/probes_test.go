@@ -394,18 +394,14 @@ func shippedPrograms(t *testing.T, ringCap int) (progs []*ebpf.Program, rings []
 }
 
 // TestShippedProgramsHaveNoGenericOps holds every shipped program to the
-// compiled backend's specialised forms: a probe that leans on an op with
-// no form would run through the interpreter's generic routine on every
-// tracepoint hit.
+// engine's specialised forms: a probe that leans on an op with no form
+// would run through the generic per-op routine on every tracepoint hit.
 func TestShippedProgramsHaveNoGenericOps(t *testing.T) {
 	progs, _ := shippedPrograms(t, 1<<16)
 	if len(progs) != 15 {
 		t.Fatalf("%d shipped programs, want 15", len(progs))
 	}
 	for _, p := range progs {
-		if p.Backend() != ebpf.BackendCompiled {
-			t.Fatalf("%s loaded for %v, not the compiled backend", p.Name(), p.Backend())
-		}
 		if n := p.GenericOps(); n != 0 {
 			t.Errorf("%s: %d generic ops\n%s", p.Name(), n, p.Disassemble())
 		}

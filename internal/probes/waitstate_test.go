@@ -196,49 +196,35 @@ func TestWaitStateTrackTGID(t *testing.T) {
 }
 
 // Steady state — every thread and tgid already known to the maps — must
-// stay off the allocator on the compiled backend (the interpreter pays
-// a fixed per-run VM-state cost by design; see TestCompiledRunZeroAllocs
-// for the split). On both backends the maps must stop growing: the
-// state machine only overwrites existing entries, never delete/insert
-// cycles.
+// stay off the allocator in Program.Run (TestCompiledRunZeroAllocs pins
+// the engine alone), and the maps must stop growing: the state machine
+// only overwrites existing entries, never delete/insert cycles.
 func TestWaitStateHotPathAllocFree(t *testing.T) {
-	for _, be := range []ebpf.Backend{ebpf.BackendInterpreter, ebpf.BackendCompiled} {
-		prev := ebpf.SetDefaultBackend(be)
-		p := MustNewWaitStateProbe("ws", WaitStateConfig{})
-		ebpf.SetDefaultBackend(prev)
-		env := &ebpf.FixedEnv{}
-		const t1, t2 = 5<<32 | 1, 6<<32 | 2
-		a := switchCtx(t1, t2, kernel.TaskRunning)
-		b := switchCtx(t2, t1, kernel.TaskRunning)
-		// Warm: seed the state entries and both tgids' accumulators.
-		for i := 0; i < 4; i++ {
-			env.TimeNS += 1000
-			for _, ctx := range [][]byte{a, b} {
-				if _, _, err := p.SwitchProgram().Run(ctx, env); err != nil {
-					t.Fatal(err)
-				}
+	p := MustNewWaitStateProbe("ws", WaitStateConfig{})
+	env := &ebpf.FixedEnv{}
+	const t1, t2 = 5<<32 | 1, 6<<32 | 2
+	a := switchCtx(t1, t2, kernel.TaskRunning)
+	b := switchCtx(t2, t1, kernel.TaskRunning)
+	// Warm: seed the state entries and both tgids' accumulators.
+	for i := 0; i < 4; i++ {
+		env.TimeNS += 1000
+		for _, ctx := range [][]byte{a, b} {
+			if _, _, err := p.SwitchProgram().Run(ctx, env); err != nil {
+				t.Fatal(err)
 			}
 		}
-		warmLen := p.State.Len()
-		for i := 0; i < 200; i++ {
-			env.TimeNS += 1000
-			p.SwitchProgram().Run(a, env)
-			p.SwitchProgram().Run(b, env)
-		}
-		if got := p.State.Len(); got != warmLen {
-			t.Fatalf("backend %v: state map grew %d -> %d in steady state", be, warmLen, got)
-		}
-		if be != ebpf.BackendCompiled {
-			continue
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			env.TimeNS += 1000
-			p.SwitchProgram().Run(a, env)
-			p.SwitchProgram().Run(b, env)
-		})
-		if allocs != 0 {
-			t.Fatalf("%v allocs/run on the warm compiled switch path", allocs)
-		}
+	}
+	warmLen := p.State.Len()
+	allocs := testing.AllocsPerRun(200, func() {
+		env.TimeNS += 1000
+		p.SwitchProgram().Run(a, env)
+		p.SwitchProgram().Run(b, env)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs/run on the warm switch path", allocs)
+	}
+	if got := p.State.Len(); got != warmLen {
+		t.Fatalf("state map grew %d -> %d in steady state", warmLen, got)
 	}
 }
 

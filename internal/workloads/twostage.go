@@ -20,9 +20,6 @@ type twoStage struct {
 	back   *kernel.Process
 }
 
-// Backend returns the index-search process.
-func (w *twoStage) Backend() *kernel.Process { return w.back }
-
 func launchTwoStage(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsim.Config) Server {
 	w := &twoStage{server: newServer(k, n, spec, spec.Name+"-front", linkCfg)}
 	w.back = k.NewProcess(spec.Name + "-index")

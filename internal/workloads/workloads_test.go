@@ -174,7 +174,7 @@ func TestTwoStageServesThroughBothProcesses(t *testing.T) {
 	srv := Launch(k, n, spec, netsim.Config{})
 	ws := srv.(*twoStage)
 	frontRec := trace.NewRecorder(k, ws.proc.TGID(), 0)
-	backRec := trace.NewRecorder(k, ws.Backend().TGID(), 0)
+	backRec := trace.NewRecorder(k, ws.back.TGID(), 0)
 	cl := loadgen.New(k, srv.Listener(), loadgen.Options{
 		Rate: 0.4 * spec.FailureRPS, Conns: 16, ReqSize: spec.ReqSize,
 	})

@@ -18,7 +18,6 @@ ringbuf|BenchmarkRingbufThroughput|./internal/ebpf/
 sketch|BenchmarkSketchHotPath|./internal/ebpf/
 waitstate|BenchmarkWaitStateHotPath|./internal/probes/
 control|BenchmarkDetectorHotPath|./internal/control/
-interpreter|BenchmarkEBPFInterpreterListing1|.
 jit|BenchmarkEBPFCompiledListing1|.
 verifier|BenchmarkEBPFVerifier|.
 sim|BenchmarkSimulatorEventThroughput|.

@@ -32,8 +32,8 @@
 #                                         report 0 allocs/op, the contended
 #                                         syscall ≤ 1.00 switches/op, and
 #                                         BenchmarkScrapeEpoch stays at
-#                                         its allocs/op; the compiled
-#                                         eBPF benches report 0 allocs/op
+#                                         its allocs/op; the eBPF
+#                                         benches report 0 allocs/op
 #                                         and the wait-state program its
 #                                         69 insns/op
 #   fleet smoke                           the same cluster sweep at
@@ -78,8 +78,7 @@ leg "go vet"
 go vet ./...
 
 leg "doclint (internal/ebpf)"
-# Exported identifiers in the VM package must carry doc comments; the
-# two-backend API surface is documented by contract (see
+# Exported identifiers in the VM package must carry doc comments (see
 # scripts/doclint).
 go run ./scripts/doclint ./internal/ebpf
 
@@ -131,7 +130,7 @@ leg "bench smoke (substrate benches, 1 iteration)"
 # broken bench would otherwise surface only at `make bench` time. One
 # iteration each — this checks they execute, not their numbers.
 go test -run '^$' -benchtime 1x \
-    -bench '^(BenchmarkEBPFInterpreterListing1|BenchmarkEBPFVerifier|BenchmarkSimulatorEventThroughput|BenchmarkKernelSyscallPath)$' \
+    -bench '^(BenchmarkEBPFVerifier|BenchmarkSimulatorEventThroughput|BenchmarkKernelSyscallPath)$' \
     . >/dev/null
 # The proc hand-off is the simulator's innermost loop: besides running,
 # neither Sleep path — elided (a lone sleeper) or parked (contended) —
@@ -154,14 +153,14 @@ if [ -z "$switches" ] || [ "$(awk -v s="$switches" 'BEGIN { print (s <= 1.00) ? 
 fi
 go test -run '^$' -benchtime 1x -bench '^(BenchmarkRingbufThroughput|BenchmarkSketchHotPath)$' \
     ./internal/ebpf/ >/dev/null
-# The compiled eBPF backend runs on pooled state: no run may allocate.
+# Program.Run runs on pooled state: no run may allocate.
 # The wait-state switch program's 69 instructions per event is the
 # modeled cost the < 1 % probe-overhead claim rests on (EXPERIMENTS.md).
 jit=$(go test -run '^$' -benchtime 1000x -benchmem -bench '^BenchmarkEBPFCompiledListing1$' .)
 ws=$(go test -run '^$' -benchtime 1000x -benchmem -bench '^BenchmarkWaitStateHotPath$' ./internal/probes/)
 if ! echo "$jit" | grep '^BenchmarkEBPFCompiledListing1.*[[:space:]]0 allocs/op' >/dev/null ||
     ! echo "$ws" | grep '^BenchmarkWaitStateHotPath.*[[:space:]]69\.00 insns/op.*[[:space:]]0 allocs/op' >/dev/null; then
-    echo "the compiled eBPF benches did not run, allocate, or the wait-state program is no longer 69 insns/op:" >&2
+    echo "the eBPF benches did not run, allocate, or the wait-state program is no longer 69 insns/op:" >&2
     echo "$jit" >&2
     echo "$ws" >&2
     exit 1

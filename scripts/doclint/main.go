@@ -1,7 +1,7 @@
 // Command doclint flags exported identifiers that lack a doc comment.
 // It is the `make check` leg that keeps godoc coverage from rotting in
 // the packages whose API surface the docs lean on (internal/ebpf's
-// backend and stats types in particular).
+// program and stats types in particular).
 //
 // Usage: doclint <dir> [<dir>...]
 //

@@ -37,10 +37,7 @@ func main() {
 
 	fmt.Printf("# %s at %.0f%% load, %v capture, %d events (%d dropped)\n",
 		spec, 100*(*load), *dur, len(res.Events), res.Dropped)
-	evs := make([]trace.Event, len(res.Events))
-	for i, e := range res.Events {
-		evs[i] = trace.Event{Time: e.Time, PidTgid: e.PidTgid, NR: e.NR, Enter: e.Enter, Ret: e.Ret}
-	}
+	evs := res.Events
 	fmt.Print(trace.Render(evs, *maxLines))
 	fmt.Println()
 	fmt.Print(harness.RenderFig1(res))

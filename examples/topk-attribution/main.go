@@ -36,7 +36,7 @@ func node(seed int64, procs, work int) *probes.AttributionProbe {
 		Name: "demo", Sockets: 1, CoresPerSock: 4, ThreadsPerCore: 1,
 		TimeSlice: time.Millisecond,
 	})
-	probe := probes.MustNewAttributionProbe("attr", probes.AttributionConfig{Oracle: true})
+	probe := probes.Must(probes.NewAttributionProbe("attr", probes.AttributionConfig{Oracle: true}))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		panic(err)
 	}

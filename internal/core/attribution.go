@@ -32,18 +32,11 @@ func AttachAttribution(k *kernel.Kernel, cfg probes.AttributionConfig) (*Attribu
 
 // MustAttachAttribution is AttachAttribution but panics on error.
 func MustAttachAttribution(k *kernel.Kernel, cfg probes.AttributionConfig) *Attribution {
-	a, err := AttachAttribution(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return a
+	return probes.Must(AttachAttribution(k, cfg))
 }
 
 // Detach removes the probe.
 func (a *Attribution) Detach() { a.probe.Detach() }
-
-// Probe exposes the underlying probe (map inspection, diagnostics).
-func (a *Attribution) Probe() *probes.AttributionProbe { return a.probe }
 
 // Scrape clones the cumulative sketch state. Scrapes are counters, not
 // windows: aggregators merge them across nodes and diff them across
@@ -64,5 +57,5 @@ func (a *Attribution) Bytes() int { return a.probe.Bytes() }
 
 // Instrument records the probe's verification cost into r.
 func (a *Attribution) Instrument(r *telemetry.Registry) {
-	recordVerifierCost(r, a.probe.Program())
+	recordVerifierCost(r, a.probe.Programs()...)
 }

@@ -22,16 +22,14 @@
 // Key entry points:
 //
 //   - Attach / MustAttach — wire the probe set to a kernel.Kernel for
-//     one tgid (Config selects the send/recv/poll syscall families);
-//     Observer.Sample closes the current observation window and opens
-//     the next.
-//   - AttachStream / MustAttachStream — the streaming variant: the
-//     probes emit one fixed-size event per observation into a bounded
-//     ring buffer, and StreamObserver folds the drained events into
-//     online (Welford) statistics plus map-identical integer
-//     aggregates, exposing the same Window the batch Observer produces
-//     together with a producer-side Dropped counter. A lossless stream
-//     reconstructs the batch windows bit-for-bit.
+//     one tgid (Config selects the send/recv/poll syscall families)
+//     with the map sink: Observer.Sample reads the aggregate maps,
+//     closes the current observation window and opens the next.
+//   - AttachStream / MustAttachStream — the same Observer with the ring
+//     sink: the probes also emit one event per observation into a
+//     bounded ring, folded into map-identical integer aggregates plus
+//     Welford statistics, with a producer-side Dropped counter. A
+//     lossless stream reconstructs the map sink's windows bit-for-bit.
 //   - NewSlackEstimator — normalized idle headroom from poll durations.
 //   - AttachStages / MultiObserver — per-stage observers across a
 //     multi-process pipeline, naming the bottleneck stage (the Section

@@ -68,7 +68,7 @@ func (m *MultiObserver) Detach() {
 func (m *MultiObserver) Sample() MultiWindow {
 	var out MultiWindow
 	for i, o := range m.observers {
-		out.Stages = append(out.Stages, StageWindow{Name: m.names[i], Window: o.Sample()})
+		out.Stages = append(out.Stages, StageWindow{Name: m.names[i], Window: o.Sample().Window})
 	}
 	return out
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"reqlens/internal/ebpf"
 	"reqlens/internal/kernel"
 	"reqlens/internal/probes"
+	"reqlens/internal/stats"
 	"reqlens/internal/telemetry"
 )
 
@@ -33,98 +35,114 @@ func Defaults(tgid int) Config {
 	}
 }
 
-// Observer is an attached probe set with window bookkeeping.
+// Observer is an attached send/recv/poll probe set with window
+// bookkeeping. Its sink holds the cumulative statistics: the probes'
+// aggregate maps (Attach), or a ring the probes also stream events into,
+// folded in userspace (AttachStream; the ring-only half is stream.go).
 type Observer struct {
-	send *probes.DeltaProbe
-	recv *probes.DeltaProbe
-	poll *probes.PollProbe
+	send, recv *probes.DeltaProbe
+	poll       *probes.PollProbe
+	k          *kernel.Kernel
+	last       totals
+	lastAt     time.Duration
 
-	k        *kernel.Kernel
-	lastSend probes.DeltaSnapshot
-	lastRecv probes.DeltaSnapshot
-	lastPoll probes.PollSnapshot
-	lastAt   time.Duration
+	// The ring sink; ring is nil for the map sink.
+	ring   *ebpf.RingBuf
+	family map[int]int  // syscall -> famSend, famRecv or famPoll
+	cum    totals       // folded with the programs' own integer arithmetic
+	open   StreamWindow // Events and Welford accumulators of the open window
+
+	tel  [5]*telemetry.Counter // stream_events_total, then ringPos's; nil until Instrument
+	seen [4]uint64             // ringPos when tel was last advanced
 }
 
-// Attach builds, verifies and attaches the probe set on k's tracer.
-func Attach(k *kernel.Kernel, cfg Config) (*Observer, error) {
+// totals is a cumulative send, recv and poll state.
+type totals struct {
+	send, recv probes.DeltaSnapshot
+	poll       probes.PollSnapshot
+}
+
+// Attach builds, verifies and attaches the probe set on k's tracer with
+// the map sink.
+func Attach(k *kernel.Kernel, cfg Config) (*Observer, error) { return attach(k, cfg, 0) }
+
+// MustAttach is Attach but panics on error.
+func MustAttach(k *kernel.Kernel, cfg Config) *Observer { return probes.Must(Attach(k, cfg)) }
+
+// attach is Attach and AttachStream: ringBytes 0 is the map sink.
+func attach(k *kernel.Kernel, cfg Config, ringBytes int) (*Observer, error) {
 	if len(cfg.SendSyscalls) == 0 || len(cfg.RecvSyscalls) == 0 || len(cfg.PollSyscalls) == 0 {
 		return nil, fmt.Errorf("core: config must name send, recv and poll syscalls")
 	}
-	send, err := probes.NewDeltaProbe("send", cfg.TGID, cfg.SendSyscalls)
-	if err != nil {
-		return nil, fmt.Errorf("core: send probe: %w", err)
+	o := &Observer{k: k}
+	suffix := ""
+	var err error
+	if ringBytes != 0 {
+		if o.family, err = families(cfg); err != nil {
+			return nil, err
+		}
+		o.ring = ebpf.NewRingBuf("stream_ring", ringBytes)
+		suffix = "_s"
 	}
-	recv, err := probes.NewDeltaProbe("recv", cfg.TGID, cfg.RecvSyscalls)
-	if err != nil {
-		return nil, fmt.Errorf("core: recv probe: %w", err)
+	var errs [3]error
+	o.send, errs[0] = probes.NewDeltaProbe("send"+suffix, cfg.TGID, cfg.SendSyscalls, o.ring)
+	o.recv, errs[1] = probes.NewDeltaProbe("recv"+suffix, cfg.TGID, cfg.RecvSyscalls, o.ring)
+	o.poll, errs[2] = probes.NewPollProbe("poll"+suffix, cfg.TGID, cfg.PollSyscalls, o.ring)
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, fmt.Errorf("core: probe set: %w", err)
 	}
-	poll, err := probes.NewPollProbe("poll", cfg.TGID, cfg.PollSyscalls)
-	if err != nil {
-		return nil, fmt.Errorf("core: poll probe: %w", err)
-	}
-	o := &Observer{send: send, recv: recv, poll: poll, k: k}
-	tr := k.Tracer()
-	if err := send.Attach(tr); err != nil {
-		return nil, err
-	}
-	if err := recv.Attach(tr); err != nil {
-		send.Detach()
-		return nil, err
-	}
-	if err := poll.Attach(tr); err != nil {
-		send.Detach()
-		recv.Detach()
+	if err := o.Reattach(); err != nil {
 		return nil, err
 	}
 	o.rebase()
 	return o, nil
 }
 
-// MustAttach is Attach but panics on error.
-func MustAttach(k *kernel.Kernel, cfg Config) *Observer {
-	o, err := Attach(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return o
+// probe is what the observer uses of each probe's shared base.
+type probe interface {
+	Attach(*kernel.Tracer) error
+	Detach()
+	Programs() []*ebpf.Program
 }
+
+// set is the probe set in attach order.
+func (o *Observer) set() []probe { return []probe{o.send, o.recv, o.poll} }
 
 // Detach removes all probes.
 func (o *Observer) Detach() {
-	o.send.Detach()
-	o.recv.Detach()
-	o.poll.Detach()
+	for _, p := range o.set() {
+		p.Detach()
+	}
 }
 
-// Reattach restores a detached probe set on the same tracer. The maps
-// survive the detach window, so counters resume from their pre-detach
-// values — exactly what a restarted agent re-attaching its programs to
-// pinned maps observes. Calling it while attached is a no-op reattach
-// (detach first, then attach).
+// Reattach restores a detached probe set on the same tracer, all or
+// none. The maps survive the detach window, so counters resume from
+// their pre-detach values — exactly what a restarted agent re-attaching
+// its programs to pinned maps observes. Calling it while attached is a
+// no-op reattach (detach first, then attach).
 func (o *Observer) Reattach() error {
 	o.Detach()
-	tr := o.k.Tracer()
-	if err := o.send.Attach(tr); err != nil {
-		return fmt.Errorf("core: reattach send: %w", err)
-	}
-	if err := o.recv.Attach(tr); err != nil {
-		o.send.Detach()
-		return fmt.Errorf("core: reattach recv: %w", err)
-	}
-	if err := o.poll.Attach(tr); err != nil {
-		o.send.Detach()
-		o.recv.Detach()
-		return fmt.Errorf("core: reattach poll: %w", err)
+	for _, p := range o.set() {
+		if err := p.Attach(o.k.Tracer()); err != nil {
+			o.Detach()
+			return err
+		}
 	}
 	return nil
 }
 
+// totals returns the cumulative state: read from the maps, or folded
+// from the ring.
+func (o *Observer) totals() totals {
+	if o.ring != nil {
+		return o.cum
+	}
+	return totals{o.send.Snapshot(), o.recv.Snapshot(), o.poll.Snapshot()}
+}
+
 func (o *Observer) rebase() {
-	o.lastSend = o.send.Snapshot()
-	o.lastRecv = o.recv.Snapshot()
-	o.lastPoll = o.poll.Snapshot()
-	o.lastAt = time.Duration(o.k.Now())
+	o.last, o.lastAt = o.totals(), time.Duration(o.k.Now())
+	o.open = StreamWindow{}
 }
 
 // DeltaStats summarizes one syscall family over a window.
@@ -152,53 +170,85 @@ type Window struct {
 // RPSObsv is the headline throughput estimate (responses per second).
 func (w Window) RPSObsv() float64 { return w.Send.RatePerSec }
 
-// Sample reads all probes, returns the metrics accumulated since the
-// previous Sample (or Attach), and starts a new window.
-func (o *Observer) Sample() Window {
-	now := time.Duration(o.k.Now())
-	w := Window{Duration: now - o.lastAt}
+// window turns two cumulative states d apart into the Window between
+// them.
+func window(d time.Duration, cur, last totals) Window {
+	delta := func(cur, last probes.DeltaSnapshot) DeltaStats {
+		s := cur.Sub(last)
+		return DeltaStats{
+			Calls:       s.Calls,
+			RatePerSec:  s.RateObsv(),
+			MeanDelta:   time.Duration(s.MeanDeltaNS()),
+			VarianceUS2: s.VarianceUS2(),
+		}
+	}
+	p := cur.poll.Sub(last.poll)
+	return Window{
+		Duration: d,
+		Send:     delta(cur.send, last.send),
+		Recv:     delta(cur.recv, last.recv),
+		Poll:     PollStats{Calls: p.Count, MeanDuration: time.Duration(p.MeanNS())},
+	}
+}
 
-	s := o.send.Snapshot().Sub(o.lastSend)
-	w.Send = DeltaStats{
-		Calls:       s.Calls,
-		RatePerSec:  s.RateObsv(),
-		MeanDelta:   time.Duration(s.MeanDeltaNS()),
-		VarianceUS2: s.VarianceUS2(),
-	}
-	r := o.recv.Snapshot().Sub(o.lastRecv)
-	w.Recv = DeltaStats{
-		Calls:       r.Calls,
-		RatePerSec:  r.RateObsv(),
-		MeanDelta:   time.Duration(r.MeanDeltaNS()),
-		VarianceUS2: r.VarianceUS2(),
-	}
-	p := o.poll.Snapshot().Sub(o.lastPoll)
-	w.Poll = PollStats{
-		Calls:        p.Count,
-		MeanDuration: time.Duration(p.MeanNS()),
-	}
+// StreamWindow is one sample: the Window plus the ring sink's
+// bookkeeping — event/drop accounting and the per-family Welford
+// statistics over the window's raw values, all zero for the map sink.
+type StreamWindow struct {
+	Window
+
+	Events  uint64 // events folded into this window
+	Dropped uint64 // cumulative producer-side drops at sample time
+
+	SendOnline stats.Online // per-window Welford over send deltas (ns)
+	RecvOnline stats.Online
+	PollOnline stats.Online // over poll durations (ns)
+}
+
+// Sample returns the window accumulated since the previous Sample (or
+// attach) and starts a new one; the ring sink drains pending events
+// first. Both sinks compute the Window with the same arithmetic, so as
+// long as Dropped has not advanced a map sink and a ring sink on the
+// same kernel agree exactly.
+func (o *Observer) Sample() StreamWindow {
+	o.Poll()
+	w := o.open
+	w.Dropped = o.Dropped()
+	w.Window = window(time.Duration(o.k.Now())-o.lastAt, o.totals(), o.last)
 	o.rebase()
 	return w
+}
+
+// programs returns every program of the set, in attach order.
+func (o *Observer) programs() []*ebpf.Program {
+	var progs []*ebpf.Program
+	for _, p := range o.set() {
+		progs = append(progs, p.Programs()...)
+	}
+	return progs
 }
 
 // ProbePrograms returns the verified instruction counts of the attached
 // programs (diagnostics and documentation).
 func (o *Observer) ProbePrograms() map[string]int {
-	return map[string]int{
-		"send":       o.send.Program().Len(),
-		"recv":       o.recv.Program().Len(),
-		"poll_enter": o.poll.EnterProgram().Len(),
-		"poll_exit":  o.poll.ExitProgram().Len(),
-	}
+	p := o.programs()
+	return map[string]int{"send": p[0].Len(), "recv": p[1].Len(), "poll_enter": p[2].Len(), "poll_exit": p[3].Len()}
 }
 
 // Instrument records the probe set's one-time verification cost into r:
 // verifier_programs_total (programs admitted) and verifier_states_total
-// (abstract states the verifier explored across them). A nil registry is
-// a no-op.
+// (abstract states the verifier explored across them). The ring sink
+// first wires in its ring accounting (stream_events_total and the
+// ringbuf_* counters), counting only activity from now on. A nil
+// registry is a no-op.
 func (o *Observer) Instrument(r *telemetry.Registry) {
-	recordVerifierCost(r, o.send.Program(), o.recv.Program(),
-		o.poll.EnterProgram(), o.poll.ExitProgram())
+	if r == nil {
+		return
+	}
+	if o.ring != nil {
+		o.instrumentRing(r)
+	}
+	recordVerifierCost(r, o.programs()...)
 }
 
 // recordVerifierCost adds each program's verifier state count to the

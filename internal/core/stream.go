@@ -2,219 +2,110 @@ package core
 
 import (
 	"fmt"
-	"time"
 
-	"reqlens/internal/ebpf"
 	"reqlens/internal/kernel"
 	"reqlens/internal/probes"
-	"reqlens/internal/stats"
 	"reqlens/internal/telemetry"
 )
 
-// DefaultStreamBytes is the default ring-buffer capacity for a
-// StreamObserver: 4 MiB holds ~100k in-flight metric events, ample for
-// any poll interval the harness uses while still being a bounded buffer
-// whose overflow behaviour is observable through Dropped.
+// DefaultStreamBytes is the ring sink's default capacity: 4 MiB holds
+// ~100k in-flight metric events, ample for any poll interval the harness
+// uses, yet bounded, with its overflow observable through Dropped.
 const DefaultStreamBytes = 1 << 22
 
-// StreamObserver is the online variant of Observer: instead of polling
-// aggregate maps, the probes stream one fixed-size metric event per
-// observation through a single bounded ring buffer, and userspace folds
-// the events into running statistics as they drain — no trace retention.
-// When the ring never overflows, Sample produces bit-identical Windows to
-// the batch Observer attached to the same kernel; when it does overflow,
-// the producer-side drop counter (Dropped) accounts every lost event.
-type StreamObserver struct {
-	send *probes.DeltaProbe
-	recv *probes.DeltaProbe
-	poll *probes.PollProbe
-	ring *ebpf.RingBuf
-	k    *kernel.Kernel
-
-	sendNRs map[int]bool
-	recvNRs map[int]bool
-
-	// Cumulative aggregates reconstructed from the event stream with the
-	// same integer arithmetic the in-kernel programs use, so windows match
-	// the batch observer exactly.
-	sendCum probes.DeltaSnapshot
-	recvCum probes.DeltaSnapshot
-	pollCum probes.PollSnapshot
-
-	// Per-window Welford accumulators over the raw event values
-	// (delta ns / poll duration ns) — the floating-point view the
-	// aggregate maps cannot provide (true min/max and unquantized
-	// variance).
-	sendOnline stats.Online
-	recvOnline stats.Online
-	pollOnline stats.Online
-
-	lastSend probes.DeltaSnapshot
-	lastRecv probes.DeltaSnapshot
-	lastPoll probes.PollSnapshot
-	lastAt   time.Duration
-	events   uint64 // events folded since the last rebase
-
-	// Telemetry counters plus the last-seen cumulative ring positions
-	// they were advanced to; nil counters (the uninstrumented state)
-	// skip the whole block. Drops surface here incrementally at every
-	// Poll, not only when a window is sampled.
-	telEvents     *telemetry.Counter
-	telProduced   *telemetry.Counter
-	telConsumed   *telemetry.Counter
-	telDropRecs   *telemetry.Counter
-	telDropBytes  *telemetry.Counter
-	seenProd      uint64
-	seenCons      uint64
-	seenDropRecs  uint64
-	seenDropBytes uint64
-}
-
-// AttachStream builds, verifies and attaches the streaming probe set on
-// k's tracer with a ring of ringBytes capacity (0 = DefaultStreamBytes;
-// must be a power of two otherwise). The send, recv and poll syscall
-// sets must be disjoint: all three probes share one ring, and events are
-// attributed to a family by syscall number.
-func AttachStream(k *kernel.Kernel, cfg Config, ringBytes int) (*StreamObserver, error) {
-	if len(cfg.SendSyscalls) == 0 || len(cfg.RecvSyscalls) == 0 || len(cfg.PollSyscalls) == 0 {
-		return nil, fmt.Errorf("core: config must name send, recv and poll syscalls")
-	}
-	seen := map[int]string{}
-	for family, nrs := range map[string][]int{
-		"send": cfg.SendSyscalls, "recv": cfg.RecvSyscalls, "poll": cfg.PollSyscalls,
-	} {
-		for _, nr := range nrs {
-			if prev, dup := seen[nr]; dup {
-				return nil, fmt.Errorf("core: syscall %d in both %s and %s families; streaming needs disjoint sets", nr, prev, family)
-			}
-			seen[nr] = family
-		}
-	}
+// AttachStream is Attach with the ring sink: the probes also stream one
+// metric event per observation into one bounded ring of ringBytes
+// (0 = DefaultStreamBytes, else a power of two), folded as it drains —
+// no trace retention. A ring that never overflows gives Windows
+// bit-identical to the map sink's; Dropped accounts every lost event.
+// The three families share the ring and are told apart by syscall
+// number, so their sets must be disjoint.
+func AttachStream(k *kernel.Kernel, cfg Config, ringBytes int) (*Observer, error) {
 	if ringBytes == 0 {
 		ringBytes = DefaultStreamBytes
 	}
-	ring := ebpf.NewRingBuf("stream_ring", ringBytes)
-	send, err := probes.NewDeltaProbeStream("send_s", cfg.TGID, cfg.SendSyscalls, ring)
-	if err != nil {
-		return nil, fmt.Errorf("core: send stream probe: %w", err)
-	}
-	recv, err := probes.NewDeltaProbeStream("recv_s", cfg.TGID, cfg.RecvSyscalls, ring)
-	if err != nil {
-		return nil, fmt.Errorf("core: recv stream probe: %w", err)
-	}
-	poll, err := probes.NewPollProbeStream("poll_s", cfg.TGID, cfg.PollSyscalls, ring)
-	if err != nil {
-		return nil, fmt.Errorf("core: poll stream probe: %w", err)
-	}
-	o := &StreamObserver{
-		send: send, recv: recv, poll: poll, ring: ring, k: k,
-		sendNRs: nrSet(cfg.SendSyscalls), recvNRs: nrSet(cfg.RecvSyscalls),
-	}
-	tr := k.Tracer()
-	if err := send.Attach(tr); err != nil {
-		return nil, err
-	}
-	if err := recv.Attach(tr); err != nil {
-		send.Detach()
-		return nil, err
-	}
-	if err := poll.Attach(tr); err != nil {
-		send.Detach()
-		recv.Detach()
-		return nil, err
-	}
-	o.rebase()
-	return o, nil
+	return attach(k, cfg, ringBytes)
 }
 
 // MustAttachStream is AttachStream but panics on error.
-func MustAttachStream(k *kernel.Kernel, cfg Config, ringBytes int) *StreamObserver {
-	o, err := AttachStream(k, cfg, ringBytes)
-	if err != nil {
-		panic(err)
+func MustAttachStream(k *kernel.Kernel, cfg Config, ringBytes int) *Observer {
+	return probes.Must(AttachStream(k, cfg, ringBytes))
+}
+
+// Syscall families, as families numbers them; 0 is no family.
+const (
+	famSend = 1 + iota
+	famRecv
+	famPoll
+)
+
+// families maps each syscall of cfg to its family, and rejects a
+// syscall in more than one.
+func families(cfg Config) (map[int]int, error) {
+	names := [...]string{famSend: "send", famRecv: "recv", famPoll: "poll"}
+	fam := map[int]int{}
+	for f, nrs := range [...][]int{famSend: cfg.SendSyscalls, famRecv: cfg.RecvSyscalls, famPoll: cfg.PollSyscalls} {
+		for _, nr := range nrs {
+			if prev := fam[nr]; prev != 0 {
+				return nil, fmt.Errorf("core: syscall %d in both %s and %s families; streaming needs disjoint sets", nr, names[prev], names[f])
+			}
+			fam[nr] = f
+		}
 	}
-	return o
+	return fam, nil
 }
 
-func nrSet(nrs []int) map[int]bool {
-	m := make(map[int]bool, len(nrs))
-	for _, nr := range nrs {
-		m[nr] = true
+// Poll drains the ring into the running statistics and returns how many
+// events it folded (the map sink has none). Call it periodically, or let
+// Sample: a lagging consumer shows up in Dropped, never in blocking.
+func (o *Observer) Poll() int {
+	if o.ring == nil {
+		return 0
 	}
-	return m
-}
-
-// Detach removes all probes.
-func (o *StreamObserver) Detach() {
-	o.send.Detach()
-	o.recv.Detach()
-	o.poll.Detach()
-}
-
-// Poll drains the ring buffer and folds the pending events into the
-// running statistics, returning how many events were consumed. Call it
-// periodically (or let Sample call it) to keep the consumer ahead of the
-// producers; a lagging consumer shows up in Dropped, never in blocking.
-func (o *StreamObserver) Poll() int {
 	evs := probes.DecodeEvents(o.ring.Drain())
 	for _, ev := range evs {
 		o.fold(ev)
 	}
-	o.events += uint64(len(evs))
-	o.observeRing(uint64(len(evs)))
+	o.open.Events += uint64(len(evs))
+	if o.tel[0] != nil {
+		o.tel[0].Add(uint64(len(evs)))
+		pos := o.ringPos()
+		for i, c := range o.tel[1:] {
+			c.Add(pos[i] - o.seen[i])
+		}
+		o.seen = pos
+	}
 	return len(evs)
 }
 
-// Instrument wires the observer's ring-buffer accounting into r
-// (stream_events_total, ringbuf_bytes_produced_total,
-// ringbuf_bytes_consumed_total, ringbuf_records_dropped_total,
-// ringbuf_bytes_dropped_total), counting from the ring's current state
-// so only activity after instrumentation is recorded. A nil registry
-// leaves the observer uninstrumented.
-func (o *StreamObserver) Instrument(r *telemetry.Registry) {
-	if r == nil {
-		return
-	}
-	o.telEvents = r.Counter("stream_events_total")
-	o.telProduced = r.Counter("ringbuf_bytes_produced_total")
-	o.telConsumed = r.Counter("ringbuf_bytes_consumed_total")
-	o.telDropRecs = r.Counter("ringbuf_records_dropped_total")
-	o.telDropBytes = r.Counter("ringbuf_bytes_dropped_total")
-	o.seenProd = o.ring.ProducerPos()
-	o.seenCons = o.ring.ConsumerPos()
-	o.seenDropRecs = o.ring.Dropped()
-	o.seenDropBytes = o.ring.DroppedBytes()
-	recordVerifierCost(r, o.send.Program(), o.recv.Program(),
-		o.poll.EnterProgram(), o.poll.ExitProgram())
+// ringPos reads the ring's cumulative bytes produced and consumed,
+// records dropped and bytes dropped.
+func (o *Observer) ringPos() [4]uint64 {
+	return [4]uint64{o.ring.ProducerPos(), o.ring.ConsumerPos(), o.ring.Dropped(), o.ring.DroppedBytes()}
 }
 
-// observeRing advances the telemetry counters by the ring's movement
-// since the previous Poll.
-func (o *StreamObserver) observeRing(events uint64) {
-	if o.telEvents == nil {
-		return
+// instrumentRing wires the ring accounting into r (see Instrument).
+// Drops surface at every Poll, not only when a window is sampled.
+func (o *Observer) instrumentRing(r *telemetry.Registry) {
+	for i, name := range []string{"stream_events_total", "ringbuf_bytes_produced_total",
+		"ringbuf_bytes_consumed_total", "ringbuf_records_dropped_total", "ringbuf_bytes_dropped_total"} {
+		o.tel[i] = r.Counter(name)
 	}
-	o.telEvents.Add(events)
-	prod, cons := o.ring.ProducerPos(), o.ring.ConsumerPos()
-	o.telProduced.Add(prod - o.seenProd)
-	o.telConsumed.Add(cons - o.seenCons)
-	o.seenProd, o.seenCons = prod, cons
-	drecs, dbytes := o.ring.Dropped(), o.ring.DroppedBytes()
-	o.telDropRecs.Add(drecs - o.seenDropRecs)
-	o.telDropBytes.Add(dbytes - o.seenDropBytes)
-	o.seenDropRecs, o.seenDropBytes = drecs, dbytes
+	o.seen = o.ringPos()
 }
 
 // fold replays one event into the cumulative aggregates, mirroring the
 // in-kernel map updates instruction for instruction (integer microsecond
 // quantization included) so reconstructed windows are bit-identical.
-func (o *StreamObserver) fold(ev probes.MetricEvent) {
+func (o *Observer) fold(ev probes.MetricEvent) {
 	switch ev.Kind {
 	case probes.EventDelta:
-		cum, online := &o.sendCum, &o.sendOnline
-		if o.recvNRs[ev.NR] {
-			cum, online = &o.recvCum, &o.recvOnline
-		} else if !o.sendNRs[ev.NR] {
+		cum, online := &o.cum.send, &o.open.SendOnline
+		switch o.family[ev.NR] {
+		case famSend:
+		case famRecv:
+			cum, online = &o.cum.recv, &o.open.RecvOnline
+		default:
 			return // not ours (tgid filter should prevent this)
 		}
 		cum.Calls++
@@ -229,91 +120,25 @@ func (o *StreamObserver) fold(ev probes.MetricEvent) {
 		cum.SumSqUS += us * us
 		online.Add(float64(ev.Value))
 	case probes.EventPoll:
-		o.pollCum.Count++
-		o.pollCum.SumNS += ev.Value
-		o.pollOnline.Add(float64(ev.Value))
+		o.cum.poll.Count++
+		o.cum.poll.SumNS += ev.Value
+		o.open.PollOnline.Add(float64(ev.Value))
 	}
 }
 
-func (o *StreamObserver) rebase() {
-	o.lastSend = o.sendCum
-	o.lastRecv = o.recvCum
-	o.lastPoll = o.pollCum
-	o.lastAt = time.Duration(o.k.Now())
-	o.sendOnline.Reset()
-	o.recvOnline.Reset()
-	o.pollOnline.Reset()
-	o.events = 0
+// Dropped returns how many events the producers dropped to a full ring
+// (0 for the map sink), current without a drain.
+func (o *Observer) Dropped() uint64 {
+	if o.ring == nil {
+		return 0
+	}
+	return o.ring.Dropped()
 }
 
-// StreamWindow is a batch-compatible Window plus the stream-side
-// bookkeeping: event/drop accounting and the per-family Welford
-// statistics over the window's raw values.
-type StreamWindow struct {
-	Window
-
-	Events  uint64 // events folded into this window
-	Dropped uint64 // cumulative producer-side drops at sample time
-
-	SendOnline stats.Online // per-window Welford over send deltas (ns)
-	RecvOnline stats.Online
-	PollOnline stats.Online // over poll durations (ns)
-}
-
-// Sample drains pending events, returns the window accumulated since the
-// previous Sample (or AttachStream), and starts a new window. The
-// embedded Window is computed with the same arithmetic as
-// Observer.Sample, so as long as Dropped has not advanced the two agree
-// exactly.
-func (o *StreamObserver) Sample() StreamWindow {
-	o.Poll()
-	now := time.Duration(o.k.Now())
-	w := StreamWindow{
-		Window:     Window{Duration: now - o.lastAt},
-		Events:     o.events,
-		Dropped:    o.ring.Dropped(),
-		SendOnline: o.sendOnline,
-		RecvOnline: o.recvOnline,
-		PollOnline: o.pollOnline,
+// RingCapacity returns the ring size in bytes (0 for the map sink).
+func (o *Observer) RingCapacity() int {
+	if o.ring == nil {
+		return 0
 	}
-	s := o.sendCum.Sub(o.lastSend)
-	w.Send = DeltaStats{
-		Calls:       s.Calls,
-		RatePerSec:  s.RateObsv(),
-		MeanDelta:   time.Duration(s.MeanDeltaNS()),
-		VarianceUS2: s.VarianceUS2(),
-	}
-	r := o.recvCum.Sub(o.lastRecv)
-	w.Recv = DeltaStats{
-		Calls:       r.Calls,
-		RatePerSec:  r.RateObsv(),
-		MeanDelta:   time.Duration(r.MeanDeltaNS()),
-		VarianceUS2: r.VarianceUS2(),
-	}
-	p := o.pollCum.Sub(o.lastPoll)
-	w.Poll = PollStats{
-		Calls:        p.Count,
-		MeanDuration: time.Duration(p.MeanNS()),
-	}
-	o.rebase()
-	return w
-}
-
-// Dropped returns the cumulative count of events the producers dropped
-// because the ring was full. It reads the producer-side counter, so it is
-// current without a drain.
-func (o *StreamObserver) Dropped() uint64 { return o.ring.Dropped() }
-
-// RingCapacity returns the ring size in bytes.
-func (o *StreamObserver) RingCapacity() int { return o.ring.Capacity() }
-
-// ProbePrograms returns the verified instruction counts of the attached
-// programs (diagnostics and documentation).
-func (o *StreamObserver) ProbePrograms() map[string]int {
-	return map[string]int{
-		"send":       o.send.Program().Len(),
-		"recv":       o.recv.Program().Len(),
-		"poll_enter": o.poll.EnterProgram().Len(),
-		"poll_exit":  o.poll.ExitProgram().Len(),
-	}
+	return o.ring.Capacity()
 }

@@ -43,7 +43,7 @@ func TestStreamMatchesBatchObserver(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		env.RunFor(100 * time.Millisecond)
-		bw := batch.Sample()
+		bw := batch.Sample().Window
 		sw := stream.Sample()
 		if sw.Window != bw {
 			t.Fatalf("window %d:\nstream = %+v\nbatch  = %+v", i, sw.Window, bw)
@@ -213,6 +213,20 @@ func TestAttachStreamDefaultRing(t *testing.T) {
 	}
 	if stream.Dropped() != 0 {
 		t.Fatal("fresh observer reports drops")
+	}
+}
+
+// TestMapSinkHasNoRing: on a map sink the ring-only methods are inert
+// and a sample carries no stream bookkeeping.
+func TestMapSinkHasNoRing(t *testing.T) {
+	_, k := rig()
+	obs := MustAttach(k, streamConfig(1))
+	defer obs.Detach()
+	if obs.Poll() != 0 || obs.Dropped() != 0 || obs.RingCapacity() != 0 {
+		t.Fatal("map sink reports ring activity")
+	}
+	if w := obs.Sample(); w.Events != 0 || w.Dropped != 0 || w.SendOnline.N() != 0 {
+		t.Fatalf("map-sink sample carries stream bookkeeping: %+v", w)
 	}
 }
 

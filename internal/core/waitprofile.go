@@ -35,30 +35,17 @@ func AttachWaitProfile(k *kernel.Kernel, tgid int, cfg probes.WaitStateConfig) (
 	if err := p.Attach(k.Tracer()); err != nil {
 		return nil, err
 	}
-	wp := &WaitProfile{probe: p, k: k, tgid: uint64(tgid)}
-	wp.rebase()
-	return wp, nil
+	return &WaitProfile{probe: p, k: k, tgid: uint64(tgid),
+		last: p.Snapshot()[uint64(tgid)], lastAt: time.Duration(k.Now())}, nil
 }
 
 // MustAttachWaitProfile is AttachWaitProfile but panics on error.
 func MustAttachWaitProfile(k *kernel.Kernel, tgid int, cfg probes.WaitStateConfig) *WaitProfile {
-	wp, err := AttachWaitProfile(k, tgid, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return wp
+	return probes.Must(AttachWaitProfile(k, tgid, cfg))
 }
 
 // Detach removes both programs. The maps survive, as pinned maps do.
 func (wp *WaitProfile) Detach() { wp.probe.Detach() }
-
-// Probe exposes the underlying probe (map inspection, diagnostics).
-func (wp *WaitProfile) Probe() *probes.WaitStateProbe { return wp.probe }
-
-func (wp *WaitProfile) rebase() {
-	wp.last = wp.probe.Snapshot()[wp.tgid]
-	wp.lastAt = time.Duration(wp.k.Now())
-}
 
 // WaitWindow is one window's wait-state decomposition for the tracked
 // tgid. The three durations partition the process's scheduler-visible
@@ -99,8 +86,7 @@ func (wp *WaitProfile) Sample() WaitWindow {
 		Runnable: time.Duration(d.RunnableNS),
 		Blocked:  time.Duration(d.BlockedNS),
 	}
-	wp.last = cur
-	wp.lastAt = now
+	wp.last, wp.lastAt = cur, now
 	return w
 }
 
@@ -114,5 +100,5 @@ func (wp *WaitProfile) Bytes() int { return wp.probe.Bytes() }
 
 // Instrument records the probe pair's verification cost into r.
 func (wp *WaitProfile) Instrument(r *telemetry.Registry) {
-	recordVerifierCost(r, wp.probe.SwitchProgram(), wp.probe.WakeupProgram())
+	recordVerifierCost(r, wp.probe.Programs()...)
 }

@@ -3,7 +3,6 @@ package ebpf
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 )
 
 // The execution engine: one decoded program, one loop. At Load time
@@ -25,11 +24,11 @@ import (
 // the oracle, Program.Run and a reference evaluator and requires
 // full-state agreement.
 //
-// Run state is pooled (vmPool): the register file, the stack, the
-// spill tracking, and the map-value region arena all live in one
-// reusable allocation, reset on every acquisition, so steady-state
-// execution performs zero heap allocations. Pooled state is
-// returned only on normal completion — a panic unwinding through a run
+// Run state is parked on its Program between runs: the register file,
+// the stack, the spill tracking, and the map-value region arena all
+// live in one reusable allocation, reset on every acquisition, so
+// steady-state execution performs zero heap allocations. The state is
+// parked only on normal completion — a panic unwinding through a run
 // (a cooperative sim.Clock timeout, chaos injection) abandons the
 // state to the garbage collector, so a recovered panic can never leak
 // one run's registers or stack into a later run (the invariant
@@ -148,24 +147,17 @@ const exitOp = math.MinInt32
 // (spillMask).
 const spillSlots = StackSize / 8
 
-// vmPool recycles run state across Program.Run calls.
-// It is shared process-wide: run state is program-independent (fixed
-// stack and register file; the arena grows to the busiest program's
-// per-run lookup count and stays).
-var vmPool = sync.Pool{New: func() any { return new(vm) }}
-
-// getVM acquires and resets pooled run state bound to (p, ctx, env).
-// The steady-state source is the state parked on the Program by the
-// previous run (no pool round-trip, no synchronization — Run is
-// single-goroutine per Program); vmPool backs the first run and any
-// run whose predecessor's state was abandoned by a panic. The stack
-// buffer, its region, and the spill array are set up on first use of a
-// pooled vm and retained with it; steady-state acquisition clears the
-// dirty stack bytes and the 256-byte register file and rebinds ctx.
+// getVM acquires and resets run state bound to (p, ctx, env): the state
+// parked on the Program by the previous run (no synchronization — Run is
+// single-goroutine per Program), or a fresh vm on the first run and
+// after a panic abandoned the parked one. The stack buffer, its region,
+// and the spill array are set up on first use of a vm and retained
+// with it; steady-state acquisition clears the dirty stack bytes and
+// the 256-byte register file and rebinds ctx.
 func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 	m := p.rsCache
 	if m == nil {
-		m = vmPool.Get().(*vm)
+		m = new(vm)
 	} else {
 		p.rsCache = nil
 	}
@@ -192,16 +184,12 @@ func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 }
 
 // putVM releases run state, dropping references to caller-owned memory
-// (the ctx slice, the helper env). It parks the state on the Program
-// for the next run when the slot is free, else returns it to vmPool.
+// (the ctx slice, the helper env), and parks it on the Program for the
+// next run.
 func putVM(p *Program, m *vm) {
 	m.prog, m.env = nil, nil
 	m.ctx.data = nil
-	if p.rsCache == nil {
-		p.rsCache = m
-		return
-	}
-	vmPool.Put(m)
+	p.rsCache = m
 }
 
 // maxVMSteps is the dispatch budget; verified programs are loop-free
@@ -570,7 +558,7 @@ taken:
 }
 
 // cold is the single-slot step behind every hot half: the generic
-// per-op routine for the slot, over pooled run state (spills live in
+// per-op routine for the slot, over the parked run state (spills live in
 // spillMask/spillW, stack writes keep dirtyStack's books). It handles
 // what dispatch can send it — any refusal, and the first half of a fused
 // pair — and returns the successor.

@@ -18,8 +18,8 @@
 // else goes to one cold tail that runs vm.go's generic per-op routine
 // for the slot (Program.GenericOps counts slots with no hot half,
 // Program.ColdOps the slots that took the tail at run time). Run state
-// — stack, registers, spill slots, map-value regions — comes from a
-// per-Program pooled arena, so steady-state execution performs zero
+// — stack, registers, spill slots, map-value regions — is one
+// allocation parked on its Program, so steady-state execution performs zero
 // heap allocations (BENCH_jit.json).
 //
 // The tests hold Program.Run to two oracles: a decode-per-step loop

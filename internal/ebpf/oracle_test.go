@@ -5,7 +5,7 @@ package ebpf
 // map keyed by stack offset, and runs every slot through vm.go's generic
 // per-op routines. It shares those routines with the engine's cold tail,
 // and nothing else: no decoded records, fused pairs, segment accounting,
-// spillMask or pooled state. Every run gets fresh state.
+// spillMask or parked state. Every run gets fresh state.
 
 // stepVM is one oracle run's state: a vm plus the map-based spill
 // tracking.

@@ -188,7 +188,7 @@ func TestSketchHelpersZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pooled run state
+	run() // warm the parked run state
 	allocs := testing.AllocsPerRun(1000, run)
 	if allocs != 0 {
 		t.Fatalf("sketch helpers allocated %v allocs/op, want 0", allocs)

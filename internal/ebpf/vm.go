@@ -130,8 +130,8 @@ func (e *RuntimeError) Error() string {
 }
 
 // vm is one run's state: the register file, the stack, the context
-// window, and spill tracking. Program.Run recycles it through vmPool
-// (compile.go).
+// window, and spill tracking. Program.Run parks it on the Program
+// between runs (getVM/putVM, compile.go).
 type vm struct {
 	prog  *Program
 	env   HelperEnv
@@ -140,7 +140,7 @@ type vm struct {
 	ctx   region
 	stats RunStats
 
-	// Allocated once per pooled vm and retained across runs so
+	// Allocated once per vm and retained across runs so
 	// steady-state execution never touches the heap. stackMem backs
 	// stack.data (cleared, not reallocated, per run; the stack and ctx
 	// regions themselves are set up once, ctx.data rebound); spillMask

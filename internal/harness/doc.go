@@ -14,12 +14,11 @@
 // observations; Close reclaims its goroutines. Rigs share no mutable
 // state, so independent rigs may run concurrently.
 //
-// RigOptions.Stream additionally attaches the ring-buffer streaming
-// observer (core.StreamObserver) beside the batch probes. Rig.Advance
-// then drains the ring on a fixed 50 ms simulated-time cadence, so drop
-// counts under an undersized ring are deterministic for a given seed,
-// and Measurement pairs every batch window with its stream-reconstructed
-// twin.
+// RigOptions.Stream additionally attaches a core.Observer with the ring
+// sink beside the map-sink one. Rig.Advance then drains the ring on a
+// fixed 50 ms simulated-time cadence, so drop counts under an undersized
+// ring are deterministic for a given seed, and Measurement pairs every
+// map-sink window with its stream-reconstructed twin.
 //
 // # Experiments: cells, one point protocol, one engine
 //

@@ -556,8 +556,8 @@ func IOUring(level float64, opt ExpOptions) IOUringResult {
 		rig := pc.build(c, RigOptions{Probes: true})
 		// Attached before warm-up: the rate is taken over everything the
 		// probe has seen.
-		uring := probes.MustNewDeltaProbe("uring", rig.Server.Process().TGID(),
-			[]int{kernel.SysIoUringEnter})
+		uring := probes.Must(probes.NewDeltaProbe("uring", rig.Server.Process().TGID(),
+			[]int{kernel.SysIoUringEnter}, nil))
 		if err := uring.Attach(rig.ServerK.Tracer()); err != nil {
 			panic(err)
 		}
@@ -576,7 +576,7 @@ func IOUring(level float64, opt ExpOptions) IOUringResult {
 // Fig1Result is the trace-structure study of Fig. 1: the raw stream, its
 // phase segmentation, and the request-oriented subset.
 type Fig1Result struct {
-	Events   []probes.StreamEvent
+	Events   []trace.Event
 	Segments []trace.PhaseSummary
 	Counts   map[string]uint64
 	Dropped  uint64
@@ -596,23 +596,17 @@ func Fig1(spec workloads.Spec, level float64, capture time.Duration, opt ExpOpti
 	}
 	return point(opt, PointCtx{}, c.Label, func(pc PointCtx) Fig1Result {
 		rig := pc.build(c, RigOptions{})
-		sp := probes.MustNewStreamProbe("raw", rig.Server.Process().TGID(), 64<<20)
+		sp := probes.Must(probes.NewStreamProbe("raw", rig.Server.Process().TGID(), 64<<20))
 		if err := sp.Attach(rig.ServerK.Tracer()); err != nil {
 			panic(err)
 		}
 		rig.Env.RunFor(capture)
 		evs := sp.Drain()
-		dropped := sp.Dropped()
-
-		tev := make([]trace.Event, len(evs))
-		for i, e := range evs {
-			tev[i] = trace.Event{Time: e.Time, PidTgid: e.PidTgid, NR: e.NR, Enter: e.Enter, Ret: e.Ret}
-		}
 		return Fig1Result{
 			Events:   evs,
-			Segments: trace.Segment(tev),
-			Counts:   trace.CountByName(tev),
-			Dropped:  dropped,
+			Segments: trace.Segment(evs),
+			Counts:   trace.CountByName(evs),
+			Dropped:  sp.Dropped(),
 		}
 	})
 }

@@ -102,13 +102,13 @@ type Node struct {
 	Net     *netsim.Network
 	Server  workloads.Server
 
-	// Obs is the attached core.Observer — the library under evaluation.
-	// Nil when RigOptions.Probes is false.
+	// Obs is the attached core.Observer with the map sink — the library
+	// under evaluation. Nil when RigOptions.Probes is false.
 	Obs *core.Observer
 
-	// Stream is the attached core.StreamObserver — the ring-buffer event
-	// pipeline. Nil when RigOptions.Stream is false.
-	Stream *core.StreamObserver
+	// Stream is the attached core.Observer with the ring sink — the
+	// ring-buffer event pipeline. Nil when RigOptions.Stream is false.
+	Stream *core.Observer
 
 	// Attr is the attached sketch-based attribution pipeline. Nil when
 	// RigOptions.Attribution is false.
@@ -349,7 +349,7 @@ func (r *Rig) Measure(d time.Duration) Measurement {
 	r.Advance(d)
 	m := Measurement{Load: r.Client.Snapshot()}
 	if r.Obs != nil {
-		w := r.Obs.Sample()
+		w := r.Obs.Sample().Window
 		m.Obs = w
 		m.RPSObsv = w.Send.RatePerSec
 		m.SendVarUS2 = w.Send.VarianceUS2

@@ -76,6 +76,7 @@ func (c AttributionConfig) withDefaults() AttributionConfig {
 // tracks the top-K candidate tgids. Userspace never walks a per-PID
 // hash map; it clones the sketches and asks them.
 type AttributionProbe struct {
+	probe
 	// Syscalls counts every syscall per tgid.
 	Syscalls *ebpf.CMS
 	// Sends counts send-family syscalls per tgid (RPS attribution).
@@ -91,9 +92,7 @@ type AttributionProbe struct {
 	// AttributionConfig.Oracle was set.
 	Exact *ebpf.HashMap
 
-	prog *ebpf.Program
-	link *kernel.Link
-	cfg  AttributionConfig
+	cfg AttributionConfig
 }
 
 // NewAttributionProbe builds and verifies the attribution program.
@@ -220,50 +219,10 @@ func NewAttributionProbe(name string, cfg AttributionConfig) (*AttributionProbe,
 		ebpf.Mov64Imm(ebpf.R3, 1),
 		ebpf.Call(ebpf.HelperCMSUpdate),
 	)
-	a.Label("out")
-	a.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-
-	prog, err := ebpf.Load(ebpf.ProgramSpec{
-		Name:    name,
-		Insns:   a.MustAssemble(),
-		Maps:    maps,
-		CtxSize: kernel.SysEnterCtxSize,
-	})
-	if err != nil {
+	if err := p.load(name, kernel.RawSysEnter, a, maps); err != nil {
 		return nil, err
 	}
-	p.prog = prog
 	return p, nil
-}
-
-// MustNewAttributionProbe panics on build failure.
-func MustNewAttributionProbe(name string, cfg AttributionConfig) *AttributionProbe {
-	p, err := NewAttributionProbe(name, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Program returns the verified program (for disassembly/inspection).
-func (p *AttributionProbe) Program() *ebpf.Program { return p.prog }
-
-// Attach hooks the probe to raw_syscalls:sys_enter.
-func (p *AttributionProbe) Attach(tr *kernel.Tracer) error {
-	l, err := tr.Attach(kernel.RawSysEnter, p.prog)
-	if err != nil {
-		return err
-	}
-	p.link = l
-	return nil
-}
-
-// Detach removes the probe.
-func (p *AttributionProbe) Detach() {
-	if p.link != nil {
-		p.link.Detach()
-		p.link = nil
-	}
 }
 
 // Bytes returns the sketch-side map footprint (excludes the thread LRU

@@ -8,11 +8,11 @@ import (
 )
 
 func TestAttributionProbeVerifies(t *testing.T) {
-	p := MustNewAttributionProbe("attr", AttributionConfig{Oracle: true})
-	if p.Program().Len() == 0 {
+	p := Must(NewAttributionProbe("attr", AttributionConfig{Oracle: true}))
+	if p.Programs()[0].Len() == 0 {
 		t.Fatal("empty program")
 	}
-	if p.Program().Disassemble() == "" {
+	if p.Programs()[0].Disassemble() == "" {
 		t.Fatal("no disassembly")
 	}
 	if p.Bytes() >= 200<<10 {
@@ -27,7 +27,7 @@ func TestAttributionBlamesHotProcess(t *testing.T) {
 	env, k := rig(2)
 	hot := k.NewProcess("hot")
 	cold := k.NewProcess("cold")
-	probe := MustNewAttributionProbe("attr", AttributionConfig{Oracle: true})
+	probe := Must(NewAttributionProbe("attr", AttributionConfig{Oracle: true}))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAttributionSketchesMergeAcrossNodes(t *testing.T) {
 	run := func(sends int) (AttrSketches, uint64) {
 		env, k := rig(1)
 		srv := k.NewProcess("srv")
-		probe := MustNewAttributionProbe("attr", AttributionConfig{})
+		probe := Must(NewAttributionProbe("attr", AttributionConfig{}))
 		if err := probe.Attach(k.Tracer()); err != nil {
 			t.Fatal(err)
 		}

@@ -17,11 +17,11 @@
 //     latency histogram with atomically bumped bucket counters;
 //     QuantileUS interpolates quantiles from the buckets.
 //
-// DeltaProbe and PollProbe also come in event-streaming variants
-// (NewDeltaProbeStream / NewPollProbeStream): the same programs
-// additionally commit one fixed 32-byte MetricEvent record (timestamp,
-// pid_tgid, syscall nr, delta/duration) into a shared ring buffer via
-// bpf_ringbuf_output, alongside the unchanged aggregate-map updates.
+// NewDeltaProbe and NewPollProbe take a ring buffer (nil for
+// aggregate-only): given one, the same programs additionally commit one
+// fixed 32-byte MetricEvent record (timestamp, pid_tgid, syscall nr,
+// delta/duration) into it via bpf_ringbuf_output, alongside the
+// unchanged aggregate-map updates.
 // DecodeEvents parses a drained batch; folding the events with the
 // probes' own integer arithmetic reconstructs the aggregate maps
 // bit-for-bit when the ring never overflowed.
@@ -29,10 +29,14 @@
 // All programs filter by tgid in-kernel, exactly as the paper's Listing
 // 1 filters PID_TGID, so an attached probe observes one application.
 //
+// Every probe embeds one base: it loads each program with the shared
+// exit tail and the ctx size of its tracepoint, and gives the probe
+// Attach (all or nothing), Detach and Programs.
+//
 // Key entry points: NewDeltaProbe / NewPollProbe / NewStreamProbe /
-// NewHistProbe (and their Must variants) construct a probe; Attach
-// loads it on a kernel.Tracer; Snapshot (or Drain, for the stream)
-// reads the in-map state. internal/core composes Delta and Poll probes
-// into the windowed Observer API most callers want — and their
-// streaming variants into StreamObserver.
+// NewHistProbe / NewWaitStateProbe / NewAttributionProbe construct a
+// probe (Must panics on the error instead); Attach loads it on a
+// kernel.Tracer; Snapshot reads the in-map state, and StreamProbe.Drain
+// decodes its ring into trace.Events. internal/core composes Delta and
+// Poll probes into the windowed Observer API most callers want.
 package probes

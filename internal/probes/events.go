@@ -10,8 +10,8 @@ import (
 
 // MetricEvent kinds, carried in the high half of the record's NR word.
 const (
-	EventDelta = 1 // inter-call delta from a DeltaProbe stream variant
-	EventPoll  = 2 // completed poll duration from a PollProbe stream variant
+	EventDelta = 1 // inter-call delta from a DeltaProbe with a ring
+	EventPoll  = 2 // completed poll duration from a PollProbe with a ring
 )
 
 // Fixed metric-event record layout (4 x u64, 32 bytes). Unlike the raw
@@ -37,8 +37,8 @@ const (
 	evMetaPoll       = EventPoll << evMetaKindShift
 )
 
-// MetricEvent is one decoded fixed-size metric record from the streaming
-// probe variants.
+// MetricEvent is one decoded fixed-size metric record from a Delta or
+// Poll probe built with a ring.
 type MetricEvent struct {
 	Time    sim.Time
 	PidTgid uint64

@@ -34,7 +34,7 @@ func TestDeltaProbeStreamMatchesAggregates(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
 	ring := ebpf.NewRingBuf("ring", 1<<20)
-	probe, err := NewDeltaProbeStream("send", srv.TGID(), []int{kernel.SysSendto}, ring)
+	probe, err := NewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto}, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPollProbeStreamMatchesAggregates(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
 	ring := ebpf.NewRingBuf("ring", 1<<20)
-	probe, err := NewPollProbeStream("poll", srv.TGID(), []int{kernel.SysEpollWait}, ring)
+	probe, err := NewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait}, ring)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +115,6 @@ func TestPollProbeStreamMatchesAggregates(t *testing.T) {
 	}
 	if want := probe.Snapshot(); got != want {
 		t.Fatalf("folded events = %+v, aggregate map = %+v", got, want)
-	}
-}
-
-func TestStreamVariantsRequireRing(t *testing.T) {
-	if _, err := NewDeltaProbeStream("x", 0, []int{1}, nil); err == nil {
-		t.Fatal("nil ring should fail")
-	}
-	if _, err := NewPollProbeStream("x", 0, []int{1}, nil); err == nil {
-		t.Fatal("nil ring should fail")
 	}
 }
 

@@ -19,56 +19,26 @@ const histBuckets = 32
 // can read percentiles of idleness, not just the mean. Bucket counters
 // are bumped with atomic adds (BPF_XADD), as real histogram probes do.
 type HistProbe struct {
+	probe
 	Buckets *ebpf.ArrayMap // histBuckets x u64 counters
 	Start   *ebpf.HashMap
-	enter   *ebpf.Program
-	exit    *ebpf.Program
-	links   []*kernel.Link
 }
 
 // NewHistProbe builds the histogram probe for the poll syscalls in nrs,
 // filtered to tgid (0 = all).
 func NewHistProbe(name string, tgid int, nrs []int) (*HistProbe, error) {
-	if len(nrs) == 0 || len(nrs) > 4 {
-		return nil, fmt.Errorf("probes: need 1..4 syscall numbers, got %d", len(nrs))
+	p := &HistProbe{
+		Buckets: ebpf.NewArrayMap(name+"_hist", 8, histBuckets),
+		Start:   ebpf.NewHashMap(name+"_start", 8, 8, 4096),
 	}
-	buckets := ebpf.NewArrayMap(name+"_hist", 8, histBuckets)
-	start := ebpf.NewHashMap(name+"_start", 8, 8, 4096)
-	maps := map[int32]ebpf.Map{fdStats: buckets, fdStart: start}
-
-	// sys_enter: start[pid_tgid] = now (same as PollProbe's entry half).
-	a := ebpf.NewAssembler()
-	emitTgidFilter(a, tgid)
-	emitSyscallFilter(a, nrs)
-	a.Emit(ebpf.Call(ebpf.HelperKtimeGetNS))
-	a.Emit(
-		ebpf.StoreMem(ebpf.R10, -8, ebpf.R9, ebpf.SizeDW),
-		ebpf.StoreMem(ebpf.R10, -16, ebpf.R0, ebpf.SizeDW),
-	)
-	a.EmitWide(ebpf.LoadMapFD(ebpf.R1, fdStart))
-	a.Emit(
-		ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
-		ebpf.Add64Imm(ebpf.R2, -8),
-		ebpf.Mov64Reg(ebpf.R3, ebpf.R10),
-		ebpf.Add64Imm(ebpf.R3, -16),
-		ebpf.Mov64Imm(ebpf.R4, int32(ebpf.UpdateAny)),
-		ebpf.Call(ebpf.HelperMapUpdateElem),
-	)
-	a.Label("out")
-	a.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-	enter, err := ebpf.Load(ebpf.ProgramSpec{
-		Name: name + "_enter", Insns: a.MustAssemble(),
-		Maps: maps, CtxSize: kernel.SysEnterCtxSize,
-	})
-	if err != nil {
+	maps := map[int32]ebpf.Map{fdStats: p.Buckets, fdStart: p.Start}
+	if err := p.loadEntryStamp(name+"_enter", tgid, nrs, maps); err != nil {
 		return nil, err
 	}
 
 	// sys_exit: duration -> log2 bucket -> atomic increment. The log2 is
 	// the standard unrolled shift ladder (loops are forbidden).
-	b := ebpf.NewAssembler()
-	emitTgidFilter(b, tgid)
-	emitSyscallFilter(b, nrs)
+	b, _ := syscallProg(name, tgid, nrs) // nrs passed the entry half's check
 	b.Emit(ebpf.StoreMem(ebpf.R10, -8, ebpf.R9, ebpf.SizeDW))
 	b.EmitWide(ebpf.LoadMapFD(ebpf.R1, fdStart))
 	b.Emit(
@@ -119,51 +89,10 @@ func NewHistProbe(name string, tgid int, nrs []int) (*HistProbe, error) {
 		ebpf.Mov64Imm(ebpf.R1, 1),
 		ebpf.AtomicAdd64(ebpf.R0, 0, ebpf.R1),
 	)
-	b.Label("out")
-	b.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-	exit, err := ebpf.Load(ebpf.ProgramSpec{
-		Name: name + "_exit", Insns: b.MustAssemble(),
-		Maps: maps, CtxSize: kernel.SysExitCtxSize,
-	})
-	if err != nil {
+	if err := p.load(name+"_exit", kernel.RawSysExit, b, maps); err != nil {
 		return nil, err
 	}
-	return &HistProbe{Buckets: buckets, Start: start, enter: enter, exit: exit}, nil
-}
-
-// MustNewHistProbe panics on build failure.
-func MustNewHistProbe(name string, tgid int, nrs []int) *HistProbe {
-	p, err := NewHistProbe(name, tgid, nrs)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// ExitProgram returns the sys_exit half (the interesting one).
-func (p *HistProbe) ExitProgram() *ebpf.Program { return p.exit }
-
-// Attach hooks both programs.
-func (p *HistProbe) Attach(tr *kernel.Tracer) error {
-	le, err := tr.Attach(kernel.RawSysEnter, p.enter)
-	if err != nil {
-		return err
-	}
-	lx, err := tr.Attach(kernel.RawSysExit, p.exit)
-	if err != nil {
-		le.Detach()
-		return err
-	}
-	p.links = []*kernel.Link{le, lx}
-	return nil
-}
-
-// Detach removes both programs.
-func (p *HistProbe) Detach() {
-	for _, l := range p.links {
-		l.Detach()
-	}
-	p.links = nil
+	return p, nil
 }
 
 // Snapshot returns the per-bucket counts: Counts[i] holds durations in
@@ -174,16 +103,6 @@ func (p *HistProbe) Snapshot() [histBuckets]uint64 {
 		out[i] = binary.LittleEndian.Uint64(p.Buckets.At(i))
 	}
 	return out
-}
-
-// Reset zeroes the histogram.
-func (p *HistProbe) Reset() {
-	for i := 0; i < histBuckets; i++ {
-		v := p.Buckets.At(i)
-		for j := range v {
-			v[j] = 0
-		}
-	}
 }
 
 // QuantileUS estimates the q-th quantile in microseconds from the log2

@@ -2,7 +2,6 @@ package probes
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"reqlens/internal/ebpf"
 	"reqlens/internal/kernel"
@@ -20,50 +19,20 @@ const (
 // in kernel space. Entry timestamps are keyed by pid_tgid so concurrent
 // pollers do not collide.
 type PollProbe struct {
+	probe
 	Stats *ebpf.ArrayMap
 	Start *ebpf.HashMap
-	Ring  *ebpf.RingBuf // nil for the batch (aggregate-only) variant
-	enter *ebpf.Program
-	exit  *ebpf.Program
-	links []*kernel.Link
-	nrs   []int
+	Ring  *ebpf.RingBuf // nil: aggregate-only
 }
 
-// NewPollProbe builds the entry/exit program pair for the poll syscalls
-// in nrs, filtered to tgid (0 = all).
-func NewPollProbe(name string, tgid int, nrs []int) (*PollProbe, error) {
-	return newPollProbe(name, tgid, nrs, nil)
-}
-
-// NewPollProbeStream is NewPollProbe plus event streaming: each completed
-// poll also commits an EventPoll record (ts, pid_tgid, nr, duration) into
-// ring, alongside the unchanged aggregate-map updates.
-func NewPollProbeStream(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*PollProbe, error) {
-	if ring == nil {
-		return nil, fmt.Errorf("probes: stream poll probe requires a ring buffer")
+// loadEntryStamp loads Listing 1's entry half on sys_enter,
+// start[pid_tgid] = now for the syscalls in nrs, with the start map at
+// fdStart.
+func (p *probe) loadEntryStamp(name string, tgid int, nrs []int, maps map[int32]ebpf.Map) error {
+	a, err := syscallProg(name, tgid, nrs)
+	if err != nil {
+		return err
 	}
-	return newPollProbe(name, tgid, nrs, ring)
-}
-
-func newPollProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*PollProbe, error) {
-	if len(nrs) == 0 || len(nrs) > 4 {
-		return nil, fmt.Errorf("probes: need 1..4 syscall numbers, got %d", len(nrs))
-	}
-	stats := ebpf.NewArrayMap(name+"_stats", psValueSize, 1)
-	start := ebpf.NewHashMap(name+"_start", 8, 8, 4096)
-	maps := map[int32]ebpf.Map{fdStats: stats, fdStart: start}
-	if ring != nil {
-		maps[fdRingbuf] = ring
-	}
-
-	// Event record scratch below the key/value slots the exit program
-	// already uses in [-16, 0).
-	const rec = -16 - int16(EventSize)
-
-	// sys_enter: start[pid_tgid] = now
-	a := ebpf.NewAssembler()
-	emitTgidFilter(a, tgid)
-	emitSyscallFilter(a, nrs)
 	a.Emit(ebpf.Call(ebpf.HelperKtimeGetNS))
 	a.Emit(
 		ebpf.StoreMem(ebpf.R10, -8, ebpf.R9, ebpf.SizeDW),  // key = pid_tgid
@@ -78,20 +47,34 @@ func newPollProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*PollPr
 		ebpf.Mov64Imm(ebpf.R4, int32(ebpf.UpdateAny)),
 		ebpf.Call(ebpf.HelperMapUpdateElem),
 	)
-	a.Label("out")
-	a.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-	enter, err := ebpf.Load(ebpf.ProgramSpec{
-		Name: name + "_enter", Insns: a.MustAssemble(),
-		Maps: maps, CtxSize: kernel.SysEnterCtxSize,
-	})
-	if err != nil {
+	return p.load(name, kernel.RawSysEnter, a, maps)
+}
+
+// NewPollProbe builds the entry/exit program pair for the poll syscalls
+// in nrs, filtered to tgid (0 = all). A non-nil ring adds event
+// streaming: each completed poll also commits an EventPoll record (ts,
+// pid_tgid, nr, duration) into it, alongside the unchanged aggregate-map
+// updates.
+func NewPollProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*PollProbe, error) {
+	p := &PollProbe{
+		Stats: ebpf.NewArrayMap(name+"_stats", psValueSize, 1),
+		Start: ebpf.NewHashMap(name+"_start", 8, 8, 4096),
+		Ring:  ring,
+	}
+	maps := map[int32]ebpf.Map{fdStats: p.Stats, fdStart: p.Start}
+	if ring != nil {
+		maps[fdRingbuf] = ring
+	}
+	if err := p.loadEntryStamp(name+"_enter", tgid, nrs, maps); err != nil {
 		return nil, err
 	}
 
+	// Event record scratch below the key/value slots the exit program
+	// already uses in [-16, 0).
+	const rec = -16 - int16(EventSize)
+
 	// sys_exit: duration = now - start[pid_tgid]; accumulate; delete key.
-	b := ebpf.NewAssembler()
-	emitTgidFilter(b, tgid)
-	emitSyscallFilter(b, nrs)
+	b, _ := syscallProg(name, tgid, nrs) // nrs passed the entry half's check
 	if ring != nil {
 		// pid_tgid and nr must be captured before R8 is reused for the
 		// duration.
@@ -148,58 +131,10 @@ func newPollProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*PollPr
 	if ring != nil {
 		emitEventOutput(b, rec)
 	}
-	b.Label("out")
-	b.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-	exit, err := ebpf.Load(ebpf.ProgramSpec{
-		Name: name + "_exit", Insns: b.MustAssemble(),
-		Maps: maps, CtxSize: kernel.SysExitCtxSize,
-	})
-	if err != nil {
+	if err := p.load(name+"_exit", kernel.RawSysExit, b, maps); err != nil {
 		return nil, err
 	}
-
-	return &PollProbe{Stats: stats, Start: start, Ring: ring, enter: enter, exit: exit, nrs: nrs}, nil
-}
-
-// MustNewPollProbe panics on build failure.
-func MustNewPollProbe(name string, tgid int, nrs []int) *PollProbe {
-	p, err := NewPollProbe(name, tgid, nrs)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Syscalls returns the traced syscall numbers.
-func (p *PollProbe) Syscalls() []int { return p.nrs }
-
-// EnterProgram returns the sys_enter program.
-func (p *PollProbe) EnterProgram() *ebpf.Program { return p.enter }
-
-// ExitProgram returns the sys_exit program.
-func (p *PollProbe) ExitProgram() *ebpf.Program { return p.exit }
-
-// Attach hooks both programs.
-func (p *PollProbe) Attach(tr *kernel.Tracer) error {
-	le, err := tr.Attach(kernel.RawSysEnter, p.enter)
-	if err != nil {
-		return err
-	}
-	lx, err := tr.Attach(kernel.RawSysExit, p.exit)
-	if err != nil {
-		le.Detach()
-		return err
-	}
-	p.links = []*kernel.Link{le, lx}
-	return nil
-}
-
-// Detach removes both programs.
-func (p *PollProbe) Detach() {
-	for _, l := range p.links {
-		l.Detach()
-	}
-	p.links = nil
+	return p, nil
 }
 
 // PollSnapshot is a userspace copy of the accumulator.
@@ -214,14 +149,6 @@ func (p *PollProbe) Snapshot() PollSnapshot {
 	return PollSnapshot{
 		Count: binary.LittleEndian.Uint64(v[psOffCount:]),
 		SumNS: binary.LittleEndian.Uint64(v[psOffSumNS:]),
-	}
-}
-
-// Reset zeroes the accumulator.
-func (p *PollProbe) Reset() {
-	v := p.Stats.At(0)
-	for i := range v {
-		v[i] = 0
 	}
 }
 

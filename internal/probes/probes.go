@@ -15,6 +15,77 @@ const (
 	fdRingbuf = 3
 )
 
+// probe is the part every probe embeds: its verified programs, each
+// with the tracepoint it attaches to, and its links while attached.
+type probe struct {
+	progs []*ebpf.Program
+	tps   []kernel.Tracepoint
+	links []*kernel.Link
+}
+
+// load closes a program body with the shared `out: r0 = 0; exit` tail,
+// verifies it against tp's ctx layout and appends it to the probe.
+func (p *probe) load(name string, tp kernel.Tracepoint, a *ebpf.Assembler, maps map[int32]ebpf.Map) error {
+	a.Label("out")
+	a.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
+	prog, err := ebpf.Load(ebpf.ProgramSpec{
+		Name: name, Insns: a.MustAssemble(), Maps: maps, CtxSize: kernel.CtxSizeOf(tp),
+	})
+	if err != nil {
+		return err
+	}
+	p.progs = append(p.progs, prog)
+	p.tps = append(p.tps, tp)
+	return nil
+}
+
+// Attach hooks every program to its tracepoint in load order. It is
+// all-or-nothing: on an error the programs it did attach are detached.
+func (p *probe) Attach(tr *kernel.Tracer) error {
+	for i, prog := range p.progs {
+		l, err := tr.Attach(p.tps[i], prog)
+		if err != nil {
+			p.Detach()
+			return err
+		}
+		p.links = append(p.links, l)
+	}
+	return nil
+}
+
+// Detach removes every attached program; detaching a detached probe is
+// a no-op. The maps survive, as pinned maps do.
+func (p *probe) Detach() {
+	for _, l := range p.links {
+		l.Detach()
+	}
+	p.links = nil
+}
+
+// Programs returns the verified programs in attach order (disassembly,
+// verifier cost, direct runs).
+func (p *probe) Programs() []*ebpf.Program { return p.progs }
+
+// Must returns p, or panics with err: Must(NewDeltaProbe(...)).
+func Must[P any](p P, err error) P {
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// syscallProg starts the raw_syscalls program name: the tgid filter,
+// then the match on ctx->id against nrs (1..4 of them).
+func syscallProg(name string, tgid int, nrs []int) (*ebpf.Assembler, error) {
+	if len(nrs) == 0 || len(nrs) > 4 {
+		return nil, fmt.Errorf("probes: %s: need 1..4 syscall numbers, got %d", name, len(nrs))
+	}
+	a := ebpf.NewAssembler()
+	emitTgidFilter(a, tgid)
+	emitSyscallFilter(a, nrs)
+	return a, nil
+}
+
 // emitTgidFilter emits the common prologue: save ctx in R6, load
 // pid_tgid, keep the thread id in R9, extract the tgid into R7 and jump
 // to "out" unless it matches. tgid==0 disables filtering.
@@ -55,49 +126,33 @@ const (
 )
 
 // DeltaProbe accumulates inter-call deltas of a syscall family in kernel
-// space. The stream variant additionally emits one fixed-size MetricEvent
-// per matched call into a shared ring buffer.
+// space, with one sys_enter program. With a ring it also emits one
+// fixed-size MetricEvent per matched call.
 type DeltaProbe struct {
+	probe
 	Stats *ebpf.ArrayMap
-	Ring  *ebpf.RingBuf // nil for the batch (aggregate-only) variant
-	prog  *ebpf.Program
-	link  *kernel.Link
-	nrs   []int
+	Ring  *ebpf.RingBuf // nil: aggregate-only
 }
 
 // NewDeltaProbe builds and verifies the delta program for the syscall
 // numbers in nrs (1..4 entries), filtered to tgid (0 = all processes).
-func NewDeltaProbe(name string, tgid int, nrs []int) (*DeltaProbe, error) {
-	return newDeltaProbe(name, tgid, nrs, nil)
-}
-
-// NewDeltaProbeStream is NewDeltaProbe plus event streaming: every matched
-// call also commits an EventDelta record (ts, pid_tgid, nr, delta) into
-// ring, alongside the unchanged aggregate-map updates. The warmup call —
-// the first match, which defines no delta — is emitted with the First
-// flag so the consumer can reconstruct the aggregate state exactly.
-func NewDeltaProbeStream(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*DeltaProbe, error) {
-	if ring == nil {
-		return nil, fmt.Errorf("probes: stream delta probe requires a ring buffer")
+// A non-nil ring adds event streaming: every matched call also commits
+// an EventDelta record (ts, pid_tgid, nr, delta) into it, alongside the
+// unchanged aggregate-map updates. The warmup call — the first match,
+// which defines no delta — is emitted with the First flag so the
+// consumer can reconstruct the aggregate state exactly.
+func NewDeltaProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*DeltaProbe, error) {
+	a, err := syscallProg(name, tgid, nrs)
+	if err != nil {
+		return nil, err
 	}
-	return newDeltaProbe(name, tgid, nrs, ring)
-}
-
-func newDeltaProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*DeltaProbe, error) {
-	if len(nrs) == 0 || len(nrs) > 4 {
-		return nil, fmt.Errorf("probes: need 1..4 syscall numbers, got %d", len(nrs))
-	}
-	stats := ebpf.NewArrayMap(name+"_stats", dsValueSize, 1)
-	maps := map[int32]ebpf.Map{fdStats: stats}
+	p := &DeltaProbe{Stats: ebpf.NewArrayMap(name+"_stats", dsValueSize, 1), Ring: ring}
+	maps := map[int32]ebpf.Map{fdStats: p.Stats}
 
 	// Event record scratch at the top of the frame, [-EventSize, 0). The
 	// stats key slot at -4 overlaps the value field; both branches store
 	// the value after the key is consumed by the lookup.
 	const rec = -int16(EventSize)
-
-	a := ebpf.NewAssembler()
-	emitTgidFilter(a, tgid)
-	emitSyscallFilter(a, nrs)
 
 	if ring != nil {
 		maps[fdRingbuf] = ring
@@ -182,53 +237,10 @@ func newDeltaProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*Delta
 	if ring != nil {
 		emitEventOutput(a, rec)
 	}
-
-	a.Label("out")
-	a.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-
-	prog, err := ebpf.Load(ebpf.ProgramSpec{
-		Name:    name,
-		Insns:   a.MustAssemble(),
-		Maps:    maps,
-		CtxSize: kernel.SysEnterCtxSize,
-	})
-	if err != nil {
+	if err := p.load(name, kernel.RawSysEnter, a, maps); err != nil {
 		return nil, err
 	}
-	return &DeltaProbe{Stats: stats, Ring: ring, prog: prog, nrs: nrs}, nil
-}
-
-// MustNewDeltaProbe panics on build failure.
-func MustNewDeltaProbe(name string, tgid int, nrs []int) *DeltaProbe {
-	p, err := NewDeltaProbe(name, tgid, nrs)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Program returns the verified program (for disassembly/inspection).
-func (p *DeltaProbe) Program() *ebpf.Program { return p.prog }
-
-// Syscalls returns the traced syscall numbers.
-func (p *DeltaProbe) Syscalls() []int { return p.nrs }
-
-// Attach hooks the probe to raw_syscalls:sys_enter.
-func (p *DeltaProbe) Attach(tr *kernel.Tracer) error {
-	l, err := tr.Attach(kernel.RawSysEnter, p.prog)
-	if err != nil {
-		return err
-	}
-	p.link = l
-	return nil
-}
-
-// Detach removes the probe.
-func (p *DeltaProbe) Detach() {
-	if p.link != nil {
-		p.link.Detach()
-		p.link = nil
-	}
+	return p, nil
 }
 
 // DeltaSnapshot is a userspace copy of the in-kernel accumulator.
@@ -251,15 +263,6 @@ func (p *DeltaProbe) Snapshot() DeltaSnapshot {
 		FirstTS: binary.LittleEndian.Uint64(v[dsOffFirstTS:]),
 		LastTS:  binary.LittleEndian.Uint64(v[dsOffLastTS:]),
 		Calls:   binary.LittleEndian.Uint64(v[dsOffCalls:]),
-	}
-}
-
-// Reset zeroes the accumulator (a userspace map write, as a monitoring
-// agent would do between windows).
-func (p *DeltaProbe) Reset() {
-	v := p.Stats.At(0)
-	for i := range v {
-		v[i] = 0
 	}
 }
 

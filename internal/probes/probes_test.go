@@ -22,20 +22,20 @@ func rig(ncpu int) (*sim.Env, *kernel.Kernel) {
 }
 
 func TestDeltaProbeVerifies(t *testing.T) {
-	p := MustNewDeltaProbe("send", 4242, []int{kernel.SysSendto, kernel.SysSendmsg})
-	if p.Program().Len() == 0 {
+	p := Must(NewDeltaProbe("send", 4242, []int{kernel.SysSendto, kernel.SysSendmsg}, nil)).Programs()[0]
+	if p.Len() == 0 {
 		t.Fatal("empty program")
 	}
-	if got := p.Program().Disassemble(); got == "" {
+	if got := p.Disassemble(); got == "" {
 		t.Fatal("no disassembly")
 	}
 }
 
 func TestDeltaProbeBadNRCount(t *testing.T) {
-	if _, err := NewDeltaProbe("x", 0, nil); err == nil {
+	if _, err := NewDeltaProbe("x", 0, nil, nil); err == nil {
 		t.Fatal("expected error for zero syscalls")
 	}
-	if _, err := NewDeltaProbe("x", 0, []int{1, 2, 3, 4, 5}); err == nil {
+	if _, err := NewDeltaProbe("x", 0, []int{1, 2, 3, 4, 5}, nil); err == nil {
 		t.Fatal("expected error for five syscalls")
 	}
 }
@@ -43,7 +43,7 @@ func TestDeltaProbeBadNRCount(t *testing.T) {
 func TestDeltaProbeCountsRegularSends(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
-	probe := MustNewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto})
+	probe := Must(NewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDeltaProbeCountsRegularSends(t *testing.T) {
 func TestDeltaProbeVarianceDetectsBurstiness(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
-	probe := MustNewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto})
+	probe := Must(NewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestDeltaProbeFiltersOtherProcesses(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
 	other := k.NewProcess("other")
-	probe := MustNewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto})
+	probe := Must(NewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestDeltaProbeFiltersOtherProcesses(t *testing.T) {
 func TestDeltaProbeFiltersOtherSyscalls(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
-	probe := MustNewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendmsg})
+	probe := Must(NewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendmsg}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDeltaProbeFiltersOtherSyscalls(t *testing.T) {
 func TestDeltaSnapshotWindows(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
-	probe := MustNewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto})
+	probe := Must(NewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +181,13 @@ func TestDeltaSnapshotWindows(t *testing.T) {
 	}
 }
 
+// TestDeltaProbeReset: userspace resets a window by taking a snapshot
+// as its base, never by writing the map; the window against it is empty
+// while the cumulative counters keep their totals.
 func TestDeltaProbeReset(t *testing.T) {
 	env, k := rig(1)
 	srv := k.NewProcess("srv")
-	probe := MustNewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto})
+	probe := Must(NewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +195,19 @@ func TestDeltaProbeReset(t *testing.T) {
 		th.Invoke(kernel.SysSendto, [6]uint64{}, func() int64 { return 1 })
 	})
 	env.Run()
-	probe.Reset()
-	if s := probe.Snapshot(); s.Calls != 0 || s.Count != 0 {
-		t.Fatal("Reset did not clear stats")
+	base := probe.Snapshot()
+	if s := probe.Snapshot().Sub(base); s.Calls != 0 || s.Count != 0 {
+		t.Fatalf("window after the reset = %+v, want empty", s)
+	}
+	if base.Calls != 1 {
+		t.Fatalf("cumulative Calls = %d, want 1", base.Calls)
 	}
 }
 
 func TestPollProbeMeasuresDuration(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
-	probe := MustNewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait})
+	probe := Must(NewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +237,7 @@ func TestPollProbeMeasuresDuration(t *testing.T) {
 func TestPollProbeConcurrentThreadsDoNotCollide(t *testing.T) {
 	env, k := rig(4)
 	srv := k.NewProcess("srv")
-	probe := MustNewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait})
+	probe := Must(NewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +266,7 @@ func TestPollProbeConcurrentThreadsDoNotCollide(t *testing.T) {
 func TestPollProbeSelectVariant(t *testing.T) {
 	env, k := rig(1)
 	srv := k.NewProcess("srv")
-	probe := MustNewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait, kernel.SysSelect})
+	probe := Must(NewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait, kernel.SysSelect}, nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +282,7 @@ func TestPollProbeSelectVariant(t *testing.T) {
 func TestStreamProbeRoundTrip(t *testing.T) {
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
-	probe := MustNewStreamProbe("raw", srv.TGID(), 1<<20)
+	probe := Must(NewStreamProbe("raw", srv.TGID(), 1<<20))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +321,7 @@ func TestStreamProbeDropsWhenFull(t *testing.T) {
 	env, k := rig(1)
 	srv := k.NewProcess("srv")
 	// Each 40-byte record costs 48 bytes with its header: room for 2.
-	probe := MustNewStreamProbe("raw", srv.TGID(), 128)
+	probe := Must(NewStreamProbe("raw", srv.TGID(), 128))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +344,8 @@ func TestProbeOverheadSmall(t *testing.T) {
 	// well under typical service times — the Section VI claim.
 	env, k := rig(2)
 	srv := k.NewProcess("srv")
-	d := MustNewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto})
-	p := MustNewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait})
+	d := Must(NewDeltaProbe("send", srv.TGID(), []int{kernel.SysSendto}, nil))
+	p := Must(NewPollProbe("poll", srv.TGID(), []int{kernel.SysEpollWait}, nil))
 	if err := d.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -362,44 +368,84 @@ func TestProbeOverheadSmall(t *testing.T) {
 	}
 }
 
-// shippedPrograms builds every probe program this package ships —
-// delta, poll, hist, stream, wait-state, attribution, in their map and
-// ring variants — filtered to tgid 42 where the probe has a filter. The
-// delta and poll ring variants share one ring of ringCap bytes, the raw
-// stream probe has its own.
-func shippedPrograms(t *testing.T, ringCap int) (progs []*ebpf.Program, rings []*ebpf.RingBuf) {
-	t.Helper()
+// shipped is one shipped probe, named for its subtest; the interface is
+// what every probe gets from the base.
+type shipped struct {
+	name string
+	p    interface {
+		Attach(*kernel.Tracer) error
+		Detach()
+		Programs() []*ebpf.Program
+	}
+}
+
+// shippedProbes builds every probe this package ships — delta and poll
+// with and without a ring, hist, stream, wait-state tracking every tgid
+// or one, attribution with and without its oracle — filtered to tgid 42
+// where the probe has a filter. The delta and poll ring variants share
+// one ring of ringCap bytes, the raw stream probe has its own.
+func shippedProbes(ringCap int) ([]shipped, []*ebpf.RingBuf) {
 	nrs := []int{kernel.SysEpollWait, kernel.SysSelect}
 	ring := ebpf.NewRingBuf("ring", ringCap)
-	delta := MustNewDeltaProbe("send", 42, []int{kernel.SysSendto, kernel.SysSendmsg})
-	deltaS, err := NewDeltaProbeStream("send", 42, []int{kernel.SysSendto}, ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poll := MustNewPollProbe("poll", 42, nrs)
-	pollS, err := NewPollProbeStream("poll", 42, nrs, ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist := MustNewHistProbe("hist", 42, nrs)
-	stream := MustNewStreamProbe("raw", 42, ringCap)
-	wait := MustNewWaitStateProbe("ws", WaitStateConfig{})
-	waitT := MustNewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 42})
-	attr := MustNewAttributionProbe("attr", AttributionConfig{Oracle: true})
-	return []*ebpf.Program{
-		delta.prog, deltaS.prog, poll.enter, poll.exit, pollS.enter, pollS.exit,
-		hist.enter, hist.exit, stream.enter, stream.exit,
-		wait.switchProg, wait.wakeupProg, waitT.switchProg, waitT.wakeupProg, attr.prog,
+	stream := Must(NewStreamProbe("raw", 42, ringCap))
+	return []shipped{
+		{"delta", Must(NewDeltaProbe("send", 42, []int{kernel.SysSendto, kernel.SysSendmsg}, nil))},
+		{"delta-ring", Must(NewDeltaProbe("send", 42, []int{kernel.SysSendto}, ring))},
+		{"poll", Must(NewPollProbe("poll", 42, nrs, nil))},
+		{"poll-ring", Must(NewPollProbe("poll", 42, nrs, ring))},
+		{"hist", Must(NewHistProbe("hist", 42, nrs))},
+		{"stream", stream},
+		{"waitstate", Must(NewWaitStateProbe("ws", WaitStateConfig{}))},
+		{"waitstate-42", Must(NewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 42}))},
+		{"attr", Must(NewAttributionProbe("attr", AttributionConfig{}))},
+		{"attr-oracle", Must(NewAttributionProbe("attr", AttributionConfig{Oracle: true}))},
 	}, []*ebpf.RingBuf{ring, stream.Ring}
+}
+
+// shippedPrograms is every program of shippedProbes.
+func shippedPrograms(ringCap int) (progs []*ebpf.Program, rings []*ebpf.RingBuf) {
+	probes, rings := shippedProbes(ringCap)
+	for _, sp := range probes {
+		progs = append(progs, sp.p.Programs()...)
+	}
+	return progs, rings
+}
+
+// TestProbeAttachDetach holds every shipped probe to the base's attach
+// contract: Attach adds one link per program, Detach removes them all
+// and is a no-op the second time, and a re-Attach restores them.
+func TestProbeAttachDetach(t *testing.T) {
+	probes, _ := shippedProbes(1 << 12)
+	for _, sp := range probes {
+		t.Run(sp.name, func(t *testing.T) {
+			p := sp.p
+			_, k := rig(1)
+			tr := k.Tracer()
+			want := len(p.Programs())
+			for round := 0; round < 2; round++ {
+				if err := p.Attach(tr); err != nil {
+					t.Fatal(err)
+				}
+				if got := tr.Attached(); got != want {
+					t.Fatalf("round %d: %d links after Attach, want %d", round, got, want)
+				}
+				p.Detach()
+				p.Detach()
+				if got := tr.Attached(); got != 0 {
+					t.Fatalf("round %d: %d links after Detach", round, got)
+				}
+			}
+		})
+	}
 }
 
 // TestShippedProgramsHaveNoGenericOps holds every shipped program to the
 // engine's specialised forms: a probe that leans on an op with no form
 // would run through the generic per-op routine on every tracepoint hit.
 func TestShippedProgramsHaveNoGenericOps(t *testing.T) {
-	progs, _ := shippedPrograms(t, 1<<16)
-	if len(progs) != 15 {
-		t.Fatalf("%d shipped programs, want 15", len(progs))
+	progs, _ := shippedPrograms(1 << 16)
+	if len(progs) != 16 {
+		t.Fatalf("%d shipped programs, want 16", len(progs))
 	}
 	for _, p := range progs {
 		if n := p.GenericOps(); n != 0 {
@@ -416,7 +462,7 @@ func TestShippedProgramsHaveNoGenericOps(t *testing.T) {
 // clock advancing, so round one inserts what later rounds find — and
 // none may send a single slot to the cold tail.
 func TestShippedProgramsNeverGoCold(t *testing.T) {
-	progs, rings := shippedPrograms(t, 64) // one record fills it
+	progs, rings := shippedPrograms(64) // one record fills it
 	const tracked, foreign = 42<<32 | 7, 99<<32 | 3
 	sys := func(size int, nr int) []byte {
 		ctx := make([]byte, size)

@@ -6,22 +6,8 @@ import (
 	"reqlens/internal/ebpf"
 	"reqlens/internal/kernel"
 	"reqlens/internal/sim"
+	"reqlens/internal/trace"
 )
-
-// StreamEvent is one decoded raw-trace record.
-type StreamEvent struct {
-	Time    sim.Time
-	PidTgid uint64
-	NR      int
-	Enter   bool
-	Ret     int64 // valid for exit records
-}
-
-// TID returns the thread id half of PidTgid.
-func (e StreamEvent) TID() int { return int(uint32(e.PidTgid)) }
-
-// TGID returns the process id half of PidTgid.
-func (e StreamEvent) TGID() int { return int(e.PidTgid >> 32) }
 
 // streamRecSize is the wire size of one ring buffer record:
 // ts, pid_tgid, id, kind, ret (5 x u64).
@@ -31,14 +17,12 @@ const streamRecSize = 40
 // buffer — the paper's "initially, we streamed all available eBPF trace
 // data to user space" mode, and the source of Fig. 1.
 type StreamProbe struct {
-	Ring  *ebpf.RingBuf
-	enter *ebpf.Program
-	exit  *ebpf.Program
-	links []*kernel.Link
+	probe
+	Ring *ebpf.RingBuf
 }
 
-// buildStreamProg builds the enter or exit variant.
-func buildStreamProg(name string, tgid int, isEnter bool) []ebpf.Instruction {
+// streamProg builds the enter or exit variant.
+func streamProg(tgid int, isEnter bool) *ebpf.Assembler {
 	a := ebpf.NewAssembler()
 	emitTgidFilter(a, tgid)
 	// Record layout on the stack at [-40, 0):
@@ -70,80 +54,32 @@ func buildStreamProg(name string, tgid int, isEnter bool) []ebpf.Instruction {
 		ebpf.Mov64Imm(ebpf.R4, 0),
 		ebpf.Call(ebpf.HelperRingbufOutput),
 	)
-	a.Label("out")
-	a.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-	return a.MustAssemble()
+	return a
 }
 
 // NewStreamProbe builds the streaming probe pair for tgid (0 = all),
 // with a ring buffer of capacity bytes.
 func NewStreamProbe(name string, tgid int, capacity int) (*StreamProbe, error) {
-	ring := ebpf.NewRingBuf(name+"_ring", capacity)
-	maps := map[int32]ebpf.Map{fdRingbuf: ring}
-	enter, err := ebpf.Load(ebpf.ProgramSpec{
-		Name: name + "_enter", Insns: buildStreamProg(name, tgid, true),
-		Maps: maps, CtxSize: kernel.SysEnterCtxSize,
-	})
-	if err != nil {
+	p := &StreamProbe{Ring: ebpf.NewRingBuf(name+"_ring", capacity)}
+	maps := map[int32]ebpf.Map{fdRingbuf: p.Ring}
+	if err := p.load(name+"_enter", kernel.RawSysEnter, streamProg(tgid, true), maps); err != nil {
 		return nil, err
 	}
-	exit, err := ebpf.Load(ebpf.ProgramSpec{
-		Name: name + "_exit", Insns: buildStreamProg(name, tgid, false),
-		Maps: maps, CtxSize: kernel.SysExitCtxSize,
-	})
-	if err != nil {
+	if err := p.load(name+"_exit", kernel.RawSysExit, streamProg(tgid, false), maps); err != nil {
 		return nil, err
 	}
-	return &StreamProbe{Ring: ring, enter: enter, exit: exit}, nil
-}
-
-// MustNewStreamProbe panics on build failure.
-func MustNewStreamProbe(name string, tgid int, capacity int) *StreamProbe {
-	p, err := NewStreamProbe(name, tgid, capacity)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// EnterProgram returns the sys_enter program.
-func (p *StreamProbe) EnterProgram() *ebpf.Program { return p.enter }
-
-// ExitProgram returns the sys_exit program.
-func (p *StreamProbe) ExitProgram() *ebpf.Program { return p.exit }
-
-// Attach hooks both programs.
-func (p *StreamProbe) Attach(tr *kernel.Tracer) error {
-	le, err := tr.Attach(kernel.RawSysEnter, p.enter)
-	if err != nil {
-		return err
-	}
-	lx, err := tr.Attach(kernel.RawSysExit, p.exit)
-	if err != nil {
-		le.Detach()
-		return err
-	}
-	p.links = []*kernel.Link{le, lx}
-	return nil
-}
-
-// Detach removes both programs.
-func (p *StreamProbe) Detach() {
-	for _, l := range p.links {
-		l.Detach()
-	}
-	p.links = nil
+	return p, nil
 }
 
 // Drain decodes and removes all pending records.
-func (p *StreamProbe) Drain() []StreamEvent {
+func (p *StreamProbe) Drain() []trace.Event {
 	raw := p.Ring.Drain()
-	out := make([]StreamEvent, 0, len(raw))
+	out := make([]trace.Event, 0, len(raw))
 	for _, r := range raw {
 		if len(r) != streamRecSize {
 			continue
 		}
-		out = append(out, StreamEvent{
+		out = append(out, trace.Event{
 			Time:    sim.Time(binary.LittleEndian.Uint64(r[0:])),
 			PidTgid: binary.LittleEndian.Uint64(r[8:]),
 			NR:      int(binary.LittleEndian.Uint64(r[16:])),

@@ -74,6 +74,7 @@ func (c WaitStateConfig) withDefaults() WaitStateConfig {
 // value pointer, so the steady-state hot path costs two helper calls
 // per task side and never touches the allocator.
 type WaitStateProbe struct {
+	probe // sched_switch, then sched_wakeup
 	// State is the per-thread transition map: pid_tgid -> (since, code).
 	State *ebpf.LRUHashMap
 	// OnCPUNS accumulates on-CPU nanoseconds per tgid.
@@ -83,10 +84,7 @@ type WaitStateProbe struct {
 	// BlockedNS accumulates blocked nanoseconds per tgid.
 	BlockedNS *ebpf.HashMap
 
-	switchProg *ebpf.Program
-	wakeupProg *ebpf.Program
-	links      []*kernel.Link
-	cfg        WaitStateConfig
+	cfg WaitStateConfig
 }
 
 // emitWaitTransition emits one task's state transition as a single
@@ -265,13 +263,7 @@ func NewWaitStateProbe(name string, cfg WaitStateConfig) (*WaitStateProbe, error
 	a.Emit(ebpf.StoreMem(ebpf.R10, wsOffKey, ebpf.R8, ebpf.SizeDW))
 	a.Emit(ebpf.StoreImm(ebpf.R10, wsOffCode, wsStateOnCPU, ebpf.SizeDW))
 	emitWaitTransition(a, wsStateRunnable, wsStateOnCPU, fdWaitRunNS, track, "nrun")
-	a.Label("out")
-	a.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-	sw, err := ebpf.Load(ebpf.ProgramSpec{
-		Name: name + "_switch", Insns: a.MustAssemble(),
-		Maps: maps, CtxSize: kernel.SchedSwitchCtxSize,
-	})
-	if err != nil {
+	if err := p.load(name+"_switch", kernel.SchedSwitch, a, maps); err != nil {
 		return nil, err
 	}
 
@@ -288,56 +280,10 @@ func NewWaitStateProbe(name string, cfg WaitStateConfig) (*WaitStateProbe, error
 	b.Emit(ebpf.StoreMem(ebpf.R10, wsOffKey, ebpf.R8, ebpf.SizeDW))
 	b.Emit(ebpf.StoreImm(ebpf.R10, wsOffCode, wsStateRunnable, ebpf.SizeDW))
 	emitWaitTransition(b, wsStateBlocked, wsStateRunnable, fdWaitBlkNS, track, "wblk")
-	b.Label("out")
-	b.Emit(ebpf.Mov64Imm(ebpf.R0, 0), ebpf.Exit())
-	wk, err := ebpf.Load(ebpf.ProgramSpec{
-		Name: name + "_wakeup", Insns: b.MustAssemble(),
-		Maps: maps, CtxSize: kernel.SchedWakeupCtxSize,
-	})
-	if err != nil {
+	if err := p.load(name+"_wakeup", kernel.SchedWakeup, b, maps); err != nil {
 		return nil, err
 	}
-
-	p.switchProg, p.wakeupProg = sw, wk
 	return p, nil
-}
-
-// MustNewWaitStateProbe panics on build failure.
-func MustNewWaitStateProbe(name string, cfg WaitStateConfig) *WaitStateProbe {
-	p, err := NewWaitStateProbe(name, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// SwitchProgram returns the verified sched_switch program.
-func (p *WaitStateProbe) SwitchProgram() *ebpf.Program { return p.switchProg }
-
-// WakeupProgram returns the verified sched_wakeup program.
-func (p *WaitStateProbe) WakeupProgram() *ebpf.Program { return p.wakeupProg }
-
-// Attach hooks both programs to the scheduler tracepoints.
-func (p *WaitStateProbe) Attach(tr *kernel.Tracer) error {
-	ls, err := tr.Attach(kernel.SchedSwitch, p.switchProg)
-	if err != nil {
-		return err
-	}
-	lw, err := tr.Attach(kernel.SchedWakeup, p.wakeupProg)
-	if err != nil {
-		ls.Detach()
-		return err
-	}
-	p.links = []*kernel.Link{ls, lw}
-	return nil
-}
-
-// Detach removes both programs.
-func (p *WaitStateProbe) Detach() {
-	for _, l := range p.links {
-		l.Detach()
-	}
-	p.links = nil
 }
 
 // WaitTimes is one process's cumulative nanoseconds in each scheduler

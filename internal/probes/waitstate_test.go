@@ -11,11 +11,11 @@ import (
 )
 
 func TestWaitStateProbeVerifies(t *testing.T) {
-	p := MustNewWaitStateProbe("ws", WaitStateConfig{})
-	if p.SwitchProgram().Len() == 0 || p.WakeupProgram().Len() == 0 {
+	p := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	if p.Programs()[0].Len() == 0 || p.Programs()[1].Len() == 0 {
 		t.Fatal("empty program")
 	}
-	if p.SwitchProgram().Disassemble() == "" || p.WakeupProgram().Disassemble() == "" {
+	if p.Programs()[0].Disassemble() == "" || p.Programs()[1].Disassemble() == "" {
 		t.Fatal("no disassembly")
 	}
 	if p.Bytes() <= 0 {
@@ -25,11 +25,11 @@ func TestWaitStateProbeVerifies(t *testing.T) {
 
 func TestWaitStateProgramsRejectWrongTracepoint(t *testing.T) {
 	_, k := rig(1)
-	p := MustNewWaitStateProbe("ws", WaitStateConfig{})
-	if _, err := k.Tracer().Attach(kernel.RawSysEnter, p.SwitchProgram()); err == nil {
+	p := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	if _, err := k.Tracer().Attach(kernel.RawSysEnter, p.Programs()[0]); err == nil {
 		t.Fatal("sys_enter accepted a sched_switch-sized program")
 	}
-	if _, err := k.Tracer().Attach(kernel.SchedSwitch, p.WakeupProgram()); err == nil {
+	if _, err := k.Tracer().Attach(kernel.SchedSwitch, p.Programs()[1]); err == nil {
 		t.Fatal("sched_switch accepted a sched_wakeup-sized program")
 	}
 }
@@ -38,7 +38,7 @@ func TestWaitStateAccountsComputeAndQueue(t *testing.T) {
 	env, k := rig(1) // one CPU so two computing threads must share it
 	p1 := k.NewProcess("p1")
 	p2 := k.NewProcess("p2")
-	probe := MustNewWaitStateProbe("ws", WaitStateConfig{})
+	probe := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWaitStateAccountsComputeAndQueue(t *testing.T) {
 func TestWaitStateAccountsBlockedSleep(t *testing.T) {
 	env, k := rig(2)
 	proc := k.NewProcess("p")
-	probe := MustNewWaitStateProbe("ws", WaitStateConfig{})
+	probe := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestWaitStateAccountsBlockedSleep(t *testing.T) {
 func TestWaitStateSumMatchesElapsed(t *testing.T) {
 	env, k := rig(2)
 	proc := k.NewProcess("p")
-	probe := MustNewWaitStateProbe("ws", WaitStateConfig{})
+	probe := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +162,15 @@ func switchCtx(prev, next uint64, prevState uint64) []byte {
 // tracked process must still be fully accounted from either side of a
 // switch.
 func TestWaitStateTrackTGID(t *testing.T) {
-	p := MustNewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 7})
+	p := Must(NewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 7}))
+	sw, wk := p.Programs()[0], p.Programs()[1]
 	env := &ebpf.FixedEnv{}
 	const ours, theirA, theirB = 7<<32 | 70, 9<<32 | 90, 10<<32 | 91
 	env.TimeNS = 1000
-	if _, _, err := p.SwitchProgram().Run(switchCtx(theirA, theirB, kernel.TaskRunning), env); err != nil {
+	if _, _, err := sw.Run(switchCtx(theirA, theirB, kernel.TaskRunning), env); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.WakeupProgram().Run(switchCtx(theirA, 0, 0)[:kernel.SchedWakeupCtxSize], env); err != nil {
+	if _, _, err := wk.Run(switchCtx(theirA, 0, 0)[:kernel.SchedWakeupCtxSize], env); err != nil {
 		t.Fatal(err)
 	}
 	if p.State.Len() != 0 {
@@ -177,13 +178,13 @@ func TestWaitStateTrackTGID(t *testing.T) {
 	}
 	// theirA hands the CPU to us: only our on-CPU interval opens.
 	env.TimeNS = 2000
-	p.SwitchProgram().Run(switchCtx(theirA, ours, kernel.TaskRunning), env)
+	sw.Run(switchCtx(theirA, ours, kernel.TaskRunning), env)
 	if p.State.Len() != 1 {
 		t.Fatalf("tracked switch-in left %d state rows, want 1", p.State.Len())
 	}
 	// We hand it back: our interval closes, nothing opens for theirB.
 	env.TimeNS = 2500
-	p.SwitchProgram().Run(switchCtx(ours, theirB, kernel.TaskRunning), env)
+	sw.Run(switchCtx(ours, theirB, kernel.TaskRunning), env)
 	snap := p.Snapshot()
 	if got := snap[7].OnCPUNS; got != 500 {
 		t.Fatalf("tracked on-CPU = %d, want 500", got)
@@ -200,7 +201,8 @@ func TestWaitStateTrackTGID(t *testing.T) {
 // the engine alone), and the maps must stop growing: the state machine
 // only overwrites existing entries, never delete/insert cycles.
 func TestWaitStateHotPathAllocFree(t *testing.T) {
-	p := MustNewWaitStateProbe("ws", WaitStateConfig{})
+	p := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	sw := p.Programs()[0]
 	env := &ebpf.FixedEnv{}
 	const t1, t2 = 5<<32 | 1, 6<<32 | 2
 	a := switchCtx(t1, t2, kernel.TaskRunning)
@@ -209,7 +211,7 @@ func TestWaitStateHotPathAllocFree(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		env.TimeNS += 1000
 		for _, ctx := range [][]byte{a, b} {
-			if _, _, err := p.SwitchProgram().Run(ctx, env); err != nil {
+			if _, _, err := sw.Run(ctx, env); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,8 +219,8 @@ func TestWaitStateHotPathAllocFree(t *testing.T) {
 	warmLen := p.State.Len()
 	allocs := testing.AllocsPerRun(200, func() {
 		env.TimeNS += 1000
-		p.SwitchProgram().Run(a, env)
-		p.SwitchProgram().Run(b, env)
+		sw.Run(a, env)
+		sw.Run(b, env)
 	})
 	if allocs != 0 {
 		t.Fatalf("%v allocs/run on the warm switch path", allocs)
@@ -234,7 +236,8 @@ func TestWaitStateHotPathAllocFree(t *testing.T) {
 // memcached's paper-calibrated event rate (FailureRPS × the ~3 sched
 // events each request's syscall computes generate per core schedule).
 func BenchmarkWaitStateHotPath(b *testing.B) {
-	p := MustNewWaitStateProbe("ws", WaitStateConfig{})
+	p := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	sw := p.Programs()[0]
 	env := &ebpf.FixedEnv{}
 	const t1, t2 = 5<<32 | 1, 6<<32 | 2
 	x := switchCtx(t1, t2, kernel.TaskRunning)
@@ -245,7 +248,7 @@ func BenchmarkWaitStateHotPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.TimeNS += 1000
-		_, st, err := p.SwitchProgram().Run(ctxs[i&1], env)
+		_, st, err := sw.Run(ctxs[i&1], env)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,14 +274,14 @@ func BenchmarkWaitStateHotPath(b *testing.B) {
 // TrackTGID set, somebody else's context switch must cost a
 // load-shift-compare pair and no helper calls.
 func BenchmarkWaitStateFilteredMiss(b *testing.B) {
-	p := MustNewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 42})
+	sw := Must(NewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 42})).Programs()[0]
 	env := &ebpf.FixedEnv{}
 	ctx := switchCtx(5<<32|1, 6<<32|2, kernel.TaskRunning)
 	var insns, helpers uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := p.SwitchProgram().Run(ctx, env)
+		_, st, err := sw.Run(ctx, env)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,14 +1,12 @@
 // Package trace collects and analyzes syscall event streams: the
-// userspace side of the paper's methodology. It offers a ground-truth
-// recorder (a kernel listener, used to validate the eBPF path), delta
-// extraction over sorted traces (Section III "Observability Through
+// userspace side of the paper's methodology. It offers the raw-event
+// type (Event, which probes.StreamProbe decodes its ring records into),
+// delta extraction over sorted traces (Section III "Observability Through
 // Syscall Statistics"), enter/exit pairing for durations, and the
 // setup / request-processing / shutdown phase classification of Fig. 1.
 //
 // Key entry points:
 //
-//   - NewRecorder(k, tgid, limit) — subscribe to a kernel's tracepoints
-//     directly (no eBPF), the oracle the probe tests compare against.
 //   - Segment(events) — Fig. 1's lifecycle phases (PhaseSetup /
 //     PhaseRequest / PhaseShutdown); PhaseOf and RequestOriented
 //     classify single syscalls; CountByName builds the census.

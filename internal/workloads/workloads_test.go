@@ -108,6 +108,18 @@ func TestDemandSamplerFloor(t *testing.T) {
 	}
 }
 
+// record captures tgid's ground-truth syscall events through a kernel
+// listener, which charges the traced threads nothing.
+func record(k *kernel.Kernel, tgid int) *[]trace.Event {
+	evs := new([]trace.Event)
+	k.Tracer().AddListener(func(ev kernel.SyscallEvent) {
+		if ev.Thread.Process().TGID() == tgid {
+			*evs = append(*evs, trace.Event{Time: ev.Time, PidTgid: ev.Thread.PidTgid(), NR: ev.NR, Enter: ev.Enter, Ret: ev.Ret})
+		}
+	})
+	return evs
+}
+
 // launchAndDrive runs a workload with a small client and returns the
 // recorded server syscall trace.
 func launchAndDrive(t *testing.T, spec Spec, rate float64, dur time.Duration) ([]trace.Event, float64) {
@@ -118,16 +130,16 @@ func launchAndDrive(t *testing.T, spec Spec, rate float64, dur time.Duration) ([
 	k := kernel.New(env, prof)
 	n := netsim.New(env)
 	srv := Launch(k, n, spec, netsim.Config{})
-	rec := trace.NewRecorder(k, srv.Process().TGID(), 0)
+	rec := record(k, srv.Process().TGID())
 	cl := loadgen.New(k, srv.Listener(), loadgen.Options{
 		Rate: rate, Conns: 16, ReqSize: spec.ReqSize, PerOpCost: spec.ClientPerOpCost(),
 	})
 	env.RunFor(dur / 2)
 	cl.StartMeasurement()
-	rec.Reset()
+	*rec = (*rec)[:0]
 	env.RunFor(dur)
 	res := cl.Snapshot()
-	evs := rec.Events()
+	evs := *rec
 	env.Shutdown()
 	return evs, res.RealRPS
 }
@@ -173,8 +185,8 @@ func TestTwoStageServesThroughBothProcesses(t *testing.T) {
 	spec := WebSearch()
 	srv := Launch(k, n, spec, netsim.Config{})
 	ws := srv.(*twoStage)
-	frontRec := trace.NewRecorder(k, ws.proc.TGID(), 0)
-	backRec := trace.NewRecorder(k, ws.back.TGID(), 0)
+	front := record(k, ws.proc.TGID())
+	back := record(k, ws.back.TGID())
 	cl := loadgen.New(k, srv.Listener(), loadgen.Options{
 		Rate: 0.4 * spec.FailureRPS, Conns: 16, ReqSize: spec.ReqSize,
 	})
@@ -186,8 +198,8 @@ func TestTwoStageServesThroughBothProcesses(t *testing.T) {
 	if res.RealRPS < 0.3*spec.FailureRPS {
 		t.Fatalf("two-stage RealRPS = %v", res.RealRPS)
 	}
-	fc := trace.CountByName(frontRec.Events())
-	bc := trace.CountByName(backRec.Events())
+	fc := trace.CountByName(*front)
+	bc := trace.CountByName(*back)
 	if fc["write"] == 0 || fc["read"] == 0 {
 		t.Fatalf("front-end missing read/write: %v", fc)
 	}

@@ -43,9 +43,10 @@
 #                                         resume it, diff against an
 #                                         uninterrupted run
 #   examples smoke                        build and run every examples/*
-#                                         binary with tiny parameters so
-#                                         the documented entry points
-#                                         cannot rot
+#                                         binary with tiny parameters, and
+#                                         bpfasm -prog list and tracedump
+#                                         -max 20, so the documented entry
+#                                         points cannot rot
 #
 # The rendered goldens (cardinality, waitstates, attribution, autoscale)
 # are diffed by `go test ./cmd/reqlens`, through the same run that main
@@ -153,7 +154,7 @@ if [ -z "$switches" ] || [ "$(awk -v s="$switches" 'BEGIN { print (s <= 1.00) ? 
 fi
 go test -run '^$' -benchtime 1x -bench '^(BenchmarkRingbufThroughput|BenchmarkSketchHotPath)$' \
     ./internal/ebpf/ >/dev/null
-# Program.Run runs on pooled state: no run may allocate.
+# Program.Run reuses the run state parked on its Program: no run may allocate.
 # The wait-state switch program's 69 instructions per event is the
 # modeled cost the < 1 % probe-overhead claim rests on (EXPERIMENTS.md).
 jit=$(go test -run '^$' -benchtime 1000x -benchmem -bench '^BenchmarkEBPFCompiledListing1$' .)
@@ -171,12 +172,17 @@ go test -run '^$' -benchtime 1x -bench '^BenchmarkFleetEpochs$' \
     ./internal/fleet/ >/dev/null
 # The scrape plane's budget is one allocation per scrape (its Raw) plus
 # the rollup's two ranking slices: 18 of an epoch's allocs/op on 16
-# nodes. The other 62 are the simulated 1 ms of traffic (the request and
-# response messages, the eBPF hash maps, loadgen's bookkeeping), which
-# is seeded, so at a fixed iteration count the sum repeats exactly.
-# TestScrapePlaneAllocs pins the 18 alone.
+# nodes. The other ~62 are the simulated 1 ms of traffic (the request
+# and response messages, the eBPF hash maps, loadgen's bookkeeping).
+# TestScrapePlaneAllocs pins the 18 alone. The sum is seeded but not
+# exact: Go maps under insert/delete churn (the probes' start map,
+# loadgen's sentAt) grow when their per-map random hash seed says so,
+# and GC cycles add runtime allocations, a few per 500 epochs either
+# way. Over the first 500 epochs the mean sits at 80.99-81.01 and the
+# truncated allocs/op flips between 80 and 81; over 1000 it is 80.46,
+# so the gate reads 1000.
 scrape_allocs_max=80
-scrape=$(go test -run '^$' -benchtime 500x -bench '^BenchmarkScrapeEpoch$' ./internal/fleet/)
+scrape=$(go test -run '^$' -benchtime 1000x -bench '^BenchmarkScrapeEpoch$' ./internal/fleet/)
 allocs=$(echo "$scrape" | sed -n 's/^BenchmarkScrapeEpoch.*[[:space:]]\([0-9][0-9]*\) allocs\/op.*/\1/p')
 if [ -z "$allocs" ] || [ "$allocs" -gt "$scrape_allocs_max" ]; then
     echo "BenchmarkScrapeEpoch did not run or allocates ${allocs:-?} times per epoch, above $scrape_allocs_max:" >&2
@@ -248,6 +254,13 @@ for ex in examples/*/; do
     # shellcheck disable=SC2086 # args is a deliberate word list
     "$exdir/$name" $args >/dev/null
 done
+# The two inspection CLIs ride along: the program table and a short raw
+# trace (bpfasm's per-program listings are goldened by its own test).
+go build -o "$bindir" ./cmd/bpfasm ./cmd/tracedump
+echo "-- bpfasm -prog list"
+"$bindir/bpfasm" -prog list >/dev/null
+echo "-- tracedump -max 20"
+"$bindir/tracedump" -max 20 >/dev/null
 
 leg "done"
 echo "check: ok ($(($(date +%s) - t_start))s in total)"

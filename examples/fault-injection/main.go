@@ -1,17 +1,13 @@
 // Fault injection: perturbing the kernel under the probes.
 //
 // The paper's Table II shows the syscall-derived request metrics
-// surviving network-level perturbation. This example extends the same
-// question to kernel-side faults: CPUs going offline mid-run, a
-// migration storm scrambling affinity, clock jitter on the tracepoint
-// timestamps, a noisy neighbor flooding the syscall path, and the
-// probes themselves detaching and reattaching.
-//
-// Part 1 arms a mixed plan on a live rig and watches the kernel state
-// change and recover at the scheduled instants. Part 2 runs the
-// robustness matrix — the Fig. 2 correlation protocol repeated under
-// each standard plan — and prints every plan's R^2 delta against the
-// fault-free baseline. Deltas near zero are the robustness claim.
+// surviving network-level perturbation; `reqlens robustness` asks the
+// same question of kernel-side faults across the standard plans. This
+// example shows the library underneath: it hand-builds a mixed plan —
+// CPUs going offline mid-run, clock jitter on the tracepoint timestamps,
+// and the probes themselves detaching and reattaching — arms it on a
+// live rig, and watches the kernel state change and recover at the
+// scheduled instants. The observer keeps producing windows afterwards.
 //
 // Fault schedules are seed-driven: the same plan on the same rig seed
 // perturbs the same instants, so every number below is reproducible.
@@ -29,7 +25,6 @@ import (
 )
 
 func main() {
-	// --- Part 1: a mixed plan on a live rig -------------------------
 	spec := workloads.Silo()
 	rig := harness.NewRig(spec, harness.RigOptions{
 		Seed:   7,
@@ -69,19 +64,5 @@ func main() {
 	rig.Obs.Sample()
 	rig.Advance(300 * time.Millisecond)
 	w := rig.Obs.Sample()
-	fmt.Printf("post-fault window: %d sends observed in %v\n\n", w.Send.Calls, w.Duration)
-
-	// --- Part 2: the robustness matrix ------------------------------
-	opt := harness.Quick()
-	opt.Seed = 7
-	plans := []faults.Plan{
-		faults.DelayPlan(10 * time.Millisecond),
-		faults.CPUOfflinePlan(2),
-		faults.MigrationStormPlan(500 * time.Microsecond),
-		faults.ClockJitterPlan(5 * time.Microsecond),
-		faults.NoisyNeighborPlan(4),
-	}
-	rows := harness.RobustnessMatrix(
-		[]workloads.Spec{workloads.Silo(), workloads.DataCaching()}, plans, opt)
-	fmt.Print(harness.RenderRobustness(rows))
+	fmt.Printf("post-fault window: %d sends observed in %v\n", w.Send.Calls, w.Duration)
 }

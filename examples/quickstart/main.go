@@ -64,5 +64,5 @@ func main() {
 			i, w.RPSObsv(), real, w.Poll.MeanDuration.Round(time.Microsecond), w.Send.VarianceUS2)
 	}
 	fmt.Println("\nEq.1 in action: RPS_obsv tracks the client-reported rate without")
-	fmt.Println("touching the application. See examples/saturation-monitor next.")
+	fmt.Println("touching the application. See examples/blackbox-autoscaler next.")
 }

@@ -17,7 +17,7 @@
 // SlackEstimator, and internal/control's SaturationDetector, turn those
 // raw signals into decisions a management runtime (DVFS governor, core
 // allocator, autoscaler) can act on, as motivated in Sections I and VI;
-// see examples/saturation-monitor and examples/blackbox-autoscaler.
+// see examples/blackbox-autoscaler.
 //
 // Key entry points:
 //
@@ -27,9 +27,9 @@
 //     closes the current observation window and opens the next.
 //   - AttachStream / MustAttachStream — the same Observer with the ring
 //     sink: the probes also emit one event per observation into a
-//     bounded ring, folded into map-identical integer aggregates plus
-//     Welford statistics, with a producer-side Dropped counter. A
-//     lossless stream reconstructs the map sink's windows bit-for-bit.
+//     bounded ring, folded into map-identical integer aggregates, with
+//     a producer-side Dropped counter. A lossless stream reconstructs
+//     the map sink's windows bit-for-bit.
 //   - NewSlackEstimator — normalized idle headroom from poll durations.
 //   - AttachStages / MultiObserver — per-stage observers across a
 //     multi-process pipeline, naming the bottleneck stage (the Section

@@ -8,7 +8,6 @@ import (
 	"reqlens/internal/ebpf"
 	"reqlens/internal/kernel"
 	"reqlens/internal/probes"
-	"reqlens/internal/stats"
 	"reqlens/internal/telemetry"
 )
 
@@ -48,9 +47,9 @@ type Observer struct {
 
 	// The ring sink; ring is nil for the map sink.
 	ring   *ebpf.RingBuf
-	family map[int]int  // syscall -> famSend, famRecv or famPoll
-	cum    totals       // folded with the programs' own integer arithmetic
-	open   StreamWindow // Events and Welford accumulators of the open window
+	family map[int]int // syscall -> famSend, famRecv or famPoll
+	cum    totals      // folded with the programs' own integer arithmetic
+	events uint64      // events folded into the open window
 
 	tel  [5]*telemetry.Counter // stream_events_total, then ringPos's; nil until Instrument
 	seen [4]uint64             // ringPos when tel was last advanced
@@ -142,7 +141,7 @@ func (o *Observer) totals() totals {
 
 func (o *Observer) rebase() {
 	o.last, o.lastAt = o.totals(), time.Duration(o.k.Now())
-	o.open = StreamWindow{}
+	o.events = 0
 }
 
 // DeltaStats summarizes one syscall family over a window.
@@ -191,18 +190,13 @@ func window(d time.Duration, cur, last totals) Window {
 	}
 }
 
-// StreamWindow is one sample: the Window plus the ring sink's
-// bookkeeping — event/drop accounting and the per-family Welford
-// statistics over the window's raw values, all zero for the map sink.
+// StreamWindow is one sample: the Window plus the ring sink's event
+// and drop accounting, both zero for the map sink.
 type StreamWindow struct {
 	Window
 
 	Events  uint64 // events folded into this window
 	Dropped uint64 // cumulative producer-side drops at sample time
-
-	SendOnline stats.Online // per-window Welford over send deltas (ns)
-	RecvOnline stats.Online
-	PollOnline stats.Online // over poll durations (ns)
 }
 
 // Sample returns the window accumulated since the previous Sample (or
@@ -212,8 +206,7 @@ type StreamWindow struct {
 // same kernel agree exactly.
 func (o *Observer) Sample() StreamWindow {
 	o.Poll()
-	w := o.open
-	w.Dropped = o.Dropped()
+	w := StreamWindow{Events: o.events, Dropped: o.Dropped()}
 	w.Window = window(time.Duration(o.k.Now())-o.lastAt, o.totals(), o.last)
 	o.rebase()
 	return w

@@ -66,7 +66,7 @@ func (o *Observer) Poll() int {
 	for _, ev := range evs {
 		o.fold(ev)
 	}
-	o.open.Events += uint64(len(evs))
+	o.events += uint64(len(evs))
 	if o.tel[0] != nil {
 		o.tel[0].Add(uint64(len(evs)))
 		pos := o.ringPos()
@@ -100,11 +100,11 @@ func (o *Observer) instrumentRing(r *telemetry.Registry) {
 func (o *Observer) fold(ev probes.MetricEvent) {
 	switch ev.Kind {
 	case probes.EventDelta:
-		cum, online := &o.cum.send, &o.open.SendOnline
+		cum := &o.cum.send
 		switch o.family[ev.NR] {
 		case famSend:
 		case famRecv:
-			cum, online = &o.cum.recv, &o.open.RecvOnline
+			cum = &o.cum.recv
 		default:
 			return // not ours (tgid filter should prevent this)
 		}
@@ -118,11 +118,9 @@ func (o *Observer) fold(ev probes.MetricEvent) {
 		cum.SumNS += ev.Value
 		us := ev.Value / 1000
 		cum.SumSqUS += us * us
-		online.Add(float64(ev.Value))
 	case probes.EventPoll:
 		o.cum.poll.Count++
 		o.cum.poll.SumNS += ev.Value
-		o.open.PollOnline.Add(float64(ev.Value))
 	}
 }
 
@@ -133,12 +131,4 @@ func (o *Observer) Dropped() uint64 {
 		return 0
 	}
 	return o.ring.Dropped()
-}
-
-// RingCapacity returns the ring size in bytes (0 for the map sink).
-func (o *Observer) RingCapacity() int {
-	if o.ring == nil {
-		return 0
-	}
-	return o.ring.Capacity()
 }

@@ -48,7 +48,7 @@ func RenderSweep(r SweepResult) string {
 }
 
 // RenderRollup formats one scrape epoch's cluster view — the fleet
-// subcommand and the fleet-monitor example print these live. Stale
+// subcommand prints the final epoch's at its top surviving level. Stale
 // nodes are listed explicitly; their absence from the sums is the gap
 // convention, so the footnote appears whenever any node is excluded.
 func RenderRollup(r Rollup) string {

@@ -35,9 +35,9 @@ func waitCluster(par int) *Cluster {
 
 // TestFleetWaitStateRollup checks the wait-state plane end to end: with
 // Options.WaitStates on, rollups rank nodes by runnable share, the
-// shares are a valid decomposition, and the overdriven node tops the
-// queued ranking — the cluster-level "whose p99 is the CPU's fault"
-// view, from scraped exports alone.
+// shares are a valid decomposition, and the overdriven node tops both
+// the queued and the saturated ranking — the cluster-level "whose p99
+// is the CPU's fault" view, from scraped exports alone.
 func TestFleetWaitStateRollup(t *testing.T) {
 	c := waitCluster(1)
 	defer c.Close()
@@ -59,6 +59,9 @@ func TestFleetWaitStateRollup(t *testing.T) {
 	}
 	if top := last.TopQueued[0]; top.Node != 2 || top.RunnableShare < 0.05 {
 		t.Errorf("hot node not identified: top queued = node %d at %.3f", top.Node, top.RunnableShare)
+	}
+	if len(last.TopSaturated) == 0 || last.TopSaturated[0].Node != 2 {
+		t.Errorf("hot node does not top the saturated ranking: %+v", last.TopSaturated)
 	}
 	out := RenderRollup(last)
 	if !strings.Contains(out, "top queued") {

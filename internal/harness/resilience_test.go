@@ -368,16 +368,53 @@ func TestResumeExperimentNamespacing(t *testing.T) {
 }
 
 // TestResumeBitIdentical is the kill-and-resume acceptance criterion:
-// interrupt a journaled Fig2 run after k of n points, resume from the
-// journal, and the assembled result — and its rendering — is
-// byte-identical to the uninterrupted run (pinned by the checked-in
-// golden file).
+// interrupt a journaled run after k of n points, resume from the
+// journal, and the assembled result is deep-equal to the uninterrupted
+// run. Fig2's rendering is also pinned by the checked-in golden file;
+// StreamAgreement checks that every field of a ring-sink sample survives
+// the journal.
 func TestResumeBitIdentical(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-exact regression compare; re-running under -race adds no coverage")
 	}
 	spec := workloads.Silo()
-	path := filepath.Join(t.TempDir(), "fig2.jsonl")
+	t.Run("Fig2", func(t *testing.T) {
+		full, cps := journalThenKill(t, func(o ExpOptions) Fig2Result { return Fig2(spec, o) })
+		for _, par := range []int{1, 3} {
+			ropt := Quick()
+			ropt.Supervise = true
+			ropt.Parallelism = par
+			ropt.Resume = cps
+			resumed := Fig2(spec, ropt)
+			if !reflect.DeepEqual(full, resumed) {
+				t.Fatalf("par=%d: resumed Fig2 diverged from the uninterrupted run", par)
+			}
+			if RenderFig2(full) != RenderFig2(resumed) {
+				t.Fatalf("par=%d: resumed rendering diverged", par)
+			}
+			// The golden file pins the uninterrupted bytes; the resumed run
+			// must match it too.
+			checkGolden(t, "fig2_silo.json", resumed)
+		}
+	})
+	t.Run("StreamAgreement", func(t *testing.T) {
+		full, cps := journalThenKill(t, func(o ExpOptions) StreamAgreementResult { return StreamAgreement(spec, o) })
+		ropt := Quick()
+		ropt.Supervise = true
+		ropt.Resume = cps
+		if resumed := StreamAgreement(spec, ropt); !reflect.DeepEqual(full, resumed) {
+			t.Fatalf("resumed StreamAgreement diverged from the uninterrupted run:\n%+v\n%+v", full, resumed)
+		}
+	})
+}
+
+// journalThenKill runs run once at Quick scale with a journal, then
+// "kills" it after 2 of its 3 levels: it keeps only the first two
+// checkpoints, as a SIGKILL between checkpoint flushes would. It returns
+// the uninterrupted result and the kept checkpoints.
+func journalThenKill[R any](t *testing.T, run func(ExpOptions) R) (R, map[string]telemetry.Record) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.jsonl")
 	j, err := telemetry.OpenJournal(path)
 	if err != nil {
 		t.Fatal(err)
@@ -385,13 +422,11 @@ func TestResumeBitIdentical(t *testing.T) {
 	opt := Quick()
 	opt.Supervise = true
 	opt.Journal = j
-	full := Fig2(spec, opt)
+	full := run(opt)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// "Kill" the run after 2 of 3 levels: keep only the first two
-	// checkpoints, as a SIGKILL between checkpoint flushes would.
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -416,21 +451,5 @@ func TestResumeBitIdentical(t *testing.T) {
 	if len(cps) != 2 {
 		t.Fatalf("checkpoints kept = %d, want 2", len(cps))
 	}
-
-	for _, par := range []int{1, 3} {
-		ropt := Quick()
-		ropt.Supervise = true
-		ropt.Parallelism = par
-		ropt.Resume = cps
-		resumed := Fig2(spec, ropt)
-		if !reflect.DeepEqual(full, resumed) {
-			t.Fatalf("par=%d: resumed Fig2 diverged from the uninterrupted run", par)
-		}
-		if RenderFig2(full) != RenderFig2(resumed) {
-			t.Fatalf("par=%d: resumed rendering diverged", par)
-		}
-		// The golden file pins the uninterrupted bytes; the resumed run
-		// must match it too.
-		checkGolden(t, "fig2_silo.json", resumed)
-	}
+	return full, cps
 }

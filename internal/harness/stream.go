@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"reqlens/internal/core"
 	"reqlens/internal/workloads"
@@ -145,7 +144,3 @@ func RenderStreamDrops(r StreamDropProfile) string {
 	}
 	return b.String()
 }
-
-// StreamDrainInterval returns the fixed simulated-time cadence at which
-// Rig.Advance drains an attached streaming observer.
-func StreamDrainInterval() time.Duration { return streamDrainEvery }

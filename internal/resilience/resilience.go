@@ -199,9 +199,8 @@ type Chaos struct {
 	HangNth int
 }
 
-// DefaultChaos is the schedule the robustness matrix's chaos mode and
-// the resilient-sweep example use: a panic every 5th point, a hang
-// every 7th.
+// DefaultChaos is the schedule the robustness matrix's chaos mode
+// uses: a panic every 5th point, a hang every 7th.
 func DefaultChaos() *Chaos { return &Chaos{PanicNth: 5, HangNth: 7} }
 
 // inject applies the schedule to one attempt. Points hit by both rules

@@ -43,10 +43,10 @@
 #                                         resume it, diff against an
 #                                         uninterrupted run
 #   examples smoke                        build and run every examples/*
-#                                         binary with tiny parameters, and
-#                                         bpfasm -prog list and tracedump
-#                                         -max 20, so the documented entry
-#                                         points cannot rot
+#                                         binary (each takes no arguments),
+#                                         and bpfasm -prog list and
+#                                         tracedump -max 20, so the
+#                                         documented entry points cannot rot
 #
 # The rendered goldens (cardinality, waitstates, attribution, autoscale)
 # are diffed by `go test ./cmd/reqlens`, through the same run that main
@@ -234,25 +234,15 @@ fi
 echo "   kill -9 + resume: byte-identical"
 
 leg "examples smoke"
-# Build every example binary, then run each with parameters small enough
-# to keep the leg under a couple of minutes. Output is discarded; a
+# Build every example binary, then run each. Output is discarded; a
 # non-zero exit fails the gate.
 exdir="$bindir/examples"
 mkdir "$exdir"
 go build -o "$exdir" ./examples/...
 for ex in examples/*/; do
     name=$(basename "$ex")
-    case "$name" in
-    parallel-sweep)      args="-parallel 2" ;;
-    netem-robustness)    args="-parallel 2" ;;
-    telemetry-dashboard) args="-interval 200ms" ;;
-    streaming-monitor)   args="-ring 65536" ;;
-    fleet-monitor)       args="-nodes 8 -epochs 3" ;;
-    *)                   args="" ;;
-    esac
-    echo "-- $name $args"
-    # shellcheck disable=SC2086 # args is a deliberate word list
-    "$exdir/$name" $args >/dev/null
+    echo "-- $name"
+    "$exdir/$name" >/dev/null
 done
 # The two inspection CLIs ride along: the program table and a short raw
 # trace (bpfasm's per-program listings are goldened by its own test).

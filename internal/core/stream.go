@@ -10,7 +10,9 @@ import (
 
 // DefaultStreamBytes is the ring sink's default capacity: 4 MiB holds
 // ~100k in-flight metric events, ample for any poll interval the harness
-// uses, yet bounded, with its overflow observable through Dropped.
+// uses, yet bounded, with its overflow observable through Dropped. It is
+// a bound, not an allocation: the ring's host store grows only to the
+// most bytes left unconsumed between two polls.
 const DefaultStreamBytes = 1 << 22
 
 // AttachStream is Attach with the ring sink: the probes also stream one
@@ -62,20 +64,23 @@ func (o *Observer) Poll() int {
 	if o.ring == nil {
 		return 0
 	}
-	evs := probes.DecodeEvents(o.ring.Drain())
-	for _, ev := range evs {
-		o.fold(ev)
-	}
-	o.events += uint64(len(evs))
+	n := 0
+	o.ring.Consume(func(rec []byte) {
+		if ev, err := probes.DecodeEvent(rec); err == nil {
+			o.fold(ev)
+			n++
+		}
+	})
+	o.events += uint64(n)
 	if o.tel[0] != nil {
-		o.tel[0].Add(uint64(len(evs)))
+		o.tel[0].Add(uint64(n))
 		pos := o.ringPos()
 		for i, c := range o.tel[1:] {
 			c.Add(pos[i] - o.seen[i])
 		}
 		o.seen = pos
 	}
-	return len(evs)
+	return n
 }
 
 // ringPos reads the ring's cumulative bytes produced and consumed,

@@ -102,6 +102,33 @@ func TestStreamDropAccounting(t *testing.T) {
 	}
 }
 
+// TestPollDoesNotAllocate replays a batch of real ring records through
+// an instrumented ring sink: Poll folds each record in place, so a
+// non-empty batch costs no allocation.
+func TestPollDoesNotAllocate(t *testing.T) {
+	env, k := rig()
+	srv := k.NewProcess("srv")
+	stream := MustAttachStream(k, streamConfig(srv.TGID()), 1<<16)
+	stream.Instrument(telemetry.New())
+	srv.SpawnThread("w", func(th *kernel.Thread) { requestLoop(th, 20) })
+	env.Run()
+	batch := stream.ring.Drain()
+	if len(batch) == 0 {
+		t.Fatal("the request loop streamed no events")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, rec := range batch {
+			stream.ring.Output(rec)
+		}
+		if n := stream.Poll(); n != len(batch) {
+			t.Fatalf("Poll folded %d of %d events", n, len(batch))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Poll of %d events allocates %.1f times", len(batch), allocs)
+	}
+}
+
 // TestStreamTelemetryDropCounter undersizes the ring and checks that the
 // telemetry counter surfaces drops incrementally — a mid-run Poll already
 // reports a nonzero ringbuf_records_dropped_total, long before any window

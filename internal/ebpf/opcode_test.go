@@ -53,11 +53,24 @@ func runBothFaulting(t *testing.T, name string, prog []Instruction) (string, Run
 	return errs[1], stats[1]
 }
 
+// ringbufOutputOfSize submits size bytes from the stack to diffMaps'
+// ring: unverified, so size may be anything a register holds.
+func ringbufOutputOfSize(size uint64) []Instruction {
+	return NewAssembler().EmitWide(LoadMapFD(R1, 3)).Emit(
+		Mov64Reg(R2, R10), Add64Imm(R2, -8),
+	).EmitWide(LoadImm64(R3, size)).Emit(
+		Mov64Imm(R4, 0),
+		Call(HelperRingbufOutput),
+		Exit(),
+	).MustAssemble()
+}
+
 // TestCompiledColdHalfParity sends every refusable form the four
 // parity tests leave hot to its cold half: each scalar ALU op and jump
 // in both widths on a pointer operand, a narrow load and store and an
 // atomic add through a scalar, an invalid atomic, map helpers on a
-// non-map, and a pointer spill followed by its restore and by a load
+// non-map, a ringbuf_output size that is negative or wraps the bounds
+// check, and a pointer spill followed by its restore and by a load
 // beside it. Faults must match the oracle's; the spill program must
 // return what the oracle returns. One last program takes the
 // hot halves those tests never reach: an unfused ambient helper, an
@@ -91,6 +104,8 @@ func TestCompiledColdHalfParity(t *testing.T) {
 		{"atomic with an undefined op", []Instruction{Mov64Imm(R7, 1), {Op: ClassSTX | SizeDW | ModeAtomic, Dst: R10, Src: R7, Off: -8, Imm: 0x40}, Exit()}},
 		{"map lookup on a scalar", []Instruction{Mov64Imm(R1, 0), Call(HelperMapLookupElem), Exit()}},
 		{"truncated wide load", []Instruction{Mov64Imm(R0, 0), LoadImm64(R1, 5)[0]}},
+		{"ringbuf_output of a negative size", ringbufOutputOfSize(1 << 63)},
+		{"ringbuf_output of a size that wraps", ringbufOutputOfSize(1<<63 - 1)},
 	} {
 		runBothFaulting(t, c.name, c.prog)
 	}

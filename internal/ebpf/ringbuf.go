@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,16 +16,26 @@ import (
 // reproducible against the real map's accounting. A commit that does not
 // fit in the free span between the producer and consumer positions is
 // dropped and counted; nothing is ever overwritten.
+//
+// The capacity is a bound, not an allocation: the host store behind the
+// ring starts empty and, whenever the unconsumed span would not fit it,
+// grows to the smallest power of two that holds the span (at most the
+// capacity). Only the capacity decides drops and what Query reports,
+// so nothing a program or consumer can observe depends on the store's
+// size.
 type RingBuf struct {
 	name string
-	data []byte // backing store, len == capacity (power of two)
-	mask uint64 // capacity - 1
+	size uint64 // logical capacity in bytes (power of two)
+	data []byte // host store: a power of two <= size, holding prod-cons
+	mask uint64 // len(data) - 1
 
 	// prod and cons are monotonically increasing byte positions, as
 	// exposed by the kernel's producer/consumer pages. prod-cons is the
 	// number of unconsumed bytes; both are always 8-aligned.
 	prod uint64
 	cons uint64
+
+	scratch []byte // one record that straddles the store's wrap, for Consume
 
 	dropped      uint64 // records dropped for lack of space
 	droppedBytes uint64 // bytes those dropped records would have cost
@@ -50,7 +61,7 @@ func NewRingBuf(name string, capacity int) *RingBuf {
 	if capacity < ringbufHdrSize || bits.OnesCount(uint(capacity)) != 1 {
 		panic(fmt.Sprintf("ebpf: ringbuf capacity %d must be a power of two >= %d", capacity, ringbufHdrSize))
 	}
-	return &RingBuf{name: name, data: make([]byte, capacity), mask: uint64(capacity) - 1}
+	return &RingBuf{name: name, size: uint64(capacity)}
 }
 
 // Name returns the map's name.
@@ -76,7 +87,7 @@ func (m *RingBuf) Delete(key []byte) error {
 }
 
 // Capacity returns the ring size in bytes (BPF_RB_RING_SIZE).
-func (m *RingBuf) Capacity() int { return len(m.data) }
+func (m *RingBuf) Capacity() int { return int(m.size) }
 
 // AvailData returns the unconsumed bytes between the consumer and
 // producer positions (BPF_RB_AVAIL_DATA), headers included.
@@ -88,8 +99,8 @@ func (m *RingBuf) ProducerPos() uint64 { return m.prod }
 // ConsumerPos returns the monotonic consumer byte position.
 func (m *RingBuf) ConsumerPos() uint64 { return m.cons }
 
-// copyIn writes b into the ring starting at monotonic position pos,
-// wrapping at the capacity boundary.
+// copyIn writes b into the store starting at monotonic position pos,
+// wrapping at the store's end.
 func (m *RingBuf) copyIn(pos uint64, b []byte) {
 	start := pos & m.mask
 	n := copy(m.data[start:], b)
@@ -98,15 +109,32 @@ func (m *RingBuf) copyIn(pos uint64, b []byte) {
 	}
 }
 
-// copyOut reads n bytes starting at monotonic position pos.
-func (m *RingBuf) copyOut(pos uint64, n int) []byte {
-	out := make([]byte, n)
-	start := pos & m.mask
-	c := copy(out, m.data[start:])
-	if c < n {
-		copy(out[c:], m.data)
+// grow replaces the store with the smallest power of two that holds
+// span bytes, re-laying the unconsumed bytes at pos & (len-1) so that
+// every position keeps addressing the same byte.
+func (m *RingBuf) grow(span uint64) {
+	old, oldMask := m.data, m.mask
+	n := uint64(1) << bits.Len64(span-1)
+	m.data, m.mask = make([]byte, n), n-1
+	if live := m.prod - m.cons; live > 0 {
+		start := m.cons & oldMask
+		head := min(live, uint64(len(old))-start)
+		m.copyIn(m.cons, old[start:start+head])
+		m.copyIn(m.cons+head, old[:live-head])
 	}
-	return out
+}
+
+// view returns the n bytes at monotonic position pos: a slice of the
+// store, or, for bytes that straddle its wrap, a copy in the reused
+// scratch buffer. Either is valid until the next Output or view.
+func (m *RingBuf) view(pos uint64, n int) []byte {
+	start := pos & m.mask
+	if end := start + uint64(n); end <= uint64(len(m.data)) {
+		return m.data[start:end:end]
+	}
+	m.scratch = append(m.scratch[:0], m.data[start:]...)
+	m.scratch = append(m.scratch, m.data[:n-len(m.scratch)]...)
+	return m.scratch
 }
 
 // Output commits one record (copied). Returns false when the record was
@@ -114,10 +142,14 @@ func (m *RingBuf) copyOut(pos uint64, n int) []byte {
 // left by the consumer, or the payload alone can never fit the ring.
 func (m *RingBuf) Output(rec []byte) bool {
 	need := ringbufRecordCost(len(rec))
-	if need > uint64(len(m.data))-(m.prod-m.cons) {
+	span := m.prod - m.cons
+	if need > m.size-span {
 		m.dropped++
 		m.droppedBytes += need
 		return false
+	}
+	if span+need > uint64(len(m.data)) {
+		m.grow(span + need)
 	}
 	var hdr [ringbufHdrSize]byte
 	binary.LittleEndian.PutUint64(hdr[:], uint64(len(rec)))
@@ -129,19 +161,32 @@ func (m *RingBuf) Output(rec []byte) bool {
 	return true
 }
 
-// Drain returns and removes all pending records in commit order,
-// advancing the consumer position and freeing their space.
+// Consume hands every pending record to fn in commit order, advancing
+// the consumer position past each, and returns how many it handed over.
+// rec is only valid during the call: it aliases the ring (or, for a
+// record straddling the wrap, one reused scratch buffer), so fn copies
+// whatever it keeps. fn must not call Output or Consume on the ring.
+func (m *RingBuf) Consume(fn func(rec []byte)) int {
+	n := m.pending
+	for m.cons < m.prod {
+		// Headers are 8 bytes at 8-aligned positions in a store of at
+		// least 8 bytes, so a header never straddles the wrap.
+		size := int(binary.LittleEndian.Uint64(m.data[m.cons&m.mask:]))
+		fn(m.view(m.cons+ringbufHdrSize, size))
+		m.cons += ringbufRecordCost(size)
+	}
+	m.pending = 0
+	return n
+}
+
+// Drain returns and removes all pending records in commit order, each
+// copied out of the ring: Consume for a caller that keeps the records.
 func (m *RingBuf) Drain() [][]byte {
 	if m.pending == 0 {
 		return nil
 	}
 	out := make([][]byte, 0, m.pending)
-	for m.cons < m.prod {
-		n := int(binary.LittleEndian.Uint64(m.copyOut(m.cons, ringbufHdrSize)))
-		out = append(out, m.copyOut(m.cons+ringbufHdrSize, n))
-		m.cons += ringbufRecordCost(n)
-	}
-	m.pending = 0
+	m.Consume(func(rec []byte) { out = append(out, bytes.Clone(rec)) })
 	return out
 }
 
@@ -166,7 +211,7 @@ func (m *RingBuf) Query(flag uint64) uint64 {
 	case RingbufAvailData:
 		return m.AvailData()
 	case RingbufRingSize:
-		return uint64(len(m.data))
+		return m.size
 	case RingbufConsPos:
 		return m.cons
 	case RingbufProdPos:

@@ -431,7 +431,9 @@ func (m *vm) slice(pc int, base word, off int64, size int) ([]byte, error) {
 	}
 	start := int64(base.v) + off
 	end := start + int64(size)
-	if start < 0 || end > int64(len(base.region.data)) {
+	// end < start: a helper size argument (ringbuf_output's R3) that is
+	// negative as an int, or so large that end wrapped.
+	if start < 0 || end < start || end > int64(len(base.region.data)) {
 		return nil, m.fault(pc, "%s access [%d,%d) out of bounds [0,%d)",
 			base.region.kind, start, end, len(base.region.data))
 	}

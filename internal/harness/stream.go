@@ -104,43 +104,3 @@ func RenderStreamAgreement(r StreamAgreementResult) string {
 	}
 	return b.String()
 }
-
-// StreamDropProfile sweeps the same workload with a deliberately
-// undersized ring and reports the (deterministic) loss profile per level.
-type StreamDropProfile struct {
-	Workload  string
-	RingBytes int
-	Points    []AgreementPoint
-}
-
-// StreamDrops runs the agreement protocol with a small ring to
-// characterize overflow behaviour: how many events each load level loses
-// when the consumer drains at the fixed cadence. For a fixed seed the
-// profile is bit-identical across runs and Parallelism settings.
-func StreamDrops(spec workloads.Spec, ringBytes int, opt ExpOptions) StreamDropProfile {
-	opt.StreamBytes = ringBytes
-	res := StreamAgreement(spec, opt)
-	return StreamDropProfile{Workload: spec.Name, RingBytes: ringBytes, Points: res.Points}
-}
-
-// RenderStreamDrops formats the loss profile.
-func RenderStreamDrops(r StreamDropProfile) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ring overflow profile: %s (ring %d B, drain every %v)\n",
-		r.Workload, r.RingBytes, streamDrainEvery)
-	fmt.Fprintf(&b, "%-6s | %8s | %8s | %9s\n", "level", "events", "dropped", "loss")
-	for _, p := range r.Points {
-		if p.Gap {
-			fmt.Fprintf(&b, "%-6.2f | %8s | %8s | %9s\n", p.Level, gapMark, gapMark, gapMark)
-			continue
-		}
-		total := p.Stream.Events + p.Stream.Dropped
-		loss := 0.0
-		if total > 0 {
-			loss = 100 * float64(p.Stream.Dropped) / float64(total)
-		}
-		fmt.Fprintf(&b, "%-6.2f | %8d | %8d | %8.2f%%\n",
-			p.Level, p.Stream.Events, p.Stream.Dropped, loss)
-	}
-	return b.String()
-}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,35 +50,34 @@ func TestStreamBatchAgreement(t *testing.T) {
 func TestStreamDropDeterminism(t *testing.T) {
 	opt := Quick()
 	opt.Levels = []float64{0.6, 1.0}
+	opt.StreamBytes = 4096
 
-	const ring = 4096
 	seq := opt
 	seq.Parallelism = 1
 	par := opt
 	par.Parallelism = 4
 
 	spec := workloads.DataCaching()
-	a := StreamDrops(spec, ring, seq)
-	b := StreamDrops(spec, ring, par)
+	a := StreamAgreement(spec, seq)
+	b := StreamAgreement(spec, par)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("drop profile differs across parallelism:\nseq: %+v\npar: %+v", a, b)
 	}
-	var dropped uint64
 	for _, p := range a.Points {
-		dropped += p.Stream.Dropped
 		if p.Stream.Events+p.Stream.Dropped == 0 {
 			t.Fatalf("level %.2f produced no events at all", p.Level)
 		}
 	}
-	if dropped == 0 {
-		t.Fatalf("a %d-byte ring should overflow under load: %+v", ring, a.Points)
+	if a.TotalDropped == 0 {
+		t.Fatalf("a %d-byte ring should overflow under load: %+v", opt.StreamBytes, a.Points)
 	}
 	// Same-seed rerun: identical to the first.
-	c := StreamDrops(spec, ring, seq)
+	c := StreamAgreement(spec, seq)
 	if !reflect.DeepEqual(a, c) {
 		t.Fatal("same-seed rerun diverged")
 	}
-	if out := RenderStreamDrops(a); !strings.Contains(out, "Ring overflow profile") {
+	if out := RenderStreamAgreement(a); !strings.Contains(out, "(ring 4096 B)") ||
+		!strings.Contains(out, fmt.Sprintf("%d events dropped", a.TotalDropped)) {
 		t.Fatalf("render output malformed:\n%s", out)
 	}
 }

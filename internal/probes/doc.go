@@ -22,7 +22,7 @@
 // fixed 32-byte MetricEvent record (timestamp, pid_tgid, syscall nr,
 // delta/duration) into it via bpf_ringbuf_output, alongside the
 // unchanged aggregate-map updates.
-// DecodeEvents parses a drained batch; folding the events with the
+// DecodeEvent parses one consumed record; folding the events with the
 // probes' own integer arithmetic reconstructs the aggregate maps
 // bit-for-bit when the ring never overflowed.
 //

@@ -71,19 +71,6 @@ func DecodeEvent(rec []byte) (MetricEvent, error) {
 	}, nil
 }
 
-// DecodeEvents parses a Drain batch, skipping malformed records.
-func DecodeEvents(raw [][]byte) []MetricEvent {
-	out := make([]MetricEvent, 0, len(raw))
-	for _, r := range raw {
-		ev, err := DecodeEvent(r)
-		if err != nil {
-			continue
-		}
-		out = append(out, ev)
-	}
-	return out
-}
-
 // emitEventOutput emits the ringbuf_output call submitting the EventSize
 // record assembled on the stack at frame offset rec. Clobbers R0-R5; the
 // drop case (full ring) is accounted by the map, so the return value is

@@ -8,6 +8,20 @@ import (
 	"reqlens/internal/kernel"
 )
 
+// decodeAll consumes every pending record of ring, decoding each.
+func decodeAll(t *testing.T, ring *ebpf.RingBuf) []MetricEvent {
+	t.Helper()
+	var evs []MetricEvent
+	ring.Consume(func(rec []byte) {
+		ev, err := DecodeEvent(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs = append(evs, ev)
+	})
+	return evs
+}
+
 // foldDelta replays EventDelta records into the cumulative aggregate
 // state, using the same integer arithmetic the in-kernel program uses.
 func foldDelta(evs []MetricEvent) DeltaSnapshot {
@@ -56,7 +70,7 @@ func TestDeltaProbeStreamMatchesAggregates(t *testing.T) {
 	if k.Tracer().RunErrors() != 0 {
 		t.Fatalf("probe faults: %v", k.Tracer().LastError())
 	}
-	evs := DecodeEvents(ring.Drain())
+	evs := decodeAll(t, ring)
 	if len(evs) != 200 {
 		t.Fatalf("events = %d, want one per matched call", len(evs))
 	}
@@ -101,7 +115,7 @@ func TestPollProbeStreamMatchesAggregates(t *testing.T) {
 	if k.Tracer().RunErrors() != 0 {
 		t.Fatalf("probe faults: %v", k.Tracer().LastError())
 	}
-	evs := DecodeEvents(ring.Drain())
+	evs := decodeAll(t, ring)
 	if len(evs) != 50 {
 		t.Fatalf("events = %d, want one per completed poll", len(evs))
 	}
@@ -122,7 +136,10 @@ func TestDecodeEventRejectsBadSize(t *testing.T) {
 	if _, err := DecodeEvent(make([]byte, EventSize-1)); err == nil {
 		t.Fatal("short record should fail")
 	}
-	if evs := DecodeEvents([][]byte{make([]byte, 3), make([]byte, EventSize)}); len(evs) != 1 {
-		t.Fatalf("DecodeEvents kept %d records, want 1", len(evs))
+	if _, err := DecodeEvent(make([]byte, EventSize+8)); err == nil {
+		t.Fatal("long record should fail")
+	}
+	if _, err := DecodeEvent(make([]byte, EventSize)); err != nil {
+		t.Fatalf("full-size record: %v", err)
 	}
 }

@@ -73,11 +73,10 @@ func NewStreamProbe(name string, tgid int, capacity int) (*StreamProbe, error) {
 
 // Drain decodes and removes all pending records.
 func (p *StreamProbe) Drain() []trace.Event {
-	raw := p.Ring.Drain()
-	out := make([]trace.Event, 0, len(raw))
-	for _, r := range raw {
+	out := make([]trace.Event, 0, p.Ring.Pending())
+	p.Ring.Consume(func(r []byte) {
 		if len(r) != streamRecSize {
-			continue
+			return
 		}
 		out = append(out, trace.Event{
 			Time:    sim.Time(binary.LittleEndian.Uint64(r[0:])),
@@ -86,7 +85,7 @@ func (p *StreamProbe) Drain() []trace.Event {
 			Enter:   binary.LittleEndian.Uint64(r[24:]) == 1,
 			Ret:     int64(binary.LittleEndian.Uint64(r[32:])),
 		})
-	}
+	})
 	return out
 }
 

@@ -18,11 +18,16 @@
 // convention: a syscall body never parks. It is a Step that arranges its
 // wake-up and returns not done; no continuation calls Sleep or Park.
 //
+// A loop thread (Process.SpawnLoop) has no coroutine at all: its
+// blocking calls return at once when they must wait, and its body runs
+// again when Thread.resume reports the wait over, doing what a coroutine
+// body does between the same two yields, so no event moves.
+//
 // Key entry points:
 //
 //   - New(env, profile) — build a Kernel on a sim.Env with a
 //     machine.Profile topology.
-//   - Kernel.NewProcess / Process.SpawnThread — create simulated
+//   - Kernel.NewProcess / Process.SpawnThread / SpawnLoop — create
 //     threads; Thread.Syscall/Invoke issue a syscall (firing tracepoints),
 //     Thread.Compute burns CPU, Mutex provides contended locking.
 //   - Kernel.Tracer — the tracepoint hub; Tracer.Attach loads a

@@ -148,19 +148,58 @@ func (p *Process) Kernel() *Kernel { return p.k }
 // scheduler. The body receives the thread handle for syscalls and
 // compute requests.
 func (p *Process) SpawnThread(name string, body func(*Thread)) *Thread {
-	p.k.nextID++
-	t := &Thread{
-		proc: p,
-		tid:  p.k.nextID,
-		name: name,
-	}
-	p.threads = append(p.threads, t)
-	t.resume0 = t.resume
+	t := p.newThread(name)
 	t.sp = p.k.env.Spawn(fmt.Sprintf("%s/%s", p.name, name), func(sp *sim.Proc) {
 		t.waker = sp.NewWaker()
 		body(t)
 	})
 	return t
+}
+
+// SpawnLoop starts a loop thread, on a sim step proc: no goroutine, no
+// coroutine switch. Each call of body issues at most one of Syscall,
+// Burn, Invoke, Compute, Wait or Sleep, as its last act, and returns true
+// once the thread is done. That call returns at once if it must wait;
+// body runs again when the wait is over and reads the result then (as
+// from netsim.Dialed). Doing between two calls what a SpawnThread body
+// does between the same two waits, it gives the same events and counters.
+func (p *Process) SpawnLoop(name string, body func(*Thread) bool) *Thread {
+	t := p.newThread(name)
+	t.loop = body
+	t.sp = p.k.env.SpawnStep(fmt.Sprintf("%s/%s", p.name, name), t.runLoop)
+	t.waker = t.sp.NewWaker()
+	return t
+}
+
+// newThread registers a thread of p; the caller gives it its proc.
+func (p *Process) newThread(name string) *Thread {
+	p.k.nextID++
+	t := &Thread{proc: p, tid: p.k.nextID, name: name}
+	p.threads = append(p.threads, t)
+	t.resume0 = t.resume
+	return t
+}
+
+// runLoop is a loop thread's step: it ends the wait in flight (a Sleep's
+// at any activation, as sim.Proc.Sleep's), then runs body until it waits.
+func (t *Thread) runLoop() bool {
+	if t.waiting && t.sys.stage != inSleep && !t.resume() {
+		return false
+	}
+	t.waiting = false
+	for !t.loop(t) {
+		if t.waiting {
+			return false
+		}
+	}
+	return true
+}
+
+// wait waits out a blocking form's stage: Block on resume, or return to runLoop.
+func (t *Thread) wait() {
+	if t.waiting = t.loop != nil; !t.waiting {
+		t.sp.Block(t.resume0)
+	}
 }
 
 // Thread is a simulated kernel task.
@@ -173,10 +212,12 @@ type Thread struct {
 	cpu   *cpu
 
 	// scheduling state
-	quantum time.Duration // remaining timeslice, carried across Computes
-	run     run           // the compute in flight
-	sys     sysCall       // the syscall in flight: a thread issues one at a time
-	resume0 func() bool   // t.resume, hoisted once: every wait Blocks on it
+	quantum time.Duration      // remaining timeslice, carried across Computes
+	run     run                // the compute in flight
+	sys     sysCall            // the syscall in flight: a thread issues one at a time
+	resume0 func() bool        // t.resume, hoisted once: every wait Blocks on it
+	loop    func(*Thread) bool // a loop thread's body (SpawnLoop), else nil
+	waiting bool               // a loop thread's operation is waiting
 
 	// Ops is where a layer above keeps the operands of the thread's Steps
 	// (netsim's per-thread frame), so that no call allocates a closure.
@@ -237,12 +278,18 @@ func (t *Thread) RunQueueWaits() uint64 { return t.runqWaits }
 func (t *Thread) Compute(d time.Duration) {
 	t.sys.stage = inTail
 	if !t.proc.k.sched.start(t, d, 0) {
-		t.sp.Block(t.resume0)
+		t.wait()
 	}
 }
 
 // Sleep suspends the thread for d without consuming CPU.
-func (t *Thread) Sleep(d time.Duration) { t.sp.Sleep(d) }
+func (t *Thread) Sleep(d time.Duration) {
+	if t.loop == nil {
+		t.sp.Sleep(d)
+	} else if !t.sp.Elapse(d) {
+		t.sys.stage, t.waiting = inSleep, true
+	}
+}
 
 // Waker returns the thread's waker for readiness notifications.
 func (t *Thread) Waker() *sim.Waker { return t.waker }
@@ -263,6 +310,7 @@ const (
 	inEnter sysStage = iota // sys_enter's probe cost and the in-kernel cost are running
 	inBody                  // the body is waiting
 	inTail                  // the last compute is running: sys_exit's probe cost, or a Compute
+	inSleep                 // a loop thread's Sleep
 )
 
 // sysCall is a thread's syscall in flight.
@@ -315,7 +363,7 @@ func Sleeping(d time.Duration, ret int64) Step {
 func (t *Thread) Wait(body Step) {
 	t.sys.nr, t.sys.woken, t.sys.body = -1, false, body
 	if !t.runBody() {
-		t.sp.Block(t.resume0)
+		t.wait()
 	}
 }
 
@@ -324,7 +372,7 @@ func (t *Thread) syscall(nr int, args [6]uint64, cost time.Duration, body Step) 
 	t.syscalls++
 	s.nr, s.stage, s.woken, s.body = nr, inEnter, false, body
 	if !k.sched.start(t, k.tracer.sysEnter(t, nr, args), cost) || !t.runBody() {
-		t.sp.Block(t.resume0)
+		t.wait()
 	}
 	return s.ret
 }

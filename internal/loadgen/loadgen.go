@@ -76,20 +76,35 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 		hist:   stats.NewHistogram(),
 	}
 
+	// Loop threads (kernel.Process.SpawnLoop): each call runs up to the
+	// next blocking operation, in the order a blocking loop issues them.
 	ready := 0
 	for i := 0; i < opts.Conns; i++ {
-		c.proc.SpawnThread("conn", func(t *kernel.Thread) {
-			s := l.Dial(t)
-			c.conns = append(c.conns, s)
-			ready++
-			// Receiver loop: blocking recv, match by request ID.
-			for {
-				m := s.Recv(t, kernel.SysRecvfrom)
+		var s *netsim.Sock
+		phase := 0
+		c.proc.SpawnLoop("conn", func(t *kernel.Thread) bool {
+			switch phase {
+			case 0:
+				l.Dial(t)
+				phase = 1
+				return false
+			case 1:
+				s = netsim.Dialed(t)
+				c.conns = append(c.conns, s)
+				ready++
+			case 2: // Receiver loop: blocking recv, match by request ID.
 				if c.opts.PerOpCost > 0 {
 					t.Compute(c.opts.PerOpCost) // parse the response
+					phase = 3
+					return false
 				}
-				c.onResponse(t.Now(), m)
+				fallthrough
+			case 3:
+				c.onResponse(t.Now(), netsim.Received(t))
 			}
+			s.Recv(t, kernel.SysRecvfrom)
+			phase = 2
+			return false
 		})
 	}
 
@@ -98,20 +113,24 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 		gens = 4
 	}
 	for g := 0; g < gens; g++ {
-		g := g
-		c.proc.SpawnThread("generator", func(t *kernel.Thread) {
-			// Let connections establish before offering load.
-			for ready < opts.Conns {
-				t.Sleep(100 * time.Microsecond)
-			}
-			if c.opts.Rate <= 0 {
-				return
-			}
-			perGen := c.opts.Rate / float64(gens)
-			// Stagger generator phases so fixed-rate pacing interleaves
-			// instead of firing in lockstep.
-			next := t.Now().Add(time.Duration(float64(g) / perGen / float64(gens) * float64(time.Second)))
-			for i := g; ; i += gens {
+		i, phase, perGen, next := g, 0, 0.0, sim.Time(0)
+		c.proc.SpawnLoop("generator", func(t *kernel.Thread) bool {
+			switch phase {
+			case 0:
+				// Let connections establish before offering load.
+				if ready < opts.Conns {
+					t.Sleep(100 * time.Microsecond)
+					return false
+				}
+				if c.opts.Rate <= 0 {
+					return true
+				}
+				perGen = c.opts.Rate / float64(gens)
+				// Stagger generator phases so fixed-rate pacing interleaves
+				// instead of firing in lockstep.
+				next = t.Now().Add(time.Duration(float64(g) / perGen / float64(gens) * float64(time.Second)))
+				phase = 1
+			case 1:
 				var gap time.Duration
 				if c.opts.Poisson {
 					gap = time.Duration(c.rng.ExpFloat64() / perGen * float64(time.Second))
@@ -119,14 +138,18 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 					gap = time.Duration(float64(time.Second) / perGen)
 				}
 				next = next.Add(gap)
+				phase = 2
 				if now := t.Now(); next > now {
 					t.Sleep(next.Sub(now))
 				}
+			case 2:
 				// When behind schedule (CPU starvation on a co-located,
 				// saturated host) requests fire back-to-back to catch up.
+				phase = 3
 				if c.opts.PerOpCost > 0 {
 					t.Compute(c.opts.PerOpCost) // build the request
 				}
+			case 3:
 				s := c.conns[i%len(c.conns)]
 				c.nextID++
 				id := c.nextID
@@ -138,7 +161,10 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 					c.sent++
 				}
 				s.Send(t, kernel.SysSendto, &netsim.Message{ID: id, Size: c.opts.ReqSize})
+				i += gens
+				phase = 1
 			}
+			return false
 		})
 	}
 	return c

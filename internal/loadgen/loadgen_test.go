@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -189,5 +190,27 @@ func TestZeroRateClientIdles(t *testing.T) {
 	env.RunFor(100 * time.Millisecond)
 	if c.Lifetime() != 0 {
 		t.Fatal("zero-rate client sent requests")
+	}
+}
+
+// TestClientSpawnsNoGoroutines: the client's receiver and generator
+// threads are loop threads, so a client with the default 4 generators
+// and 64 connections adds no goroutine; the only ones the run adds are
+// the echo server's 64 per-connection coroutine threads.
+func TestClientSpawnsNoGoroutines(t *testing.T) {
+	env, k, n := rig()
+	l := echoServer(k, n, 10*time.Microsecond, netsim.Config{})
+	env.RunFor(time.Millisecond)
+	base := runtime.NumGoroutine()
+	c := New(k, l, Options{Rate: 20000, Conns: 64})
+	env.RunFor(100 * time.Millisecond)
+	got := runtime.NumGoroutine()
+	env.Shutdown()
+	if c.Lifetime() < 1000 {
+		t.Fatalf("%d responses in 100ms at 20k RPS", c.Lifetime())
+	}
+	if got > base+64 {
+		t.Fatalf("%d goroutines after the run, %d before it plus the server's 64: the client holds %d",
+			got, base, got-base-64)
 	}
 }

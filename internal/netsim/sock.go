@@ -176,15 +176,23 @@ func (n *Network) Listen(cfg Config) *Listener {
 // accept queue after one propagation delay. The client side is returned
 // immediately (simplified handshake).
 func (l *Listener) Dial(t *kernel.Thread) *Sock {
-	var client *Sock
+	f := frameOf(t)
 	t.Invoke(kernel.SysSocket, [6]uint64{}, func() int64 {
 		var server *Sock
-		client, server = l.net.NewConn(l.cfg)
+		f.sock, server = l.net.NewConn(l.cfg)
 		l.net.env.Post(l.net.effective(l.cfg).Delay, func() { l.push(server) })
-		return int64(client.fd)
+		return int64(f.sock.fd)
 	})
-	return client
+	return f.sock
 }
+
+// Dialed returns the socket of t's last Dial, and Received the message
+// of its last Recv: a loop thread (kernel.Process.SpawnLoop), whose
+// calls return before a wait is over, reads them on its next call.
+func Dialed(t *kernel.Thread) *Sock { return frameOf(t).sock }
+
+// Received returns the message of t's last Recv; see Dialed.
+func Received(t *kernel.Thread) *Message { return frameOf(t).msg }
 
 // Accept blocks in an accept syscall until a connection is pending and
 // returns the server-side socket.

@@ -16,9 +16,11 @@
 // run in loop context, so the coroutine is switched into once, not once
 // per stage; the convention is that a continuation never parks and
 // never calls Sleep or Park — it waits by returning false, after
-// Proc.Elapse or with a wake-up arranged. Randomness is drawn from
-// per-component streams derived via Env.NewRNG, so adding a component
-// never perturbs the draws seen by another.
+// Proc.Elapse or with a wake-up arranged. A step proc (Env.SpawnStep)
+// lives in such a continuation from the start, with no coroutine, and
+// panics, naming itself, if asked to Sleep, Park or Block. Randomness
+// is drawn from per-component streams derived via Env.NewRNG, so adding
+// a component never perturbs the draws seen by another.
 //
 // This determinism is what lets the reproduction make paper-grade
 // claims: reruns are exact, A/B comparisons (e.g. the Section VI probe
@@ -34,6 +36,8 @@
 //   - Env.Spawn — start a Proc (a simulated thread of control); Proc
 //     offers Sleep, Park, and Wakers for inter-proc signaling, and
 //     Block/Elapse for multi-stage waits; Env.Switches counts resumes.
+//   - Env.SpawnStep — start a step proc: a loop of waits written as one
+//     continuation, at no coroutine switch per wait.
 //   - Env.NewRNG — derive an independent deterministic random stream.
 //   - Env.Shutdown — terminate all procs, in spawn order, and reclaim
 //     their coroutines (a Rig's Close calls this).

@@ -272,11 +272,14 @@ func (e *Env) LiveProcs() int { return e.live }
 // Shutdown terminates every live proc, oldest first, and reclaims their
 // coroutines. Procs blocked in Sleep, Park, or any derived primitive are
 // unwound via a panic that the proc wrapper recovers; a proc whose spawn
-// event never fired is discarded unrun. After Shutdown the environment
-// must not be reused.
+// event never fired is discarded unrun; a step proc, which has no
+// coroutine, is only unlinked. After Shutdown the environment must not
+// be reused.
 func (e *Env) Shutdown() {
 	for p := e.procs.newer; p != &e.procs; p = e.procs.newer {
-		p.stop()
+		if p.stop != nil {
+			p.stop()
+		}
 		p.exit()
 	}
 }

@@ -3,6 +3,7 @@
 package sim
 
 import (
+	"fmt"
 	"iter"
 	"time"
 )
@@ -19,7 +20,7 @@ type killed struct{}
 type Proc struct {
 	env          *Env
 	name         string
-	next         func() (struct{}, bool) // switch into the body until it yields
+	next         func() (struct{}, bool) // switch into the body until it yields; nil for a step proc
 	yield0       func(struct{}) bool     // switch back to the loop; false once stopped
 	stop         func()                  // unwind the body (or discard it unstarted)
 	done         bool
@@ -43,11 +44,27 @@ func (e *Env) Spawn(name string, body func(*Proc)) *Proc {
 		}()
 		body(p)
 	})
+	e.start(p)
+	return p
+}
+
+// SpawnStep starts a step proc: one with no coroutine, living in its
+// Block continuation from the start. Every activation (the first as for
+// Spawn) runs step, which waits as a continuation does, never by Sleep,
+// Park or Block; the proc finishes when it returns true.
+func (e *Env) SpawnStep(name string, step func() bool) *Proc {
+	p := &Proc{env: e, name: name, step: step}
+	p.activate0 = p.activate
+	e.start(p)
+	return p
+}
+
+// start links p into the live list and posts its first activation.
+func (e *Env) start(p *Proc) {
 	p.older, p.newer = e.procs.older, &e.procs
 	p.older.newer, e.procs.older = p, p
 	e.live++
 	e.Post(0, p.activate0)
-	return p
 }
 
 // exit marks the proc finished and unlinks it from the live list.
@@ -70,15 +87,19 @@ func (p *Proc) Now() Time { return p.env.now }
 
 // activate resumes a parked proc and returns once it parks again or
 // finishes; a proc parked in Block first has its continuation run here,
-// and is resumed only when that returns true. It must only be called
-// from event-loop context (inside an event callback), never from a
-// proc's body.
+// and is resumed only when that returns true (a step proc finishes
+// then). It must only be called from event-loop context (inside an
+// event callback), never from a proc's body.
 func (p *Proc) activate() {
 	if p.done {
 		return
 	}
 	if p.step != nil {
 		if !p.step() {
+			return
+		}
+		if p.next == nil {
+			p.exit()
 			return
 		}
 		p.step = nil
@@ -107,6 +128,7 @@ func (p *Proc) yield() {
 // order of every other event, Executed and sim_events_total are as if
 // it had parked. Otherwise, and always outside the loop, it parks.
 func (p *Proc) Sleep(d time.Duration) {
+	p.mustPark("Sleep")
 	if !p.Elapse(d) {
 		p.yield()
 	}
@@ -141,14 +163,23 @@ func (p *Proc) Elapse(d time.Duration) bool {
 // park: it waits by returning false, after Elapse or with a wake-up
 // arranged.
 func (p *Proc) Block(step func() bool) {
+	p.mustPark("Block")
 	p.step = step
 	p.yield()
+}
+
+// mustPark panics, naming the proc, on a step proc: it cannot park.
+func (p *Proc) mustPark(op string) {
+	if p.next == nil {
+		panic(fmt.Sprintf("sim: %s on step proc %q, which has no coroutine to park", op, p.name))
+	}
 }
 
 // Park suspends the proc until another component wakes it via the
 // returned Waker. A proc parked without a pending waker event stays
 // parked until Shutdown.
 func (p *Proc) Park() {
+	p.mustPark("Park")
 	p.yield()
 }
 

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -73,8 +75,25 @@ func TestShutdownUnwindsInSpawnOrder(t *testing.T) {
 	}
 }
 
+// spawnSteps starts one step proc of each kind: one that finishes on its
+// third activation, one parked with nothing to wake it, one sleeping
+// forever. It returns the finishing one and its activation count.
+func spawnSteps(e *Env) (*Proc, *int) {
+	n := 0
+	fin := e.SpawnStep("step finishes", func() bool { n++; return n == 3 })
+	e.SpawnStep("step parked", func() bool { return false })
+	var sleeper *Proc
+	sleeper = e.SpawnStep("step sleeping", func() bool {
+		for sleeper.Elapse(time.Microsecond) {
+		}
+		return false
+	})
+	return fin, &n
+}
+
 // TestShutdownReclaimsGoroutines: every way a proc can end gives its
-// coroutine's goroutine back by the time Shutdown returns.
+// coroutine's goroutine back by the time Shutdown returns, and a step
+// proc never holds one.
 func TestShutdownReclaimsGoroutines(t *testing.T) {
 	spawnMix := func(e *Env) {
 		e.Spawn("finishes", func(p *Proc) { p.Sleep(time.Microsecond) })
@@ -85,14 +104,18 @@ func TestShutdownReclaimsGoroutines(t *testing.T) {
 			}
 		})
 		e.Spawn("blocked on a continuation", blockedForever)
+		spawnSteps(e)
 	}
-	cases := map[string]func(e *Env){
-		"finished and parked": func(e *Env) {
+	cases := map[string]struct {
+		drive      func(e *Env)
+		coroutines bool // the drive leaves procs holding goroutines
+	}{
+		"finished and parked": {func(e *Env) {
 			spawnMix(e)
 			e.RunFor(time.Millisecond)
-		},
-		"spawn event never fired": spawnMix,
-		"unwound by Timeout": func(e *Env) {
+		}, true},
+		"spawn event never fired": {spawnMix, true},
+		"unwound by Timeout": {func(e *Env) {
 			spawnMix(e)
 			e.RunFor(time.Millisecond)
 			c := NewClock(0)
@@ -104,14 +127,20 @@ func TestShutdownReclaimsGoroutines(t *testing.T) {
 				}
 			}()
 			e.Run()
-		},
+		}, true},
+		"step procs only": {func(e *Env) {
+			spawnSteps(e)
+			e.RunFor(time.Millisecond)
+		}, false},
 	}
-	for name, drive := range cases {
+	for name, c := range cases {
 		base := runtime.NumGoroutine()
 		e := NewEnv(1)
-		drive(e)
-		if got := runtime.NumGoroutine(); got <= base {
+		c.drive(e)
+		if got := runtime.NumGoroutine(); c.coroutines && got <= base {
 			t.Fatalf("%s: %d goroutines with live procs, baseline %d: procs hold none?", name, got, base)
+		} else if !c.coroutines && got > base {
+			t.Fatalf("%s: %d goroutines, baseline %d: a step proc holds one", name, got, base)
 		}
 		e.Shutdown()
 		// A goroutine left over from an earlier test may exit meanwhile,
@@ -119,5 +148,58 @@ func TestShutdownReclaimsGoroutines(t *testing.T) {
 		if got := runtime.NumGoroutine(); got > base || e.LiveProcs() != 0 {
 			t.Fatalf("%s: %d goroutines after Shutdown, baseline %d; %d live procs", name, got, base, e.LiveProcs())
 		}
+	}
+}
+
+// TestStepProcLifecycle: a step proc is activated at spawn like a
+// coroutine proc, runs its step at every activation, exits when the step
+// returns true, and costs no coroutine switch.
+func TestStepProcLifecycle(t *testing.T) {
+	e := NewEnv(1)
+	p, n := spawnSteps(e)
+	e.RunFor(time.Millisecond)
+	if *n != 1 || e.LiveProcs() != 3 {
+		t.Fatalf("after the spawn events: %d activations, %d live procs; want 1, 3", *n, e.LiveProcs())
+	}
+	w := p.NewWaker()
+	w.Wake()
+	e.RunFor(time.Millisecond)
+	w.Wake()
+	e.RunFor(time.Millisecond)
+	if *n != 3 || e.LiveProcs() != 2 {
+		t.Fatalf("after two wakes: %d activations, %d live procs; want 3, 2", *n, e.LiveProcs())
+	}
+	w.Wake() // a finished proc ignores wakes
+	e.RunFor(time.Millisecond)
+	if *n != 3 || e.Switches() != 0 {
+		t.Fatalf("woken after it finished: %d activations, %d switches; want 3, 0", *n, e.Switches())
+	}
+	e.Shutdown()
+	if e.LiveProcs() != 0 {
+		t.Fatalf("%d live procs after Shutdown", e.LiveProcs())
+	}
+}
+
+// TestStepProcCannotPark: Sleep, Park and Block on a step proc panic
+// with a message naming the proc, from the event that activated it.
+func TestStepProcCannotPark(t *testing.T) {
+	for op, call := range map[string]func(*Proc){
+		"Sleep": func(p *Proc) { p.Sleep(time.Microsecond) },
+		"Park":  (*Proc).Park,
+		"Block": func(p *Proc) { p.Block(func() bool { return true }) },
+	} {
+		e := NewEnv(1)
+		var p *Proc
+		p = e.SpawnStep("stepper", func() bool { call(p); return true })
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, op) || !strings.Contains(msg, `"stepper"`) {
+					t.Errorf("%s on a step proc: recovered %q, want a panic naming %s and the proc", op, msg, op)
+				}
+			}()
+			e.Run()
+		}()
+		e.Shutdown()
 	}
 }

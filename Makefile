@@ -2,7 +2,7 @@
 
 .PHONY: check test race bench bench-ringbuf fmt vet build golden pgo
 
-check: ## gofmt + vet + build + tests + race on the harness
+check: ## gofmt + vet + doclint + deadapi + build + tests + race + coverage floors + smokes
 	./scripts/check.sh
 
 golden: ## regenerate every golden fixture: the .json windows, then the CLI's .txt renderings
@@ -19,8 +19,8 @@ pgo: ## refresh cmd/reqlens/default.pgo: a CPU profile of the bench/ basket, run
 test:
 	go test ./...
 
-race: ## the parallel engine's safety gate
-	go test -race ./internal/harness/... ./internal/core/...
+race: ## the parallel engine's safety gate: the same packages as check's race leg
+	go test -race -timeout 20m ./internal/sim/... ./internal/kernel/... ./internal/netsim/... ./internal/loadgen/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
 
 bench: ## regenerate every table/figure at bench scale, then all BENCH_*.json microbenches
 	go test -bench=. -benchmem

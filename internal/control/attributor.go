@@ -150,9 +150,6 @@ func (a *Attributor) Learn(e Evidence) { a.base.add(e) }
 // Note folds one post-alarm window.
 func (a *Attributor) Note(e Evidence) { a.post.add(e) }
 
-// Noted returns how many post-alarm windows have been folded.
-func (a *Attributor) Noted() int { return int(a.post.n) }
-
 // Classify returns the cause class of the noted degradation, or
 // CauseNone when nothing was noted or no rule matches. Rules fire in
 // specificity order:

@@ -10,8 +10,7 @@ import (
 type Action int
 
 const (
-	ActionNone Action = iota
-	ActionScaleUp
+	ActionScaleUp Action = iota + 1
 	ActionScaleDown
 )
 

@@ -30,7 +30,7 @@ func TestDetectorWarmupNeverAlarms(t *testing.T) {
 			t.Fatalf("alarm during warmup window %d", i)
 		}
 	}
-	if !d.Warmed() {
+	if d.n < d.cfg.Warmup {
 		t.Fatal("detector not warmed after Warmup samples")
 	}
 	if d.Windows() != 10 {
@@ -102,7 +102,7 @@ func TestDetectorReset(t *testing.T) {
 		d.Observe(time.Duration(i), healthySample(rng))
 	}
 	d.Reset()
-	if d.Warmed() || d.Windows() != 0 {
+	if d.n >= d.cfg.Warmup || d.Windows() != 0 {
 		t.Fatal("Reset left detector state behind")
 	}
 }
@@ -206,11 +206,11 @@ func TestAttributorNothingNoted(t *testing.T) {
 	if got := a.Classify(); got != CauseNone {
 		t.Fatalf("Classify() on baseline-shaped evidence = %v, want none", got)
 	}
-	if a.Noted() != 1 {
-		t.Fatalf("Noted() = %d, want 1", a.Noted())
+	if a.post.n != 1 {
+		t.Fatalf("noted %v windows, want 1", a.post.n)
 	}
 	a.Reset()
-	if a.Noted() != 0 {
+	if a.post.n != 0 {
 		t.Fatal("Reset left noted windows behind")
 	}
 }

@@ -128,10 +128,6 @@ func NewSaturationDetector(cfg DetectorConfig) *SaturationDetector {
 	}
 }
 
-// Warmed reports whether the baseline is trained and the charts are
-// armed.
-func (d *SaturationDetector) Warmed() bool { return d.n >= d.cfg.Warmup }
-
 // Windows returns how many samples the detector has consumed.
 func (d *SaturationDetector) Windows() int { return d.n }
 

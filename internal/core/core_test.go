@@ -82,10 +82,10 @@ func TestObserverEndToEnd(t *testing.T) {
 func TestObserverWindowsAreDisjoint(t *testing.T) {
 	env, k := rig()
 	srv := k.NewProcess("srv")
-	obs := MustAttach(k, Defaults(srv.TGID()))
+	obs := MustAttach(k, streamConfig(srv.TGID()))
 	srv.SpawnThread("w", func(th *kernel.Thread) {
 		for i := 0; i < 300; i++ {
-			th.Invoke(kernel.SysWrite, [6]uint64{}, func() int64 { return 1 })
+			th.Invoke(kernel.SysSendto, [6]uint64{}, func() int64 { return 1 })
 			th.Sleep(time.Millisecond)
 		}
 	})
@@ -126,7 +126,7 @@ func TestWaitProfileWindow(t *testing.T) {
 	if sum := oncpu + runnable + blocked; sum < 0.999 || sum > 1.001 {
 		t.Fatalf("shares sum to %v", sum)
 	}
-	if _, ok := wp.SnapshotAll()[uint64(srv.TGID())]; !ok || wp.Bytes() <= 0 {
+	if _, ok := wp.probe.Snapshot()[uint64(srv.TGID())]; !ok || wp.Bytes() <= 0 {
 		t.Fatal("tracked tgid missing from the snapshot, or no map footprint")
 	}
 	wp.Detach()
@@ -149,8 +149,8 @@ func TestSlackEstimator(t *testing.T) {
 	if got := s.Observe(0); got != 0 {
 		t.Fatalf("slack at zero poll = %v", got)
 	}
-	if s.MaxIdle() != 10*time.Millisecond {
-		t.Fatalf("MaxIdle = %v", s.MaxIdle())
+	if s.maxSeen != 10*time.Millisecond {
+		t.Fatalf("idle reference = %v, want 10ms", s.maxSeen)
 	}
 }
 

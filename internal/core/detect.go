@@ -43,7 +43,3 @@ func (s *SlackEstimator) Slack(meanPoll time.Duration) float64 {
 	}
 	return v
 }
-
-// MaxIdle returns the largest mean poll duration observed (the idle
-// reference).
-func (s *SlackEstimator) MaxIdle() time.Duration { return s.maxSeen }

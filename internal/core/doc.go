@@ -31,9 +31,6 @@
 //     a producer-side Dropped counter. A lossless stream reconstructs
 //     the map sink's windows bit-for-bit.
 //   - NewSlackEstimator — normalized idle headroom from poll durations.
-//   - AttachStages / MultiObserver — per-stage observers across a
-//     multi-process pipeline, naming the bottleneck stage (the Section
-//     V-B prescription for microservice-style workloads).
 //
 // The experiment harness (internal/harness) evaluates this library
 // against client-side ground truth; this package itself never reads

@@ -23,17 +23,6 @@ type Config struct {
 	PollSyscalls []int
 }
 
-// Defaults returns a Config tracing the full request-oriented syscall
-// families of Section III for tgid.
-func Defaults(tgid int) Config {
-	return Config{
-		TGID:         tgid,
-		SendSyscalls: []int{kernel.SysSendto, kernel.SysSendmsg, kernel.SysWrite},
-		RecvSyscalls: []int{kernel.SysRecvfrom, kernel.SysRecvmsg, kernel.SysRead},
-		PollSyscalls: []int{kernel.SysEpollWait, kernel.SysSelect},
-	}
-}
-
 // Observer is an attached send/recv/poll probe set with window
 // bookkeeping. Its sink holds the cumulative statistics: the probes'
 // aggregate maps (Attach), or a ring the probes also stream events into,

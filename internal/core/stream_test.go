@@ -237,26 +237,3 @@ func TestMapSinkHasNoRing(t *testing.T) {
 		t.Fatalf("map-sink sample carries stream bookkeeping: %+v", w)
 	}
 }
-
-// TestMultiObserverPartialAttachDetachesAll covers the failure path of
-// AttachStages: when a later stage fails to attach, every link from the
-// stages that did attach must be removed.
-func TestMultiObserverPartialAttachDetachesAll(t *testing.T) {
-	_, k := rig()
-	good := streamConfig(1)
-	// Five send syscalls pass the core-level non-empty check but exceed
-	// the probe builder's 1..4 matcher limit, so the stage fails after
-	// stage "a" has fully attached.
-	bad := Config{
-		TGID:         2,
-		SendSyscalls: []int{1, 2, 3, 4, 5},
-		RecvSyscalls: []int{kernel.SysRecvfrom},
-		PollSyscalls: []int{kernel.SysEpollWait},
-	}
-	if _, err := AttachStages(k, map[string]Config{"a": good, "b": bad}); err == nil {
-		t.Fatal("stage b should fail to attach")
-	}
-	if got := k.Tracer().Attached(); got != 0 {
-		t.Fatalf("%d links left attached after partial failure", got)
-	}
-}

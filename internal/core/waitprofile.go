@@ -90,11 +90,6 @@ func (wp *WaitProfile) Sample() WaitWindow {
 	return w
 }
 
-// SnapshotAll returns the cumulative per-tgid wait times for every
-// process the probe has seen, not just the tracked tgid (diagnostics,
-// folded-stack rendering).
-func (wp *WaitProfile) SnapshotAll() probes.WaitSnapshot { return wp.probe.Snapshot() }
-
 // Bytes is the probe-side map footprint.
 func (wp *WaitProfile) Bytes() int { return wp.probe.Bytes() }
 

@@ -207,8 +207,8 @@ func TestLRUHashMapEviction(t *testing.T) {
 			t.Fatalf("key %d should survive", k)
 		}
 	}
-	if m.Evictions() != 1 {
-		t.Fatalf("Evictions = %d", m.Evictions())
+	if m.evictions != 1 {
+		t.Fatalf("Evictions = %d", m.evictions)
 	}
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d", m.Len())
@@ -270,7 +270,7 @@ func TestLRUHashMapUsableFromPrograms(t *testing.T) {
 	for key := uint64(1); key <= 10; key++ {
 		runner(key)
 	}
-	if lru.Len() != 2 || lru.Evictions() != 8 {
-		t.Fatalf("len=%d evictions=%d", lru.Len(), lru.Evictions())
+	if lru.Len() != 2 || lru.evictions != 8 {
+		t.Fatalf("len=%d evictions=%d", lru.Len(), lru.evictions)
 	}
 }

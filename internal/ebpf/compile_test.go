@@ -28,10 +28,10 @@ func runBoth(t *testing.T, insns []Instruction, mkMaps func() map[int32]Map, ctx
 		}
 	}
 	if rets[0] != rets[1] {
-		t.Fatalf("return: oracle %#x, Run %#x\n%s", rets[0], rets[1], Disassemble(insns))
+		t.Fatalf("return: oracle %#x, Run %#x\n%s", rets[0], rets[1], disassemble(insns, nil))
 	}
 	if stats[0] != stats[1] {
-		t.Fatalf("stats: oracle %+v, Run %+v\n%s", stats[0], stats[1], Disassemble(insns))
+		t.Fatalf("stats: oracle %+v, Run %+v\n%s", stats[0], stats[1], disassemble(insns, nil))
 	}
 	return rets[0], stats[0]
 }
@@ -196,10 +196,10 @@ func diffRun(t *testing.T, insns []Instruction) uint64 {
 	t.Helper()
 	prog, err := Load(ProgramSpec{Name: "form", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize})
 	if err != nil {
-		t.Fatalf("load: %v\n%s", err, Disassemble(insns))
+		t.Fatalf("load: %v\n%s", err, disassemble(insns, nil))
 	}
 	if n := prog.GenericOps(); n != 0 {
-		t.Fatalf("%d generic ops in a verified program\n%s", n, Disassemble(insns))
+		t.Fatalf("%d generic ops in a verified program\n%s", n, disassemble(insns, nil))
 	}
 	return runDifferential(t, prog, insns, make([]byte, diffCtxSize))
 }

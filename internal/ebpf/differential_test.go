@@ -931,7 +931,7 @@ func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byt
 
 	fail := func(format string, args ...any) {
 		t.Helper()
-		t.Fatalf("%s\nprogram:\n%s", fmt.Sprintf(format, args...), Disassemble(insns))
+		t.Fatalf("%s\nprogram:\n%s", fmt.Sprintf(format, args...), disassemble(insns, nil))
 	}
 
 	m := newStepVM(prog, ctx, env)
@@ -1336,7 +1336,7 @@ func TestDifferentialVM(t *testing.T) {
 		insns := genProgram(rng)
 		prog, err := Load(ProgramSpec{Name: "diff", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize})
 		if err != nil {
-			t.Fatalf("generator emitted a rejected program (trial %d): %v\n%s", trial, err, Disassemble(insns))
+			t.Fatalf("generator emitted a rejected program (trial %d): %v\n%s", trial, err, disassemble(insns, nil))
 		}
 		ctx := make([]byte, diffCtxSize)
 		rng.Read(ctx)
@@ -1419,7 +1419,7 @@ func TestSpillRestorePrograms(t *testing.T) {
 func FuzzDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {
-		f.Add(Encode(genProgram(rng)))
+		f.Add(encodeProgram(genProgram(rng)))
 	}
 	// Dedicated sketch-helper seeds: a cms_update/cms_estimate
 	// round-trip and a hashpipe_insert burst that overflows the tiny
@@ -1431,7 +1431,7 @@ func FuzzDifferential(f *testing.F) {
 	a.Emit(Mov64Reg(R2, R10), Add64Imm(R2, -8), Mov64Imm(R3, 7), Call(HelperCMSUpdate))
 	a.EmitWide(LoadMapFD(R1, 4))
 	a.Emit(Mov64Reg(R2, R10), Add64Imm(R2, -8), Call(HelperCMSEstimate), Exit())
-	f.Add(Encode(a.MustAssemble()))
+	f.Add(encodeProgram(a.MustAssemble()))
 
 	a = NewAssembler()
 	for k := int32(0); k < 6; k++ {
@@ -1440,10 +1440,10 @@ func FuzzDifferential(f *testing.F) {
 		a.Emit(Mov64Reg(R2, R10), Add64Imm(R2, -8), Mov64Imm(R3, k+1), Call(HelperHashPipeInsert))
 	}
 	a.Emit(Exit())
-	f.Add(Encode(a.MustAssemble()))
+	f.Add(encodeProgram(a.MustAssemble()))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		insns, err := Decode(raw)
-		if err != nil || len(insns) == 0 {
+		insns := decodeProgram(raw)
+		if len(insns) == 0 {
 			return
 		}
 		prog, err := Load(ProgramSpec{Name: "diff-fuzz", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize})

@@ -38,8 +38,8 @@
 // Key entry points:
 //
 //   - NewAssembler — build programs from instruction constructors
-//     (Mov64Reg, JumpImm, LoadMapFD, ...); Disassemble prints them
-//     (`cmd/bpfasm` shows the probe listings).
+//     (Mov64Reg, JumpImm, LoadMapFD, ...); Program.Disassemble prints
+//     a loaded one (`cmd/bpfasm` shows the probe listings).
 //   - Load / MustLoad — verify a ProgramSpec and return a runnable
 //     Program; Program.Run executes it against a context and a
 //     HelperEnv.

@@ -1,9 +1,37 @@
 package ebpf
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
+
+// encodeProgram and decodeProgram are the fuzzers' corpus format: the
+// kernel's 8-byte instruction slots, little-endian, dst in the low
+// nibble of byte 1.
+func encodeProgram(insns []Instruction) []byte {
+	out := make([]byte, 0, len(insns)*8)
+	for _, in := range insns {
+		out = append(out, in.Op, uint8(in.Dst)&0x0f|uint8(in.Src)<<4)
+		out = binary.LittleEndian.AppendUint16(out, uint16(in.Off))
+		out = binary.LittleEndian.AppendUint32(out, uint32(in.Imm))
+	}
+	return out
+}
+
+// decodeProgram parses an encoded program; a length that is not a
+// multiple of 8 gives nil.
+func decodeProgram(raw []byte) []Instruction {
+	if len(raw)%8 != 0 {
+		return nil
+	}
+	out := make([]Instruction, 0, len(raw)/8)
+	for b := raw; len(b) > 0; b = b[8:] {
+		out = append(out, Instruction{Op: b[0], Dst: Register(b[1] & 0x0f), Src: Register(b[1] >> 4),
+			Off: int16(binary.LittleEndian.Uint16(b[2:4])), Imm: int32(binary.LittleEndian.Uint32(b[4:8]))})
+	}
+	return out
+}
 
 // TestFuzzVerifierSoundness is the verifier's core safety property under
 // random inputs: for arbitrary instruction streams the verifier must
@@ -35,7 +63,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 		prog, err := func() (p *Program, err error) {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("verifier panicked on trial %d: %v\n%s", trial, r, Disassemble(insns))
+					t.Fatalf("verifier panicked on trial %d: %v\n%s", trial, r, disassemble(insns, nil))
 				}
 			}()
 			return Load(ProgramSpec{Name: "fuzz", Insns: insns, Maps: maps, CtxSize: 64})
@@ -47,7 +75,7 @@ func TestFuzzVerifierSoundness(t *testing.T) {
 		ctx := make([]byte, 64)
 		rng.Read(ctx)
 		if _, _, err := prog.Run(ctx, env); err != nil {
-			t.Fatalf("verified program faulted on trial %d: %v\n%s", trial, err, Disassemble(insns))
+			t.Fatalf("verified program faulted on trial %d: %v\n%s", trial, err, disassemble(insns, nil))
 		}
 	}
 	if accepted == 0 {
@@ -83,7 +111,7 @@ func FuzzVerifier(f *testing.F) {
 		Call(HelperRingbufQuery),
 		Exit(),
 	)
-	f.Add(Encode(a.MustAssemble()))
+	f.Add(encodeProgram(a.MustAssemble()))
 	// Seed: a map lookup with a null check, the other deep helper path.
 	b := NewAssembler()
 	b.Emit(
@@ -100,19 +128,19 @@ func FuzzVerifier(f *testing.F) {
 	b.Emit(LoadMem(R0, R0, 0, SizeDW))
 	b.Label("miss")
 	b.Emit(Mov64Imm(R0, 0), Exit())
-	f.Add(Encode(b.MustAssemble()))
-	f.Add(Encode([]Instruction{Mov64Imm(R0, 0), Exit()}))
+	f.Add(encodeProgram(b.MustAssemble()))
+	f.Add(encodeProgram([]Instruction{Mov64Imm(R0, 0), Exit()}))
 	// Seeds from the differential generator: verifier-accepted programs
 	// mixing ALU, stack/ctx memory, pointer spills, branches, and every
 	// helper, so mutation starts deep inside the accepted grammar.
 	gen := rand.New(rand.NewSource(23))
 	for i := 0; i < 4; i++ {
-		f.Add(Encode(genProgram(gen)))
+		f.Add(encodeProgram(genProgram(gen)))
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		insns, err := Decode(raw)
-		if err != nil || len(insns) == 0 {
+		insns := decodeProgram(raw)
+		if len(insns) == 0 {
 			return
 		}
 		maps := map[int32]Map{
@@ -126,7 +154,7 @@ func FuzzVerifier(f *testing.F) {
 		}
 		env := &FixedEnv{TimeNS: 123, PidTgid: 42<<32 | 7, CPU: 1}
 		if _, _, err := prog.Run(make([]byte, 64), env); err != nil {
-			t.Fatalf("verified program faulted: %v\n%s", err, Disassemble(insns))
+			t.Fatalf("verified program faulted: %v\n%s", err, disassemble(insns, nil))
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package ebpf
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -191,53 +190,6 @@ func (i Instruction) UsesImm() bool { return i.Op&0x08 == SrcK }
 // IsWideLoad reports whether this is the first slot of an LdImmDW pair.
 func (i Instruction) IsWideLoad() bool { return i.Op == OpLdImmDW }
 
-// Encode serializes the instruction to its 8-byte wire format
-// (little-endian, as on x86 Linux).
-func (i Instruction) Encode() [8]byte {
-	var b [8]byte
-	b[0] = i.Op
-	b[1] = uint8(i.Dst)&0x0f | uint8(i.Src)<<4
-	binary.LittleEndian.PutUint16(b[2:4], uint16(i.Off))
-	binary.LittleEndian.PutUint32(b[4:8], uint32(i.Imm))
-	return b
-}
-
-// DecodeInstruction parses one 8-byte slot.
-func DecodeInstruction(b [8]byte) Instruction {
-	return Instruction{
-		Op:  b[0],
-		Dst: Register(b[1] & 0x0f),
-		Src: Register(b[1] >> 4),
-		Off: int16(binary.LittleEndian.Uint16(b[2:4])),
-		Imm: int32(binary.LittleEndian.Uint32(b[4:8])),
-	}
-}
-
-// Encode serializes a whole program to bytes.
-func Encode(insns []Instruction) []byte {
-	out := make([]byte, 0, len(insns)*8)
-	for _, in := range insns {
-		b := in.Encode()
-		out = append(out, b[:]...)
-	}
-	return out
-}
-
-// Decode parses a serialized program. The byte length must be a multiple
-// of 8.
-func Decode(raw []byte) ([]Instruction, error) {
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("ebpf: program length %d not a multiple of 8", len(raw))
-	}
-	out := make([]Instruction, 0, len(raw)/8)
-	for i := 0; i < len(raw); i += 8 {
-		var b [8]byte
-		copy(b[:], raw[i:i+8])
-		out = append(out, DecodeInstruction(b))
-	}
-	return out, nil
-}
-
 // aluOpNames maps ALU operation bits to mnemonics.
 var aluOpNames = map[uint8]string{
 	ALUAdd: "add", ALUSub: "sub", ALUMul: "mul", ALUDiv: "div",
@@ -315,11 +267,8 @@ func (i Instruction) String() string {
 	return fmt.Sprintf("invalid(op=%#x)", i.Op)
 }
 
-// Disassemble renders a program one instruction per line, fusing wide
-// loads into a single line.
-func Disassemble(insns []Instruction) string { return disassemble(insns, nil) }
-
-// disassemble is Disassemble with an optional trailing column: note
+// disassemble renders a program one instruction per line, fusing wide
+// loads into a single line, with an optional trailing column: note
 // returns what to print beside the slot at pc.
 func disassemble(insns []Instruction, note func(pc int) string) string {
 	var out strings.Builder

@@ -8,18 +8,19 @@ import (
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	ins := Instruction{Op: ClassALU64 | ALUAdd | SrcK, Dst: R3, Src: R7, Off: -42, Imm: 123456}
-	got := DecodeInstruction(ins.Encode())
+	got := decodeProgram(encodeProgram([]Instruction{ins}))[0]
 	if got != ins {
 		t.Fatalf("roundtrip: %+v != %+v", got, ins)
 	}
 }
 
-// Property: every instruction survives encode/decode, for all field values
-// that fit the wire format (registers are 4 bits).
+// Property: every instruction survives the fuzzers' encode/decode, for
+// all field values that fit the wire format (registers are 4 bits), so
+// a seed program is what its corpus entry decodes to.
 func TestPropertyEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(op uint8, dst, src uint8, off int16, imm int32) bool {
 		ins := Instruction{Op: op, Dst: Register(dst & 0x0f), Src: Register(src & 0x0f), Off: off, Imm: imm}
-		return DecodeInstruction(ins.Encode()) == ins
+		return decodeProgram(encodeProgram([]Instruction{ins}))[0] == ins
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -32,14 +33,11 @@ func TestProgramEncodeDecode(t *testing.T) {
 		Add64Reg(R0, R1),
 		Exit(),
 	}
-	raw := Encode(prog)
+	raw := encodeProgram(prog)
 	if len(raw) != 24 {
 		t.Fatalf("encoded %d bytes, want 24", len(raw))
 	}
-	back, err := Decode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decodeProgram(raw)
 	for i := range prog {
 		if back[i] != prog[i] {
 			t.Fatalf("insn %d: %+v != %+v", i, back[i], prog[i])
@@ -48,8 +46,8 @@ func TestProgramEncodeDecode(t *testing.T) {
 }
 
 func TestDecodeRejectsBadLength(t *testing.T) {
-	if _, err := Decode(make([]byte, 13)); err == nil {
-		t.Fatal("expected error for non-multiple-of-8 length")
+	if decodeProgram(make([]byte, 13)) != nil {
+		t.Fatal("a non-multiple-of-8 length decoded")
 	}
 }
 
@@ -88,7 +86,7 @@ func TestDisassembleMnemonics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dis := Disassemble(insns)
+	dis := disassemble(insns, nil)
 	for _, want := range []string{
 		"lddw r1, map_fd(3)",
 		"mov r0, 0",

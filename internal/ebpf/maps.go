@@ -259,9 +259,6 @@ func (m *LRUHashMap) ValueSize() int { return m.valueSize }
 // Len returns the number of live entries.
 func (m *LRUHashMap) Len() int { return len(m.entries) }
 
-// Evictions returns how many entries were displaced by inserts.
-func (m *LRUHashMap) Evictions() uint64 { return m.evictions }
-
 // Lookup returns the live value slice and refreshes the entry's recency.
 func (m *LRUHashMap) Lookup(key []byte) ([]byte, bool) {
 	if len(key) != m.keySize {

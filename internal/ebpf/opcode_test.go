@@ -43,12 +43,12 @@ func runBothFaulting(t *testing.T, name string, prog []Instruction) (string, Run
 		p := build(ProgramSpec{Name: "fault", Insns: prog, Maps: diffMaps(), CtxSize: 8}, 0)
 		_, st, err := e.run(p, make([]byte, 8), &FixedEnv{TimeNS: 9, PidTgid: 7})
 		if err == nil {
-			t.Fatalf("%s (%s): no fault\n%s", name, e.name, Disassemble(prog))
+			t.Fatalf("%s (%s): no fault\n%s", name, e.name, disassemble(prog, nil))
 		}
 		errs[i], stats[i] = err.Error(), st
 	}
 	if errs[0] != errs[1] || stats[0] != stats[1] {
-		t.Errorf("%s: oracle %q %+v, Run %q %+v\n%s", name, errs[0], stats[0], errs[1], stats[1], Disassemble(prog))
+		t.Errorf("%s: oracle %q %+v, Run %q %+v\n%s", name, errs[0], stats[0], errs[1], stats[1], disassemble(prog, nil))
 	}
 	return errs[1], stats[1]
 }

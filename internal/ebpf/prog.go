@@ -106,9 +106,6 @@ func (p *Program) GenericOps() int { return p.genericOps }
 // holds them to it.
 func (p *Program) ColdOps() uint64 { return p.coldOps }
 
-// Map returns the map loaded at fd, or nil.
-func (p *Program) Map(fd int32) Map { return p.maps[fd] }
-
 // Disassemble renders the loaded program. Each line also names the op
 // the slot decoded to — "cold" has no hot half — and marks the leader of
 // a fused pair, whose second slot then runs only when the leader

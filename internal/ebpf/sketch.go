@@ -100,12 +100,6 @@ func (c *CMS) KeySize() int { return c.keySize }
 // ValueSize is 8: estimates read out as one little-endian uint64.
 func (c *CMS) ValueSize() int { return 8 }
 
-// Width returns the per-row counter count.
-func (c *CMS) Width() int { return c.width }
-
-// Depth returns the row count.
-func (c *CMS) Depth() int { return c.depth }
-
 // Total returns N, the total mass added to the sketch.
 func (c *CMS) Total() uint64 { return c.total }
 
@@ -268,12 +262,6 @@ func (h *HashPipe) KeySize() int { return h.keySize }
 
 // ValueSize is 8: counts read out as one little-endian uint64.
 func (h *HashPipe) ValueSize() int { return 8 }
-
-// Stages returns the pipeline depth.
-func (h *HashPipe) Stages() int { return h.stages }
-
-// Slots returns the per-stage slot count.
-func (h *HashPipe) Slots() int { return h.slots }
 
 // Bytes returns the map-space footprint of the modeled structure:
 // every cell holds a key and a count.

@@ -14,8 +14,8 @@ func TestCMSMapInterface(t *testing.T) {
 	if c.Name() != "cms" || c.KeySize() != 8 || c.ValueSize() != 8 {
 		t.Fatalf("identity: name %q keySize %d valueSize %d", c.Name(), c.KeySize(), c.ValueSize())
 	}
-	if c.Width() != 128 || c.Depth() != 3 {
-		t.Fatalf("geometry: %dx%d", c.Width(), c.Depth())
+	if c.width != 128 || c.depth != 3 {
+		t.Fatalf("geometry: %dx%d", c.width, c.depth)
 	}
 	if got, want := c.Bytes(), 128*3*8; got != want {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
@@ -64,8 +64,8 @@ func TestHashPipeMapInterface(t *testing.T) {
 	if h.Name() != "hp" || h.KeySize() != 8 || h.ValueSize() != 8 {
 		t.Fatalf("identity: name %q keySize %d valueSize %d", h.Name(), h.KeySize(), h.ValueSize())
 	}
-	if h.Stages() != 3 || h.Slots() != 4 {
-		t.Fatalf("geometry: %dx%d", h.Stages(), h.Slots())
+	if h.stages != 3 || h.slots != 4 {
+		t.Fatalf("geometry: %dx%d", h.stages, h.slots)
 	}
 	if got, want := h.Bytes(), 3*4*(8+8); got != want {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
@@ -264,7 +264,7 @@ func TestSketchHelperReturnValues(t *testing.T) {
 // fleet layer depends on: folding per-node sketches in node-ID order
 // yields bit-identical state no matter how the nodes' update streams
 // were sharded across workers. This is the map-space analogue of
-// RunPoints' any-Parallelism guarantee.
+// harness.RunCells' any-Parallelism guarantee.
 func TestSketchMergeShardingDeterminism(t *testing.T) {
 	const nodes = 8
 	build := func(shards int) (*CMS, *HashPipe) {

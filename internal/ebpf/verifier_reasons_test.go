@@ -343,7 +343,7 @@ func TestVerifierRejectionTable(t *testing.T) {
 			_, err := Load(ProgramSpec{Name: "reject", Insns: tc.insns, Maps: reasonMaps(), CtxSize: 64})
 			if err == nil {
 				t.Fatalf("verifier accepted program (want reason containing %q):\n%s",
-					tc.want, Disassemble(tc.insns))
+					tc.want, disassemble(tc.insns, nil))
 			}
 			var ve *VerifierError
 			if !errors.As(err, &ve) {

@@ -150,15 +150,6 @@ type Window struct {
 	Open  bool          // no scheduled end: active until Clear
 }
 
-// Contains reports whether offset t (relative to Arm) falls inside the
-// window.
-func (w Window) Contains(t time.Duration) bool {
-	if t < w.Start {
-		return false
-	}
-	return w.Open || t < w.End
-}
-
 // Windows returns the plan's ground-truth active intervals, one per
 // scheduled fault in schedule order — the supervision labels the
 // attribution scorer grades against, derived from the same Start and
@@ -223,13 +214,6 @@ func RingStallPlan(start, dur time.Duration) Plan {
 func ProbeChurnPlan(start, dur time.Duration) Plan {
 	return Plan{Name: "probe-churn", Seed: 16,
 		Faults: []Fault{{Kind: ProbeChurn, Start: start, Duration: dur}}}
-}
-
-// NetemShiftPlan reshapes every link to cfg from start for dur
-// (0 = until Clear) — the windowed counterpart of DelayPlan/LossPlan.
-func NetemShiftPlan(start, dur time.Duration, cfg netsim.Config) Plan {
-	return Plan{Name: "netem-shift", Seed: 17,
-		Faults: []Fault{{Kind: NetemShift, Start: start, Duration: dur, Netem: cfg}}}
 }
 
 // StandardPlans is the library the robustness matrix and CLI use: the

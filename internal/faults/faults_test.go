@@ -258,23 +258,10 @@ func TestPlanWindows(t *testing.T) {
 	}
 }
 
-func TestWindowContains(t *testing.T) {
-	closed := Window{Kind: CPUOffline, Start: time.Second, End: 3 * time.Second}
-	for _, c := range []struct {
-		at   time.Duration
-		want bool
-	}{
-		{0, false}, {time.Second, true}, {2 * time.Second, true},
-		{3 * time.Second, false}, {4 * time.Second, false},
-	} {
-		if got := closed.Contains(c.at); got != c.want {
-			t.Errorf("closed.Contains(%v) = %v, want %v", c.at, got, c.want)
-		}
-	}
-	open := Window{Kind: NoisyNeighbor, Start: time.Second, End: time.Second, Open: true}
-	if open.Contains(500*time.Millisecond) || !open.Contains(time.Hour) {
-		t.Fatal("open window must contain everything from Start on")
-	}
+// netemShift reshapes every link to cfg from start for dur (0 = until
+// Clear).
+func netemShift(start, dur time.Duration, cfg netsim.Config) Plan {
+	return Plan{Name: "netem-shift", Faults: []Fault{{Kind: NetemShift, Start: start, Duration: dur, Netem: cfg}}}
 }
 
 // TestNetemShiftWindow: the link override appears at the window start
@@ -286,7 +273,7 @@ func TestNetemShiftWindow(t *testing.T) {
 	net := netsim.New(env)
 	cfg := netsim.Config{Delay: 10 * time.Millisecond}
 
-	if _, err := Arm(NetemShiftPlan(0, time.Second, cfg), Target{Kernel: k}); err == nil {
+	if _, err := Arm(netemShift(0, time.Second, cfg), Target{Kernel: k}); err == nil {
 		t.Fatal("Arm accepted netem-shift without a target network")
 	}
 	bad := Plan{Faults: []Fault{{Kind: NetemShift}}}
@@ -294,7 +281,7 @@ func TestNetemShiftWindow(t *testing.T) {
 		t.Fatal("Arm accepted netem-shift with a zero link config")
 	}
 
-	plan := NetemShiftPlan(time.Millisecond, 2*time.Millisecond, cfg)
+	plan := netemShift(time.Millisecond, 2*time.Millisecond, cfg)
 	c := MustArm(plan, Target{Kernel: k, Net: net})
 	var during, after bool
 	env.Schedule(1500*time.Microsecond, func() { during = net.Shaped() })
@@ -313,7 +300,7 @@ func TestNetemShiftClearRestores(t *testing.T) {
 	env, k := testKernel(2)
 	defer env.Shutdown()
 	net := netsim.New(env)
-	c := MustArm(NetemShiftPlan(0, 0, netsim.Config{Loss: 0.5}), Target{Kernel: k, Net: net})
+	c := MustArm(netemShift(0, 0, netsim.Config{Loss: 0.5}), Target{Kernel: k, Net: net})
 	env.RunFor(time.Millisecond)
 	if !net.Shaped() {
 		t.Fatal("open netem-shift window not applied")

@@ -38,7 +38,7 @@
 // JSON-serializable value; the driver assembles the slice. Render*
 // print each result as the ASCII analogue of the paper's figure.
 //
-// RunCells sits on RunPoints, a bounded worker pool
+// RunCells sits on runPoints, a bounded worker pool
 // (ExpOptions.Parallelism; GOMAXPROCS by default). Points share nothing
 // and results are reassembled in point order, so output is bit-identical
 // to a sequential run at any parallelism (TestParallelSweepDeterminism).

@@ -13,12 +13,13 @@ import (
 	"reqlens/internal/telemetry"
 )
 
-// PointCtx is the execution context RunPoints hands each point
-// function. Clock is the attempt's budget clock under supervision (nil
-// otherwise); a rig built through the point (or RigOptions.Clock, for a
-// direct RunPoints caller) makes the event loop honor the deadline. Attempt is 0 on the first try and
-// increments per retry — the point's *inputs* never depend on it, which
-// is what makes a retried success bit-identical to a first-try one.
+// PointCtx is the execution context the engine (runPoints) hands each
+// point function. Clock is the attempt's budget clock under supervision
+// (nil otherwise); a rig built through the point (or RigOptions.Clock,
+// for a direct runPoints caller) makes the event loop honor the
+// deadline. Attempt is 0 on the first try and increments per retry —
+// the point's *inputs* never depend on it, which is what makes a
+// retried success bit-identical to a first-try one.
 //
 // Telemetry is set by RunCells only: the point's private registry (nil
 // when the run is uninstrumented), merged into the run-level registry
@@ -47,8 +48,8 @@ type PointDone struct {
 }
 
 // RunStats is the engine's aggregate wall-clock accounting for one
-// RunPoints batch. It is reported through ExpOptions.Stats and returned
-// by RunPoints; it is deliberately kept out of experiment results so
+// runPoints batch. It is reported through ExpOptions.Stats and returned
+// by runPoints; it is deliberately kept out of experiment results so
 // that parallel and sequential runs produce identical result values.
 type RunStats struct {
 	Points    int             // points in the batch
@@ -130,7 +131,7 @@ func (o ExpOptions) workers(n int) int {
 	return w
 }
 
-// RunPoints runs fn for every point i in [0, len(labels)) across a
+// runPoints runs fn for every point i in [0, len(labels)) across a
 // bounded worker pool and returns the results in point order. fn must be
 // a pure function of its index (each call typically builds, drives, and
 // closes one Rig); it must not share mutable state across points. The
@@ -157,16 +158,10 @@ func (o ExpOptions) workers(n int) int {
 // points whose (experiment, label) key maps to an ok checkpoint with a
 // matching root seed and point index are satisfied from the journal
 // without recomputation — and re-checkpointed, so a resumed run's
-// journal is itself resumable. A direct RunPoints batch has the empty
-// scope; RunCells names one per experiment.
-func RunPoints[T any](opt ExpOptions, labels []string, fn func(pc PointCtx, i int) T) ([]T, RunStats) {
-	return runPoints(opt, "", labels, fn)
-}
-
-// runPoints is RunPoints under an experiment scope. Labels repeat across
-// experiments (sweep and stream-agreement both use "<workload>
-// level=X"), so the scope is what keeps one journal's checkpoints from
-// shadowing each other.
+// journal is itself resumable. The key's experiment scope is the one
+// RunCells names: labels repeat across experiments (sweep and
+// stream-agreement both use "<workload> level=X"), so the scope is what
+// keeps one journal's checkpoints from shadowing each other.
 func runPoints[T any](opt ExpOptions, scope string, labels []string, fn func(pc PointCtx, i int) T) ([]T, RunStats) {
 	n := len(labels)
 	out := make([]T, n)

@@ -134,7 +134,7 @@ func TestRunPointsOrderingAndProgress(t *testing.T) {
 	var statsSeen RunStats
 	opt.Stats = func(s RunStats) { statsSeen = s }
 
-	out, st := RunPoints(opt, labels, func(_ PointCtx, i int) int {
+	out, st := runPoints(opt, "", labels, func(_ PointCtx, i int) int {
 		time.Sleep(time.Duration(7-i) * time.Millisecond) // finish out of order
 		return i * i
 	})
@@ -167,14 +167,14 @@ func TestRunPointsOrderingAndProgress(t *testing.T) {
 }
 
 func TestRunPointsEmptyAndSequential(t *testing.T) {
-	out, st := RunPoints(ExpOptions{}, nil, func(_ PointCtx, i int) int { return i })
+	out, st := runPoints(ExpOptions{}, "", nil, func(_ PointCtx, i int) int { return i })
 	if len(out) != 0 || st.Points != 0 {
 		t.Fatalf("empty batch: out=%v stats=%+v", out, st)
 	}
 	// Parallelism 1 must use the caller's goroutine (sequential path).
 	opt := ExpOptions{Parallelism: 1}
 	var order []int
-	outs, st := RunPoints(opt, []string{"a", "b", "c"}, func(_ PointCtx, i int) int {
+	outs, st := runPoints(opt, "", []string{"a", "b", "c"}, func(_ PointCtx, i int) int {
 		order = append(order, i) // safe: sequential path, no goroutines
 		return i
 	})

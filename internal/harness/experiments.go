@@ -91,7 +91,7 @@ type ExpOptions struct {
 	SeparateClient bool
 
 	// Parallelism bounds how many independent experiment points the
-	// engine (RunPoints) runs concurrently: 0 means GOMAXPROCS, 1
+	// engine (runPoints) runs concurrently: 0 means GOMAXPROCS, 1
 	// forces the sequential path. Results are identical at any setting;
 	// only wall-clock time changes. Quick() leaves it 0.
 	Parallelism int
@@ -156,7 +156,7 @@ type ExpOptions struct {
 	Resume map[string]telemetry.Record
 }
 
-// Supervised reports whether RunPoints should wrap points in a
+// Supervised reports whether the engine should wrap points in a
 // resilience.Supervisor.
 func (o ExpOptions) Supervised() bool {
 	return o.Supervise || o.Deadline > 0 || o.Retries > 0 || o.Chaos != nil

@@ -43,7 +43,7 @@ func TestRunPointsPanicIsolation(t *testing.T) {
 	for i := range labels {
 		labels[i] = fmt.Sprintf("p%d", i)
 	}
-	clean, _ := RunPoints(ExpOptions{Parallelism: 1}, labels,
+	clean, _ := runPoints(ExpOptions{Parallelism: 1}, "", labels,
 		func(_ PointCtx, i int) []float64 { return compute(i) })
 
 	for _, par := range []int{1, 2, 4} {
@@ -52,7 +52,7 @@ func TestRunPointsPanicIsolation(t *testing.T) {
 		var done []PointDone
 		opt := ExpOptions{Parallelism: par, Supervise: true, Telemetry: reg,
 			Progress: func(p PointDone) { mu.Lock(); done = append(done, p); mu.Unlock() }}
-		out, st := RunPoints(opt, labels, func(_ PointCtx, i int) []float64 {
+		out, st := runPoints(opt, "", labels, func(_ PointCtx, i int) []float64 {
 			if i == 2 {
 				panic("probe exploded")
 			}
@@ -122,9 +122,9 @@ func TestRunPointsThreadPanicIsolation(t *testing.T) {
 			return r.Measure(100 * time.Millisecond).Load.RealRPS
 		}
 	}
-	clean, _ := RunPoints(ExpOptions{Parallelism: 1}, labels, point(-1))
+	clean, _ := runPoints(ExpOptions{Parallelism: 1}, "", labels, point(-1))
 	for _, par := range []int{1, 2} {
-		out, st := RunPoints(ExpOptions{Parallelism: par, Supervise: true}, labels, point(1))
+		out, st := runPoints(ExpOptions{Parallelism: par, Supervise: true}, "", labels, point(1))
 		if out[0] != clean[0] || out[2] != clean[2] || clean[0] == 0 || clean[2] == 0 {
 			t.Fatalf("par=%d: bystander points perturbed: %v vs clean %v", par, out, clean)
 		}
@@ -231,7 +231,7 @@ func TestResumeEngineSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, _ := RunPoints(ExpOptions{Parallelism: 1, Journal: j},
+	first, _ := runPoints(ExpOptions{Parallelism: 1, Journal: j}, "",
 		labels, func(_ PointCtx, i int) []float64 { return compute(i) })
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestResumeEngineSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, st := RunPoints(ExpOptions{Parallelism: 1, Resume: cps, Journal: j2, Telemetry: reg},
+	resumed, st := runPoints(ExpOptions{Parallelism: 1, Resume: cps, Journal: j2, Telemetry: reg}, "",
 		labels, func(_ PointCtx, i int) []float64 { recomputed++; return compute(i) })
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestResumeEngineSemantics(t *testing.T) {
 	// A checkpoint written under another root seed must be refused.
 	wrongSeed := ExpOptions{Parallelism: 1, Seed: 43, Resume: cps}
 	recomputed = 0
-	_, st = RunPoints(wrongSeed, labels, func(_ PointCtx, i int) []float64 { recomputed++; return compute(i) })
+	_, st = runPoints(wrongSeed, "", labels, func(_ PointCtx, i int) []float64 { recomputed++; return compute(i) })
 	if recomputed != 3 || st.Cached != 0 {
 		t.Fatalf("wrong-seed resume: recomputed=%d cached=%d, want 3/0", recomputed, st.Cached)
 	}
@@ -306,7 +306,7 @@ func TestResumeEngineSemantics(t *testing.T) {
 		shifted[k] = r
 	}
 	recomputed = 0
-	_, st = RunPoints(ExpOptions{Parallelism: 1, Resume: shifted}, labels,
+	_, st = runPoints(ExpOptions{Parallelism: 1, Resume: shifted}, "", labels,
 		func(_ PointCtx, i int) []float64 { recomputed++; return compute(i) })
 	if recomputed != 3 || st.Cached != 0 {
 		t.Fatalf("index-mismatch resume: recomputed=%d cached=%d, want 3/0", recomputed, st.Cached)

@@ -19,7 +19,7 @@ func TestLoadgenSeedStability(t *testing.T) {
 	spec := workloads.Silo()
 	collect := func(par int, armClear bool) [][]sim.Time {
 		opt := ExpOptions{Parallelism: par}
-		out, _ := RunPoints(opt, []string{"p0", "p1"}, func(_ PointCtx, i int) []sim.Time {
+		out, _ := runPoints(opt, "", []string{"p0", "p1"}, func(_ PointCtx, i int) []sim.Time {
 			// Poisson pacing so arrivals depend on the seed (fixed-rate
 			// pacing is deliberately seed-independent).
 			rig := NewRig(spec, RigOptions{

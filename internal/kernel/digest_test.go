@@ -112,15 +112,15 @@ func scheduleDigest(t *testing.T, seed int64, ncpu, nthreads int) (digest, summa
 	interfere = func() {
 		switch chaos.Intn(8) {
 		case 0:
-			queuedAtResize += k.RunQueueLen()
+			queuedAtResize += k.sched.runq.Len()
 			k.SetOnlineCPUs(1 + chaos.Intn(ncpu))
 		case 1:
-			queuedAtResize += k.RunQueueLen()
+			queuedAtResize += k.sched.runq.Len()
 			k.SetOnlineCPUs(ncpu)
 		case 2:
 			k.OfflineCPUs(1 + chaos.Intn(ncpu))
 		case 3:
-			queuedAtResize += k.RunQueueLen()
+			queuedAtResize += k.sched.runq.Len()
 			k.OnlineAllCPUs()
 		case 4:
 			k.FlushCPUAffinity()

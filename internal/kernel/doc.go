@@ -16,7 +16,7 @@
 // one sim.Proc.Block continuation (Thread.resume) that mostly runs in
 // event-loop context, so the coroutine resumes once per syscall. The
 // convention: a syscall body never parks. It is a Step that arranges its
-// wake-up and returns not done; no continuation calls Sleep or Park.
+// wake-up and returns not done; no continuation calls Sleep or Block.
 //
 // A loop thread (Process.SpawnLoop) has no coroutine at all: its
 // blocking calls return at once when they must wait, and its body runs

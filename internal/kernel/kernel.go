@@ -79,9 +79,6 @@ func (k *Kernel) Tracer() *Tracer { return k.tracer }
 // CPUs returns the number of logical CPUs.
 func (k *Kernel) CPUs() int { return k.sched.ncpu }
 
-// RunQueueLen returns the instantaneous run queue depth (diagnostics).
-func (k *Kernel) RunQueueLen() int { return k.sched.runq.Len() }
-
 // OnlineCPUs returns how many CPUs currently accept dispatches.
 func (k *Kernel) OnlineCPUs() int { return k.sched.onlineCount() }
 
@@ -120,9 +117,6 @@ func (k *Kernel) NewProcess(name string) *Process {
 	k.procs = append(k.procs, p)
 	return p
 }
-
-// Processes returns all registered processes.
-func (k *Kernel) Processes() []*Process { return k.procs }
 
 // Process is a simulated process: a tgid grouping threads.
 type Process struct {

@@ -38,7 +38,7 @@ func TestThreadIdentity(t *testing.T) {
 	if th.TID() == p.TGID() {
 		t.Fatal("tid should differ from tgid for spawned threads")
 	}
-	if len(p.Threads()) != 1 || len(k.Processes()) != 1 {
+	if len(p.Threads()) != 1 || len(k.procs) != 1 {
 		t.Fatal("registration lists wrong")
 	}
 }
@@ -155,7 +155,7 @@ func TestRunQueueVisibility(t *testing.T) {
 		})
 	}
 	env.Schedule(500*time.Microsecond, func() {
-		if k.RunQueueLen() > 0 {
+		if k.sched.runq.Len() > 0 {
 			sawQueue = true
 		}
 	})

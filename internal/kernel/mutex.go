@@ -94,9 +94,6 @@ func (m *Mutex) Unlock(t *Thread) {
 	}
 }
 
-// Waiters returns the number of threads parked on the mutex.
-func (m *Mutex) Waiters() int { return len(m.waiters) }
-
 // Acquisitions returns total Lock calls.
 func (m *Mutex) Acquisitions() uint64 { return m.acquisitions }
 

@@ -57,8 +57,8 @@ func TestMutexContendedParksInFutex(t *testing.T) {
 	if futexes == 0 {
 		t.Fatal("contended lock should issue futex syscalls")
 	}
-	if mu.Waiters() != 0 {
-		t.Fatalf("leaked waiters: %d", mu.Waiters())
+	if len(mu.waiters) != 0 {
+		t.Fatalf("leaked waiters: %d", len(mu.waiters))
 	}
 }
 

@@ -227,7 +227,7 @@ func (s *scheduler) start(t *Thread, d, then time.Duration) bool {
 // thread's coroutine or in a syscall's continuation, then by whichever
 // event activates the parked thread — so it never parks: a stage that has to
 // wait records where to resume and returns false. Between two waits it
-// does what a compute written as Sleeps and Parks on the coroutine
+// does what a compute written as Sleeps and parks on the coroutine
 // would, in that order, so every event, counter and tracepoint stays
 // where that form put it. Its quirk too: a queued thread activated
 // before it has a CPU stays queued, but any activation during a

@@ -140,7 +140,7 @@ func TestMutexFIFOWaitersDrain(t *testing.T) {
 			mu.Unlock(th)
 		})
 	}
-	env.Schedule(time.Millisecond, func() { maxParked = mu.Waiters() })
+	env.Schedule(time.Millisecond, func() { maxParked = len(mu.waiters) })
 	env.Run()
 	if maxParked != 3 {
 		t.Fatalf("parked population while held = %d, want 3", maxParked)
@@ -148,8 +148,8 @@ func TestMutexFIFOWaitersDrain(t *testing.T) {
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("wake order = %v, want FIFO [0 1 2]", order)
 	}
-	if mu.Waiters() != 0 {
-		t.Fatalf("queue not drained: %d waiters left", mu.Waiters())
+	if len(mu.waiters) != 0 {
+		t.Fatalf("queue not drained: %d waiters left", len(mu.waiters))
 	}
 }
 

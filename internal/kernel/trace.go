@@ -135,9 +135,6 @@ func (l *Link) Detach() {
 	}
 }
 
-// Program returns the attached program.
-func (l *Link) Program() *ebpf.Program { return l.prog }
-
 // Tracer dispatches tracepoint hits to attached eBPF programs and Go
 // listeners. It implements ebpf.HelperEnv for the duration of each
 // program run (the simulation is single-threaded, so one current-thread

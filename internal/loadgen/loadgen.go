@@ -233,16 +233,6 @@ func (c *Client) Snapshot() Results {
 // foreign tenant's.
 func (c *Client) TGID() int { return c.proc.TGID() }
 
-// Completed returns the number of responses received in the current
-// measurement window.
-func (c *Client) Completed() uint64 { return c.completed }
-
-// Lifetime returns responses received since the client started.
-func (c *Client) Lifetime() uint64 { return c.lifetime }
-
-// Outstanding returns requests awaiting responses.
-func (c *Client) Outstanding() int { return len(c.sentAt) }
-
 // Arrivals returns the captured send times (up to
 // Options.CaptureArrivals entries, in send order). The returned slice
 // is a copy.

@@ -175,11 +175,11 @@ func TestOutstandingAndLifetime(t *testing.T) {
 	l := echoServer(k, n, 100*time.Microsecond, netsim.Config{})
 	c := New(k, l, Options{Rate: 1000, Conns: 4})
 	env.RunFor(500 * time.Millisecond)
-	if c.Lifetime() == 0 {
+	if c.lifetime == 0 {
 		t.Fatal("no responses received")
 	}
-	if c.Outstanding() > 50 {
-		t.Fatalf("outstanding = %d at low load", c.Outstanding())
+	if len(c.sentAt) > 50 {
+		t.Fatalf("outstanding = %d at low load", len(c.sentAt))
 	}
 }
 
@@ -188,7 +188,7 @@ func TestZeroRateClientIdles(t *testing.T) {
 	l := echoServer(k, n, 0, netsim.Config{})
 	c := New(k, l, Options{Rate: 0, Conns: 2})
 	env.RunFor(100 * time.Millisecond)
-	if c.Lifetime() != 0 {
+	if c.lifetime != 0 {
 		t.Fatal("zero-rate client sent requests")
 	}
 }
@@ -206,8 +206,8 @@ func TestClientSpawnsNoGoroutines(t *testing.T) {
 	env.RunFor(100 * time.Millisecond)
 	got := runtime.NumGoroutine()
 	env.Shutdown()
-	if c.Lifetime() < 1000 {
-		t.Fatalf("%d responses in 100ms at 20k RPS", c.Lifetime())
+	if c.lifetime < 1000 {
+		t.Fatalf("%d responses in 100ms at 20k RPS", c.lifetime)
 	}
 	if got > base+64 {
 		t.Fatalf("%d goroutines after the run, %d before it plus the server's 64: the client holds %d",

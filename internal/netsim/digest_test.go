@@ -175,7 +175,7 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 				th.Syscall(kernel.SysIoUringEnter, [6]uint64{}, kernel.Sleeping(200*time.Microsecond, 0))
 				sleeps++
 			default:
-				h.RecvBypass(th)
+				recvBypass(h, th)
 				bypassed++
 			}
 		}
@@ -214,7 +214,7 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 		"\n  reads=%v timeouts=%d raced=%d stale=%d accepted=%d bypassed=%d sleeps=%d sent=%d lost=%d",
 		env.Now(), env.Executed(), binary.LittleEndian.Uint64(sum.At(0)),
 		dispatches, preemptions, ctxSwitches, tr.Runs(), mu.Contended(), mu.Acquisitions(),
-		got, timeouts, raced, stale, accepted, bypassed, sleeps, n.PacketsSent(), n.PacketsLost())
+		got, timeouts, raced, stale, accepted, bypassed, sleeps, n.packetsSent, n.packetsLost)
 	for _, th := range ths {
 		summary += fmt.Sprintf("\n  %s cpu=%v probe=%v waits=%d syscalls=%d",
 			th.Name(), th.CPUTime(), th.ProbeCost(), th.RunQueueWaits(), th.SyscallCount())

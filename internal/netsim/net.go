@@ -59,12 +59,6 @@ func New(env *sim.Env) *Network {
 // Env returns the simulation environment.
 func (n *Network) Env() *sim.Env { return n.env }
 
-// PacketsSent returns the number of message transmissions attempted.
-func (n *Network) PacketsSent() uint64 { return n.packetsSent }
-
-// PacketsLost returns the number of first-transmission losses.
-func (n *Network) PacketsLost() uint64 { return n.packetsLost }
-
 func (n *Network) fd() int {
 	n.nextFD++
 	return n.nextFD

@@ -9,6 +9,15 @@ import (
 	"reqlens/internal/sim"
 )
 
+// recvBypass blocks th for a message on s without a syscall: an
+// io_uring-style completion-queue wait.
+func recvBypass(s *Sock, th *kernel.Thread) *Message {
+	f := frameOf(th)
+	f.sock, f.block = s, true
+	th.Wait(recvBody)
+	return f.msg
+}
+
 func testRig(ncpu int) (*sim.Env, *kernel.Kernel, *Network) {
 	env := sim.NewEnv(7)
 	prof := machine.Profile{
@@ -104,7 +113,7 @@ func TestLossDelaysDeliveryByRTO(t *testing.T) {
 	if len(arrivals) != N {
 		t.Fatalf("only %d/%d messages arrived", len(arrivals), N)
 	}
-	if n.PacketsLost() == 0 {
+	if n.packetsLost == 0 {
 		t.Fatal("no packets recorded lost at 50% loss")
 	}
 	late := 0
@@ -171,7 +180,7 @@ func TestZeroLossNoRetransmits(t *testing.T) {
 		}
 	})
 	env.Run()
-	if n.PacketsLost() != 0 {
+	if n.packetsLost != 0 {
 		t.Fatal("lossless link recorded losses")
 	}
 	// All 50 sends happen back-to-back; with fixed delay they arrive in a
@@ -250,10 +259,10 @@ func TestTryAccept(t *testing.T) {
 	p := k.NewProcess("p")
 	var first, second *Sock
 	p.SpawnThread("t", func(th *kernel.Thread) {
-		first = l.TryAccept(th) // nothing pending
+		first = l.accept(th, false) // nothing pending
 		l.Dial(th)
 		th.Sleep(time.Millisecond)
-		second = l.TryAccept(th)
+		second = l.accept(th, false)
 	})
 	env.Run()
 	if first != nil {
@@ -341,7 +350,7 @@ func TestEpollListenerReadiness(t *testing.T) {
 	p.SpawnThread("srv", func(th *kernel.Thread) {
 		ep.AddListener(th, l)
 		ep.Wait(th, kernel.SysEpollWait, 0)
-		if l.TryAccept(th) != nil {
+		if l.accept(th, false) != nil {
 			accepted = true
 		}
 	})
@@ -420,7 +429,7 @@ func TestBypassPathsSkipSyscalls(t *testing.T) {
 	p := k.NewProcess("p")
 	var got *Message
 	p.SpawnThread("rx", func(th *kernel.Thread) {
-		got = b.RecvBypass(th)
+		got = recvBypass(b, th)
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		a.SendBypass(&Message{ID: 5, Size: 10})
@@ -469,8 +478,8 @@ func TestEpollTotalQueued(t *testing.T) {
 	if got := ep.TotalQueued(); got != 7 {
 		t.Fatalf("TotalQueued = %d, want 7", got)
 	}
-	if b.QueueLen() != 7 {
-		t.Fatalf("QueueLen = %d", b.QueueLen())
+	if b.rx.queue.Len() != 7 {
+		t.Fatalf("QueueLen = %d", b.rx.queue.Len())
 	}
 }
 
@@ -484,8 +493,8 @@ func TestPacketAccounting(t *testing.T) {
 		}
 	})
 	env.Run()
-	if n.PacketsSent() != 5 || n.PacketsLost() != 0 {
-		t.Fatalf("sent=%d lost=%d", n.PacketsSent(), n.PacketsLost())
+	if n.packetsSent != 5 || n.packetsLost != 0 {
+		t.Fatalf("sent=%d lost=%d", n.packetsSent, n.packetsLost)
 	}
 }
 
@@ -493,7 +502,7 @@ func TestSockFDsDistinct(t *testing.T) {
 	_, _, n := testRig(1)
 	a, b := n.NewConn(Config{})
 	c, d := n.NewConn(Config{})
-	fds := map[int]bool{a.FD(): true, b.FD(): true, c.FD(): true, d.FD(): true}
+	fds := map[int]bool{a.fd: true, b.fd: true, c.fd: true, d.fd: true}
 	if len(fds) != 4 {
 		t.Fatal("fd collision")
 	}

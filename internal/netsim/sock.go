@@ -51,14 +51,8 @@ type Sock struct {
 	tx *pipe
 }
 
-// FD returns the socket's file descriptor number.
-func (s *Sock) FD() int { return s.fd }
-
 // Readable reports whether a message is waiting (without a syscall).
 func (s *Sock) Readable() bool { return s.rx.queue.Len() > 0 }
-
-// QueueLen returns the number of queued messages (diagnostics).
-func (s *Sock) QueueLen() int { return s.rx.queue.Len() }
 
 // NewConn creates an established connection: (a, b) are the two sides,
 // each direction shaped by cfg. Used directly by tests; workloads
@@ -144,15 +138,6 @@ func (s *Sock) SendBypass(m *Message) {
 	s.tx.send(m)
 }
 
-// RecvBypass blocks for a message without any syscall (io_uring-style
-// completion-queue wait).
-func (s *Sock) RecvBypass(t *kernel.Thread) *Message {
-	f := frameOf(t)
-	f.sock, f.block = s, true
-	t.Wait(recvBody)
-	return f.msg
-}
-
 // TryRecvBypass pops a message without blocking or syscalls.
 func (s *Sock) TryRecvBypass() (m *Message) {
 	s.rx.pop(nil, false, &m)
@@ -197,10 +182,6 @@ func Received(t *kernel.Thread) *Message { return frameOf(t).msg }
 // Accept blocks in an accept syscall until a connection is pending and
 // returns the server-side socket.
 func (l *Listener) Accept(t *kernel.Thread) *Sock { return l.accept(t, true) }
-
-// TryAccept accepts without blocking, returning nil when no connection
-// is pending.
-func (l *Listener) TryAccept(t *kernel.Thread) *Sock { return l.accept(t, false) }
 
 func (l *Listener) accept(t *kernel.Thread, block bool) *Sock {
 	f := frameOf(t)

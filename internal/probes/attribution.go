@@ -257,14 +257,6 @@ func (p *AttributionProbe) ExactCounts() map[uint64]uint64 {
 	return out
 }
 
-// TGIDKey encodes a tgid as the 8-byte little-endian sketch key used
-// by the attribution program.
-func TGIDKey(tgid uint64) []byte {
-	k := make([]byte, 8)
-	binary.LittleEndian.PutUint64(k, tgid)
-	return k
-}
-
 // AttrSketches is one scrape of attribution state — per node, or the
 // fleet-level merge of many nodes. Because count-min merge is
 // element-wise addition and HashPipe merge is a deterministic

@@ -1,6 +1,7 @@
 package probes
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -74,7 +75,7 @@ func TestAttributionBlamesHotProcess(t *testing.T) {
 	}
 	bound := s.Syscalls.ErrorBound()
 	for tgid, truth := range exact {
-		est := s.Syscalls.Estimate(TGIDKey(tgid))
+		est := s.Syscalls.Estimate(binary.LittleEndian.AppendUint64(nil, tgid))
 		if est < truth {
 			t.Fatalf("tgid %d: estimate %d below exact %d", tgid, est, truth)
 		}
@@ -106,8 +107,8 @@ func TestAttributionSketchesMergeAcrossNodes(t *testing.T) {
 	}
 	a, atgid := run(100)
 	b, btgid := run(300)
-	estA := a.Sends.Estimate(TGIDKey(atgid))
-	estB := b.Sends.Estimate(TGIDKey(btgid))
+	estA := a.Sends.Estimate(binary.LittleEndian.AppendUint64(nil, atgid))
+	estB := b.Sends.Estimate(binary.LittleEndian.AppendUint64(nil, btgid))
 	merged := a
 	if err := merged.Merge(b); err != nil {
 		t.Fatal(err)
@@ -117,7 +118,7 @@ func TestAttributionSketchesMergeAcrossNodes(t *testing.T) {
 	if atgid != btgid {
 		t.Fatalf("tgid mismatch across identical rigs: %d vs %d", atgid, btgid)
 	}
-	if got := merged.Sends.Estimate(TGIDKey(atgid)); got != estA+estB {
+	if got := merged.Sends.Estimate(binary.LittleEndian.AppendUint64(nil, atgid)); got != estA+estB {
 		t.Fatalf("merged send estimate = %d, want %d + %d", got, estA, estB)
 	}
 	if merged.Bytes() != b.Bytes() {

@@ -294,9 +294,6 @@ type WaitTimes struct {
 	BlockedNS  uint64
 }
 
-// TotalNS is the sum over the three states.
-func (w WaitTimes) TotalNS() uint64 { return w.OnCPUNS + w.RunnableNS + w.BlockedNS }
-
 // Sub returns the per-state window w - prev.
 func (w WaitTimes) Sub(prev WaitTimes) WaitTimes {
 	return WaitTimes{

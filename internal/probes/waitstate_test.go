@@ -116,7 +116,7 @@ func TestWaitStateSumMatchesElapsed(t *testing.T) {
 	})
 	env.Run()
 	w := probe.Snapshot()[uint64(proc.TGID())]
-	total := time.Duration(w.TotalNS())
+	total := time.Duration(w.OnCPUNS + w.RunnableNS + w.BlockedNS)
 	// The final on-CPU interval is still open at shutdown; everything
 	// else must be covered.
 	if diff := span - total; diff < 0 || diff > 50*time.Microsecond {
@@ -144,8 +144,8 @@ func TestWaitSnapshotSubWindows(t *testing.T) {
 	if got := d[3]; got != (WaitTimes{BlockedNS: 9}) {
 		t.Fatalf("window for tgid 3 = %+v", got)
 	}
-	if d[1].TotalNS() != 80 {
-		t.Fatalf("TotalNS = %d", d[1].TotalNS())
+	if w := d[1]; w.OnCPUNS+w.RunnableNS+w.BlockedNS != 80 {
+		t.Fatalf("window for tgid 1 = %+v, want 80 ns in total", w)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package resilience supervises experiment points so a multi-hour sweep
 // degrades instead of dying.
 //
-// The harness engine (internal/harness.RunPoints) fans independent,
+// The harness engine (internal/harness.RunCells) fans independent,
 // deterministic points across a worker pool. Without supervision the
 // pool inherits Go's default failure semantics: one panicking probe
 // point kills the whole process, and a rig whose event heap never

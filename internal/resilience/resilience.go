@@ -105,9 +105,6 @@ func New(opt Options) *Supervisor {
 	}
 }
 
-// Options returns the supervisor's resolved configuration.
-func (s *Supervisor) Options() Options { return s.opt }
-
 // backoffFor returns the capped exponential sleep before retry n
 // (n >= 1).
 func (s *Supervisor) backoffFor(n int) time.Duration {

@@ -190,8 +190,8 @@ func TestNilTelemetryAndDefaults(t *testing.T) {
 	if s.opt.Backoff != 10*time.Millisecond || s.opt.MaxBackoff != time.Second {
 		t.Fatalf("defaults = %+v", s.opt)
 	}
-	if s.Options().Retries != 0 {
-		t.Fatalf("Options() = %+v", s.Options())
+	if s.opt.Retries != 0 {
+		t.Fatalf("resolved options = %+v", s.opt)
 	}
 	v, perr := Run(s, Point{}, func(int, *sim.Clock) string { return "ok" })
 	if v != "ok" || perr != nil {

@@ -33,7 +33,7 @@ func sleepChain(sleep func(*Proc, time.Duration)) chainRunner {
 		for i, d := range chain {
 			if d == gate {
 				for *token == 0 {
-					p.Park()
+					park(p)
 				}
 				*token--
 			} else {

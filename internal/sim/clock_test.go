@@ -75,7 +75,7 @@ func TestShutdownBeforeProcStart(t *testing.T) {
 	env := NewEnv(4)
 	c := NewClock(0)
 	env.SetClock(c)
-	env.Spawn("never-started", func(p *Proc) { p.Park() })
+	env.Spawn("never-started", park)
 	c.Expire()
 	done := make(chan struct{})
 	go func() {

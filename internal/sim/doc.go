@@ -15,10 +15,10 @@
 // can be one Proc.Block over a continuation that the activating events
 // run in loop context, so the coroutine is switched into once, not once
 // per stage; the convention is that a continuation never parks and
-// never calls Sleep or Park — it waits by returning false, after
+// never calls Sleep or Block — it waits by returning false, after
 // Proc.Elapse or with a wake-up arranged. A step proc (Env.SpawnStep)
 // lives in such a continuation from the start, with no coroutine, and
-// panics, naming itself, if asked to Sleep, Park or Block. Randomness
+// panics, naming itself, if asked to Sleep or Block. Randomness
 // is drawn from per-component streams derived via Env.NewRNG, so adding
 // a component never perturbs the draws seen by another.
 //
@@ -34,8 +34,8 @@
 //   - NewEnv(seed) — build an environment; Env.Run / RunFor / RunUntil
 //     drive it; Env.Schedule posts events.
 //   - Env.Spawn — start a Proc (a simulated thread of control); Proc
-//     offers Sleep, Park, and Wakers for inter-proc signaling, and
-//     Block/Elapse for multi-stage waits; Env.Switches counts resumes.
+//     offers Sleep, Block/Elapse for multi-stage waits, and Wakers
+//     that end a Block from another proc; Env.Switches counts resumes.
 //   - Env.SpawnStep — start a step proc: a loop of waits written as one
 //     continuation, at no coroutine switch per wait.
 //   - Env.NewRNG — derive an independent deterministic random stream.

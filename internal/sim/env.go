@@ -37,9 +37,6 @@ type Event struct {
 // already-canceled event is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
 
-// Canceled reports whether Cancel was called.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
@@ -270,7 +267,7 @@ func (e *Env) Pending() int {
 func (e *Env) LiveProcs() int { return e.live }
 
 // Shutdown terminates every live proc, oldest first, and reclaims their
-// coroutines. Procs blocked in Sleep, Park, or any derived primitive are
+// coroutines. Procs blocked in Sleep, Block, or any derived primitive are
 // unwound via a panic that the proc wrapper recovers; a proc whose spawn
 // event never fired is discarded unrun; a step proc, which has no
 // coroutine, is only unlinked. After Shutdown the environment must not

@@ -78,7 +78,7 @@ func TestLockstepPanicPropagation(t *testing.T) {
 			for i := 0; i < n; i++ {
 				i := i
 				e := NewEnv(int64(i))
-				e.Spawn("bystander", func(p *Proc) { p.Park() })
+				e.Spawn("bystander", park)
 				if buggy := i == 2 || i == 4; buggy && fromProc {
 					e.Spawn("buggy", func(p *Proc) {
 						p.Sleep(time.Millisecond)

@@ -72,7 +72,7 @@ func TestWakeAfterAllocatesOnlyItsEvent(t *testing.T) {
 	var w *Waker
 	e.Spawn("p", func(p *Proc) {
 		w = p.NewWaker()
-		p.Park()
+		park(p)
 	})
 	e.Run()
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -50,8 +50,8 @@ func (e *Env) Spawn(name string, body func(*Proc)) *Proc {
 
 // SpawnStep starts a step proc: one with no coroutine, living in its
 // Block continuation from the start. Every activation (the first as for
-// Spawn) runs step, which waits as a continuation does, never by Sleep,
-// Park or Block; the proc finishes when it returns true.
+// Spawn) runs step, which waits as a continuation does, never by Sleep
+// or Block; the proc finishes when it returns true.
 func (e *Env) SpawnStep(name string, step func() bool) *Proc {
 	p := &Proc{env: e, name: name, step: step}
 	p.activate0 = p.activate
@@ -158,7 +158,7 @@ func (p *Proc) Elapse(d time.Duration) bool {
 // several stages written this way (the caller runs step itself first,
 // and Blocks if that returns false) costs one coroutine switch however
 // many stages wait, and the event order is the one the same stages
-// written as Sleeps and Parks on the coroutine would give, provided
+// written as Sleeps and parks on the coroutine would give, provided
 // step does between two waits exactly what that code did. step must not
 // park: it waits by returning false, after Elapse or with a wake-up
 // arranged.
@@ -173,14 +173,6 @@ func (p *Proc) mustPark(op string) {
 	if p.next == nil {
 		panic(fmt.Sprintf("sim: %s on step proc %q, which has no coroutine to park", op, p.name))
 	}
-}
-
-// Park suspends the proc until another component wakes it via the
-// returned Waker. A proc parked without a pending waker event stays
-// parked until Shutdown.
-func (p *Proc) Park() {
-	p.mustPark("Park")
-	p.yield()
 }
 
 // Waker wakes a parked proc through the event heap. Multiple Wake calls

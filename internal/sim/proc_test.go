@@ -56,7 +56,7 @@ func TestShutdownUnwindsInSpawnOrder(t *testing.T) {
 		e.Spawn("p", func(p *Proc) {
 			defer func() { order = append(order, i) }()
 			if i%2 == 0 {
-				p.Park()
+				park(p)
 			}
 			for {
 				p.Sleep(time.Duration(n-i) * time.Microsecond)
@@ -97,7 +97,7 @@ func spawnSteps(e *Env) (*Proc, *int) {
 func TestShutdownReclaimsGoroutines(t *testing.T) {
 	spawnMix := func(e *Env) {
 		e.Spawn("finishes", func(p *Proc) { p.Sleep(time.Microsecond) })
-		e.Spawn("parked", func(p *Proc) { p.Park() })
+		e.Spawn("parked", park)
 		e.Spawn("sleeping", func(p *Proc) {
 			for {
 				p.Sleep(time.Microsecond)
@@ -180,12 +180,11 @@ func TestStepProcLifecycle(t *testing.T) {
 	}
 }
 
-// TestStepProcCannotPark: Sleep, Park and Block on a step proc panic
+// TestStepProcCannotPark: Sleep and Block on a step proc panic
 // with a message naming the proc, from the event that activated it.
 func TestStepProcCannotPark(t *testing.T) {
 	for op, call := range map[string]func(*Proc){
 		"Sleep": func(p *Proc) { p.Sleep(time.Microsecond) },
-		"Park":  (*Proc).Park,
 		"Block": func(p *Proc) { p.Block(func() bool { return true }) },
 	} {
 		e := NewEnv(1)

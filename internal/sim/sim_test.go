@@ -8,6 +8,11 @@ import (
 	"time"
 )
 
+// park suspends p until something activates it: a Waker, a WakeAfter
+// timer or a posted wake-up. Parked with none pending, p stays parked
+// until Shutdown.
+func park(p *Proc) { p.Block(func() bool { return true }) }
+
 func TestClockStartsAtZero(t *testing.T) {
 	e := NewEnv(1)
 	if e.Now() != 0 {
@@ -57,7 +62,7 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
+	if !ev.canceled {
 		t.Fatal("Canceled() = false after Cancel")
 	}
 }
@@ -147,7 +152,7 @@ func TestParkAndWake(t *testing.T) {
 	var w *Waker
 	e.Spawn("consumer", func(p *Proc) {
 		w = p.NewWaker()
-		p.Park()
+		park(p)
 		acc = append(acc, p.Now())
 	})
 	e.Spawn("producer", func(p *Proc) {
@@ -167,7 +172,7 @@ func TestWakeAfterCancelable(t *testing.T) {
 		w := p.NewWaker()
 		ev := w.WakeAfter(1000 * time.Nanosecond) // timeout
 		e.Schedule(100*time.Nanosecond, func() { ev.Cancel(); w.Wake() })
-		p.Park()
+		park(p)
 		woke = p.Now()
 		p.Sleep(2000 * time.Nanosecond) // outlive the canceled timeout
 	})
@@ -185,7 +190,7 @@ func TestShutdownDrainsProcs(t *testing.T) {
 		}
 	})
 	e.Spawn("parked", func(p *Proc) {
-		p.Park() // never woken
+		park(p) // never woken
 	})
 	e.RunFor(3 * time.Second)
 	if e.LiveProcs() != 2 {

@@ -12,7 +12,7 @@ import (
 // and a round trip through the event loop.
 func parkedSleep(p *Proc, d time.Duration) {
 	p.env.Post(d, p.activate0)
-	p.Park()
+	park(p)
 }
 
 // TestSleepElisionIsInvisible: the same program (chainProgram, in
@@ -132,7 +132,7 @@ func TestSleepDuringShutdownDoesNotAdvance(t *testing.T) {
 			ran = true
 			p.Sleep(time.Second)
 		}()
-		p.Park()
+		park(p)
 	})
 	e.RunFor(time.Millisecond)
 	e.Shutdown()

@@ -10,10 +10,10 @@
 //     R2, and Residuals (Fig. 2 regresses RPS_obsv against RPS_real).
 //   - NewHistogram — log-bucketed latency histogram with Quantile; the
 //     load generator's p50/p99 come from here.
-//   - Online — Welford streaming mean/variance; MomentVariance computes
-//     Eq. 2's E[dt^2] - E[dt]^2 from in-map sums, exactly as the eBPF
-//     side accumulates them.
-//   - Mean, Quantile(s), Pearson, Normalize(ByMax) — small helpers the
+//   - Online — Welford streaming mean/variance. Eq. 2's E[dt^2] -
+//     E[dt]^2 over the eBPF side's in-map sums is computed once, in
+//     probes.DeltaSnapshot.VarianceUS2.
+//   - Mean, Quantile(s), Normalize(ByMax) — small helpers the
 //     renderers and tests share.
 //
 // Everything here is pure computation: no simulation state, safe for

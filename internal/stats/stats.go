@@ -70,14 +70,6 @@ func (o *Online) Variance() float64 {
 	return o.m2 / float64(o.n)
 }
 
-// SampleVariance returns the n-1 variance, or 0 with fewer than 2 samples.
-func (o *Online) SampleVariance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
 // Stddev returns the population standard deviation.
 func (o *Online) Stddev() float64 { return math.Sqrt(o.Variance()) }
 
@@ -89,22 +81,6 @@ func (o *Online) Max() float64 { return o.max }
 
 // Reset clears the accumulator.
 func (o *Online) Reset() { *o = Online{} }
-
-// MomentVariance computes var = E[x^2] - E[x]^2 from raw first and second
-// moment sums, exactly as the paper's Eq. 2 computes it inside eBPF map
-// space. count is the number of samples behind the sums.
-func MomentVariance(sum, sumSq float64, count uint64) float64 {
-	if count == 0 {
-		return 0
-	}
-	n := float64(count)
-	mean := sum / n
-	v := sumSq/n - mean*mean
-	if v < 0 { // guard tiny negative from cancellation
-		return 0
-	}
-	return v
-}
 
 // Quantile returns the q-th quantile (0<=q<=1) of xs using linear
 // interpolation between closest ranks. It sorts a copy; xs is unchanged.
@@ -272,13 +248,4 @@ func (f LinearFit) Residuals(x, y []float64) []float64 {
 		out[i] = y[i] - f.Predict(x[i])
 	}
 	return out
-}
-
-// Pearson returns the Pearson correlation coefficient of x and y.
-func Pearson(x, y []float64) float64 {
-	f := FitLinear(x, y)
-	if f.Slope < 0 {
-		return -math.Sqrt(f.R2)
-	}
-	return math.Sqrt(f.R2)
 }

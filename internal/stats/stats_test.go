@@ -42,7 +42,7 @@ func TestOnlineEmptyAndSingle(t *testing.T) {
 		t.Fatal("zero-value accumulator should report zeros")
 	}
 	o.Add(3)
-	if o.Variance() != 0 || o.SampleVariance() != 0 {
+	if o.Variance() != 0 {
 		t.Fatal("single sample has zero variance")
 	}
 	if o.Mean() != 3 {
@@ -114,31 +114,6 @@ func TestPropertyWelfordMatchesTwoPass(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMomentVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 100}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	got := MomentVariance(sum, sumSq, uint64(len(xs)))
-	if !almost(got, o.Variance(), 1e-9) {
-		t.Fatalf("MomentVariance = %v, want %v", got, o.Variance())
-	}
-	if MomentVariance(0, 0, 0) != 0 {
-		t.Fatal("empty moment variance should be 0")
-	}
-	// Cancellation guard: identical values must give exactly 0, never
-	// a small negative.
-	if v := MomentVariance(3e9, 3e18*3, 3); v < 0 {
-		t.Fatalf("negative variance %v", v)
 	}
 }
 
@@ -265,18 +240,6 @@ func TestFitLinearMismatchPanics(t *testing.T) {
 		}
 	}()
 	FitLinear([]float64{1}, []float64{1, 2})
-}
-
-func TestPearsonSign(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	up := []float64{2, 4, 6, 8}
-	down := []float64{8, 6, 4, 2}
-	if p := Pearson(x, up); !almost(p, 1, 1e-9) {
-		t.Fatalf("Pearson up = %v", p)
-	}
-	if p := Pearson(x, down); !almost(p, -1, 1e-9) {
-		t.Fatalf("Pearson down = %v", p)
-	}
 }
 
 // Property: R2 is always within [0,1] and invariant to affine rescaling

@@ -1,8 +1,8 @@
 // Package trace collects and analyzes syscall event streams: the
 // userspace side of the paper's methodology. It offers the raw-event
 // type (Event, which probes.StreamProbe decodes its ring records into),
-// delta extraction over sorted traces (Section III "Observability Through
-// Syscall Statistics"), enter/exit pairing for durations, and the
+// enter-time extraction over sorted traces (Section III "Observability
+// Through Syscall Statistics"), enter/exit pairing for durations, and the
 // setup / request-processing / shutdown phase classification of Fig. 1.
 //
 // Key entry points:
@@ -10,12 +10,8 @@
 //   - Segment(events) — Fig. 1's lifecycle phases (PhaseSetup /
 //     PhaseRequest / PhaseShutdown); PhaseOf and RequestOriented
 //     classify single syscalls; CountByName builds the census.
-//   - Deltas / EnterTimes / PairDurations — the Section III statistics
+//   - EnterTimes / PairDurations — the Section III statistics
 //     pipeline over sorted events.
-//   - ReconstructRequests — per-request timelines from single-threaded
-//     handlers' syscall streams (the Section III special case, with the
-//     documented breakdown on pipelined drains); ServiceTimes extracts
-//     their durations.
 //   - Render — the ASCII trace dump behind `cmd/tracedump`.
 //
 // harness.Fig1 feeds a StreamProbe capture through Segment and

@@ -60,19 +60,6 @@ func EnterTimes(events []Event, nrPred func(int) bool) []sim.Time {
 	return ts
 }
 
-// Deltas returns consecutive differences of a sorted timestamp series,
-// in nanoseconds.
-func Deltas(ts []sim.Time) []float64 {
-	if len(ts) < 2 {
-		return nil
-	}
-	out := make([]float64, len(ts)-1)
-	for i := 1; i < len(ts); i++ {
-		out[i-1] = float64(ts[i] - ts[i-1])
-	}
-	return out
-}
-
 // PairDurations matches sys_enter/sys_exit pairs per thread for syscalls
 // selected by nrPred and returns the call durations.
 func PairDurations(events []Event, nrPred func(int) bool) []time.Duration {

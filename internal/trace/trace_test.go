@@ -85,13 +85,6 @@ func TestEnterTimesAndDeltas(t *testing.T) {
 	if len(ts) != 2 || ts[0] != 500 || ts[1] != 600 {
 		t.Fatalf("EnterTimes = %v", ts)
 	}
-	ds := Deltas(ts)
-	if len(ds) != 1 || ds[0] != 100 {
-		t.Fatalf("Deltas = %v", ds)
-	}
-	if Deltas(ts[:1]) != nil {
-		t.Fatal("single timestamp should give no deltas")
-	}
 }
 
 func TestPairDurations(t *testing.T) {

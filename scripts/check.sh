@@ -24,6 +24,11 @@
 #   doclint                               every exported identifier in
 #                                         internal/ebpf carries a doc
 #                                         comment (scripts/doclint)
+#   deadapi                               every top-level internal/
+#                                         declaration has a reader
+#                                         besides its own package's
+#                                         tests, or an allowlist entry
+#                                         with a reason (scripts/deadapi)
 #   bench smoke                           the substrate benchmarks that
 #                                         scripts/bench.sh records run
 #                                         for one iteration each, and
@@ -85,6 +90,9 @@ leg "doclint (internal/ebpf)"
 # Exported identifiers in the VM package must carry doc comments (see
 # scripts/doclint).
 go run ./scripts/doclint ./internal/ebpf
+
+leg "deadapi (internal/ API with no reader but its own tests)"
+go run ./scripts/deadapi
 
 leg "go build"
 go build ./...

@@ -89,9 +89,11 @@ func exportedRecv(d *ast.FuncDecl) bool {
 	return true
 }
 
-// lintGen checks a const/var/type block: the block doc covers a single
-// spec, otherwise each exported spec (and each exported field of an
-// exported struct) needs its own comment.
+// lintGen checks a const/var/type block: a doc comment on the block
+// covers every spec in it (the ebpf ISA const blocks rely on this);
+// without one, each exported type needs its own doc comment and each
+// exported const or var its own doc or line comment. Each exported
+// field of an exported struct needs its own comment either way.
 func lintGen(d *ast.GenDecl, report func(token.Pos, string)) int {
 	bad := 0
 	r := func(pos token.Pos, what string) {

@@ -72,11 +72,11 @@ var programs = []struct {
 		return prog(p, err, 1)
 	}},
 	{"waitstate-switch", "sched_switch: close on-CPU and runnable intervals (-tgid 0 tracks every process)", func(tgid int) (*ebpf.Program, error) {
-		p, err := probes.NewWaitStateProbe("ws", probes.WaitStateConfig{TrackTGID: tgid})
+		p, err := probes.NewWaitStateProbe("ws", tgid)
 		return prog(p, err, 0)
 	}},
 	{"waitstate-wakeup", "sched_wakeup: close blocked intervals (-tgid as above)", func(tgid int) (*ebpf.Program, error) {
-		p, err := probes.NewWaitStateProbe("ws", probes.WaitStateConfig{TrackTGID: tgid})
+		p, err := probes.NewWaitStateProbe("ws", tgid)
 		return prog(p, err, 1)
 	}},
 	{"attribution", "per-tgid syscall/send/time sketches and top-K (all processes; -tgid unused)", func(int) (*ebpf.Program, error) {

@@ -60,56 +60,32 @@ type Evidence struct {
 	PollMeanNS    float64 // Fig. 4 mean epoll_wait duration (ns)
 }
 
-// AttributorConfig holds the decision thresholds, all deltas against
-// the learned healthy baseline. Zero fields take calibrated defaults.
-type AttributorConfig struct {
-	// ForeignJump: foreign syscall share must rise by this much to
-	// blame a noisy neighbor. Default 0.10.
-	ForeignJump float64
-	// BlockedJump: blocked share must rise by this much to blame the
-	// network. Default 0.08.
-	BlockedJump float64
-	// RunnableJump separates CPU-contention causes from network ones.
-	// Default 0.05.
-	RunnableJump float64
-	// RPSSurge: observed rate must exceed baseline by this fraction to
-	// blame overload rather than shrunk capacity. Default 0.20.
-	RPSSurge float64
-	// PollStretch: the mean poll duration must exceed baseline by this
+// The decision thresholds, all deltas against the learned healthy
+// baseline, calibrated once.
+const (
+	// foreignJump: foreign syscall share must rise by this much to
+	// blame a noisy neighbor.
+	foreignJump = 0.10
+	// blockedJump: blocked share must rise by this much to blame the
+	// network.
+	blockedJump = 0.08
+	// runnableJump separates CPU-contention causes from network ones.
+	runnableJump = 0.05
+	// rpsSurge: observed rate must exceed baseline by this fraction to
+	// blame overload rather than shrunk capacity.
+	rpsSurge = 0.20
+	// pollStretch: the mean poll duration must exceed baseline by this
 	// multiple to blame the network when no share moved. Every
 	// CPU-side cause (overload, offline cores, a noisy tenant)
 	// *shortens* polls — work piles up and epoll_wait returns ready —
 	// so polls stretching with flat shares leaves only the wire.
-	// Default 1.2.
-	PollStretch float64
-	// VarRatio: the send-delta variance must exceed baseline by this
+	pollStretch = 1.2
+	// varRatio: the send-delta variance must exceed baseline by this
 	// multiple for the variance-knee fallback (network degradation that
 	// perturbs timing without any CPU-side signature — jitter, say —
-	// moves no share at all, only the variance). Default 2.
-	VarRatio float64
-}
-
-func (c AttributorConfig) withDefaults() AttributorConfig {
-	if c.ForeignJump <= 0 {
-		c.ForeignJump = 0.10
-	}
-	if c.BlockedJump <= 0 {
-		c.BlockedJump = 0.08
-	}
-	if c.RunnableJump <= 0 {
-		c.RunnableJump = 0.05
-	}
-	if c.RPSSurge <= 0 {
-		c.RPSSurge = 0.20
-	}
-	if c.PollStretch <= 0 {
-		c.PollStretch = 1.2
-	}
-	if c.VarRatio <= 0 {
-		c.VarRatio = 2
-	}
-	return c
-}
+	// moves no share at all, only the variance).
+	varRatio = 2
+)
 
 // evidenceMean accumulates running means of Evidence fields.
 type evidenceMean struct {
@@ -134,15 +110,11 @@ func (m *evidenceMean) add(e Evidence) {
 // single window makes the verdict robust to one noisy read-out.
 // Allocation-free per call.
 type Attributor struct {
-	cfg        AttributorConfig
 	base, post evidenceMean
 }
 
-// NewAttributor builds an attributor; zero config fields take the
-// calibrated defaults.
-func NewAttributor(cfg AttributorConfig) *Attributor {
-	return &Attributor{cfg: cfg.withDefaults()}
-}
+// NewAttributor builds an attributor with the calibrated thresholds.
+func NewAttributor() *Attributor { return &Attributor{} }
 
 // Learn folds one healthy-baseline window.
 func (a *Attributor) Learn(e Evidence) { a.base.add(e) }
@@ -163,8 +135,8 @@ func (a *Attributor) Note(e Evidence) { a.post.add(e) }
 //  3. Runnable share jumped with an RPS surge → overload; without one
 //     → cpu-offline (demand is unchanged, capacity shrank, so the
 //     observed rate cannot rise).
-//  4. No share moved but polls stretched past PollStretch times
-//     baseline, or the send-delta variance rose past VarRatio times
+//  4. No share moved but polls stretched past pollStretch times
+//     baseline, or the send-delta variance rose past varRatio times
 //     baseline → netem. Every CPU-side cause *shortens* polls (work
 //     piles up, epoll_wait returns ready) and a tenant would have shown
 //     in the sketches, so timing degradation with flat shares leaves
@@ -174,19 +146,19 @@ func (a *Attributor) Classify() Cause {
 	if a.post.n == 0 {
 		return CauseNone
 	}
-	runnableUp := a.post.runnable-a.base.runnable > a.cfg.RunnableJump
+	runnableUp := a.post.runnable-a.base.runnable > runnableJump
 	switch {
-	case a.post.foreign-a.base.foreign > a.cfg.ForeignJump:
+	case a.post.foreign-a.base.foreign > foreignJump:
 		return CauseNoisyNeighbor
-	case a.post.blocked-a.base.blocked > a.cfg.BlockedJump && !runnableUp:
+	case a.post.blocked-a.base.blocked > blockedJump && !runnableUp:
 		return CauseNetem
-	case runnableUp && a.post.rps > a.base.rps*(1+a.cfg.RPSSurge):
+	case runnableUp && a.post.rps > a.base.rps*(1+rpsSurge):
 		return CauseOverload
 	case runnableUp:
 		return CauseCPUOffline
-	case a.post.poll > a.cfg.PollStretch*a.base.poll && a.base.poll > 0:
+	case a.post.poll > pollStretch*a.base.poll && a.base.poll > 0:
 		return CauseNetem
-	case a.post.varus2 > a.cfg.VarRatio*a.base.varus2 && a.base.varus2 > 0:
+	case a.post.varus2 > varRatio*a.base.varus2 && a.base.varus2 > 0:
 		return CauseNetem
 	}
 	return CauseNone

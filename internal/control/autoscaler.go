@@ -38,15 +38,6 @@ type Decision struct {
 type AutoscalerConfig struct {
 	// Min and Max bound capacity in CPUs. Defaults 1 and 8.
 	Min, Max int
-	// StepUp and StepDown are CPUs added/removed per decision.
-	// Scale-ups are deliberately larger than scale-downs (fast to
-	// recover, slow to give back). Defaults 2 and 1.
-	StepUp, StepDown int
-	// LowSlack and HighSlack are the hysteresis band on the poll-slack
-	// estimate in [0,1]: below LowSlack the pool grows, above HighSlack
-	// it shrinks, and in between it holds — the dead band that stops
-	// limit cycling. Defaults 0.10 and 0.60.
-	LowSlack, HighSlack float64
 	// Cooldown is the minimum spacing between decisions. Default 2s.
 	Cooldown time.Duration
 	// Latency models scale-up actuation delay (VM boot, pod schedule):
@@ -69,26 +60,24 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.Max < c.Min {
 		c.Max = c.Min
 	}
-	if c.StepUp <= 0 {
-		c.StepUp = 2
-	}
-	if c.StepDown <= 0 {
-		c.StepDown = 1
-	}
-	if c.LowSlack <= 0 {
-		c.LowSlack = 0.10
-	}
-	if c.HighSlack <= 0 {
-		c.HighSlack = 0.60
-	}
-	if c.HighSlack <= c.LowSlack {
-		c.HighSlack = c.LowSlack + 0.25
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
 	}
 	return c
 }
+
+// The controller's calibrated step sizes and dead band.
+const (
+	// stepUp and stepDown are CPUs added/removed per decision.
+	// Scale-ups are deliberately larger than scale-downs (fast to
+	// recover, slow to give back).
+	stepUp, stepDown = 2, 1
+	// lowSlack and highSlack are the hysteresis band on the poll-slack
+	// estimate in [0,1]: below lowSlack the pool grows, above highSlack
+	// it shrinks, and in between it holds — the dead band that stops
+	// limit cycling.
+	lowSlack, highSlack = 0.10, 0.60
+)
 
 // Autoscaler is a deterministic hysteresis controller over whole-CPU
 // capacity. Feed it one observation per window; it returns at most one
@@ -142,11 +131,11 @@ func (a *Autoscaler) Observe(at time.Duration, alarmed bool, slack float64) (Dec
 		return Decision{}, false
 	}
 	switch {
-	case alarmed || slack < a.cfg.LowSlack:
+	case alarmed || slack < lowSlack:
 		if a.cur >= a.cfg.Max {
 			return Decision{}, false
 		}
-		to := a.cur + a.cfg.StepUp
+		to := a.cur + stepUp
 		if to > a.cfg.Max {
 			to = a.cfg.Max
 		}
@@ -165,11 +154,11 @@ func (a *Autoscaler) Observe(at time.Duration, alarmed bool, slack float64) (Dec
 		}
 		a.telUps.Inc()
 		return d, true
-	case !alarmed && slack > a.cfg.HighSlack:
+	case !alarmed && slack > highSlack:
 		if a.cur <= a.cfg.Min {
 			return Decision{}, false
 		}
-		to := a.cur - a.cfg.StepDown
+		to := a.cur - stepDown
 		if to < a.cfg.Min {
 			to = a.cfg.Min
 		}

@@ -154,7 +154,7 @@ func baselineEvidence() Evidence {
 }
 
 func learnedAttributor() *Attributor {
-	a := NewAttributor(AttributorConfig{})
+	a := NewAttributor()
 	for i := 0; i < 10; i++ {
 		a.Learn(baselineEvidence())
 	}
@@ -223,7 +223,7 @@ func TestAutoscalerHysteresisAndCooldown(t *testing.T) {
 	if _, ok := a.Observe(at(0), false, 0.30); ok {
 		t.Fatal("scaled inside the dead band")
 	}
-	// Alarm: scale up by StepUp.
+	// Alarm: scale up by stepUp.
 	d, ok := a.Observe(at(1), true, 0.30)
 	if !ok || d.Action != ActionScaleUp || d.From != 4 || d.To != 6 || d.Reason != "alarm" {
 		t.Fatalf("alarm decision = %+v, ok=%v", d, ok)
@@ -241,7 +241,7 @@ func TestAutoscalerHysteresisAndCooldown(t *testing.T) {
 	if _, ok := a.Observe(at(7), true, 0.01); ok {
 		t.Fatal("scaled above Max")
 	}
-	// High slack: scale down by StepDown, immediately effective.
+	// High slack: scale down by stepDown, immediately effective.
 	d, ok = a.Observe(at(10), false, 0.80)
 	if !ok || d.Action != ActionScaleDown || d.From != 8 || d.To != 7 || d.EffectiveAt != at(10) {
 		t.Fatalf("scale-down decision = %+v, ok=%v", d, ok)
@@ -288,7 +288,7 @@ func TestAutoscalerBounds(t *testing.T) {
 // allocation-free: detector, attributor, and autoscaler Observe.
 func TestControlZeroAlloc(t *testing.T) {
 	d := NewSaturationDetector(DetectorConfig{Warmup: 4})
-	at := NewAttributor(AttributorConfig{})
+	at := NewAttributor()
 	sc := NewAutoscaler(4, AutoscalerConfig{})
 	s := Sample{SendVarUS2: 400, RPS: 50_000, PollMeanNS: 80_000}
 	e := baselineEvidence()

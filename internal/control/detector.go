@@ -50,42 +50,25 @@ type Alarm struct {
 	Score  float64       // the tripping chart's statistic
 }
 
-// DetectorConfig tunes the online saturation detector. The zero value
-// takes calibrated defaults.
+// DetectorConfig tunes the online saturation detector.
 type DetectorConfig struct {
 	// Warmup is how many leading samples train the baseline before the
 	// charts arm; during warmup Observe never alarms. Default 8.
 	Warmup int
-	// VarDrift and VarThreshold are the CUSUM k and h on standardized
-	// log₂ send-delta variance. Defaults 0.5 and 6.
-	VarDrift, VarThreshold float64
-	// PollLambda and PollLimit are the EWMA smoothing weight and
-	// control-limit width on standardized log₂ poll duration. Defaults
-	// 0.3 and 7.
-	PollLambda, PollLimit float64
 	// Telemetry, when non-nil, receives control_samples_total and
 	// control_alarms_total counters.
 	Telemetry *telemetry.Registry
 }
 
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Warmup <= 0 {
-		c.Warmup = 8
-	}
-	if c.VarDrift <= 0 {
-		c.VarDrift = 0.5
-	}
-	if c.VarThreshold <= 0 {
-		c.VarThreshold = 6
-	}
-	if c.PollLambda <= 0 {
-		c.PollLambda = 0.3
-	}
-	if c.PollLimit <= 0 {
-		c.PollLimit = 7
-	}
-	return c
-}
+// The charts' calibrated parameters.
+const (
+	// varDrift and varThreshold are the CUSUM k and h on standardized
+	// log₂ send-delta variance.
+	varDrift, varThreshold = 0.5, 6
+	// pollLambda and pollLimit are the EWMA smoothing weight and
+	// control-limit width on standardized log₂ poll duration.
+	pollLambda, pollLimit = 0.3, 7
+)
 
 // sigmaFloor keeps standardization sane when the warmup baseline is
 // near-constant (a perfectly paced workload has tiny log-variance
@@ -115,14 +98,16 @@ type SaturationDetector struct {
 	telAlarms  *telemetry.Counter
 }
 
-// NewSaturationDetector builds a detector; zero config fields take the
-// calibrated defaults.
+// NewSaturationDetector builds a detector; a zero Warmup takes the
+// default.
 func NewSaturationDetector(cfg DetectorConfig) *SaturationDetector {
-	cfg = cfg.withDefaults()
+	if cfg.Warmup <= 0 {
+		cfg.Warmup = 8
+	}
 	return &SaturationDetector{
 		cfg:        cfg,
-		cusum:      stats.NewCUSUM(cfg.VarDrift, cfg.VarThreshold),
-		ewma:       stats.NewEWMA(cfg.PollLambda, cfg.PollLimit),
+		cusum:      stats.NewCUSUM(varDrift, varThreshold),
+		ewma:       stats.NewEWMA(pollLambda, pollLimit),
 		telSamples: cfg.Telemetry.Counter("control_samples_total"),
 		telAlarms:  cfg.Telemetry.Counter("control_alarms_total"),
 	}

@@ -29,6 +29,11 @@
 //     harness.AutoscaleScenario measures QoS recovery time as a
 //     function of that latency.
 //
+// The chart parameters, the attributor's thresholds and the
+// autoscaler's steps and slack band are package constants, calibrated
+// once and frozen: only the warmup, the capacity bounds, the cooldown,
+// the actuation latency and telemetry are configured per caller.
+//
 // Everything on the per-window path is allocation-free: the detector,
 // attributor, and autoscaler each hold O(1) state and perform O(1)
 // work per Observe, pinned by testing.AllocsPerRun.

@@ -6,7 +6,6 @@ import (
 
 	"reqlens/internal/kernel"
 	"reqlens/internal/machine"
-	"reqlens/internal/probes"
 	"reqlens/internal/sim"
 )
 
@@ -105,7 +104,7 @@ func TestObserverWindowsAreDisjoint(t *testing.T) {
 func TestWaitProfileWindow(t *testing.T) {
 	env, k := rig()
 	srv := k.NewProcess("srv")
-	wp := MustAttachWaitProfile(k, srv.TGID(), probes.WaitStateConfig{TrackTGID: srv.TGID()})
+	wp := MustAttachWaitProfile(k, srv.TGID())
 	srv.SpawnThread("w", func(th *kernel.Thread) {
 		for i := 0; i < 100; i++ {
 			th.Compute(time.Millisecond)

@@ -26,9 +26,10 @@ type WaitProfile struct {
 }
 
 // AttachWaitProfile builds, verifies and attaches the wait-state probe
-// pair on k's tracer, tracking tgid's windows.
-func AttachWaitProfile(k *kernel.Kernel, tgid int, cfg probes.WaitStateConfig) (*WaitProfile, error) {
-	p, err := probes.NewWaitStateProbe("wait", cfg)
+// pair on k's tracer, tracking tgid's windows: the programs account for
+// tgid alone and exit early on every other process's switch.
+func AttachWaitProfile(k *kernel.Kernel, tgid int) (*WaitProfile, error) {
+	p, err := probes.NewWaitStateProbe("wait", tgid)
 	if err != nil {
 		return nil, err
 	}
@@ -40,8 +41,8 @@ func AttachWaitProfile(k *kernel.Kernel, tgid int, cfg probes.WaitStateConfig) (
 }
 
 // MustAttachWaitProfile is AttachWaitProfile but panics on error.
-func MustAttachWaitProfile(k *kernel.Kernel, tgid int, cfg probes.WaitStateConfig) *WaitProfile {
-	return probes.Must(AttachWaitProfile(k, tgid, cfg))
+func MustAttachWaitProfile(k *kernel.Kernel, tgid int) *WaitProfile {
+	return probes.Must(AttachWaitProfile(k, tgid))
 }
 
 // Detach removes both programs. The maps survive, as pinned maps do.

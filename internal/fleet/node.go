@@ -6,7 +6,6 @@ import (
 
 	"reqlens/internal/faults"
 	"reqlens/internal/harness"
-	"reqlens/internal/machine"
 	"reqlens/internal/probes"
 	"reqlens/internal/sim"
 	"reqlens/internal/telemetry"
@@ -14,16 +13,13 @@ import (
 )
 
 // NodeSpec describes one cluster member. Heterogeneity is per-node:
-// each member picks its own workload, hardware profile, load weight
-// and (optionally) a fault plan.
+// each member picks its own workload, load weight and (optionally) a
+// fault plan. Every node runs on the AMD profile (Table I).
 type NodeSpec struct {
 	// Workload is the served application. Its FailureRPS is the node's
 	// nominal capacity; the cluster's open-loop load splits
 	// proportionally to it.
 	Workload workloads.Spec
-
-	// Profile selects the node's hardware model (zero value = AMD).
-	Profile machine.Profile
 
 	// Weight scales the node's share of the offered load relative to
 	// its capacity: 1 (the default for 0) is a fair share, >1 makes
@@ -131,7 +127,6 @@ func newNode(id int, spec NodeSpec, seed int64, level float64, clock *sim.Clock,
 	netem := spec.Plan.Netem // link shaping is a whole-run property
 	rig := harness.NewRig(spec.Workload, harness.RigOptions{
 		Seed:        seed,
-		Profile:     spec.Profile,
 		Netem:       netem,
 		Rate:        rate,
 		Probes:      true,

@@ -61,11 +61,13 @@ func attrOpenPlan(name string, seed int64, f faults.Fault) faults.Plan {
 }
 
 // attrScenarios returns the scored set: a fault-free control plus one
-// scenario per cause class. The netem shift carries jitter as well as
-// delay (tc netem delay 10ms 2ms): a constant delay only phase-shifts a
-// paced arrival process and is invisible to server-side probes in
-// steady state, while jitter perturbs every arrival gap and inflates
-// the Eq. 2 variance for as long as it lasts. The noisy-neighbor tenant
+// scenario per cause class. The netem shift injects 10 ms of one-way
+// delay and 8% loss, with no jitter (tc netem delay 10ms loss 8%): a
+// constant delay only phase-shifts a paced arrival process and is
+// invisible to server-side probes in steady state, so the loss carries
+// the signal — each lost packet holds its connection for a
+// retransmission, bunching the arrivals behind it and inflating the
+// Eq. 2 variance for as long as the shift lasts. The noisy-neighbor tenant
 // is an oversubscribing variant of the wait-state study's heavy plan
 // (80% duty across sixteen threads — more demand than the whole
 // machine); cpu-offline removes five of the eight server CPUs so the
@@ -195,7 +197,7 @@ func attrTrial(sc attrScenario, pc PointCtx, c Cell) AttributionTrial {
 	det := control.NewSaturationDetector(control.DetectorConfig{
 		Warmup: attrDetWarm, Telemetry: pc.Telemetry,
 	})
-	attr := control.NewAttributor(control.AttributorConfig{})
+	attr := control.NewAttributor()
 	cursor := newAttrSketchCursor(rig.Attr)
 	cursor.expect(rig.Server.Process().TGID())
 	cursor.expect(rig.Client.TGID())
@@ -334,7 +336,7 @@ func AttributionMatrix(opt ExpOptions, trials int) AttributionResult {
 			// recorded onset, is the only perturbation.
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("attribution %s trial=%d", sc.name, t), Spec: spec, Level: attrLevel,
-				Seed: opt.Seed + int64(len(cells)), Netem: opt.Netem, Warm: opt.Warmup,
+				Seed: opt.Seed + int64(len(cells)), Warm: opt.Warmup,
 				Row: si, Col: t,
 			})
 		}
@@ -559,7 +561,7 @@ func AutoscaleScenario(latencies []time.Duration, opt ExpOptions) AutoscaleResul
 	for i, l := range latencies {
 		cells[i] = Cell{
 			Label: fmt.Sprintf("autoscale latency=%v", l), Spec: spec, Level: autoBase,
-			Seed: opt.Seed + int64(i), Netem: opt.Netem, Warm: opt.Warmup, Row: i,
+			Seed: opt.Seed + int64(i), Warm: opt.Warmup, Row: i,
 		}
 	}
 	points, st := RunCells(opt, "autoscale", cells,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"reqlens/internal/faults"
 	"reqlens/internal/kernel"
 	"reqlens/internal/machine"
 	"reqlens/internal/netsim"
@@ -32,17 +31,6 @@ type ExpOptions struct {
 	// Profile selects the server hardware model (Table I). The zero
 	// value is the AMD EPYC 7302 profile; machine.Intel() is the other.
 	Profile machine.Profile
-
-	// Netem shapes the client-server link (delay/jitter/loss), as tc
-	// netem does in the paper's Section V. Zero value: ideal link.
-	Netem netsim.Config
-
-	// Plan is a fault-injection schedule armed on every measured point
-	// (after warmup, so fault windows land inside the measurement). The
-	// zero Plan is the fault-free baseline and leaves the run untouched
-	// bit-for-bit. A plan carrying a Netem config replaces opt.Netem for
-	// the whole run, since link shaping is not a windowed event.
-	Plan faults.Plan
 
 	// MinSends is the minimum number of send-family syscalls an
 	// estimation window must contain; windowFor sizes the measurement
@@ -163,7 +151,7 @@ func (o ExpOptions) Supervised() bool {
 }
 
 // withDefaults fills zero-valued scale fields; see the field docs for
-// the default of each. Parallelism, Netem, Profile, and the callbacks
+// the default of each. Parallelism, Profile, and the callbacks
 // are left as given (their zero values are meaningful).
 func (o ExpOptions) withDefaults() ExpOptions {
 	if o.MinSends == 0 {
@@ -287,7 +275,7 @@ func fig2Assemble(workload string, perLevel [][]Estimate) Fig2Result {
 // linear regression. The protocol never over-warms: level 1.00 warms up
 // for Warmup like every other level.
 func Fig2(spec workloads.Spec, opt ExpOptions) Fig2Result {
-	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec, Netem: opt.Netem, Plan: opt.Plan}, 1)
+	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec}, 1)
 	perLevel, st := RunCells(opt, "fig2 "+spec.Name, cells, fig2Level, nil)
 	res := fig2Assemble(spec.Name, perLevel)
 	res.Gaps = st.GapLabels()
@@ -374,7 +362,7 @@ func assembleSweep(spec workloads.Spec, points []SweepPoint) SweepResult {
 // against the client-observed QoS state. Load levels run on the
 // parallel engine; the result is identical at any Parallelism.
 func SaturationSweep(spec workloads.Spec, opt ExpOptions) SweepResult {
-	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec, Netem: opt.Netem, Plan: opt.Plan}, 1)
+	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec}, 1)
 	points, _ := RunCells(opt, "sweep "+spec.Name, opt.overWarm(cells), sweepLevel, sweepGap)
 	return assembleSweep(spec, points)
 }
@@ -395,7 +383,7 @@ func Fig5(spec workloads.Spec, configs []netsim.Config, opt ExpOptions) Fig5Resu
 	var cells []Cell
 	for ci, cfg := range configs {
 		cells = append(cells, opt.LevelCells(Cell{
-			Label: fmt.Sprintf("%s cfg=%d", spec.Name, ci), Spec: spec, Netem: cfg, Plan: opt.Plan,
+			Label: fmt.Sprintf("%s cfg=%d", spec.Name, ci), Spec: spec, Netem: cfg,
 		}, 1)...)
 	}
 	points, _ := RunCells(opt, "fig5 "+spec.Name, opt.overWarm(cells), sweepLevel, sweepGap)
@@ -428,7 +416,7 @@ func Table2(specs []workloads.Spec, configs []netsim.Config, opt ExpOptions) []T
 	for si, spec := range specs {
 		for ci, cfg := range configs {
 			cells = append(cells, opt.LevelCells(Cell{
-				Label: fmt.Sprintf("%s cfg=%d", spec.Name, ci), Spec: spec, Netem: cfg, Plan: opt.Plan,
+				Label: fmt.Sprintf("%s cfg=%d", spec.Name, ci), Spec: spec, Netem: cfg,
 				Row: si, Col: ci,
 			}, 1)...)
 		}
@@ -491,7 +479,7 @@ func Overhead(spec workloads.Spec, level float64, opt ExpOptions) OverheadResult
 	for on, arm := range []string{"off", "on"} {
 		cells = append(cells, Cell{
 			Label: spec.Name + " probes=" + arm, Spec: spec, Level: level, Seed: opt.Seed,
-			Netem: opt.Netem, Plan: opt.Plan, Warm: opt.Warmup, Col: on,
+			Warm: opt.Warmup, Col: on,
 		})
 	}
 	runs, st := RunCells(opt, "overhead "+spec.Name, cells, func(pc PointCtx, c Cell) overheadRun {
@@ -550,7 +538,7 @@ func IOUring(level float64, opt ExpOptions) IOUringResult {
 	spec := workloads.DataCachingIOUring()
 	cell := Cell{
 		Label: fmt.Sprintf("%s level=%.2f", spec.Name, level), Spec: spec, Level: level, Seed: opt.Seed,
-		Netem: opt.Netem, Plan: opt.Plan, Warm: opt.Warmup,
+		Warm: opt.Warmup,
 	}
 	res, _ := RunCells(opt, "iouring", []Cell{cell}, func(pc PointCtx, c Cell) IOUringResult {
 		rig := pc.build(c, RigOptions{Probes: true})
@@ -592,7 +580,7 @@ func Fig1(spec workloads.Spec, level float64, capture time.Duration, opt ExpOpti
 	defer opt.experiment("fig1 " + spec.Name)()
 	c := Cell{
 		Label: fmt.Sprintf("%s level=%.2f capture=%v", spec.Name, level, capture),
-		Spec:  spec, Level: level, Seed: opt.Seed, Netem: opt.Netem,
+		Spec:  spec, Level: level, Seed: opt.Seed,
 	}
 	return point(opt, PointCtx{}, c.Label, func(pc PointCtx) Fig1Result {
 		rig := pc.build(c, RigOptions{})

@@ -21,7 +21,6 @@ type RigOptions struct {
 	Profile machine.Profile // server hardware; zero value = AMD
 	Netem   netsim.Config   // link shaping (Section V)
 	Rate    float64         // offered RPS
-	Conns   int             // client connections (0 = 4x workers)
 	Probes  bool            // attach the eBPF probes
 
 	// Stream additionally attaches the streaming observer (ring-buffer
@@ -133,7 +132,7 @@ type Node struct {
 // observers selected by opt, and hot-path telemetry into opt.Telemetry.
 // It does not create a client; NewRig adds the co-located load
 // generator, and internal/fleet attaches one load-share client per
-// node. opt.Rate, Conns, Poisson, SeparateClient and CaptureArrivals
+// node. opt.Rate, Poisson, SeparateClient and CaptureArrivals
 // are client-side options and ignored here.
 func NewNode(env *sim.Env, spec workloads.Spec, opt RigOptions) *Node {
 	if opt.Profile.Name == "" {
@@ -173,7 +172,7 @@ func NewNode(env *sim.Env, spec workloads.Spec, opt RigOptions) *Node {
 		})
 	}
 	if opt.WaitStates {
-		n.Wait = core.MustAttachWaitProfile(n.ServerK, cfg.TGID, probes.WaitStateConfig{TrackTGID: cfg.TGID})
+		n.Wait = core.MustAttachWaitProfile(n.ServerK, cfg.TGID)
 	}
 	if opt.Telemetry != nil {
 		// The server kernel carries the signals under study; a separate
@@ -269,17 +268,13 @@ func NewRig(spec workloads.Spec, opt RigOptions) *Rig {
 		r.ClientK = r.ServerK
 	}
 
-	conns := opt.Conns
-	if conns <= 0 {
-		conns = 4 * spec.Workers
-	}
 	perOp := spec.ClientPerOpCost()
 	if opt.SeparateClient {
 		perOp = 0
 	}
 	r.Client = loadgen.New(r.ClientK, r.Server.Listener(), loadgen.Options{
 		Rate:            opt.Rate,
-		Conns:           conns,
+		Conns:           4 * spec.Workers,
 		ReqSize:         spec.ReqSize,
 		PerOpCost:       perOp,
 		Poisson:         opt.Poisson,

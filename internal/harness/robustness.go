@@ -49,8 +49,7 @@ func RobustnessMatrix(specs []workloads.Spec, plans []faults.Plan, opt ExpOption
 	for si, spec := range specs {
 		for _, p := range all {
 			cells = append(cells, opt.LevelCells(Cell{
-				Label: fmt.Sprintf("%s plan=%s", spec.Name, p.Name), Spec: spec, Netem: opt.Netem, Plan: p,
-				Row: si,
+				Label: fmt.Sprintf("%s plan=%s", spec.Name, p.Name), Spec: spec, Plan: p, Row: si,
 			}, 1)...)
 		}
 	}

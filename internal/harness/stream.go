@@ -48,7 +48,7 @@ type StreamAgreementResult struct {
 // agree exactly. Load levels run on the parallel engine; results are
 // identical at any Parallelism.
 func StreamAgreement(spec workloads.Spec, opt ExpOptions) StreamAgreementResult {
-	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec, Netem: opt.Netem, Plan: opt.Plan}, 1)
+	cells := opt.LevelCells(Cell{Label: spec.Name, Spec: spec}, 1)
 	points, _ := RunCells(opt, "stream-agreement "+spec.Name, opt.overWarm(cells),
 		func(pc PointCtx, c Cell) AgreementPoint {
 			rig := pc.rig(c, RigOptions{Probes: true, Stream: true, StreamBytes: pc.opt.StreamBytes})

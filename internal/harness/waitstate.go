@@ -127,8 +127,8 @@ func waitPoint(pc PointCtx, c Cell) WaitPoint {
 // across opt.Levels (nil specs = all nine), plus the fixed diagnosis
 // scenarios. Each cell is one engine point on a private rig, so the
 // result is bit-identical at any Parallelism and resumable from a
-// journal like every other sweep. opt.Plan, when set, perturbs the
-// sweep cells (the diagnosis cells carry their own plans).
+// journal like every other sweep. Only the diagnosis cells carry a fault
+// plan.
 func WaitStateSweep(specs []workloads.Spec, opt ExpOptions) WaitStateResult {
 	if len(specs) == 0 {
 		specs = workloads.All()
@@ -136,15 +136,13 @@ func WaitStateSweep(specs []workloads.Spec, opt ExpOptions) WaitStateResult {
 	opt = opt.withDefaults()
 	var cells []Cell
 	for _, s := range specs {
-		cells = append(cells, opt.LevelCells(Cell{
-			Label: "waitstate " + s.Name, Spec: s, Netem: opt.Netem, Plan: opt.Plan,
-		}, 1)...)
+		cells = append(cells, opt.LevelCells(Cell{Label: "waitstate " + s.Name, Spec: s}, 1)...)
 	}
 	scens := waitScenarios()
 	for _, sc := range scens {
 		cells = append(cells, Cell{
 			Label: "waitstate diag " + sc.name, Spec: waitDiagSpec(), Level: sc.level,
-			Netem: opt.Netem, Plan: sc.plan, Warm: opt.Warmup,
+			Plan: sc.plan, Warm: opt.Warmup,
 		})
 	}
 	// This grid seeds by flat index across workloads and scenarios, not

@@ -17,9 +17,10 @@
 //     boundary; Client.Snapshot — RealRPS and latency percentiles
 //     (Results.P50/P99 feed the QoS verdicts of Figs. 3-5).
 //
-// The receiver (one per connection) and generator threads are kernel
-// loop threads (Process.SpawnLoop): state machines issuing what a loop
-// of blocking calls would, in its order, with no goroutine each.
+// The receiver (one per connection) and generator (a fixed four,
+// splitting Rate) threads are kernel loop threads (Process.SpawnLoop):
+// state machines issuing what a loop of blocking calls would, in its
+// order, with no goroutine each.
 //
 // The harness co-locates the client with the server by default
 // (matching the paper's same-host container placement) and offers

@@ -16,12 +16,6 @@ type Options struct {
 	Conns   int     // connection pool size
 	ReqSize int     // request bytes
 
-	// Generators is the number of load-generating threads splitting Rate
-	// (default 4). Each paces against its own schedule and catches up in
-	// a burst when it falls behind — the behaviour of real loader threads
-	// starved for CPU on a co-located, saturated machine (the paper runs
-	// client and server containers on one host, Section IV-A).
-	Generators int
 	// PerOpCost is the client CPU burned per send and per receive
 	// (request serialization, response parsing). On a co-located client
 	// this couples loader pacing to server saturation.
@@ -36,6 +30,13 @@ type Options struct {
 	// compare the sequences across runs.
 	CaptureArrivals int
 }
+
+// generators is the number of load-generating threads splitting
+// Options.Rate. Each paces against its own schedule and catches up in a
+// burst when it falls behind — the behaviour of real loader threads
+// starved for CPU on a co-located, saturated machine (the paper runs
+// client and server containers on one host, Section IV-A).
+const generators = 4
 
 // Client is one open-loop load generator attached to a workload.
 type Client struct {
@@ -108,11 +109,7 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 		})
 	}
 
-	gens := opts.Generators
-	if gens <= 0 {
-		gens = 4
-	}
-	for g := 0; g < gens; g++ {
+	for g := 0; g < generators; g++ {
 		i, phase, perGen, next := g, 0, 0.0, sim.Time(0)
 		c.proc.SpawnLoop("generator", func(t *kernel.Thread) bool {
 			switch phase {
@@ -125,10 +122,10 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 				if c.opts.Rate <= 0 {
 					return true
 				}
-				perGen = c.opts.Rate / float64(gens)
+				perGen = c.opts.Rate / float64(generators)
 				// Stagger generator phases so fixed-rate pacing interleaves
 				// instead of firing in lockstep.
-				next = t.Now().Add(time.Duration(float64(g) / perGen / float64(gens) * float64(time.Second)))
+				next = t.Now().Add(time.Duration(float64(g) / perGen / float64(generators) * float64(time.Second)))
 				phase = 1
 			case 1:
 				var gap time.Duration
@@ -161,7 +158,7 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 					c.sent++
 				}
 				s.Send(t, kernel.SysSendto, &netsim.Message{ID: id, Size: c.opts.ReqSize})
-				i += gens
+				i += generators
 				phase = 1
 			}
 			return false

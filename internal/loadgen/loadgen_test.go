@@ -125,7 +125,7 @@ func TestPoissonVsUniformPacing(t *testing.T) {
 				})
 			}
 		})
-		New(k, l, Options{Rate: 1000, Conns: 4, Poisson: poisson, Generators: 2})
+		New(k, l, Options{Rate: 1000, Conns: 4, Poisson: poisson})
 		env.RunFor(2 * time.Second)
 		env.Shutdown()
 		// Coefficient of variation of interarrival gaps.

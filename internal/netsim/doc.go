@@ -19,7 +19,8 @@
 //     Listener over a Config-shaped link, Listener.Dial/Accept connect
 //     Sock pairs, Network.NewEpoll builds a readiness multiplexer.
 //   - Config — netem knobs: Delay, Jitter, Loss, and RTO (shrinking RTO
-//     to fast-retransmit scale is the datagram ablation).
+//     to fast-retransmit scale is the datagram ablation). The link rate
+//     is a fixed 10 Gbit/s.
 //   - Sock.Send / TryRecv / Recv — message I/O issued through a
 //     kernel.Thread so every operation appears as a syscall to the
 //     tracepoints. A syscall body never parks: each blocking call is a

@@ -14,8 +14,6 @@ type Config struct {
 	Jitter time.Duration // uniform extra delay in [0, Jitter)
 	Loss   float64       // per-packet loss probability
 	RTO    time.Duration // retransmission timeout (default 200ms)
-	// BytesPerNS is the link rate; 0 means 10 Gbit/s.
-	BytesPerNS float64
 }
 
 // DefaultRTO is Linux's minimum TCP retransmission timeout.
@@ -28,12 +26,11 @@ func (c Config) rto() time.Duration {
 	return c.RTO
 }
 
-func (c Config) txTime(size int) time.Duration {
-	rate := c.BytesPerNS
-	if rate <= 0 {
-		rate = 1.25 // 10 Gbit/s in bytes per nanosecond
-	}
-	return time.Duration(float64(size) / rate)
+// linkBytesPerNS is the link rate: 10 Gbit/s in bytes per nanosecond.
+const linkBytesPerNS = 1.25
+
+func txTime(size int) time.Duration {
+	return time.Duration(float64(size) / linkBytesPerNS)
 }
 
 // Network owns connections and the shared randomness for loss/jitter.
@@ -171,7 +168,7 @@ func (p *pipe) send(m *Message) {
 			rto *= 2
 		}
 	}
-	delay := cfg.Delay + cfg.txTime(m.Size) + retxDelay
+	delay := cfg.Delay + txTime(m.Size) + retxDelay
 	if cfg.Jitter > 0 {
 		delay += time.Duration(p.net.rng.Float64() * float64(cfg.Jitter))
 	}

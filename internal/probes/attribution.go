@@ -19,54 +19,33 @@ const (
 	fdAttrExact    = 6 // optional oracle: exact syscall count per tgid
 )
 
-// AttributionConfig sizes the sketch maps of an AttributionProbe. The
-// zero value takes the defaults below, chosen so the whole per-node
-// state (three CMS rows of 2048x4 u64 plus a 4x64 pipe) is ~100 KiB —
-// small enough to pin per node, accurate to εN = N·e/2048 per query.
+// Map sizes of an AttributionProbe, chosen so the sketch-side state
+// (three count-min sketches of 2048x4 u64 plus a 4x64 HashPipe of 16 B
+// slots) is 200 704 B — small enough to pin per node, accurate to
+// εN = N·e/2048 per query.
+const (
+	// attrCMSWidth and attrCMSDepth size all three count-min sketches
+	// (2048x4: ε ≈ 0.13%, δ ≈ 1.8%).
+	attrCMSWidth, attrCMSDepth = 2048, 4
+	// attrTopStages and attrTopSlots size the HashPipe candidate table
+	// (4 stages x 64 slots).
+	attrTopStages, attrTopSlots = 4, 64
+	// attrLastEntries bounds the per-thread last-timestamp LRU map
+	// (512 threads before eviction).
+	attrLastEntries = 512
+	// attrOracleEntries bounds the oracle map (4096 tgids).
+	attrOracleEntries = 4096
+)
+
+// AttributionConfig configures an AttributionProbe.
 type AttributionConfig struct {
 	// SendSyscalls is the send family counted into the Sends sketch
 	// (default: sendto, sendmsg, write — the paper's response markers).
 	SendSyscalls []int
-	// CMSWidth and CMSDepth size all three count-min sketches
-	// (default 2048x4: ε ≈ 0.13%, δ ≈ 1.8%).
-	CMSWidth, CMSDepth int
-	// TopStages and TopSlots size the HashPipe candidate table
-	// (default 4 stages x 64 slots).
-	TopStages, TopSlots int
-	// LastEntries bounds the per-thread last-timestamp LRU map
-	// (default 512 threads before eviction).
-	LastEntries int
 	// Oracle additionally maintains an exact per-tgid syscall counter
 	// in a plain hash map — the ground truth the sketch read-out is
 	// validated against. Costs exact-map memory; off in production.
 	Oracle bool
-	// OracleEntries bounds the oracle map (default 4096 tgids).
-	OracleEntries int
-}
-
-func (c AttributionConfig) withDefaults() AttributionConfig {
-	if len(c.SendSyscalls) == 0 {
-		c.SendSyscalls = []int{kernel.SysSendto, kernel.SysSendmsg, kernel.SysWrite}
-	}
-	if c.CMSWidth == 0 {
-		c.CMSWidth = 2048
-	}
-	if c.CMSDepth == 0 {
-		c.CMSDepth = 4
-	}
-	if c.TopStages == 0 {
-		c.TopStages = 4
-	}
-	if c.TopSlots == 0 {
-		c.TopSlots = 64
-	}
-	if c.LastEntries == 0 {
-		c.LastEntries = 512
-	}
-	if c.OracleEntries == 0 {
-		c.OracleEntries = 4096
-	}
-	return c
 }
 
 // AttributionProbe attributes syscall activity to processes wholly in
@@ -91,23 +70,22 @@ type AttributionProbe struct {
 	// Exact is the ground-truth per-tgid counter, nil unless
 	// AttributionConfig.Oracle was set.
 	Exact *ebpf.HashMap
-
-	cfg AttributionConfig
 }
 
 // NewAttributionProbe builds and verifies the attribution program.
 func NewAttributionProbe(name string, cfg AttributionConfig) (*AttributionProbe, error) {
-	cfg = cfg.withDefaults()
+	if len(cfg.SendSyscalls) == 0 {
+		cfg.SendSyscalls = []int{kernel.SysSendto, kernel.SysSendmsg, kernel.SysWrite}
+	}
 	if len(cfg.SendSyscalls) > 4 {
 		return nil, fmt.Errorf("probes: need 1..4 send syscall numbers, got %d", len(cfg.SendSyscalls))
 	}
 	p := &AttributionProbe{
-		Syscalls: ebpf.NewCMS(name+"_syscalls", 8, cfg.CMSWidth, cfg.CMSDepth),
-		Sends:    ebpf.NewCMS(name+"_sends", 8, cfg.CMSWidth, cfg.CMSDepth),
-		TimeNS:   ebpf.NewCMS(name+"_time", 8, cfg.CMSWidth, cfg.CMSDepth),
-		Top:      ebpf.NewHashPipe(name+"_top", 8, cfg.TopStages, cfg.TopSlots),
-		Last:     ebpf.NewLRUHashMap(name+"_last", 8, 8, cfg.LastEntries),
-		cfg:      cfg,
+		Syscalls: ebpf.NewCMS(name+"_syscalls", 8, attrCMSWidth, attrCMSDepth),
+		Sends:    ebpf.NewCMS(name+"_sends", 8, attrCMSWidth, attrCMSDepth),
+		TimeNS:   ebpf.NewCMS(name+"_time", 8, attrCMSWidth, attrCMSDepth),
+		Top:      ebpf.NewHashPipe(name+"_top", 8, attrTopStages, attrTopSlots),
+		Last:     ebpf.NewLRUHashMap(name+"_last", 8, 8, attrLastEntries),
 	}
 	maps := map[int32]ebpf.Map{
 		fdAttrSyscalls: p.Syscalls,
@@ -117,7 +95,7 @@ func NewAttributionProbe(name string, cfg AttributionConfig) (*AttributionProbe,
 		fdAttrLast:     p.Last,
 	}
 	if cfg.Oracle {
-		p.Exact = ebpf.NewHashMap(name+"_exact", 8, 8, cfg.OracleEntries)
+		p.Exact = ebpf.NewHashMap(name+"_exact", 8, 8, attrOracleEntries)
 		maps[fdAttrExact] = p.Exact
 	}
 

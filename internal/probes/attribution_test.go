@@ -16,8 +16,10 @@ func TestAttributionProbeVerifies(t *testing.T) {
 	if p.Programs()[0].Disassemble() == "" {
 		t.Fatal("no disassembly")
 	}
-	if p.Bytes() >= 200<<10 {
-		t.Fatalf("default sketch footprint %d bytes, want < 200 KiB", p.Bytes())
+	// Three CMS of u64 counters plus a HashPipe of 16 B (key, count)
+	// slots: the 200 704 B the package doc states.
+	if want := 3*attrCMSWidth*attrCMSDepth*8 + attrTopStages*attrTopSlots*16; p.Bytes() != want || want != 200704 {
+		t.Fatalf("sketch footprint %d bytes, want %d = 200 704", p.Bytes(), want)
 	}
 }
 

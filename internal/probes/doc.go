@@ -33,6 +33,10 @@
 // exit tail and the ctx size of its tracepoint, and gives the probe
 // Attach (all or nothing), Detach and Programs.
 //
+// Map sizes are package constants, not options: a probe's map space is
+// fixed when it loads, as in the kernel. WaitStateProbe holds 61 440 B
+// and AttributionProbe's sketches 200 704 B (Bytes reports both).
+//
 // Key entry points: NewDeltaProbe / NewPollProbe / NewStreamProbe /
 // NewHistProbe / NewWaitStateProbe / NewAttributionProbe construct a
 // probe (Must panics on the error instead); Attach loads it on a

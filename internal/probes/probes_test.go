@@ -395,8 +395,8 @@ func shippedProbes(ringCap int) ([]shipped, []*ebpf.RingBuf) {
 		{"poll-ring", Must(NewPollProbe("poll", 42, nrs, ring))},
 		{"hist", Must(NewHistProbe("hist", 42, nrs))},
 		{"stream", stream},
-		{"waitstate", Must(NewWaitStateProbe("ws", WaitStateConfig{}))},
-		{"waitstate-42", Must(NewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 42}))},
+		{"waitstate", Must(NewWaitStateProbe("ws", 0))},
+		{"waitstate-42", Must(NewWaitStateProbe("ws", 42))},
 		{"attr", Must(NewAttributionProbe("attr", AttributionConfig{}))},
 		{"attr-oracle", Must(NewAttributionProbe("attr", AttributionConfig{Oracle: true}))},
 	}, []*ebpf.RingBuf{ring, stream.Ring}

@@ -35,33 +35,15 @@ const (
 	wsOffInit = -40
 )
 
-// WaitStateConfig sizes the maps of a WaitStateProbe. The zero value
-// takes the defaults below.
-type WaitStateConfig struct {
-	// StateEntries bounds the per-thread transition map (default 512
-	// threads before LRU eviction).
-	StateEntries int
-	// TGIDEntries bounds each per-tgid accumulator map (default 1024
+// Map bounds of a WaitStateProbe.
+const (
+	// wsStateEntries bounds the per-thread transition map (512 threads
+	// before LRU eviction).
+	wsStateEntries = 512
+	// wsTGIDEntries bounds each per-tgid accumulator map (1024
 	// processes).
-	TGIDEntries int
-	// TrackTGID, when nonzero, restricts accounting to that process:
-	// each program checks the tgids in its ctx before any helper call
-	// and exits in a handful of instructions when none match — the
-	// standard early-filter idiom that keeps a machine-wide sched hook
-	// from taxing every foreign context switch. Zero tracks every
-	// process.
-	TrackTGID int
-}
-
-func (c WaitStateConfig) withDefaults() WaitStateConfig {
-	if c.StateEntries == 0 {
-		c.StateEntries = 512
-	}
-	if c.TGIDEntries == 0 {
-		c.TGIDEntries = 1024
-	}
-	return c
-}
+	wsTGIDEntries = 1024
+)
 
 // WaitStateProbe classifies every thread's time into on-CPU, runnable
 // (waiting on the run queue) and blocked, wholly in map space: a
@@ -83,8 +65,6 @@ type WaitStateProbe struct {
 	RunnableNS *ebpf.HashMap
 	// BlockedNS accumulates blocked nanoseconds per tgid.
 	BlockedNS *ebpf.HashMap
-
-	cfg WaitStateConfig
 }
 
 // emitWaitTransition emits one task's state transition as a single
@@ -201,15 +181,17 @@ func emitWaitTgidGuard(a *ebpf.Assembler, reg ebpf.Register, off int, track int,
 }
 
 // NewWaitStateProbe builds and verifies the sched_switch/sched_wakeup
-// program pair.
-func NewWaitStateProbe(name string, cfg WaitStateConfig) (*WaitStateProbe, error) {
-	cfg = cfg.withDefaults()
+// program pair. track, when nonzero, restricts accounting to that
+// process: each program checks the tgids in its ctx before any helper
+// call and exits in a handful of instructions when none match — the
+// standard early-filter idiom that keeps a machine-wide sched hook from
+// taxing every foreign context switch. Zero tracks every process.
+func NewWaitStateProbe(name string, track int) (*WaitStateProbe, error) {
 	p := &WaitStateProbe{
-		State:      ebpf.NewLRUHashMap(name+"_state", 8, 16, cfg.StateEntries),
-		OnCPUNS:    ebpf.NewHashMap(name+"_oncpu_ns", 8, 8, cfg.TGIDEntries),
-		RunnableNS: ebpf.NewHashMap(name+"_runnable_ns", 8, 8, cfg.TGIDEntries),
-		BlockedNS:  ebpf.NewHashMap(name+"_blocked_ns", 8, 8, cfg.TGIDEntries),
-		cfg:        cfg,
+		State:      ebpf.NewLRUHashMap(name+"_state", 8, 16, wsStateEntries),
+		OnCPUNS:    ebpf.NewHashMap(name+"_oncpu_ns", 8, 8, wsTGIDEntries),
+		RunnableNS: ebpf.NewHashMap(name+"_runnable_ns", 8, 8, wsTGIDEntries),
+		BlockedNS:  ebpf.NewHashMap(name+"_blocked_ns", 8, 8, wsTGIDEntries),
 	}
 	maps := map[int32]ebpf.Map{
 		fdWaitState: p.State,
@@ -221,11 +203,10 @@ func NewWaitStateProbe(name string, cfg WaitStateConfig) (*WaitStateProbe, error
 	// sched_switch: close the outgoing task's on-CPU interval and open
 	// runnable or blocked per prev_state; close the incoming task's
 	// runnable interval and open on-CPU. pid_tgid 0 is the idle task on
-	// either side and is skipped. With a TrackTGID the whole program
+	// either side and is skipped. With a nonzero track the whole program
 	// bails before the first helper call unless one side is the tracked
 	// process — the dominant case on a busy machine is somebody else's
 	// context switch, and it must cost almost nothing.
-	track := cfg.TrackTGID
 	a := ebpf.NewAssembler()
 	a.Emit(ebpf.Mov64Reg(ebpf.R6, ebpf.R1))
 	if track != 0 {
@@ -342,7 +323,5 @@ func (s WaitSnapshot) Sub(prev WaitSnapshot) WaitSnapshot {
 // Bytes returns the probe's total map footprint: the fixed budget that
 // covers every thread and process on the node.
 func (p *WaitStateProbe) Bytes() int {
-	state := p.cfg.StateEntries * (8 + 16)
-	acc := 3 * p.cfg.TGIDEntries * (8 + 8)
-	return state + acc
+	return wsStateEntries*(8+16) + 3*wsTGIDEntries*(8+8)
 }

@@ -11,21 +11,22 @@ import (
 )
 
 func TestWaitStateProbeVerifies(t *testing.T) {
-	p := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	p := Must(NewWaitStateProbe("ws", 0))
 	if p.Programs()[0].Len() == 0 || p.Programs()[1].Len() == 0 {
 		t.Fatal("empty program")
 	}
 	if p.Programs()[0].Disassemble() == "" || p.Programs()[1].Disassemble() == "" {
 		t.Fatal("no disassembly")
 	}
-	if p.Bytes() <= 0 {
-		t.Fatal("no map footprint")
+	// 512 (key, since, code) rows plus three 1024-tgid u64 maps.
+	if want := wsStateEntries*(8+16) + 3*wsTGIDEntries*(8+8); p.Bytes() != want || want != 61440 {
+		t.Fatalf("map footprint %d bytes, want %d = 61 440", p.Bytes(), want)
 	}
 }
 
 func TestWaitStateProgramsRejectWrongTracepoint(t *testing.T) {
 	_, k := rig(1)
-	p := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	p := Must(NewWaitStateProbe("ws", 0))
 	if _, err := k.Tracer().Attach(kernel.RawSysEnter, p.Programs()[0]); err == nil {
 		t.Fatal("sys_enter accepted a sched_switch-sized program")
 	}
@@ -38,7 +39,7 @@ func TestWaitStateAccountsComputeAndQueue(t *testing.T) {
 	env, k := rig(1) // one CPU so two computing threads must share it
 	p1 := k.NewProcess("p1")
 	p2 := k.NewProcess("p2")
-	probe := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	probe := Must(NewWaitStateProbe("ws", 0))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestWaitStateAccountsComputeAndQueue(t *testing.T) {
 func TestWaitStateAccountsBlockedSleep(t *testing.T) {
 	env, k := rig(2)
 	proc := k.NewProcess("p")
-	probe := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	probe := Must(NewWaitStateProbe("ws", 0))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestWaitStateAccountsBlockedSleep(t *testing.T) {
 func TestWaitStateSumMatchesElapsed(t *testing.T) {
 	env, k := rig(2)
 	proc := k.NewProcess("p")
-	probe := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	probe := Must(NewWaitStateProbe("ws", 0))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func switchCtx(prev, next uint64, prevState uint64) []byte {
 // tracked process must still be fully accounted from either side of a
 // switch.
 func TestWaitStateTrackTGID(t *testing.T) {
-	p := Must(NewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 7}))
+	p := Must(NewWaitStateProbe("ws", 7))
 	sw, wk := p.Programs()[0], p.Programs()[1]
 	env := &ebpf.FixedEnv{}
 	const ours, theirA, theirB = 7<<32 | 70, 9<<32 | 90, 10<<32 | 91
@@ -201,7 +202,7 @@ func TestWaitStateTrackTGID(t *testing.T) {
 // the engine alone), and the maps must stop growing: the state machine
 // only overwrites existing entries, never delete/insert cycles.
 func TestWaitStateHotPathAllocFree(t *testing.T) {
-	p := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	p := Must(NewWaitStateProbe("ws", 0))
 	sw := p.Programs()[0]
 	env := &ebpf.FixedEnv{}
 	const t1, t2 = 5<<32 | 1, 6<<32 | 2
@@ -236,7 +237,7 @@ func TestWaitStateHotPathAllocFree(t *testing.T) {
 // memcached's paper-calibrated event rate (FailureRPS × the ~3 sched
 // events each request's syscall computes generate per core schedule).
 func BenchmarkWaitStateHotPath(b *testing.B) {
-	p := Must(NewWaitStateProbe("ws", WaitStateConfig{}))
+	p := Must(NewWaitStateProbe("ws", 0))
 	sw := p.Programs()[0]
 	env := &ebpf.FixedEnv{}
 	const t1, t2 = 5<<32 | 1, 6<<32 | 2
@@ -274,7 +275,7 @@ func BenchmarkWaitStateHotPath(b *testing.B) {
 // TrackTGID set, somebody else's context switch must cost a
 // load-shift-compare pair and no helper calls.
 func BenchmarkWaitStateFilteredMiss(b *testing.B) {
-	sw := Must(NewWaitStateProbe("ws", WaitStateConfig{TrackTGID: 42})).Programs()[0]
+	sw := Must(NewWaitStateProbe("ws", 42)).Programs()[0]
 	env := &ebpf.FixedEnv{}
 	ctx := switchCtx(5<<32|1, 6<<32|2, kernel.TaskRunning)
 	var insns, helpers uint64

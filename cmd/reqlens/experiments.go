@@ -62,6 +62,7 @@ func experiments() []experiment {
 				}
 			}},
 		{name: "robustness", summary: "R^2 deltas under kernel fault plans",
+			golden: []string{"-quick", "-workload", "silo"},
 			run: func(rc *runCtx, w io.Writer) {
 				rows := harness.RobustnessMatrix(rc.specs, faults.StandardPlans(), rc.opt)
 				fmt.Fprint(w, harness.RenderRobustness(rows))

@@ -83,9 +83,7 @@ func main() {
 		}
 		m := rig.Measure(time.Second)
 		now += time.Second
-		_, alarmed := detector.Observe(now, control.Sample{
-			SendVarUS2: m.SendVarUS2, RPS: m.RPSObsv, PollMeanNS: m.PollMeanNS,
-		})
+		_, alarmed := detector.Observe(now, m.Evidence())
 		sl := slack.Observe(time.Duration(m.PollMeanNS))
 
 		action := "hold"

@@ -46,10 +46,10 @@ func Causes() []Cause {
 	return []Cause{CauseOverload, CauseNetem, CauseNoisyNeighbor, CauseCPUOffline}
 }
 
-// Evidence is one window's fused probe read-out, the attributor's
-// input. Shares are fractions of the window (wait-state probes);
-// ForeignShare is the non-server fraction of sketch-attributed syscall
-// counts; RPS is the Eq. 1 estimate.
+// Evidence is one window's fused probe read-out, the detector's and
+// the attributor's input. Shares are fractions of the window
+// (wait-state probes); ForeignShare is the non-server fraction of
+// sketch-attributed syscall counts; RPS is the Eq. 1 estimate.
 type Evidence struct {
 	OnCPUShare    float64
 	RunnableShare float64
@@ -162,10 +162,4 @@ func (a *Attributor) Classify() Cause {
 		return CauseNetem
 	}
 	return CauseNone
-}
-
-// Reset clears both phases for a fresh run.
-func (a *Attributor) Reset() {
-	a.base = evidenceMean{}
-	a.post = evidenceMean{}
 }

@@ -9,15 +9,6 @@ import (
 	"reqlens/internal/telemetry"
 )
 
-// Sample is one estimation window's probe read-out, the detector's only
-// input — all three fields come from the in-kernel probes, never from
-// client-side ground truth.
-type Sample struct {
-	SendVarUS2 float64 // Eq. 2 variance of send deltas (µs²)
-	RPS        float64 // Eq. 1 send-rate estimate (req/s)
-	PollMeanNS float64 // Fig. 4 mean epoll_wait duration (ns)
-}
-
 // Signal names which chart raised an alarm.
 type Signal int
 
@@ -81,7 +72,7 @@ const (
 // (z ≈ 3.6) while healthy jitter stays an order of magnitude below it.
 const sigmaFloor = 0.1
 
-// SaturationDetector consumes per-window Samples and raises typed
+// SaturationDetector consumes per-window Evidence and raises typed
 // alarms once a chart leaves its self-calibrated baseline. It is
 // allocation-free per Observe.
 type SaturationDetector struct {
@@ -113,9 +104,6 @@ func NewSaturationDetector(cfg DetectorConfig) *SaturationDetector {
 	}
 }
 
-// Windows returns how many samples the detector has consumed.
-func (d *SaturationDetector) Windows() int { return d.n }
-
 // standardize returns x's residual against base, with the floored
 // sigma.
 func standardize(x float64, base *stats.Online) float64 {
@@ -126,16 +114,16 @@ func standardize(x float64, base *stats.Online) float64 {
 	return (x - base.Mean()) / sigma
 }
 
-// Observe folds one window's sample. During warmup it trains the
-// baseline and never alarms; afterwards it standardizes the sample
-// against the frozen baseline and reports the first chart that trips
-// (variance wins when both do).
-func (d *SaturationDetector) Observe(at time.Duration, s Sample) (Alarm, bool) {
+// Observe folds one window's evidence, reading only its SendVarUS2 and
+// PollMeanNS. During warmup it trains the baseline and never alarms;
+// afterwards it standardizes the window against the frozen baseline and
+// reports the first chart that trips (variance wins when both do).
+func (d *SaturationDetector) Observe(at time.Duration, e Evidence) (Alarm, bool) {
 	d.telSamples.Inc()
 	w := d.n
 	d.n++
-	varLog := math.Log2(s.SendVarUS2 + 1)
-	pollLog := math.Log2(s.PollMeanNS + 1)
+	varLog := math.Log2(e.SendVarUS2 + 1)
+	pollLog := math.Log2(e.PollMeanNS + 1)
 	if w < d.cfg.Warmup {
 		d.varBase.Add(varLog)
 		d.pollBase.Add(pollLog)
@@ -152,13 +140,4 @@ func (d *SaturationDetector) Observe(at time.Duration, s Sample) (Alarm, bool) {
 		return Alarm{At: at, Window: w, Signal: SignalPoll, Score: d.ewma.Value()}, true
 	}
 	return Alarm{}, false
-}
-
-// Reset clears the charts and the baseline for a fresh run.
-func (d *SaturationDetector) Reset() {
-	d.varBase.Reset()
-	d.pollBase.Reset()
-	d.cusum.Reset()
-	d.ewma.Reset()
-	d.n = 0
 }

@@ -138,37 +138,6 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// Window is one ground-truth active interval of a scheduled fault,
-// relative to the Arm time. Open windows (Duration 0) run until Clear.
-// Periodic faults (MigrationStorm, NoisyNeighbor) count their whole
-// armed span as active: Period paces perturbations within the window,
-// it does not gate activity on and off.
-type Window struct {
-	Kind  Kind
-	Start time.Duration
-	End   time.Duration // exclusive; meaningful only when !Open
-	Open  bool          // no scheduled end: active until Clear
-}
-
-// Windows returns the plan's ground-truth active intervals, one per
-// scheduled fault in schedule order — the supervision labels the
-// attribution scorer grades against, derived from the same Start and
-// Duration the controller arms, so scorer and injector cannot drift.
-// Plan.Netem is not a window: whole-run link shaping has no onset.
-func (p Plan) Windows() []Window {
-	if len(p.Faults) == 0 {
-		return nil
-	}
-	out := make([]Window, len(p.Faults))
-	for i, f := range p.Faults {
-		out[i] = Window{Kind: f.Kind, Start: f.Start, End: f.Start + f.Duration, Open: f.Duration == 0}
-	}
-	return out
-}
-
-// Baseline is the explicit fault-free plan.
-func Baseline() Plan { return Plan{Name: "baseline"} }
-
 // DelayPlan shapes the link with added one-way delay (Table II style).
 func DelayPlan(d time.Duration) Plan {
 	return Plan{Name: fmt.Sprintf("delay-%v", d), Netem: netsim.Config{Delay: d}}

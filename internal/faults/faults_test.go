@@ -36,7 +36,7 @@ func TestValidate(t *testing.T) {
 		plan Plan
 		tgt  Target
 	}{
-		{"nil kernel", Baseline(), Target{}},
+		{"nil kernel", Plan{}, Target{}},
 		{"unknown kind", Plan{Faults: []Fault{{Kind: Kind(99)}}}, Target{Kernel: k}},
 		{"negative start", Plan{Faults: []Fault{{Kind: CPUOffline, Start: -1}}}, Target{Kernel: k}},
 		{"churn without probes", ProbeChurnPlan(0, time.Millisecond), Target{Kernel: k}},
@@ -235,26 +235,6 @@ func TestClearUndoesActiveFaults(t *testing.T) {
 	env.RunFor(5 * time.Millisecond)
 	if c.Applied()["affinity-flush"] != flushes {
 		t.Fatal("storm still ticking after Clear")
-	}
-}
-
-// TestPlanWindows: ground-truth intervals come straight from the
-// schedule — closed windows carry [Start, Start+Duration), open ones
-// (Duration 0) run until Clear.
-func TestPlanWindows(t *testing.T) {
-	if w := Baseline().Windows(); w != nil {
-		t.Fatalf("baseline Windows() = %v, want nil", w)
-	}
-	plan := Plan{Faults: []Fault{
-		{Kind: CPUOffline, Start: time.Second, Duration: 2 * time.Second},
-		{Kind: NoisyNeighbor, Start: 500 * time.Millisecond},
-	}}
-	want := []Window{
-		{Kind: CPUOffline, Start: time.Second, End: 3 * time.Second},
-		{Kind: NoisyNeighbor, Start: 500 * time.Millisecond, End: 500 * time.Millisecond, Open: true},
-	}
-	if got := plan.Windows(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Windows() = %v, want %v", got, want)
 	}
 }
 

@@ -7,9 +7,7 @@ import (
 
 	"reqlens/internal/control"
 	"reqlens/internal/core"
-	"reqlens/internal/faults"
 	"reqlens/internal/loadgen"
-	"reqlens/internal/netsim"
 	"reqlens/internal/workloads"
 )
 
@@ -36,60 +34,22 @@ const (
 	// attrFault is the faulted span in windows; an undetected fault
 	// after attrFault windows scores as a miss.
 	attrFault = 10
-	// attrSurge is the extra offered load (fraction of failure RPS) the
-	// overload scenario adds on top of attrLevel.
-	attrSurge = 0.6
 	// attrTopK bounds the sketch ranking read per window; the rigs host
 	// at most four processes, so eight never truncates.
 	attrTopK = 8
 )
 
-// attrScenario is one supervised trial configuration: a named fault
-// with its ground-truth cause class. Exactly one of plan/surge is set
-// (baseline sets neither).
-type attrScenario struct {
-	name  string
-	cause control.Cause
-	plan  faults.Plan // armed at the fault onset; open-ended
-	surge float64     // extra load fraction spawned at the onset
-}
-
-// attrOpenPlan wraps one open-ended fault (Duration 0: active until the
-// trial ends) so the onset is exactly the arming instant.
-func attrOpenPlan(name string, seed int64, f faults.Fault) faults.Plan {
-	return faults.Plan{Name: name, Seed: seed, Faults: []faults.Fault{f}}
-}
-
-// attrScenarios returns the scored set: a fault-free control plus one
-// scenario per cause class. The netem shift injects 10 ms of one-way
-// delay and 8% loss, with no jitter (tc netem delay 10ms loss 8%): a
-// constant delay only phase-shifts a paced arrival process and is
-// invisible to server-side probes in steady state, so the loss carries
-// the signal — each lost packet holds its connection for a
-// retransmission, bunching the arrivals behind it and inflating the
-// Eq. 2 variance for as long as the shift lasts. The noisy-neighbor tenant
-// is an oversubscribing variant of the wait-state study's heavy plan
-// (80% duty across sixteen threads — more demand than the whole
-// machine); cpu-offline removes five of the eight server CPUs so the
-// remaining capacity sits well under the offered level.
-func attrScenarios() []attrScenario {
-	return []attrScenario{
-		{name: "baseline", cause: control.CauseNone},
-		{name: "overload", cause: control.CauseOverload, surge: attrSurge},
-		{name: "netem-loss", cause: control.CauseNetem,
-			plan: attrOpenPlan("netem-loss", 31, faults.Fault{
-				Kind:  faults.NetemShift,
-				Netem: netsim.Config{Delay: 10 * time.Millisecond, Loss: 0.08},
-			})},
-		{name: "noisy-neighbor", cause: control.CauseNoisyNeighbor,
-			plan: attrOpenPlan("noisy-heavy", 14, faults.Fault{
-				Kind: faults.NoisyNeighbor, Threads: 16,
-				Period: 100 * time.Microsecond, Burn: 400 * time.Microsecond,
-			})},
-		{name: "cpu-offline", cause: control.CauseCPUOffline,
-			plan: attrOpenPlan("cpu-offline", 47, faults.Fault{
-				Kind: faults.CPUOffline, CPUs: 5,
-			})},
+// attrPicks returns the scored set: a fault-free control plus one
+// pick per cause class. The tenant oversubscribes (sixteen threads at
+// 80% duty is more demand than the whole machine); cpu-offline leaves
+// three of the eight server CPUs, well under the offered level.
+func attrPicks() []pick {
+	return []pick{
+		{"baseline", baseline, 0},
+		{"overload", overload, 0.6},
+		{"netem-loss", netem, 0.08},
+		{"noisy-neighbor", noisy, 16},
+		{"cpu-offline", cpuOffline, 5},
 	}
 }
 
@@ -188,10 +148,10 @@ func (c *attrSketchCursor) foreignShare() float64 {
 }
 
 // attrTrial runs one supervised trial on a private rig: calibrate the
-// detector on a healthy span, inject the scenario's fault at a recorded
+// detector on a healthy span, inject the pick's fault at a recorded
 // onset, and score detection plus attribution against that ground
 // truth.
-func attrTrial(sc attrScenario, pc PointCtx, c Cell) AttributionTrial {
+func attrTrial(p pick, pc PointCtx, c Cell) AttributionTrial {
 	rig := pc.rig(c, RigOptions{Probes: true, WaitStates: true, Attribution: true})
 
 	det := control.NewSaturationDetector(control.DetectorConfig{
@@ -205,21 +165,15 @@ func attrTrial(sc attrScenario, pc PointCtx, c Cell) AttributionTrial {
 
 	win := windowFor(pc.opt.MinSends, c.Rate())
 	now := c.Warm
-	res := AttributionTrial{Scenario: sc.name, Trial: c.Col, True: sc.cause}
+	res := AttributionTrial{Scenario: p.name, Trial: c.Col, True: p.cause}
 
 	// observe runs one estimation window and folds it into the charts.
 	observe := func() (control.Alarm, bool, control.Evidence) {
 		m := rig.Measure(win)
 		now += win
-		on, run, blk := m.Wait.Shares()
-		ev := control.Evidence{
-			OnCPUShare: on, RunnableShare: run, BlockedShare: blk,
-			ForeignShare: cursor.foreignShare(), RPS: m.RPSObsv,
-			SendVarUS2: m.SendVarUS2, PollMeanNS: m.PollMeanNS,
-		}
-		a, tripped := det.Observe(now, control.Sample{
-			SendVarUS2: m.SendVarUS2, RPS: m.RPSObsv, PollMeanNS: m.PollMeanNS,
-		})
+		ev := m.Evidence()
+		ev.ForeignShare = cursor.foreignShare()
+		a, tripped := det.Observe(now, ev)
 		return a, tripped, ev
 	}
 
@@ -236,12 +190,9 @@ func attrTrial(sc attrScenario, pc PointCtx, c Cell) AttributionTrial {
 
 	// Fault onset, at a known instant.
 	onset := now
-	if sc.surge > 0 {
+	if surge := rig.inject(p); surge != nil {
 		// More load is overload, not a foreign tenant.
-		cursor.expect(rig.surge(sc.surge).TGID())
-	}
-	if !sc.plan.Empty() {
-		rig.Arm(sc.plan)
+		cursor.expect(surge.TGID())
 	}
 
 	// Faulted span: first alarm fixes the detection delay; the alarming
@@ -328,24 +279,24 @@ func AttributionMatrix(opt ExpOptions, trials int) AttributionResult {
 	}
 	opt = opt.withDefaults()
 	spec := waitDiagSpec()
-	scens := attrScenarios()
+	picks := attrPicks()
 	var cells []Cell
-	for si, sc := range scens {
+	for si, p := range picks {
 		for t := 0; t < trials; t++ {
-			// No Plan: the scenario's own fault, armed by the trial at its
+			// No Plan: the pick's own fault, injected by the trial at its
 			// recorded onset, is the only perturbation.
 			cells = append(cells, Cell{
-				Label: fmt.Sprintf("attribution %s trial=%d", sc.name, t), Spec: spec, Level: attrLevel,
+				Label: fmt.Sprintf("attribution %s trial=%d", p.name, t), Spec: spec, Level: attrLevel,
 				Seed: opt.Seed + int64(len(cells)), Warm: opt.Warmup,
 				Row: si, Col: t,
 			})
 		}
 	}
 	points, st := RunCells(opt, "attribution", cells,
-		func(pc PointCtx, c Cell) AttributionTrial { return attrTrial(scens[c.Row], pc, c) },
+		func(pc PointCtx, c Cell) AttributionTrial { return attrTrial(picks[c.Row], pc, c) },
 		func(c Cell) AttributionTrial {
-			sc := scens[c.Row]
-			return AttributionTrial{Scenario: sc.name, Trial: c.Col, True: sc.cause, Gap: true}
+			p := picks[c.Row]
+			return AttributionTrial{Scenario: p.name, Trial: c.Col, True: p.cause, Gap: true}
 		})
 
 	res := AttributionResult{
@@ -423,13 +374,16 @@ func short(c control.Cause) string {
 	return c.String()
 }
 
-// Autoscale scenario constants: the service starts on autoCPUs of the
-// machine's cores at autoBase load, then a surge lifts demand past that
-// allocation and the controller must grow the pool back under QoS.
+// autoSurge is the autoscale sweep's one fault: the service starts on
+// autoCPUs of the machine's cores at autoBase load, then the surge lifts
+// demand past that allocation and the controller must grow the pool
+// back under QoS.
+var autoSurge = pick{"surge", overload, 0.45}
+
+// The autoscale sweep's constants.
 const (
-	autoBase  = 0.35
-	autoSurge = 0.45
-	autoCPUs  = 4
+	autoBase = 0.35
+	autoCPUs = 4
 	// autoDetWarm and autoHealthy mirror the attribution spans.
 	autoDetWarm = 8
 	autoHealthy = 2
@@ -503,9 +457,7 @@ func autoscalePoint(latency time.Duration, pc PointCtx, c Cell) AutoscalePoint {
 	step := func() loadgen.Results {
 		m := rig.Measure(win)
 		now += win
-		_, alarmed := det.Observe(now, control.Sample{
-			SendVarUS2: m.SendVarUS2, RPS: m.RPSObsv, PollMeanNS: m.PollMeanNS,
-		})
+		_, alarmed := det.Observe(now, m.Evidence())
 		sl := slack.Observe(time.Duration(m.PollMeanNS))
 		if d, ok := as.Observe(now, alarmed, sl); ok {
 			switch d.Action {
@@ -531,7 +483,7 @@ func autoscalePoint(latency time.Duration, pc PointCtx, c Cell) AutoscalePoint {
 	}
 
 	onset := now
-	rig.surge(autoSurge)
+	rig.inject(autoSurge)
 	for w := 0; w < autoFault; w++ {
 		load := step()
 		if load.P99 > res.PeakP99 {
@@ -570,7 +522,7 @@ func AutoscaleScenario(latencies []time.Duration, opt ExpOptions) AutoscaleResul
 
 	return AutoscaleResult{
 		Workload: spec.Name, QoS: spec.QoS,
-		Base: autoBase, Surge: autoSurge, StartCPUs: autoCPUs,
+		Base: autoBase, Surge: autoSurge.x, StartCPUs: autoCPUs,
 		Window: windowFor(opt.MinSends, autoBase*spec.FailureRPS),
 		Points: points, Gaps: st.GapLabels(),
 	}

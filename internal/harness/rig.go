@@ -3,6 +3,7 @@ package harness
 import (
 	"time"
 
+	"reqlens/internal/control"
 	"reqlens/internal/core"
 	"reqlens/internal/faults"
 	"reqlens/internal/kernel"
@@ -303,19 +304,6 @@ func (r *Rig) rebase() {
 	}
 }
 
-// surge starts a second load generator offering frac of the workload's
-// failure RPS on top of the rig's own client — a demand step at the
-// current simulated instant.
-func (r *Rig) surge(frac float64) *loadgen.Client {
-	spec := r.Server.Spec()
-	return loadgen.New(r.ClientK, r.Server.Listener(), loadgen.Options{
-		Rate:      frac * spec.FailureRPS,
-		Conns:     2 * spec.Workers,
-		ReqSize:   spec.ReqSize,
-		PerOpCost: spec.ClientPerOpCost(),
-	})
-}
-
 // Measurement is one window's paired ground truth and eBPF observations.
 type Measurement struct {
 	Load loadgen.Results
@@ -334,6 +322,18 @@ type Measurement struct {
 	SendVarUS2 float64 // Eq. 2 variance of send deltas
 	RecvVarUS2 float64
 	PollMeanNS float64 // Fig. 4 slack signal
+}
+
+// Evidence is the window's probe read-out as the control stage's input.
+// The wait-state shares are zero without RigOptions.WaitStates, and
+// ForeignShare is left to the caller: it diffs the attribution
+// sketches across windows.
+func (m Measurement) Evidence() control.Evidence {
+	on, run, blk := m.Wait.Shares()
+	return control.Evidence{
+		OnCPUShare: on, RunnableShare: run, BlockedShare: blk,
+		RPS: m.RPSObsv, SendVarUS2: m.SendVarUS2, PollMeanNS: m.PollMeanNS,
+	}
 }
 
 // Measure runs one measurement window of duration d and returns the

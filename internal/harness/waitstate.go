@@ -5,54 +5,30 @@ import (
 	"strings"
 	"time"
 
-	"reqlens/internal/faults"
 	"reqlens/internal/workloads"
 )
 
 // Wait-state diagnosis scenarios run against this fixed workload and
 // nominal level: cheap enough for the quick gate, loaded enough that
 // queueing is visible when a fault induces it.
-const (
-	waitDiagLevel     = 0.6
-	waitDiagOverLevel = 1.0
-)
+const waitDiagLevel = 0.6
 
 // waitDiagSpec is the workload the diagnosis scenarios share.
 func waitDiagSpec() workloads.Spec { return workloads.Silo() }
 
-// waitScenario is one diagnosis cell: a named perturbation of the fixed
-// diagnosis workload.
-type waitScenario struct {
-	name  string
-	level float64
-	plan  faults.Plan
-}
-
-// waitNoisyPlan is a heavy-tenant variant of faults.NoisyNeighborPlan:
-// eight threads at ~80% duty (400us burns every 100us of sleep) occupy
-// most of the machine, so server wakeups land behind tenant burns and
-// queue. The standard plan's 20%-duty tenant perturbs the timing
-// signals but rarely fills every CPU at once, which is the wrong
-// severity for demonstrating runnable-share attribution.
-func waitNoisyPlan() faults.Plan {
-	return faults.Plan{Name: "noisy-heavy", Seed: 14, Faults: []faults.Fault{{
-		Kind: faults.NoisyNeighbor, Threads: 8,
-		Period: 100 * time.Microsecond, Burn: 400 * time.Microsecond,
-	}}}
-}
-
-// waitScenarios returns the diagnosis set: the same node healthy,
-// overloaded, behind a delayed link, and sharing its CPUs with a noisy
-// tenant. The last three all inflate client-side p99; only the
-// wait-state shares tell them apart — queueing for the CPU (runnable)
-// is saturation or contention, while an inflated p99 over an unchanged,
-// blocked-dominated profile is the network's fault, not the node's.
-func waitScenarios() []waitScenario {
-	return []waitScenario{
-		{"baseline", waitDiagLevel, faults.Baseline()},
-		{"overload", waitDiagOverLevel, faults.Baseline()},
-		{"netem-delay-10ms", waitDiagLevel, faults.DelayPlan(10 * time.Millisecond)},
-		{"noisy-neighbor", waitDiagLevel, waitNoisyPlan()},
+// waitPicks returns the diagnosis set: the same node healthy,
+// overloaded (to 1.0 of failure RPS), behind a delayed link, and sharing
+// its CPUs with a noisy tenant. The last three all inflate client-side
+// p99; only the wait-state shares tell them apart — queueing for the
+// CPU (runnable) is saturation or contention, while an inflated p99 over
+// an unchanged, blocked-dominated profile is the network's fault, not
+// the node's.
+func waitPicks() []pick {
+	return []pick{
+		{"baseline", baseline, 0},
+		{"overload", overload, 0.4},
+		{"netem-delay-10ms", netem, 0},
+		{"noisy-neighbor", noisy, 8},
 	}
 }
 
@@ -138,12 +114,11 @@ func WaitStateSweep(specs []workloads.Spec, opt ExpOptions) WaitStateResult {
 	for _, s := range specs {
 		cells = append(cells, opt.LevelCells(Cell{Label: "waitstate " + s.Name, Spec: s}, 1)...)
 	}
-	scens := waitScenarios()
-	for _, sc := range scens {
-		cells = append(cells, Cell{
-			Label: "waitstate diag " + sc.name, Spec: waitDiagSpec(), Level: sc.level,
-			Plan: sc.plan, Warm: opt.Warmup,
-		})
+	picks := waitPicks()
+	for _, p := range picks {
+		cells = append(cells, p.on(Cell{
+			Label: "waitstate diag " + p.name, Spec: waitDiagSpec(), Level: waitDiagLevel, Warm: opt.Warmup,
+		}))
 	}
 	// This grid seeds by flat index across workloads and scenarios, not
 	// by level within each block.
@@ -161,9 +136,9 @@ func WaitStateSweep(specs []workloads.Spec, opt ExpOptions) WaitStateResult {
 			Points:   points[wi*nl : (wi+1)*nl],
 		})
 	}
-	for si, sc := range scens {
+	for si, p := range picks {
 		res.Diagnosis = append(res.Diagnosis, WaitScenarioResult{
-			Scenario: sc.name,
+			Scenario: p.name,
 			Point:    points[len(specs)*nl+si],
 		})
 	}

@@ -56,9 +56,6 @@ func (c *CUSUM) Observe(x float64) bool {
 // Stat returns the current cumulative-sum statistic.
 func (c *CUSUM) Stat() float64 { return c.stat }
 
-// Reset clears the statistic (after a handled alarm).
-func (c *CUSUM) Reset() { c.stat = 0 }
-
 // EWMA is a two-sided exponentially-weighted moving-average control
 // chart on a standardized stream: Z <- (1-Lambda)*Z + Lambda*x, alarm
 // while |Z| > Limit * sigma_Z, with sigma_Z = sqrt(Lambda/(2-Lambda))
@@ -105,6 +102,3 @@ func (e *EWMA) Observe(x float64) bool {
 
 // Value returns the current smoothed value Z.
 func (e *EWMA) Value() float64 { return e.z }
-
-// Reset clears the smoothed value.
-func (e *EWMA) Reset() { e.z = 0 }

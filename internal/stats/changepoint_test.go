@@ -134,18 +134,15 @@ func TestCUSUMRampDetection(t *testing.T) {
 	}
 }
 
-// TestCUSUMResetAndStat: Reset clears the statistic; Stat tracks it.
-func TestCUSUMResetAndStat(t *testing.T) {
+// TestCUSUMStatClamps: Stat tracks the statistic, which never goes
+// below 0.
+func TestCUSUMStatClamps(t *testing.T) {
 	c := NewCUSUM(0.5, 1)
 	c.Observe(5)
 	if c.Stat() <= 0 {
 		t.Fatalf("Stat() = %v after a large residual; want > 0", c.Stat())
 	}
-	c.Reset()
-	if c.Stat() != 0 {
-		t.Fatalf("Stat() = %v after Reset; want 0", c.Stat())
-	}
-	if c.Observe(-3); c.Stat() != 0 {
+	if c.Observe(-8); c.Stat() != 0 {
 		t.Fatalf("negative residuals must clamp at 0, got %v", c.Stat())
 	}
 }
@@ -204,10 +201,6 @@ func TestEWMAValueTracksMean(t *testing.T) {
 	}
 	if v := e.Value(); v < 1.99 || v > 2.01 {
 		t.Fatalf("Value() = %v after constant 2s; want ~2", v)
-	}
-	e.Reset()
-	if e.Value() != 0 {
-		t.Fatalf("Value() = %v after Reset; want 0", e.Value())
 	}
 }
 

@@ -79,9 +79,6 @@ func (o *Online) Min() float64 { return o.min }
 // Max returns the largest sample, or 0 with no samples.
 func (o *Online) Max() float64 { return o.max }
 
-// Reset clears the accumulator.
-func (o *Online) Reset() { *o = Online{} }
-
 // Quantile returns the q-th quantile (0<=q<=1) of xs using linear
 // interpolation between closest ranks. It sorts a copy; xs is unchanged.
 func Quantile(xs []float64, q float64) float64 {

@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"reqlens/internal/kernel"
@@ -103,15 +102,6 @@ func drainAndServe(t *kernel.Thread, s *netsim.Sock, spec Spec, demand *demandSa
 	}
 }
 
-// SweepCount and SweepTimeNS accumulate maintenance-sweep diagnostics
-// across all servers in the process. They are atomic because the
-// harness's parallel experiment engine runs independent rigs — and thus
-// independent simulations — on concurrent goroutines.
-var (
-	SweepCount  atomic.Int64
-	SweepTimeNS atomic.Int64
-)
-
 // maintain models queue-management housekeeping (LRU walks, allocator or
 // GC work) whose cost scales with the pending backlog, executed under
 // the shared lock. Below saturation backlogs are tiny and this is free;
@@ -126,8 +116,6 @@ func maintain(t *kernel.Thread, spec Spec, backlog int, mu *kernel.Mutex) {
 	if cost <= 0 {
 		return
 	}
-	SweepCount.Add(1)
-	SweepTimeNS.Add(int64(cost))
 	mu.LockSpin(t, lockSpin)
 	t.Compute(cost)
 	mu.Unlock(t)

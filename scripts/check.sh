@@ -56,10 +56,11 @@
 #                                         tracedump -max 20, so the
 #                                         documented entry points cannot rot
 #
-# The rendered goldens (cardinality, waitstates, attribution, autoscale)
-# are diffed by `go test ./cmd/reqlens`, through the same run that main
-# dispatches to. Each leg prints its elapsed seconds, and the script the
-# total, so the gate's time budget is measured here.
+# The rendered goldens (robustness, cardinality, waitstates,
+# attribution, autoscale) are diffed by `go test ./cmd/reqlens`, through
+# the same run that main dispatches to. Each leg prints its elapsed
+# seconds, and the script the total, so the gate's time budget is
+# measured here.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -26,10 +26,9 @@ func (a Action) String() string {
 
 // Decision is one committed capacity change.
 type Decision struct {
-	At          time.Duration // when the decision was taken
 	Action      Action
 	From, To    int           // capacity in CPUs
-	EffectiveAt time.Duration // when the new capacity lands (At+Latency for ups)
+	EffectiveAt time.Duration // when the new capacity lands (Observe's at, plus Latency for ups)
 	Reason      string        // "alarm", "low-slack", or "high-slack"
 }
 
@@ -143,7 +142,7 @@ func (a *Autoscaler) Observe(at time.Duration, alarmed bool, slack float64) (Dec
 		if alarmed {
 			reason = "alarm"
 		}
-		d := Decision{At: at, Action: ActionScaleUp, From: a.cur, To: to,
+		d := Decision{Action: ActionScaleUp, From: a.cur, To: to,
 			EffectiveAt: at + a.cfg.Latency, Reason: reason}
 		a.cur = to
 		a.lastAt = at
@@ -162,7 +161,7 @@ func (a *Autoscaler) Observe(at time.Duration, alarmed bool, slack float64) (Dec
 		if to < a.cfg.Min {
 			to = a.cfg.Min
 		}
-		d := Decision{At: at, Action: ActionScaleDown, From: a.cur, To: to,
+		d := Decision{Action: ActionScaleDown, From: a.cur, To: to,
 			EffectiveAt: at, Reason: "high-slack"}
 		a.cur = to
 		a.lastAt = at

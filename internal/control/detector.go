@@ -38,7 +38,6 @@ type Alarm struct {
 	At     time.Duration // sim offset passed to Observe
 	Window int           // 0-based index of the tripping sample
 	Signal Signal        // which chart tripped (variance wins ties)
-	Score  float64       // the tripping chart's statistic
 }
 
 // DetectorConfig tunes the online saturation detector.
@@ -134,10 +133,10 @@ func (d *SaturationDetector) Observe(at time.Duration, e Evidence) (Alarm, bool)
 	switch {
 	case varTrip:
 		d.telAlarms.Inc()
-		return Alarm{At: at, Window: w, Signal: SignalVariance, Score: d.cusum.Stat()}, true
+		return Alarm{At: at, Window: w, Signal: SignalVariance}, true
 	case pollTrip:
 		d.telAlarms.Inc()
-		return Alarm{At: at, Window: w, Signal: SignalPoll, Score: d.ewma.Value()}, true
+		return Alarm{At: at, Window: w, Signal: SignalPoll}, true
 	}
 	return Alarm{}, false
 }

@@ -14,7 +14,6 @@ import (
 // tracks every tgid approximately.
 type Attribution struct {
 	probe *probes.AttributionProbe
-	k     *kernel.Kernel
 }
 
 // AttachAttribution builds, verifies and attaches the attribution probe
@@ -27,16 +26,13 @@ func AttachAttribution(k *kernel.Kernel, cfg probes.AttributionConfig) (*Attribu
 	if err := p.Attach(k.Tracer()); err != nil {
 		return nil, err
 	}
-	return &Attribution{probe: p, k: k}, nil
+	return &Attribution{probe: p}, nil
 }
 
 // MustAttachAttribution is AttachAttribution but panics on error.
 func MustAttachAttribution(k *kernel.Kernel, cfg probes.AttributionConfig) *Attribution {
 	return probes.Must(AttachAttribution(k, cfg))
 }
-
-// Detach removes the probe.
-func (a *Attribution) Detach() { a.probe.Detach() }
 
 // Scrape clones the cumulative sketch state. Scrapes are counters, not
 // windows: aggregators merge them across nodes and diff them across

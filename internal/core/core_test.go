@@ -125,10 +125,10 @@ func TestWaitProfileWindow(t *testing.T) {
 	if sum := oncpu + runnable + blocked; sum < 0.999 || sum > 1.001 {
 		t.Fatalf("shares sum to %v", sum)
 	}
-	if _, ok := wp.probe.Snapshot()[uint64(srv.TGID())]; !ok || wp.Bytes() <= 0 {
+	if _, ok := wp.probe.Snapshot()[uint64(srv.TGID())]; !ok || wp.probe.Bytes() <= 0 {
 		t.Fatal("tracked tgid missing from the snapshot, or no map footprint")
 	}
-	wp.Detach()
+	wp.probe.Detach()
 }
 
 func TestSlackEstimator(t *testing.T) {

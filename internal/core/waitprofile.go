@@ -45,9 +45,6 @@ func MustAttachWaitProfile(k *kernel.Kernel, tgid int) *WaitProfile {
 	return probes.Must(AttachWaitProfile(k, tgid))
 }
 
-// Detach removes both programs. The maps survive, as pinned maps do.
-func (wp *WaitProfile) Detach() { wp.probe.Detach() }
-
 // WaitWindow is one window's wait-state decomposition for the tracked
 // tgid. The three durations partition the process's scheduler-visible
 // time: everything between its first and last transition in the window
@@ -90,9 +87,6 @@ func (wp *WaitProfile) Sample() WaitWindow {
 	wp.last, wp.lastAt = cur, now
 	return w
 }
-
-// Bytes is the probe-side map footprint.
-func (wp *WaitProfile) Bytes() int { return wp.probe.Bytes() }
 
 // Instrument records the probe pair's verification cost into r.
 func (wp *WaitProfile) Instrument(r *telemetry.Registry) {

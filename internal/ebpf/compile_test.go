@@ -194,14 +194,15 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 // full-state comparison, returning the agreed result.
 func diffRun(t *testing.T, insns []Instruction) uint64 {
 	t.Helper()
-	prog, err := Load(ProgramSpec{Name: "form", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize})
+	spec := ProgramSpec{Name: "form", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize}
+	prog, err := Load(spec)
 	if err != nil {
 		t.Fatalf("load: %v\n%s", err, disassemble(insns, nil))
 	}
 	if n := prog.GenericOps(); n != 0 {
 		t.Fatalf("%d generic ops in a verified program\n%s", n, disassemble(insns, nil))
 	}
-	return runDifferential(t, prog, insns, make([]byte, diffCtxSize))
+	return runDifferential(t, prog, spec, make([]byte, diffCtxSize))
 }
 
 // Edge operands for the op-form tables: zero, one, the 32- and 64-bit

@@ -920,13 +920,14 @@ func refRegDesc(v refVal) string {
 	}
 }
 
-// runDifferential executes one verifier-accepted program on all three
-// machines — the step oracle, Program.Run's engine, and the reference
-// evaluator — and reports the first disagreement. Each execution gets
-// its own map instances so map mutations cannot couple the runs. It
-// returns the agreed return value.
-func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byte) uint64 {
+// runDifferential executes one verifier-accepted program, prog loaded
+// from spec, on all three machines — the step oracle, Program.Run's
+// engine, and the reference evaluator — and reports the first
+// disagreement. Each execution gets its own map instances so map
+// mutations cannot couple the runs. It returns the agreed return value.
+func runDifferential(t *testing.T, prog *Program, spec ProgramSpec, ctx []byte) uint64 {
 	t.Helper()
+	insns := spec.Insns
 	env := &FixedEnv{TimeNS: 112233, PidTgid: 42<<32 | 7, CPU: 3}
 
 	fail := func(format string, args ...any) {
@@ -940,7 +941,8 @@ func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byt
 	// The engine: a second Program over the same instruction stream,
 	// driven through getVM directly (no putVM recycle) so the final
 	// register file and stack image stay inspectable.
-	cprog, err := Load(ProgramSpec{Name: "diff-compiled", Insns: insns, Maps: diffMaps(), CtxSize: len(ctx)})
+	cspec := ProgramSpec{Name: "diff-compiled", Insns: insns, Maps: diffMaps(), CtxSize: len(ctx)}
+	cprog, err := Load(cspec)
 	if err != nil {
 		fail("second load rejected a program the first load accepted: %v", err)
 	}
@@ -988,8 +990,8 @@ func runDifferential(t *testing.T, prog *Program, insns []Instruction, ctx []byt
 		fail("final stack image differs (compiled vs ref)")
 	}
 
-	diffCompareMaps(fail, "oracle", prog.maps, ref)
-	diffCompareMaps(fail, "compiled", cprog.maps, ref)
+	diffCompareMaps(fail, "oracle", spec.Maps, ref)
+	diffCompareMaps(fail, "compiled", cspec.Maps, ref)
 	return refRet
 }
 
@@ -1334,13 +1336,14 @@ func TestDifferentialVM(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		insns := genProgram(rng)
-		prog, err := Load(ProgramSpec{Name: "diff", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize})
+		spec := ProgramSpec{Name: "diff", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize}
+		prog, err := Load(spec)
 		if err != nil {
 			t.Fatalf("generator emitted a rejected program (trial %d): %v\n%s", trial, err, disassemble(insns, nil))
 		}
 		ctx := make([]byte, diffCtxSize)
 		rng.Read(ctx)
-		runDifferential(t, prog, insns, ctx)
+		runDifferential(t, prog, spec, ctx)
 	}
 }
 
@@ -1446,10 +1449,11 @@ func FuzzDifferential(f *testing.F) {
 		if len(insns) == 0 {
 			return
 		}
-		prog, err := Load(ProgramSpec{Name: "diff-fuzz", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize})
+		spec := ProgramSpec{Name: "diff-fuzz", Insns: insns, Maps: diffMaps(), CtxSize: diffCtxSize}
+		prog, err := Load(spec)
 		if err != nil {
 			return
 		}
-		runDifferential(t, prog, insns, make([]byte, diffCtxSize))
+		runDifferential(t, prog, spec, make([]byte, diffCtxSize))
 	})
 }

@@ -228,7 +228,6 @@ type LRUHashMap struct {
 	maxEntries int
 	entries    map[string]*lruEntry
 	clock      uint64
-	evictions  uint64
 }
 
 type lruEntry struct {
@@ -310,7 +309,6 @@ func (m *LRUHashMap) Update(key, value []byte, flags int) error {
 			}
 		}
 		delete(m.entries, oldestKey)
-		m.evictions++
 	}
 	v := make([]byte, m.valueSize)
 	copy(v, value)

@@ -211,14 +211,6 @@ func (c *CMS) Clone() *CMS {
 	return n
 }
 
-// Reset zeroes the sketch.
-func (c *CMS) Reset() {
-	for i := range c.rows {
-		c.rows[i] = 0
-	}
-	c.total = 0
-}
-
 // hpMaxKey bounds HashPipe key sizes so slots can hold keys inline
 // (fixed arrays, no per-entry allocation).
 const hpMaxKey = 16

@@ -42,7 +42,6 @@ type injector struct {
 // Controller is an armed plan: it owns the scheduled events and can
 // undo everything with Clear.
 type Controller struct {
-	plan    Plan
 	tgt     Target
 	events  []*sim.Event
 	injs    []*injector
@@ -79,7 +78,7 @@ func Arm(plan Plan, tgt Target) (*Controller, error) {
 			return nil, fmt.Errorf("faults: plan %q: netem-shift needs a target network", plan.Name)
 		}
 	}
-	c := &Controller{plan: plan, tgt: tgt, applied: make(map[string]int)}
+	c := &Controller{tgt: tgt, applied: make(map[string]int)}
 	env := tgt.Kernel.Env()
 	for i, f := range plan.Faults {
 		inj := &injector{f: f.withDefaults(), rng: rand.New(rand.NewSource(faultSeed(plan.Seed, i)))}
@@ -201,9 +200,6 @@ func (c *Controller) spawnNeighbor(inj *injector) {
 // RingStalled reports whether a RingStall window is open; the harness
 // skips streaming drains while true.
 func (c *Controller) RingStalled() bool { return c.stalls > 0 }
-
-// Plan returns the armed plan.
-func (c *Controller) Plan() Plan { return c.plan }
 
 // Applied returns activation counts per injector kind (plus one
 // "affinity-flush" entry per storm tick), for reports and tests.

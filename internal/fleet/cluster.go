@@ -275,14 +275,6 @@ func (c *Cluster) MissedScrapes() int {
 	return total
 }
 
-// Sample returns node id's latest successful sample and whether one
-// exists (tests and renderers; the rollup path reads the same state).
-// Its Metrics are valid until the node's next successful scrape.
-func (c *Cluster) Sample(id int) (Sample, bool) {
-	n := c.Nodes[id]
-	return n.last, n.lastOK
-}
-
 // Close merges node registries into Options.Telemetry (ID order) and
 // shuts every node environment down. Safe to defer before Run: a
 // supervision panic unwinding mid-epoch still drains all simulation

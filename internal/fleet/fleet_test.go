@@ -115,7 +115,7 @@ func TestFleetFaultIsolation(t *testing.T) {
 			c.ScrapeEpoch()
 			raws := make([][]byte, len(c.Nodes))
 			for id := range c.Nodes {
-				s, ok := c.Sample(id)
+				s, ok := c.Nodes[id].last, c.Nodes[id].lastOK
 				if !ok {
 					t.Fatalf("epoch %d: node %d never scraped", e, id)
 				}
@@ -237,7 +237,7 @@ func TestScrapeViewMatchesFreshDecode(t *testing.T) {
 			t.Fatalf("epoch %d: wait-state series not decoded: %+v", epoch, r)
 		}
 		for id := range c.Nodes {
-			s, _ := c.Sample(id)
+			s := c.Nodes[id].last
 			var fresh telemetry.Series
 			if err := fresh.Decode(s.Raw); err != nil {
 				t.Fatal(err)
@@ -248,7 +248,7 @@ func TestScrapeViewMatchesFreshDecode(t *testing.T) {
 			}
 		}
 	}
-	if s, _ := c.Sample(0); s.Metrics.Names[0] != "aaa_registered_mid_run_total" {
+	if s := c.Nodes[0].last; s.Metrics.Names[0] != "aaa_registered_mid_run_total" {
 		t.Errorf("mid-run instrument not first in node 0's view: %v", s.Metrics.Names[:3])
 	}
 }

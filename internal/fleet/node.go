@@ -89,9 +89,6 @@ type Node struct {
 	// node's metrics registry — its "exporter endpoint".
 	Rig *harness.Rig
 
-	// Rate is the node's open-loop offered load (RPS).
-	Rate float64
-
 	// rng drives this node's scrape-plane randomness (scrape-time
 	// jitter, scrape misses). It is private to the node and consumed in
 	// a fixed per-epoch order, so its sequence — and therefore every
@@ -139,7 +136,6 @@ func newNode(id int, spec NodeSpec, seed int64, level float64, clock *sim.Clock,
 		ID:   id,
 		Spec: spec,
 		Rig:  rig,
-		Rate: rate,
 		rng:  rand.New(rand.NewSource(seed ^ 0x5eed1e7)),
 
 		obsvRPS:    reg.FloatGauge(metricObsvRPS),

@@ -17,9 +17,8 @@ import (
 // point function. Clock is the attempt's budget clock under supervision
 // (nil otherwise); a rig built through the point (or RigOptions.Clock,
 // for a direct runPoints caller) makes the event loop honor the
-// deadline. Attempt is 0 on the first try and increments per retry —
-// the point's *inputs* never depend on it, which is what makes a
-// retried success bit-identical to a first-try one.
+// deadline. A point cannot tell a retry from its first try, which is
+// what makes a retried success bit-identical to a first-try one.
 //
 // Telemetry is set by RunCells only: the point's private registry (nil
 // when the run is uninstrumented), merged into the run-level registry
@@ -27,7 +26,6 @@ import (
 // (internal/fleet) instruments it into this registry.
 type PointCtx struct {
 	Clock     *sim.Clock
-	Attempt   int
 	Telemetry *telemetry.Registry
 
 	opt  ExpOptions // resolved options of the grid the point belongs to
@@ -253,7 +251,7 @@ func runPoints[T any](opt ExpOptions, scope string, labels []string, fn func(pc 
 				resilience.Point{Label: labels[i], Index: i, Seed: seed},
 				func(attempt int, clock *sim.Clock) T {
 					attempts = attempt + 1
-					return fn(PointCtx{Clock: clock, Attempt: attempt}, i)
+					return fn(PointCtx{Clock: clock}, i)
 				})
 			if perr != nil {
 				attempts = perr.Attempts

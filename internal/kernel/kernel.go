@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"reqlens/internal/machine"
@@ -19,7 +18,6 @@ type Kernel struct {
 	tracer *Tracer
 	nextID int
 	procs  []*Process
-	rng    *rand.Rand
 
 	spurious    uint64             // see SpuriousWakeups
 	telSpurious *telemetry.Counter // mirrors spurious; nil until instrumented
@@ -27,7 +25,11 @@ type Kernel struct {
 
 // New creates a kernel on env with the given hardware profile.
 func New(env *sim.Env, prof machine.Profile) *Kernel {
-	k := &Kernel{env: env, prof: prof, nextID: 1000, rng: env.NewRNG()}
+	k := &Kernel{env: env, prof: prof, nextID: 1000}
+	// The kernel draws nothing at random, but it takes one draw from
+	// env's seed stream: every later NewRNG (workloads, load generator,
+	// faults) and so every seeded result depends on it.
+	env.NewRNG()
 	k.sched = newScheduler(k, prof.LogicalCPUs(), prof.TimeSlice, prof.ContextSwitchCost)
 	k.tracer = newTracer(k)
 	return k
@@ -70,14 +72,8 @@ func (k *Kernel) SpuriousWakeups() uint64 { return k.spurious }
 // Now returns the current virtual time.
 func (k *Kernel) Now() sim.Time { return k.env.Now() }
 
-// Profile returns the hardware profile.
-func (k *Kernel) Profile() machine.Profile { return k.prof }
-
 // Tracer returns the tracepoint subsystem.
 func (k *Kernel) Tracer() *Tracer { return k.tracer }
-
-// CPUs returns the number of logical CPUs.
-func (k *Kernel) CPUs() int { return k.sched.ncpu }
 
 // OnlineCPUs returns how many CPUs currently accept dispatches.
 func (k *Kernel) OnlineCPUs() int { return k.sched.onlineCount() }
@@ -134,9 +130,6 @@ func (p *Process) Name() string { return p.name }
 
 // Threads returns the spawned threads.
 func (p *Process) Threads() []*Thread { return p.threads }
-
-// Kernel returns the owning kernel.
-func (p *Process) Kernel() *Kernel { return p.k }
 
 // SpawnThread starts a new thread whose body runs under the simulated
 // scheduler. The body receives the thread handle for syscalls and
@@ -230,17 +223,11 @@ type Thread struct {
 	pendingProbe time.Duration
 }
 
-// TID returns the thread id.
-func (t *Thread) TID() int { return t.tid }
-
 // Name returns the thread's diagnostic name.
 func (t *Thread) Name() string { return t.name }
 
 // Process returns the owning process.
 func (t *Thread) Process() *Process { return t.proc }
-
-// Kernel returns the owning kernel.
-func (t *Thread) Kernel() *Kernel { return t.proc.k }
 
 // Now returns the current virtual time.
 func (t *Thread) Now() sim.Time { return t.proc.k.env.Now() }

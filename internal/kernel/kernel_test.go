@@ -31,11 +31,11 @@ func TestThreadIdentity(t *testing.T) {
 		got = t.PidTgid()
 	})
 	env.Run()
-	want := uint64(p.TGID())<<32 | uint64(th.TID())
+	want := uint64(p.TGID())<<32 | uint64(th.tid)
 	if got != want {
 		t.Fatalf("PidTgid = %#x, want %#x", got, want)
 	}
-	if th.TID() == p.TGID() {
+	if th.tid == p.TGID() {
 		t.Fatal("tid should differ from tgid for spawned threads")
 	}
 	if len(p.Threads()) != 1 || len(k.procs) != 1 {

@@ -106,7 +106,7 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 			}
 		}
 		note := func(th *Thread, op scriptOp) {
-			log = append(log, fmt.Sprintf("%v tid=%d op=%d ret=%d", th.Now(), th.TID(), op.kind, ret))
+			log = append(log, fmt.Sprintf("%v tid=%d op=%d ret=%d", th.Now(), th.tid, op.kind, ret))
 		}
 		if !loop {
 			ths = append(ths, p.SpawnThread("script", func(th *Thread) {
@@ -165,7 +165,7 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 		dispatches, preemptions, ctxSwitches, tr.Runs(), k.SpuriousWakeups(), env.LiveProcs())
 	for _, th := range ths {
 		summary += fmt.Sprintf("\n  %s/%d cpu=%v probe=%v waits=%d syscalls=%d",
-			th.Name(), th.TID(), th.CPUTime(), th.ProbeCost(), th.RunQueueWaits(), th.SyscallCount())
+			th.Name(), th.tid, th.CPUTime(), th.ProbeCost(), th.RunQueueWaits(), th.SyscallCount())
 	}
 	return log, summary, env.Switches()
 }

@@ -21,9 +21,6 @@ type Mutex struct {
 	contended    uint64
 }
 
-// Lock acquires the mutex, issuing a futex syscall when contended.
-func (m *Mutex) Lock(t *Thread) { m.LockSpin(t, 0) }
-
 // LockSpin acquires the mutex adaptively: a contended waiter first burns
 // spin of CPU hoping the holder releases (glibc adaptive mutex), then
 // parks in a futex and re-competes when woken.

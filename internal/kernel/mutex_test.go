@@ -12,7 +12,7 @@ func TestMutexUncontendedIsFree(t *testing.T) {
 	p := k.NewProcess("p")
 	p.SpawnThread("w", func(th *Thread) {
 		for i := 0; i < 10; i++ {
-			mu.Lock(th)
+			mu.LockSpin(th, 0)
 			mu.Unlock(th)
 		}
 		syscalls = th.SyscallCount()
@@ -41,7 +41,7 @@ func TestMutexContendedParksInFutex(t *testing.T) {
 		i := i
 		p.SpawnThread("w", func(th *Thread) {
 			th.Sleep(time.Duration(i) * time.Microsecond) // deterministic arrival order
-			mu.Lock(th)
+			mu.LockSpin(th, 0)
 			th.Compute(time.Millisecond)
 			order = append(order, i)
 			mu.Unlock(th)
@@ -71,7 +71,7 @@ func TestMutexProvidesExclusion(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.SpawnThread("w", func(th *Thread) {
 			for j := 0; j < 5; j++ {
-				mu.Lock(th)
+				mu.LockSpin(th, 0)
 				inside++
 				if inside > maxInside {
 					maxInside = inside
@@ -97,12 +97,12 @@ func TestMutexBargingAllowsOvertaking(t *testing.T) {
 	var tookFirst string
 	p := k.NewProcess("p")
 	p.SpawnThread("holder", func(th *Thread) {
-		mu.Lock(th)
+		mu.LockSpin(th, 0)
 		th.Compute(2 * time.Millisecond)
 		mu.Unlock(th)
 		// Immediately re-acquire: the parked waiter was just woken but
 		// needs a CPU; the holder is already running.
-		mu.Lock(th)
+		mu.LockSpin(th, 0)
 		if tookFirst == "" {
 			tookFirst = "holder"
 		}
@@ -110,7 +110,7 @@ func TestMutexBargingAllowsOvertaking(t *testing.T) {
 	})
 	p.SpawnThread("waiter", func(th *Thread) {
 		th.Sleep(100 * time.Microsecond)
-		mu.Lock(th)
+		mu.LockSpin(th, 0)
 		if tookFirst == "" {
 			tookFirst = "waiter"
 		}
@@ -129,7 +129,7 @@ func TestMutexUnlockByNonHolderPanics(t *testing.T) {
 	p := k.NewProcess("p")
 	var a *Thread
 	a = p.SpawnThread("a", func(th *Thread) {
-		mu.Lock(th)
+		mu.LockSpin(th, 0)
 		th.Sleep(time.Millisecond)
 		mu.Unlock(th)
 	})
@@ -175,7 +175,7 @@ func TestMutexLockSpinBurnsCPU(t *testing.T) {
 	p := k.NewProcess("p")
 	var spinner *Thread
 	p.SpawnThread("holder", func(th *Thread) {
-		mu.Lock(th)
+		mu.LockSpin(th, 0)
 		th.Compute(500 * time.Microsecond)
 		mu.Unlock(th)
 	})

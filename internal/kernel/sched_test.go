@@ -126,7 +126,7 @@ func TestMutexFIFOWaitersDrain(t *testing.T) {
 	maxParked := 0
 	p := k.NewProcess("p")
 	p.SpawnThread("holder", func(th *Thread) {
-		mu.Lock(th)
+		mu.LockSpin(th, 0)
 		th.Sleep(2 * time.Millisecond) // all waiters park while held
 		mu.Unlock(th)
 	})
@@ -135,7 +135,7 @@ func TestMutexFIFOWaitersDrain(t *testing.T) {
 		p.SpawnThread("w", func(th *Thread) {
 			// Staggered arrivals fix the park order deterministically.
 			th.Sleep(time.Duration(i+1) * 100 * time.Microsecond)
-			mu.Lock(th)
+			mu.LockSpin(th, 0)
 			order = append(order, i)
 			mu.Unlock(th)
 		})

@@ -14,8 +14,8 @@
 //     (nonzero when co-located with the server, as the paper's
 //     containers are), and paced vs Poisson interarrivals.
 //   - Client.StartMeasurement — reset measurement state at a window
-//     boundary; Client.Snapshot — RealRPS and latency percentiles
-//     (Results.P50/P99 feed the QoS verdicts of Figs. 3-5).
+//     boundary; Client.Snapshot — RealRPS and the p99 latency
+//     (Results.P99 feeds the QoS verdicts of Figs. 3-5).
 //
 // The receiver (one per connection) and generator (a fixed four,
 // splitting Rate) threads are kernel loop threads (Process.SpawnLoop):
@@ -23,7 +23,10 @@
 // order, with no goroutine each.
 //
 // The harness co-locates the client with the server by default
-// (matching the paper's same-host container placement) and offers
-// separate-machine and Poisson variants as ablations
-// (ExpOptions.SeparateClient, ExpOptions.Poisson).
+// (matching the paper's same-host container placement) and paces each
+// generator uniformly; separate-machine and Poisson variants are
+// ablations (ExpOptions.SeparateClient, ExpOptions.Poisson). Both knobs
+// stay because the root BenchmarkAblationPoissonClient sets them, and
+// that run backs DESIGN.md's ablation paragraph and EXPERIMENTS.md's
+// ablation row.
 package loadgen

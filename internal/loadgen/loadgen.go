@@ -51,10 +51,8 @@ type Client struct {
 
 	measuring bool
 	measStart sim.Time
-	sent      uint64
 	completed uint64
 	hist      *stats.Histogram
-	lifetime  uint64 // responses ever received
 
 	arrivals []sim.Time // first CaptureArrivals send times
 }
@@ -154,9 +152,6 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 				if len(c.arrivals) < c.opts.CaptureArrivals {
 					c.arrivals = append(c.arrivals, t.Now())
 				}
-				if c.measuring {
-					c.sent++
-				}
 				s.Send(t, kernel.SysSendto, &netsim.Message{ID: id, Size: c.opts.ReqSize})
 				i += generators
 				phase = 1
@@ -168,7 +163,6 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 }
 
 func (c *Client) onResponse(now sim.Time, m *netsim.Message) {
-	c.lifetime++
 	sent, ok := c.sentAt[m.ID]
 	if !ok {
 		return
@@ -184,42 +178,22 @@ func (c *Client) onResponse(now sim.Time, m *netsim.Message) {
 func (c *Client) StartMeasurement() {
 	c.measuring = true
 	c.measStart = c.k.Env().Now()
-	c.sent = 0
 	c.completed = 0
 	c.hist.Reset()
 }
 
-// Results summarizes a measurement window.
+// Results summarizes a measurement window: the two numbers the QoS
+// verdicts read.
 type Results struct {
-	Offered   float64 // configured open-loop rate
-	SentRPS   float64 // requests actually issued per second
-	RealRPS   float64 // responses completed per second (RPS_real)
-	Completed uint64
-	Window    time.Duration
-	Mean      time.Duration
-	P50       time.Duration
-	P99       time.Duration
-	P999      time.Duration
-	Max       time.Duration
+	RealRPS float64       // responses completed per second (RPS_real)
+	P99     time.Duration // client-perceived 99th-percentile latency
 }
 
 // Snapshot ends nothing; it reads the current window's results.
 func (c *Client) Snapshot() Results {
-	now := c.k.Env().Now()
-	win := now.Sub(c.measStart)
-	r := Results{
-		Offered:   c.opts.Rate,
-		Completed: c.completed,
-		Window:    win,
-		Mean:      time.Duration(c.hist.Mean()),
-		P50:       time.Duration(c.hist.Quantile(0.50)),
-		P99:       time.Duration(c.hist.Quantile(0.99)),
-		P999:      time.Duration(c.hist.Quantile(0.999)),
-		Max:       time.Duration(c.hist.Max()),
-	}
-	if win > 0 {
+	r := Results{P99: time.Duration(c.hist.Quantile(0.99))}
+	if win := c.k.Env().Now().Sub(c.measStart); win > 0 {
 		r.RealRPS = float64(c.completed) / win.Seconds()
-		r.SentRPS = float64(c.sent) / win.Seconds()
 	}
 	return r
 }

@@ -48,19 +48,21 @@ func TestOpenLoopRateAchieved(t *testing.T) {
 	c := New(k, l, Options{Rate: 2000, Conns: 8})
 	env.RunFor(200 * time.Millisecond)
 	c.StartMeasurement()
+	sent := c.nextID
 	env.RunFor(time.Second)
 	r := c.Snapshot()
-	if math.Abs(r.SentRPS-2000) > 100 {
-		t.Fatalf("SentRPS = %v, want ~2000", r.SentRPS)
+	// The window is one second: requests issued in it are its send rate.
+	if win := env.Now().Sub(c.measStart); win < 990*time.Millisecond {
+		t.Fatalf("window = %v", win)
+	}
+	if sentRPS := float64(c.nextID - sent); math.Abs(sentRPS-2000) > 100 {
+		t.Fatalf("sent %v requests/s, want ~2000", sentRPS)
 	}
 	if math.Abs(r.RealRPS-2000) > 100 {
 		t.Fatalf("RealRPS = %v, want ~2000", r.RealRPS)
 	}
-	if r.Completed < 1800 {
-		t.Fatalf("Completed = %d", r.Completed)
-	}
-	if r.Window < 990*time.Millisecond {
-		t.Fatalf("Window = %v", r.Window)
+	if c.completed < 1800 {
+		t.Fatalf("completed = %d", c.completed)
 	}
 }
 
@@ -71,36 +73,36 @@ func TestLatencyIncludesNetworkDelay(t *testing.T) {
 	env.RunFor(100 * time.Millisecond)
 	c.StartMeasurement()
 	env.RunFor(500 * time.Millisecond)
-	r := c.Snapshot()
+	r, p50 := c.Snapshot(), time.Duration(c.hist.Quantile(0.50))
 	// RTT = 2 x 5ms plus processing.
-	if r.P50 < 10*time.Millisecond || r.P50 > 12*time.Millisecond {
-		t.Fatalf("P50 = %v, want ~10ms RTT", r.P50)
+	if p50 < 10*time.Millisecond || p50 > 12*time.Millisecond {
+		t.Fatalf("p50 = %v, want ~10ms RTT", p50)
 	}
-	if r.P99 < r.P50 || r.Max < r.P99 || r.Mean <= 0 {
-		t.Fatalf("inconsistent percentiles: %+v", r)
+	if r.P99 < p50 || time.Duration(c.hist.Max()) < r.P99 || c.hist.Mean() <= 0 {
+		t.Fatalf("inconsistent percentiles: p50 %v, %+v, max %v, mean %v", p50, r, c.hist.Max(), c.hist.Mean())
 	}
 }
 
 func TestLossInflatesTailOnly(t *testing.T) {
-	run := func(loss float64) Results {
+	run := func(loss float64) (Results, time.Duration) {
 		env, k, n := rig()
 		l := echoServer(k, n, 0, netsim.Config{Delay: time.Millisecond, Loss: loss, RTO: 50 * time.Millisecond})
 		c := New(k, l, Options{Rate: 500, Conns: 16})
 		env.RunFor(100 * time.Millisecond)
 		c.StartMeasurement()
 		env.RunFor(2 * time.Second)
-		r := c.Snapshot()
+		r, p50 := c.Snapshot(), time.Duration(c.hist.Quantile(0.50))
 		env.Shutdown()
-		return r
+		return r, p50
 	}
-	clean := run(0)
-	lossy := run(0.01)
+	clean, cleanP50 := run(0)
+	lossy, lossyP50 := run(0.01)
 	if lossy.P99 < 4*clean.P99 {
 		t.Fatalf("1%% loss should inflate p99: clean=%v lossy=%v", clean.P99, lossy.P99)
 	}
 	// Median barely moves, throughput preserved.
-	if lossy.P50 > 3*clean.P50 {
-		t.Fatalf("p50 moved too much under loss: clean=%v lossy=%v", clean.P50, lossy.P50)
+	if lossyP50 > 3*cleanP50 {
+		t.Fatalf("p50 moved too much under loss: clean=%v lossy=%v", cleanP50, lossyP50)
 	}
 	if math.Abs(lossy.RealRPS-clean.RealRPS) > 0.1*clean.RealRPS {
 		t.Fatalf("loss should not change throughput: clean=%v lossy=%v", clean.RealRPS, lossy.RealRPS)
@@ -174,8 +176,9 @@ func TestOutstandingAndLifetime(t *testing.T) {
 	env, k, n := rig()
 	l := echoServer(k, n, 100*time.Microsecond, netsim.Config{})
 	c := New(k, l, Options{Rate: 1000, Conns: 4})
+	c.StartMeasurement()
 	env.RunFor(500 * time.Millisecond)
-	if c.lifetime == 0 {
+	if c.Snapshot().RealRPS == 0 {
 		t.Fatal("no responses received")
 	}
 	if len(c.sentAt) > 50 {
@@ -188,7 +191,7 @@ func TestZeroRateClientIdles(t *testing.T) {
 	l := echoServer(k, n, 0, netsim.Config{})
 	c := New(k, l, Options{Rate: 0, Conns: 2})
 	env.RunFor(100 * time.Millisecond)
-	if c.lifetime != 0 {
+	if c.nextID != 0 {
 		t.Fatal("zero-rate client sent requests")
 	}
 }
@@ -203,11 +206,12 @@ func TestClientSpawnsNoGoroutines(t *testing.T) {
 	env.RunFor(time.Millisecond)
 	base := runtime.NumGoroutine()
 	c := New(k, l, Options{Rate: 20000, Conns: 64})
+	c.StartMeasurement()
 	env.RunFor(100 * time.Millisecond)
 	got := runtime.NumGoroutine()
 	env.Shutdown()
-	if c.lifetime < 1000 {
-		t.Fatalf("%d responses in 100ms at 20k RPS", c.lifetime)
+	if c.completed < 1000 {
+		t.Fatalf("%d responses in 100ms at 20k RPS", c.completed)
 	}
 	if got > base+64 {
 		t.Fatalf("%d goroutines after the run, %d before it plus the server's 64: the client holds %d",

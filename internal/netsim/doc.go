@@ -20,7 +20,10 @@
 //     Sock pairs, Network.NewEpoll builds a readiness multiplexer.
 //   - Config — netem knobs: Delay, Jitter, Loss, and RTO (shrinking RTO
 //     to fast-retransmit scale is the datagram ablation). The link rate
-//     is a fixed 10 Gbit/s.
+//     is a fixed 10 Gbit/s. RTO stays a knob because the root
+//     BenchmarkAblationDatagramNetwork sets it (DESIGN.md's and
+//     EXPERIMENTS.md's ablation rows); Jitter stays because
+//     TestNetScheduleDigest's scenario sets it.
 //   - Sock.Send / TryRecv / Recv — message I/O issued through a
 //     kernel.Thread so every operation appears as a syscall to the
 //     tracepoints. A syscall body never parks: each blocking call is a

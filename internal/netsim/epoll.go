@@ -9,13 +9,12 @@ import (
 
 // Epoll is an epoll instance (or, with the select syscall number, a
 // select-style readiness wait — Tailbench's legacy path in the paper).
-// Threads block in Wait until a registered socket or listener becomes
-// readable or the timeout expires; the duration of that syscall is the
-// paper's saturation-slack signal (Fig. 4).
+// Threads block in Wait until a registered socket becomes readable or
+// the timeout expires; the duration of that syscall is the paper's
+// saturation-slack signal (Fig. 4).
 type Epoll struct {
-	socks     []*Sock
-	listeners []*Listener
-	waiters   []*sim.Waker
+	socks   []*Sock
+	waiters []*sim.Waker
 }
 
 // NewEpoll creates an epoll instance.
@@ -26,32 +25,19 @@ func (n *Network) NewEpoll() *Epoll {
 // Add registers s for readiness. When t is non-nil an epoll_ctl syscall
 // is issued (visible in traces, as in the paper's Fig. 1 setup phase).
 func (ep *Epoll) Add(t *kernel.Thread, s *Sock) {
-	ctl(t, uint64(s.fd), func() int64 {
+	reg := func() int64 {
 		ep.socks = append(ep.socks, s)
 		s.rx.epolls = append(s.rx.epolls, ep)
 		return 0
-	})
+	}
+	if t == nil {
+		reg()
+	} else {
+		t.Invoke(kernel.SysEpollCtl, [6]uint64{uint64(s.fd)}, reg)
+	}
 	if s.Readable() {
 		ep.notify() // data arrived before registration
 	}
-}
-
-// AddListener registers l for accept-readiness.
-func (ep *Epoll) AddListener(t *kernel.Thread, l *Listener) {
-	ctl(t, 0, func() int64 {
-		ep.listeners = append(ep.listeners, l)
-		l.epolls = append(l.epolls, ep)
-		return 0
-	})
-}
-
-// ctl runs reg as an epoll_ctl syscall on fd, or directly with no thread.
-func ctl(t *kernel.Thread, fd uint64, reg func() int64) {
-	if t == nil {
-		reg()
-		return
-	}
-	t.Invoke(kernel.SysEpollCtl, [6]uint64{fd}, reg)
 }
 
 // notify wakes all waiters; they re-check readiness.
@@ -72,19 +58,14 @@ func (ep *Epoll) TotalQueued() int {
 	return n
 }
 
-// ready appends the readable sockets to out, which is empty, and counts
-// them plus the connections pending on registered listeners.
-func (ep *Epoll) ready(out []*Sock) ([]*Sock, int) {
+// ready appends the readable sockets to out, which is empty.
+func (ep *Epoll) ready(out []*Sock) []*Sock {
 	for _, s := range ep.socks {
 		if s.Readable() {
 			out = append(out, s)
 		}
 	}
-	n := len(out)
-	for _, l := range ep.listeners {
-		n += l.queue.Len()
-	}
-	return out, n
+	return out
 }
 
 // Wait blocks as syscall nr (SysEpollWait or SysSelect) until readiness
@@ -106,13 +87,11 @@ func waitBody(t *kernel.Thread) (int64, bool) {
 	if f.deadline < 0 && f.timeout > 0 {
 		f.deadline = t.Now().Add(f.timeout)
 	}
-	ready, n := f.ep.ready(f.ready)
-	if n > 0 {
-		f.ready = ready
+	if f.ready = f.ep.ready(f.ready); len(f.ready) > 0 {
 		if f.timer != nil {
 			f.timer.Cancel()
 		}
-		return int64(n), true
+		return int64(len(f.ready)), true
 	}
 	if f.deadline >= 0 && t.Now() >= f.deadline {
 		return 0, true

@@ -53,9 +53,6 @@ func New(env *sim.Env) *Network {
 	return &Network{env: env, rng: env.NewRNG(), nextFD: 3}
 }
 
-// Env returns the simulation environment.
-func (n *Network) Env() *sim.Env { return n.env }
-
 func (n *Network) fd() int {
 	n.nextFD++
 	return n.nextFD

@@ -341,29 +341,6 @@ func TestEpollImmediateReadiness(t *testing.T) {
 	}
 }
 
-func TestEpollListenerReadiness(t *testing.T) {
-	env, k, n := testRig(2)
-	l := n.Listen(Config{})
-	ep := n.NewEpoll()
-	p := k.NewProcess("p")
-	accepted := false
-	p.SpawnThread("srv", func(th *kernel.Thread) {
-		ep.AddListener(th, l)
-		ep.Wait(th, kernel.SysEpollWait, 0)
-		if l.accept(th, false) != nil {
-			accepted = true
-		}
-	})
-	p.SpawnThread("cli", func(th *kernel.Thread) {
-		th.Sleep(2 * time.Millisecond)
-		l.Dial(th)
-	})
-	env.Run()
-	if !accepted {
-		t.Fatal("listener readiness did not wake epoll")
-	}
-}
-
 func TestSelectSyscallNumberUsed(t *testing.T) {
 	env, k, n := testRig(2)
 	a, b := n.NewConn(Config{})

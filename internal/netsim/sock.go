@@ -197,6 +197,3 @@ func acceptBody(t *kernel.Thread) (int64, bool) {
 	}
 	return int64(f.sock.fd), true
 }
-
-// Pending returns the accept-queue depth (diagnostics).
-func (l *Listener) Pending() int { return l.queue.Len() }

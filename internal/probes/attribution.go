@@ -306,8 +306,3 @@ func (s AttrSketches) TopOffenders(k int) []Offender {
 	}
 	return out
 }
-
-// Bytes returns the scrape's total sketch footprint.
-func (s AttrSketches) Bytes() int {
-	return s.Syscalls.Bytes() + s.Sends.Bytes() + s.TimeNS.Bytes() + s.Top.Bytes()
-}

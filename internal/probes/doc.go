@@ -14,8 +14,8 @@
 //     buffer for userspace analysis (the paper's initial exploration
 //     mode, and Fig. 1's trace; `cmd/tracedump`).
 //   - HistProbe: beyond the paper's minimum, a bcc-style in-kernel log2
-//     latency histogram with atomically bumped bucket counters;
-//     QuantileUS interpolates quantiles from the buckets.
+//     latency histogram with atomically bumped bucket counters (the
+//     Buckets map); QuantileUS interpolates quantiles from their counts.
 //
 // NewDeltaProbe and NewPollProbe take a ring buffer (nil for
 // aggregate-only): given one, the same programs additionally commit one

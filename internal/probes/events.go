@@ -48,12 +48,6 @@ type MetricEvent struct {
 	Value   uint64 // delta ns or poll duration ns; 0 when First
 }
 
-// TID returns the thread id half of PidTgid.
-func (e MetricEvent) TID() int { return int(uint32(e.PidTgid)) }
-
-// TGID returns the process id half of PidTgid.
-func (e MetricEvent) TGID() int { return int(e.PidTgid >> 32) }
-
 // DecodeEvent parses one raw ring-buffer record.
 func DecodeEvent(rec []byte) (MetricEvent, error) {
 	if len(rec) != EventSize {

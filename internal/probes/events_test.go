@@ -81,8 +81,8 @@ func TestDeltaProbeStreamMatchesAggregates(t *testing.T) {
 		if ev.NR != kernel.SysSendto || ev.Kind != EventDelta {
 			t.Fatalf("event = %+v", ev)
 		}
-		if ev.TGID() != srv.TGID() {
-			t.Fatalf("TGID = %d, want %d", ev.TGID(), srv.TGID())
+		if tgid := int(ev.PidTgid >> 32); tgid != srv.TGID() {
+			t.Fatalf("TGID = %d, want %d", tgid, srv.TGID())
 		}
 	}
 	// The event stream must reconstruct the aggregate map bit-for-bit.

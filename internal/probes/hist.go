@@ -1,7 +1,6 @@
 package probes
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -93,16 +92,6 @@ func NewHistProbe(name string, tgid int, nrs []int) (*HistProbe, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// Snapshot returns the per-bucket counts: Counts[i] holds durations in
-// [2^i, 2^(i+1)) microseconds.
-func (p *HistProbe) Snapshot() [histBuckets]uint64 {
-	var out [histBuckets]uint64
-	for i := 0; i < histBuckets; i++ {
-		out[i] = binary.LittleEndian.Uint64(p.Buckets.At(i))
-	}
-	return out
 }
 
 // QuantileUS estimates the q-th quantile in microseconds from the log2

@@ -1,12 +1,22 @@
 package probes
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
 
 	"reqlens/internal/kernel"
 )
+
+// bucketCounts reads p's per-bucket counts: counts[i] holds durations
+// in [2^i, 2^(i+1)) microseconds.
+func bucketCounts(p *HistProbe) (counts [histBuckets]uint64) {
+	for i := range counts {
+		counts[i] = binary.LittleEndian.Uint64(p.Buckets.At(i))
+	}
+	return counts
+}
 
 func TestHistProbeBucketsDurations(t *testing.T) {
 	env, k := rig(2)
@@ -29,7 +39,7 @@ func TestHistProbeBucketsDurations(t *testing.T) {
 	if k.Tracer().RunErrors() != 0 {
 		t.Fatalf("probe faults: %v", k.Tracer().LastError())
 	}
-	counts := probe.Snapshot()
+	counts := bucketCounts(probe)
 	if counts[6] != 10 {
 		t.Fatalf("bucket 6 (64-128us) = %d, want 10; all: %v", counts[6], counts)
 	}
@@ -66,7 +76,7 @@ func TestHistProbeSubMicrosecondGoesToBucketZero(t *testing.T) {
 		th.Syscall(kernel.SysEpollWait, [6]uint64{}, kernel.Sleeping(200*time.Nanosecond, 0))
 	})
 	env.Run()
-	counts := probe.Snapshot()
+	counts := bucketCounts(probe)
 	if counts[0] != 1 {
 		t.Fatalf("bucket 0 = %d, want the sub-us duration; all: %v", counts[0], counts)
 	}

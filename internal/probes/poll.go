@@ -22,7 +22,6 @@ type PollProbe struct {
 	probe
 	Stats *ebpf.ArrayMap
 	Start *ebpf.HashMap
-	Ring  *ebpf.RingBuf // nil: aggregate-only
 }
 
 // loadEntryStamp loads Listing 1's entry half on sys_enter,
@@ -59,7 +58,6 @@ func NewPollProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*PollPr
 	p := &PollProbe{
 		Stats: ebpf.NewArrayMap(name+"_stats", psValueSize, 1),
 		Start: ebpf.NewHashMap(name+"_start", 8, 8, 4096),
-		Ring:  ring,
 	}
 	maps := map[int32]ebpf.Map{fdStats: p.Stats, fdStart: p.Start}
 	if ring != nil {

@@ -307,19 +307,6 @@ func (p *WaitStateProbe) Snapshot() WaitSnapshot {
 	return out
 }
 
-// Sub returns the per-tgid window s - prev, dropping rows that saw no
-// activity in the window.
-func (s WaitSnapshot) Sub(prev WaitSnapshot) WaitSnapshot {
-	out := make(WaitSnapshot, len(s))
-	for tgid, w := range s {
-		d := w.Sub(prev[tgid])
-		if d != (WaitTimes{}) {
-			out[tgid] = d
-		}
-	}
-	return out
-}
-
 // Bytes returns the probe's total map footprint: the fixed budget that
 // covers every thread and process on the node.
 func (p *WaitStateProbe) Bytes() int {

@@ -135,12 +135,15 @@ func TestWaitSnapshotSubWindows(t *testing.T) {
 		2: {OnCPUNS: 7},
 		3: {BlockedNS: 9},
 	}
-	d := b.Sub(a)
+	d := map[uint64]WaitTimes{}
+	for tgid, w := range b {
+		d[tgid] = w.Sub(a[tgid])
+	}
 	if got := d[1]; got != (WaitTimes{OnCPUNS: 60, RunnableNS: 20}) {
 		t.Fatalf("window for tgid 1 = %+v", got)
 	}
-	if _, ok := d[2]; ok {
-		t.Fatal("idle tgid should be dropped from the window")
+	if got := d[2]; got != (WaitTimes{}) {
+		t.Fatalf("idle tgid's window = %+v, want zero", got)
 	}
 	if got := d[3]; got != (WaitTimes{BlockedNS: 9}) {
 		t.Fatalf("window for tgid 3 = %+v", got)

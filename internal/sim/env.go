@@ -18,9 +18,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Seconds returns t expressed in seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
-
 // String formats t as a duration since simulation start.
 func (t Time) String() string { return time.Duration(t).String() }
 
@@ -36,9 +33,6 @@ type Event struct {
 // Cancel prevents the event from firing. Canceling an already-fired or
 // already-canceled event is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
-
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
 
 // Env is a discrete-event simulation environment.
 type Env struct {

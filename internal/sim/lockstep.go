@@ -50,20 +50,6 @@ func (l *Lockstep) Add(e *Env) int {
 // Len returns the number of registered environments.
 func (l *Lockstep) Len() int { return len(l.envs) }
 
-// Env returns the i-th registered environment.
-func (l *Lockstep) Env(i int) *Env { return l.envs[i] }
-
-// SetClock attaches one shared execution-budget clock to every
-// registered environment. Under a supervised fleet point this is what
-// makes a deadline kill cooperative across the whole cluster: the first
-// event loop to notice expiry unwinds, and every other environment's
-// next budget check trips on the same clock.
-func (l *Lockstep) SetClock(c *Clock) {
-	for _, e := range l.envs {
-		e.SetClock(c)
-	}
-}
-
 // envPanic carries a panic out of a worker goroutine with the index of
 // the environment that raised it.
 type envPanic struct {

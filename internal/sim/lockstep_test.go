@@ -101,7 +101,7 @@ func TestLockstepPanicPropagation(t *testing.T) {
 			}()
 			ls.Shutdown()
 			for i := 0; i < n; i++ {
-				if live := ls.Env(i).LiveProcs(); live != 0 {
+				if live := ls.envs[i].LiveProcs(); live != 0 {
 					t.Fatalf("fromProc=%v workers=%d: env %d has %d live procs after Shutdown", fromProc, workers, i, live)
 				}
 			}
@@ -118,7 +118,9 @@ func TestLockstepSharedClock(t *testing.T) {
 		ls.Add(e)
 	}
 	c := NewClock(0) // no wall deadline; expires only explicitly
-	ls.SetClock(c)
+	for _, e := range envs {
+		e.SetClock(c)
+	}
 	c.Expire()
 	defer ls.Shutdown()
 	defer func() {

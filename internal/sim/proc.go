@@ -76,15 +76,6 @@ func (p *Proc) exit() {
 	}
 }
 
-// Name returns the proc's diagnostic name.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
-
 // activate resumes a parked proc and returns once it parks again or
 // finishes; a proc parked in Block first has its continuation run here,
 // and is resumed only when that returns true (a step proc finishes

@@ -46,7 +46,7 @@ func TestSleepParksAtRunUntilBound(t *testing.T) {
 	var woke Time = -1
 	e.Spawn("p", func(p *Proc) {
 		p.Sleep(10 * time.Microsecond)
-		woke = p.Now()
+		woke = p.env.Now()
 	})
 	e.RunUntil(Time(4 * time.Microsecond))
 	if e.Now() != Time(4*time.Microsecond) || woke != -1 || e.Executed() != 1 {
@@ -102,7 +102,9 @@ func TestLockstepSharedClockElided(t *testing.T) {
 			})
 			ls.Add(e)
 		}
-		ls.SetClock(c)
+		for _, e := range ls.envs {
+			e.SetClock(c)
+		}
 		target := Time(20 * time.Second) // ~0.1 s of host time to reach, were the clock ignored
 		func() {
 			defer func() {
@@ -113,7 +115,7 @@ func TestLockstepSharedClockElided(t *testing.T) {
 			ls.AdvanceAll(target)
 		}()
 		for i := 0; i < ls.Len(); i++ {
-			if now := ls.Env(i).Now(); now >= target {
+			if now := ls.envs[i].Now(); now >= target {
 				t.Fatalf("workers=%d: env %d ran to %v under an expired clock", workers, i, now)
 			}
 		}

@@ -53,9 +53,6 @@ func (c *CUSUM) Observe(x float64) bool {
 	return c.stat > c.Threshold
 }
 
-// Stat returns the current cumulative-sum statistic.
-func (c *CUSUM) Stat() float64 { return c.stat }
-
 // EWMA is a two-sided exponentially-weighted moving-average control
 // chart on a standardized stream: Z <- (1-Lambda)*Z + Lambda*x, alarm
 // while |Z| > Limit * sigma_Z, with sigma_Z = sqrt(Lambda/(2-Lambda))
@@ -99,6 +96,3 @@ func (e *EWMA) Observe(x float64) bool {
 	lim := e.Limit * e.sigma()
 	return e.z > lim || e.z < -lim
 }
-
-// Value returns the current smoothed value Z.
-func (e *EWMA) Value() float64 { return e.z }

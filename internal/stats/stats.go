@@ -12,52 +12,15 @@ type Online struct {
 	n    uint64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the accumulator.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
 	o.m2 += d * (x - o.mean)
 }
-
-// Merge folds another accumulator into o (parallel Welford merge).
-func (o *Online) Merge(p Online) {
-	if p.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = p
-		return
-	}
-	n1, n2 := float64(o.n), float64(p.n)
-	d := p.mean - o.mean
-	o.m2 += p.m2 + d*d*n1*n2/(n1+n2)
-	o.mean += d * n2 / (n1 + n2)
-	o.n += p.n
-	if p.min < o.min {
-		o.min = p.min
-	}
-	if p.max > o.max {
-		o.max = p.max
-	}
-}
-
-// N returns the number of samples.
-func (o *Online) N() uint64 { return o.n }
 
 // Mean returns the running mean, or 0 with no samples.
 func (o *Online) Mean() float64 { return o.mean }
@@ -72,12 +35,6 @@ func (o *Online) Variance() float64 {
 
 // Stddev returns the population standard deviation.
 func (o *Online) Stddev() float64 { return math.Sqrt(o.Variance()) }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (o *Online) Max() float64 { return o.max }
 
 // Quantile returns the q-th quantile (0<=q<=1) of xs using linear
 // interpolation between closest ranks. It sorts a copy; xs is unchanged.

@@ -59,9 +59,6 @@ type Record struct {
 	Result     json.RawMessage `json:"result,omitempty"`     // the point's serialized value
 }
 
-// Start returns the span start as a duration since journal creation.
-func (r Record) Start() time.Duration { return time.Duration(r.StartNS) }
-
 // Dur returns the span duration.
 func (r Record) Dur() time.Duration { return time.Duration(r.DurNS) }
 

@@ -123,7 +123,7 @@ func TestPromRoundTripProperty(t *testing.T) {
 			if edge() {
 				v = edgeGauges[rng.Intn(len(edgeGauges))]
 			}
-			r.Gauge(name).Set(v)
+			r.Gauge(name).Add(v) // a fresh gauge: Add sets it
 			insts = append(insts, inst{name, float64(v)})
 		}
 		for i, n := 0, rng.Intn(6); i < n; i++ {
@@ -229,7 +229,7 @@ func TestPromRoundTripProperty(t *testing.T) {
 func TestPromSteadyStateAllocs(t *testing.T) {
 	r := New()
 	r.Counter("reqs_total").Add(12345)
-	r.Gauge("inflight").Set(-3)
+	r.Gauge("inflight").Add(-3)
 	r.FloatGauge("rps").Set(61234.56789)
 	h := r.Histogram("lat_ns")
 	for v := int64(1); v < 1<<20; v *= 3 {

@@ -60,13 +60,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
 // Add moves the value by d (negative to decrement).
 func (g *Gauge) Add(d int64) {
 	if g != nil {
@@ -151,19 +144,6 @@ func histIndex(v int64) int {
 	return exp*histSub + sub
 }
 
-// histLow returns the lower bound of bucket i.
-func histLow(i int) int64 {
-	exp, sub := i/histSub, i%histSub
-	if exp == 0 {
-		return int64(sub)
-	}
-	shift := exp - histSubL
-	if shift < 0 {
-		shift = 0
-	}
-	return (int64(1) << uint(exp)) | (int64(sub) << uint(shift))
-}
-
 // histHigh returns the largest observation mapping to bucket i — the
 // bucket's inclusive `le` bound in the Prometheus export. Using the
 // next *index*'s lower bound instead would be wrong: indexes whose
@@ -221,56 +201,6 @@ func (h *Histogram) Sum() int64 {
 func (h *Histogram) Max() int64 {
 	if h == nil {
 		return 0
-	}
-	return h.max.Load()
-}
-
-// Mean returns the mean observation (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// Quantile returns an approximation of the q-th quantile (lower bucket
-// bound, clamped to Max).
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(q*float64(total) + 0.5)
-	if target == 0 {
-		target = 1
-	}
-	if target >= total {
-		return h.max.Load() // the top quantile is tracked exactly
-	}
-	var seen uint64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		seen += c
-		if seen >= target {
-			v := histLow(i)
-			if m := h.max.Load(); v > m {
-				v = m
-			}
-			return v
-		}
 	}
 	return h.max.Load()
 }

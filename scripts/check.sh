@@ -25,10 +25,13 @@
 #                                         internal/ebpf carries a doc
 #                                         comment (scripts/doclint)
 #   deadapi                               every top-level internal/
-#                                         declaration has a reader
-#                                         besides its own package's
-#                                         tests, or an allowlist entry
-#                                         with a reason (scripts/deadapi)
+#                                         declaration, method and
+#                                         unexported struct field has a
+#                                         reader besides its own
+#                                         package's tests (resolved with
+#                                         go/types; a write is no read),
+#                                         or an allowlist entry with a
+#                                         reason (scripts/deadapi)
 #   bench smoke                           the substrate benchmarks that
 #                                         scripts/bench.sh records run
 #                                         for one iteration each, and
@@ -92,7 +95,7 @@ leg "doclint (internal/ebpf)"
 # scripts/doclint).
 go run ./scripts/doclint ./internal/ebpf
 
-leg "deadapi (internal/ API with no reader but its own tests)"
+leg "deadapi (internal/ API and state with no reader but its own tests)"
 go run ./scripts/deadapi
 
 leg "go build"

@@ -7,4 +7,6 @@ func TestA(t *testing.T) {
 	Allowed()
 	Builder()
 	Shadowed()
+	Dog{}.Speak()
+	_ = Write().ownTest
 }

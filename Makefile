@@ -20,7 +20,7 @@ test:
 	go test ./...
 
 race: ## the parallel engine's safety gate: the same packages as check's race leg
-	go test -race -timeout 20m ./internal/sim/... ./internal/kernel/... ./internal/netsim/... ./internal/loadgen/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
+	go test -race -timeout 20m ./internal/sim/... ./internal/kernel/... ./internal/netsim/... ./internal/loadgen/... ./internal/workloads/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
 
 bench: ## regenerate every table/figure at bench scale, then all BENCH_*.json microbenches
 	go test -bench=. -benchmem

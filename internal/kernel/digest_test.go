@@ -91,7 +91,7 @@ func scheduleDigest(t *testing.T, seed int64, ncpu, nthreads int) (digest, summa
 				case 2:
 					th.Invoke(SysRead, [6]uint64{uint64(n)}, func() int64 { return int64(n) })
 				case 3:
-					mu.LockSpin(th, time.Duration(rng.Intn(2))*time.Microsecond)
+					lock(th, &mu, time.Duration(rng.Intn(2))*time.Microsecond)
 					th.Compute(time.Duration(5+rng.Intn(30)) * time.Microsecond)
 					mu.Unlock(th)
 				case 4:

@@ -21,7 +21,9 @@
 // A loop thread (Process.SpawnLoop) has no coroutine at all: its
 // blocking calls return at once when they must wait, and its body runs
 // again when Thread.resume reports the wait over, doing what a coroutine
-// body does between the same two yields, so no event moves.
+// body does between the same two yields, so no event moves. Mutex.Acquire
+// is written the same way, one spin or futex call per call, so both
+// thread kinds take a lock through it.
 //
 // Key entry points:
 //
@@ -29,7 +31,7 @@
 //     machine.Profile topology.
 //   - Kernel.NewProcess / Process.SpawnThread / SpawnLoop — create
 //     threads; Thread.Syscall/Invoke issue a syscall (firing tracepoints),
-//     Thread.Compute burns CPU, Mutex provides contended locking.
+//     Thread.Compute burns CPU, Mutex.Acquire/Unlock lock under contention.
 //   - Kernel.Tracer — the tracepoint hub; Tracer.Attach loads a
 //     verified ebpf program on RawSysEnter/RawSysExit, exactly where
 //     the paper's Listing 1 attaches, and charges its run cost to the

@@ -199,12 +199,13 @@ type Thread struct {
 	cpu   *cpu
 
 	// scheduling state
-	quantum time.Duration      // remaining timeslice, carried across Computes
-	run     run                // the compute in flight
-	sys     sysCall            // the syscall in flight: a thread issues one at a time
-	resume0 func() bool        // t.resume, hoisted once: every wait Blocks on it
-	loop    func(*Thread) bool // a loop thread's body (SpawnLoop), else nil
-	waiting bool               // a loop thread's operation is waiting
+	quantum    time.Duration      // remaining timeslice, carried across Computes
+	run        run                // the compute in flight
+	sys        sysCall            // the syscall in flight: a thread issues one at a time
+	resume0    func() bool        // t.resume, hoisted once: every wait Blocks on it
+	loop       func(*Thread) bool // a loop thread's body (SpawnLoop), else nil
+	waiting    bool               // a loop thread's operation is waiting
+	contending bool               // between the first and last call of a contended Mutex.Acquire
 
 	// Ops is where a layer above keeps the operands of the thread's Steps
 	// (netsim's per-thread frame), so that no call allocates a closure.

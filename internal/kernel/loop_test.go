@@ -15,15 +15,43 @@ import (
 
 // scriptOp is one blocking operation of a scripted thread.
 type scriptOp struct {
-	kind int // Compute, Sleep, Invoke, Syscall(Sleeping), Syscall(take), Wait(take), Burn
+	kind int // Compute, Sleep, Invoke, Syscall(Sleeping), Syscall(take), Wait(take), Burn, lock+Compute+Unlock, the same with a spin
 	d    time.Duration
+}
+
+// spin is a lock op's adaptive spin: none for kind 7, 10µs for kind 8.
+func (op scriptOp) spin() time.Duration { return time.Duration(op.kind-7) * 10 * time.Microsecond }
+
+// lockSpin is the coroutine form Mutex.Acquire replaced, kept as its
+// oracle: spin once, then futex-wait until the lock is free.
+func lockSpin(t *Thread, m *Mutex, spin time.Duration) {
+	m.acquisitions++
+	if m.holder == nil {
+		m.holder = t
+		return
+	}
+	m.contended++
+	if spin > 0 {
+		t.Compute(spin)
+		if m.holder == nil {
+			m.holder = t
+			return
+		}
+	}
+	for m.holder != nil {
+		t.sys.mu = m
+		t.Syscall(SysFutex, [6]uint64{}, futexWait)
+	}
+	m.holder = t
 }
 
 // loopScenario runs scripted threads — as coroutine threads, or the same
 // scripts as loop threads when loop is set — against coroutine threads
 // competing for two CPUs and a token pool, under stray wakes and CPU
 // resizes, and returns every step's (time, tid, op, ret), then everything
-// else an observer can see of the run.
+// else an observer can see of the run. The scripts also share a mutex:
+// the coroutine threads take it with lockSpin, the loop threads with
+// Mutex.Acquire in step form.
 func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary string, switches uint64) {
 	t.Helper()
 	env := sim.NewEnv(seed)
@@ -52,6 +80,9 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 		return int64(tokens), true
 	}
 
+	var mu Mutex
+	afterSpin, parked := 0, 0 // loop-thread acquisitions taken right after the spin, or after a futex
+
 	p := k.NewProcess("mix")
 	var ths []*Thread
 	for i := 0; i < 3; i++ { // producers: coroutine threads in both runs
@@ -73,11 +104,11 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 	}
 
 	loopWaits := 0
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 7; i++ {
 		rng := rand.New(rand.NewSource(seed*17 + int64(i)))
 		script := make([]scriptOp, 60)
 		for n := range script {
-			script[n] = scriptOp{rng.Intn(7), time.Duration(rng.Intn(120)) * time.Microsecond}
+			script[n] = scriptOp{rng.Intn(9), time.Duration(rng.Intn(120)) * time.Microsecond}
 		}
 		var ret int64 // the last operation's result, as the thread reads it
 		issue := func(th *Thread, op scriptOp) {
@@ -103,6 +134,10 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 				th.Wait(func(th *Thread) (int64, bool) { return record(take(th)) })
 			case 6:
 				th.Burn(SysSendto, [6]uint64{}, op.d)
+			case 7, 8:
+				lockSpin(th, &mu, op.spin())
+				th.Compute(op.d / 4)
+				mu.Unlock(th)
 			}
 		}
 		note := func(th *Thread, op scriptOp) {
@@ -117,19 +152,45 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 			}))
 			continue
 		}
-		n := 0
+		// A lock op, script[n-1], is Acquire until it holds the lock, then
+		// the held Compute, then Unlock; calls counts its Acquire calls.
+		n, calls, held := 0, 0, false
+		acquire := func(th *Thread) bool {
+			op := script[n-1]
+			if calls++; !mu.Acquire(th, op.spin()) {
+				return false
+			}
+			if calls > 2 || op.spin() == 0 && calls > 1 {
+				parked++
+			} else if calls == 2 {
+				afterSpin++
+			}
+			calls, held = 0, true
+			th.Compute(op.d / 4)
+			return false
+		}
 		ths = append(ths, p.SpawnLoop("script", func(th *Thread) bool {
+			if held {
+				mu.Unlock(th)
+				held = false
+			} else if calls > 0 {
+				return acquire(th)
+			}
 			if n > 0 {
 				note(th, script[n-1])
 			}
 			if n == len(script) {
 				return true
 			}
-			issue(th, script[n])
+			n++
+			if op := script[n-1]; op.kind >= 7 {
+				ret = 0
+				return acquire(th)
+			}
+			issue(th, script[n-1])
 			if th.waiting {
 				loopWaits++
 			}
-			n++
 			return false
 		}))
 	}
@@ -156,13 +217,14 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 	defer env.Shutdown()
 
 	dispatches, preemptions, ctxSwitches := k.SchedCounters()
-	if loop && (loopWaits == 0 || preemptions == 0 || k.SpuriousWakeups() == 0 || stray == 0) {
-		t.Fatalf("seed %d: scenario missed a path: %d loop-thread waits, %d preemptions, %d spurious wakeups, %d stray wakes",
-			seed, loopWaits, preemptions, k.SpuriousWakeups(), stray)
+	if loop && (loopWaits == 0 || preemptions == 0 || k.SpuriousWakeups() == 0 || stray == 0 || afterSpin == 0 || parked == 0) {
+		t.Fatalf("seed %d: scenario missed a path: %d loop-thread waits, %d preemptions, %d spurious wakeups, %d stray wakes, %d locks taken after a spin, %d after a futex",
+			seed, loopWaits, preemptions, k.SpuriousWakeups(), stray, afterSpin, parked)
 	}
-	summary = fmt.Sprintf("end=%v executed=%d tracepoints=%#x dispatches=%d preemptions=%d ctx=%d runs=%d spurious=%d live=%d",
+	summary = fmt.Sprintf("end=%v executed=%d tracepoints=%#x dispatches=%d preemptions=%d ctx=%d runs=%d spurious=%d live=%d mutex=%d/%d/%d/%v",
 		env.Now(), env.Executed(), binary.LittleEndian.Uint64(sum.At(0)),
-		dispatches, preemptions, ctxSwitches, tr.Runs(), k.SpuriousWakeups(), env.LiveProcs())
+		dispatches, preemptions, ctxSwitches, tr.Runs(), k.SpuriousWakeups(), env.LiveProcs(),
+		mu.acquisitions, mu.contended, len(mu.waiters), mu.holder == nil)
 	for _, th := range ths {
 		summary += fmt.Sprintf("\n  %s/%d cpu=%v probe=%v waits=%d syscalls=%d",
 			th.Name(), th.tid, th.CPUTime(), th.ProbeCost(), th.RunQueueWaits(), th.SyscallCount())
@@ -173,8 +235,10 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 // TestLoopThreadIsInvisible: a script run as a loop thread
 // (Process.SpawnLoop) gives the run the same script gives as a coroutine
 // thread — every step's time and result, the event count, the scheduler
-// counters, tracepoint order and content and each thread's accounting —
-// while the loop threads switch into no coroutine.
+// counters, tracepoint order and content, each thread's accounting and
+// the shared mutex's counters, with Mutex.Acquire's step form on the loop
+// threads against its coroutine form (lockSpin) on the others — while
+// the loop threads switch into no coroutine.
 func TestLoopThreadIsInvisible(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		coLog, coSum, coSwitches := loopScenario(t, seed, false)
@@ -190,8 +254,8 @@ func TestLoopThreadIsInvisible(t *testing.T) {
 			}
 			t.Fatalf("seed %d: loop threads logged %d steps, coroutine threads %d", seed, len(loopLog), len(coLog))
 		}
-		if len(coLog) != 5*60 {
-			t.Fatalf("seed %d: %d steps logged, want %d", seed, len(coLog), 5*60)
+		if len(coLog) != 7*60 {
+			t.Fatalf("seed %d: %d steps logged, want %d", seed, len(coLog), 7*60)
 		}
 		if loopSwitches >= coSwitches {
 			t.Fatalf("seed %d: %d coroutine switches with loop threads, %d without", seed, loopSwitches, coSwitches)

@@ -21,9 +21,14 @@ type Mutex struct {
 	contended    uint64
 }
 
-// LockSpin acquires the mutex adaptively: a contended waiter first burns
-// spin of CPU hoping the holder releases (glibc adaptive mutex), then
-// parks in a futex and re-competes when woken.
+// Acquire takes the mutex adaptively, one step per call, on either kind
+// of thread: it returns true once t holds the lock, and until then each
+// call issues one blocking operation and returns false. A contended
+// waiter first burns spin of CPU hoping the holder releases (glibc
+// adaptive mutex), then parks in a futex and re-competes when woken. The
+// caller calls again once that operation is over: a SpawnThread body at
+// once (for !mu.Acquire(t, spin) {}), a SpawnLoop body on its next call.
+// A thread acquires one mutex at a time.
 //
 // The lock BARGES, as glibc mutexes do: Unlock does not hand the lock to
 // a waiter, it frees the lock and wakes one waiter, and whichever thread
@@ -32,26 +37,28 @@ type Mutex struct {
 // and then complete in bursts — the contention irregularity the paper
 // observes past the QoS point. A fair handoff lock would instead pace
 // every response at the scheduler's wake-up latency and erase the signal.
-func (m *Mutex) LockSpin(t *Thread, spin time.Duration) {
-	m.acquisitions++
-	if m.holder == nil {
-		m.holder = t
-		return
-	}
-	m.contended++
-	if spin > 0 {
-		t.Compute(spin)
+func (m *Mutex) Acquire(t *Thread, spin time.Duration) bool {
+	if !t.contending {
+		m.acquisitions++
 		if m.holder == nil {
 			m.holder = t
-			return
+			return true
 		}
+		m.contended++
+		t.contending = true
+		if spin > 0 {
+			t.Compute(spin)
+			return false
+		}
+	} else if m.holder == nil { // after the spin, or woken from the futex
+		t.contending = false
+		m.holder = t
+		return true
 	}
-	for m.holder != nil {
-		// futex_wait: sleep until some unlock wakes us, then re-compete.
-		t.sys.mu = m
-		t.Syscall(SysFutex, [6]uint64{}, futexWait)
-	}
-	m.holder = t
+	// futex_wait: sleep until some unlock wakes us, then re-compete.
+	t.sys.mu = m
+	t.Syscall(SysFutex, [6]uint64{}, futexWait)
+	return false
 }
 
 // futexWait is futex_wait's body: queue on the mutex unless an unlock
@@ -91,8 +98,8 @@ func (m *Mutex) Unlock(t *Thread) {
 	}
 }
 
-// Acquisitions returns total Lock calls.
+// Acquisitions returns total acquisitions.
 func (m *Mutex) Acquisitions() uint64 { return m.acquisitions }
 
-// Contended returns Lock calls that had to park.
+// Contended returns acquisitions that found the lock held.
 func (m *Mutex) Contended() uint64 { return m.contended }

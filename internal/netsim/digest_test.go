@@ -153,7 +153,8 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 		rng := rngFor()
 		srv.SpawnThread(fmt.Sprintf("locker%d", i), func(th *kernel.Thread) {
 			for {
-				mu.LockSpin(th, us(rng, 3))
+				for spin := us(rng, 3); !mu.Acquire(th, spin); {
+				}
 				th.Compute(5*time.Microsecond + us(rng, 30))
 				mu.Unlock(th)
 				th.Sleep(us(rng, 40))

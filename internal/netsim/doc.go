@@ -27,7 +27,9 @@
 //   - Sock.Send / TryRecv / Recv — message I/O issued through a
 //     kernel.Thread so every operation appears as a syscall to the
 //     tracepoints. A syscall body never parks: each blocking call is a
-//     kernel.Step reading its operands from the thread's frame.
+//     kernel.Step reading its operands from the thread's frame, where a
+//     loop thread reads the result on its next call (Dialed, Received,
+//     Ready).
 //   - Epoll — readiness multiplexing; epoll wait durations are the raw
 //     material of the Fig. 4 slack signal. EAGAIN mirrors the kernel's
 //     would-block return.

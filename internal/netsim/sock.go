@@ -171,13 +171,19 @@ func (l *Listener) Dial(t *kernel.Thread) *Sock {
 	return f.sock
 }
 
-// Dialed returns the socket of t's last Dial, and Received the message
-// of its last Recv: a loop thread (kernel.Process.SpawnLoop), whose
-// calls return before a wait is over, reads them on its next call.
+// Dialed returns the socket of t's last Dial, Received the message of
+// its last Recv or TryRecv (nil for EAGAIN), and Ready the readable
+// sockets of its last Epoll.Wait: a loop thread
+// (kernel.Process.SpawnLoop), whose calls return before a wait is over,
+// reads them on its next call.
 func Dialed(t *kernel.Thread) *Sock { return frameOf(t).sock }
 
-// Received returns the message of t's last Recv; see Dialed.
+// Received returns the message of t's last Recv or TryRecv; see Dialed.
 func Received(t *kernel.Thread) *Message { return frameOf(t).msg }
+
+// Ready returns the sockets of t's last Epoll.Wait, in the slice the
+// thread's next Wait reuses; see Dialed.
+func Ready(t *kernel.Thread) []*Sock { return frameOf(t).ready }
 
 // Accept blocks in an accept syscall until a connection is pending and
 // returns the server-side socket.

@@ -69,58 +69,42 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 	}
 
 	for i, nt := range nets {
-		nt := nt
 		nt.ep.Add(nil, nt.notifyRead)
-		w.proc.SpawnThread(fmt.Sprintf("net%d", i), func(t *kernel.Thread) {
-			for {
-				ready := nt.ep.Wait(t, spec.PollNR, 0)
-				for _, s := range ready {
-					if s == nt.notifyRead {
-						// Drain notifications, then send completed
-						// responses from this network thread.
-						for {
-							if _, ret := s.TryRecv(t, kernel.SysRead); ret == netsim.EAGAIN {
-								break
-							}
-						}
-						pending := nt.completions
-						nt.completions = nil
-						for _, it := range pending {
-							it.sock.Send(t, spec.SendNR, &netsim.Message{
-								ID: it.msg.ID, Size: spec.RespSize, Payload: it.msg.Payload,
-							})
-						}
-						continue
-					}
-					for {
-						m, ret := s.TryRecv(t, spec.RecvNR)
-						if ret == netsim.EAGAIN {
-							break
-						}
-						pushWork(&workItem{msg: m, sock: s, net: nt})
-					}
-				}
-			}
-		})
+		w.proc.SpawnLoop(fmt.Sprintf("net%d", i), nt.loop(spec, pushWork))
 	}
 
 	for i := 0; i < spec.Workers; i++ {
-		w.proc.SpawnThread(fmt.Sprintf("infer%d", i), func(t *kernel.Thread) {
-			sinceSweep := 0
-			for {
-				t.Wait(idle)
-				it := queue[0]
-				queue = queue[1:]
-				sinceSweep++
-				if spec.MaintenanceEvery > 0 && sinceSweep >= spec.MaintenanceEvery {
-					sinceSweep = 0
-					maintain(t, spec, len(queue), &mu)
+		at, svc := 0, service{spec: spec, mu: &mu}
+		var it *workItem
+		w.proc.SpawnLoop(fmt.Sprintf("infer%d", i), func(t *kernel.Thread) bool {
+			switch at {
+			case recvd: // work is queued
+				it, queue = queue[0], queue[1:]
+				if svc.due() {
+					svc.maintain(len(queue))
 				}
-				serveOne(t, spec, demand.sample(), &mu)
+				at = maintaining
+				fallthrough
+			case maintaining:
+				if !svc.step(t) {
+					return false
+				}
+				svc.serve(t, demand.sample())
+				at = serving
+				return false
+			case serving:
+				if !svc.step(t) {
+					return false
+				}
 				it.net.completions = append(it.net.completions, it)
 				// eventfd-style wakeup of the owning network thread.
 				it.net.notifyWrite.Send(t, kernel.SysWrite, &netsim.Message{Size: 8})
+				at = sent
+				return false
 			}
+			t.Wait(idle)
+			at = recvd
+			return false
 		})
 	}
 
@@ -132,4 +116,50 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 		}
 	})
 	return w
+}
+
+// loop is a network thread's body (kernel.Process.SpawnLoop): epoll_wait,
+// then drain each ready socket. A client connection's requests go to
+// pushWork; a drained notification socket means completed work, whose
+// responses this thread then sends. Each call reads the result of the
+// call before and issues the next blocking call, as its last act.
+func (nt *netThread) loop(spec Spec, pushWork func(*workItem)) func(*kernel.Thread) bool {
+	var ready []*netsim.Sock // the last epoll_wait's sockets still to drain
+	var pending []*workItem  // completions whose responses are still to send
+	at := 0
+	return func(t *kernel.Thread) bool {
+		switch at {
+		case polled:
+			ready = netsim.Ready(t)
+		case recvd:
+			s := ready[0]
+			if m := netsim.Received(t); m != nil {
+				if s != nt.notifyRead {
+					pushWork(&workItem{msg: m, sock: s, net: nt})
+				}
+				break
+			}
+			ready = ready[1:]
+			if s == nt.notifyRead {
+				pending, nt.completions = nt.completions, nil
+			}
+		}
+		switch {
+		case len(pending) > 0:
+			it := pending[0]
+			pending = pending[1:]
+			it.sock.Send(t, spec.SendNR, &netsim.Message{ID: it.msg.ID, Size: spec.RespSize, Payload: it.msg.Payload})
+			at = sent
+		case len(ready) == 0:
+			nt.ep.Wait(t, spec.PollNR, 0)
+			at = polled
+		case ready[0] == nt.notifyRead:
+			ready[0].TryRecv(t, kernel.SysRead)
+			at = recvd
+		default:
+			ready[0].TryRecv(t, spec.RecvNR)
+			at = recvd
+		}
+		return false
+	}
 }

@@ -32,6 +32,16 @@
 //   - ServerCores — the fixed 8-core server allocation every
 //     calibration assumes.
 //
+// Every request-path thread is a kernel loop thread
+// (kernel.Process.SpawnLoop): worker-pool workers and two-stage index
+// threads share one body (drain); the front end, the dispatcher's network
+// and inference threads and the io_uring workers have their own. Each
+// body composes service, the step form of a request's service and of a
+// maintenance pass, around kernel.Mutex.Acquire. Only each process's
+// acceptor, main, is a coroutine thread (Epoll.Add checks readiness after
+// its syscall returns, which a loop body's last act cannot), so a running
+// server holds one goroutine per process.
+//
 // Specs are plain values: safe to copy, tweak (the ablations zero
 // LockShare/MaintenanceEvery), and launch concurrently on independent
 // rigs.

@@ -26,28 +26,33 @@ func launchIOUring(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsi
 	dry := kernel.Sleeping(200*time.Microsecond, 0)
 
 	for i := 0; i < spec.Workers; i++ {
-		i := i
-		w.proc.SpawnThread(fmt.Sprintf("worker%d", i), func(t *kernel.Thread) {
-			for {
-				served := 0
-				for _, s := range conns[i] {
-					for {
-						m := s.TryRecvBypass()
-						if m == nil {
-							break
-						}
-						served++
-						serveOne(t, spec, demand.sample(), &mu)
-						s.SendBypass(&netsim.Message{ID: m.ID, Size: spec.RespSize, Payload: m.Payload})
-					}
+		serving, served, svc := false, false, service{spec: spec, mu: &mu}
+		var pass []*netsim.Sock // this pass's connections still to drain
+		var m *netsim.Message   // the request in service
+		w.proc.SpawnLoop(fmt.Sprintf("worker%d", i), func(t *kernel.Thread) bool {
+			if serving {
+				if !svc.step(t) {
+					return false
 				}
-				if served == 0 {
-					// Completion queue dry: a single io_uring_enter to
-					// wait, then poll the CQ again. This is the only
-					// syscall footprint of the fast path.
-					t.Syscall(kernel.SysIoUringEnter, [6]uint64{}, dry)
+				pass[0].SendBypass(&netsim.Message{ID: m.ID, Size: spec.RespSize, Payload: m.Payload})
+			} else { // a new pass, over the connections as they are now
+				pass, served = conns[i], false
+			}
+			for ; len(pass) > 0; pass = pass[1:] {
+				if m = pass[0].TryRecvBypass(); m != nil {
+					svc.serve(t, demand.sample())
+					serving, served = true, true
+					return false
 				}
 			}
+			serving = false
+			if !served {
+				// Completion queue dry: a single io_uring_enter to
+				// wait, then poll the CQ again. This is the only
+				// syscall footprint of the fast path.
+				t.Syscall(kernel.SysIoUringEnter, [6]uint64{}, dry)
+			}
+			return false
 		})
 	}
 

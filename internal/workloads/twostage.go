@@ -39,15 +39,7 @@ func launchTwoStage(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg nets
 	var backMu kernel.Mutex
 	backEp := n.NewEpoll()
 	for i := 0; i < spec.Workers; i++ {
-		w.back.SpawnThread(fmt.Sprintf("index%d", i), func(t *kernel.Thread) {
-			sinceSweep := 0
-			for {
-				ready := backEp.Wait(t, spec.PollNR, 0)
-				for _, s := range ready {
-					drainAndServe(t, s, spec, backDemand, &backMu, backEp, &sinceSweep)
-				}
-			}
-		})
+		w.back.SpawnLoop(fmt.Sprintf("index%d", i), drain(spec, backEp, backDemand, &backMu))
 	}
 	w.back.SpawnThread("main", func(t *kernel.Thread) {
 		emitSetup(t)
@@ -83,41 +75,7 @@ func launchTwoStage(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg nets
 	for i := 0; i < spec.Workers; i++ {
 		ep := n.NewEpoll()
 		frontEps[i] = ep
-		w.proc.SpawnThread(fmt.Sprintf("front%d", i), func(t *kernel.Thread) {
-			backConn := internal.Dial(t)
-			sinceSweep := 0
-			for {
-				ready := ep.Wait(t, spec.PollNR, 0)
-				for _, s := range ready {
-					for {
-						m, ret := s.TryRecv(t, spec.RecvNR)
-						if ret == netsim.EAGAIN {
-							break
-						}
-						if spec.MaintenanceEvery > 0 {
-							sinceSweep++
-							if sinceSweep >= spec.MaintenanceEvery {
-								sinceSweep = 0
-								maintain(t, spec, ep.TotalQueued(), &frontMu)
-							}
-						}
-						t.Compute(frontDemand.sample())
-						// Forward to the index over the internal hop
-						// (same send syscall family as client responses).
-						backConn.Send(t, spec.SendNR, &netsim.Message{ID: m.ID, Size: spec.ReqSize, Payload: m.Payload})
-						resp := backConn.Recv(t, spec.RecvNR)
-						chunks := chunksNow(t.Now())
-						for c := 0; c < chunks; c++ {
-							id := uint64(0) // continuation chunks carry no request id
-							if c == chunks-1 {
-								id = resp.ID // final chunk completes the response
-							}
-							s.Send(t, spec.SendNR, &netsim.Message{ID: id, Size: spec.RespSize / chunks, Payload: resp.Payload})
-						}
-					}
-				}
-			}
-		})
+		w.proc.SpawnLoop(fmt.Sprintf("front%d", i), front(spec, ep, internal, frontDemand, &frontMu, chunksNow))
 	}
 	w.proc.SpawnThread("main", func(t *kernel.Thread) {
 		emitSetup(t)
@@ -127,4 +85,77 @@ func launchTwoStage(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg nets
 		}
 	})
 	return w
+}
+
+// front is a front-end thread's body (kernel.Process.SpawnLoop): dial the
+// index, then epoll_wait and drain each ready client socket. Each request
+// counts toward maintenance, runs its front-end share of demand, is
+// forwarded to the index (the same send syscall family as client
+// responses), and once the index answers is sent back in chunksNow
+// chunks. Each call reads the result of the call before and issues the
+// next blocking call, as its last act.
+func front(spec Spec, ep *netsim.Epoll, internal *netsim.Listener, demand *demandSampler, mu *kernel.Mutex, chunksNow func(sim.Time) int) func(*kernel.Thread) bool {
+	at, svc := 0, service{spec: spec, mu: mu}
+	var backConn *netsim.Sock
+	var ready []*netsim.Sock // the last epoll_wait's sockets still to drain
+	var m *netsim.Message    // the request in service, then the index's answer
+	chunk, chunks := 0, 0    // response chunks sent, and to send
+	return func(t *kernel.Thread) bool {
+		switch at {
+		case 0:
+			internal.Dial(t)
+			at = dialed
+			return false
+		case dialed:
+			backConn = netsim.Dialed(t)
+		case polled:
+			ready = netsim.Ready(t)
+		case recvd:
+			if m = netsim.Received(t); m == nil { // EAGAIN: this socket is empty
+				ready = ready[1:]
+				break
+			}
+			if svc.due() {
+				svc.maintain(ep.TotalQueued())
+			}
+			at = maintaining
+			fallthrough
+		case maintaining:
+			if !svc.step(t) {
+				return false
+			}
+			t.Compute(demand.sample())
+			at = serving
+			return false
+		case serving:
+			backConn.Send(t, spec.SendNR, &netsim.Message{ID: m.ID, Size: spec.ReqSize, Payload: m.Payload})
+			at = forwarded
+			return false
+		case forwarded:
+			backConn.Recv(t, spec.RecvNR)
+			at = answered
+			return false
+		case answered:
+			m, chunk, chunks = netsim.Received(t), 0, chunksNow(t.Now())
+			fallthrough
+		case sent:
+			if chunk < chunks {
+				id := uint64(0) // continuation chunks carry no request id
+				if chunk++; chunk == chunks {
+					id = m.ID // final chunk completes the response
+				}
+				ready[0].Send(t, spec.SendNR, &netsim.Message{ID: id, Size: spec.RespSize / chunks, Payload: m.Payload})
+				at = sent
+				return false
+			}
+		}
+		if len(ready) == 0 {
+			ep.Wait(t, spec.PollNR, 0)
+			at = polled
+		} else {
+			ready[0].TryRecv(t, spec.RecvNR)
+			at = recvd
+		}
+		return false
+	}
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -243,6 +244,45 @@ func TestIOUringVariantIsSyscallSilent(t *testing.T) {
 	}
 	if counts["io_uring_enter"] == 0 {
 		t.Fatalf("expected io_uring_enter activity: %v", counts)
+	}
+}
+
+// TestServerSpawnsNoGoroutines: under load, a launched server adds only
+// its acceptors' goroutines, one coroutine main per process; every
+// request-path thread is a loop thread (kernel.Process.SpawnLoop), as
+// are the load generator's.
+func TestServerSpawnsNoGoroutines(t *testing.T) {
+	for _, c := range []struct {
+		spec  Spec
+		mains int
+		dur   time.Duration
+	}{
+		{DataCaching(), 1, 100 * time.Millisecond},
+		{Silo(), 1, 200 * time.Millisecond},
+		{WebSearch(), 2, 500 * time.Millisecond},
+		{TritonHTTP(), 1, 4 * time.Second},
+		{DataCachingIOUring(), 1, 100 * time.Millisecond},
+	} {
+		env := sim.NewEnv(23)
+		prof := machine.AMD()
+		prof.Sockets, prof.CoresPerSock, prof.ThreadsPerCore = 1, ServerCores, 1
+		k := kernel.New(env, prof)
+		before := runtime.NumGoroutine()
+		srv := Launch(k, netsim.New(env), c.spec, netsim.Config{})
+		cl := loadgen.New(k, srv.Listener(), loadgen.Options{
+			Rate: 0.5 * c.spec.FailureRPS, Conns: 16, ReqSize: c.spec.ReqSize,
+		})
+		cl.StartMeasurement()
+		env.RunFor(c.dur)
+		added := runtime.NumGoroutine() - before
+		served := cl.Snapshot().RealRPS
+		env.Shutdown()
+		if served == 0 {
+			t.Fatalf("%s: no request served", c.spec.Name)
+		}
+		if added != c.mains {
+			t.Errorf("%s (%v): the running server added %d goroutines, want %d", c.spec.Name, c.spec.Model, added, c.mains)
+		}
 	}
 }
 

@@ -6,11 +6,12 @@
 #   go build ./...                        everything compiles
 #   go test ./...                         tier-1 suite
 #   go test -race ./internal/sim/... ./internal/kernel/... ./internal/netsim/...
-#                 ./internal/loadgen/... ./internal/harness/... ./internal/core/...
-#                 ./internal/fleet/... ./internal/telemetry/...
+#                 ./internal/loadgen/... ./internal/workloads/... ./internal/harness/...
+#                 ./internal/core/... ./internal/fleet/... ./internal/telemetry/...
 #                                         coroutine hand-off + scheduler
 #                                         continuations run from the
 #                                         event loop + loop threads +
+#                                         server models +
 #                                         engine +
 #                                         rig + observer attach +
 #                                         lockstep cluster paths +
@@ -104,7 +105,7 @@ go build ./...
 leg "go test"
 go test ./...
 
-race_pkgs="./internal/sim/... ./internal/kernel/... ./internal/netsim/... ./internal/loadgen/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/..."
+race_pkgs="./internal/sim/... ./internal/kernel/... ./internal/netsim/... ./internal/loadgen/... ./internal/workloads/... ./internal/harness/... ./internal/core/... ./internal/fleet/... ./internal/telemetry/..."
 leg "go test -race $race_pkgs"
 # The race-instrumented harness suite runs ~10x slower than native on a
 # single core; give it explicit headroom past go test's 10m default.
@@ -142,6 +143,7 @@ cover_floor ./internal/fleet 70
 cover_floor ./internal/control 70
 cover_floor ./internal/loadgen 70
 cover_floor ./internal/kernel 70
+cover_floor ./internal/workloads 70
 
 leg "bench smoke (substrate benches, 1 iteration)"
 # Every microbenchmark scripts/bench.sh records must still run; a

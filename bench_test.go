@@ -516,7 +516,7 @@ func BenchmarkNetRecvBlocking(b *testing.B) {
 	ep := n.NewEpoll()
 	ep.Add(nil, srv)
 	p := k.NewProcess("bench")
-	req, resp := &netsim.Message{Size: 64}, &netsim.Message{Size: 256}
+	req, resp := netsim.Message{Size: 64}, netsim.Message{Size: 256}
 	p.SpawnThread("server", func(t *kernel.Thread) {
 		for {
 			for _, s := range ep.Wait(t, kernel.SysEpollWait, 0) {

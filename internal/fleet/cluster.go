@@ -217,8 +217,8 @@ func (c *Cluster) ScrapeEpoch() Rollup {
 
 // collect is the scraper's half of an epoch, behind the barrier: pull
 // and decode every node's export unless its scrape was drawn as a miss,
-// then fold the rollup. In steady state it allocates each scrape's Raw
-// and the rollup's result slices, nothing else.
+// then fold the rollup. In steady state it allocates the rollup's two
+// ranking slices, nothing else.
 func (c *Cluster) collect(nominal sim.Time) Rollup {
 	missed := 0
 	for i, n := range c.Nodes {

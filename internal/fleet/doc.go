@@ -7,10 +7,11 @@
 //
 // The aggregation plane models a production metrics pipeline the way
 // the simulation models a kernel: a Scraper pulls each node's
-// Prometheus text export (telemetry.AppendProm) on a configurable
-// interval, with per-node scrape-time jitter (clock skew between
-// scrape targets) and deterministic scrape misses; Series.Decode
-// reconstructs the samples losslessly, and per-epoch Rollups compute
+// Prometheus text export (telemetry.AppendProm into a buffer the node
+// reuses and lends to its Sample) on a configurable interval, with
+// per-node scrape-time jitter (clock skew between scrape targets) and
+// deterministic scrape misses; Series.Decode reconstructs the samples
+// losslessly, and per-epoch Rollups compute
 // the cluster view — global observed RPS, per-node saturation, top-K
 // saturated and noisy nodes. Nodes whose last successful scrape is
 // older than the staleness bound are marked explicitly stale and

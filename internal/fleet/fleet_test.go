@@ -254,8 +254,8 @@ func TestScrapeViewMatchesFreshDecode(t *testing.T) {
 }
 
 // TestScrapePlaneAllocs pins the scraper's steady-state budget: behind
-// the barrier an epoch allocates one Raw per scraped node and the two
-// ranking slices of the rollup, nothing else.
+// the barrier an epoch allocates the two ranking slices of the rollup,
+// nothing else (each Raw is its node's reused export buffer).
 func TestScrapePlaneAllocs(t *testing.T) {
 	c := NewCluster(Options{
 		Seed:   9,
@@ -266,8 +266,8 @@ func TestScrapePlaneAllocs(t *testing.T) {
 	defer c.Close()
 	c.Run(2) // the first decode allocates each node's name strings
 	at := sim.Time(0).Add(c.opt.Warmup + 2*c.opt.Scrape.Interval)
-	if got, want := testing.AllocsPerRun(20, func() { c.collect(at) }), float64(len(c.Nodes)+2); got != want {
-		t.Errorf("collect allocated %v times per epoch, want %v (one Raw per node + TopSaturated + TopNoisy)", got, want)
+	if got, want := testing.AllocsPerRun(20, func() { c.collect(at) }), float64(2); got != want {
+		t.Errorf("collect allocated %v times per epoch, want %v (TopSaturated + TopNoisy)", got, want)
 	}
 }
 

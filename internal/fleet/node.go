@@ -155,10 +155,10 @@ func newNode(id int, spec NodeSpec, seed int64, level float64, clock *sim.Clock,
 }
 
 // Export samples the node's observer into its registry and serializes
-// the registry in Prometheus text format — one scrape response, owned
-// by the caller. The observer window spans the time since the previous
-// successful scrape (missed scrapes leave the window accumulating,
-// exactly like a real exporter whose caller went away).
+// the registry in Prometheus text format into the node's export buffer,
+// which it returns, valid until the next Export. The observer window
+// spans the time since the previous successful scrape (missed scrapes
+// leave it accumulating, like a real exporter whose caller went away).
 func (n *Node) Export() []byte {
 	w := n.Rig.Obs.Sample()
 	n.obsvRPS.Set(w.Send.RatePerSec)
@@ -174,11 +174,8 @@ func (n *Node) Export() []byte {
 	}
 	n.scrapes.Inc()
 	n.sends.Add(w.Send.Calls)
-	// The exactly-sized copy is the one allocation of a scrape.
 	n.scratch = n.Rig.Reg.AppendProm(n.scratch[:0])
-	raw := make([]byte, len(n.scratch))
-	copy(raw, n.scratch)
-	return raw
+	return n.scratch
 }
 
 // Truth is one node's ground-truth view at the end of a run — the

@@ -21,8 +21,8 @@ type Sample struct {
 	// successful scrape decodes into the same storage.
 	Metrics telemetry.Series
 
-	// Raw is the exported text, owned by this sample. Tests compare it
-	// byte-for-byte across runs (fault isolation, determinism).
+	// Raw is the node's export buffer, valid until its next successful
+	// scrape; tests copy it to compare runs byte for byte.
 	Raw []byte `json:"-"`
 }
 

@@ -99,7 +99,8 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 				}
 				fallthrough
 			case 3:
-				c.onResponse(t.Now(), netsim.Received(t))
+				m, _ := netsim.Received(t)
+				c.onResponse(t.Now(), m)
 			}
 			s.Recv(t, kernel.SysRecvfrom)
 			phase = 2
@@ -152,7 +153,7 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 				if len(c.arrivals) < c.opts.CaptureArrivals {
 					c.arrivals = append(c.arrivals, t.Now())
 				}
-				s.Send(t, kernel.SysSendto, &netsim.Message{ID: id, Size: c.opts.ReqSize})
+				s.Send(t, kernel.SysSendto, netsim.Message{ID: id, Size: c.opts.ReqSize})
 				i += generators
 				phase = 1
 			}
@@ -162,7 +163,7 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 	return c
 }
 
-func (c *Client) onResponse(now sim.Time, m *netsim.Message) {
+func (c *Client) onResponse(now sim.Time, m netsim.Message) {
 	sent, ok := c.sentAt[m.ID]
 	if !ok {
 		return

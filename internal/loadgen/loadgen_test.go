@@ -25,7 +25,7 @@ func echoServer(k *kernel.Kernel, n *netsim.Network, delay time.Duration, cfg ne
 					if delay > 0 {
 						t.Compute(delay)
 					}
-					s.Send(t, kernel.SysWrite, &netsim.Message{ID: m.ID, Size: 64})
+					s.Send(t, kernel.SysWrite, netsim.Message{ID: m.ID, Size: 64})
 				}
 			})
 		}

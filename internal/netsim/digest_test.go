@@ -83,7 +83,7 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 	wrng := rngFor()
 	cli.SpawnThread("writer", func(th *kernel.Thread) {
 		for id := uint64(1); ; id++ {
-			a.Send(th, kernel.SysSendto, &Message{ID: id, Size: 64})
+			a.Send(th, kernel.SysSendto, Message{ID: id, Size: 64})
 			th.Sleep(us(wrng, 50))
 		}
 	})
@@ -125,9 +125,9 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 	trng := rngFor()
 	cli.SpawnThread("ticker", func(th *kernel.Thread) {
 		for {
-			c.Send(th, kernel.SysSendto, &Message{Size: 16})
+			c.Send(th, kernel.SysSendto, Message{Size: 16})
 			th.Sleep(us(trng, 150))
-			e.Send(th, kernel.SysWrite, &Message{Size: 8})
+			e.Send(th, kernel.SysWrite, Message{Size: 8})
 		}
 	})
 
@@ -168,8 +168,9 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 	urng := rngFor()
 	srv.SpawnThread("uring", func(th *kernel.Thread) {
 		for {
+			_, got := h.TryRecvBypass()
 			switch {
-			case h.TryRecvBypass() != nil:
+			case got:
 				bypassed++
 				th.Compute(us(urng, 10))
 			case urng.Intn(2) == 0:
@@ -184,7 +185,7 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 	brng := rngFor()
 	cli.SpawnThread("bypass-writer", func(th *kernel.Thread) {
 		for {
-			g.SendBypass(&Message{Size: 32})
+			g.SendBypass(Message{Size: 32})
 			th.Sleep(us(brng, 250))
 		}
 	})

@@ -26,7 +26,8 @@
 //     TestNetScheduleDigest's scenario sets it.
 //   - Sock.Send / TryRecv / Recv — message I/O issued through a
 //     kernel.Thread so every operation appears as a syscall to the
-//     tracepoints. A syscall body never parks: each blocking call is a
+//     tracepoints. A Message is a value, so no send or receive
+//     allocates. A syscall body never parks: each blocking call is a
 //     kernel.Step reading its operands from the thread's frame, where a
 //     loop thread reads the result on its next call (Dialed, Received,
 //     Ready).

@@ -85,12 +85,12 @@ func (n *Network) effective(cfg Config) Config {
 	return cfg
 }
 
-// Message is one request or response payload in flight.
+// Message is one request or response in flight. It is a value: the
+// pipe, the socket inbox and the caller each hold their own copy, so a
+// send or a receive allocates nothing.
 type Message struct {
-	ID      uint64
-	Size    int
-	SentAt  sim.Time
-	Payload any
+	ID   uint64
+	Size int
 }
 
 // pipe is one direction of a connection: it applies netem policy and
@@ -98,7 +98,7 @@ type Message struct {
 type pipe struct {
 	net         *Network
 	cfg         Config
-	dst         *inbox[*Message]
+	dst         *inbox[Message]
 	lastRelease sim.Time
 	prevSend    sim.Time
 	hasPrev     bool
@@ -106,11 +106,11 @@ type pipe struct {
 	// inflight holds the sent, undelivered messages in send order. Every
 	// send posts deliver0 at its arrival, and arrivals never decrease, so
 	// each firing pops the message it was posted for.
-	inflight sim.FIFO[*Message]
+	inflight sim.FIFO[Message]
 	deliver0 func()
 }
 
-func newPipe(n *Network, cfg Config, dst *inbox[*Message]) *pipe {
+func newPipe(n *Network, cfg Config, dst *inbox[Message]) *pipe {
 	p := &pipe{net: n, cfg: cfg, dst: dst}
 	p.deliver0 = func() { p.dst.push(p.inflight.Pop()) }
 	return p
@@ -126,14 +126,13 @@ func newPipe(n *Network, cfg Config, dst *inbox[*Message]) *pipe {
 // timer (min 200ms on Linux), with exponential backoff on repeat loss.
 // The regime split is why the paper's loss experiments barely perturb a
 // 62k-RPS memcached yet wreck a 21-RPS inference server's tail.
-func (p *pipe) send(m *Message) {
+func (p *pipe) send(m Message) {
 	cfg := p.net.effective(p.cfg)
 	now := p.net.env.Now()
 	gap := now.Sub(p.prevSend)
 	dense := p.hasPrev && gap < 2*cfg.Delay+time.Millisecond
 	p.prevSend = now
 	p.hasPrev = true
-	m.SentAt = now
 	p.net.packetsSent++
 
 	// Count retransmissions: each (re)transmission is lost independently.

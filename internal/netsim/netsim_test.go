@@ -11,7 +11,7 @@ import (
 
 // recvBypass blocks th for a message on s without a syscall: an
 // io_uring-style completion-queue wait.
-func recvBypass(s *Sock, th *kernel.Thread) *Message {
+func recvBypass(s *Sock, th *kernel.Thread) Message {
 	f := frameOf(th)
 	f.sock, f.block = s, true
 	th.Wait(recvBody)
@@ -32,17 +32,17 @@ func TestSendRecvAcrossConn(t *testing.T) {
 	env, k, n := testRig(2)
 	a, b := n.NewConn(Config{Delay: time.Millisecond})
 	p := k.NewProcess("p")
-	var got *Message
+	var got Message
 	var recvAt sim.Time
 	p.SpawnThread("rx", func(th *kernel.Thread) {
 		got = b.Recv(th, kernel.SysRecvfrom)
 		recvAt = th.Now()
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
-		a.Send(th, kernel.SysSendto, &Message{ID: 1, Size: 100})
+		a.Send(th, kernel.SysSendto, Message{ID: 1, Size: 100})
 	})
 	env.Run()
-	if got == nil || got.ID != 1 {
+	if got != (Message{ID: 1, Size: 100}) {
 		t.Fatalf("got = %+v", got)
 	}
 	if recvAt < sim.Time(time.Millisecond) {
@@ -62,7 +62,7 @@ func TestInOrderDelivery(t *testing.T) {
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		for i := 0; i < 10; i++ {
-			a.Send(th, kernel.SysWrite, &Message{ID: uint64(i), Size: 64})
+			a.Send(th, kernel.SysWrite, Message{ID: uint64(i), Size: 64})
 		}
 	})
 	env.Run()
@@ -105,7 +105,7 @@ func TestLossDelaysDeliveryByRTO(t *testing.T) {
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		for i := 0; i < N; i++ {
-			a.Send(th, kernel.SysWrite, &Message{ID: uint64(i), Size: 64})
+			a.Send(th, kernel.SysWrite, Message{ID: uint64(i), Size: 64})
 			th.Sleep(10 * time.Millisecond)
 		}
 	})
@@ -137,17 +137,19 @@ func TestFastRetransmitOnDenseConnection(t *testing.T) {
 	p := k.NewProcess("p")
 	const N = 300
 	var worst time.Duration
+	var sentAt [N]sim.Time // by message ID, recorded on the sender thread
 	p.SpawnThread("rx", func(th *kernel.Thread) {
 		for i := 0; i < N; i++ {
 			m := b.Recv(th, kernel.SysRead)
-			if d := th.Now().Sub(m.SentAt); d > worst {
+			if d := th.Now().Sub(sentAt[m.ID]); d > worst {
 				worst = d
 			}
 		}
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		for i := 0; i < N; i++ {
-			a.Send(th, kernel.SysWrite, &Message{ID: uint64(i), Size: 64})
+			sentAt[i] = th.Now()
+			a.Send(th, kernel.SysWrite, Message{ID: uint64(i), Size: 64})
 			th.Sleep(200 * time.Microsecond) // dense: well under 2*delay
 		}
 	})
@@ -176,7 +178,7 @@ func TestZeroLossNoRetransmits(t *testing.T) {
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		for i := 0; i < 50; i++ {
-			a.Send(th, kernel.SysWrite, &Message{ID: uint64(i), Size: 64})
+			a.Send(th, kernel.SysWrite, Message{ID: uint64(i), Size: 64})
 		}
 	})
 	env.Run()
@@ -207,9 +209,9 @@ func TestHeadOfLineBlocking(t *testing.T) {
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		a.tx.cfg.Loss = 1 // first message: guaranteed lost 16 times
-		a.Send(th, kernel.SysWrite, &Message{ID: 0, Size: 64})
+		a.Send(th, kernel.SysWrite, Message{ID: 0, Size: 64})
 		a.tx.cfg.Loss = 0
-		a.Send(th, kernel.SysWrite, &Message{ID: 1, Size: 64})
+		a.Send(th, kernel.SysWrite, Message{ID: 1, Size: 64})
 	})
 	env.Run()
 	if len(arrivals) != 2 {
@@ -235,9 +237,9 @@ func TestListenerDialAccept(t *testing.T) {
 	})
 	cli.SpawnThread("dialer", func(th *kernel.Thread) {
 		cliSock = l.Dial(th)
-		cliSock.Send(th, kernel.SysSendto, &Message{ID: 9, Size: 10})
+		cliSock.Send(th, kernel.SysSendto, Message{ID: 9, Size: 10})
 	})
-	var got *Message
+	var got Message
 	srv.SpawnThread("reader", func(th *kernel.Thread) {
 		th.Sleep(10 * time.Millisecond)
 		if srvSock != nil {
@@ -248,7 +250,7 @@ func TestListenerDialAccept(t *testing.T) {
 	if srvSock == nil || cliSock == nil {
 		t.Fatal("connection not established")
 	}
-	if got == nil || got.ID != 9 {
+	if got.ID != 9 {
 		t.Fatalf("server read %+v", got)
 	}
 }
@@ -287,7 +289,7 @@ func TestEpollWaitReadiness(t *testing.T) {
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		th.Sleep(5 * time.Millisecond)
-		a.Send(th, kernel.SysWrite, &Message{ID: 1, Size: 8})
+		a.Send(th, kernel.SysWrite, Message{ID: 1, Size: 8})
 	})
 	env.Run()
 	if len(ready) != 1 || ready[0] != b {
@@ -326,7 +328,7 @@ func TestEpollImmediateReadiness(t *testing.T) {
 	p := k.NewProcess("p")
 	var dur time.Duration
 	p.SpawnThread("tx", func(th *kernel.Thread) {
-		a.Send(th, kernel.SysWrite, &Message{ID: 1, Size: 8})
+		a.Send(th, kernel.SysWrite, Message{ID: 1, Size: 8})
 	})
 	p.SpawnThread("poller", func(th *kernel.Thread) {
 		th.Sleep(time.Millisecond) // data already queued
@@ -357,7 +359,7 @@ func TestSelectSyscallNumberUsed(t *testing.T) {
 		ep.Wait(th, kernel.SysSelect, 0)
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
-		a.Send(th, kernel.SysWrite, &Message{Size: 1})
+		a.Send(th, kernel.SysWrite, Message{Size: 1})
 	})
 	env.Run()
 	if !sawSelect {
@@ -382,7 +384,7 @@ func TestJitterSpreadsArrivals(t *testing.T) {
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		for i := 0; i < 100; i++ {
-			a.Send(th, kernel.SysWrite, &Message{ID: uint64(i), Size: 8})
+			a.Send(th, kernel.SysWrite, Message{ID: uint64(i), Size: 8})
 			th.Sleep(time.Millisecond)
 		}
 	})
@@ -404,15 +406,15 @@ func TestBypassPathsSkipSyscalls(t *testing.T) {
 	var seen int
 	k.Tracer().AddListener(func(kernel.SyscallEvent) { seen++ })
 	p := k.NewProcess("p")
-	var got *Message
+	var got Message
 	p.SpawnThread("rx", func(th *kernel.Thread) {
 		got = recvBypass(b, th)
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
-		a.SendBypass(&Message{ID: 5, Size: 10})
+		a.SendBypass(Message{ID: 5, Size: 10})
 	})
 	env.Run()
-	if got == nil || got.ID != 5 {
+	if got.ID != 5 {
 		t.Fatalf("bypass delivery failed: %+v", got)
 	}
 	if seen != 0 {
@@ -424,19 +426,20 @@ func TestTryRecvBypass(t *testing.T) {
 	env, k, n := testRig(1)
 	a, b := n.NewConn(Config{})
 	p := k.NewProcess("p")
-	var empty, full *Message
+	var full Message
+	var emptyOK, fullOK bool
 	p.SpawnThread("t", func(th *kernel.Thread) {
-		empty = b.TryRecvBypass()
-		a.SendBypass(&Message{ID: 3, Size: 1})
+		_, emptyOK = b.TryRecvBypass()
+		a.SendBypass(Message{ID: 3, Size: 1})
 		th.Sleep(time.Millisecond)
-		full = b.TryRecvBypass()
+		full, fullOK = b.TryRecvBypass()
 	})
 	env.Run()
-	if empty != nil {
-		t.Fatal("TryRecvBypass on empty queue should be nil")
+	if emptyOK {
+		t.Fatal("TryRecvBypass on an empty queue reported a message")
 	}
-	if full == nil || full.ID != 3 {
-		t.Fatalf("TryRecvBypass = %+v", full)
+	if !fullOK || full.ID != 3 {
+		t.Fatalf("TryRecvBypass = %+v, %v", full, fullOK)
 	}
 }
 
@@ -448,7 +451,7 @@ func TestEpollTotalQueued(t *testing.T) {
 	p := k.NewProcess("p")
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		for i := 0; i < 7; i++ {
-			a.Send(th, kernel.SysWrite, &Message{ID: uint64(i), Size: 8})
+			a.Send(th, kernel.SysWrite, Message{ID: uint64(i), Size: 8})
 		}
 	})
 	env.Run()
@@ -466,7 +469,7 @@ func TestPacketAccounting(t *testing.T) {
 	p := k.NewProcess("p")
 	p.SpawnThread("tx", func(th *kernel.Thread) {
 		for i := 0; i < 5; i++ {
-			a.Send(th, kernel.SysWrite, &Message{Size: 8})
+			a.Send(th, kernel.SysWrite, Message{Size: 8})
 		}
 	})
 	env.Run()
@@ -500,13 +503,13 @@ func TestReshapeOverridesAndRestores(t *testing.T) {
 		}
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
-		a.Send(th, kernel.SysSendto, &Message{ID: 1, Size: 64})
+		a.Send(th, kernel.SysSendto, Message{ID: 1, Size: 64})
 		th.Sleep(10 * time.Millisecond)
 		n.Reshape(Config{Delay: 20 * time.Millisecond})
-		a.Send(th, kernel.SysSendto, &Message{ID: 2, Size: 64})
+		a.Send(th, kernel.SysSendto, Message{ID: 2, Size: 64})
 		th.Sleep(40 * time.Millisecond)
 		n.ClearReshape()
-		a.Send(th, kernel.SysSendto, &Message{ID: 3, Size: 64})
+		a.Send(th, kernel.SysSendto, Message{ID: 3, Size: 64})
 	})
 	env.Run()
 	if recvAt[0] > sim.Time(2*time.Millisecond) {
@@ -536,7 +539,7 @@ func TestReshapeAppliesToNewConns(t *testing.T) {
 		recvAt = th.Now()
 	})
 	p.SpawnThread("tx", func(th *kernel.Thread) {
-		a.Send(th, kernel.SysSendto, &Message{ID: 1, Size: 64})
+		a.Send(th, kernel.SysSendto, Message{ID: 1, Size: 64})
 	})
 	env.Run()
 	if recvAt < sim.Time(5*time.Millisecond) {

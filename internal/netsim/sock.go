@@ -47,7 +47,7 @@ func (b *inbox[T]) pop(t *kernel.Thread, block bool, v *T) (ok, done bool) {
 // Sock is one side of an established connection.
 type Sock struct {
 	fd int
-	rx *inbox[*Message]
+	rx *inbox[Message]
 	tx *pipe
 }
 
@@ -58,8 +58,8 @@ func (s *Sock) Readable() bool { return s.rx.queue.Len() > 0 }
 // each direction shaped by cfg. Used directly by tests; workloads
 // usually go through Listen/Dial/Accept.
 func (n *Network) NewConn(cfg Config) (a, b *Sock) {
-	a = &Sock{fd: n.fd(), rx: &inbox[*Message]{}}
-	b = &Sock{fd: n.fd(), rx: &inbox[*Message]{}}
+	a = &Sock{fd: n.fd(), rx: &inbox[Message]{}}
+	b = &Sock{fd: n.fd(), rx: &inbox[Message]{}}
 	a.tx = newPipe(n, cfg, b.rx)
 	b.tx = newPipe(n, cfg, a.rx)
 	return a, b
@@ -72,7 +72,8 @@ type frame struct {
 	sock     *Sock
 	l        *Listener
 	ep       *Epoll
-	msg      *Message
+	msg      Message
+	got      bool // the last receive popped msg; false for EAGAIN
 	block    bool // wait for a message or connection instead of returning EAGAIN
 	timeout  time.Duration
 	deadline sim.Time   // Wait's, -1 until its body first runs or with no timeout
@@ -93,7 +94,7 @@ func frameOf(t *kernel.Thread) *frame {
 // Send transmits m to the peer as syscall nr (sendto/sendmsg/write). It
 // never blocks: buffers are unbounded, as for a server whose responses
 // fit the socket buffer.
-func (s *Sock) Send(t *kernel.Thread, nr int, m *Message) int64 {
+func (s *Sock) Send(t *kernel.Thread, nr int, m Message) int64 {
 	f := frameOf(t)
 	f.sock, f.msg = s, m
 	return t.Syscall(nr, [6]uint64{uint64(s.fd), uint64(m.Size)}, sendBody)
@@ -108,25 +109,26 @@ func sendBody(t *kernel.Thread) (int64, bool) {
 // TryRecv performs a non-blocking receive as syscall nr (read/recvfrom/
 // recvmsg), returning EAGAIN when no message is queued — the pattern of
 // epoll-driven servers.
-func (s *Sock) TryRecv(t *kernel.Thread, nr int) (*Message, int64) { return s.recv(t, nr, false) }
+func (s *Sock) TryRecv(t *kernel.Thread, nr int) (Message, int64) { return s.recv(t, nr, false) }
 
 // Recv performs a blocking receive as syscall nr: the syscall's duration
 // includes the wait for data.
-func (s *Sock) Recv(t *kernel.Thread, nr int) *Message {
+func (s *Sock) Recv(t *kernel.Thread, nr int) Message {
 	m, _ := s.recv(t, nr, true)
 	return m
 }
 
-func (s *Sock) recv(t *kernel.Thread, nr int, block bool) (*Message, int64) {
+func (s *Sock) recv(t *kernel.Thread, nr int, block bool) (Message, int64) {
 	f := frameOf(t)
-	f.sock, f.msg, f.block = s, nil, block
+	f.sock, f.msg, f.got, f.block = s, Message{}, false, block
 	ret := t.Syscall(nr, [6]uint64{uint64(s.fd)}, recvBody)
 	return f.msg, ret
 }
 
 func recvBody(t *kernel.Thread) (int64, bool) {
 	f := t.Ops.(*frame)
-	if ok, done := f.sock.rx.pop(t, f.block, &f.msg); !ok {
+	ok, done := f.sock.rx.pop(t, f.block, &f.msg)
+	if f.got = ok; !ok {
 		return EAGAIN, done
 	}
 	return int64(f.msg.Size), true
@@ -134,14 +136,15 @@ func recvBody(t *kernel.Thread) (int64, bool) {
 
 // SendBypass transmits without any syscall: the io_uring-style
 // kernel-bypass path of the paper's Section V-C limitation study.
-func (s *Sock) SendBypass(m *Message) {
+func (s *Sock) SendBypass(m Message) {
 	s.tx.send(m)
 }
 
-// TryRecvBypass pops a message without blocking or syscalls.
-func (s *Sock) TryRecvBypass() (m *Message) {
-	s.rx.pop(nil, false, &m)
-	return m
+// TryRecvBypass pops a message without blocking or syscalls; ok is false
+// when none is queued.
+func (s *Sock) TryRecvBypass() (m Message, ok bool) {
+	ok, _ = s.rx.pop(nil, false, &m)
+	return m, ok
 }
 
 // Listener accepts incoming connections.
@@ -172,14 +175,17 @@ func (l *Listener) Dial(t *kernel.Thread) *Sock {
 }
 
 // Dialed returns the socket of t's last Dial, Received the message of
-// its last Recv or TryRecv (nil for EAGAIN), and Ready the readable
+// its last Recv or TryRecv (ok false for EAGAIN), and Ready the readable
 // sockets of its last Epoll.Wait: a loop thread
 // (kernel.Process.SpawnLoop), whose calls return before a wait is over,
 // reads them on its next call.
 func Dialed(t *kernel.Thread) *Sock { return frameOf(t).sock }
 
 // Received returns the message of t's last Recv or TryRecv; see Dialed.
-func Received(t *kernel.Thread) *Message { return frameOf(t).msg }
+func Received(t *kernel.Thread) (m Message, ok bool) {
+	f := frameOf(t)
+	return f.msg, f.got
+}
 
 // Ready returns the sockets of t's last Epoll.Wait, in the slice the
 // thread's next Wait reuses; see Dialed.

@@ -18,7 +18,7 @@ type dispatcher struct{ server }
 
 // workItem is a request in flight between network and worker threads.
 type workItem struct {
-	msg  *netsim.Message
+	msg  netsim.Message
 	sock *netsim.Sock
 	net  *netThread
 }
@@ -28,7 +28,7 @@ type netThread struct {
 	ep          *netsim.Epoll
 	notifyRead  *netsim.Sock // registered in ep; readable when work completes
 	notifyWrite *netsim.Sock // workers write here
-	completions []*workItem
+	completions []workItem   // finished work its network thread has not yet taken
 }
 
 func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsim.Config) Server {
@@ -42,11 +42,11 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 	}
 
 	// Shared work queue between network threads and workers.
-	var queue []*workItem
+	var queue sim.FIFO[workItem]
 	var idleWorkers []*sim.Waker
 
-	pushWork := func(it *workItem) {
-		queue = append(queue, it)
+	pushWork := func(it workItem) {
+		queue.Push(it)
 		for _, wk := range idleWorkers {
 			wk.Wake()
 		}
@@ -55,7 +55,7 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 	// idle is a worker's wait for work: on the idle list until pushWork
 	// wakes it with the queue non-empty.
 	idle := func(t *kernel.Thread) (int64, bool) {
-		if len(queue) > 0 {
+		if queue.Len() > 0 {
 			return 0, true
 		}
 		idleWorkers = append(idleWorkers, t.Waker())
@@ -75,13 +75,13 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 
 	for i := 0; i < spec.Workers; i++ {
 		at, svc := 0, service{spec: spec, mu: &mu}
-		var it *workItem
+		var it workItem
 		w.proc.SpawnLoop(fmt.Sprintf("infer%d", i), func(t *kernel.Thread) bool {
 			switch at {
 			case recvd: // work is queued
-				it, queue = queue[0], queue[1:]
+				it = queue.Pop()
 				if svc.due() {
-					svc.maintain(len(queue))
+					svc.maintain(queue.Len())
 				}
 				at = maintaining
 				fallthrough
@@ -98,7 +98,7 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 				}
 				it.net.completions = append(it.net.completions, it)
 				// eventfd-style wakeup of the owning network thread.
-				it.net.notifyWrite.Send(t, kernel.SysWrite, &netsim.Message{Size: 8})
+				it.net.notifyWrite.Send(t, kernel.SysWrite, netsim.Message{Size: 8})
 				at = sent
 				return false
 			}
@@ -123,9 +123,10 @@ func launchDispatcher(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg ne
 // pushWork; a drained notification socket means completed work, whose
 // responses this thread then sends. Each call reads the result of the
 // call before and issues the next blocking call, as its last act.
-func (nt *netThread) loop(spec Spec, pushWork func(*workItem)) func(*kernel.Thread) bool {
+func (nt *netThread) loop(spec Spec, pushWork func(workItem)) func(*kernel.Thread) bool {
 	var ready []*netsim.Sock // the last epoll_wait's sockets still to drain
-	var pending []*workItem  // completions whose responses are still to send
+	var pending []workItem   // completions whose responses are still to send
+	sentN := 0               // of pending, the responses sent
 	at := 0
 	return func(t *kernel.Thread) bool {
 		switch at {
@@ -133,22 +134,22 @@ func (nt *netThread) loop(spec Spec, pushWork func(*workItem)) func(*kernel.Thre
 			ready = netsim.Ready(t)
 		case recvd:
 			s := ready[0]
-			if m := netsim.Received(t); m != nil {
+			if m, ok := netsim.Received(t); ok {
 				if s != nt.notifyRead {
-					pushWork(&workItem{msg: m, sock: s, net: nt})
+					pushWork(workItem{msg: m, sock: s, net: nt})
 				}
 				break
 			}
 			ready = ready[1:]
-			if s == nt.notifyRead {
-				pending, nt.completions = nt.completions, nil
+			if s == nt.notifyRead { // the two slices trade places, so neither is reallocated
+				pending, nt.completions, sentN = nt.completions, pending[:0], 0
 			}
 		}
 		switch {
-		case len(pending) > 0:
-			it := pending[0]
-			pending = pending[1:]
-			it.sock.Send(t, spec.SendNR, &netsim.Message{ID: it.msg.ID, Size: spec.RespSize, Payload: it.msg.Payload})
+		case sentN < len(pending):
+			it := &pending[sentN]
+			sentN++
+			it.sock.Send(t, spec.SendNR, netsim.Message{ID: it.msg.ID, Size: spec.RespSize})
 			at = sent
 		case len(ready) == 0:
 			nt.ep.Wait(t, spec.PollNR, 0)

@@ -37,7 +37,8 @@
 // threads share one body (drain); the front end, the dispatcher's network
 // and inference threads and the io_uring workers have their own. Each
 // body composes service, the step form of a request's service and of a
-// maintenance pass, around kernel.Mutex.Acquire. Only each process's
+// maintenance pass, around kernel.Mutex.Acquire; messages and work items
+// are values, so a request allocates nothing. Only each process's
 // acceptor, main, is a coroutine thread (Epoll.Add checks readiness after
 // its syscall returns, which a loop body's last act cannot), so a running
 // server holds one goroutine per process.

@@ -28,18 +28,19 @@ func launchIOUring(k *kernel.Kernel, n *netsim.Network, spec Spec, linkCfg netsi
 	for i := 0; i < spec.Workers; i++ {
 		serving, served, svc := false, false, service{spec: spec, mu: &mu}
 		var pass []*netsim.Sock // this pass's connections still to drain
-		var m *netsim.Message   // the request in service
+		var m netsim.Message    // the request in service
 		w.proc.SpawnLoop(fmt.Sprintf("worker%d", i), func(t *kernel.Thread) bool {
 			if serving {
 				if !svc.step(t) {
 					return false
 				}
-				pass[0].SendBypass(&netsim.Message{ID: m.ID, Size: spec.RespSize, Payload: m.Payload})
+				pass[0].SendBypass(netsim.Message{ID: m.ID, Size: spec.RespSize})
 			} else { // a new pass, over the connections as they are now
 				pass, served = conns[i], false
 			}
 			for ; len(pass) > 0; pass = pass[1:] {
-				if m = pass[0].TryRecvBypass(); m != nil {
+				var ok bool
+				if m, ok = pass[0].TryRecvBypass(); ok {
 					svc.serve(t, demand.sample())
 					serving, served = true, true
 					return false

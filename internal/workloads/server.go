@@ -92,13 +92,14 @@ const (
 func drain(spec Spec, ep *netsim.Epoll, demand *demandSampler, mu *kernel.Mutex) func(*kernel.Thread) bool {
 	at, svc := 0, service{spec: spec, mu: mu}
 	var ready []*netsim.Sock // the last epoll_wait's sockets still to drain
-	var m *netsim.Message    // the request in service
+	var m netsim.Message     // the request in service
 	return func(t *kernel.Thread) bool {
 		switch at {
 		case polled:
 			ready = netsim.Ready(t)
 		case recvd:
-			if m = netsim.Received(t); m == nil { // EAGAIN: this socket is empty
+			var ok bool
+			if m, ok = netsim.Received(t); !ok { // EAGAIN: this socket is empty
 				ready = ready[1:]
 				break
 			}
@@ -109,7 +110,7 @@ func drain(spec Spec, ep *netsim.Epoll, demand *demandSampler, mu *kernel.Mutex)
 			if !svc.step(t) {
 				return false
 			}
-			ready[0].Send(t, spec.SendNR, &netsim.Message{ID: m.ID, Size: spec.RespSize, Payload: m.Payload})
+			ready[0].Send(t, spec.SendNR, netsim.Message{ID: m.ID, Size: spec.RespSize})
 			at = sent
 			return false
 		case sent:

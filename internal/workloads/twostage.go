@@ -98,7 +98,7 @@ func front(spec Spec, ep *netsim.Epoll, internal *netsim.Listener, demand *deman
 	at, svc := 0, service{spec: spec, mu: mu}
 	var backConn *netsim.Sock
 	var ready []*netsim.Sock // the last epoll_wait's sockets still to drain
-	var m *netsim.Message    // the request in service, then the index's answer
+	var m netsim.Message     // the request in service, then the index's answer
 	chunk, chunks := 0, 0    // response chunks sent, and to send
 	return func(t *kernel.Thread) bool {
 		switch at {
@@ -111,7 +111,8 @@ func front(spec Spec, ep *netsim.Epoll, internal *netsim.Listener, demand *deman
 		case polled:
 			ready = netsim.Ready(t)
 		case recvd:
-			if m = netsim.Received(t); m == nil { // EAGAIN: this socket is empty
+			var ok bool
+			if m, ok = netsim.Received(t); !ok { // EAGAIN: this socket is empty
 				ready = ready[1:]
 				break
 			}
@@ -128,7 +129,7 @@ func front(spec Spec, ep *netsim.Epoll, internal *netsim.Listener, demand *deman
 			at = serving
 			return false
 		case serving:
-			backConn.Send(t, spec.SendNR, &netsim.Message{ID: m.ID, Size: spec.ReqSize, Payload: m.Payload})
+			backConn.Send(t, spec.SendNR, netsim.Message{ID: m.ID, Size: spec.ReqSize})
 			at = forwarded
 			return false
 		case forwarded:
@@ -136,7 +137,8 @@ func front(spec Spec, ep *netsim.Epoll, internal *netsim.Listener, demand *deman
 			at = answered
 			return false
 		case answered:
-			m, chunk, chunks = netsim.Received(t), 0, chunksNow(t.Now())
+			m, _ = netsim.Received(t)
+			chunk, chunks = 0, chunksNow(t.Now())
 			fallthrough
 		case sent:
 			if chunk < chunks {
@@ -144,7 +146,7 @@ func front(spec Spec, ep *netsim.Epoll, internal *netsim.Listener, demand *deman
 				if chunk++; chunk == chunks {
 					id = m.ID // final chunk completes the response
 				}
-				ready[0].Send(t, spec.SendNR, &netsim.Message{ID: id, Size: spec.RespSize / chunks, Payload: m.Payload})
+				ready[0].Send(t, spec.SendNR, netsim.Message{ID: id, Size: spec.RespSize / chunks})
 				at = sent
 				return false
 			}

@@ -250,7 +250,9 @@ func TestIOUringVariantIsSyscallSilent(t *testing.T) {
 // TestServerSpawnsNoGoroutines: under load, a launched server adds only
 // its acceptors' goroutines, one coroutine main per process; every
 // request-path thread is a loop thread (kernel.Process.SpawnLoop), as
-// are the load generator's.
+// are the load generator's. The count is what Shutdown ends, and none
+// may outlive it: a count taken before Launch can still include the
+// previous test's goroutine, which may exit while this one runs.
 func TestServerSpawnsNoGoroutines(t *testing.T) {
 	for _, c := range []struct {
 		spec  Spec
@@ -274,14 +276,43 @@ func TestServerSpawnsNoGoroutines(t *testing.T) {
 		})
 		cl.StartMeasurement()
 		env.RunFor(c.dur)
-		added := runtime.NumGoroutine() - before
+		running := runtime.NumGoroutine()
 		served := cl.Snapshot().RealRPS
 		env.Shutdown()
+		after := runtime.NumGoroutine()
 		if served == 0 {
 			t.Fatalf("%s: no request served", c.spec.Name)
 		}
-		if added != c.mains {
-			t.Errorf("%s (%v): the running server added %d goroutines, want %d", c.spec.Name, c.spec.Model, added, c.mains)
+		if added := running - after; added != c.mains || after > before {
+			t.Errorf("%s (%v): Shutdown ended %d goroutines and %d outlive it, want %d and 0",
+				c.spec.Name, c.spec.Model, added, after-before, c.mains)
+		}
+	}
+}
+
+// TestRequestPathAllocatesNothing: once warmed up, serving a request
+// allocates nothing in any server model, the load generator or netsim.
+// A message is a value, and every queue and slice on the path reuses its
+// storage. Probes are off: their hash-map inserts are outside this path.
+// Each run is ~1000 requests; ten of them keep the rare growth of
+// loadgen's sentAt map (its hash seed is random, so when it grows is
+// not) under the one allocation per run that would read 1.
+func TestRequestPathAllocatesNothing(t *testing.T) {
+	const requests = 1000 // per run
+	for _, spec := range []Spec{DataCaching(), Silo(), WebSearch(), TritonHTTP(), DataCachingIOUring()} {
+		env := sim.NewEnv(23)
+		prof := machine.AMD()
+		prof.Sockets, prof.CoresPerSock, prof.ThreadsPerCore = 1, ServerCores, 1
+		k := kernel.New(env, prof)
+		srv := Launch(k, netsim.New(env), spec, netsim.Config{})
+		rate := 0.5 * spec.FailureRPS
+		loadgen.New(k, srv.Listener(), loadgen.Options{Rate: rate, Conns: 16, ReqSize: spec.ReqSize})
+		window := time.Duration(requests / rate * float64(time.Second))
+		env.RunFor(window) // queues, slices and maps reach their working size
+		allocs := testing.AllocsPerRun(10, func() { env.RunFor(window) })
+		env.Shutdown()
+		if allocs != 0 {
+			t.Errorf("%s (%v): %.1f allocs per request, want 0", spec.Name, spec.Model, allocs/requests)
 		}
 	}
 }

@@ -77,7 +77,8 @@ func experiments() []experiment {
 				fmt.Fprint(w, harness.RenderWaitFolded(res))
 			}},
 		{name: "fleet", summary: "multi-node cluster sweep with scrape/merge rollups [-nodes N] [-epochs N]",
-			run: fleetSweep},
+			golden: []string{"-quick", "-nodes", "4", "-epochs", "4", "-missrate", "0.5"},
+			run:    fleetSweep},
 		{name: "cardinality", summary: "sketch error/memory vs key cardinality (1e2..1e6; -quick: 1e2..1e4)",
 			golden: []string{"-quick"},
 			run: func(rc *runCtx, w io.Writer) {

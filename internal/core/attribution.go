@@ -34,15 +34,10 @@ func MustAttachAttribution(k *kernel.Kernel, cfg probes.AttributionConfig) *Attr
 	return probes.Must(AttachAttribution(k, cfg))
 }
 
-// Scrape clones the cumulative sketch state. Scrapes are counters, not
-// windows: aggregators merge them across nodes and diff them across
-// time, exactly like Prometheus counter series.
-func (a *Attribution) Scrape() probes.AttrSketches { return a.probe.Sketches() }
-
-// TopOffenders is a convenience read-out of the current top-K busiest
-// tgids from a fresh scrape.
+// TopOffenders reads the current top-K busiest tgids from a clone of
+// the cumulative sketch state.
 func (a *Attribution) TopOffenders(k int) []probes.Offender {
-	return a.Scrape().TopOffenders(k)
+	return a.probe.Sketches().TopOffenders(k)
 }
 
 // ExactCounts returns the oracle's ground truth (nil without Oracle).

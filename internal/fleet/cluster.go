@@ -6,6 +6,7 @@ import (
 
 	"reqlens/internal/sim"
 	"reqlens/internal/telemetry"
+	"reqlens/internal/workloads"
 )
 
 // ScrapeConfig parameterizes the aggregation plane's pull loop.
@@ -56,12 +57,13 @@ type Options struct {
 	// scrape-plane seeds from it.
 	Seed int64
 
-	// Nodes are the members. Empty is invalid.
-	Nodes []NodeSpec
+	// Nodes are the members' workloads, one node each, all on the AMD
+	// profile (Table I). Empty is invalid.
+	Nodes []workloads.Spec
 
 	// Level is the cluster load level: each node's offered rate is
-	// Level * FailureRPS * Weight — the open-loop load plane split
-	// proportionally to capacity.
+	// Level * FailureRPS — the open-loop load split in proportion to
+	// capacity.
 	Level float64
 
 	// Scrape configures the aggregation plane.
@@ -69,23 +71,6 @@ type Options struct {
 
 	// TopK sizes the rollup rankings (0 defaults to 3).
 	TopK int
-
-	// Attribution attaches the sketch-based attribution pipeline on
-	// every node (RigOptions.Attribution) and folds the nodes' sketch
-	// scrapes into per-epoch cluster-wide top-K offender rankings.
-	// Off by default: the extra probe charges per-syscall cost to the
-	// observed kernels, so enabling it perturbs (deterministically)
-	// the other metrics.
-	Attribution bool
-
-	// WaitStates attaches the scheduler-state observer on every node
-	// (RigOptions.WaitStates) and exports each server's on-CPU /
-	// runnable / blocked shares per scrape, giving rollups a
-	// queued-for-CPU ranking that separates saturated nodes from
-	// delayed ones. Off by default for the same reason as Attribution:
-	// the sched-hook probes charge (deterministic) cost to the observed
-	// kernels.
-	WaitStates bool
 
 	// Warmup is simulated time driven before measurement and scraping
 	// begin (0 defaults to 1s).
@@ -161,7 +146,7 @@ func NewCluster(opt Options) *Cluster {
 		miss:    make([]bool, len(opt.Nodes)),
 	}
 	for i, spec := range opt.Nodes {
-		n := newNode(i, spec, opt.Seed+int64(i)*nodeSeedStride, opt.Level, opt.Clock, opt.Attribution, opt.WaitStates)
+		n := newNode(i, spec, opt.Seed+int64(i)*nodeSeedStride, opt.Level, opt.Clock)
 		c.Nodes = append(c.Nodes, n)
 		c.step.Add(n.Rig.Env)
 	}
@@ -169,20 +154,12 @@ func NewCluster(opt Options) *Cluster {
 }
 
 // Warmup advances every node to the warmup horizon, rebases the
-// observers, starts ground-truth measurement, and arms per-node fault
-// plans (so fault windows land inside the measured run, per the PR 3
-// convention).
+// observers and starts ground-truth measurement.
 func (c *Cluster) Warmup() {
 	c.step.AdvanceAll(sim.Time(0).Add(c.opt.Warmup))
 	for _, n := range c.Nodes {
 		n.Rig.Obs.Sample() // discard: rebase the observation window
-		if n.Rig.Wait != nil {
-			n.Rig.Wait.Sample() // likewise for the wait-state window
-		}
 		n.Rig.Client.StartMeasurement()
-		if !n.Spec.Plan.Empty() {
-			n.Rig.Arm(n.Spec.Plan)
-		}
 	}
 	c.warmed = true
 }
@@ -233,16 +210,8 @@ func (c *Cluster) collect(nominal sim.Time) Rollup {
 			// it back is a programming error, not a data error.
 			panic(fmt.Sprintf("fleet: node %d export unparsable: %v", n.ID, err))
 		}
-		n.last.Node, n.last.At, n.last.Raw = n.ID, c.targets[i], raw
+		n.last.At, n.last.Raw = c.targets[i], raw
 		n.lastOK = true
-		if n.Rig.Attr != nil {
-			// Scrape the sketch plane alongside the text plane: a
-			// consistent clone this epoch's rollup (and any later one,
-			// if scrapes start missing) can merge without racing the
-			// probe.
-			n.lastAttr = n.Rig.Attr.Scrape()
-			n.lastAttrOK = true
-		}
 	}
 	return computeRollup(c.epoch, nominal, c.Nodes, c.opt.TopK, missed, c.opt.Scrape.Staleness)
 }

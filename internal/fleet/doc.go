@@ -6,7 +6,7 @@
 // nodes and a scrape/merge aggregation plane on top.
 //
 // The aggregation plane models a production metrics pipeline the way
-// the simulation models a kernel: a Scraper pulls each node's
+// the simulation models a kernel: the scraper pulls each node's
 // Prometheus text export (telemetry.AppendProm into a buffer the node
 // reuses and lends to its Sample) on a configurable interval, with
 // per-node scrape-time jitter (clock skew between scrape targets) and

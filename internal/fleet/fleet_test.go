@@ -91,17 +91,15 @@ func TestFleetSweepShape(t *testing.T) {
 	}
 }
 
-// TestFleetFaultIsolation pins the blast radius of per-node fault
-// plans: arming a plan on node 0 must leave every other node's scraped
-// export byte-identical to the unfaulted run — the nodes share nothing
-// but the lockstep barrier.
+// TestFleetFaultIsolation pins the blast radius of a fault on one
+// node: arming a plan on node 0 after warmup must leave every other
+// node's scraped export byte-identical to the unfaulted run — the nodes
+// share nothing but the lockstep barrier.
 func TestFleetFaultIsolation(t *testing.T) {
 	run := func(plan faults.Plan) [][][]byte {
-		specs := DefaultSpecs(3)
-		specs[0].Plan = plan
 		c := NewCluster(Options{
 			Seed:   7,
-			Nodes:  specs,
+			Nodes:  DefaultSpecs(3),
 			Level:  0.5,
 			Scrape: ScrapeConfig{Interval: 100 * time.Millisecond, Skew: -1},
 			Warmup: 300 * time.Millisecond,
@@ -110,6 +108,10 @@ func TestFleetFaultIsolation(t *testing.T) {
 			Parallelism: 3,
 		})
 		defer c.Close()
+		c.Warmup()
+		if !plan.Empty() {
+			c.Nodes[0].Rig.Arm(plan)
+		}
 		epochs := make([][][]byte, 0, 3)
 		for e := 0; e < 3; e++ {
 			c.ScrapeEpoch()
@@ -184,8 +186,8 @@ func TestRollupExcludesStaleNotZeroFill(t *testing.T) {
 	view := func(rps, sat float64) telemetry.Series {
 		return telemetry.Series{Names: []string{metricObsvRPS, metricSaturation}, Values: []float64{rps, sat}}
 	}
-	fresh := &Node{ID: 0, lastOK: true, last: Sample{Node: 0, At: at, Metrics: view(100, 0.95)}}
-	aged := &Node{ID: 1, lastOK: true, last: Sample{Node: 1, At: at.Add(-time.Second), Metrics: view(50, 0.5)}}
+	fresh := &Node{ID: 0, lastOK: true, last: Sample{At: at, Metrics: view(100, 0.95)}}
+	aged := &Node{ID: 1, lastOK: true, last: Sample{At: at.Add(-time.Second), Metrics: view(50, 0.5)}}
 	never := &Node{ID: 2}
 
 	r := computeRollup(1, at, []*Node{fresh, aged, never}, 2, 0, staleness)
@@ -206,36 +208,30 @@ func TestRollupExcludesStaleNotZeroFill(t *testing.T) {
 	if r.SaturatedNodes != 1 {
 		t.Errorf("saturated = %d, want 1", r.SaturatedNodes)
 	}
-	// Rankings follow the same rule: only the fresh node can be ranked,
-	// and no wait-state series means no queueing ranking at all.
-	if len(r.TopSaturated) != 1 || r.TopSaturated[0].Node != 0 || len(r.TopNoisy) != 1 || r.TopQueued != nil {
-		t.Errorf("rankings = %+v / %+v / %+v, want the fresh node alone and no TopQueued",
-			r.TopSaturated, r.TopNoisy, r.TopQueued)
+	// Rankings follow the same rule: only the fresh node can be ranked.
+	if len(r.TopSaturated) != 1 || r.TopSaturated[0].Node != 0 || len(r.TopNoisy) != 1 {
+		t.Errorf("rankings = %+v / %+v, want the fresh node alone", r.TopSaturated, r.TopNoisy)
 	}
 }
 
 // TestScrapeViewMatchesFreshDecode is the fleet side of the decoder's
 // stale-state check: the view a node keeps re-decoding into must equal
-// a fresh decode of that scrape's Raw, epoch after epoch, on nodes that
-// export wait-state gauges and across an instrument registered mid-run
-// (it sorts first, so every later series moves one slot down).
+// a fresh decode of that scrape's Raw, epoch after epoch, across an
+// instrument registered mid-run (it sorts first, so every later series
+// moves one slot down).
 func TestScrapeViewMatchesFreshDecode(t *testing.T) {
 	c := NewCluster(Options{
-		Seed:       5,
-		Nodes:      DefaultSpecs(2),
-		Scrape:     ScrapeConfig{Interval: 20 * time.Millisecond},
-		Warmup:     100 * time.Millisecond,
-		WaitStates: true,
+		Seed:   5,
+		Nodes:  DefaultSpecs(2),
+		Scrape: ScrapeConfig{Interval: 20 * time.Millisecond},
+		Warmup: 100 * time.Millisecond,
 	})
 	defer c.Close()
 	for epoch := 0; epoch < 4; epoch++ {
 		if epoch == 2 {
 			c.Nodes[0].Rig.Reg.Counter("aaa_registered_mid_run_total").Inc()
 		}
-		r := c.ScrapeEpoch()
-		if len(r.TopQueued) == 0 {
-			t.Fatalf("epoch %d: wait-state series not decoded: %+v", epoch, r)
-		}
+		c.ScrapeEpoch()
 		for id := range c.Nodes {
 			s := c.Nodes[id].last
 			var fresh telemetry.Series
@@ -356,23 +352,16 @@ func TestRenderStaleFootnote(t *testing.T) {
 	}
 }
 
-// TestNodeSpecDefaults covers weight defaulting and the heterogeneous
-// default mix.
-func TestNodeSpecDefaults(t *testing.T) {
-	if (NodeSpec{}).weight() != 1 {
-		t.Error("zero weight should default to 1")
-	}
-	if (NodeSpec{Weight: 2.5}).weight() != 2.5 {
-		t.Error("explicit weight ignored")
-	}
+// TestDefaultSpecs covers the heterogeneous default mix.
+func TestDefaultSpecs(t *testing.T) {
 	specs := DefaultSpecs(7)
 	if len(specs) != 7 {
 		t.Fatalf("len = %d", len(specs))
 	}
-	if specs[0].Workload.Name == specs[1].Workload.Name {
+	if specs[0].Name == specs[1].Name {
 		t.Error("default specs are not heterogeneous")
 	}
-	if specs[0].Workload.Name != specs[5].Workload.Name {
+	if specs[0].Name != specs[5].Name {
 		t.Error("default specs should cycle the workload mix")
 	}
 }

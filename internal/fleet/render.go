@@ -69,21 +69,6 @@ func RenderRollup(r Rollup) string {
 		}
 		b.WriteByte('\n')
 	}
-	if len(r.TopQueued) > 0 {
-		b.WriteString("  top queued (runnable share):")
-		for _, s := range r.TopQueued {
-			fmt.Fprintf(&b, "  node%d=%.3f", s.Node, s.RunnableShare)
-		}
-		b.WriteByte('\n')
-	}
-	if len(r.TopOffenders) > 0 {
-		b.WriteString("  top offenders (sketch-estimated):")
-		for _, o := range r.TopOffenders {
-			fmt.Fprintf(&b, "  tgid%d=%d syscalls (%d sends, %v busy)",
-				o.TGID, o.Syscalls, o.Sends, o.Busy)
-		}
-		b.WriteByte('\n')
-	}
 	if len(r.Stale) > 0 {
 		ids := make([]string, len(r.Stale))
 		for i, id := range r.Stale {

@@ -1,18 +1,15 @@
 package fleet
 
 import (
-	"fmt"
 	"time"
 
-	"reqlens/internal/probes"
 	"reqlens/internal/sim"
 	"reqlens/internal/telemetry"
 )
 
 // Sample is one node's scraped, decoded export.
 type Sample struct {
-	Node int
-	At   sim.Time // sim instant the scrape completed (includes jitter)
+	At sim.Time // sim instant the scrape completed (includes jitter)
 
 	// Metrics is the name/value view telemetry.Series.Decode
 	// reconstructs from the node's Prometheus text. The round-trip is
@@ -33,13 +30,6 @@ type NodeStat struct {
 	Saturation float64 // observed RPS / the node's nominal failure RPS
 	SendVarUS2 float64
 	PollMeanNS float64
-
-	// Wait-state shares of the server's scheduler-accounted time in the
-	// scrape window (sum to 1). Zero-valued when the cluster runs
-	// without Options.WaitStates.
-	OnCPUShare    float64 `json:",omitempty"`
-	RunnableShare float64 `json:",omitempty"`
-	BlockedShare  float64 `json:",omitempty"`
 }
 
 // Rollup is the cluster-level view of one scrape epoch, computed purely
@@ -77,25 +67,6 @@ type Rollup struct {
 	// across runs and worker counts.
 	TopSaturated []NodeStat `json:",omitempty"`
 	TopNoisy     []NodeStat `json:",omitempty"`
-
-	// TopQueued ranks the fresh nodes by runnable (runqueue-wait) share
-	// — the wait-state fingerprint of a server losing its p99 to CPU
-	// queueing rather than to I/O or the network. Nil unless the
-	// cluster runs with Options.WaitStates: a fleet without the sched
-	// probes has no queueing signal, which is different from measuring
-	// zero queueing.
-	TopQueued []NodeStat `json:",omitempty"`
-
-	// TopOffenders ranks processes cluster-wide by sketch-estimated
-	// syscall activity: the fresh nodes' attribution scrapes merged in
-	// node-ID order (count-min merge is element-wise addition and
-	// HashPipe merge a deterministic union-reinsert, so the fold is
-	// commutative and bit-stable at any worker count). Nil unless the
-	// cluster runs with Options.Attribution. In this model every node's
-	// kernel assigns the same tgids, so a row aggregates the same
-	// logical process across nodes — the "which service is hammering
-	// the fleet" view.
-	TopOffenders []probes.Offender `json:",omitempty"`
 }
 
 // saturationThreshold is the observed-saturation level at which a node
@@ -118,7 +89,6 @@ func computeRollup(epoch int, at sim.Time, nodes []*Node, topK int, missed int, 
 			continue
 		}
 		st := NodeStat{Node: n.ID}
-		hasWait := false
 		for i, name := range n.last.Metrics.Names {
 			v := n.last.Metrics.Values[i]
 			switch name {
@@ -130,12 +100,6 @@ func computeRollup(epoch int, at sim.Time, nodes []*Node, topK int, missed int, 
 				st.SendVarUS2 = v
 			case metricPollMeanNS:
 				st.PollMeanNS = v
-			case metricWaitOnCPU:
-				st.OnCPUShare = v
-			case metricWaitRunnable:
-				st.RunnableShare, hasWait = v, true
-			case metricWaitBlocked:
-				st.BlockedShare = v
 			}
 		}
 		r.Fresh++
@@ -146,44 +110,11 @@ func computeRollup(epoch int, at sim.Time, nodes []*Node, topK int, missed int, 
 		}
 		r.TopSaturated = rank(r.TopSaturated, k, st, func(a, b NodeStat) bool { return a.Saturation > b.Saturation })
 		r.TopNoisy = rank(r.TopNoisy, k, st, func(a, b NodeStat) bool { return a.SendVarUS2 > b.SendVarUS2 })
-		if hasWait {
-			r.TopQueued = rank(r.TopQueued, k, st, func(a, b NodeStat) bool { return a.RunnableShare > b.RunnableShare })
-		}
 	}
 	if r.Fresh > 0 {
 		r.MeanSaturation /= float64(r.Fresh)
 	}
-	r.TopOffenders = mergeOffenders(nodes, at, staleness, topK)
 	return r
-}
-
-// mergeOffenders folds the fresh nodes' attribution scrapes (same
-// staleness predicate as the metric fold) into one cluster-wide sketch
-// set and reads its top-K. The accumulator is a clone, so per-node
-// scrapes survive for later epochs. Returns nil when no fresh node
-// carries sketches (attribution off, or all stale).
-func mergeOffenders(nodes []*Node, at sim.Time, staleness time.Duration, topK int) []probes.Offender {
-	var acc probes.AttrSketches
-	merged := false
-	for _, n := range nodes {
-		if !n.lastAttrOK || !n.lastOK || at.Sub(n.last.At) > staleness {
-			continue
-		}
-		if !merged {
-			acc = n.lastAttr.Clone()
-			merged = true
-			continue
-		}
-		if err := acc.Merge(n.lastAttr); err != nil {
-			// Every node builds its sketches from the same defaulted
-			// AttributionConfig; a geometry mismatch is a bug.
-			panic(fmt.Sprintf("fleet: attribution merge: %v", err))
-		}
-	}
-	if !merged {
-		return nil
-	}
-	return acc.TopOffenders(topK)
 }
 
 // rank inserts st into top, a ranking of at most k stats held best

@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"reqlens/internal/harness"
+	"reqlens/internal/workloads"
 )
 
 // levelSeedStride separates the cluster seeds of a sweep's load levels
@@ -14,9 +15,9 @@ const levelSeedStride = 1_000_003
 // harness.ExpOptions (which contributes Seed, Levels, Warmup,
 // Parallelism and the whole supervision/telemetry/journal stack).
 type SweepOptions struct {
-	// Nodes are the cluster members every level runs. Empty defaults to
-	// DefaultSpecs(8).
-	Nodes []NodeSpec
+	// Nodes are the workloads of the cluster members every level runs.
+	// Empty defaults to DefaultSpecs(8).
+	Nodes []workloads.Spec
 
 	// Epochs is the number of scrape rounds per level (0 defaults to 8).
 	Epochs int
@@ -61,7 +62,6 @@ func (f SweepOptions) withDefaults(opt harness.ExpOptions) SweepOptions {
 // the clients measured.
 type LevelPoint struct {
 	Level   float64
-	Nodes   int
 	Rollups []Rollup
 	Truth   []Truth
 
@@ -118,7 +118,6 @@ func sweepLevel(fopt SweepOptions, pc harness.PointCtx, cell harness.Cell) Level
 	defer c.Close()
 	p := LevelPoint{
 		Level:   cell.Level,
-		Nodes:   len(c.Nodes),
 		Rollups: c.Run(fopt.Epochs),
 		Truth:   c.GroundTruth(),
 	}

@@ -235,8 +235,8 @@ func (p *AttributionProbe) ExactCounts() map[uint64]uint64 {
 	return out
 }
 
-// AttrSketches is one scrape of attribution state — per node, or the
-// fleet-level merge of many nodes. Because count-min merge is
+// AttrSketches is one scrape of attribution state — one node's, or the
+// merge of several nodes' scrapes. Because count-min merge is
 // element-wise addition and HashPipe merge is a deterministic
 // union-reinsert, merging per-node scrapes in node-ID order yields the
 // same bytes on every aggregator.
@@ -263,17 +263,6 @@ func (s AttrSketches) Merge(o AttrSketches) error {
 		return err
 	}
 	return s.Top.Merge(o.Top)
-}
-
-// Clone deep-copies the scrape — the accumulator a rollup fold starts
-// from, so merging never mutates the per-node scrapes it reads.
-func (s AttrSketches) Clone() AttrSketches {
-	return AttrSketches{
-		Syscalls: s.Syscalls.Clone(),
-		Sends:    s.Sends.Clone(),
-		TimeNS:   s.TimeNS.Clone(),
-		Top:      s.Top.Clone(),
-	}
 }
 
 // Offender is one top-K attribution row: a process and its estimated

@@ -60,7 +60,7 @@
 #                                         tracedump -max 20, so the
 #                                         documented entry points cannot rot
 #
-# The rendered goldens (robustness, cardinality, waitstates,
+# The rendered goldens (robustness, cardinality, waitstates, fleet,
 # attribution, autoscale) are diffed by `go test ./cmd/reqlens`, through
 # the same run that main dispatches to. Each leg prints its elapsed
 # seconds, and the script the total, so the gate's time budget is

@@ -673,7 +673,7 @@ func (m *vm) envCall(id uint64) uint64 {
 
 // mapCall is the hot half of map_lookup_elem, map_update_elem and
 // map_delete_elem: handle and sizes from the mapHandle, arguments in
-// bounds, and a type switch so the three map types probes use are
+// bounds, and a type switch so the two map types probes use are
 // direct calls. false means nothing happened and vm.call has the fault.
 func (m *vm) mapCall(id uint64) bool {
 	h := m.regs[R1].handle()
@@ -689,8 +689,6 @@ func (m *vm) mapCall(id uint64) bool {
 	case HelperMapLookupElem:
 		var v []byte
 		switch mp := h.m.(type) {
-		case *LRUHashMap:
-			v, ok = mp.Lookup(key)
 		case *HashMap:
 			v, ok = mp.Lookup(key)
 		case *ArrayMap:
@@ -710,8 +708,6 @@ func (m *vm) mapCall(id uint64) bool {
 			return false
 		}
 		switch mp := h.m.(type) {
-		case *LRUHashMap:
-			err = mp.Update(key, val, int(flags.v))
 		case *HashMap:
 			err = mp.Update(key, val, int(flags.v))
 		case *ArrayMap:
@@ -722,8 +718,6 @@ func (m *vm) mapCall(id uint64) bool {
 		m.setR0Status(err)
 	default:
 		switch mp := h.m.(type) {
-		case *LRUHashMap:
-			err = mp.Delete(key)
 		case *HashMap:
 			err = mp.Delete(key)
 		case *ArrayMap:

@@ -44,11 +44,16 @@
 //     Program; Program.Run executes it against a context and a
 //     HelperEnv.
 //   - NewHashMap / NewLRUHashMap / NewArrayMap / NewRingBuf — map
-//     types; Map is their shared interface. RingBuf follows the kernel's
-//     BPF_MAP_TYPE_RINGBUF model: power-of-two byte capacity, monotonic
-//     producer/consumer positions, 8-byte length header plus 8-byte
-//     alignment per record, and never-overwrite drop semantics with a
-//     producer-side drop counter.
+//     types; Map is their shared interface. Both hash constructors
+//     return a *HashMap, an open-addressed table over 8-byte keys read
+//     as little-endian u64s, which grows up to twice max_entries; the
+//     LRU one evicts the least recently used entry when full instead
+//     of failing. Each value is its own slice, so the pointer a lookup
+//     returns stays the key's until the key is deleted. RingBuf follows
+//     the kernel's BPF_MAP_TYPE_RINGBUF model: power-of-two byte
+//     capacity, monotonic producer/consumer positions, 8-byte length
+//     header plus 8-byte alignment per record, and never-overwrite drop
+//     semantics with a producer-side drop counter.
 //   - HelperEnv — the helper surface programs call
 //     (ktime_get_ns, get_current_pid_tgid, map ops, ringbuf_output,
 //     ringbuf_query).

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // Map update flags, matching the Linux uapi.
@@ -35,61 +36,110 @@ type Map interface {
 	Delete(key []byte) error
 }
 
-// HashMap is a BPF_MAP_TYPE_HASH: fixed-size keys and values with a
-// capacity limit.
+// HashMap is a BPF_MAP_TYPE_HASH, or a BPF_MAP_TYPE_LRU_HASH when
+// NewLRUHashMap built it: 8-byte keys, fixed-size values, at most
+// maxEntries entries. The table is open-addressed over the key's
+// little-endian u64 with linear probing; it starts small and doubles,
+// never past the power of two >= 2*maxEntries, so a probe run always
+// ends at an empty slot. Each value is its own slice, allocated at
+// insert: the slice Lookup returns stays the key's until the key is
+// deleted, however the table grows or shifts.
 type HashMap struct {
 	name       string
-	keySize    int
 	valueSize  int
 	maxEntries int
-	entries    map[string][]byte
+	lru        bool   // a full map evicts its least recently used entry instead of failing
+	clock      uint64 // recency: bumped by every hit and every update
+	n          int
+	shift      uint // 64 - log2(len(slots))
+	slots      []hslot
 }
 
-// NewHashMap creates a hash map. Sizes must be positive.
+// hslot is one table slot; a nil value marks it empty.
+type hslot struct {
+	key   uint64
+	used  uint64 // the clock at the entry's last lookup or update
+	value []byte
+}
+
+// NewHashMap creates a hash map. Keys must be 8 bytes, the value size
+// and the entry bound positive.
 func NewHashMap(name string, keySize, valueSize, maxEntries int) *HashMap {
-	if keySize <= 0 || valueSize <= 0 || maxEntries <= 0 {
+	if keySize != 8 || valueSize <= 0 || maxEntries <= 0 {
 		panic(fmt.Sprintf("ebpf: invalid hash map geometry %d/%d/%d", keySize, valueSize, maxEntries))
 	}
-	return &HashMap{
-		name: name, keySize: keySize, valueSize: valueSize,
-		maxEntries: maxEntries, entries: make(map[string][]byte),
-	}
+	m := &HashMap{name: name, valueSize: valueSize, maxEntries: maxEntries}
+	m.resize(min(8, 1<<bits.Len(uint(2*maxEntries-1))))
+	return m
+}
+
+// NewLRUHashMap creates an LRU hash map: when full, inserting a new key
+// evicts the least recently used entry instead of failing. Real tracing
+// deployments prefer it for per-flow/per-thread state that must not
+// error out under churn (exactly the paper's start-timestamp maps on
+// busy servers).
+func NewLRUHashMap(name string, keySize, valueSize, maxEntries int) *HashMap {
+	m := NewHashMap(name, keySize, valueSize, maxEntries)
+	m.lru = true
+	return m
 }
 
 // Name returns the map's name.
 func (m *HashMap) Name() string { return m.name }
 
-// KeySize returns the fixed key size in bytes.
-func (m *HashMap) KeySize() int { return m.keySize }
+// KeySize returns the fixed key size in bytes: always 8.
+func (m *HashMap) KeySize() int { return 8 }
 
 // ValueSize returns the fixed value size in bytes.
 func (m *HashMap) ValueSize() int { return m.valueSize }
 
 // Len returns the number of entries.
-func (m *HashMap) Len() int { return len(m.entries) }
+func (m *HashMap) Len() int { return m.n }
 
-// Lookup returns the live value slice for key.
+// home is key's first probe slot: the top bits of a multiplicative
+// hash, so keys that share a home share it at every smaller size too.
+func (m *HashMap) home(key uint64) int { return int((key * 0x9e3779b97f4a7c15) >> m.shift) }
+
+// find returns key's slot, or the empty slot that ends its probe run.
+func (m *HashMap) find(key uint64) (int, bool) {
+	mask := len(m.slots) - 1
+	for i := m.home(key); ; i = (i + 1) & mask {
+		if s := &m.slots[i]; s.value == nil || s.key == key {
+			return i, s.value != nil
+		}
+	}
+}
+
+// Lookup returns the live value slice for key and refreshes its recency.
 func (m *HashMap) Lookup(key []byte) ([]byte, bool) {
-	if len(key) != m.keySize {
+	if len(key) != 8 {
 		return nil, false
 	}
-	v, ok := m.entries[string(key)]
-	return v, ok
+	i, ok := m.find(binary.LittleEndian.Uint64(key))
+	if !ok {
+		return nil, false
+	}
+	m.clock++
+	s := &m.slots[i]
+	s.used = m.clock
+	return s.value, true
 }
 
 // Update inserts or replaces the value for key according to flags. The
-// value is copied. Overwrites of existing keys are allocation-free
-// (the map[string(b)] lookup form avoids the key conversion), which
+// value is copied; an overwrite is in place and allocation-free, which
 // keeps the per-event probe path — update the same per-thread entry on
-// every hit — off the allocator entirely.
+// every hit — off the allocator. A new key past maxEntries fails with
+// ErrMapFull, or on an LRU map first evicts the least recently used
+// entry.
 func (m *HashMap) Update(key, value []byte, flags int) error {
-	if len(key) != m.keySize {
+	if len(key) != 8 {
 		return ErrBadKeySize
 	}
 	if len(value) != m.valueSize {
 		return ErrBadValSize
 	}
-	old, exists := m.entries[string(key)]
+	k := binary.LittleEndian.Uint64(key)
+	i, exists := m.find(k)
 	switch flags {
 	case UpdateNoExist:
 		if exists {
@@ -100,42 +150,96 @@ func (m *HashMap) Update(key, value []byte, flags int) error {
 			return ErrKeyNotExist
 		}
 	}
+	m.clock++
 	if exists {
-		copy(old, value)
+		s := &m.slots[i]
+		copy(s.value, value)
+		s.used = m.clock
 		return nil
 	}
-	if len(m.entries) >= m.maxEntries {
-		return ErrMapFull
+	if m.n >= m.maxEntries {
+		if !m.lru {
+			return ErrMapFull
+		}
+		m.remove(m.oldest())
+		i, _ = m.find(k)
 	}
-	v := make([]byte, m.valueSize)
-	copy(v, value)
-	m.entries[string(key)] = v
+	if 2*(m.n+1) > len(m.slots) { // stops at the power of two >= 2*maxEntries
+		m.resize(2 * len(m.slots))
+		i, _ = m.find(k)
+	}
+	m.slots[i] = hslot{key: k, used: m.clock, value: append(make([]byte, 0, m.valueSize), value...)}
+	m.n++
 	return nil
 }
 
 // Delete removes key.
 func (m *HashMap) Delete(key []byte) error {
-	if len(key) != m.keySize {
+	if len(key) != 8 {
 		return ErrBadKeySize
 	}
-	if _, ok := m.entries[string(key)]; !ok {
+	i, ok := m.find(binary.LittleEndian.Uint64(key))
+	if !ok {
 		return ErrKeyNotExist
 	}
-	delete(m.entries, string(key))
+	m.remove(i)
 	return nil
 }
 
-// Keys returns all keys in deterministic (sorted) order — a userspace
-// iteration convenience, not a BPF-visible operation.
-func (m *HashMap) Keys() [][]byte {
-	ks := make([]string, 0, len(m.entries))
-	for k := range m.entries {
-		ks = append(ks, k)
+// remove empties slot i and shifts the rest of its probe run back over
+// the hole, so the table needs no tombstones: the entry at j moves into
+// the hole unless its home lies cyclically in (hole, j], where the move
+// would put it before its home.
+func (m *HashMap) remove(i int) {
+	mask := len(m.slots) - 1
+	for j := (i + 1) & mask; m.slots[j].value != nil; j = (j + 1) & mask {
+		if (j-m.home(m.slots[j].key))&mask >= (j-i)&mask {
+			m.slots[i] = m.slots[j]
+			i = j
+		}
 	}
-	sort.Strings(ks)
+	m.slots[i] = hslot{}
+	m.n--
+}
+
+// oldest returns the slot of the entry with the smallest recency stamp:
+// the LRU victim, independent of where entries sit in the table.
+func (m *HashMap) oldest() int {
+	victim := -1
+	for i := range m.slots {
+		if s := &m.slots[i]; s.value != nil && (victim < 0 || s.used < m.slots[victim].used) {
+			victim = i
+		}
+	}
+	return victim
+}
+
+// resize rehashes every entry into a table of size slots (a power of two).
+func (m *HashMap) resize(size int) {
+	old := m.slots
+	m.slots = make([]hslot, size)
+	m.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, s := range old {
+		if s.value != nil {
+			i, _ := m.find(s.key)
+			m.slots[i] = s
+		}
+	}
+}
+
+// Keys returns all keys in deterministic order, sorted as byte strings
+// — a userspace iteration convenience, not a BPF-visible operation.
+func (m *HashMap) Keys() [][]byte {
+	ks := make([]uint64, 0, m.n)
+	for _, s := range m.slots {
+		if s.value != nil {
+			ks = append(ks, bits.ReverseBytes64(s.key)) // big-endian order is byte order
+		}
+	}
+	slices.Sort(ks)
 	out := make([][]byte, len(ks))
 	for i, k := range ks {
-		out[i] = []byte(k)
+		out[i] = binary.LittleEndian.AppendUint64(nil, bits.ReverseBytes64(k))
 	}
 	return out
 }
@@ -214,117 +318,4 @@ func (m *ArrayMap) Update(key, value []byte, flags int) error {
 // Delete is invalid on array maps.
 func (m *ArrayMap) Delete(key []byte) error {
 	return errors.New("ebpf: delete not supported on array map")
-}
-
-// LRUHashMap is a BPF_MAP_TYPE_LRU_HASH: when full, inserting a new key
-// evicts the least-recently-used entry instead of failing. Real tracing
-// deployments prefer it for per-flow/per-thread state that must not
-// error out under churn (exactly the paper's start-timestamp maps on
-// busy servers).
-type LRUHashMap struct {
-	name       string
-	keySize    int
-	valueSize  int
-	maxEntries int
-	entries    map[string]*lruEntry
-	clock      uint64
-}
-
-type lruEntry struct {
-	value []byte
-	used  uint64
-}
-
-// NewLRUHashMap creates an LRU hash map.
-func NewLRUHashMap(name string, keySize, valueSize, maxEntries int) *LRUHashMap {
-	if keySize <= 0 || valueSize <= 0 || maxEntries <= 0 {
-		panic(fmt.Sprintf("ebpf: invalid lru map geometry %d/%d/%d", keySize, valueSize, maxEntries))
-	}
-	return &LRUHashMap{
-		name: name, keySize: keySize, valueSize: valueSize,
-		maxEntries: maxEntries, entries: make(map[string]*lruEntry),
-	}
-}
-
-// Name returns the map's name.
-func (m *LRUHashMap) Name() string { return m.name }
-
-// KeySize returns the fixed key size in bytes.
-func (m *LRUHashMap) KeySize() int { return m.keySize }
-
-// ValueSize returns the fixed value size in bytes.
-func (m *LRUHashMap) ValueSize() int { return m.valueSize }
-
-// Len returns the number of live entries.
-func (m *LRUHashMap) Len() int { return len(m.entries) }
-
-// Lookup returns the live value slice and refreshes the entry's recency.
-func (m *LRUHashMap) Lookup(key []byte) ([]byte, bool) {
-	if len(key) != m.keySize {
-		return nil, false
-	}
-	e, ok := m.entries[string(key)]
-	if !ok {
-		return nil, false
-	}
-	m.clock++
-	e.used = m.clock
-	return e.value, true
-}
-
-// Update inserts or replaces the value for key, evicting the LRU entry
-// when the map is full. As with HashMap, overwrites of existing keys
-// are allocation-free.
-func (m *LRUHashMap) Update(key, value []byte, flags int) error {
-	if len(key) != m.keySize {
-		return ErrBadKeySize
-	}
-	if len(value) != m.valueSize {
-		return ErrBadValSize
-	}
-	e, exists := m.entries[string(key)]
-	switch flags {
-	case UpdateNoExist:
-		if exists {
-			return ErrKeyExist
-		}
-	case UpdateExist:
-		if !exists {
-			return ErrKeyNotExist
-		}
-	}
-	m.clock++
-	if exists {
-		copy(e.value, value)
-		e.used = m.clock
-		return nil
-	}
-	if len(m.entries) >= m.maxEntries {
-		var oldestKey string
-		oldest := uint64(1<<63 - 1)
-		for kk, ee := range m.entries {
-			if ee.used < oldest {
-				oldest = ee.used
-				oldestKey = kk
-			}
-		}
-		delete(m.entries, oldestKey)
-	}
-	v := make([]byte, m.valueSize)
-	copy(v, value)
-	m.entries[string(key)] = &lruEntry{value: v, used: m.clock}
-	return nil
-}
-
-// Delete removes key.
-func (m *LRUHashMap) Delete(key []byte) error {
-	if len(key) != m.keySize {
-		return ErrBadKeySize
-	}
-	k := string(key)
-	if _, ok := m.entries[k]; !ok {
-		return ErrKeyNotExist
-	}
-	delete(m.entries, k)
-	return nil
 }

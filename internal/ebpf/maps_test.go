@@ -3,6 +3,8 @@ package ebpf
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -163,6 +165,122 @@ func TestPropertyHashMapModel(t *testing.T) {
 	}
 }
 
+// TestHashMapTableModel drives a plain and an LRU hash map against a
+// Go-map model over 20 000 random operations: every update flag,
+// deletes of absent keys, keys that share a home slot at every table
+// size (so backward-shift deletion moves entries inside long probe
+// runs and across the table's end), growth from the initial size, the
+// slot bound, eviction order at maxEntries, Keys() order, and that a
+// looked-up value slice stays its key's until the key goes.
+func TestHashMapTableModel(t *testing.T) {
+	const maxEntries, bound = 48, 128 // bound: 2*maxEntries rounded up to a power of two
+	largest := &HashMap{shift: 64 - 7}
+	var keys []uint64 // home 0, 1 or bound-1 at the bound: slot 0 or the last at every smaller size
+	for k := uint64(0); len(keys) < 64; k++ {
+		if h := largest.home(k); h <= 1 || h == bound-1 {
+			keys = append(keys, k)
+		}
+	}
+	for k := uint64(1); k <= 32; k++ {
+		keys = append(keys, k<<32|k) // pid_tgid-shaped, spread
+	}
+	for _, lru := range []bool{false, true} {
+		m := NewHashMap("t", 8, 8, maxEntries)
+		if lru {
+			m = NewLRUHashMap("t", 8, 8, maxEntries)
+		}
+		if len(m.slots) != 8 {
+			t.Fatalf("lru=%v: initial table has %d slots, want 8", lru, len(m.slots))
+		}
+		type entry struct{ val, used uint64 }
+		model := map[uint64]entry{}
+		held := map[uint64][]byte{} // value slices Lookup returned, by key
+		gone := map[*byte]bool{}    // held slices of deleted or evicted keys
+		drop := func(k uint64) {
+			if h, ok := held[k]; ok {
+				gone[&h[0]] = true
+				delete(held, k)
+			}
+		}
+		var clock uint64
+		rng := rand.New(rand.NewSource(41))
+		grown := 8
+		for step := 0; step < 20000; step++ {
+			k := keys[rng.Intn(len(keys))]
+			e, present := model[k]
+			switch op := rng.Intn(8); {
+			case op < 2: // lookup
+				v, ok := m.Lookup(u64key(k))
+				if ok != present || ok && binary.LittleEndian.Uint64(v) != e.val {
+					t.Fatalf("lru=%v step %d: Lookup(%#x) = %v %v, model %v %v", lru, step, k, v, ok, e, present)
+				}
+				if ok {
+					if h, seen := held[k]; seen && &h[0] != &v[0] || gone[&v[0]] {
+						t.Fatalf("lru=%v step %d: key %#x's value slice moved or was another key's", lru, step, k)
+					}
+					held[k] = v
+					clock++
+					model[k] = entry{e.val, clock}
+				}
+			case op < 3: // delete, often of an absent key
+				err := m.Delete(u64key(k))
+				if (err == nil) != present || !present && err != ErrKeyNotExist {
+					t.Fatalf("lru=%v step %d: Delete(%#x) = %v, model present %v", lru, step, k, err, present)
+				}
+				delete(model, k)
+				drop(k)
+			default: // update, every flag
+				flags, val := rng.Intn(3), rng.Uint64()
+				var want error
+				switch {
+				case flags == UpdateNoExist && present:
+					want = ErrKeyExist
+				case flags == UpdateExist && !present:
+					want = ErrKeyNotExist
+				case !present && len(model) >= maxEntries && !lru:
+					want = ErrMapFull
+				}
+				if err := m.Update(u64key(k), u64key(val), flags); err != want {
+					t.Fatalf("lru=%v step %d: Update(%#x, flags %d) = %v, want %v", lru, step, k, flags, err, want)
+				}
+				if want != nil {
+					break
+				}
+				clock++
+				if !present && len(model) >= maxEntries {
+					victim, oldest := uint64(0), ^uint64(0)
+					for mk, me := range model {
+						if me.used < oldest {
+							victim, oldest = mk, me.used
+						}
+					}
+					delete(model, victim)
+					drop(victim)
+				}
+				model[k] = entry{val, clock}
+			}
+			if m.Len() != len(model) {
+				t.Fatalf("lru=%v step %d: Len = %d, model %d", lru, step, m.Len(), len(model))
+			}
+			if len(m.slots) > bound {
+				t.Fatalf("lru=%v step %d: %d slots, bound %d", lru, step, len(m.slots), bound)
+			}
+			grown = max(grown, len(m.slots))
+		}
+		if grown != bound {
+			t.Errorf("lru=%v: the table grew to %d slots, never to %d", lru, grown, bound)
+		}
+		var want [][]byte
+		for k := range model {
+			want = append(want, u64key(k))
+		}
+		slices.SortFunc(want, bytes.Compare)
+		if got := m.Keys(); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Errorf("lru=%v: Keys() returned %d keys, not the model's %d in byte order", lru, len(got), len(want))
+		}
+	}
+}
+
 func TestArrayMapOps(t *testing.T) {
 	m := NewArrayMap("a", 8, 4)
 	if m.KeySize() != 4 || m.ValueSize() != 8 || m.Len() != 4 {
@@ -270,6 +388,8 @@ func TestRingBufInvalidOps(t *testing.T) {
 func TestMapConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewHashMap("x", 0, 8, 8) },
+		func() { NewHashMap("x", 4, 8, 8) },  // keys are u64
+		func() { NewHashMap("x", 16, 8, 8) }, // keys are u64
 		func() { NewArrayMap("x", 8, 0) },
 		func() { NewRingBuf("x", 0) },
 		func() { NewRingBuf("x", 24) }, // not a power of two

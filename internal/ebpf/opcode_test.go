@@ -244,11 +244,18 @@ func TestBudgetHandover(t *testing.T) {
 	}
 }
 
+// legitCold lists the opcodes verified code legitimately sends cold,
+// with the form each recovers (DESIGN.md §7 keeps the counts).
+var legitCold = map[opcode]string{
+	opStx8: "pointer spill",
+	opLdx8: "spill restore, or an 8-byte load while a spill is live",
+	opJne:  "same-region pointer compare",
+}
+
 // TestDifferentialColdForms runs the differential generator's
-// verifier-accepted programs traced and logs which forms legitimately
-// go cold in verified code, and how often (DESIGN.md §7 keeps the
-// table). It asserts nothing yet: ROADMAP 6(a) decides which of them
-// deserve a hot half.
+// verifier-accepted programs traced and fails, naming the opcode, when
+// any opcode outside legitCold goes cold: that is a verifier hole or a
+// new legitimate form, to be documented and added. It logs the counts.
 func TestDifferentialColdForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	hot, cold := traceOpcodes(func() {
@@ -263,8 +270,13 @@ func TestDifferentialColdForms(t *testing.T) {
 		}
 	})
 	for c := opcode(0); c < numOpcodes; c++ {
-		if cold[c] != 0 {
-			t.Logf("%-8v cold %5d of %6d dispatches", c, cold[c], hot[c]+cold[c])
+		if cold[c] == 0 {
+			continue
+		}
+		if why, ok := legitCold[c]; ok {
+			t.Logf("%-8v cold %5d of %6d dispatches (%s)", c, cold[c], hot[c]+cold[c], why)
+		} else {
+			t.Errorf("%v went cold %d of %d dispatches in verified code: not a recorded form", c, cold[c], hot[c]+cold[c])
 		}
 	}
 }

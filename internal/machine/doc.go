@@ -1,11 +1,10 @@
 // Package machine defines the hardware profiles of the paper's Table I.
 //
 // A Profile parameterizes the simulated kernel — socket/core/SMT
-// topology, timeslice, context-switch and syscall-entry costs, and the
-// eBPF per-instruction cost scale — so experiments can demonstrate the
-// paper's claim that syscall-derived observability generalizes across
-// hardware (TestIntelProfileAlsoWorks re-runs Fig. 2 on the second
-// profile).
+// topology, timeslice, context-switch and syscall-entry costs — so
+// experiments can demonstrate the paper's claim that syscall-derived
+// observability generalizes across hardware (TestIntelProfileAlsoWorks
+// re-runs Fig. 2 on the second profile).
 //
 // Key entry points:
 //

@@ -66,7 +66,7 @@ type AttributionProbe struct {
 	Top *ebpf.HashPipe
 	// Last holds the per-thread last-syscall timestamp the gap is
 	// computed against (LRU, so thread churn evicts instead of erroring).
-	Last *ebpf.LRUHashMap
+	Last *ebpf.HashMap
 	// Exact is the ground-truth per-tgid counter, nil unless
 	// AttributionConfig.Oracle was set.
 	Exact *ebpf.HashMap

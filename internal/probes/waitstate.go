@@ -57,8 +57,8 @@ const (
 // per task side and never touches the allocator.
 type WaitStateProbe struct {
 	probe // sched_switch, then sched_wakeup
-	// State is the per-thread transition map: pid_tgid -> (since, code).
-	State *ebpf.LRUHashMap
+	// State is the per-thread transition map (LRU): pid_tgid -> (since, code).
+	State *ebpf.HashMap
 	// OnCPUNS accumulates on-CPU nanoseconds per tgid.
 	OnCPUNS *ebpf.HashMap
 	// RunnableNS accumulates runqueue-wait nanoseconds per tgid.

@@ -201,13 +201,14 @@ go test -run '^$' -benchtime 1x -bench '^BenchmarkFleetEpochs$' \
 # scrape's Raw is its node's reused export buffer, and the request path
 # allocates nothing (TestRequestPathAllocatesNothing). TestScrapePlaneAllocs
 # pins the 2 alone. The rest of an epoch's allocs/op on 16 nodes is the
-# simulated 1 ms of traffic: the probes' hash-map inserts (a key and a
-# value per new entry) and loadgen's sentAt map, a Go map that grows
-# under insert/delete churn when its random hash seed says so, plus GC
+# simulated 1 ms of traffic: one value slice per new probe hash-map
+# entry (the keys sit in the table, which grows only while new threads
+# appear) and loadgen's sentAt map, a Go map that grows under
+# insert/delete churn when its random hash seed says so, plus GC
 # cycles' runtime allocations. The sum is seeded but need not be exact:
-# the mean is 34.0 over the first 500 epochs and 33.0 over each later
-# 1000, so the gate reads the first 1000 (33.49 on eight fresh clusters).
-scrape_allocs_max=33
+# it reads 18 over the first 500 and the first 1000 epochs and 17 over
+# 2000, so the gate reads the first 1000.
+scrape_allocs_max=18
 scrape=$(go test -run '^$' -benchtime 1000x -bench '^BenchmarkScrapeEpoch$' ./internal/fleet/)
 allocs=$(echo "$scrape" | sed -n 's/^BenchmarkScrapeEpoch.*[[:space:]]\([0-9][0-9]*\) allocs\/op.*/\1/p')
 if [ -z "$allocs" ] || [ "$allocs" -gt "$scrape_allocs_max" ]; then

@@ -1,6 +1,6 @@
 # Developer entry points. `make check` is the gate each PR must pass.
 
-.PHONY: check test race bench bench-ringbuf fmt vet build golden pgo
+.PHONY: check test race bench bench-ringbuf fmt vet build golden pgo mutate
 
 check: ## gofmt + vet + doclint + deadapi + build + tests + race + coverage floors + smokes
 	./scripts/check.sh
@@ -11,6 +11,9 @@ golden: ## regenerate every golden fixture: the .json windows, then the CLI's .t
 
 build:
 	go build ./...
+
+mutate: ## mutation-score the oracles' tests (~1 h, off the gate): per-file scores, scripts/mutate/testdata/survivors.txt
+	go run ./scripts/mutate
 
 pgo: ## refresh cmd/reqlens/default.pgo: a CPU profile of the bench/ basket, run in-process
 	go test -run '^$$' -bench '^BenchmarkBasketProfile$$' -benchtime 2x -cpuprofile cmd/reqlens/default.pgo ./cmd/reqlens

@@ -27,7 +27,7 @@ func (a Action) String() string {
 // Decision is one committed capacity change.
 type Decision struct {
 	Action      Action
-	From, To    int           // capacity in CPUs
+	To          int           // capacity in CPUs after the change
 	EffectiveAt time.Duration // when the new capacity lands (Observe's at, plus Latency for ups)
 	Reason      string        // "alarm", "low-slack", or "high-slack"
 }
@@ -142,7 +142,7 @@ func (a *Autoscaler) Observe(at time.Duration, alarmed bool, slack float64) (Dec
 		if alarmed {
 			reason = "alarm"
 		}
-		d := Decision{Action: ActionScaleUp, From: a.cur, To: to,
+		d := Decision{Action: ActionScaleUp, To: to,
 			EffectiveAt: at + a.cfg.Latency, Reason: reason}
 		a.cur = to
 		a.lastAt = at
@@ -161,7 +161,7 @@ func (a *Autoscaler) Observe(at time.Duration, alarmed bool, slack float64) (Dec
 		if to < a.cfg.Min {
 			to = a.cfg.Min
 		}
-		d := Decision{Action: ActionScaleDown, From: a.cur, To: to,
+		d := Decision{Action: ActionScaleDown, To: to,
 			EffectiveAt: at, Reason: "high-slack"}
 		a.cur = to
 		a.lastAt = at

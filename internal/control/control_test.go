@@ -59,11 +59,11 @@ func TestDetectorCatchesVarianceKnee(t *testing.T) {
 			if a.Signal != SignalVariance {
 				t.Fatalf("knee attributed to %v, want variance", a.Signal)
 			}
-			if a.Window < onset || a.At != time.Duration(a.Window)*time.Second {
-				t.Fatalf("alarm stamped window %d at %v", a.Window, a.At)
+			if a.At != time.Duration(i)*time.Second {
+				t.Fatalf("alarm at window %d stamped %v", i, a.At)
 			}
-			if a.Window-onset > 6 {
-				t.Fatalf("detection delay %d windows, want <= 6", a.Window-onset)
+			if i-onset > 6 {
+				t.Fatalf("detection delay %d windows, want <= 6", i-onset)
 			}
 			return
 		}
@@ -88,6 +88,27 @@ func TestDetectorCatchesPollShift(t *testing.T) {
 		}
 	}
 	t.Fatal("40x poll shift never detected")
+}
+
+// TestDetectorIdleBaseline: an idle warmup (no sends, no polls: both
+// signals 0) is a valid baseline, and either signal rising alone from it
+// trips its own chart on the first window after the warmup.
+func TestDetectorIdleBaseline(t *testing.T) {
+	for _, c := range []struct {
+		rise Evidence
+		want Signal
+	}{
+		{Evidence{SendVarUS2: 400}, SignalVariance},
+		{Evidence{PollMeanNS: 80_000}, SignalPoll},
+	} {
+		d := NewSaturationDetector(DetectorConfig{Warmup: 4})
+		for i := 0; i < 4; i++ {
+			d.Observe(time.Duration(i), Evidence{})
+		}
+		if a, ok := d.Observe(4, c.rise); !ok || a.Signal != c.want {
+			t.Fatalf("%+v after an idle warmup: alarm %v (%v), want %v", c.rise, ok, a.Signal, c.want)
+		}
+	}
 }
 
 func TestDetectorTelemetry(t *testing.T) {
@@ -204,7 +225,7 @@ func TestAutoscalerHysteresisAndCooldown(t *testing.T) {
 	}
 	// Alarm: scale up by stepUp.
 	d, ok := a.Observe(at(1), true, 0.30)
-	if !ok || d.Action != ActionScaleUp || d.From != 4 || d.To != 6 || d.Reason != "alarm" {
+	if !ok || d.Action != ActionScaleUp || d.To != 6 || d.Reason != "alarm" {
 		t.Fatalf("alarm decision = %+v, ok=%v", d, ok)
 	}
 	// Cooldown: an immediate follow-up alarm is held.
@@ -222,7 +243,7 @@ func TestAutoscalerHysteresisAndCooldown(t *testing.T) {
 	}
 	// High slack: scale down by stepDown, immediately effective.
 	d, ok = a.Observe(at(10), false, 0.80)
-	if !ok || d.Action != ActionScaleDown || d.From != 8 || d.To != 7 || d.EffectiveAt != at(10) {
+	if !ok || d.Action != ActionScaleDown || d.To != 7 || d.EffectiveAt != at(10) {
 		t.Fatalf("scale-down decision = %+v, ok=%v", d, ok)
 	}
 	if a.Target() != 7 {

@@ -36,7 +36,6 @@ func (s Signal) String() string {
 // Alarm is one tripped detection with its timestamp.
 type Alarm struct {
 	At     time.Duration // sim offset passed to Observe
-	Window int           // 0-based index of the tripping sample
 	Signal Signal        // which chart tripped (variance wins ties)
 }
 
@@ -133,10 +132,10 @@ func (d *SaturationDetector) Observe(at time.Duration, e Evidence) (Alarm, bool)
 	switch {
 	case varTrip:
 		d.telAlarms.Inc()
-		return Alarm{At: at, Window: w, Signal: SignalVariance}, true
+		return Alarm{At: at, Signal: SignalVariance}, true
 	case pollTrip:
 		d.telAlarms.Inc()
-		return Alarm{At: at, Window: w, Signal: SignalPoll}, true
+		return Alarm{At: at, Signal: SignalPoll}, true
 	}
 	return Alarm{}, false
 }

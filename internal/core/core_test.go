@@ -115,9 +115,6 @@ func TestWaitProfileWindow(t *testing.T) {
 	wp.Sample() // discard warmup
 	env.RunFor(40 * time.Millisecond)
 	w := wp.Sample()
-	if w.Duration != 40*time.Millisecond {
-		t.Fatalf("window duration = %v, want 40ms", w.Duration)
-	}
 	oncpu, runnable, blocked := w.Shares()
 	if oncpu < 0.3 || blocked < 0.3 {
 		t.Fatalf("shares on-CPU %.2f, blocked %.2f: want each near half", oncpu, blocked)

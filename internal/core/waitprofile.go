@@ -18,11 +18,9 @@ import (
 // looks saturated, blocking on I/O looks delayed.
 type WaitProfile struct {
 	probe *probes.WaitStateProbe
-	k     *kernel.Kernel
 	tgid  uint64
 
-	last   probes.WaitTimes
-	lastAt time.Duration
+	last probes.WaitTimes
 }
 
 // AttachWaitProfile builds, verifies and attaches the wait-state probe
@@ -36,8 +34,8 @@ func AttachWaitProfile(k *kernel.Kernel, tgid int) (*WaitProfile, error) {
 	if err := p.Attach(k.Tracer()); err != nil {
 		return nil, err
 	}
-	return &WaitProfile{probe: p, k: k, tgid: uint64(tgid),
-		last: p.Snapshot()[uint64(tgid)], lastAt: time.Duration(k.Now())}, nil
+	return &WaitProfile{probe: p, tgid: uint64(tgid),
+		last: p.Snapshot()[uint64(tgid)]}, nil
 }
 
 // MustAttachWaitProfile is AttachWaitProfile but panics on error.
@@ -50,8 +48,6 @@ func MustAttachWaitProfile(k *kernel.Kernel, tgid int) *WaitProfile {
 // time: everything between its first and last transition in the window
 // lands in exactly one of them.
 type WaitWindow struct {
-	Duration time.Duration // wall-clock window span
-
 	OnCPU    time.Duration // executing on a CPU
 	Runnable time.Duration // runnable, waiting in the run queue
 	Blocked  time.Duration // off-CPU and not runnable (I/O, sleep, idle)
@@ -75,16 +71,14 @@ func (w WaitWindow) Shares() (oncpu, runnable, blocked float64) {
 // accumulated since the previous Sample (or Attach), and starts a new
 // window.
 func (wp *WaitProfile) Sample() WaitWindow {
-	now := time.Duration(wp.k.Now())
 	cur := wp.probe.Snapshot()[wp.tgid]
 	d := cur.Sub(wp.last)
 	w := WaitWindow{
-		Duration: now - wp.lastAt,
 		OnCPU:    time.Duration(d.OnCPUNS),
 		Runnable: time.Duration(d.RunnableNS),
 		Blocked:  time.Duration(d.BlockedNS),
 	}
-	wp.last, wp.lastAt = cur, now
+	wp.last = cur
 	return w
 }
 

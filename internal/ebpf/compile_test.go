@@ -1,6 +1,7 @@
 package ebpf
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -81,13 +82,17 @@ func TestCompiledFusionParity(t *testing.T) {
 // targets what would be the second half of a fused pair, the pair must
 // stay unfused and the jump must land exactly there.
 func TestCompiledJumpIntoPairParity(t *testing.T) {
-	ret, st := runBoth(t, []Instruction{
+	prog := []Instruction{
 		Mov64Imm(R0, 5),
 		Mov64Imm(R7, 0),
 		JmpImm(JmpJEQ, R7, 0, 1), // taken: lands on the Exit below
 		Mov64Imm(R0, 1),          // would-be first half of a mov+exit pair
 		Exit(),                   // branch target: must stay unfused
-	}, nil, 0, nil)
+	}
+	if code := MustLoad(ProgramSpec{Name: "pair", Insns: prog}).code; code[3].width != 1 {
+		t.Fatalf("the mov before a branch target fused into %v", code[3].code)
+	}
+	ret, st := runBoth(t, prog, nil, 0, nil)
 	if ret != 5 {
 		t.Fatalf("jump into pair: ret %d, want 5 (branch must skip the mov)", ret)
 	}
@@ -102,13 +107,24 @@ func TestCompiledSpillParity(t *testing.T) {
 	ctx := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	ret, _ := runBoth(t, []Instruction{
 		Mov64Reg(R6, R1),
-		StoreMem(R10, -8, R6, SizeDW),
+		Mov64Reg(R3, R10), Add64Imm(R3, -2),
+		StoreMem(R3, -6, R6, SizeDW), // fp-8, through a misaligned base
+		// Writes to the slot below leave the spill live.
+		StoreImm(R10, -16, 0, SizeDW), Mov64Imm(R4, 1), AtomicAdd64(R10, -16, R4), StoreImm(R10, -12, 1, SizeW),
 		LoadMem(R2, R10, -8, SizeDW),
 		LoadMem(R0, R2, 0, SizeDW),
 		Exit(),
 	}, nil, len(ctx), ctx)
 	if want := uint64(0x0807060504030201); ret != want {
 		t.Fatalf("spill/restore: ret %#x, want %#x", ret, want)
+	}
+	// A narrow store into the slot ends the spill: the reload is the
+	// slot's raw bytes (the pointer's offset, 0, under the store).
+	ret, _ = runBoth(t, []Instruction{
+		StoreMem(R10, -8, R1, SizeDW), StoreImm(R10, -8, 0x55, SizeW), LoadMem(R0, R10, -8, SizeDW), Exit(),
+	}, nil, len(ctx), ctx)
+	if ret != 0x55 {
+		t.Fatalf("reload after a narrow store: ret %#x, want 0x55", ret)
 	}
 }
 
@@ -135,8 +151,8 @@ func TestCompiledAtomicParity(t *testing.T) {
 // same instance back up instead of allocating.
 func TestCompiledRunReusesState(t *testing.T) {
 	p := MustLoad(ProgramSpec{Name: "reuse", Insns: []Instruction{
-		StoreImm(R10, -8, 7, SizeDW),
-		LoadMem(R0, R10, -8, SizeDW),
+		StoreImm(R10, -8, 7, SizeDW), StoreImm(R10, -StackSize, 7, SizeDW),
+		LoadMem(R0, R10, -8, SizeDW), LoadMem(R1, R10, -StackSize, SizeDW),
 		Exit(),
 	}, CtxSize: 0})
 	if _, _, err := p.Run(nil, &FixedEnv{}); err != nil {
@@ -151,6 +167,14 @@ func TestCompiledRunReusesState(t *testing.T) {
 	}
 	if p.rsCache != parked {
 		t.Fatal("second run did not recycle the parked state")
+	}
+	// Both ends of the frame are in the hot halves' bounds.
+	if p.ColdOps() != 0 {
+		t.Fatalf("%d slots went cold", p.ColdOps())
+	}
+	// The recycled state starts from a clean stack, as a fresh one does.
+	if m := getVM(p, nil, &FixedEnv{}); !bytes.Equal(m.stackMem, make([]byte, StackSize)) {
+		t.Fatal("the previous run's stack bytes survive into the next")
 	}
 }
 
@@ -419,10 +443,21 @@ func TestCompiledFaultParity(t *testing.T) {
 		), "pc=3: arithmetic on map handle", 4},
 		{"mul on a pointer", []Instruction{Mov64Reg(R2, R10), Mul64Imm(R2, 2), Exit()},
 			"pc=1: invalid pointer arithmetic op=0x20", 2},
+		{"add of two pointers", []Instruction{Mov64Reg(R2, R10), Add64Reg(R2, R10), Exit()},
+			"pc=1: invalid pointer arithmetic op=0x0", 2},
+		{"add of a pointer to a map handle", cat(mapfd(R2, 1), []Instruction{Add64Reg(R2, R10), Exit()}),
+			"pc=2: invalid pointer arithmetic op=0x0", 3},
 		{"32-bit add on a pointer", []Instruction{Mov64Imm(R0, 0), {Op: ClassALU | ALUAdd | SrcK, Dst: R10, Imm: 1}, Exit()},
 			"pc=1: 32-bit ALU on pointer", 2},
 		{"exit with pointer R0", []Instruction{Mov64Reg(R0, R10), Exit()},
 			"pc=1: exit with non-scalar R0", 2},
+		{"falls off the end", []Instruction{Mov64Imm(R0, 0)}, "pc=1: pc out of range", 1},
+		{"jumps off the end", []Instruction{Mov64Imm(R0, 0), JmpImm(JmpJEQ, R0, 0, 1), Exit()},
+			"pc=3: pc out of range", 2},
+		{"8-byte load across the frame's end", []Instruction{LoadMem(R0, R10, -4, SizeDW), Exit()},
+			"pc=0: stack access [508,516) out of bounds [0,512)", 1},
+		{"8-byte store across the frame's end", []Instruction{StoreImm(R10, -4, 1, SizeDW), Exit()},
+			"pc=0: stack access [508,516) out of bounds [0,512)", 1},
 		{"store to ctx", []Instruction{StoreImm(R1, 0, 1, SizeDW), Exit()},
 			"pc=0: store to read-only ctx", 1},
 		{"stack store out of bounds", []Instruction{Mov64Imm(R7, 1), StoreMem(R10, 0, R7, SizeW), Exit()},
@@ -433,7 +468,18 @@ func TestCompiledFaultParity(t *testing.T) {
 			"pc=1: atomic on read-only ctx", 2},
 		{"unaligned pointer spill", []Instruction{StoreMem(R10, -12, R1, SizeDW), Exit()},
 			"pc=0: pointer spill must be 8-byte aligned", 1},
+		{"map update with pointer flags", cat(
+			[]Instruction{StoreImm(R10, -8, 1, SizeDW), StoreImm(R10, -16, 2, SizeDW)}, mapfd(R1, 1),
+			[]Instruction{Mov64Reg(R2, R10), Add64Imm(R2, -8), Mov64Reg(R3, R10), Add64Imm(R3, -16),
+				Mov64Reg(R4, R10), Call(HelperMapUpdateElem), Exit()},
+		), "pc=9: map_update_elem: flags not scalar", 10},
+		{"pointer store into ctx", []Instruction{StoreMem(R1, 0, R10, SizeDW), Exit()},
+			"pc=0: pointer can only be spilled to an aligned 8-byte stack slot", 1},
 		{"ordered compare on a pointer", []Instruction{JmpImm(JmpJGT, R10, 0, 0), Exit()},
+			"pc=0: invalid pointer comparison", 1},
+		{"ctx != stack", []Instruction{JmpReg(JmpJNE, R1, R10, 0), Exit()},
+			"pc=0: invalid pointer comparison", 1},
+		{"stack != 5", []Instruction{JmpImm(JmpJNE, R10, 5, 0), Exit()},
 			"pc=0: invalid pointer comparison", 1},
 		{"map handle == the same map handle", cat(
 			mapfd(R1, 1), mapfd(R2, 1), []Instruction{JmpReg(JmpJEQ, R1, R2, 0), Exit()},
@@ -448,6 +494,8 @@ func TestCompiledFaultParity(t *testing.T) {
 			"pc=1: unsupported ALU op 0xe0", 2},
 		{"undefined jump op", []Instruction{Mov64Imm(R0, 0), {Op: ClassJMP32 | 0xe0 | SrcK, Dst: R0}, Exit()},
 			"pc=1: unsupported jump op 0xe0", 2},
+		{"ja in the JMP32 class", []Instruction{Mov64Imm(R0, 0), {Op: ClassJMP32 | JmpJA, Off: 1}, Exit(), Exit()},
+			"pc=1: unsupported jump op 0x0", 2},
 	}
 	for _, c := range cases {
 		fault, st := runBothFaulting(t, c.name, c.prog)

@@ -1,7 +1,8 @@
 // Package ebpf implements a faithful, self-contained eBPF execution
 // environment: the classic 64-bit register ISA with the real
 // instruction encoding, an assembler and disassembler, hash/array/
-// ring-buffer maps, a static verifier enforcing the kernel's headline
+// ring-buffer maps and two sketch maps (count-min and HashPipe), a
+// static verifier enforcing the kernel's headline
 // constraints (no back-edges, bounded stack, checked pointer
 // arithmetic, mandatory null checks on map lookups), and an execution
 // engine that charges a deterministic per-instruction cost so probe
@@ -54,9 +55,14 @@
 //     capacity, monotonic producer/consumer positions, 8-byte length
 //     header plus 8-byte alignment per record, and never-overwrite drop
 //     semantics with a producer-side drop counter.
-//   - HelperEnv — the helper surface programs call
-//     (ktime_get_ns, get_current_pid_tgid, map ops, ringbuf_output,
-//     ringbuf_query).
+//   - NewCMS / NewHashPipe — the sketch maps for high-cardinality
+//     keys, reached only through helpers 200–202 (cms_update,
+//     cms_estimate, hashpipe_insert; sketch.go); Merge folds two of the
+//     same geometry.
+//   - HelperEnv — the program's view of the running thread:
+//     ktime_get_ns, get_current_pid_tgid and get_smp_processor_id. The
+//     map, ring-buffer and sketch helpers need no environment: the VM
+//     runs them against the map the handle names.
 //
 // internal/probes assembles the paper's actual programs against this
 // package; internal/kernel dispatches them on syscall tracepoints and

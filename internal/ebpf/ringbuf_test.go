@@ -100,31 +100,6 @@ func TestRingBufInterleavedDrain(t *testing.T) {
 	}
 }
 
-func TestVMRingbufQuery(t *testing.T) {
-	rb := NewRingBuf("rb", 4096)
-	rb.Output(make([]byte, 24)) // 8 header + 24 payload = 32 avail
-	a := NewAssembler()
-	a.EmitWide(LoadMapFD(R1, 1))
-	a.Emit(
-		Mov64Imm(R2, RingbufAvailData),
-		Call(HelperRingbufQuery),
-		Exit(),
-	)
-	if got := runProg(t, a.MustAssemble(), map[int32]Map{1: rb}, nil); got != 32 {
-		t.Fatalf("ringbuf_query(AVAIL_DATA) = %d, want 32", got)
-	}
-	a = NewAssembler()
-	a.EmitWide(LoadMapFD(R1, 1))
-	a.Emit(
-		Mov64Imm(R2, RingbufRingSize),
-		Call(HelperRingbufQuery),
-		Exit(),
-	)
-	if got := runProg(t, a.MustAssemble(), map[int32]Map{1: rb}, nil); got != 4096 {
-		t.Fatalf("ringbuf_query(RING_SIZE) = %d, want 4096", got)
-	}
-}
-
 // fullRing is the reference RingBuf: the whole capacity allocated up
 // front and every record copied out on drain, as the ring was before its
 // host store grew lazily. TestRingBufGrowthInvisible holds RingBuf to it.

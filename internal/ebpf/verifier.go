@@ -313,16 +313,14 @@ func (v *verifier) errf(pc int, format string, args ...any) error {
 }
 
 // explore walks one path; it recurses at conditional branches with a
-// cloned state. The CFG is a DAG (rejectBackEdges ran first) so this
+// cloned state. The CFG is a DAG whose every edge stays inside the
+// program (structural and rejectBackEdges ran first), so this
 // terminates; visited caps pathological exponential blowups.
 func (v *verifier) explore(pc int, st *absState) error {
 	for {
 		v.visited++
 		if v.visited > maxVerifierStates {
 			return v.errf(pc, "program too complex: state limit exceeded")
-		}
-		if pc < 0 || pc >= len(v.insns) {
-			return v.errf(pc, "control flow falls off the end of the program")
 		}
 		in := v.insns[pc]
 		switch {

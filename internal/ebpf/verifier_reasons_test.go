@@ -87,8 +87,11 @@ func rejectionCases() []rejectionCase {
 		{"empty_program", nil, "empty program"},
 		{"program_too_long", tooLong, "program too long"},
 		{"invalid_register",
-			ret0(Instruction{Op: ClassALU64 | ALUMov | SrcK, Dst: 12, Imm: 1}),
-			"invalid register r12"},
+			ret0(Instruction{Op: ClassALU64 | ALUMov | SrcK, Dst: 11, Imm: 1}),
+			"invalid register r11"},
+		{"invalid_src_register",
+			ret0(Instruction{Op: ClassALU64 | ALUMov | SrcX, Dst: R1, Src: 11}),
+			"invalid register r11"},
 		{"truncated_lddw",
 			[]Instruction{{Op: OpLdImmDW, Dst: R1, Imm: 1}},
 			"truncated lddw pair"},
@@ -123,11 +126,17 @@ func rejectionCases() []rejectionCase {
 			ret0(Call(99)),
 			"unknown helper function 99"},
 		{"jump_out_of_range",
-			[]Instruction{JmpImm(JmpJEQ, R0, 0, 5), Exit()},
-			"jump target 6 out of range"},
+			[]Instruction{JmpImm(JmpJEQ, R0, 0, 1), Exit()},
+			"jump target 2 out of range"},
 		{"jump32_out_of_range",
 			[]Instruction{JmpImm32(JmpJEQ, R0, 0, -3), Exit()},
 			"out of range"},
+		{"jump32_taken_path_checked",
+			[]Instruction{Mov64Imm(R1, 0), JmpImm32(JmpJEQ, R1, 0, 2), Mov64Imm(R0, 0), Exit(), Exit()},
+			"R0 is uninit at exit"},
+		{"jump32_past_end",
+			[]Instruction{JmpImm32(JmpJEQ, R0, 0, 1), Exit()},
+			"jump target 2 out of range"},
 		{"jump_into_lddw",
 			cat([]Instruction{JmpImm(JmpJEQ, R0, 0, 1)},
 				wide(LoadImm64(R1, 1), Mov64Imm(R0, 0), Exit())),
@@ -165,6 +174,9 @@ func rejectionCases() []rejectionCase {
 		{"back_edge",
 			[]Instruction{Ja(-1)},
 			"back-edge to 0"},
+		{"jump32_back_edge",
+			[]Instruction{Mov64Imm(R0, 0), JmpImm32(JmpJEQ, R0, 0, -2), Exit()},
+			"back-edge to 0"},
 		{"state_limit",
 			complex,
 			"program too complex: state limit exceeded"},
@@ -182,6 +194,10 @@ func rejectionCases() []rejectionCase {
 		{"mov32_of_pointer",
 			ret0(Instruction{Op: ClassALU | ALUMov | SrcX, Dst: R2, Src: R10}),
 			"32-bit mov of stack_ptr"},
+		{"mov32_truncates_known_offset", // -8 becomes 2^32-8
+			ret0(Mov64Imm(R1, -8), Instruction{Op: ClassALU | ALUMov | SrcX, Dst: R2, Src: R1},
+				Mov64Reg(R3, R10), Add64Reg(R3, R2), StoreImm(R3, 0, 0, SizeDW)),
+			"stack access [4294967800,4294967808) out of bounds"},
 		{"arith_on_maybe_null",
 			lookup(ret0(Add64Imm(R0, 1))...),
 			"arithmetic on possibly-null map value"},
@@ -206,6 +222,9 @@ func rejectionCases() []rejectionCase {
 			ret0(Mov64Reg(R2, R10),
 				Instruction{Op: ClassALU64 | ALUSub | SrcX, Dst: R2, Src: R1}),
 			"invalid pointer subtraction (stack_ptr - ctx)"},
+		{"fold_of_unknown_stays_unknown",
+			ret0(LoadMem(R6, R1, 0, SizeDW), And64Imm(R6, 0), Mov64Reg(R3, R10), Add64Reg(R3, R6)),
+			"pointer arithmetic with unknown scalar"},
 		{"invalid_op_on_pointer",
 			ret0(Mov64Reg(R2, R10),
 				Instruction{Op: ClassALU64 | ALUMul | SrcK, Dst: R2, Imm: 2}),
@@ -272,6 +291,9 @@ func rejectionCases() []rejectionCase {
 		{"cmp_pointer_kinds",
 			ret0(JmpReg(JmpJEQ, R10, R1, 0)),
 			"comparison of stack_ptr with ctx"},
+		{"cmp_pointer_with_scalar",
+			ret0(JmpImm(JmpJEQ, R1, 0, 0)),
+			"comparison of ctx with scalar"},
 
 		// --- helper argument checks ---
 		{"helper_arg_not_pointer",
@@ -321,11 +343,25 @@ func rejectionCases() []rejectionCase {
 				ret0(Mov64Reg(R2, R10), Add64Imm(R2, -8),
 					Call(HelperCMSEstimate))...),
 			`cms helper on non-cms map "h"`},
+		{"cms_update_increment_not_scalar",
+			wide(LoadMapFD(R1, 4),
+				ret0(StoreImm(R10, -8, 0, SizeDW), Mov64Reg(R2, R10), Add64Imm(R2, -8),
+					Mov64Reg(R3, R10), Call(HelperCMSUpdate))...),
+			"cms increment (R3)"},
 		{"hashpipe_insert_wrong_map",
 			wide(LoadMapFD(R1, 4),
 				ret0(Mov64Reg(R2, R10), Add64Imm(R2, -8),
 					Mov64Imm(R3, 1), Call(HelperHashPipeInsert))...),
 			`hashpipe_insert on non-hashpipe map "c"`},
+		{"hashpipe_key_uninitialized",
+			wide(LoadMapFD(R1, 5),
+				ret0(Mov64Reg(R2, R10), Add64Imm(R2, -8), Mov64Imm(R3, 1), Call(HelperHashPipeInsert))...),
+			"read of uninitialized stack byte 504"},
+		{"hashpipe_increment_not_scalar",
+			wide(LoadMapFD(R1, 5),
+				ret0(StoreImm(R10, -8, 0, SizeDW), Mov64Reg(R2, R10), Add64Imm(R2, -8),
+					Mov64Reg(R3, R10), Call(HelperHashPipeInsert))...),
+			"hashpipe increment (R3)"},
 		{"generic_helper_on_sketch",
 			cat([]Instruction{Mov64Imm(R2, 0), StoreMem(R10, -8, R2, SizeDW)},
 				wide(LoadMapFD(R1, 4),

@@ -40,6 +40,8 @@ func TestVerifierRejectsEmpty(t *testing.T) {
 	wantReject(t, nil, nil, "empty program")
 }
 
+// TestVerifierRejectsTooLong: MaxInstructions slots load, one more
+// does not.
 func TestVerifierRejectsTooLong(t *testing.T) {
 	insns := make([]Instruction, MaxInstructions+1)
 	for i := range insns {
@@ -47,6 +49,7 @@ func TestVerifierRejectsTooLong(t *testing.T) {
 	}
 	insns[len(insns)-1] = Exit()
 	wantReject(t, insns, nil, "too long")
+	wantAccept(t, insns[1:], nil)
 }
 
 func TestVerifierRejectsUninitR0AtExit(t *testing.T) {
@@ -133,6 +136,8 @@ func TestVerifierStackBounds(t *testing.T) {
 		LoadMem(R0, R10, -8, SizeDW),
 		Exit(),
 	}, nil)
+	// The frame's lowest byte.
+	wantAccept(t, []Instruction{StoreImm(R10, -StackSize, 0, SizeB), Mov64Imm(R0, 0), Exit()}, nil)
 	// Below the frame.
 	wantReject(t, []Instruction{
 		Mov64Imm(R2, 42),
@@ -307,15 +312,12 @@ func TestVerifierRejectsNonMapR1(t *testing.T) {
 }
 
 func TestVerifierCallClobbersCallerSaved(t *testing.T) {
-	// Using R1 after a call must fail: caller-saved registers are
+	// Using R1..R5 after a call must fail: caller-saved registers are
 	// clobbered.
-	a := NewAssembler()
-	a.Emit(
-		Call(HelperKtimeGetNS),
-		Mov64Reg(R0, R1), // R1 invalid after call
-		Exit(),
-	)
-	wantReject(t, a.MustAssemble(), nil, "uninitialized register r1")
+	for _, r := range []Register{R1, R5} {
+		wantReject(t, []Instruction{Mov64Imm(R5, 1), Call(HelperKtimeGetNS), Mov64Reg(R0, r), Exit()},
+			nil, "uninitialized register "+r.String())
+	}
 }
 
 func TestVerifierCalleeSavedSurviveCall(t *testing.T) {
@@ -342,6 +344,18 @@ func TestVerifierPointerSpillAndRestore(t *testing.T) {
 		Exit(),
 	)
 	wantAccept(t, a.MustAssemble(), nil)
+	// A store and an atomic add into the slot between two spills, the
+	// add through a misaligned base (fp-2, then -14: fp-16), keep both.
+	wantAccept(t, []Instruction{
+		StoreMem(R10, -8, R10, SizeDW), StoreMem(R10, -24, R10, SizeDW), StoreImm(R10, -16, 0, SizeDW),
+		Mov64Reg(R2, R10), Add64Imm(R2, -2), Mov64Imm(R3, 1), AtomicAdd64(R2, -14, R3),
+		LoadMem(R2, R10, -8, SizeDW), LoadMem(R4, R10, -24, SizeDW),
+		LoadMem(R0, R2, -16, SizeDW), LoadMem(R0, R4, -16, SizeDW), Exit(),
+	}, nil)
+	// A narrow reload of the slot reads raw bytes: a scalar.
+	wantReject(t, []Instruction{
+		StoreMem(R10, -8, R10, SizeDW), LoadMem(R2, R10, -8, SizeW), LoadMem(R0, R2, -8, SizeDW), Exit(),
+	}, nil, "memory access through scalar")
 }
 
 func TestVerifierRejectsMisalignedPointerSpill(t *testing.T) {
@@ -389,17 +403,23 @@ func TestVerifierRejects32BitALUOnPointer(t *testing.T) {
 	wantReject(t, a.MustAssemble(), nil, "32-bit")
 }
 
+// TestVerifierAllowsStackPointerDifference: the difference of two stack
+// pointers is a known scalar, and so is each constant-folded ALU result.
+// The program stores through fp + 4096*x, inside the frame only if the
+// verifier folds x to exactly 0.
 func TestVerifierAllowsStackPointerDifference(t *testing.T) {
-	a := NewAssembler()
-	a.Emit(
-		Mov64Reg(R2, R10),
-		Add64Imm(R2, -16),
-		Mov64Reg(R3, R10),
-		Mov64Reg(R0, R3),
-		Sub64Reg(R0, R2), // fp - (fp-16) = 16
-		Exit(),
-	)
-	wantAccept(t, a.MustAssemble(), nil)
+	wantAccept(t, []Instruction{
+		Mov64Reg(R2, R10), Add64Imm(R2, -16), Mov64Reg(R3, R10),
+		Mov64Reg(R4, R3), Sub64Reg(R4, R2), // fp - (fp-16) = 16
+		Mov64Imm(R5, -1), {Op: ClassALU | ALUAdd | SrcK, Dst: R5, Imm: 1}, // w5 = 0xffffffff + 1 = 0
+		Add64Reg(R4, R5),
+		Mov64Imm(R5, 1), Lsh64Imm(R5, 32), {Op: ClassALU | ALURsh | SrcK, Dst: R5, Imm: 1}, // w5 = uint32(1<<32) >> 1 = 0
+		Add64Reg(R4, R5),
+		Mov64Imm(R5, 1), Lsh64Imm(R5, 36), Rsh64Imm(R5, 32), // 1<<36 >> 32 = 16
+		Sub64Reg(R4, R5), Mul64Imm(R4, 4096),
+		Add64Reg(R3, R4), StoreImm(R3, -8, 0, SizeDW),
+		Mov64Imm(R0, 0), Exit(),
+	}, nil)
 }
 
 func TestVerifierRejectsAddTwoPointers(t *testing.T) {
@@ -439,6 +459,15 @@ func TestVerifierRingbufChecks(t *testing.T) {
 		return a.MustAssemble()
 	}
 	wantAccept(t, good(), maps)
+	// A record may fill the whole frame.
+	full := NewAssembler()
+	for off := -8; off >= -StackSize; off -= 8 {
+		full.Emit(StoreImm(R10, int16(off), 0, SizeDW))
+	}
+	full.EmitWide(LoadMapFD(R1, 1))
+	full.Emit(Mov64Reg(R2, R10), Add64Imm(R2, -StackSize), Mov64Imm(R3, StackSize), Mov64Imm(R4, 0),
+		Call(HelperRingbufOutput), Mov64Imm(R0, 0), Exit())
+	wantAccept(t, full.MustAssemble(), maps)
 
 	// ringbuf_output on a hash map must fail.
 	bad := good()
@@ -463,39 +492,6 @@ func TestVerifierRingbufRejectsUnknownSize(t *testing.T) {
 		Exit(),
 	)
 	wantReject(t, a.MustAssemble(), maps, "known constant")
-}
-
-func TestVerifierRingbufQueryChecks(t *testing.T) {
-	maps := map[int32]Map{
-		1: NewRingBuf("rb", 4096),
-		2: NewHashMap("h", 8, 8, 4),
-	}
-	good := func() []Instruction {
-		a := NewAssembler()
-		a.EmitWide(LoadMapFD(R1, 1))
-		a.Emit(
-			Mov64Imm(R2, RingbufAvailData),
-			Call(HelperRingbufQuery),
-			Exit(),
-		)
-		return a.MustAssemble()
-	}
-	wantAccept(t, good(), maps)
-
-	// ringbuf_query on a hash map must fail.
-	bad := good()
-	bad[0].Imm = 2
-	wantReject(t, bad, maps, "non-ringbuf")
-
-	// Pointer flags must fail.
-	a := NewAssembler()
-	a.EmitWide(LoadMapFD(R1, 1))
-	a.Emit(
-		Mov64Reg(R2, R10),
-		Call(HelperRingbufQuery),
-		Exit(),
-	)
-	wantReject(t, a.MustAssemble(), maps, "scalar")
 }
 
 func TestVerifierListingOneAccepted(t *testing.T) {
@@ -546,5 +542,14 @@ func TestVerifierComplexityLimit(t *testing.T) {
 	err := loadErr(t, b.MustAssemble(), nil)
 	if err == nil || !strings.Contains(err.Error(), "too complex") {
 		t.Fatalf("want complexity rejection, got %v", err)
+	}
+	// The budget itself is allowed: a mov, 16 forks and the exit visit
+	// 1 + 2^17 - 1 states.
+	ladder := []Instruction{Mov64Imm(R0, 0)}
+	for i := 0; i < 16; i++ {
+		ladder = append(ladder, JmpImm(JmpJEQ, R0, 0, 0))
+	}
+	if p := wantAccept(t, append(ladder, Exit()), nil); p.VerifierStates() != maxVerifierStates {
+		t.Fatalf("ladder explored %d states, want %d", p.VerifierStates(), maxVerifierStates)
 	}
 }

@@ -262,44 +262,6 @@ func TestVMMapLookupMiss(t *testing.T) {
 	}
 }
 
-func TestVMMapValueInPlaceUpdate(t *testing.T) {
-	// Increment a counter living in the map value, as the paper's
-	// in-kernel statistics programs do.
-	m := NewHashMap("m", 8, 8, 4)
-	key := u64key(5)
-	if err := m.Update(key, u64key(10), UpdateAny); err != nil {
-		t.Fatal(err)
-	}
-	a := NewAssembler()
-	a.Emit(
-		Mov64Imm(R2, 5),
-		StoreMem(R10, -8, R2, SizeDW),
-	)
-	a.EmitWide(LoadMapFD(R1, 1))
-	a.Emit(
-		Mov64Reg(R2, R10),
-		Add64Imm(R2, -8),
-		Call(HelperMapLookupElem),
-	)
-	a.JumpImm(JmpJEQ, R0, 0, "miss")
-	a.Emit(
-		LoadMem(R1, R0, 0, SizeDW),
-		Add64Imm(R1, 1),
-		StoreMem(R0, 0, R1, SizeDW),
-		Mov64Imm(R0, 0),
-		Exit(),
-	)
-	a.Label("miss")
-	a.Emit(Mov64Imm(R0, 1), Exit())
-	if got := runProg(t, a.MustAssemble(), map[int32]Map{1: m}, nil); got != 0 {
-		t.Fatalf("ret = %d", got)
-	}
-	v, _ := m.Lookup(key)
-	if binary.LittleEndian.Uint64(v) != 11 {
-		t.Fatalf("counter = %d, want 11", binary.LittleEndian.Uint64(v))
-	}
-}
-
 func TestVMMapDelete(t *testing.T) {
 	m := NewHashMap("m", 8, 8, 4)
 	if err := m.Update(u64key(1), u64key(1), UpdateAny); err != nil {
@@ -484,72 +446,5 @@ func TestPropertyVerifiedProgramsDoNotFault(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestVMListingOneSemantics(t *testing.T) {
-	// Execute the Listing 1 sys_enter program: matching pid and syscall
-	// id stores the timestamp keyed by pid_tgid.
-	start := NewHashMap("start", 8, 8, 1024)
-	mkProg := func(pidTgid uint64, id int64) *Program {
-		a := NewAssembler()
-		a.Emit(Mov64Reg(R6, R1))
-		a.Emit(Call(HelperGetCurrentPidTgid))
-		a.Emit(Mov64Reg(R7, R0))
-		a.EmitWide(LoadImm64(R2, pidTgid))
-		a.JumpReg(JmpJNE, R7, R2, "out")
-		a.Emit(LoadMem(R3, R6, 8, SizeDW))
-		a.JumpImm(JmpJNE, R3, int32(id), "out")
-		a.Emit(Call(HelperKtimeGetNS))
-		a.Emit(
-			StoreMem(R10, -16, R0, SizeDW),
-			StoreMem(R10, -8, R7, SizeDW),
-		)
-		a.EmitWide(LoadMapFD(R1, 1))
-		a.Emit(
-			Mov64Reg(R2, R10),
-			Add64Imm(R2, -8),
-			Mov64Reg(R3, R10),
-			Add64Imm(R3, -16),
-			Mov64Imm(R4, 0),
-			Call(HelperMapUpdateElem),
-		)
-		a.Label("out")
-		a.Emit(Mov64Imm(R0, 0), Exit())
-		return MustLoad(ProgramSpec{
-			Name: "sys_enter", Insns: a.MustAssemble(),
-			Maps: map[int32]Map{1: start}, CtxSize: 64,
-		})
-	}
-
-	ctx := make([]byte, 64)
-	binary.LittleEndian.PutUint64(ctx[8:], 232) // epoll_wait
-
-	// Wrong pid: no map write.
-	p := mkProg(testEnv.PidTgid+1, 232)
-	if _, _, err := p.Run(ctx, testEnv); err != nil {
-		t.Fatal(err)
-	}
-	if start.Len() != 0 {
-		t.Fatal("filtered pid should not write")
-	}
-
-	// Wrong syscall: no map write.
-	p = mkProg(testEnv.PidTgid, 999)
-	if _, _, err := p.Run(ctx, testEnv); err != nil {
-		t.Fatal(err)
-	}
-	if start.Len() != 0 {
-		t.Fatal("filtered syscall should not write")
-	}
-
-	// Match: timestamp stored under pid_tgid.
-	p = mkProg(testEnv.PidTgid, 232)
-	if _, _, err := p.Run(ctx, testEnv); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := start.Lookup(u64key(testEnv.PidTgid))
-	if !ok || binary.LittleEndian.Uint64(v) != testEnv.TimeNS {
-		t.Fatalf("stored ts = %v, %v", v, ok)
 	}
 }

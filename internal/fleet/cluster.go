@@ -204,13 +204,12 @@ func (c *Cluster) collect(nominal sim.Time) Rollup {
 			missed++
 			continue // previous sample stays; ages toward staleness
 		}
-		raw := n.Export()
-		if err := n.last.Metrics.Decode(raw); err != nil {
+		if err := n.last.Metrics.Decode(n.Export()); err != nil {
 			// AppendProm output is Decode's own format; failing to read
 			// it back is a programming error, not a data error.
 			panic(fmt.Sprintf("fleet: node %d export unparsable: %v", n.ID, err))
 		}
-		n.last.At, n.last.Raw = c.targets[i], raw
+		n.last.At = c.targets[i]
 		n.lastOK = true
 	}
 	return computeRollup(c.epoch, nominal, c.Nodes, c.opt.TopK, missed, c.opt.Scrape.Staleness)

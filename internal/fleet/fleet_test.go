@@ -117,11 +117,10 @@ func TestFleetFaultIsolation(t *testing.T) {
 			c.ScrapeEpoch()
 			raws := make([][]byte, len(c.Nodes))
 			for id := range c.Nodes {
-				s, ok := c.Nodes[id].last, c.Nodes[id].lastOK
-				if !ok {
+				if !c.Nodes[id].lastOK {
 					t.Fatalf("epoch %d: node %d never scraped", e, id)
 				}
-				raws[id] = append([]byte(nil), s.Raw...)
+				raws[id] = append([]byte(nil), c.Nodes[id].scratch...)
 			}
 			epochs = append(epochs, raws)
 		}
@@ -216,7 +215,7 @@ func TestRollupExcludesStaleNotZeroFill(t *testing.T) {
 
 // TestScrapeViewMatchesFreshDecode is the fleet side of the decoder's
 // stale-state check: the view a node keeps re-decoding into must equal
-// a fresh decode of that scrape's Raw, epoch after epoch, across an
+// a fresh decode of that scrape's text, epoch after epoch, across an
 // instrument registered mid-run (it sorts first, so every later series
 // moves one slot down).
 func TestScrapeViewMatchesFreshDecode(t *testing.T) {
@@ -235,7 +234,7 @@ func TestScrapeViewMatchesFreshDecode(t *testing.T) {
 		for id := range c.Nodes {
 			s := c.Nodes[id].last
 			var fresh telemetry.Series
-			if err := fresh.Decode(s.Raw); err != nil {
+			if err := fresh.Decode(c.Nodes[id].scratch); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(fresh, s.Metrics) {
@@ -251,7 +250,7 @@ func TestScrapeViewMatchesFreshDecode(t *testing.T) {
 
 // TestScrapePlaneAllocs pins the scraper's steady-state budget: behind
 // the barrier an epoch allocates the two ranking slices of the rollup,
-// nothing else (each Raw is its node's reused export buffer).
+// nothing else (each export is its node's reused scratch buffer).
 func TestScrapePlaneAllocs(t *testing.T) {
 	c := NewCluster(Options{
 		Seed:   9,

@@ -17,10 +17,6 @@ type Sample struct {
 	// equal the exporter's values bit-for-bit. The node's next
 	// successful scrape decodes into the same storage.
 	Metrics telemetry.Series
-
-	// Raw is the node's export buffer, valid until its next successful
-	// scrape; tests copy it to compare runs byte for byte.
-	Raw []byte `json:"-"`
 }
 
 // NodeStat is one node's entry in a rollup ranking.

@@ -309,7 +309,6 @@ type SweepPoint struct {
 // SweepResult is a full load sweep with the QoS crossing located.
 type SweepResult struct {
 	Workload string
-	QoS      time.Duration
 	Points   []SweepPoint
 	// QoSCrossIdx is the first point violating QoS, or -1.
 	QoSCrossIdx int
@@ -347,7 +346,7 @@ func sweepGap(c Cell) SweepPoint { return SweepPoint{Level: c.Level, Gap: true} 
 // assembleSweep orders points into a SweepResult and locates the QoS
 // crossing.
 func assembleSweep(spec workloads.Spec, points []SweepPoint) SweepResult {
-	res := SweepResult{Workload: spec.Name, QoS: spec.QoS, QoSCrossIdx: -1}
+	res := SweepResult{Workload: spec.Name, QoSCrossIdx: -1}
 	for _, p := range points {
 		if p.QoSFail && res.QoSCrossIdx < 0 {
 			res.QoSCrossIdx = len(res.Points)

@@ -25,7 +25,6 @@ func assertClean(t *testing.T, s string) {
 func gappedSweep() SweepResult {
 	return SweepResult{
 		Workload: "silo",
-		QoS:      500 * time.Microsecond,
 		Points: []SweepPoint{
 			{Level: 0.3, RealRPS: 3000, ObsvRPS: 2990, SendVarUS2: 10, PollMeanNS: 1000, P99: 100 * time.Microsecond},
 			{Level: 0.6, Gap: true},

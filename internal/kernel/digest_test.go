@@ -60,12 +60,12 @@ func digestProg(hook int32, tp Tracepoint, sum *ebpf.ArrayMap, offs ...int16) *e
 // stray wakes landing on threads that are waiting out a run — and
 // returns a hash of everything an observer can see of the schedule, plus
 // the readable part of it for the failure message.
-func scheduleDigest(t *testing.T, seed int64, ncpu, nthreads int) (digest, summary string) {
+func scheduleDigest(t *testing.T, seed int64, ncpu, nthreads int, switchCost time.Duration) (digest, summary string) {
 	t.Helper()
 	env := sim.NewEnv(seed)
 	k := New(env, machine.Profile{
 		Name: "digest", Sockets: 1, CoresPerSock: ncpu, ThreadsPerCore: 1,
-		ContextSwitchCost: 2 * time.Microsecond,
+		ContextSwitchCost: switchCost,
 		SyscallCost:       300 * time.Nanosecond,
 		TimeSlice:         100 * time.Microsecond,
 	})
@@ -169,25 +169,28 @@ func scheduleDigest(t *testing.T, seed int64, ncpu, nthreads int) (digest, summa
 // recorded from the scheduler that ran every stage of a compute on the
 // thread's own coroutine, before compute became a continuation driven
 // from event-loop context; any change that moves a tracepoint, a
-// counter, a charged nanosecond or the event count moves them.
+// counter, a charged nanosecond or the event count moves them. The
+// free-switch row, added later, holds the zero cost to costing no event.
 func TestScheduleDigest(t *testing.T) {
 	cases := []struct {
 		seed           int64
 		ncpu, nthreads int
+		switchCost     time.Duration
 		want           string
 	}{
-		{1, 8, 16, "c98fba6b17041b5e"},
-		{2, 8, 16, "2ad245101226e0b5"},
-		{3, 8, 16, "3d85dd66a991b94c"},
-		{1, 1, 3, "1013865423fe1d44"},
-		{2, 1, 3, "497597fc44805eb0"},
-		{3, 1, 3, "c8d662e2fcbcaa20"},
+		{1, 8, 16, 2 * time.Microsecond, "c98fba6b17041b5e"},
+		{2, 8, 16, 2 * time.Microsecond, "2ad245101226e0b5"},
+		{3, 8, 16, 2 * time.Microsecond, "3d85dd66a991b94c"},
+		{1, 1, 3, 2 * time.Microsecond, "1013865423fe1d44"},
+		{2, 1, 3, 2 * time.Microsecond, "497597fc44805eb0"},
+		{3, 1, 3, 2 * time.Microsecond, "c8d662e2fcbcaa20"},
+		{1, 8, 16, 0, "0831cdedd1219cef"},
 	}
 	for _, c := range cases {
-		got, summary := scheduleDigest(t, c.seed, c.ncpu, c.nthreads)
+		got, summary := scheduleDigest(t, c.seed, c.ncpu, c.nthreads, c.switchCost)
 		if got != c.want {
-			t.Errorf("seed %d, %d threads on %d CPUs: digest %s, want %s\n%s",
-				c.seed, c.nthreads, c.ncpu, got, c.want, summary)
+			t.Errorf("seed %d, %d threads on %d CPUs, switch cost %v: digest %s, want %s\n%s",
+				c.seed, c.nthreads, c.ncpu, c.switchCost, got, c.want, summary)
 		}
 	}
 }

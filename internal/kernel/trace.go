@@ -105,7 +105,6 @@ type SyscallEvent struct {
 	Thread *Thread
 	NR     int
 	Enter  bool
-	Args   [6]uint64
 	Ret    int64
 }
 
@@ -251,7 +250,7 @@ func (tr *Tracer) SMPProcessorID() uint32 {
 // in-kernel cost); sysExit is the same for sys_exit.
 func (tr *Tracer) sysEnter(t *Thread, nr int, args [6]uint64) time.Duration {
 	for _, fn := range tr.listeners {
-		fn(SyscallEvent{Time: tr.k.env.Now(), Thread: t, NR: nr, Enter: true, Args: args})
+		fn(SyscallEvent{Time: tr.k.env.Now(), Thread: t, NR: nr, Enter: true})
 	}
 	links := tr.links[RawSysEnter]
 	if len(links) == 0 {

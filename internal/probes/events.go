@@ -40,12 +40,11 @@ const (
 // MetricEvent is one decoded fixed-size metric record from a Delta or
 // Poll probe built with a ring.
 type MetricEvent struct {
-	Time    sim.Time
-	PidTgid uint64
-	NR      int
-	Kind    uint8  // EventDelta or EventPoll
-	First   bool   // EventDelta only: warmup call carrying no delta
-	Value   uint64 // delta ns or poll duration ns; 0 when First
+	Time  sim.Time
+	NR    int
+	Kind  uint8  // EventDelta or EventPoll
+	First bool   // EventDelta only: warmup call carrying no delta
+	Value uint64 // delta ns or poll duration ns; 0 when First
 }
 
 // DecodeEvent parses one raw ring-buffer record.
@@ -56,12 +55,11 @@ func DecodeEvent(rec []byte) (MetricEvent, error) {
 	nrWord := binary.LittleEndian.Uint64(rec[evOffNR:])
 	meta := uint32(nrWord >> 32)
 	return MetricEvent{
-		Time:    sim.Time(binary.LittleEndian.Uint64(rec[evOffTS:])),
-		PidTgid: binary.LittleEndian.Uint64(rec[evOffPidTgid:]),
-		NR:      int(uint32(nrWord)),
-		Kind:    uint8(meta >> evMetaKindShift),
-		First:   meta&evMetaFirst != 0,
-		Value:   binary.LittleEndian.Uint64(rec[evOffValue:]),
+		Time:  sim.Time(binary.LittleEndian.Uint64(rec[evOffTS:])),
+		NR:    int(uint32(nrWord)),
+		Kind:  uint8(meta >> evMetaKindShift),
+		First: meta&evMetaFirst != 0,
+		Value: binary.LittleEndian.Uint64(rec[evOffValue:]),
 	}, nil
 }
 

@@ -81,9 +81,6 @@ func TestDeltaProbeStreamMatchesAggregates(t *testing.T) {
 		if ev.NR != kernel.SysSendto || ev.Kind != EventDelta {
 			t.Fatalf("event = %+v", ev)
 		}
-		if tgid := int(ev.PidTgid >> 32); tgid != srv.TGID() {
-			t.Fatalf("TGID = %d, want %d", tgid, srv.TGID())
-		}
 	}
 	// The event stream must reconstruct the aggregate map bit-for-bit.
 	if got, want := foldDelta(evs), probe.Snapshot(); got != want {

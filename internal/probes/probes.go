@@ -131,7 +131,6 @@ const (
 type DeltaProbe struct {
 	probe
 	Stats *ebpf.ArrayMap
-	Ring  *ebpf.RingBuf // nil: aggregate-only
 }
 
 // NewDeltaProbe builds and verifies the delta program for the syscall
@@ -146,7 +145,7 @@ func NewDeltaProbe(name string, tgid int, nrs []int, ring *ebpf.RingBuf) (*Delta
 	if err != nil {
 		return nil, err
 	}
-	p := &DeltaProbe{Stats: ebpf.NewArrayMap(name+"_stats", dsValueSize, 1), Ring: ring}
+	p := &DeltaProbe{Stats: ebpf.NewArrayMap(name+"_stats", dsValueSize, 1)}
 	maps := map[int32]ebpf.Map{fdStats: p.Stats}
 
 	// Event record scratch at the top of the frame, [-EventSize, 0). The

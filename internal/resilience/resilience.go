@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"reqlens/internal/sim"
@@ -37,7 +36,6 @@ type PointError struct {
 	Kind     string // KindPanic or KindDeadline
 	Cause    string // panic value or timeout detail, rendered
 	Attempts int    // attempts consumed, including the first
-	Stack    []byte // goroutine stack at the recovered panic
 }
 
 func (e *PointError) Error() string {
@@ -154,7 +152,7 @@ func runAttempt[T any](s *Supervisor, p Point, attempt int, fn func(int, *sim.Cl
 	clock := sim.NewClock(s.opt.Deadline)
 	defer func() {
 		if r := recover(); r != nil {
-			perr = s.classify(p, attempt, r, debug.Stack())
+			perr = s.classify(p, attempt, r)
 		}
 	}()
 	s.opt.Chaos.inject(p, attempt, clock)
@@ -165,8 +163,8 @@ func runAttempt[T any](s *Supervisor, p Point, attempt int, fn func(int, *sim.Cl
 // classify turns a recovered panic value into a PointError and bumps
 // the matching counter. sim.Timeout — the budget check unwinding a hung
 // rig — is a deadline kill; everything else is a recovered panic.
-func (s *Supervisor) classify(p Point, attempt int, r any, stack []byte) *PointError {
-	pe := &PointError{Point: p, Attempts: attempt + 1, Stack: stack}
+func (s *Supervisor) classify(p Point, attempt int, r any) *PointError {
+	pe := &PointError{Point: p, Attempts: attempt + 1}
 	if to, ok := r.(sim.Timeout); ok {
 		pe.Kind = KindDeadline
 		pe.Cause = to.Error()

@@ -28,15 +28,9 @@ type CUSUM struct {
 }
 
 // NewCUSUM returns a detector with the given drift (k) and threshold
-// (h). Non-positive parameters take the conventional defaults k=0.5,
-// h=5 (tuned for ~1-sigma-resolution shifts on standardized input).
+// (h), both positive. k=0.5, h=5 is the conventional tuning for
+// ~1-sigma-resolution shifts on standardized input.
 func NewCUSUM(drift, threshold float64) *CUSUM {
-	if drift <= 0 {
-		drift = 0.5
-	}
-	if threshold <= 0 {
-		threshold = 5
-	}
 	return &CUSUM{Drift: drift, Threshold: threshold}
 }
 
@@ -69,16 +63,10 @@ type EWMA struct {
 	z float64
 }
 
-// NewEWMA returns a chart with the given smoothing weight and control
-// limit. Out-of-range parameters take the conventional defaults
-// lambda=0.25, limit=4.
+// NewEWMA returns a chart with the given smoothing weight, in (0, 1],
+// and a positive control limit; lambda=0.25, limit=4 is the
+// conventional tuning.
 func NewEWMA(lambda, limit float64) *EWMA {
-	if lambda <= 0 || lambda > 1 {
-		lambda = 0.25
-	}
-	if limit <= 0 {
-		limit = 4
-	}
 	return &EWMA{Lambda: lambda, Limit: limit}
 }
 

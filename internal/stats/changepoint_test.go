@@ -134,8 +134,8 @@ func TestCUSUMRampDetection(t *testing.T) {
 	}
 }
 
-// TestCUSUMStatClamps: the statistic grows on a large residual and
-// never goes below 0.
+// TestCUSUMStatClamps: the statistic grows on a large residual, never
+// goes below 0, and alarms only strictly above the threshold.
 func TestCUSUMStatClamps(t *testing.T) {
 	c := NewCUSUM(0.5, 1)
 	c.Observe(5)
@@ -145,18 +145,8 @@ func TestCUSUMStatClamps(t *testing.T) {
 	if c.Observe(-8); c.stat != 0 {
 		t.Fatalf("negative residuals must clamp at 0, got %v", c.stat)
 	}
-}
-
-// TestCUSUMDefaults: non-positive construction parameters take the
-// conventional k=0.5, h=5.
-func TestCUSUMDefaults(t *testing.T) {
-	c := NewCUSUM(0, 0)
-	if c.Drift != 0.5 || c.Threshold != 5 {
-		t.Fatalf("defaults = (%v, %v); want (0.5, 5)", c.Drift, c.Threshold)
-	}
-	e := NewEWMA(0, 0)
-	if e.Lambda != 0.25 || e.Limit != 4 {
-		t.Fatalf("EWMA defaults = (%v, %v); want (0.25, 4)", e.Lambda, e.Limit)
+	if c.Observe(1.5) {
+		t.Fatalf("alarm with the statistic at the threshold (%v)", c.stat)
 	}
 }
 
@@ -179,6 +169,13 @@ func TestEWMAFalsePositiveRate(t *testing.T) {
 // property the detector's poll-duration channel needs, since a netem
 // onset can move the slack signal either way.
 func TestEWMATwoSided(t *testing.T) {
+	// At lambda 1 the chart is the last sample and sigma_Z is 1: the
+	// limits are ±Limit, outside them only.
+	for x, want := range map[float64]bool{1: false, -1: false, 1.5: true, -1.5: true} {
+		if got := NewEWMA(1, 1).Observe(x); got != want {
+			t.Fatalf("EWMA(1, 1).Observe(%v) = %v, want %v", x, got, want)
+		}
+	}
 	const t0 = 500
 	for _, shift := range []float64{3, -3} {
 		e := NewEWMA(0.25, 6)

@@ -1,0 +1,50 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestTinyPackage mutates testdata/tiny, whose three mutants are one of
+// each kind, and requires the target to be untouched afterwards.
+func TestTinyPackage(t *testing.T) {
+	const target = "testdata/tiny/tiny.go"
+	before, err := os.ReadFile(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := run("testdata/tiny", "tiny.go", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range ms {
+		got = append(got, m.String())
+	}
+	want := []string{
+		"tiny.go:9:2 if→!if: killed by TestMax",
+		"tiny.go:9:7 >→>=: SURVIVED",
+		"tiny.go:16:47 +→-: invalid",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("mutants:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if score := score("tiny.go", ms); score != "tiny.go: 1/2 killed (50.0 %), 1 invalid" {
+		t.Errorf("score: %s", score)
+	}
+	// A listed mutant that is now killed names its killer; an annotated
+	// survivor keeps its note.
+	notes := map[string]string{"tiny.go:9:2 if→!if": "", "tiny.go:9:7 >→>=": "equivalent: a == b returns b"}
+	if open := annotate(notes, []string{"tiny.go"}, ms); len(open) > 0 {
+		t.Errorf("open survivors: %v", open)
+	}
+	if got := render(notes); !strings.HasSuffix(got, "\ntiny.go:9:2 if→!if\tkilled: TestMax\ntiny.go:9:7 >→>=\tequivalent: a == b returns b\n") {
+		t.Errorf("survivors file:\n%s", got)
+	}
+	if after, err := os.ReadFile(target); err != nil || !bytes.Equal(before, after) {
+		t.Errorf("the run changed %s (%v)", target, err)
+	}
+}

@@ -12,17 +12,16 @@ import (
 // lddw — fusing three adjacent-pair idioms by rewriting the pair's
 // leader. dispatch is a single for/switch over that array. Each case is
 // an op's hot half: it tests the operand tags once and works in place.
-// Anything else — pointer and map-handle operands, a live spill slot,
-// every fault — leaves the switch for the one cold tail, which runs the
-// slot through vm.go's generic per-op routines (vm.alu, vm.branch,
-// vm.load, vm.store, vm.atomic and vm.call).
+// Anything else leaves the switch for the one cold tail, cold, which
+// runs the few forms the verifier admits that a hot half refuses —
+// pointer arithmetic with a known scalar, stack − stack, a pointer
+// compare for equality, a pointer spill and its restore — and faults on
+// everything else. Only a program that bypassed the verifier reaches
+// that fault; it is defense in depth, not a second semantics.
 //
-// The tests hold the engine to a decode-per-step oracle over those same
-// routines (oracle_test.go), bit for bit, including runtime fault
-// messages and RunStats accounting; the differential suite
-// (differential_test.go) executes every generated and fuzzed program on
-// the oracle, Program.Run and a reference evaluator and requires
-// full-state agreement.
+// The differential suite (differential_test.go) executes every
+// generated and fuzzed program on Program.Run and on a reference
+// evaluator and requires full-state agreement.
 //
 // Run state is parked on its Program between runs: the register file,
 // the stack, the spill tracking, and the map-value region arena all
@@ -41,7 +40,7 @@ type opcode uint8
 
 const (
 	// opCold has no hot half: undefined op codes, malformed or
-	// unresolvable wide loads, invalid atomics. Always the cold tail.
+	// unresolvable wide loads, invalid atomics. The cold tail faults.
 	opCold opcode = iota
 
 	// Scalar ALU, either width (op.mask) and operand mode (op.reg).
@@ -73,7 +72,7 @@ const (
 	opJne
 	opJsgt
 	opJsge
-	opCall // any helper without a form below, through vm.call
+	opCall // the ring buffer and sketch helpers, through vm.call
 	opExit
 	opJlt
 	opJle
@@ -96,7 +95,7 @@ const (
 	opAtomic
 
 	// Fused pairs (width 2). The second slot keeps its own record: it
-	// runs when the leader refuses or the budget ends between the two.
+	// runs when the leader refuses.
 	opLea        // mov64 dst, src ; add64 dst, imm
 	opMovExit    // mov64 r0, imm ; exit
 	opCallEnvMov // call <env helper> ; mov64 dst, r0
@@ -170,7 +169,7 @@ func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 		clear(m.stackMem[m.stackLo:])
 	}
 	m.stackLo = StackSize
-	m.prog, m.env = p, env
+	m.env = env
 	m.steps = 0
 	m.regs = [regMask + 1]word{}
 	m.ctx.data = ctx
@@ -187,7 +186,7 @@ func getVM(p *Program, ctx []byte, env HelperEnv) *vm {
 // (the ctx slice, the helper env), and parks it on the Program for the
 // next run.
 func putVM(p *Program, m *vm) {
-	m.prog, m.env = nil, nil
+	m.env = nil
 	m.ctx.data = nil
 	p.rsCache = m
 }
@@ -201,19 +200,18 @@ const maxVMSteps = 4 * MaxInstructions
 // start and reports each record dispatched and whether it went cold.
 var opTrace func(c opcode, cold bool)
 
-// execCompiled runs the decoded program. dispatch checks the budget only
-// where a program can loop — at taken jumps — which is safe while a
-// whole straight-line segment (at most len(code) steps) still fits;
-// past that, and once dispatch falls off the end, the loop below dispatches
-// the same array one slot at a time with a step loop's exact checks
-// before each, so "instruction budget exhausted" and "pc out of range"
-// land on the same instruction, with the same partial RunStats, as in a
-// run that checks before every slot.
+// execCompiled runs the decoded program. dispatch checks the budget
+// only where a program can loop — at taken jumps and cold ops — so a run
+// may overshoot it by one straight-line segment before it faults; a
+// verified program, loop-free, never reaches it. A dispatch that returns
+// neither an exit nor a fault has run past the budget or off the
+// program, and the loop below faults. Under opTrace the loop
+// single-steps the same array instead, one window of one op at a time.
 func (p *Program) execCompiled(m *vm) (uint64, error) {
 	code := p.code
 	pc, err := 0, error(nil)
 	if opTrace == nil {
-		pc, err = p.dispatch(m, code, 0, maxVMSteps-len(code))
+		pc, err = p.dispatch(m, code, 0, maxVMSteps)
 	}
 	for err == nil && pc != exitOp {
 		if m.steps > maxVMSteps {
@@ -223,15 +221,8 @@ func (p *Program) execCompiled(m *vm) (uint64, error) {
 			return 0, m.fault(pc, "pc out of range")
 		}
 		d, cold := &code[pc], p.coldOps
-		if m.steps == maxVMSteps && d.width == 2 && d.code != opLddw {
-			// Only a fused pair's first half is inside the budget.
-			pc, err = p.coldStep(m, pc)
-		} else {
-			pc, err = p.dispatch(m, code[:pc+int(d.width)], pc, -1)
-		}
-		if opTrace != nil {
-			opTrace(d.code, p.coldOps != cold)
-		}
+		pc, err = p.dispatch(m, code[:pc+int(d.width)], pc, -1)
+		opTrace(d.code, p.coldOps != cold)
 	}
 	return m.ret, err
 }
@@ -242,14 +233,6 @@ func (p *Program) execCompiled(m *vm) (uint64, error) {
 func (m *vm) retire(n int) {
 	m.stats.Instructions += n
 	m.steps += n
-}
-
-// coldStep runs slot pc through cold, accounted as a step loop accounts
-// any dispatch: one step and one slot before it executes.
-func (p *Program) coldStep(m *vm, pc int) (int, error) {
-	p.coldOps++
-	m.retire(1)
-	return m.cold(pc)
 }
 
 // dispatch runs code from pc until the program exits (it returns
@@ -535,11 +518,10 @@ top:
 			continue
 		}
 
-		// The cold tail: whatever the hot half refused, and opCold. A
-		// fused leader runs as its first half alone; the second slot's
-		// own record is next.
-		m.retire(pc - 1 - seg)
-		if pc, err = p.coldStep(m, pc-1); err != nil || m.steps > soft {
+		// The cold tail: whatever the hot half refused, and opCold.
+		m.retire(pc - seg)
+		p.coldOps++
+		if pc, err = m.cold(pc-1, d); err != nil || m.steps > soft {
 			return pc, err
 		}
 		seg = pc
@@ -557,75 +539,82 @@ taken:
 	return pc, nil
 }
 
-// cold is the single-slot step behind every hot half: the generic
-// per-op routine for the slot, over the parked run state (spills live in
-// spillMask/spillW, stack writes keep dirtyStack's books). It handles
-// what dispatch can send it — any refusal, and the first half of a fused
-// pair — and returns the successor.
-func (m *vm) cold(pc int) (int, error) {
-	in := m.prog.insns[pc]
-	next := pc + 1
-	var err error
-	switch cls := in.Class(); cls {
-	case ClassALU64, ClassALU:
-		err = m.alu(pc, in, cls == ClassALU)
-	case ClassLD:
-		if !in.IsWideLoad() || next >= len(m.prog.insns) {
-			return 0, m.fault(pc, "invalid LD instruction")
+// unverified is the cold tail's one fault: the slot's operands are a
+// form the verifier would have rejected.
+const unverified = "not a verified form"
+
+// cold runs slot pc, whose hot half d refused, and returns its
+// successor. It implements the forms the verifier admits with no hot
+// half: 64-bit add or sub of a pointer and a known scalar (in either
+// order for add), stack − stack, a register-mode jeq/jne of a pointer
+// against zero or against a pointer into the same region, and the
+// aligned 8-byte spill of a pointer or map handle to the stack and
+// every 8-byte load while a spill is live. A fused lea runs its mov
+// half, and its add, next, refuses on its own. Anything else faults.
+func (m *vm) cold(pc int, d *op) (int, error) {
+	a, b := &m.regs[d.dst&regMask], word{v: d.k}
+	if d.reg {
+		b = m.regs[d.src&regMask]
+	}
+	wide := d.mask == ^uint64(0) && d.sh == 0
+	switch d.code {
+	case opLea: // the mov half
+		*a = b
+		return pc + 1, nil
+	case opAdd, opSub:
+		sub := d.code == opSub
+		switch {
+		case !wide: // 32-bit: no pointer form
+		case a.isPointer() && b.region == nil && sub: // pointer − known scalar
+			a.v -= b.v
+			return pc + 1, nil
+		case a.isPointer() && b.region == nil: // pointer + known scalar
+			a.v += b.v
+			return pc + 1, nil
+		case a.region == nil && b.isPointer() && !sub: // known scalar + pointer
+			b.v += a.v
+			*a = b
+			return pc + 1, nil
+		case a.region == &m.stack && b.region == &m.stack && sub:
+			*a = word{v: a.v - b.v}
+			return pc + 1, nil
 		}
-		return 0, m.fault(pc, "unknown map fd %d", in.Imm)
-	case ClassLDX:
-		base, off := m.regs[in.Src], int64(in.Off)
-		if w, ok := m.restore(base, off, in.Size()); ok {
-			m.regs[in.Dst] = w
+	case opJeq, opJne: // register mode: an immediate zero decoded to opJeq0/opJne0
+		same, null := b.region == a.region, b.region == nil && b.v == 0
+		if !wide || !a.isPointer() || !(same || null) {
 			break
 		}
-		var v uint64
-		if v, err = m.load(pc, base, off, in.Size()); err == nil {
-			m.regs[in.Dst] = word{v: v}
+		if eq := same && a.v == b.v; eq == (d.code == opJeq) {
+			return int(d.tgt), nil
 		}
-	case ClassSTX:
-		s, base, off := m.regs[in.Src], m.regs[in.Dst], int64(in.Off)
-		switch {
-		case in.Op&0xe0 == ModeAtomic && s.region != nil:
-			err = m.fault(pc, "atomic add of a pointer")
-		case in.Op&0xe0 == ModeAtomic:
-			err = m.atomic(pc, in, s.v) // storeHot refused: vm.atomic has the fault
-		case s.region != nil && (!base.isPointer() || base.region.kind != regionStack || in.Size() != 8):
-			// Pointer/handle spill: verifier-restricted to aligned 8-byte
-			// stack slots; the raw bytes hold the word's region offset.
-			err = m.fault(pc, "pointer can only be spilled to an aligned 8-byte stack slot")
-		case s.region != nil && (int64(base.v)+off)%8 != 0:
-			err = m.fault(pc, "pointer spill must be 8-byte aligned")
-		case !m.storeHot(base, off, in.Size(), s.v, false):
-			err = m.store(pc, base, off, in.Size(), s.v)
-		case s.isPointer():
-			idx := uint64(int64(base.v)+off) >> 3
-			m.spillW[idx] = s
-			m.spillMask |= 1 << idx
-		}
-	case ClassST: // storeHot refused: vm.store has the fault
-		err = m.store(pc, m.regs[in.Dst], int64(in.Off), in.Size(), uint64(int64(in.Imm)))
-	default: // ClassJMP, ClassJMP32
-		switch op := in.JmpOp(); {
-		case cls == ClassJMP && op == JmpExit:
-			err = m.fault(pc, "exit with non-scalar R0")
-		case cls == ClassJMP && op == JmpCall:
-			err = m.call(pc, in.Imm)
-		default:
-			var taken bool
-			if taken, err = m.branch(pc, in); taken {
-				next += int(in.Off)
+		return pc + 1, nil
+	case opStx8: // a spill: a pointer's word is live until overwritten, a handle's is its raw bytes
+		start := int64(a.v) + int64(d.off)
+		if a.region == &m.stack && start&7 == 0 && m.storeHot(*a, int64(d.off), 8, b.v, false) {
+			if b.isPointer() {
+				m.spillW[start>>3] = b
+				m.spillMask |= 1 << (start >> 3)
 			}
+			return pc + 1, nil
+		}
+	case opLdx8:
+		base := m.regs[d.src&regMask]
+		if w, ok := m.restore(base, int64(d.off)); ok {
+			*a = w
+			return pc + 1, nil
+		}
+		if data, ok := fastSlice(base, int64(d.off), 8); ok {
+			*a = word{v: loadLE(data, 8)}
+			return pc + 1, nil
 		}
 	}
-	return next, err
+	return 0, m.fault(pc, unverified)
 }
 
 // restore returns the pointer spilled to the aligned 8-byte stack slot
-// an LDX addresses, if that slot is live.
-func (m *vm) restore(base word, off int64, size int) (word, bool) {
-	if size == 8 && m.spillMask != 0 && base.region != nil && base.region.kind == regionStack {
+// an 8-byte load addresses, if that slot is live.
+func (m *vm) restore(base word, off int64) (word, bool) {
+	if base.region == &m.stack {
 		if start := int64(base.v) + off; start&7 == 0 {
 			if idx := uint64(start) >> 3; idx < spillSlots && m.spillMask&(1<<idx) != 0 {
 				return m.spillW[idx], true
@@ -649,7 +638,7 @@ func (m *vm) scalars(d *op) (*word, uint64, bool) {
 }
 
 // setR0Scalar installs a helper's scalar return value and clobbers the
-// caller-saved argument registers, as vm.call does.
+// caller-saved argument registers.
 func (m *vm) setR0Scalar(v uint64) { m.setR0Word(word{v: v}) }
 
 // setR0Word is setR0Scalar for non-scalar returns (map-value pointers).
@@ -673,15 +662,16 @@ func (m *vm) envCall(id uint64) uint64 {
 
 // mapCall is the hot half of map_lookup_elem, map_update_elem and
 // map_delete_elem: handle and sizes from the mapHandle, arguments in
-// bounds, and a type switch so the two map types probes use are
-// direct calls. false means nothing happened and vm.call has the fault.
+// bounds (a zero-size key or value, a ring buffer's, touches no memory),
+// and a type switch so the two map types probes use are direct calls.
+// false means nothing happened and the cold tail faults.
 func (m *vm) mapCall(id uint64) bool {
 	h := m.regs[R1].handle()
 	if h == nil {
 		return false
 	}
 	key, ok := fastSlice(m.regs[R2], 0, h.keySize)
-	if !ok {
+	if !ok && h.keySize != 0 {
 		return false
 	}
 	var err error
@@ -704,7 +694,7 @@ func (m *vm) mapCall(id uint64) bool {
 	case HelperMapUpdateElem:
 		val, ok := fastSlice(m.regs[R3], 0, h.valueSize)
 		flags := m.regs[R4]
-		if !ok || flags.region != nil {
+		if (!ok && h.valueSize != 0) || flags.region != nil {
 			return false
 		}
 		switch mp := h.m.(type) {
@@ -715,7 +705,7 @@ func (m *vm) mapCall(id uint64) bool {
 		default:
 			err = mp.Update(key, val, int(flags.v))
 		}
-		m.setR0Status(err)
+		m.setR0Status(err == nil)
 	default:
 		switch mp := h.m.(type) {
 		case *HashMap:
@@ -725,28 +715,27 @@ func (m *vm) mapCall(id uint64) bool {
 		default:
 			err = mp.Delete(key)
 		}
-		m.setR0Status(err)
+		m.setR0Status(err == nil)
 	}
 	m.stats.HelperCalls++
 	m.stats.MapOps++
 	return true
 }
 
-// setR0Status returns a map helper's status in R0: 0, or -1 for any
-// error (-EEXIST and friends collapse to -1).
-func (m *vm) setR0Status(err error) {
-	if err != nil {
-		m.setR0Scalar(^uint64(0))
-	} else {
+// setR0Status returns a helper's status in R0: 0, or -1 for any
+// failure (-EEXIST and friends collapse to -1).
+func (m *vm) setR0Status(ok bool) {
+	if ok {
 		m.setR0Scalar(0)
+	} else {
+		m.setR0Scalar(^uint64(0))
 	}
 }
 
 // storeHot is the store every ST/STX op tries first: size bytes of v to
 // in-bounds writable memory, with the stack bookkeeping; add makes it
 // the atomic add's read-modify-write (decode admits widths 4 and 8
-// only). false means nothing was written and vm.store or vm.atomic has
-// the fault.
+// only). false means nothing was written.
 func (m *vm) storeHot(base word, off int64, size int, v uint64, add bool) bool {
 	r := base.region
 	if r == nil || r.readonly {
@@ -785,8 +774,7 @@ func (m *vm) dirtyStack(start, size int64) {
 // (Program.GenericOps). It never fails: a slot the verifier would have
 // rejected — an undefined op, a truncated wide load or an unknown map
 // fd, the second slot of a wide pair reached as a jump target — decodes
-// to opCold, and the cold tail raises the generic routine's fault, so a
-// program that bypasses the verifier faults as a step loop would.
+// to opCold, and the cold tail faults there.
 func decode(insns []Instruction, handles map[int32]*region) (code []op, generic int) {
 	n := len(insns)
 	code = make([]op, n)

@@ -1,15 +1,17 @@
 package ebpf
 
 // Differential testing of the eBPF engine: every verifier-accepted
-// program is executed by the step oracle (oracle_test.go), by
-// Program.Run, and by refExec, an independently written reference
-// evaluator, and the three must agree on the return value, the full
-// register file, execution stats, the final stack image, all map
-// contents, and the ring buffer's records and drop accounting. genProgram builds random verifier-accepted
-// programs from a grammar that covers scalar ALU (both widths), stack
-// and ctx memory, pointer spill/restore, branches, and every helper;
-// FuzzDifferential extends the property to arbitrary mutated byte
-// streams that happen to pass the verifier.
+// program is executed by Program.Run and by refMachine.exec, an
+// independently written reference evaluator, and the two must agree on
+// the return value, the full register file, execution stats, the final
+// stack image, all map contents, and the ring buffer's records and drop
+// accounting. genProgram builds random verifier-accepted programs from
+// a grammar that covers scalar ALU (both widths), stack and ctx memory,
+// every pointer form the verifier admits (arithmetic with a known
+// scalar, stack − stack, null checks and same-region compares, spill
+// and restore), branches, and every helper; FuzzDifferential extends
+// the property to arbitrary mutated byte streams that happen to pass
+// the verifier.
 
 import (
 	"bytes"
@@ -921,11 +923,10 @@ func refRegDesc(v refVal) string {
 }
 
 // runDifferential executes one verifier-accepted program, prog loaded
-// from spec, on all three machines — the step oracle, Program.Run's
-// engine, and the reference evaluator — and reports the first
-// disagreement. Each execution gets its own map instances so map
-// mutations cannot couple the runs. It returns the agreed return value.
-func runDifferential(t *testing.T, prog *Program, spec ProgramSpec, ctx []byte) uint64 {
+// from spec, on Program.Run and on the reference evaluator, and reports
+// the first disagreement. It returns the agreed return value and
+// Program.Run's stats.
+func runDifferential(t *testing.T, prog *Program, spec ProgramSpec, ctx []byte) (uint64, RunStats) {
 	t.Helper()
 	insns := spec.Insns
 	env := &FixedEnv{TimeNS: 112233, PidTgid: 42<<32 | 7, CPU: 3}
@@ -935,64 +936,35 @@ func runDifferential(t *testing.T, prog *Program, spec ProgramSpec, ctx []byte) 
 		t.Fatalf("%s\nprogram:\n%s", fmt.Sprintf(format, args...), disassemble(insns, nil))
 	}
 
-	m := newStepVM(prog, ctx, env)
-	vmRet, vmErr := m.exec()
-
-	// The engine: a second Program over the same instruction stream,
-	// driven through getVM directly (no putVM recycle) so the final
-	// register file and stack image stay inspectable.
-	cspec := ProgramSpec{Name: "diff-compiled", Insns: insns, Maps: diffMaps(), CtxSize: len(ctx)}
-	cprog, err := Load(cspec)
-	if err != nil {
-		fail("second load rejected a program the first load accepted: %v", err)
-	}
-	cm := getVM(cprog, ctx, env)
-	cRet, cErr := cprog.execCompiled(cm)
-
+	ret, st, err := prog.Run(ctx, env)
+	// The run state parks on the Program, its registers and stack as
+	// the run left them.
+	m := prog.rsCache
 	ref := newRefMachine(insns, ctx, env)
 	refRet, refErr := ref.exec()
 
-	if vmErr != nil {
-		fail("verified program faulted in the oracle: %v", vmErr)
-	}
-	if cErr != nil {
-		fail("verified program faulted in the engine: %v", cErr)
+	if err != nil {
+		fail("verified program faulted in the engine: %v", err)
 	}
 	if refErr != nil {
 		fail("verified program faulted in the reference evaluator: %v", refErr)
 	}
-	if vmRet != refRet {
-		fail("return value: oracle %#x, ref %#x", vmRet, refRet)
+	if ret != refRet {
+		fail("return value: Run %#x, ref %#x", ret, refRet)
 	}
-	if cRet != refRet {
-		fail("return value: compiled %#x, ref %#x", cRet, refRet)
-	}
-	if m.stats.Instructions != ref.insnN || m.stats.HelperCalls != ref.helperN {
-		fail("stats: oracle (%d insns, %d helpers), ref (%d, %d)",
-			m.stats.Instructions, m.stats.HelperCalls, ref.insnN, ref.helperN)
-	}
-	if cm.stats != m.stats {
-		fail("stats: compiled %+v, oracle %+v", cm.stats, m.stats)
+	if st.Instructions != ref.insnN || st.HelperCalls != ref.helperN {
+		fail("stats: Run (%d insns, %d helpers), ref (%d, %d)", st.Instructions, st.HelperCalls, ref.insnN, ref.helperN)
 	}
 	for r := 0; r < NumRegisters; r++ {
-		want := refRegDesc(ref.regs[r])
-		if got := vmRegDesc(m.regs[r]); got != want {
-			fail("register r%d: oracle %s, ref %s", r, got, want)
-		}
-		if got := vmRegDesc(cm.regs[r]); got != want {
-			fail("register r%d: compiled %s, ref %s", r, got, want)
+		if got, want := vmRegDesc(m.regs[r]), refRegDesc(ref.regs[r]); got != want {
+			fail("register r%d: Run %s, ref %s", r, got, want)
 		}
 	}
-	if !bytes.Equal(m.stack.data, ref.stack[:]) {
-		fail("final stack image differs (oracle vs ref)")
+	if !bytes.Equal(m.stackMem, ref.stack[:]) {
+		fail("final stack image differs (Run vs ref)")
 	}
-	if !bytes.Equal(cm.stack.data, ref.stack[:]) {
-		fail("final stack image differs (compiled vs ref)")
-	}
-
-	diffCompareMaps(fail, "oracle", spec.Maps, ref)
-	diffCompareMaps(fail, "compiled", cspec.Maps, ref)
-	return refRet
+	diffCompareMaps(fail, "Run", spec.Maps, ref)
+	return ret, st
 }
 
 // diffCompareMaps checks one production map set — hash contents, array
@@ -1077,9 +1049,10 @@ func diffCompareMaps(fail func(string, ...any), label string, maps map[int32]Map
 // ---------------------------------------------------------------------
 
 // genProgram emits a random program the verifier accepts by
-// construction: R6 pins the ctx pointer, R0/R7/R8/R9 stay scalar, and
-// helper idioms go through the canonical store-key / load-fd / call
-// shapes, with null checks on every lookup.
+// construction: R6 pins the ctx pointer, R0/R7/R8/R9 stay scalar, R4/R5
+// are scratch for pointer forms and spills, and helper idioms go
+// through the canonical store-key / load-fd / call shapes, with null
+// checks (immediate or register mode) on every lookup.
 func genProgram(rng *rand.Rand) []Instruction {
 	a := NewAssembler()
 	label := 0
@@ -1212,7 +1185,15 @@ func genProgram(rng *rand.Rand) []Instruction {
 			a.Emit(Mov64Reg(R2, R10), Add64Imm(R2, -8), Call(HelperMapLookupElem))
 			label++
 			l := fmt.Sprintf("L%d", label)
-			a.JumpImm(JmpJEQ, R0, 0, l)
+			switch rng.Intn(3) {
+			case 0:
+				a.JumpImm(JmpJEQ, R0, 0, l)
+			case 1: // the null check in register mode
+				a.Emit(Mov64Imm(R5, 0)).JumpReg(JmpJEQ, R0, R5, l)
+			default: // inverted: jne to the guarded block, ja past it
+				hit := fmt.Sprintf("H%d", label)
+				a.Emit(Mov64Imm(R5, 0)).JumpReg(JmpJNE, R0, R5, hit).Jump(l).Label(hit)
+			}
 			valSize := int64(8)
 			if fd == 2 {
 				valSize = diffArrayVal
@@ -1293,7 +1274,7 @@ func genProgram(rng *rand.Rand) []Instruction {
 		// Occasionally spill a pointer, restore it, and use it — the
 		// idiom the verifier models with its spill map.
 		if rng.Intn(8) == 0 {
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0: // spill ctx, restore into a scratch arg reg, read through it
 				a.Emit(
 					StoreMem(R10, -72, R6, SizeDW),
@@ -1307,15 +1288,45 @@ func genProgram(rng *rand.Rand) []Instruction {
 					LoadMem(R4, R10, -80, SizeDW),
 					LoadMem(scal(), R4, s, SizeDW),
 				)
-			default: // overwrite a spill slot: the re-read must be a raw scalar
+			case 2: // overwrite a spill slot: the re-read must be a raw scalar
 				a.Emit(
 					StoreMem(R10, -72, R6, SizeDW),
 					StoreImm(R10, -72, imm(), SizeDW),
 					LoadMem(scal(), R10, -72, SizeDW),
 				)
+			default: // spill a map handle: its raw bytes re-read as a scalar
+				a.EmitWide(LoadMapFD(R5, int32(1+rng.Intn(5))))
+				a.Emit(StoreMem(R10, -72, R5, SizeDW), LoadMem(scal(), R10, -72, SizeDW))
 			}
 			initialized[-72] = true
 			initialized[-80] = true
+		}
+
+		// Occasionally address a slot through pointer arithmetic the
+		// verifier admits only with a known scalar: R5 holds the
+		// constant, R4 the derived pointer.
+		if rng.Intn(6) == 0 {
+			s := initSlot()
+			switch rng.Intn(6) {
+			case 0: // stack pointer + known register
+				a.Emit(Mov64Imm(R5, int32(s)), Mov64Reg(R4, R10), Add64Reg(R4, R5))
+			case 1: // stack pointer - known register
+				a.Emit(Mov64Imm(R5, -int32(s)), Mov64Reg(R4, R10), Sub64Reg(R4, R5))
+			case 2: // known scalar + stack pointer
+				a.Emit(Mov64Imm(R4, int32(s)), Add64Reg(R4, R10))
+			case 3: // stack pointer - imm
+				a.Emit(Mov64Reg(R4, R10), Sub64Imm(R4, -int32(s)))
+			case 4: // ctx pointer + known register, then - imm
+				off := int32(8 + rng.Intn(diffCtxSize-8))
+				a.Emit(Mov64Imm(R5, off), Mov64Reg(R4, R6), Add64Reg(R4, R5), Sub64Imm(R4, 8),
+					LoadMem(scal(), R4, 0, SizeDW))
+				continue
+			default: // stack - stack: a known scalar, folded into a scalar register
+				a.Emit(Mov64Reg(R4, R10), Add64Imm(R4, int32(s)), Mov64Reg(R5, R10), Sub64Reg(R5, R4),
+					Add64Reg(scal(), R5))
+				continue
+			}
+			a.Emit(LoadMem(scal(), R4, 0, SizeDW))
 		}
 	}
 
@@ -1323,15 +1334,15 @@ func genProgram(rng *rand.Rand) []Instruction {
 	label++
 	l := fmt.Sprintf("L%d", label)
 	a.Emit(Mov64Reg(R3, R10), Add64Imm(R3, int32(slot())))
-	a.JumpReg(JmpJNE, R3, R10, l)
+	a.JumpReg([]uint8{JmpJEQ, JmpJNE}[rng.Intn(2)], R3, R10, l)
 	a.Emit(Mov64Imm(R7, 1))
 	a.Label(l)
 	a.Emit(Mov64Imm(R0, imm()), Exit())
 	return a.MustAssemble()
 }
 
-// TestDifferentialVM cross-checks the oracle and Program.Run against the
-// reference evaluator on a few hundred random verifier-accepted programs.
+// TestDifferentialVM cross-checks Program.Run against the reference
+// evaluator on a few hundred random verifier-accepted programs.
 func TestDifferentialVM(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
@@ -1418,7 +1429,7 @@ func TestSpillRestorePrograms(t *testing.T) {
 
 // FuzzDifferential extends the differential property to arbitrary
 // verifier-accepted byte streams: whatever mutation survives the
-// verifier must execute identically on all three machines.
+// verifier must execute identically on both machines.
 func FuzzDifferential(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {

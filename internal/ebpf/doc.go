@@ -16,19 +16,21 @@
 // idioms (lea, call+mov, mov+exit) fused into their leader, and
 // Program.Run runs it from a single switch loop. Each case is an op's
 // hot half: it tests the operand tags once and works in place; anything
-// else goes to one cold tail that runs vm.go's generic per-op routine
-// for the slot (Program.GenericOps counts slots with no hot half,
-// Program.ColdOps the slots that took the tail at run time). Run state
-// — stack, registers, spill slots, map-value regions — is one
-// allocation parked on its Program, so steady-state execution performs zero
-// heap allocations (BENCH_jit.json).
+// else goes to one cold tail, which runs the few verified forms no hot
+// half takes (pointer arithmetic with a known scalar, pointer compares
+// for equality, a pointer spill and its restore) and faults on the rest
+// (Program.GenericOps counts slots with no hot half, Program.ColdOps
+// the slots that took the tail at run time). Only a program that
+// bypassed the verifier faults: there is one execution semantics, the
+// verified one. Run state — stack, registers, spill slots, map-value
+// regions — is one allocation parked on its Program, so steady-state
+// execution performs zero heap allocations (BENCH_jit.json).
 //
-// The tests hold Program.Run to two oracles: a decode-per-step loop
-// over the same per-op routines, and an independently written reference
-// evaluator. Return values, faults (string, program counter, and
-// partial RunStats included), register files, stack images, and map
-// contents all match, over hundreds of seeded random programs and a
-// fuzzer (differential_test.go).
+// The tests hold Program.Run to an independently written reference
+// evaluator: return values, RunStats, register files, stack images, and
+// map contents all match, over hundreds of seeded random programs and a
+// fuzzer (differential_test.go). Unverified programs must fault with a
+// RuntimeError at the faulting slot, never panic or hang.
 //
 // The subset implemented is the subset the paper's probes need (Listing
 // 1 and the in-kernel statistics programs), but the encoding and the

@@ -92,17 +92,16 @@ func (p *Program) Runs() uint64 { return p.runs }
 func (p *Program) VerifierStates() int { return p.vstates }
 
 // GenericOps returns how many ALU and jump slots Load decoded with no
-// hot half, because their op code has no form: they run through the
-// generic per-op routine every time. Every op the verifier admits has a
-// form, so a shipped probe reports 0; a test in internal/probes holds
-// them to it.
+// hot half, because their op code has no form: the cold tail faults on
+// them. Every op the verifier admits has a form, so a shipped probe
+// reports 0; a test in internal/probes holds them to it.
 func (p *Program) GenericOps() int { return p.genericOps }
 
 // ColdOps is GenericOps' runtime twin: how many slots, over all runs so
-// far, a hot half refused and the generic per-op routine executed
-// instead — a pointer spill or restore, pointer arithmetic or a pointer
-// compare, and every fault. The shipped probes never take it; a test
-// holds them to it.
+// far, a hot half refused and the cold tail executed instead — a
+// pointer spill or restore, pointer arithmetic or a pointer compare,
+// and every fault. The shipped probes never take it; a test holds them
+// to it.
 func (p *Program) ColdOps() uint64 { return p.coldOps }
 
 // Disassemble renders the loaded program. Each line also names the op

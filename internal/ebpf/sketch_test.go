@@ -198,59 +198,70 @@ func TestSketchHelpersZeroAllocs(t *testing.T) {
 }
 
 // TestSketchHelperReturnValues checks the BPF-visible contract end to
-// end on the oracle and Program.Run: cms_estimate returns the
-// min-over-rows count and hashpipe_insert returns the 1-based settled
-// stage.
+// end on the reference evaluator and on Program.Run: cms_estimate
+// returns the min-over-rows count and hashpipe_insert returns the
+// 1-based settled stage.
 func TestSketchHelperReturnValues(t *testing.T) {
+	insns := append(append([]Instruction{
+		Mov64Reg(R6, R1)},
+		LoadMapFD(R1, 4)[0], LoadMapFD(R1, 4)[1],
+		Mov64Reg(R2, R6),
+		LoadMem(R3, R6, 8, SizeDW),
+		Call(HelperCMSUpdate),
+		LoadMapFD(R1, 4)[0], LoadMapFD(R1, 4)[1],
+		Mov64Reg(R2, R6),
+		Call(HelperCMSEstimate),
+		Mov64Reg(R7, R0)), // stash estimate
+		LoadMapFD(R1, 5)[0], LoadMapFD(R1, 5)[1],
+		Mov64Reg(R2, R6),
+		LoadMem(R3, R6, 8, SizeDW),
+		Call(HelperHashPipeInsert),
+		// ret = estimate<<8 + settled stage (stage < 256)
+		Lsh64Imm(R7, 8),
+		Add64Reg(R0, R7),
+		Exit(),
+	)
+	ctx := make([]byte, 16)
+	binary.LittleEndian.PutUint64(ctx[0:8], 0xfeedface)
+	binary.LittleEndian.PutUint64(ctx[8:16], 7)
 	// Subtests keep the numbering of the former Backend enum (1 = the
-	// step loop, now the oracle; 2 = Program.Run) so their names stay stable.
-	for i, e := range engines {
-		e := e
-		t.Run(fmt.Sprintf("backend_%d", i+1), func(t *testing.T) {
-			cms := NewCMS("c", 8, 256, 3)
-			hp := NewHashPipe("p", 8, 2, 8)
-			p, err := Load(ProgramSpec{
-				Name: "ret",
-				Insns: append(append([]Instruction{
-					Mov64Reg(R6, R1)},
-					LoadMapFD(R1, 1)[0], LoadMapFD(R1, 1)[1],
-					Mov64Reg(R2, R6),
-					LoadMem(R3, R6, 8, SizeDW),
-					Call(HelperCMSUpdate),
-					LoadMapFD(R1, 1)[0], LoadMapFD(R1, 1)[1],
-					Mov64Reg(R2, R6),
-					Call(HelperCMSEstimate),
-					Mov64Reg(R7, R0)), // stash estimate
-					LoadMapFD(R1, 2)[0], LoadMapFD(R1, 2)[1],
-					Mov64Reg(R2, R6),
-					LoadMem(R3, R6, 8, SizeDW),
-					Call(HelperHashPipeInsert),
-					// ret = estimate<<8 + settled stage (stage < 256)
-					Lsh64Imm(R7, 8),
-					Add64Reg(R0, R7),
-					Exit(),
-				),
-				Maps:    map[int32]Map{1: cms, 2: hp},
-				CtxSize: 16,
-			})
+	// step loop, now the reference evaluator; 2 = Program.Run) so their
+	// names stay stable. Each returns the program's value and the cms's
+	// estimate for the key, read from outside the program.
+	engines := []func(t *testing.T) (ret, est uint64){
+		func(t *testing.T) (uint64, uint64) {
+			ref := newRefMachine(insns, ctx, &FixedEnv{})
+			ret, err := ref.exec()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := make([]byte, 16)
-			binary.LittleEndian.PutUint64(ctx[0:8], 0xfeedface)
-			binary.LittleEndian.PutUint64(ctx[8:16], 7)
-			ret, _, err := e.run(p, ctx, &FixedEnv{})
+			return ret, ref.cms.estimate(ctx[0:8])
+		},
+		func(t *testing.T) (uint64, uint64) {
+			cms := NewCMS("c", 8, 256, 3)
+			p, err := Load(ProgramSpec{Name: "ret", Insns: insns,
+				Maps: map[int32]Map{4: cms, 5: NewHashPipe("p", 8, 2, 8)}, CtxSize: 16})
 			if err != nil {
-				t.Fatalf("%s: %v", e.name, err)
+				t.Fatal(err)
 			}
-			if est := ret >> 8; est != 7 {
-				t.Fatalf("%s: cms_estimate returned %d after one +7 update, want 7", e.name, est)
+			ret, _, err := p.Run(ctx, &FixedEnv{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ret, cms.Estimate(ctx[0:8])
+		},
+	}
+	for i, run := range engines {
+		t.Run(fmt.Sprintf("backend_%d", i+1), func(t *testing.T) {
+			ret, est := run(t)
+			if got := ret >> 8; got != 7 {
+				t.Fatalf("cms_estimate returned %d after one +7 update, want 7", got)
 			}
 			if st := ret & 0xff; st != 1 {
-				t.Fatalf("%s: hashpipe_insert settled at stage %d on an empty pipe, want 1", e.name, st)
+				t.Fatalf("hashpipe_insert settled at stage %d on an empty pipe, want 1", st)
 			}
-			if cms.Estimate(ctx[0:8]) != 7 {
-				t.Fatalf("%s: userspace estimate = %d, want 7", e.name, cms.Estimate(ctx[0:8]))
+			if est != 7 {
+				t.Fatalf("estimate read from outside = %d, want 7", est)
 			}
 		})
 	}

@@ -671,8 +671,9 @@ func (v *verifier) checkStore(pc int, in Instruction, st *absState) error {
 		return nil
 	}
 
-	if srcReg.t != tScalar && srcReg.t != tMapHandle {
-		// Spilling a pointer: only full 8-byte aligned stores to the stack.
+	if srcReg.t != tScalar {
+		// Spilling a pointer or map handle: only full 8-byte aligned
+		// stores to the stack.
 		if base.t != tStack || size != 8 {
 			return v.errf(pc, "pointer can only be spilled to an aligned 8-byte stack slot")
 		}
@@ -690,10 +691,12 @@ func (v *verifier) checkStore(pc int, in Instruction, st *absState) error {
 			}
 		}
 		mark := stackWritten
-		if srcReg.t != tScalar && srcReg.t != tMapHandle && in.Class() == ClassSTX {
-			if start%8 != 0 {
-				return v.errf(pc, "pointer spill must be 8-byte aligned")
-			}
+		if srcReg.t != tScalar && start%8 != 0 {
+			return v.errf(pc, "pointer spill must be 8-byte aligned")
+		}
+		// A spilled map handle is its raw bytes: reloading it yields a
+		// scalar, as at run time.
+		if srcReg.t != tScalar && srcReg.t != tMapHandle {
 			st.spills[start] = srcReg
 			mark = stackSpilledPtr
 		}

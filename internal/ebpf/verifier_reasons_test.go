@@ -277,6 +277,12 @@ func rejectionCases() []rejectionCase {
 		{"misaligned_pointer_spill",
 			ret0(StoreMem(R10, -12, R10, SizeDW)),
 			"pointer spill must be 8-byte aligned"},
+		{"narrow_map_handle_spill",
+			wide(LoadMapFD(R1, 1), StoreMem(R10, -8, R1, SizeW), Mov64Imm(R0, 0), Exit()),
+			"pointer can only be spilled to an aligned 8-byte stack slot"},
+		{"misaligned_map_handle_spill",
+			wide(LoadMapFD(R1, 1), StoreMem(R10, -12, R1, SizeDW), Mov64Imm(R0, 0), Exit()),
+			"pointer spill must be 8-byte aligned"},
 
 		// --- abstract interpretation: branches ---
 		{"cmp32_pointer",

@@ -23,7 +23,7 @@ type HelperEnv interface {
 // telemetry-only: the cost model charges instructions and helper calls,
 // and map operations are a subset of the latter. The counts are those
 // of a slot-by-slot run, however the engine batches them (the tests
-// hold Program.Run to a step-loop oracle).
+// hold Program.Run to a reference evaluator that counts slot by slot).
 type RunStats struct {
 	// Instructions is the number of instruction slots executed; a wide
 	// LdImmDW counts both of its slots, matching the kernel's insn
@@ -91,9 +91,8 @@ type word struct {
 	region *region
 }
 
-func scalarWord(v uint64) word { return word{v: v} }
-
-func (w word) isScalar() bool  { return w.region == nil }
+// isPointer reports whether w points into a region: a map handle does
+// not.
 func (w word) isPointer() bool { return w.region != nil && w.region.kind != regionMapHandle }
 
 // handle returns the map handle w holds, or nil.
@@ -112,13 +111,9 @@ func (w word) mapOf() Map {
 	return nil
 }
 
-// truthy reports whether the word compares non-zero (pointers and map
-// handles are always non-zero; null lookups return scalar 0).
-func (w word) truthy() bool { return w.region != nil || w.v != 0 }
-
-// RuntimeError is a fault during interpretation. A verified program
-// should never produce one; it exists as defense in depth and for tests
-// that bypass the verifier.
+// RuntimeError is a fault during execution. A verified program never
+// produces one; it exists as defense in depth and for tests that bypass
+// the verifier.
 type RuntimeError struct {
 	PC     int    // instruction slot that faulted
 	Reason string // human-readable fault reason
@@ -133,7 +128,6 @@ func (e *RuntimeError) Error() string {
 // window, and spill tracking. Program.Run parks it on the Program
 // between runs (getVM/putVM, compile.go).
 type vm struct {
-	prog  *Program
 	env   HelperEnv
 	regs  [regMask + 1]word // r0-r10; sized so a 4-bit field indexes it unchecked
 	stack region
@@ -184,199 +178,6 @@ func (m *vm) fault(pc int, format string, args ...any) error {
 	return &RuntimeError{PC: pc, Reason: fmt.Sprintf(format, args...)}
 }
 
-func (m *vm) aluOperand(in Instruction) (word, bool) {
-	if in.UsesImm() {
-		return scalarWord(uint64(int64(in.Imm))), true
-	}
-	return m.regs[in.Src], false
-}
-
-func (m *vm) alu(pc int, in Instruction, is32 bool) error {
-	dst := m.regs[in.Dst]
-	src, _ := m.aluOperand(in)
-	op := in.ALUOp()
-
-	// Pointer arithmetic: only 64-bit add/sub with a scalar, or mov.
-	if dst.isPointer() || src.isPointer() {
-		if is32 {
-			return m.fault(pc, "32-bit ALU on pointer")
-		}
-		switch op {
-		case ALUMov:
-			m.regs[in.Dst] = src
-			return nil
-		case ALUAdd:
-			switch {
-			case dst.isPointer() && src.isScalar():
-				dst.v += src.v
-				m.regs[in.Dst] = dst
-				return nil
-			case src.isPointer() && dst.isScalar():
-				src.v += dst.v
-				m.regs[in.Dst] = src
-				return nil
-			}
-		case ALUSub:
-			if dst.isPointer() && src.isScalar() {
-				dst.v -= src.v
-				m.regs[in.Dst] = dst
-				return nil
-			}
-			if dst.isPointer() && src.isPointer() && dst.region == src.region {
-				m.regs[in.Dst] = scalarWord(dst.v - src.v)
-				return nil
-			}
-		}
-		return m.fault(pc, "invalid pointer arithmetic op=%#x", op)
-	}
-	if !dst.isScalar() || !src.isScalar() { // a map handle
-		if op == ALUMov && !is32 {
-			m.regs[in.Dst] = src
-			return nil
-		}
-		return m.fault(pc, "arithmetic on map handle")
-	}
-
-	a, b := dst.v, src.v
-	if is32 {
-		a, b = uint64(uint32(a)), uint64(uint32(b))
-	}
-	var out uint64
-	switch op {
-	case ALUAdd:
-		out = a + b
-	case ALUSub:
-		out = a - b
-	case ALUMul:
-		out = a * b
-	case ALUDiv:
-		if b == 0 {
-			out = 0 // Linux semantics: div by zero yields 0
-		} else {
-			out = a / b
-		}
-	case ALUMod:
-		if b == 0 {
-			out = a // Linux semantics: mod by zero leaves dst
-		} else {
-			out = a % b
-		}
-	case ALUOr:
-		out = a | b
-	case ALUAnd:
-		out = a & b
-	case ALUXor:
-		out = a ^ b
-	case ALULsh:
-		out = a << (b & 63)
-	case ALURsh:
-		out = a >> (b & 63)
-	case ALUArsh:
-		if is32 {
-			out = uint64(uint32(int32(a) >> (b & 31)))
-		} else {
-			out = uint64(int64(a) >> (b & 63))
-		}
-	case ALUNeg:
-		out = -a
-	case ALUMov:
-		out = b
-	default:
-		return m.fault(pc, "unsupported ALU op %#x", op)
-	}
-	if is32 {
-		out = uint64(uint32(out))
-	}
-	m.regs[in.Dst] = scalarWord(out)
-	return nil
-}
-
-func (m *vm) branch(pc int, in Instruction) (bool, error) {
-	dst := m.regs[in.Dst]
-	src, _ := m.aluOperand(in)
-
-	// Pointer comparisons: only equality against zero (null checks) or
-	// same-region pointers.
-	if !dst.isScalar() || !src.isScalar() {
-		switch in.JmpOp() {
-		case JmpJEQ:
-			if src.isScalar() && src.v == 0 {
-				return !dst.truthy(), nil
-			}
-			if dst.isScalar() && dst.v == 0 {
-				return !src.truthy(), nil
-			}
-			if dst.isPointer() && src.region == dst.region {
-				return dst.v == src.v, nil
-			}
-		case JmpJNE:
-			if src.isScalar() && src.v == 0 {
-				return dst.truthy(), nil
-			}
-			if dst.isScalar() && dst.v == 0 {
-				return src.truthy(), nil
-			}
-			if dst.isPointer() && src.region == dst.region {
-				return dst.v != src.v, nil
-			}
-		}
-		return false, m.fault(pc, "invalid pointer comparison")
-	}
-
-	a, b := dst.v, src.v
-	if in.Class() == ClassJMP32 {
-		a, b = uint64(uint32(a)), uint64(uint32(b))
-		// Signed 32-bit comparisons sign-extend the low words.
-		switch in.JmpOp() {
-		case JmpJSGT:
-			return int32(a) > int32(b), nil
-		case JmpJSGE:
-			return int32(a) >= int32(b), nil
-		case JmpJSLT:
-			return int32(a) < int32(b), nil
-		case JmpJSLE:
-			return int32(a) <= int32(b), nil
-		}
-	}
-	switch in.JmpOp() {
-	case JmpJEQ:
-		return a == b, nil
-	case JmpJNE:
-		return a != b, nil
-	case JmpJGT:
-		return a > b, nil
-	case JmpJGE:
-		return a >= b, nil
-	case JmpJLT:
-		return a < b, nil
-	case JmpJLE:
-		return a <= b, nil
-	case JmpJSET:
-		return a&b != 0, nil
-	case JmpJSGT:
-		return int64(a) > int64(b), nil
-	case JmpJSGE:
-		return int64(a) >= int64(b), nil
-	case JmpJSLT:
-		return int64(a) < int64(b), nil
-	case JmpJSLE:
-		return int64(a) <= int64(b), nil
-	}
-	return false, m.fault(pc, "unsupported jump op %#x", in.JmpOp())
-}
-
-func (m *vm) load(pc int, base word, off int64, size int) (uint64, error) {
-	data, ok := fastSlice(base, off, size)
-	if !ok {
-		var err error
-		data, err = m.slice(pc, base, off, size)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return loadLE(data, size), nil
-}
-
 // loadLE reads a size-byte (1, 2, 4 or 8) little-endian value.
 func loadLE(data []byte, size int) uint64 {
 	switch size {
@@ -405,44 +206,9 @@ func storeLE(data []byte, size int, v uint64) {
 	}
 }
 
-func (m *vm) store(pc int, base word, off int64, size int, v uint64) error {
-	if base.isPointer() && base.region.readonly {
-		return m.fault(pc, "store to read-only %s", base.region.kind)
-	}
-	data, err := m.slice(pc, base, off, size)
-	if err != nil {
-		return err
-	}
-	storeLE(data, size, v)
-	return nil
-}
-
-// slice bounds-checks a memory access and returns the addressed bytes.
-// Stack accesses address downward from R10 (off is negative).
-func (m *vm) slice(pc int, base word, off int64, size int) ([]byte, error) {
-	if size == 0 {
-		// Zero-size accesses touch no memory; the verifier skips them
-		// (e.g. ring buffers have KeySize 0), so they must not fault here
-		// either, whatever the base register holds.
-		return nil, nil
-	}
-	if !base.isPointer() {
-		return nil, m.fault(pc, "memory access through non-pointer")
-	}
-	start := int64(base.v) + off
-	end := start + int64(size)
-	// end < start: a helper size argument (ringbuf_output's R3) that is
-	// negative as an int, or so large that end wrapped.
-	if start < 0 || end < start || end > int64(len(base.region.data)) {
-		return nil, m.fault(pc, "%s access [%d,%d) out of bounds [0,%d)",
-			base.region.kind, start, end, len(base.region.data))
-	}
-	return base.region.data[start:end], nil
-}
-
-// fastSlice resolves the common in-bounds access without slice's fault
-// machinery; ok=false means "fall back to slice for the diagnostic",
-// not "fault". It is small enough for the compiler to inline into the
+// fastSlice resolves an in-bounds access of size bytes at off from
+// base; ok=false means base is no pointer or the access is out of its
+// bounds. It is small enough for the compiler to inline into the
 // dispatch loop's memory ops.
 func fastSlice(base word, off int64, size int) ([]byte, bool) {
 	if base.region == nil || size <= 0 {
@@ -455,181 +221,61 @@ func fastSlice(base word, off int64, size int) ([]byte, bool) {
 	return base.region.data[start : start+int64(size)], true
 }
 
-// atomic executes a BPF_ATOMIC STX (currently AtomicAdd): a
-// read-modify-write on map-value or stack memory.
-func (m *vm) atomic(pc int, in Instruction, add uint64) error {
-	if in.Imm != AtomicAdd {
-		return m.fault(pc, "unsupported atomic op %#x", in.Imm)
-	}
-	size := in.Size()
-	if size != 4 && size != 8 {
-		return m.fault(pc, "atomic add requires 4- or 8-byte width")
-	}
-	base := m.regs[in.Dst]
-	if base.isPointer() && base.region.readonly {
-		return m.fault(pc, "atomic on read-only %s", base.region.kind)
-	}
-	cur, err := m.load(pc, base, int64(in.Off), size)
-	if err != nil {
-		return err
-	}
-	return m.store(pc, base, int64(in.Off), size, cur+add)
-}
-
+// call runs a helper that has no hot half of its own: the ring buffer
+// and sketch helpers. The verifier has checked their arguments, so
+// every refusal is the cold tail's fault but one: ringbuf_output's size
+// is a register, and a size past its data's end faults on its own.
 func (m *vm) call(pc int, id int32) error {
 	m.stats.HelperCalls++
-	r := func(reg Register) word { return m.regs[reg] }
-	setR0 := func(w word) {
-		m.regs[R0] = w
-		// R1-R5 are caller-saved and clobbered by the call.
-		for reg := R1; reg <= R5; reg++ {
-			m.regs[reg] = scalarWord(0)
-		}
-	}
-
+	m.stats.MapOps++
+	mp, a2, a3 := m.regs[R1].mapOf(), m.regs[R2], m.regs[R3]
 	switch id {
-	case HelperMapLookupElem, HelperMapUpdateElem, HelperMapDeleteElem,
-		HelperRingbufOutput, HelperRingbufQuery,
-		HelperCMSUpdate, HelperCMSEstimate, HelperHashPipeInsert:
-		m.stats.MapOps++
-	}
-
-	switch id {
-	case HelperKtimeGetNS:
-		setR0(scalarWord(m.env.KtimeGetNS()))
-		return nil
-	case HelperGetCurrentPidTgid:
-		setR0(scalarWord(m.env.CurrentPidTgid()))
-		return nil
-	case HelperGetSMPProcID:
-		setR0(scalarWord(uint64(m.env.SMPProcessorID())))
-		return nil
-	case HelperMapLookupElem:
-		mp := r(R1).mapOf()
-		if mp == nil {
-			return m.fault(pc, "map_lookup_elem: R1 is not a map")
-		}
-		key, err := m.slice(pc, r(R2), 0, mp.KeySize())
-		if err != nil {
-			return err
-		}
-		v, ok := mp.Lookup(key)
-		if !ok {
-			setR0(scalarWord(0))
-			return nil
-		}
-		setR0(word{region: m.mapValRegion(v)})
-		return nil
-	case HelperMapUpdateElem:
-		mp := r(R1).mapOf()
-		if mp == nil {
-			return m.fault(pc, "map_update_elem: R1 is not a map")
-		}
-		key, err := m.slice(pc, r(R2), 0, mp.KeySize())
-		if err != nil {
-			return err
-		}
-		val, err := m.slice(pc, r(R3), 0, mp.ValueSize())
-		if err != nil {
-			return err
-		}
-		flags := r(R4)
-		if !flags.isScalar() {
-			return m.fault(pc, "map_update_elem: flags not scalar")
-		}
-		if err := mp.Update(key, val, int(flags.v)); err != nil {
-			setR0(scalarWord(^uint64(0))) // -EEXIST and friends collapse to -1
-			return nil
-		}
-		setR0(scalarWord(0))
-		return nil
-	case HelperMapDeleteElem:
-		mp := r(R1).mapOf()
-		if mp == nil {
-			return m.fault(pc, "map_delete_elem: R1 is not a map")
-		}
-		key, err := m.slice(pc, r(R2), 0, mp.KeySize())
-		if err != nil {
-			return err
-		}
-		if err := mp.Delete(key); err != nil {
-			setR0(scalarWord(^uint64(0)))
-			return nil
-		}
-		setR0(scalarWord(0))
-		return nil
 	case HelperRingbufOutput:
-		rb, ok := r(R1).mapOf().(*RingBuf)
+		rb, ok := mp.(*RingBuf)
+		if !ok || a3.region != nil {
+			break
+		}
+		var data []byte
+		if a3.v != 0 {
+			if a2.region == nil || a3.v > uint64(len(a2.region.data)) {
+				ok = false
+			} else {
+				data, ok = fastSlice(a2, 0, int(a3.v))
+			}
+		}
 		if !ok {
-			return m.fault(pc, "ringbuf_output: R1 is not a ringbuf")
+			return m.fault(pc, "ringbuf_output: %d bytes out of bounds", int64(a3.v))
 		}
-		size := r(R3)
-		if !size.isScalar() {
-			return m.fault(pc, "ringbuf_output: size not scalar")
-		}
-		data, err := m.slice(pc, r(R2), 0, int(size.v))
-		if err != nil {
-			return err
-		}
-		if rb.Output(data) {
-			setR0(scalarWord(0))
-		} else {
-			setR0(scalarWord(^uint64(0)))
-		}
+		m.setR0Status(rb.Output(data))
 		return nil
 	case HelperRingbufQuery:
-		rb, ok := r(R1).mapOf().(*RingBuf)
+		if rb, ok := mp.(*RingBuf); ok && a2.region == nil {
+			m.setR0Scalar(rb.Query(a2.v))
+			return nil
+		}
+	case HelperCMSUpdate, HelperCMSEstimate:
+		cs, ok := mp.(*CMS)
 		if !ok {
-			return m.fault(pc, "ringbuf_query: R1 is not a ringbuf")
+			break
 		}
-		flags := r(R2)
-		if !flags.isScalar() {
-			return m.fault(pc, "ringbuf_query: flags not scalar")
+		switch key, ok := fastSlice(a2, 0, cs.KeySize()); {
+		case ok && id == HelperCMSEstimate:
+			m.setR0Scalar(cs.Estimate(key))
+			return nil
+		case ok && a3.region == nil:
+			cs.Add(key, a3.v)
+			m.setR0Scalar(0)
+			return nil
 		}
-		setR0(scalarWord(rb.Query(flags.v)))
-		return nil
-	case HelperCMSUpdate:
-		cs, ok := r(R1).mapOf().(*CMS)
-		if !ok {
-			return m.fault(pc, "cms_update: R1 is not a cms")
-		}
-		key, err := m.slice(pc, r(R2), 0, cs.KeySize())
-		if err != nil {
-			return err
-		}
-		inc := r(R3)
-		if !inc.isScalar() {
-			return m.fault(pc, "cms_update: increment not scalar")
-		}
-		cs.Add(key, inc.v)
-		setR0(scalarWord(0))
-		return nil
-	case HelperCMSEstimate:
-		cs, ok := r(R1).mapOf().(*CMS)
-		if !ok {
-			return m.fault(pc, "cms_estimate: R1 is not a cms")
-		}
-		key, err := m.slice(pc, r(R2), 0, cs.KeySize())
-		if err != nil {
-			return err
-		}
-		setR0(scalarWord(cs.Estimate(key)))
-		return nil
 	case HelperHashPipeInsert:
-		hp, ok := r(R1).mapOf().(*HashPipe)
-		if !ok {
-			return m.fault(pc, "hashpipe_insert: R1 is not a hashpipe")
+		hp, ok := mp.(*HashPipe)
+		if !ok || a3.region != nil {
+			break
 		}
-		key, err := m.slice(pc, r(R2), 0, hp.KeySize())
-		if err != nil {
-			return err
+		if key, ok := fastSlice(a2, 0, hp.KeySize()); ok {
+			m.setR0Scalar(hp.Insert(key, a3.v))
+			return nil
 		}
-		inc := r(R3)
-		if !inc.isScalar() {
-			return m.fault(pc, "hashpipe_insert: increment not scalar")
-		}
-		setR0(scalarWord(hp.Insert(key, inc.v)))
-		return nil
 	}
-	return m.fault(pc, "unknown helper %d", id)
+	return m.fault(pc, unverified)
 }

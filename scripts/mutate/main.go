@@ -5,7 +5,8 @@
 // or negates one if condition, in AST order, and runs its package's
 // tests through `go test -overlay`, one mutant at a time, writing no
 // file of the tree. The failing tests are the mutant's kill row
-// (stderr); one that does not build is invalid and left out of the
+// (stderr), rerun past any test that panics so the row names every
+// killer; one that does not build is invalid and left out of the
 // score, and one that outlives the timeout is killed.
 //
 // stdout gets each file's score. testdata/survivors.txt lists each
@@ -185,39 +186,69 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 }
 
 // goTest runs pkg's tests under the overlay and collects the failing
-// top-level tests.
+// top-level tests. A test that panics ends its binary's run, and with
+// it the tests after it, so the package is rerun with the tests that
+// panicked skipped until a run completes; the kill row is the union.
 func goTest(root, pkg, overlay string, timeout time.Duration) (*mutant, error) {
+	m := &mutant{}
+	var skip []string
+	for {
+		panicked, err := goTestOnce(root, pkg, overlay, timeout, skip, m)
+		if err != nil || m.invalid || panicked == "" || slices.Contains(skip, panicked) {
+			slices.Sort(m.killers)
+			return m, err
+		}
+		skip = append(skip, panicked)
+	}
+}
+
+// goTestOnce runs pkg's tests but those in skip, adds the failing ones
+// to m, and returns the test that panicked, if one did.
+func goTestOnce(root, pkg, overlay string, timeout time.Duration, skip []string, m *mutant) (panicked string, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, "go", "test", "-count=1", "-json", "-overlay", overlay, pkg)
+	args := []string{"test", "-count=1", "-json", "-overlay", overlay}
+	if len(skip) > 0 {
+		args = append(args, "-skip", "^("+strings.Join(skip, "|")+")$")
+	}
+	cmd := exec.CommandContext(ctx, "go", append(args, pkg)...)
 	cmd.Dir = root
 	// go and the test binary share a process group: kill both.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
 	out, err := cmd.Output()
 	if ctx.Err() != nil {
-		return &mutant{killers: []string{"(timeout)"}}, nil
+		m.killers = append(m.killers, "(timeout)")
+		return "", nil
 	}
-	m := &mutant{}
+	failed := false
 	for _, line := range bytes.Split(out, []byte("\n")) {
-		var ev struct{ Action, Test, FailedBuild string }
+		var ev struct{ Action, Test, Output, FailedBuild string }
 		if json.Unmarshal(line, &ev) != nil {
 			continue
 		}
 		if ev.FailedBuild != "" { // a compile or vet error
-			return &mutant{invalid: true}, nil
+			m.invalid = true
+			return "", nil
 		}
-		if name, _, _ := strings.Cut(ev.Test, "/"); ev.Action == "fail" && name != "" && !slices.Contains(m.killers, name) {
-			m.killers = append(m.killers, name)
+		name, _, _ := strings.Cut(ev.Test, "/")
+		switch {
+		case name == "":
+		case ev.Action == "fail":
+			failed = true
+			if !slices.Contains(m.killers, name) {
+				m.killers = append(m.killers, name)
+			}
+		case ev.Action == "output" && strings.HasPrefix(ev.Output, "panic: "):
+			panicked = name
 		}
 	}
-	slices.Sort(m.killers)
 	if _, exited := err.(*exec.ExitError); err != nil && !exited {
-		return nil, err
-	} else if exited && len(m.killers) == 0 {
-		m.killers = []string{"(package)"}
+		return "", err
+	} else if exited && !failed {
+		m.killers = append(m.killers, "(package)")
 	}
-	return m, nil
+	return panicked, nil
 }
 
 func score(file string, ms []*mutant) string {

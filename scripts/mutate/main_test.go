@@ -48,3 +48,24 @@ func TestTinyPackage(t *testing.T) {
 		t.Errorf("the run changed %s (%v)", target, err)
 	}
 }
+
+// TestPanicReruns mutates testdata/tiny's At, whose mutants panic
+// TestAtEnd: the kill row still names TestAtRecovers, which runs after
+// it and fails without panicking.
+func TestPanicReruns(t *testing.T) {
+	ms, err := run("testdata/tiny", "at.go", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range ms {
+		got = append(got, m.String())
+	}
+	want := []string{
+		"at.go:6:2 if→!if: killed by TestAtEnd TestAtRecovers",
+		"at.go:6:7 <→<=: killed by TestAtEnd TestAtRecovers",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("mutants:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -7,3 +7,18 @@ func TestMax(t *testing.T) {
 		t.Fatal("Max")
 	}
 }
+
+func TestAtEnd(t *testing.T) {
+	if At([]int{1}, 1) != 0 {
+		t.Fatal("At")
+	}
+}
+
+func TestAtRecovers(t *testing.T) {
+	defer func() {
+		if recover() != nil {
+			t.Error("At panicked")
+		}
+	}()
+	At([]int{1}, 1)
+}

@@ -662,16 +662,16 @@ func (m *vm) envCall(id uint64) uint64 {
 
 // mapCall is the hot half of map_lookup_elem, map_update_elem and
 // map_delete_elem: handle and sizes from the mapHandle, arguments in
-// bounds (a zero-size key or value, a ring buffer's, touches no memory),
-// and a type switch so the two map types probes use are direct calls.
-// false means nothing happened and the cold tail faults.
+// bounds, and a type switch so the two map types the verifier admits
+// are direct calls. false means nothing happened and the cold tail
+// faults.
 func (m *vm) mapCall(id uint64) bool {
 	h := m.regs[R1].handle()
 	if h == nil {
 		return false
 	}
 	key, ok := fastSlice(m.regs[R2], 0, h.keySize)
-	if !ok && h.keySize != 0 {
+	if !ok {
 		return false
 	}
 	var err error
@@ -684,7 +684,7 @@ func (m *vm) mapCall(id uint64) bool {
 		case *ArrayMap:
 			v, ok = mp.Lookup(key)
 		default:
-			v, ok = mp.Lookup(key)
+			return false
 		}
 		if ok {
 			m.setR0Word(word{region: m.mapValRegion(v)})
@@ -694,7 +694,7 @@ func (m *vm) mapCall(id uint64) bool {
 	case HelperMapUpdateElem:
 		val, ok := fastSlice(m.regs[R3], 0, h.valueSize)
 		flags := m.regs[R4]
-		if (!ok && h.valueSize != 0) || flags.region != nil {
+		if !ok || flags.region != nil {
 			return false
 		}
 		switch mp := h.m.(type) {
@@ -703,7 +703,7 @@ func (m *vm) mapCall(id uint64) bool {
 		case *ArrayMap:
 			err = mp.Update(key, val, int(flags.v))
 		default:
-			err = mp.Update(key, val, int(flags.v))
+			return false
 		}
 		m.setR0Status(err == nil)
 	default:
@@ -713,7 +713,7 @@ func (m *vm) mapCall(id uint64) bool {
 		case *ArrayMap:
 			err = mp.Delete(key)
 		default:
-			err = mp.Delete(key)
+			return false
 		}
 		m.setR0Status(err == nil)
 	}

@@ -24,16 +24,13 @@ var (
 	ErrBadValSize  = errors.New("ebpf: wrong value size")
 )
 
-// Map is the interface shared by all map types. Lookup returns the live
-// backing slice of the value so programs can update values in place, as
-// real BPF map values are updated through the returned kernel pointer.
+// Map is the interface shared by all map types: what a program's map fd
+// names. Programs reach a map's contents only through the helpers the
+// verifier admits for its type.
 type Map interface {
 	Name() string
 	KeySize() int
 	ValueSize() int
-	Lookup(key []byte) ([]byte, bool)
-	Update(key, value []byte, flags int) error
-	Delete(key []byte) error
 }
 
 // HashMap is a BPF_MAP_TYPE_HASH, or a BPF_MAP_TYPE_LRU_HASH when

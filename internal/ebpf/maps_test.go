@@ -372,19 +372,6 @@ func TestRingBufOutputCopies(t *testing.T) {
 	}
 }
 
-func TestRingBufInvalidOps(t *testing.T) {
-	rb := NewRingBuf("rb", 64)
-	if _, ok := rb.Lookup(nil); ok {
-		t.Fatal("Lookup should fail on ringbuf")
-	}
-	if err := rb.Update(nil, nil, 0); err == nil {
-		t.Fatal("Update should fail on ringbuf")
-	}
-	if err := rb.Delete(nil); err == nil {
-		t.Fatal("Delete should fail on ringbuf")
-	}
-}
-
 func TestMapConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewHashMap("x", 0, 8, 8) },

@@ -240,6 +240,18 @@ func TestBudgetHandover(t *testing.T) {
 	if exits == 0 || exits == 5 {
 		t.Errorf("%d of 5 counted loops exited: the pads no longer straddle the budget", exits)
 	}
+	// Single-stepped, the budget is checked before every op: a run that
+	// has retired exactly maxVMSteps steps still takes its exit.
+	straight := make([]Instruction, maxVMSteps+1)
+	for i := range straight {
+		straight[i] = Mov64Imm(R1, 0)
+	}
+	straight[maxVMSteps] = Exit()
+	traceOpcodes(func() {
+		if _, _, err := build(ProgramSpec{Name: "straight", Insns: straight}, 0).Run(nil, &FixedEnv{}); err != nil {
+			t.Errorf("single-stepped run of %d steps and an exit: %v", maxVMSteps, err)
+		}
+	})
 }
 
 // TestOpcodeCoverage is the decoder's coverage gate, modelled on

@@ -22,7 +22,6 @@ type ProgramSpec struct {
 type Program struct {
 	name    string
 	insns   []Instruction
-	handles map[int32]*region // one regionMapHandle region per map: what a map-fd load yields
 	ctxSize int
 	runs    uint64
 	vstates int // abstract states the verifier explored to admit it
@@ -60,7 +59,7 @@ func build(spec ProgramSpec, states int) *Program {
 	for fd, mp := range spec.Maps {
 		handles[fd] = &region{kind: regionMapHandle, h: &mapHandle{m: mp, keySize: mp.KeySize(), valueSize: mp.ValueSize()}}
 	}
-	p := &Program{name: spec.Name, insns: insns, handles: handles, ctxSize: spec.CtxSize, vstates: states}
+	p := &Program{name: spec.Name, insns: insns, ctxSize: spec.CtxSize, vstates: states}
 	p.code, p.genericOps = decode(p.insns, handles)
 	return p
 }

@@ -3,7 +3,6 @@ package ebpf
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -72,19 +71,6 @@ func (m *RingBuf) KeySize() int { return 0 }
 
 // ValueSize is 0: records are variable-sized.
 func (m *RingBuf) ValueSize() int { return 0 }
-
-// Lookup is invalid on ring buffers.
-func (m *RingBuf) Lookup(key []byte) ([]byte, bool) { return nil, false }
-
-// Update is invalid on ring buffers.
-func (m *RingBuf) Update(key, value []byte, flags int) error {
-	return errors.New("ebpf: update not supported on ringbuf")
-}
-
-// Delete is invalid on ring buffers.
-func (m *RingBuf) Delete(key []byte) error {
-	return errors.New("ebpf: delete not supported on ringbuf")
-}
 
 // Capacity returns the ring size in bytes (BPF_RB_RING_SIZE).
 func (m *RingBuf) Capacity() int { return int(m.size) }

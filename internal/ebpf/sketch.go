@@ -2,7 +2,6 @@ package ebpf
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -31,8 +30,7 @@ import (
 // (HelperCMSUpdate, HelperCMSEstimate, HelperHashPipeInsert); the
 // verifier rejects the generic map helpers on sketch handles, since a
 // sketch has no per-key value cell a map_lookup_elem pointer could
-// name. The Map interface is still implemented for userspace readers
-// (Lookup returns an estimate snapshot, not live storage).
+// name.
 
 // ErrSketchGeometry is returned by Merge when the two sketches'
 // (keySize, width/depth or stages/slots) shapes differ: element-wise
@@ -75,7 +73,6 @@ type CMS struct {
 	depth   int
 	rows    []uint64 // depth rows of width counters, row-major
 	total   uint64   // N: sum of all increments ever applied (incl. merged)
-	scratch [8]byte  // Lookup read-out buffer
 }
 
 // NewCMS creates a count-min sketch. keySize, width and depth must be
@@ -150,43 +147,6 @@ func (c *CMS) Estimate(key []byte) uint64 {
 	return min
 }
 
-// Lookup implements Map for userspace readers: it writes the current
-// estimate for key into an internal snapshot buffer and returns it.
-// Unlike the exact maps, the returned slice is NOT live sketch storage
-// (a sketch has no per-key cell) and is reused by the next Lookup. BPF
-// programs cannot reach this path — the verifier rejects generic map
-// helpers on sketch handles.
-func (c *CMS) Lookup(key []byte) ([]byte, bool) {
-	if len(key) != c.keySize {
-		return nil, false
-	}
-	binary.LittleEndian.PutUint64(c.scratch[:], c.Estimate(key))
-	return c.scratch[:], true
-}
-
-// Update implements Map for userspace writers: the little-endian uint64
-// in value is added to the sketch for key (sketches have no overwrite,
-// so every update is an increment; flags other than UpdateAny are
-// rejected).
-func (c *CMS) Update(key, value []byte, flags int) error {
-	if len(key) != c.keySize {
-		return ErrBadKeySize
-	}
-	if len(value) != 8 {
-		return ErrBadValSize
-	}
-	if flags != UpdateAny {
-		return errors.New("ebpf: cms update supports only UpdateAny")
-	}
-	c.Add(key, binary.LittleEndian.Uint64(value))
-	return nil
-}
-
-// Delete is invalid on a count-min sketch (counts cannot be unfolded).
-func (c *CMS) Delete(key []byte) error {
-	return errors.New("ebpf: delete not supported on cms")
-}
-
 // Merge folds other into c element-wise. Merging is commutative and
 // associative — counter addition — so any fold order over a set of
 // per-node sketches yields bit-identical rows and totals. Geometry
@@ -231,7 +191,6 @@ type HashPipe struct {
 	stages  int
 	slots   int      // per stage
 	table   []hpSlot // stages*slots, stage-major
-	scratch [8]byte  // Lookup read-out buffer
 }
 
 // NewHashPipe creates a HashPipe with stages×slots cells. keySize must
@@ -356,52 +315,6 @@ func (h *HashPipe) TopK(k int) []HPEntry {
 	return e
 }
 
-// Lookup implements Map for userspace readers: the resident count for
-// key (summed across stages), through an internal snapshot buffer. A
-// key not resident in any stage reports !ok — HashPipe forgets small
-// flows by design.
-func (h *HashPipe) Lookup(key []byte) ([]byte, bool) {
-	if len(key) != h.keySize {
-		return nil, false
-	}
-	var sum uint64
-	found := false
-	for i := range h.table {
-		s := &h.table[i]
-		if s.used && h.slotKeyEqual(s, key) {
-			sum += s.count
-			found = true
-		}
-	}
-	if !found {
-		return nil, false
-	}
-	binary.LittleEndian.PutUint64(h.scratch[:], sum)
-	return h.scratch[:], true
-}
-
-// Update implements Map for userspace writers: the little-endian
-// uint64 in value is inserted for key via Insert. Only UpdateAny is
-// meaningful on a pipe.
-func (h *HashPipe) Update(key, value []byte, flags int) error {
-	if len(key) != h.keySize {
-		return ErrBadKeySize
-	}
-	if len(value) != 8 {
-		return ErrBadValSize
-	}
-	if flags != UpdateAny {
-		return errors.New("ebpf: hashpipe update supports only UpdateAny")
-	}
-	h.Insert(key, binary.LittleEndian.Uint64(value))
-	return nil
-}
-
-// Delete is invalid on a HashPipe.
-func (h *HashPipe) Delete(key []byte) error {
-	return errors.New("ebpf: delete not supported on hashpipe")
-}
-
 // Merge folds other's resident entries into h. The union of both
 // pipes' entries is summed per key and re-inserted into a cleared h in
 // descending-count order (key-byte ties), so the result is a
@@ -449,14 +362,4 @@ func (h *HashPipe) Reset() {
 	for i := range h.table {
 		h.table[i] = hpSlot{}
 	}
-}
-
-// isSketch reports whether m is one of the helper-only sketch types
-// the generic map helpers must not touch.
-func isSketch(m Map) bool {
-	switch m.(type) {
-	case *CMS, *HashPipe:
-		return true
-	}
-	return false
 }

@@ -136,7 +136,7 @@ func (v *verifier) structural() error {
 		// The wire format carries 4-bit register fields; r11-r15 are
 		// invalid everywhere.
 		if in.Dst >= NumRegisters || in.Src >= NumRegisters {
-			return &VerifierError{PC: pc, Reason: fmt.Sprintf("invalid register r%d", max8(uint8(in.Dst), uint8(in.Src)))}
+			return &VerifierError{PC: pc, Reason: fmt.Sprintf("invalid register r%d", max(in.Dst, in.Src))}
 		}
 		if in.IsWideLoad() {
 			if pc+1 >= len(v.insns) {
@@ -176,7 +176,7 @@ func (v *verifier) structural() error {
 			switch op {
 			case JmpExit:
 			case JmpCall:
-				if !helperKnown(in.Imm) {
+				if _, ok := helpers[in.Imm]; !ok {
 					return &VerifierError{PC: pc, Reason: fmt.Sprintf("unknown helper function %d", in.Imm)}
 				}
 			default:
@@ -297,15 +297,72 @@ func (v *verifier) rejectBackEdges() error {
 	return nil
 }
 
-func helperKnown(id int32) bool {
-	switch id {
-	case HelperMapLookupElem, HelperMapUpdateElem, HelperMapDeleteElem,
-		HelperKtimeGetNS, HelperGetSMPProcID, HelperGetCurrentPidTgid,
-		HelperRingbufOutput, HelperRingbufQuery,
-		HelperCMSUpdate, HelperCMSEstimate, HelperHashPipeInsert:
-		return true
+// Map kinds: the columns of the helper table.
+const (
+	kindHash     = iota // HashMap and ArrayMap, the generic map helpers' maps
+	kindRingbuf         // RingBuf
+	kindCMS             // CMS
+	kindHashPipe        // HashPipe
+	numMapKinds
+)
+
+// mapKind returns m's column in the helper table.
+func mapKind(m Map) int {
+	switch m.(type) {
+	case *RingBuf:
+		return kindRingbuf
+	case *CMS:
+		return kindCMS
+	case *HashPipe:
+		return kindHashPipe
 	}
-	return false
+	return kindHash
+}
+
+// helperSig is one helper's row of the helper table.
+type helperSig struct {
+	// reject is, per map kind, the reason (a format of the map's name)
+	// the helper refuses R1 pointing at that kind; "" admits it. A
+	// helper whose row is all "" takes no map.
+	reject [numMapKinds]string
+	key    string // R2 points at the map's key, so named in rejections; "" if it does not
+}
+
+// onlyFor is the reject row of a helper that takes maps of kind k alone.
+func onlyFor(k int, reason string) (row [numMapKinds]string) {
+	for i := range row {
+		if i != k {
+			row[i] = reason
+		}
+	}
+	return row
+}
+
+// genericMap is the reject row of map_lookup_elem, map_update_elem and
+// map_delete_elem: Linux denies them on a ring buffer, and a sketch is
+// reached through its own helpers alone.
+var genericMap = [numMapKinds]string{
+	kindRingbuf:  "generic map helper on ringbuf map %q (use the ringbuf helpers)",
+	kindCMS:      "generic map helper on sketch map %q (use the cms/hashpipe helpers)",
+	kindHashPipe: "generic map helper on sketch map %q (use the cms/hashpipe helpers)",
+}
+
+// helpers is the helper table, keyed by helper id: which map kinds each
+// helper takes, as Linux's check_map_func_compatibility decides by map
+// type, and what its key argument is called. An id not in it is an
+// unknown helper.
+var helpers = map[int32]helperSig{
+	HelperKtimeGetNS:        {},
+	HelperGetSMPProcID:      {},
+	HelperGetCurrentPidTgid: {},
+	HelperMapLookupElem:     {genericMap, "map key (R2)"},
+	HelperMapUpdateElem:     {genericMap, "map key (R2)"},
+	HelperMapDeleteElem:     {genericMap, "map key (R2)"},
+	HelperRingbufOutput:     {onlyFor(kindRingbuf, "ringbuf_output on non-ringbuf map %q"), ""},
+	HelperRingbufQuery:      {onlyFor(kindRingbuf, "ringbuf_query on non-ringbuf map %q"), ""},
+	HelperCMSUpdate:         {onlyFor(kindCMS, "cms helper on non-cms map %q"), "cms key (R2)"},
+	HelperCMSEstimate:       {onlyFor(kindCMS, "cms helper on non-cms map %q"), "cms key (R2)"},
+	HelperHashPipeInsert:    {onlyFor(kindHashPipe, "hashpipe_insert on non-hashpipe map %q"), "hashpipe key (R2)"},
 }
 
 func (v *verifier) errf(pc int, format string, args ...any) error {
@@ -762,134 +819,63 @@ func (v *verifier) checkReadable(pc int, st *absState, reg absReg, size int, wha
 	return v.checkMem(pc, st, reg, 0, size, true)
 }
 
+// checkCall checks a helper call's arguments against its row of the
+// helper table and its own argument rules, then sets R0 and clobbers
+// R1-R5.
 func (v *verifier) checkCall(pc int, id int32, st *absState) error {
-	arg := func(r Register) absReg { return st.regs[r] }
 	requireScalar := func(r Register, what string) error {
-		a := arg(r)
-		if a.t != tScalar {
+		if a := st.regs[r]; a.t != tScalar {
 			return v.errf(pc, "%s must be a scalar, got %s", what, a.t)
 		}
 		return nil
 	}
-	var ret absReg
+	sig, m := helpers[id], st.regs[R1]
+	if sig.reject != ([numMapKinds]string{}) {
+		if m.t != tMapHandle {
+			return v.errf(pc, "helper arg R1 must be a map handle, got %s", m.t)
+		}
+		if reason := sig.reject[mapKind(m.m)]; reason != "" {
+			return v.errf(pc, reason, m.m.Name())
+		}
+	}
+	if sig.key != "" {
+		if err := v.checkReadable(pc, st, st.regs[R2], m.m.KeySize(), sig.key); err != nil {
+			return err
+		}
+	}
+	var err error
+	ret := scalarReg()
 	switch id {
-	case HelperKtimeGetNS, HelperGetCurrentPidTgid, HelperGetSMPProcID:
-		ret = scalarReg()
-	case HelperMapLookupElem, HelperMapDeleteElem:
-		m := arg(R1)
-		if m.t != tMapHandle {
-			return v.errf(pc, "helper arg R1 must be a map handle, got %s", m.t)
-		}
-		if isSketch(m.m) {
-			return v.errf(pc, "generic map helper on sketch map %q (use the cms/hashpipe helpers)", m.m.Name())
-		}
-		if err := v.checkReadable(pc, st, arg(R2), m.m.KeySize(), "map key (R2)"); err != nil {
-			return err
-		}
-		if id == HelperMapLookupElem {
-			ret = absReg{t: tMapValueOrNull, m: m.m}
-		} else {
-			ret = scalarReg()
-		}
+	case HelperMapLookupElem:
+		ret = absReg{t: tMapValueOrNull, m: m.m}
 	case HelperMapUpdateElem:
-		m := arg(R1)
-		if m.t != tMapHandle {
-			return v.errf(pc, "helper arg R1 must be a map handle, got %s", m.t)
+		if err = v.checkReadable(pc, st, st.regs[R3], m.m.ValueSize(), "map value (R3)"); err == nil {
+			err = requireScalar(R4, "map update flags (R4)")
 		}
-		if isSketch(m.m) {
-			return v.errf(pc, "generic map helper on sketch map %q (use the cms/hashpipe helpers)", m.m.Name())
-		}
-		if err := v.checkReadable(pc, st, arg(R2), m.m.KeySize(), "map key (R2)"); err != nil {
-			return err
-		}
-		if err := v.checkReadable(pc, st, arg(R3), m.m.ValueSize(), "map value (R3)"); err != nil {
-			return err
-		}
-		if err := requireScalar(R4, "map update flags (R4)"); err != nil {
-			return err
-		}
-		ret = scalarReg()
 	case HelperRingbufOutput:
-		m := arg(R1)
-		if m.t != tMapHandle {
-			return v.errf(pc, "helper arg R1 must be a map handle, got %s", m.t)
-		}
-		if _, ok := m.m.(*RingBuf); !ok {
-			return v.errf(pc, "ringbuf_output on non-ringbuf map %q", m.m.Name())
-		}
-		sz := arg(R3)
-		if sz.t != tScalar || !sz.known {
-			return v.errf(pc, "ringbuf_output size (R3) must be a known constant")
-		}
-		if sz.val > StackSize {
-			return v.errf(pc, "ringbuf_output size %d too large", sz.val)
-		}
-		if err := v.checkReadable(pc, st, arg(R2), int(sz.val), "ringbuf record (R2)"); err != nil {
-			return err
-		}
-		if err := requireScalar(R4, "ringbuf flags (R4)"); err != nil {
-			return err
-		}
-		ret = scalarReg()
-	case HelperRingbufQuery:
-		m := arg(R1)
-		if m.t != tMapHandle {
-			return v.errf(pc, "helper arg R1 must be a map handle, got %s", m.t)
-		}
-		if _, ok := m.m.(*RingBuf); !ok {
-			return v.errf(pc, "ringbuf_query on non-ringbuf map %q", m.m.Name())
-		}
-		if err := requireScalar(R2, "ringbuf_query flags (R2)"); err != nil {
-			return err
-		}
-		ret = scalarReg()
-	case HelperCMSUpdate, HelperCMSEstimate:
-		m := arg(R1)
-		if m.t != tMapHandle {
-			return v.errf(pc, "helper arg R1 must be a map handle, got %s", m.t)
-		}
-		if _, ok := m.m.(*CMS); !ok {
-			return v.errf(pc, "cms helper on non-cms map %q", m.m.Name())
-		}
-		if err := v.checkReadable(pc, st, arg(R2), m.m.KeySize(), "cms key (R2)"); err != nil {
-			return err
-		}
-		if id == HelperCMSUpdate {
-			if err := requireScalar(R3, "cms increment (R3)"); err != nil {
-				return err
+		switch sz := st.regs[R3]; {
+		case sz.t != tScalar || !sz.known:
+			err = v.errf(pc, "ringbuf_output size (R3) must be a known constant")
+		case sz.val > StackSize:
+			err = v.errf(pc, "ringbuf_output size %d too large", sz.val)
+		default:
+			if err = v.checkReadable(pc, st, st.regs[R2], int(sz.val), "ringbuf record (R2)"); err == nil {
+				err = requireScalar(R4, "ringbuf flags (R4)")
 			}
 		}
-		ret = scalarReg()
+	case HelperRingbufQuery:
+		err = requireScalar(R2, "ringbuf_query flags (R2)")
+	case HelperCMSUpdate:
+		err = requireScalar(R3, "cms increment (R3)")
 	case HelperHashPipeInsert:
-		m := arg(R1)
-		if m.t != tMapHandle {
-			return v.errf(pc, "helper arg R1 must be a map handle, got %s", m.t)
-		}
-		if _, ok := m.m.(*HashPipe); !ok {
-			return v.errf(pc, "hashpipe_insert on non-hashpipe map %q", m.m.Name())
-		}
-		if err := v.checkReadable(pc, st, arg(R2), m.m.KeySize(), "hashpipe key (R2)"); err != nil {
-			return err
-		}
-		if err := requireScalar(R3, "hashpipe increment (R3)"); err != nil {
-			return err
-		}
-		ret = scalarReg()
-	default:
-		// structural() already rejected unknown helper ids via
-		// helperKnown; reaching here is a verifier bug.
-		panic(fmt.Sprintf("ebpf: verifier: unchecked helper %d at pc %d", id, pc))
+		err = requireScalar(R3, "hashpipe increment (R3)")
+	}
+	if err != nil {
+		return err
 	}
 	st.regs[R0] = ret
 	for r := R1; r <= R5; r++ {
 		st.regs[r] = absReg{t: tUninit}
 	}
 	return nil
-}
-
-func max8(a, b uint8) uint8 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -306,6 +306,10 @@ func rejectionCases() []rejectionCase {
 			wide(LoadMapFD(R1, 1),
 				ret0(Mov64Imm(R2, 0), Call(HelperMapLookupElem))...),
 			"map key (R2) must be a pointer, got scalar"},
+		{"map_key_uninitialized",
+			wide(LoadMapFD(R1, 1),
+				ret0(Mov64Reg(R2, R10), Add64Imm(R2, -8), Call(HelperMapLookupElem))...),
+			"read of uninitialized stack byte 504"},
 		{"helper_r1_not_map",
 			ret0(Mov64Imm(R1, 1), Call(HelperMapLookupElem)),
 			"helper arg R1 must be a map handle, got scalar"},
@@ -336,6 +340,16 @@ func rejectionCases() []rejectionCase {
 			wide(LoadMapFD(R1, 3),
 				ret0(Mov64Imm(R3, 600), Call(HelperRingbufOutput))...),
 			"ringbuf_output size 600 too large"},
+		{"ringbuf_record_uninitialized",
+			wide(LoadMapFD(R1, 3),
+				ret0(Mov64Reg(R2, R10), Add64Imm(R2, -8),
+					Mov64Imm(R3, 8), Mov64Imm(R4, 0), Call(HelperRingbufOutput))...),
+			"read of uninitialized stack byte 504"},
+		{"ringbuf_flags_not_scalar",
+			wide(LoadMapFD(R1, 3),
+				ret0(StoreImm(R10, -8, 0, SizeDW), Mov64Reg(R2, R10), Add64Imm(R2, -8),
+					Mov64Imm(R3, 8), Mov64Reg(R4, R10), Call(HelperRingbufOutput))...),
+			"ringbuf flags (R4) must be a scalar, got stack_ptr"},
 		{"ringbuf_query_wrong_map",
 			wide(LoadMapFD(R1, 2),
 				ret0(Mov64Imm(R2, 0), Call(HelperRingbufQuery))...),
@@ -374,6 +388,21 @@ func rejectionCases() []rejectionCase {
 					ret0(Mov64Reg(R2, R10), Add64Imm(R2, -8),
 						Call(HelperMapLookupElem))...)),
 			`generic map helper on sketch map "c"`},
+		{"ringbuf_generic_lookup",
+			wide(LoadMapFD(R1, 3),
+				Call(HelperMapLookupElem),
+				JmpImm(JmpJEQ, R0, 0, 2),
+				Mov64Imm(R0, 1),
+				Ja(1),
+				Mov64Imm(R0, 0),
+				Exit()),
+			`generic map helper on ringbuf map "r" (use the ringbuf helpers)`},
+		{"ringbuf_generic_update",
+			wide(LoadMapFD(R1, 3), ret0(Mov64Imm(R4, 0), Call(HelperMapUpdateElem))...),
+			`generic map helper on ringbuf map "r"`},
+		{"ringbuf_generic_delete",
+			wide(LoadMapFD(R1, 3), ret0(Call(HelperMapDeleteElem))...),
+			`generic map helper on ringbuf map "r"`},
 	}
 }
 
@@ -398,10 +427,11 @@ func TestVerifierRejectionTable(t *testing.T) {
 	}
 }
 
-// reasonLitRe matches the reason string literal in either rejection
-// idiom used by verifier.go: `Reason: "..."` / `Reason: fmt.Sprintf("..."`
-// and `v.errf(pc, "..."`.
-var reasonLitRe = regexp.MustCompile(`(?:Reason: (?:fmt\.Sprintf\()?|errf\(pc, )"((?:[^"\\]|\\.)*)"`)
+// reasonLitRe matches the reason string literal in each rejection idiom
+// used by verifier.go: `Reason: "..."` / `Reason: fmt.Sprintf("..."`,
+// `v.errf(pc, "..."` and the helper table's `onlyFor(kindX, "..."` and
+// `kindX: "..."`.
+var reasonLitRe = regexp.MustCompile(`(?:Reason: (?:fmt\.Sprintf\()?|errf\(pc, |onlyFor\(\w+, |kind\w+: +)"((?:[^"\\]|\\.)*)"`)
 
 // verbRe matches fmt verbs inside an extracted reason format string.
 var verbRe = regexp.MustCompile(`%#?[a-z]`)

@@ -5,9 +5,9 @@
 // or negates one if condition, in AST order, and runs its package's
 // tests through `go test -overlay`, one mutant at a time, writing no
 // file of the tree. The failing tests are the mutant's kill row
-// (stderr), rerun past any test that panics so the row names every
-// killer; one that does not build is invalid and left out of the
-// score, and one that outlives the timeout is killed.
+// (stderr), rerun past any test that panics, each test once, so the
+// row names every killer; one that does not build is invalid and left
+// out of the score, and one that outlives the timeout is killed.
 //
 // stdout gets each file's score. testdata/survivors.txt lists each
 // mutant that survived a run as `file:line:col from→to`, a tab, then
@@ -55,6 +55,7 @@ type mutant struct {
 	key     string   // file:line:col from→to
 	invalid bool     // the mutant did not build
 	killers []string // failing top-level tests, or "(timeout)" or "(package)"
+	ran     []string // every top-level test's report, in order, over all rounds
 }
 
 func (m *mutant) String() string {
@@ -187,29 +188,30 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 
 // goTest runs pkg's tests under the overlay and collects the failing
 // top-level tests. A test that panics ends its binary's run, and with
-// it the tests after it, so the package is rerun with the tests that
-// panicked skipped until a run completes; the kill row is the union.
+// it the tests after it, so the package is rerun with every test that
+// has reported skipped until a round completes or runs nothing new:
+// each test runs once, and the kill row is the union.
 func goTest(root, pkg, overlay string, timeout time.Duration) (*mutant, error) {
 	m := &mutant{}
-	var skip []string
 	for {
-		panicked, err := goTestOnce(root, pkg, overlay, timeout, skip, m)
-		if err != nil || m.invalid || panicked == "" || slices.Contains(skip, panicked) {
+		n := len(m.ran)
+		panicked, err := goTestOnce(root, pkg, overlay, timeout, m)
+		if err != nil || m.invalid || !panicked || len(m.ran) == n {
 			slices.Sort(m.killers)
 			return m, err
 		}
-		skip = append(skip, panicked)
 	}
 }
 
-// goTestOnce runs pkg's tests but those in skip, adds the failing ones
-// to m, and returns the test that panicked, if one did.
-func goTestOnce(root, pkg, overlay string, timeout time.Duration, skip []string, m *mutant) (panicked string, err error) {
+// goTestOnce runs pkg's tests but those in m.ran, adds the failing ones
+// to m.killers and every one that reports to m.ran, and tells whether
+// a test panicked.
+func goTestOnce(root, pkg, overlay string, timeout time.Duration, m *mutant) (panicked bool, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	args := []string{"test", "-count=1", "-json", "-overlay", overlay}
-	if len(skip) > 0 {
-		args = append(args, "-skip", "^("+strings.Join(skip, "|")+")$")
+	if len(m.ran) > 0 {
+		args = append(args, "-skip", "^("+strings.Join(m.ran, "|")+")$")
 	}
 	cmd := exec.CommandContext(ctx, "go", append(args, pkg)...)
 	cmd.Dir = root
@@ -219,7 +221,7 @@ func goTestOnce(root, pkg, overlay string, timeout time.Duration, skip []string,
 	out, err := cmd.Output()
 	if ctx.Err() != nil {
 		m.killers = append(m.killers, "(timeout)")
-		return "", nil
+		return false, nil
 	}
 	failed := false
 	for _, line := range bytes.Split(out, []byte("\n")) {
@@ -229,22 +231,27 @@ func goTestOnce(root, pkg, overlay string, timeout time.Duration, skip []string,
 		}
 		if ev.FailedBuild != "" { // a compile or vet error
 			m.invalid = true
-			return "", nil
+			return false, nil
 		}
 		name, _, _ := strings.Cut(ev.Test, "/")
-		switch {
-		case name == "":
-		case ev.Action == "fail":
+		if name == "" {
+			continue
+		}
+		switch ev.Action {
+		case "output":
+			panicked = panicked || strings.HasPrefix(ev.Output, "panic: ")
+		case "fail":
 			failed = true
 			if !slices.Contains(m.killers, name) {
 				m.killers = append(m.killers, name)
 			}
-		case ev.Action == "output" && strings.HasPrefix(ev.Output, "panic: "):
-			panicked = name
+		}
+		if name == ev.Test && (ev.Action == "pass" || ev.Action == "fail" || ev.Action == "skip") {
+			m.ran = append(m.ran, name)
 		}
 	}
 	if _, exited := err.(*exec.ExitError); err != nil && !exited {
-		return "", err
+		return false, err
 	} else if exited && !failed {
 		m.killers = append(m.killers, "(package)")
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -51,7 +52,8 @@ func TestTinyPackage(t *testing.T) {
 
 // TestPanicReruns mutates testdata/tiny's At, whose mutants panic
 // TestAtEnd: the kill row still names TestAtRecovers, which runs after
-// it and fails without panicking.
+// it and fails without panicking, and the rerun runs only what the
+// panic cut off, so each top-level test reports once across the rounds.
 func TestPanicReruns(t *testing.T) {
 	ms, err := run("testdata/tiny", "at.go", io.Discard)
 	if err != nil {
@@ -60,6 +62,11 @@ func TestPanicReruns(t *testing.T) {
 	var got []string
 	for _, m := range ms {
 		got = append(got, m.String())
+		ran := slices.Clone(m.ran)
+		slices.Sort(ran)
+		if want := []string{"TestAtEnd", "TestAtRecovers", "TestMax"}; !slices.Equal(ran, want) {
+			t.Errorf("%s: tests reported %v across the rounds, want each of %v once", m.key, m.ran, want)
+		}
 	}
 	want := []string{
 		"at.go:6:2 if→!if: killed by TestAtEnd TestAtRecovers",

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"reqlens/internal/ebpf"
 	"reqlens/internal/kernel"
 	"reqlens/internal/telemetry"
 )
@@ -55,8 +56,8 @@ func TestStreamMatchesBatchObserver(t *testing.T) {
 			t.Fatalf("window %d consumed no events", i)
 		}
 	}
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 	for name, n := range stream.ProbePrograms() {
 		if n == 0 {
@@ -216,7 +217,7 @@ func TestAttachStreamDefaultRing(t *testing.T) {
 	_, k := rig()
 	stream := MustAttachStream(k, streamConfig(1), 0)
 	defer stream.Detach()
-	if got := stream.ring.Capacity(); got != DefaultStreamBytes {
+	if got := stream.ring.Query(ebpf.RingbufRingSize); got != DefaultStreamBytes {
 		t.Fatalf("default ring capacity = %d, want %d", got, DefaultStreamBytes)
 	}
 	if stream.Dropped() != 0 {

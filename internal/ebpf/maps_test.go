@@ -328,8 +328,8 @@ func TestRingBufOps(t *testing.T) {
 	if !rb.Output([]byte("world")) {
 		t.Fatal("output failed")
 	}
-	if rb.Pending() != 2 || rb.Written() != 2 {
-		t.Fatalf("pending=%d written=%d", rb.Pending(), rb.Written())
+	if rb.Pending() != 2 || rb.Dropped() != 0 {
+		t.Fatalf("pending=%d dropped=%d", rb.Pending(), rb.Dropped())
 	}
 	recs := rb.Drain()
 	if len(recs) != 2 || string(recs[0]) != "hello" || string(recs[1]) != "world" {

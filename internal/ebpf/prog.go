@@ -23,14 +23,13 @@ type Program struct {
 	name    string
 	insns   []Instruction
 	ctxSize int
-	runs    uint64
 	vstates int // abstract states the verifier explored to admit it
 	// code is the decoded program, one record per slot (compile.go);
 	// genericOps and coldOps are what GenericOps and ColdOps report.
 	code       []op
 	genericOps int
 	coldOps    uint64
-	rsCache    *vm // parked run state; see getVM (Run is single-goroutine, like runs)
+	rsCache    *vm // parked run state; see getVM (Run is single-goroutine)
 }
 
 // Load verifies and loads a program. It fails exactly when the verifier
@@ -82,9 +81,6 @@ func (p *Program) Len() int { return len(p.insns) }
 // CtxSize returns the context size the program was verified against.
 func (p *Program) CtxSize() int { return p.ctxSize }
 
-// Runs returns how many times the program has executed.
-func (p *Program) Runs() uint64 { return p.runs }
-
 // VerifierStates returns how many abstract states the verifier explored
 // to admit this program — its one-time load cost, surfaced by the
 // telemetry registry as verifier_states_total.
@@ -121,8 +117,8 @@ func (p *Program) Disassemble() string {
 // must match the spec's CtxSize. The returned RunStats lets the caller
 // charge execution cost to the traced thread.
 //
-// Run is not safe for concurrent use of one Program (it updates the
-// run counter and recycles per-Program run state); each simulated CPU
+// Run is not safe for concurrent use of one Program (it recycles
+// per-Program run state and counts ColdOps); each simulated CPU
 // loads its own Program instance. Run state is recycled on normal
 // return and on runtime faults (fault errors copy what they report);
 // it is deliberately not recycled when a panic unwinds through the run
@@ -131,7 +127,6 @@ func (p *Program) Run(ctx []byte, env HelperEnv) (uint64, RunStats, error) {
 	if len(ctx) != p.ctxSize {
 		return 0, RunStats{}, fmt.Errorf("ebpf: run %q: ctx size %d, verified for %d", p.name, len(ctx), p.ctxSize)
 	}
-	p.runs++
 	m := getVM(p, ctx, env)
 	ret, err := p.execCompiled(m)
 	st := m.stats

@@ -38,7 +38,6 @@ type RingBuf struct {
 
 	dropped      uint64 // records dropped for lack of space
 	droppedBytes uint64 // bytes those dropped records would have cost
-	written      uint64 // records committed
 	pending      int    // records between cons and prod
 }
 
@@ -71,9 +70,6 @@ func (m *RingBuf) KeySize() int { return 0 }
 
 // ValueSize is 0: records are variable-sized.
 func (m *RingBuf) ValueSize() int { return 0 }
-
-// Capacity returns the ring size in bytes (BPF_RB_RING_SIZE).
-func (m *RingBuf) Capacity() int { return int(m.size) }
 
 // AvailData returns the unconsumed bytes between the consumer and
 // producer positions (BPF_RB_AVAIL_DATA), headers included.
@@ -142,7 +138,6 @@ func (m *RingBuf) Output(rec []byte) bool {
 	m.copyIn(m.prod, hdr[:])
 	m.copyIn(m.prod+ringbufHdrSize, rec)
 	m.prod += need
-	m.written++
 	m.pending++
 	return true
 }
@@ -183,9 +178,6 @@ func (m *RingBuf) Dropped() uint64 { return m.dropped }
 // payload) of every dropped record — the bytes the ring would have
 // needed to avoid the drops.
 func (m *RingBuf) DroppedBytes() uint64 { return m.droppedBytes }
-
-// Written returns the count of records successfully committed.
-func (m *RingBuf) Written() uint64 { return m.written }
 
 // Pending returns the number of records awaiting Drain.
 func (m *RingBuf) Pending() int { return m.pending }

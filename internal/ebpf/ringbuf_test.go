@@ -10,9 +10,6 @@ import (
 
 func TestRingBufAccounting(t *testing.T) {
 	rb := NewRingBuf("rb", 64)
-	if rb.Capacity() != 64 {
-		t.Fatalf("Capacity = %d", rb.Capacity())
-	}
 	if rb.AvailData() != 0 || rb.ProducerPos() != 0 || rb.ConsumerPos() != 0 {
 		t.Fatal("fresh ring should be empty at position 0")
 	}
@@ -60,11 +57,8 @@ func TestRingBufWraparound(t *testing.T) {
 			t.Fatalf("iteration %d: drained %v, want %v", i, got, rec)
 		}
 	}
-	if rb.Written() != 100 || rb.Dropped() != 0 {
-		t.Fatalf("written=%d dropped=%d", rb.Written(), rb.Dropped())
-	}
-	if rb.ProducerPos() != 1600 {
-		t.Fatalf("prod = %d, want 100*16", rb.ProducerPos())
+	if rb.Dropped() != 0 || rb.ProducerPos() != 1600 {
+		t.Fatalf("dropped=%d prod=%d, want 0, 100*16", rb.Dropped(), rb.ProducerPos())
 	}
 }
 
@@ -104,10 +98,10 @@ func TestRingBufInterleavedDrain(t *testing.T) {
 // front and every record copied out on drain, as the ring was before its
 // host store grew lazily. TestRingBufGrowthInvisible holds RingBuf to it.
 type fullRing struct {
-	data                           []byte
-	mask, prod, cons               uint64
-	dropped, droppedBytes, written uint64
-	pending                        int
+	data                  []byte
+	mask, prod, cons      uint64
+	dropped, droppedBytes uint64
+	pending               int
 }
 
 func newFullRing(capacity int) *fullRing {
@@ -144,7 +138,6 @@ func (m *fullRing) output(rec []byte) bool {
 	m.copyIn(m.prod, hdr[:])
 	m.copyIn(m.prod+ringbufHdrSize, rec)
 	m.prod += need
-	m.written++
 	m.pending++
 	return true
 }
@@ -233,14 +226,14 @@ func TestRingBufGrowthInvisible(t *testing.T) {
 // ringState is everything RingBuf exposes about its positions and
 // accounting, reference and ring alike.
 type ringState struct {
-	prod, cons, avail, dropped, droppedBytes, written uint64
-	query                                             [5]uint64
-	capacity, pending                                 int
+	prod, cons, avail, dropped, droppedBytes uint64
+	query                                    [5]uint64
+	pending                                  int
 }
 
 func (m *RingBuf) ringState() ringState {
-	s := ringState{m.ProducerPos(), m.ConsumerPos(), m.AvailData(), m.Dropped(), m.DroppedBytes(), m.Written(),
-		[5]uint64{}, m.Capacity(), m.Pending()}
+	s := ringState{m.ProducerPos(), m.ConsumerPos(), m.AvailData(), m.Dropped(), m.DroppedBytes(),
+		[5]uint64{}, m.Pending()}
 	for i, flag := range []uint64{RingbufAvailData, RingbufRingSize, RingbufConsPos, RingbufProdPos, 99} {
 		s.query[i] = m.Query(flag)
 	}
@@ -248,8 +241,8 @@ func (m *RingBuf) ringState() ringState {
 }
 
 func (m *fullRing) ringState() ringState {
-	s := ringState{m.prod, m.cons, m.prod - m.cons, m.dropped, m.droppedBytes, m.written,
-		[5]uint64{}, len(m.data), m.pending}
+	s := ringState{m.prod, m.cons, m.prod - m.cons, m.dropped, m.droppedBytes,
+		[5]uint64{}, m.pending}
 	for i, flag := range []uint64{RingbufAvailData, RingbufRingSize, RingbufConsPos, RingbufProdPos, 99} {
 		s.query[i] = m.query(flag)
 	}
@@ -280,8 +273,9 @@ func BenchmarkRingbufThroughput(b *testing.B) {
 	rb := NewRingBuf("bench", 1<<16)
 	rec := make([]byte, recSize)
 	consume := func([]byte) {}
-	for rb.ConsumerPos() <= uint64(rb.Capacity()) {
-		for rb.AvailData() <= uint64(rb.Capacity())/2 {
+	size := rb.Query(RingbufRingSize)
+	for rb.ConsumerPos() <= size {
+		for rb.AvailData() <= size/2 {
 			rb.Output(rec)
 		}
 		rb.Consume(consume)
@@ -293,7 +287,7 @@ func BenchmarkRingbufThroughput(b *testing.B) {
 		if !rb.Output(rec) {
 			b.Fatal("drop with a draining consumer")
 		}
-		if rb.AvailData() > uint64(rb.Capacity())/2 {
+		if rb.AvailData() > size/2 {
 			rb.Consume(consume)
 		}
 	}

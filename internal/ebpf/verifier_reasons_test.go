@@ -82,6 +82,15 @@ func rejectionCases() []rejectionCase {
 	}
 	complex = append(complex, Exit())
 
+	// A counted loop: its conditional jump goes back to the body.
+	a := NewAssembler()
+	a.Emit(Mov64Imm(R0, 0))
+	a.Label("top")
+	a.Emit(Add64Imm(R0, 1))
+	a.JumpImm(JmpJLT, R0, 10, "top")
+	a.Emit(Exit())
+	loop := a.MustAssemble()
+
 	return []rejectionCase{
 		// --- structural checks ---
 		{"empty_program", nil, "empty program"},
@@ -174,6 +183,9 @@ func rejectionCases() []rejectionCase {
 		{"back_edge",
 			[]Instruction{Ja(-1)},
 			"back-edge to 0"},
+		{"conditional_back_edge",
+			loop,
+			"back-edge to 1"},
 		{"jump32_back_edge",
 			[]Instruction{Mov64Imm(R0, 0), JmpImm32(JmpJEQ, R0, 0, -2), Exit()},
 			"back-edge to 0"},
@@ -188,6 +200,9 @@ func rejectionCases() []rejectionCase {
 		{"uninit_register_read",
 			ret0(Mov64Reg(R0, R2)),
 			"read of uninitialized register r2"},
+		{"uninit_register_read_into_r0",
+			[]Instruction{Mov64Reg(R0, R5), Exit()},
+			"read of uninitialized register r5"},
 		{"copy_maybe_null",
 			lookup(ret0(Mov64Reg(R7, R0))...),
 			"copying possibly-null map value"},

@@ -48,23 +48,6 @@ func TestVerifierRejectsTooLong(t *testing.T) {
 	wantAccept(t, insns[1:], nil)
 }
 
-func TestVerifierRejectsUninitRegisterRead(t *testing.T) {
-	wantReject(t, []Instruction{
-		Mov64Reg(R0, R5), // R5 never written
-		Exit(),
-	}, nil, "uninitialized register r5")
-}
-
-func TestVerifierRejectsBackEdge(t *testing.T) {
-	a := NewAssembler()
-	a.Emit(Mov64Imm(R0, 0))
-	a.Label("top")
-	a.Emit(Add64Imm(R0, 1))
-	a.JumpImm(JmpJLT, R0, 10, "top")
-	a.Emit(Exit())
-	wantReject(t, a.MustAssemble(), nil, "back-edge")
-}
-
 func TestVerifierRejectsJumpOutOfRange(t *testing.T) {
 	wantReject(t, []Instruction{
 		Mov64Imm(R0, 0),

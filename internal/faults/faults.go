@@ -173,12 +173,6 @@ func NoisyNeighborPlan(threads int) Plan {
 		Faults: []Fault{{Kind: NoisyNeighbor, Threads: threads}}}
 }
 
-// RingStallPlan pauses the streaming consumer for dur starting at start.
-func RingStallPlan(start, dur time.Duration) Plan {
-	return Plan{Name: "ring-stall", Seed: 15,
-		Faults: []Fault{{Kind: RingStall, Start: start, Duration: dur}}}
-}
-
 // ProbeChurnPlan detaches the probes at start and reattaches after dur.
 func ProbeChurnPlan(start, dur time.Duration) Plan {
 	return Plan{Name: "probe-churn", Seed: 16,

@@ -29,7 +29,7 @@ func BenchmarkFleetEpochs(b *testing.B) {
 				})
 				c.Run(4)
 				for _, n := range c.Nodes {
-					events += n.Rig.Env.Executed()
+					events += n.Rig.Reg.Counter("sim_events_total").Value()
 				}
 				epochs += nodes * 4
 				c.Close()

@@ -57,11 +57,6 @@ type RigOptions struct {
 	// of fixed-rate pacing (ablation).
 	Poisson bool
 
-	// CaptureArrivals, when positive, records the virtual send time of
-	// up to that many client requests (loadgen.Client.Arrivals), for
-	// determinism audits.
-	CaptureArrivals int
-
 	// Telemetry, when non-nil, instruments the rig's hot paths into the
 	// given registry: simulation events, the server kernel's scheduler
 	// and tracer, and any attached observers' ring accounting and
@@ -133,8 +128,8 @@ type Node struct {
 // observers selected by opt, and hot-path telemetry into opt.Telemetry.
 // It does not create a client; NewRig adds the co-located load
 // generator, and internal/fleet attaches one load-share client per
-// node. opt.Rate, Poisson, SeparateClient and CaptureArrivals
-// are client-side options and ignored here.
+// node. opt.Rate, Poisson and SeparateClient are client-side options
+// and ignored here.
 func NewNode(env *sim.Env, spec workloads.Spec, opt RigOptions) *Node {
 	if opt.Profile.Name == "" {
 		opt.Profile = machine.AMD()
@@ -274,12 +269,11 @@ func NewRig(spec workloads.Spec, opt RigOptions) *Rig {
 		perOp = 0
 	}
 	r.Client = loadgen.New(r.ClientK, r.Server.Listener(), loadgen.Options{
-		Rate:            opt.Rate,
-		Conns:           4 * spec.Workers,
-		ReqSize:         spec.ReqSize,
-		PerOpCost:       perOp,
-		Poisson:         opt.Poisson,
-		CaptureArrivals: opt.CaptureArrivals,
+		Rate:      opt.Rate,
+		Conns:     4 * spec.Workers,
+		ReqSize:   spec.ReqSize,
+		PerOpCost: perOp,
+		Poisson:   opt.Poisson,
 	})
 	return r
 }

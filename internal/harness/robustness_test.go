@@ -156,7 +156,9 @@ func TestRingStallForcesDrops(t *testing.T) {
 		defer rig.Close()
 		rig.Warmup(200 * time.Millisecond)
 		if stall {
-			rig.Arm(faults.RingStallPlan(10*time.Millisecond, 400*time.Millisecond))
+			rig.Arm(faults.Plan{Name: "ring-stall", Seed: 15, Faults: []faults.Fault{
+				{Kind: faults.RingStall, Start: 10 * time.Millisecond, Duration: 400 * time.Millisecond},
+			}})
 		}
 		rig.Measure(600 * time.Millisecond)
 		return rig.Stream.Sample().Dropped

@@ -6,15 +6,17 @@ import (
 	"time"
 
 	"reqlens/internal/faults"
+	"reqlens/internal/kernel"
 	"reqlens/internal/sim"
 	"reqlens/internal/workloads"
 )
 
 // TestLoadgenSeedStability is the load generator's determinism
-// contract: identical seeds produce identical arrival sequences (a)
-// across engine Parallelism settings and (b) after a fault plan is
-// armed and then cleared before firing — arming must consume no
-// simulation entropy.
+// contract: identical seeds produce identical arrival sequences — the
+// times of the client's first 250 sendto entries, seen by a
+// ground-truth listener — (a) across engine Parallelism settings and
+// (b) after a fault plan is armed and then cleared before firing:
+// arming must consume no simulation entropy.
 func TestLoadgenSeedStability(t *testing.T) {
 	spec := workloads.Silo()
 	collect := func(par int, armClear bool) [][]sim.Time {
@@ -24,9 +26,15 @@ func TestLoadgenSeedStability(t *testing.T) {
 			// pacing is deliberately seed-independent).
 			rig := NewRig(spec, RigOptions{
 				Seed: 7 + int64(i), Rate: 0.5 * spec.FailureRPS,
-				Probes: true, Poisson: true, CaptureArrivals: 250,
+				Probes: true, Poisson: true,
 			})
 			defer rig.Close()
+			var sends []sim.Time
+			rig.ClientK.Tracer().AddListener(func(ev kernel.SyscallEvent) {
+				if ev.Enter && ev.NR == kernel.SysSendto && int(ev.Thread.PidTgid()>>32) == rig.Client.TGID() && len(sends) < 250 {
+					sends = append(sends, ev.Time)
+				}
+			})
 			if armClear {
 				// Every injector kind, scheduled far in the future, then
 				// cleared before anything fires.
@@ -44,7 +52,7 @@ func TestLoadgenSeedStability(t *testing.T) {
 			} else {
 				rig.Advance(300 * time.Millisecond)
 			}
-			return rig.Client.Arrivals()
+			return sends
 		})
 		return out
 	}

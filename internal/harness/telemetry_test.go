@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,12 +80,19 @@ func TestTelemetryParallelDeterminism(t *testing.T) {
 // text dump parses back to the registry's values, and the JSONL journal
 // reads back and renders.
 func TestTelemetryPromJournalRoundTrip(t *testing.T) {
-	var jbuf bytes.Buffer
+	path := filepath.Join(t.TempDir(), "run.jsonl")
 	opt := Quick()
 	opt.Telemetry = telemetry.New()
-	opt.Journal = telemetry.NewJournal(&jbuf)
+	j, err := telemetry.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Journal = j
 	spec := workloads.DataCaching()
 	Fig2(spec, opt)
+	if err := j.Close(); err != nil {
+		t.Fatalf("closing the journal: %v", err)
+	}
 
 	var pbuf bytes.Buffer
 	if err := opt.Telemetry.WriteProm(&pbuf); err != nil {
@@ -100,7 +109,11 @@ func TestTelemetryPromJournalRoundTrip(t *testing.T) {
 		t.Fatalf("harness_points_total = %v, want %d", parsed["harness_points_total"], len(opt.Levels))
 	}
 
-	recs, err := telemetry.ReadJournal(bytes.NewReader(jbuf.Bytes()))
+	jdata, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := telemetry.ReadJournal(bytes.NewReader(jdata))
 	if err != nil {
 		t.Fatalf("ReadJournal: %v", err)
 	}

@@ -69,6 +69,7 @@ func scheduleDigest(t *testing.T, seed int64, ncpu, nthreads int, switchCost tim
 		SyscallCost:       300 * time.Nanosecond,
 		TimeSlice:         100 * time.Microsecond,
 	})
+	n := counted(env, k)
 	sum := ebpf.NewArrayMap("sum", 8, 1)
 	tr := k.Tracer()
 	tr.MustAttach(SchedSwitch, digestProg(1, SchedSwitch, sum, CtxOffPrevPidTgid, CtxOffPrevState, CtxOffNextPidTgid))
@@ -144,18 +145,18 @@ func scheduleDigest(t *testing.T, seed int64, ncpu, nthreads int, switchCost tim
 	if env.LiveProcs() != 0 {
 		t.Fatalf("seed %d: %d threads never finished", seed, env.LiveProcs())
 	}
-	if tr.RunErrors() != 0 {
-		t.Fatalf("seed %d: probe faults: %v", seed, tr.LastError())
+	if err := tr.LastError(); err != nil {
+		t.Fatalf("seed %d: probe faults: %v", seed, err)
 	}
-	dispatches, preemptions, ctxSwitches := k.SchedCounters()
+	preemptions := n("sched_preemptions_total")
 	if preemptions == 0 || mu.Contended() == 0 || onCPUWakes == 0 || queuedAtResize == 0 {
 		t.Fatalf("seed %d: scenario missed a path: %d preemptions, %d contended locks, %d stray wakes on a running thread, %d threads queued across resizes",
 			seed, preemptions, mu.Contended(), onCPUWakes, queuedAtResize)
 	}
 
 	summary = fmt.Sprintf("end=%v executed=%d tracepoints=%#x dispatches=%d preemptions=%d ctx=%d runs=%d lock=%d/%d",
-		env.Now(), env.Executed(), binary.LittleEndian.Uint64(sum.At(0)),
-		dispatches, preemptions, ctxSwitches, tr.Runs(), mu.Contended(), mu.Acquisitions())
+		env.Now(), n("sim_events_total"), binary.LittleEndian.Uint64(sum.At(0)),
+		n("sched_dispatches_total"), preemptions, n("sched_ctx_switches_total"), n("vm_runs_total"), mu.Contended(), mu.Acquisitions())
 	for _, th := range ths {
 		summary += fmt.Sprintf("\n  %s cpu=%v probe=%v waits=%d syscalls=%d",
 			th.Name(), th.CPUTime(), th.ProbeCost(), th.RunQueueWaits(), th.SyscallCount())

@@ -19,8 +19,7 @@ type Kernel struct {
 	nextID int
 	procs  []*Process
 
-	spurious    uint64             // see SpuriousWakeups
-	telSpurious *telemetry.Counter // mirrors spurious; nil until instrumented
+	telSpurious *telemetry.Counter // kernel_spurious_wakeups_total; nil until instrumented
 }
 
 // New creates a kernel on env with the given hardware profile.
@@ -46,10 +45,11 @@ func (k *Kernel) Env() *sim.Env { return k.env }
 // eBPF execution totals
 // (vm_runs_total, vm_run_errors_total, vm_instructions_total,
 // vm_helper_calls_total, vm_map_ops_total), and
-// kernel_spurious_wakeups_total (SpuriousWakeups). A nil registry leaves the
-// kernel uninstrumented; the disabled path costs one nil check per
-// update. Telemetry is write-only, so instrumenting a kernel cannot
-// change scheduling, probe cost accounting, or results.
+// kernel_spurious_wakeups_total (activations of a waiting syscall body,
+// or Wait, that re-checked its condition and waited again). A nil
+// registry leaves the kernel uninstrumented; the disabled path costs one
+// nil check per update. Telemetry is write-only, so instrumenting a
+// kernel cannot change scheduling, probe cost accounting, or results.
 func (k *Kernel) Instrument(r *telemetry.Registry) {
 	k.sched.telDispatches = r.Counter("sched_dispatches_total")
 	k.sched.telPreemptions = r.Counter("sched_preemptions_total")
@@ -64,10 +64,6 @@ func (k *Kernel) Instrument(r *telemetry.Registry) {
 	k.tracer.telMapOps = r.Counter("vm_map_ops_total")
 	k.telSpurious = r.Counter("kernel_spurious_wakeups_total")
 }
-
-// SpuriousWakeups counts activations of a waiting syscall body (or
-// Wait) that re-checked its condition and waited again.
-func (k *Kernel) SpuriousWakeups() uint64 { return k.spurious }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() sim.Time { return k.env.Now() }
@@ -100,12 +96,6 @@ func (k *Kernel) SetOnlineCPUs(n int) int { return k.sched.setOnlineCPUs(n) }
 // signature of a mass thread migration.
 func (k *Kernel) FlushCPUAffinity() { k.sched.flushAffinity() }
 
-// SchedCounters reports cumulative scheduler activity: dispatches,
-// quantum-expiry preemptions, and charged context switches.
-func (k *Kernel) SchedCounters() (dispatches, preemptions, ctxSwitches uint64) {
-	return k.sched.dispatches, k.sched.preemptions, k.sched.ctxSwitches
-}
-
 // NewProcess registers a process (a tgid) named name.
 func (k *Kernel) NewProcess(name string) *Process {
 	k.nextID++
@@ -124,9 +114,6 @@ type Process struct {
 
 // TGID returns the process id (thread group id).
 func (p *Process) TGID() int { return p.tgid }
-
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
 
 // Threads returns the spawned threads.
 func (p *Process) Threads() []*Thread { return p.threads }
@@ -226,9 +213,6 @@ type Thread struct {
 
 // Name returns the thread's diagnostic name.
 func (t *Thread) Name() string { return t.name }
-
-// Process returns the owning process.
-func (t *Thread) Process() *Process { return t.proc }
 
 // Now returns the current virtual time.
 func (t *Thread) Now() sim.Time { return t.proc.k.env.Now() }
@@ -387,7 +371,6 @@ func (t *Thread) resume() bool {
 		return true
 	}
 	if s.stage == inBody {
-		k.spurious++
 		k.telSpurious.Inc()
 	}
 	return false

@@ -6,6 +6,7 @@ import (
 
 	"reqlens/internal/machine"
 	"reqlens/internal/sim"
+	"reqlens/internal/telemetry"
 )
 
 // smallProfile is a 2-CPU machine with simple round numbers for tests.
@@ -21,6 +22,16 @@ func smallProfile(ncpu int) machine.Profile {
 func newTestKernel(ncpu int) (*sim.Env, *Kernel) {
 	env := sim.NewEnv(1)
 	return env, New(env, smallProfile(ncpu))
+}
+
+// counted instruments env and k into a registry of their own and
+// returns a reader of its counters by series name: a test reads what a
+// run emits under -metrics.
+func counted(env *sim.Env, k *Kernel) func(series string) uint64 {
+	reg := telemetry.New()
+	env.Instrument(reg)
+	k.Instrument(reg)
+	return func(series string) uint64 { return reg.Counter(series).Value() }
 }
 
 func TestThreadIdentity(t *testing.T) {
@@ -108,6 +119,7 @@ func TestContextSwitchCostCharged(t *testing.T) {
 	prof := smallProfile(1)
 	prof.ContextSwitchCost = 100 * time.Microsecond
 	k := New(env, prof)
+	n := counted(env, k)
 	p := k.NewProcess("srv")
 	var end sim.Time
 	done := 0
@@ -126,13 +138,14 @@ func TestContextSwitchCostCharged(t *testing.T) {
 	if end <= sim.Time(6*time.Millisecond) {
 		t.Fatalf("end = %v, expected context switch overhead beyond 6ms", end)
 	}
-	if k.sched.ctxSwitches == 0 {
+	if n("sched_ctx_switches_total") == 0 {
 		t.Fatal("no context switches recorded")
 	}
 }
 
 func TestSchedulerPreemptionCounts(t *testing.T) {
 	env, k := newTestKernel(1)
+	n := counted(env, k)
 	p := k.NewProcess("srv")
 	for i := 0; i < 3; i++ {
 		p.SpawnThread("w", func(t *Thread) {
@@ -140,7 +153,7 @@ func TestSchedulerPreemptionCounts(t *testing.T) {
 		})
 	}
 	env.Run()
-	if k.sched.preemptions == 0 {
+	if n("sched_preemptions_total") == 0 {
 		t.Fatal("expected preemptions with 3 threads on 1 CPU")
 	}
 }
@@ -196,6 +209,7 @@ func TestInvokeFiresListeners(t *testing.T) {
 // CPU and a Burn charges exactly its cost.
 func TestThreadAccounting(t *testing.T) {
 	env, k := newTestKernel(1)
+	n := counted(env, k)
 	p := k.NewProcess("srv")
 	th := p.SpawnThread("w", func(t *Thread) {
 		t.Invoke(SysRead, [6]uint64{}, func() int64 { return 0 })
@@ -210,7 +224,7 @@ func TestThreadAccounting(t *testing.T) {
 	if th.CPUTime() != time.Millisecond+50*time.Microsecond {
 		t.Fatalf("CPUTime = %v", th.CPUTime())
 	}
-	if d, _, _ := k.SchedCounters(); d != 2 {
+	if d := n("sched_dispatches_total"); d != 2 {
 		t.Fatalf("dispatches = %d, want 2 (the Burn and the Compute)", d)
 	}
 }
@@ -348,6 +362,7 @@ func TestFlushCPUAffinityChargesSwitch(t *testing.T) {
 	prof.ContextSwitchCost = 100 * time.Microsecond
 	env := sim.NewEnv(1)
 	k := New(env, prof)
+	n := counted(env, k)
 	p := k.NewProcess("srv")
 	var end sim.Time
 	p.SpawnThread("w", func(t *Thread) {
@@ -362,9 +377,8 @@ func TestFlushCPUAffinityChargesSwitch(t *testing.T) {
 	if end != want {
 		t.Fatalf("end = %v, want %v (2 switch charges)", end, want)
 	}
-	d, _, cs := k.SchedCounters()
-	if d == 0 || cs != 2 {
-		t.Fatalf("SchedCounters: dispatches=%d ctxSwitches=%d, want 2 switches", d, cs)
+	if d, cs := n("sched_dispatches_total"), n("sched_ctx_switches_total"); d == 0 || cs != 2 {
+		t.Fatalf("dispatches=%d ctx switches=%d, want 2 switches", d, cs)
 	}
 }
 

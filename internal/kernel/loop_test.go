@@ -61,6 +61,7 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 		SyscallCost:       300 * time.Nanosecond,
 		TimeSlice:         50 * time.Microsecond,
 	})
+	n := counted(env, k)
 	sum := ebpf.NewArrayMap("sum", 8, 1)
 	tr := k.Tracer()
 	tr.MustAttach(SchedSwitch, digestProg(1, SchedSwitch, sum, CtxOffPrevPidTgid, CtxOffPrevState, CtxOffNextPidTgid))
@@ -216,20 +217,20 @@ func loopScenario(t *testing.T, seed int64, loop bool) (log []string, summary st
 	env.Run()
 	defer env.Shutdown()
 
-	dispatches, preemptions, ctxSwitches := k.SchedCounters()
-	if loop && (loopWaits == 0 || preemptions == 0 || k.SpuriousWakeups() == 0 || stray == 0 || afterSpin == 0 || parked == 0) {
+	preemptions, spurious := n("sched_preemptions_total"), n("kernel_spurious_wakeups_total")
+	if loop && (loopWaits == 0 || preemptions == 0 || spurious == 0 || stray == 0 || afterSpin == 0 || parked == 0) {
 		t.Fatalf("seed %d: scenario missed a path: %d loop-thread waits, %d preemptions, %d spurious wakeups, %d stray wakes, %d locks taken after a spin, %d after a futex",
-			seed, loopWaits, preemptions, k.SpuriousWakeups(), stray, afterSpin, parked)
+			seed, loopWaits, preemptions, spurious, stray, afterSpin, parked)
 	}
 	summary = fmt.Sprintf("end=%v executed=%d tracepoints=%#x dispatches=%d preemptions=%d ctx=%d runs=%d spurious=%d live=%d mutex=%d/%d/%d/%v",
-		env.Now(), env.Executed(), binary.LittleEndian.Uint64(sum.At(0)),
-		dispatches, preemptions, ctxSwitches, tr.Runs(), k.SpuriousWakeups(), env.LiveProcs(),
+		env.Now(), n("sim_events_total"), binary.LittleEndian.Uint64(sum.At(0)),
+		n("sched_dispatches_total"), preemptions, n("sched_ctx_switches_total"), n("vm_runs_total"), spurious, env.LiveProcs(),
 		mu.acquisitions, mu.contended, len(mu.waiters), mu.holder == nil)
 	for _, th := range ths {
 		summary += fmt.Sprintf("\n  %s/%d cpu=%v probe=%v waits=%d syscalls=%d",
 			th.Name(), th.tid, th.CPUTime(), th.ProbeCost(), th.RunQueueWaits(), th.SyscallCount())
 	}
-	return log, summary, env.Switches()
+	return log, summary, n("sim_proc_switches_total")
 }
 
 // TestLoopThreadIsInvisible: a script run as a loop thread

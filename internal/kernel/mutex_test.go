@@ -160,6 +160,7 @@ func TestSchedulerQuantumCarriesAcrossComputes(t *testing.T) {
 	// runtime and is eventually preempted when a competitor waits —
 	// the lock-holder-preemption precondition.
 	env, k := newTestKernel(1)
+	n := counted(env, k)
 	p := k.NewProcess("p")
 	p.SpawnThread("hog", func(th *Thread) {
 		for i := 0; i < 100; i++ {
@@ -170,7 +171,7 @@ func TestSchedulerQuantumCarriesAcrossComputes(t *testing.T) {
 		th.Compute(2 * time.Millisecond)
 	})
 	env.Run()
-	if k.sched.preemptions == 0 {
+	if n("sched_preemptions_total") == 0 {
 		t.Fatal("sub-quantum computes never preempted despite a waiting thread")
 	}
 }

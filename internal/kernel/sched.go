@@ -27,13 +27,10 @@ type scheduler struct {
 	switchCost time.Duration
 	runq       sim.FIFO[*Thread]
 
-	dispatches  uint64
-	preemptions uint64
-	ctxSwitches uint64
-
-	// Telemetry mirrors of the counters above; nil (no-ops) until the
-	// owning kernel is instrumented. Write-only: the scheduler never
-	// reads them back, so instrumentation cannot change scheduling.
+	// Dispatches, quantum-expiry preemptions and charged context
+	// switches; nil (no-ops) until the owning kernel is instrumented.
+	// Write-only: the scheduler never reads them back, so
+	// instrumentation cannot change scheduling.
 	telDispatches  *telemetry.Counter
 	telPreemptions *telemetry.Counter
 	telCtxSwitches *telemetry.Counter
@@ -69,7 +66,6 @@ func (s *scheduler) idleCPU(t *Thread) *cpu {
 // chargeSwitch counts a context switch onto t's CPU and starts its
 // cost elapsing; it reports whether the cost has already elapsed.
 func (s *scheduler) chargeSwitch(t *Thread) bool {
-	s.ctxSwitches++
 	s.telCtxSwitches.Inc()
 	return s.switchCost <= 0 || t.sp.Elapse(s.switchCost)
 }
@@ -102,7 +98,6 @@ func (s *scheduler) handOff(c *cpu, prev *Thread, prevState uint64) {
 	next := s.runq.Pop()
 	next.cpu = c
 	c.busy = true
-	s.dispatches++
 	s.telDispatches.Inc()
 	s.k.tracer.schedSwitch(prev, prevState, next)
 	next.waker.Wake()
@@ -252,7 +247,6 @@ func (s *scheduler) step(t *Thread) bool {
 			// the idle task; the cost is due when it last ran another.
 			c.busy = true
 			t.cpu = c
-			s.dispatches++
 			s.telDispatches.Inc()
 			s.k.tracer.schedSwitch(nil, TaskRunning, t)
 			if c.last != t && !s.chargeSwitch(t) {
@@ -296,7 +290,6 @@ func (s *scheduler) step(t *Thread) bool {
 			} else if t.quantum <= 0 {
 				if s.runq.Len() > 0 {
 					// Quantum expired with waiters: yield the CPU and requeue.
-					s.preemptions++
 					s.telPreemptions.Inc()
 					s.release(t, TaskRunning)
 				} else {

@@ -80,6 +80,7 @@ func preemptProg(t *testing.T, counts *ebpf.ArrayMap) *ebpf.Program {
 // initial dispatch), and the round-robin still completes all work.
 func TestTimesliceExpiryRequeues(t *testing.T) {
 	env, k := newTestKernel(1)
+	n := counted(env, k)
 	counts := ebpf.NewArrayMap("counts", 8, 1)
 	k.Tracer().MustAttach(SchedSwitch, preemptProg(t, counts))
 
@@ -92,7 +93,7 @@ func TestTimesliceExpiryRequeues(t *testing.T) {
 	}
 	env.Run()
 
-	_, preemptions, _ := k.SchedCounters()
+	preemptions := n("sched_preemptions_total")
 	if preemptions == 0 {
 		t.Fatal("two 3ms computes on 1 CPU with 1ms slices never preempted")
 	}
@@ -111,8 +112,8 @@ func TestTimesliceExpiryRequeues(t *testing.T) {
 	if waits < preemptions {
 		t.Fatalf("preempted threads requeued %d times but waited only %d", preemptions, waits)
 	}
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 }
 

@@ -150,8 +150,6 @@ type Tracer struct {
 	// simulation itself keep the raw virtual clock.
 	warp func(uint64) uint64
 
-	runs      uint64
-	runErrs   uint64
 	lastErr   error
 	enterCtx  [SysEnterCtxSize]byte
 	exitCtx   [SysExitCtxSize]byte
@@ -199,9 +197,6 @@ func (tr *Tracer) MustAttach(tp Tracepoint, prog *ebpf.Program) *Link {
 // AddListener registers a ground-truth listener for every syscall event.
 func (tr *Tracer) AddListener(fn Listener) { tr.listeners = append(tr.listeners, fn) }
 
-// Runs returns total eBPF program executions.
-func (tr *Tracer) Runs() uint64 { return tr.runs }
-
 // Attached returns the number of currently attached links across all
 // tracepoints (attach/detach bookkeeping for tests and diagnostics).
 func (tr *Tracer) Attached() int {
@@ -212,11 +207,8 @@ func (tr *Tracer) Attached() int {
 	return n
 }
 
-// RunErrors returns the count of program runtime faults (should stay 0
-// for verified programs).
-func (tr *Tracer) RunErrors() uint64 { return tr.runErrs }
-
-// LastError returns the most recent program fault, if any.
+// LastError returns the most recent program fault, if any; the count
+// of faults is vm_run_errors_total.
 func (tr *Tracer) LastError() error { return tr.lastErr }
 
 // SetClockWarp installs (or, with nil, removes) a transform over the
@@ -355,10 +347,8 @@ func (tr *Tracer) runLinks(links []*Link, ctx []byte) time.Duration {
 	var sum ebpf.RunStats // over the fire's successful runs: one telemetry add each, not one per link
 	var ok int
 	for _, l := range links {
-		tr.runs++
 		_, st, err := l.prog.Run(ctx, tr)
 		if err != nil {
-			tr.runErrs++
 			tr.telRunErrs.Inc()
 			tr.lastErr = err
 			continue

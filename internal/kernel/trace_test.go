@@ -53,6 +53,7 @@ func TestAttachRejectsCtxMismatch(t *testing.T) {
 
 func TestProbeCountsSyscalls(t *testing.T) {
 	env, k := newTestKernel(1)
+	n := counted(env, k)
 	counts := ebpf.NewArrayMap("counts", 8, 1)
 	prog := counterProg(t, SysSendto, counts)
 	k.Tracer().MustAttach(RawSysEnter, prog)
@@ -69,11 +70,11 @@ func TestProbeCountsSyscalls(t *testing.T) {
 	if got != 5 {
 		t.Fatalf("counted %d sendto calls, want 5", got)
 	}
-	if k.Tracer().Runs() != 10 {
-		t.Fatalf("program ran %d times, want 10 (every sys_enter)", k.Tracer().Runs())
+	if runs := n("vm_runs_total"); runs != 10 {
+		t.Fatalf("program ran %d times, want 10 (every sys_enter)", runs)
 	}
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 }
 

@@ -23,12 +23,6 @@ type Options struct {
 	// Poisson selects exponential interarrival gaps; the default is
 	// uniform pacing per generator, as fixed-rate loaders do.
 	Poisson bool
-
-	// CaptureArrivals, when positive, records the virtual send time of
-	// up to that many requests (in request-ID order), independent of
-	// measurement windows. Arrivals returns them; determinism tests
-	// compare the sequences across runs.
-	CaptureArrivals int
 }
 
 // generators is the number of load-generating threads splitting
@@ -53,8 +47,6 @@ type Client struct {
 	measStart sim.Time
 	completed uint64
 	hist      *stats.Histogram
-
-	arrivals []sim.Time // first CaptureArrivals send times
 }
 
 // New connects a client to the listener with opts.Conns connections and
@@ -150,9 +142,6 @@ func New(k *kernel.Kernel, l *netsim.Listener, opts Options) *Client {
 				c.nextID++
 				id := c.nextID
 				c.sentAt[id] = t.Now()
-				if len(c.arrivals) < c.opts.CaptureArrivals {
-					c.arrivals = append(c.arrivals, t.Now())
-				}
 				s.Send(t, kernel.SysSendto, netsim.Message{ID: id, Size: c.opts.ReqSize})
 				i += generators
 				phase = 1
@@ -204,12 +193,3 @@ func (c *Client) Snapshot() Results {
 // co-located load generator's syscalls are expected traffic, not a
 // foreign tenant's.
 func (c *Client) TGID() int { return c.proc.TGID() }
-
-// Arrivals returns the captured send times (up to
-// Options.CaptureArrivals entries, in send order). The returned slice
-// is a copy.
-func (c *Client) Arrivals() []sim.Time {
-	out := make([]sim.Time, len(c.arrivals))
-	copy(out, c.arrivals)
-	return out
-}

@@ -12,6 +12,7 @@ import (
 	"reqlens/internal/kernel"
 	"reqlens/internal/machine"
 	"reqlens/internal/sim"
+	"reqlens/internal/telemetry"
 )
 
 // foldProg folds (ktime, current pid_tgid, hook, the ctx dword at off)
@@ -54,6 +55,10 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 		TimeSlice:         100 * time.Microsecond,
 	})
 	n := New(env)
+	reg := telemetry.New()
+	env.Instrument(reg)
+	k.Instrument(reg)
+	counter := func(series string) uint64 { return reg.Counter(series).Value() }
 	sum := ebpf.NewArrayMap("sum", 8, 1)
 	tr := k.Tracer()
 	tr.MustAttach(kernel.SchedSwitch, foldProg(1, kernel.SchedSwitch, kernel.CtxOffNextPidTgid, sum))
@@ -202,20 +207,19 @@ func netDigest(t *testing.T, seed int64) (digest, summary string) {
 	env.RunUntil(sim.Time(20 * time.Millisecond))
 	defer env.Shutdown()
 
-	if tr.RunErrors() != 0 {
-		t.Fatalf("seed %d: probe faults: %v", seed, tr.LastError())
+	if err := tr.LastError(); err != nil {
+		t.Fatalf("seed %d: probe faults: %v", seed, err)
 	}
 	if got[0] == 0 || got[1] == 0 || timeouts == 0 || raced == 0 || stale == 0 ||
-		accepted == 0 || mu.Contended() == 0 || bypassed == 0 || sleeps == 0 || k.SpuriousWakeups() == 0 {
+		accepted == 0 || mu.Contended() == 0 || bypassed == 0 || sleeps == 0 || counter("kernel_spurious_wakeups_total") == 0 {
 		t.Fatalf("seed %d: scenario missed a path: reads %v, %d timeouts, %d raced, %d stale wakers, %d accepted, %d contended locks, %d bypass reads, %d io_uring sleeps, %d spurious wake-ups",
-			seed, got, timeouts, raced, stale, accepted, mu.Contended(), bypassed, sleeps, k.SpuriousWakeups())
+			seed, got, timeouts, raced, stale, accepted, mu.Contended(), bypassed, sleeps, counter("kernel_spurious_wakeups_total"))
 	}
-	t.Logf("seed %d: %d spurious wake-ups", seed, k.SpuriousWakeups())
-	dispatches, preemptions, ctxSwitches := k.SchedCounters()
+	t.Logf("seed %d: %d spurious wake-ups", seed, counter("kernel_spurious_wakeups_total"))
 	summary = fmt.Sprintf("end=%v executed=%d tracepoints=%#x dispatches=%d preemptions=%d ctx=%d runs=%d lock=%d/%d"+
 		"\n  reads=%v timeouts=%d raced=%d stale=%d accepted=%d bypassed=%d sleeps=%d sent=%d lost=%d",
-		env.Now(), env.Executed(), binary.LittleEndian.Uint64(sum.At(0)),
-		dispatches, preemptions, ctxSwitches, tr.Runs(), mu.Contended(), mu.Acquisitions(),
+		env.Now(), counter("sim_events_total"), binary.LittleEndian.Uint64(sum.At(0)),
+		counter("sched_dispatches_total"), counter("sched_preemptions_total"), counter("sched_ctx_switches_total"), counter("vm_runs_total"), mu.Contended(), mu.Acquisitions(),
 		got, timeouts, raced, stale, accepted, bypassed, sleeps, n.packetsSent, n.packetsLost)
 	for _, th := range ths {
 		summary += fmt.Sprintf("\n  %s cpu=%v probe=%v waits=%d syscalls=%d",

@@ -47,8 +47,8 @@ func TestAttributionBlamesHotProcess(t *testing.T) {
 		}
 	})
 	env.Run()
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 
 	s := probe.Sketches()

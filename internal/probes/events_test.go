@@ -67,8 +67,8 @@ func TestDeltaProbeStreamMatchesAggregates(t *testing.T) {
 		}
 	})
 	env.Run()
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 	evs := decodeAll(t, ring)
 	if len(evs) != 200 {
@@ -109,8 +109,8 @@ func TestPollProbeStreamMatchesAggregates(t *testing.T) {
 		}
 	})
 	env.Run()
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 	evs := decodeAll(t, ring)
 	if len(evs) != 50 {

@@ -36,8 +36,8 @@ func TestHistProbeBucketsDurations(t *testing.T) {
 		}
 	})
 	env.Run()
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 	counts := bucketCounts(probe)
 	if counts[6] != 10 {

@@ -76,8 +76,8 @@ func TestDeltaProbeCountsRegularSends(t *testing.T) {
 	if v := s.VarianceUS2(); v > 5 {
 		t.Fatalf("variance = %v us^2, want ~0 for regular cadence", v)
 	}
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 }
 
@@ -226,8 +226,8 @@ func TestPollProbeMeasuresDuration(t *testing.T) {
 	if mean < waitDur || mean > waitDur+time.Millisecond {
 		t.Fatalf("mean poll duration = %v, want ~%v", mean, waitDur)
 	}
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 	if probe.Start.Len() != 0 {
 		t.Fatalf("start map leaked %d entries", probe.Start.Len())
@@ -309,8 +309,8 @@ func TestStreamProbeRoundTrip(t *testing.T) {
 			t.Fatal("events out of time order")
 		}
 	}
-	if evs[0].TGID() != srv.TGID() {
-		t.Fatalf("TGID = %d, want %d", evs[0].TGID(), srv.TGID())
+	if tgid := int(evs[0].PidTgid >> 32); tgid != srv.TGID() {
+		t.Fatalf("TGID = %d, want %d", tgid, srv.TGID())
 	}
 	if probe.Dropped() != 0 {
 		t.Fatal("unexpected drops")
@@ -504,12 +504,12 @@ func TestShippedProgramsNeverGoCold(t *testing.T) {
 	}
 	for _, p := range progs {
 		if n := p.ColdOps(); n != 0 {
-			t.Errorf("%s: %d slots went to the cold tail over %d runs\n%s", p.Name(), n, p.Runs(), p.Disassemble())
+			t.Errorf("%s: %d slots went to the cold tail\n%s", p.Name(), n, p.Disassemble())
 		}
 	}
 	for _, ring := range rings {
-		if ring.Dropped() == 0 || ring.Written() == 0 {
-			t.Errorf("%s: %d written, %d dropped: the full-ring path did not run", ring.Name(), ring.Written(), ring.Dropped())
+		if ring.Dropped() == 0 || ring.ProducerPos() == 0 {
+			t.Errorf("%s: %d bytes written, %d records dropped: the full-ring path did not run", ring.Name(), ring.ProducerPos(), ring.Dropped())
 		}
 	}
 	if helpers[0] <= helpers[1] {

@@ -306,9 +306,3 @@ func (p *WaitStateProbe) Snapshot() WaitSnapshot {
 	read(p.BlockedNS, func(w *WaitTimes, v uint64) { w.BlockedNS = v })
 	return out
 }
-
-// Bytes returns the probe's total map footprint: the fixed budget that
-// covers every thread and process on the node.
-func (p *WaitStateProbe) Bytes() int {
-	return wsStateEntries*(8+16) + 3*wsTGIDEntries*(8+8)
-}

@@ -19,8 +19,8 @@ func TestWaitStateProbeVerifies(t *testing.T) {
 		t.Fatal("no disassembly")
 	}
 	// 512 (key, since, code) rows plus three 1024-tgid u64 maps.
-	if want := wsStateEntries*(8+16) + 3*wsTGIDEntries*(8+8); p.Bytes() != want || want != 61440 {
-		t.Fatalf("map footprint %d bytes, want %d = 61 440", p.Bytes(), want)
+	if got := wsStateEntries*(8+16) + 3*wsTGIDEntries*(8+8); got != 61440 {
+		t.Fatalf("map footprint %d bytes, want 61 440", got)
 	}
 }
 
@@ -47,24 +47,24 @@ func TestWaitStateAccountsComputeAndQueue(t *testing.T) {
 	p1.SpawnThread("a", func(th *kernel.Thread) { th.Compute(work) })
 	p2.SpawnThread("b", func(th *kernel.Thread) { th.Compute(work) })
 	env.Run()
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 	snap := probe.Snapshot()
 	for _, proc := range []*kernel.Process{p1, p2} {
 		w, ok := snap[uint64(proc.TGID())]
 		if !ok {
-			t.Fatalf("no wait-state row for %s", proc.Name())
+			t.Fatalf("no wait-state row for tgid %d", proc.TGID())
 		}
 		// On-CPU time is the requested compute plus the probe cost folded
 		// into the timeslices.
 		if got := time.Duration(w.OnCPUNS); got < work || got > work+work/10 {
-			t.Fatalf("%s on-CPU = %v, want ~%v", proc.Name(), got, work)
+			t.Fatalf("tgid %d on-CPU = %v, want ~%v", proc.TGID(), got, work)
 		}
 		// With a 1ms timeslice the loser of each quantum waits roughly as
 		// long as it runs.
 		if got := time.Duration(w.RunnableNS); got < work/2 {
-			t.Fatalf("%s runnable = %v, want at least %v", proc.Name(), got, work/2)
+			t.Fatalf("tgid %d runnable = %v, want at least %v", proc.TGID(), got, work/2)
 		}
 	}
 }
@@ -83,8 +83,8 @@ func TestWaitStateAccountsBlockedSleep(t *testing.T) {
 		th.Compute(time.Millisecond)
 	})
 	env.Run()
-	if k.Tracer().RunErrors() != 0 {
-		t.Fatalf("probe faults: %v", k.Tracer().LastError())
+	if err := k.Tracer().LastError(); err != nil {
+		t.Fatalf("probe faults: %v", err)
 	}
 	w := probe.Snapshot()[uint64(proc.TGID())]
 	if got := time.Duration(w.BlockedNS); got < pause || got > pause+pause/10 {

@@ -74,7 +74,7 @@ func blockChain(p *Proc, chain []int, token *int, after func(stage int)) {
 // log, the event count after each slice, the last sequence number
 // issued and the coroutine switches made.
 func chainProgram(seed int64, run chainRunner) (log []string, executed []uint64, seq, switches uint64) {
-	e := NewEnv(seed)
+	e := counted(seed)
 	shape := rand.New(rand.NewSource(seed))
 	note := func(who string) { log = append(log, fmt.Sprintf("%v %s", e.Now(), who)) }
 	nprocs := 1 + shape.Intn(5)
@@ -113,13 +113,13 @@ func chainProgram(seed int64, run chainRunner) (log []string, executed []uint64,
 	for i := 0; i < 6; i++ {
 		e.RunFor(time.Duration(1+shape.Intn(9)) * time.Microsecond)
 		note("slice")
-		executed = append(executed, e.Executed())
+		executed = append(executed, e.executed)
 	}
 	e.Run()
 	note("end")
-	executed = append(executed, e.Executed())
+	executed = append(executed, e.executed)
 	e.Shutdown()
-	return log, executed, e.seq, e.Switches()
+	return log, executed, e.seq, e.telSwitches.Value()
 }
 
 // TestBlockIsInvisible: a multi-stage wait written as one Block over
@@ -135,7 +135,7 @@ func TestBlockIsInvisible(t *testing.T) {
 			t.Fatalf("seed %d: Block logged\n%v\nSleep chains logged\n%v", seed, gotLog, wantLog)
 		}
 		if fmt.Sprint(gotN) != fmt.Sprint(wantN) || gotSeq != wantSeq {
-			t.Fatalf("seed %d: Executed() per slice %v, seq %d with Block; %v, %d with Sleep chains", seed, gotN, gotSeq, wantN, wantSeq)
+			t.Fatalf("seed %d: events per slice %v, seq %d with Block; %v, %d with Sleep chains", seed, gotN, gotSeq, wantN, wantSeq)
 		}
 		if gotSw > wantSw {
 			t.Fatalf("seed %d: %d coroutine switches with Block, %d with Sleep chains", seed, gotSw, wantSw)
@@ -162,7 +162,7 @@ func blockedForever(p *Proc) {
 // from the event that activated the proc, which stays parked; Shutdown
 // reclaims it.
 func TestBlockStepPanicSurfacesAtRun(t *testing.T) {
-	e := NewEnv(1)
+	e := counted(1)
 	calls := 0
 	e.Spawn("buggy", func(p *Proc) {
 		block(p, func() bool {
@@ -182,8 +182,8 @@ func TestBlockStepPanicSurfacesAtRun(t *testing.T) {
 		e.Run()
 		t.Fatal("Run returned past a panicking continuation")
 	}()
-	if e.Now() != Time(2*time.Microsecond) || e.LiveProcs() != 1 || e.Switches() != 1 {
-		t.Fatalf("after the panic: now %v, %d live procs, %d switches; want 2µs, 1, 1", e.Now(), e.LiveProcs(), e.Switches())
+	if e.Now() != Time(2*time.Microsecond) || e.LiveProcs() != 1 || e.telSwitches.Value() != 1 {
+		t.Fatalf("after the panic: now %v, %d live procs, %d switches; want 2µs, 1, 1", e.Now(), e.LiveProcs(), e.telSwitches.Value())
 	}
 	e.Shutdown()
 	if e.LiveProcs() != 0 {
@@ -226,7 +226,7 @@ func TestBlockElisionChecksClock(t *testing.T) {
 // TestStepDrivenLoopNeverElides: outside Run and RunUntil there is no
 // bound to advance within, so Elapse always posts.
 func TestStepDrivenLoopNeverElides(t *testing.T) {
-	e := NewEnv(1)
+	e := counted(1)
 	defer e.Shutdown()
 	elided, stages := 0, 0
 	e.Spawn("p", func(p *Proc) {
@@ -243,28 +243,32 @@ func TestStepDrivenLoopNeverElides(t *testing.T) {
 	})
 	for e.Step() {
 	}
-	if elided != 0 || stages != 10 || e.Executed() != 11 || e.Switches() != 2 || e.LiveProcs() != 0 {
+	if elided != 0 || stages != 10 || e.executed != 11 || e.telSwitches.Value() != 2 || e.LiveProcs() != 0 {
 		t.Fatalf("%d of %d Elapses elided, %d events, %d switches, %d live procs; want 0 of 10, 11, 2, 0",
-			elided, stages, e.Executed(), e.Switches(), e.LiveProcs())
+			elided, stages, e.executed, e.telSwitches.Value(), e.LiveProcs())
 	}
 }
 
-// TestSwitchesMirroredToTelemetry: sim_proc_switches_total follows
-// Switches, and an uninstrumented environment counts all the same.
+// TestSwitchesMirroredToTelemetry: sim_proc_switches_total counts one
+// switch per coroutine resume, none for a continuation's activations.
 func TestSwitchesMirroredToTelemetry(t *testing.T) {
-	for _, reg := range []*telemetry.Registry{nil, telemetry.New()} {
-		e := NewEnv(1)
-		e.Instrument(reg)
-		e.Spawn("a", func(p *Proc) { p.Sleep(time.Microsecond) }) // ties with b: parks
-		e.Spawn("b", func(p *Proc) { p.Sleep(time.Microsecond) })
-		e.Spawn("c", blockedForever)
-		e.RunFor(10 * time.Microsecond)
-		e.Shutdown()
-		if e.Switches() != 5 {
-			t.Fatalf("%d switches, want 5: three starts and two parked Sleeps", e.Switches())
-		}
-		if got := reg.Counter("sim_proc_switches_total").Value(); reg != nil && got != 5 {
-			t.Fatalf("sim_proc_switches_total = %d, want 5", got)
-		}
+	reg := telemetry.New()
+	e := NewEnv(1)
+	e.Instrument(reg)
+	e.Spawn("a", func(p *Proc) { p.Sleep(time.Microsecond) }) // ties with b: parks
+	e.Spawn("b", func(p *Proc) { p.Sleep(time.Microsecond) })
+	e.Spawn("c", blockedForever)
+	e.RunFor(10 * time.Microsecond)
+	e.Shutdown()
+	if got := reg.Counter("sim_proc_switches_total").Value(); got != 5 {
+		t.Fatalf("sim_proc_switches_total = %d, want 5: three starts and two parked Sleeps", got)
 	}
+}
+
+// counted returns an environment instrumented into a registry of its
+// own, so that a test reads its switches as e.telSwitches.Value().
+func counted(seed int64) *Env {
+	e := NewEnv(seed)
+	e.Instrument(telemetry.New())
+	return e
 }

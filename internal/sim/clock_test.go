@@ -126,7 +126,7 @@ func TestClockDoesNotPerturbResults(t *testing.T) {
 		}
 		env.Schedule(0, tick)
 		env.Run()
-		return env.Now(), env.Executed()
+		return env.Now(), env.executed
 	}
 	t1, n1 := run(nil)
 	t2, n2 := run(NewClock(time.Hour))

@@ -10,17 +10,18 @@
 // be posted at all is a Sleep's own wake-up: when the loop is inside
 // Run or RunUntil, the wake-up time is within that call's bound and no
 // pending event is due at or before it, Sleep advances the clock and
-// counts the event itself — the order of everything else, Executed and
-// the Clock cadence are as if it had parked. A wait of several stages
-// can be one Proc.Block over a continuation that the activating events
-// run in loop context, so the coroutine is switched into once, not once
-// per stage; the convention is that a continuation never parks and
-// never calls Sleep or Block — it waits by returning false, after
-// Proc.Elapse or with a wake-up arranged. A step proc (Env.SpawnStep)
-// lives in such a continuation from the start, with no coroutine, and
-// panics, naming itself, if asked to Sleep or Block. Randomness
-// is drawn from per-component streams derived via Env.NewRNG, so adding
-// a component never perturbs the draws seen by another.
+// counts the event itself — the order of everything else, the event
+// count and the Clock cadence are as if it had parked. A wait of
+// several stages can be one Proc.Block over a continuation that the
+// activating events run in loop context, so the coroutine is switched
+// into once, not once per stage; the convention is that a continuation
+// never parks and never calls Sleep or Block — it waits by returning
+// false, after Proc.Elapse or with a wake-up arranged. A step proc
+// (Env.SpawnStep) lives in such a continuation from the start, with no
+// coroutine, and panics, naming itself, if asked to Sleep or Block.
+// Randomness is drawn from per-component streams derived via
+// Env.NewRNG, so adding a component never perturbs the draws seen by
+// another.
 //
 // This determinism is what lets the reproduction make paper-grade
 // claims: reruns are exact, A/B comparisons (e.g. the Section VI probe
@@ -35,7 +36,8 @@
 //     drive it; Env.Schedule posts events.
 //   - Env.Spawn — start a Proc (a simulated thread of control); Proc
 //     offers Sleep, Block/Elapse for multi-stage waits, and Wakers
-//     that end a Block from another proc; Env.Switches counts resumes.
+//     that end a Block from another proc; sim_proc_switches_total
+//     (Env.Instrument) counts resumes.
 //   - Env.SpawnStep — start a step proc: a loop of waits written as one
 //     continuation, at no coroutine switch per wait.
 //   - Env.NewRNG — derive an independent deterministic random stream.

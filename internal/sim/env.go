@@ -43,7 +43,6 @@ type Env struct {
 	procs    Proc // sentinel of the circular list of live procs, in spawn order
 	live     int  // length of that list
 	executed uint64
-	switches uint64 // coroutine switches into a proc (Proc.activate)
 
 	// until is the bound of the Run/RunUntil call driving the loop, or
 	// idle when none is: the horizon up to which Proc.Sleep may advance
@@ -56,12 +55,13 @@ type Env struct {
 	// event loop on a single nil check.
 	clock *Clock
 
-	// telEvents mirrors executed into a telemetry counter when the
-	// environment is instrumented; nil (a no-op) otherwise. Telemetry is
-	// write-only from the simulation's point of view, so instrumenting an
-	// environment cannot change its event order or results.
+	// telEvents counts events fired and telSwitches coroutine switches
+	// into a proc (Proc.activate) when the environment is instrumented;
+	// nil (a no-op) otherwise. Telemetry is write-only from the
+	// simulation's point of view, so instrumenting an environment cannot
+	// change its event order or results.
 	telEvents   *telemetry.Counter
-	telSwitches *telemetry.Counter // mirrors switches the same way
+	telSwitches *telemetry.Counter
 
 	// free is the recycle list for fire-and-forget events (Post/PostAt).
 	// Step returns a poolable event here after it fires, so a steady-state
@@ -86,20 +86,14 @@ func (e *Env) Now() Time { return e.now }
 
 // Instrument wires the environment's hot-path counters into r
 // (sim_events_total: events popped off the heap; sim_proc_switches_total:
-// coroutine switches into a proc). A nil registry leaves the environment
-// uninstrumented — the disabled path costs one nil check per update.
+// coroutine switches into a proc, one per resume, none for an event that
+// only ran a Block continuation or for a Sleep that advanced the clock
+// itself). A nil registry leaves the environment uninstrumented — the
+// disabled path costs one nil check per update.
 func (e *Env) Instrument(r *telemetry.Registry) {
 	e.telEvents = r.Counter("sim_events_total")
 	e.telSwitches = r.Counter("sim_proc_switches_total")
 }
-
-// Executed returns the number of events processed so far.
-func (e *Env) Executed() uint64 { return e.executed }
-
-// Switches returns how many times the loop has switched into a proc's
-// coroutine: one per resume, none for an event that only ran a Block
-// continuation or for a Sleep that advanced the clock itself.
-func (e *Env) Switches() uint64 { return e.switches }
 
 // NewRNG returns an independent deterministic random stream derived from
 // the environment seed. Components should each hold their own stream so
@@ -244,17 +238,6 @@ func (e *Env) peek() *Event {
 		return ev
 	}
 	return nil
-}
-
-// Pending returns the number of live (non-canceled) scheduled events.
-func (e *Env) Pending() int {
-	n := 0
-	for _, ev := range e.events {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
 }
 
 // LiveProcs returns the number of procs spawned and not yet finished.

@@ -95,7 +95,6 @@ func (p *Proc) activate() {
 		}
 		p.step = nil
 	}
-	p.env.switches++
 	p.env.telSwitches.Inc()
 	p.next()
 }
@@ -116,8 +115,8 @@ func (p *Proc) yield() {
 // and fires first) — parking would only switch to the loop, pop that
 // one event and switch straight back. Sleep then advances the clock
 // and counts the event itself, budget check included, and returns; the
-// order of every other event, Executed and sim_events_total are as if
-// it had parked. Otherwise, and always outside the loop, it parks.
+// order of every other event and sim_events_total are as if it had
+// parked. Otherwise, and always outside the loop, it parks.
 func (p *Proc) Sleep(d time.Duration) {
 	p.mustPark("Sleep")
 	if !p.Elapse(d) {

@@ -155,7 +155,7 @@ func TestShutdownReclaimsGoroutines(t *testing.T) {
 // coroutine proc, runs its step at every activation, exits when the step
 // returns true, and costs no coroutine switch.
 func TestStepProcLifecycle(t *testing.T) {
-	e := NewEnv(1)
+	e := counted(1)
 	p, n := spawnSteps(e)
 	e.RunFor(time.Millisecond)
 	if *n != 1 || e.LiveProcs() != 3 {
@@ -171,8 +171,8 @@ func TestStepProcLifecycle(t *testing.T) {
 	}
 	w.Wake() // a finished proc ignores wakes
 	e.RunFor(time.Millisecond)
-	if *n != 3 || e.Switches() != 0 {
-		t.Fatalf("woken after it finished: %d activations, %d switches; want 3, 0", *n, e.Switches())
+	if *n != 3 || e.telSwitches.Value() != 0 {
+		t.Fatalf("woken after it finished: %d activations, %d switches; want 3, 0", *n, e.telSwitches.Value())
 	}
 	e.Shutdown()
 	if e.LiveProcs() != 0 {

@@ -310,8 +310,8 @@ func TestPropertyHeapOrderMatchesSortOracle(t *testing.T) {
 				t.Fatalf("trial %d: event %d fired %+v, oracle says %+v", trial, i, fired[i], want[i])
 			}
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("trial %d: %d events pending after Run", trial, e.Pending())
+		if len(e.events) != 0 {
+			t.Fatalf("trial %d: %d events pending after Run", trial, len(e.events))
 		}
 	}
 }

@@ -28,7 +28,7 @@ func TestSleepElisionIsInvisible(t *testing.T) {
 			t.Fatalf("seed %d: Sleep logged\n%v\nalways-parking form logged\n%v", seed, gotLog, wantLog)
 		}
 		if fmt.Sprint(gotN) != fmt.Sprint(wantN) {
-			t.Fatalf("seed %d: Executed() per slice %v with Sleep, %v always parking", seed, gotN, wantN)
+			t.Fatalf("seed %d: events per slice %v with Sleep, %v always parking", seed, gotN, wantN)
 		}
 		elided = elided || gotSeq < wantSeq
 	}
@@ -49,12 +49,12 @@ func TestSleepParksAtRunUntilBound(t *testing.T) {
 		woke = p.env.Now()
 	})
 	e.RunUntil(Time(4 * time.Microsecond))
-	if e.Now() != Time(4*time.Microsecond) || woke != -1 || e.Executed() != 1 {
-		t.Fatalf("after RunUntil(4µs): now %v, woke %v, %d events; want 4µs, not woken, 1", e.Now(), woke, e.Executed())
+	if e.Now() != Time(4*time.Microsecond) || woke != -1 || e.executed != 1 {
+		t.Fatalf("after RunUntil(4µs): now %v, woke %v, %d events; want 4µs, not woken, 1", e.Now(), woke, e.executed)
 	}
 	e.RunUntil(Time(10 * time.Microsecond)) // a Sleep ending on the bound is inside it
-	if woke != Time(10*time.Microsecond) || e.Executed() != 2 {
-		t.Fatalf("woke at %v after %d events, want 10µs, 2", woke, e.Executed())
+	if woke != Time(10*time.Microsecond) || e.executed != 2 {
+		t.Fatalf("woke at %v after %d events, want 10µs, 2", woke, e.executed)
 	}
 }
 

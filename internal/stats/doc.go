@@ -13,7 +13,7 @@
 //   - Online — Welford streaming mean/variance. Eq. 2's E[dt^2] -
 //     E[dt]^2 over the eBPF side's in-map sums is computed once, in
 //     probes.DeltaSnapshot.VarianceUS2.
-//   - Mean, Quantile(s), Normalize(ByMax) — small helpers the
+//   - Mean, Quantiles, Normalize(ByMax) — small helpers the
 //     renderers and tests share.
 //
 // Everything here is pure computation: no simulation state, safe for

@@ -85,9 +85,6 @@ func leadingZeros64(x uint64) int {
 	return n
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 { return h.total }
-
 // Mean returns the mean observation in nanoseconds.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {

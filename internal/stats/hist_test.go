@@ -11,7 +11,7 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
+	if h.total != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 }
@@ -84,7 +84,7 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Record(123456)
 	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
+	if h.total != 0 || h.Max() != 0 {
 		t.Fatal("Reset did not clear histogram")
 	}
 	h.Record(7)

@@ -36,18 +36,8 @@ func (o *Online) Variance() float64 {
 // Stddev returns the population standard deviation.
 func (o *Online) Stddev() float64 { return math.Sqrt(o.Variance()) }
 
-// Quantile returns the q-th quantile (0<=q<=1) of xs using linear
-// interpolation between closest ranks. It sorts a copy; xs is unchanged.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
+// quantileSorted returns the q-th quantile (0<=q<=1) of the sorted s
+// using linear interpolation between closest ranks.
 func quantileSorted(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
@@ -65,7 +55,8 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Quantiles returns several quantiles in one sort pass.
+// Quantiles returns the qs-th quantiles (each 0<=q<=1) of xs in one
+// sort pass, NaN for an empty xs. It sorts a copy; xs is unchanged.
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(xs) == 0 {

@@ -74,26 +74,17 @@ func TestPropertyWelfordMatchesTwoPass(t *testing.T) {
 
 func TestQuantile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
-	if got := Quantile(xs, 0.5); got != 35 {
-		t.Fatalf("median = %v", got)
+	if got := Quantiles(xs, 0.5, 0, 1, 0.25); got[0] != 35 || got[1] != 15 || got[2] != 50 || got[3] != 20 {
+		t.Fatalf("median, q0, q1, q25 = %v, want 35, 15, 50, 20", got)
 	}
-	if got := Quantile(xs, 0); got != 15 {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 50 {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.25); got != 20 {
-		t.Fatalf("q25 = %v", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
+	if !math.IsNaN(Quantiles(nil, 0.5)[0]) {
 		t.Fatal("empty quantile should be NaN")
 	}
 	// Input must be unchanged.
 	ys := []float64{3, 1, 2}
-	Quantile(ys, 0.5)
+	Quantiles(ys, 0.5)
 	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Fatal("Quantile mutated input")
+		t.Fatal("Quantiles mutated input")
 	}
 }
 

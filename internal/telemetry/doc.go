@@ -24,6 +24,6 @@
 //
 // Entry points: New (registry), Registry.AppendProm / WriteProm
 // (Prometheus text export) and Series.Decode / ParseProm (reading it
-// back), NewJournal/Begin/End (JSONL run journal), ReadJournal and
+// back), OpenJournal/Begin/End (JSONL run journal), ReadJournal and
 // RenderJournal (the `reqlens telemetry` subcommand).
 package telemetry

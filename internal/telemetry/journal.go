@@ -62,46 +62,31 @@ type Record struct {
 // Dur returns the span duration.
 func (r Record) Dur() time.Duration { return time.Duration(r.DurNS) }
 
-// Journal serializes span records as JSONL. It is safe for concurrent
-// use (the parallel engine completes points on several goroutines);
-// records are written whole, one per line, in completion order. A nil
-// *Journal discards everything, which is how telemetry stays out of
+// Journal serializes span records as JSONL into an append-mode file
+// (OpenJournal / ResumeJournal). It is safe for concurrent use (the
+// parallel engine completes points on several goroutines); records are
+// written whole, one per line, in completion order. A nil *Journal
+// discards everything, which is how telemetry stays out of
 // undashboarded runs.
 //
-// Two backing modes:
-//
-//   - Stream mode (NewJournal): records append to an io.Writer as they
-//     are emitted. A crash can tear the final line; ReadJournal
-//     tolerates that.
-//   - File mode (OpenJournal / ResumeJournal): the journal owns an
-//     append-mode file. Durability-bearing records — run headers,
-//     checkpoints, experiment spans — append the pending tail and
-//     fsync, so after Checkpoint returns the point survives SIGKILL. A
-//     kill mid-append can tear at most the final line, which
-//     ReadJournal drops; every record behind the last fsync is intact.
-//     Each record's bytes are written exactly once, so a long sweep
-//     pays O(journal) total I/O, not O(journal^2). Window/point spans
-//     buffer between flushes; losing an unflushed span tail costs
-//     observability, never resumability.
+// Durability-bearing records — run headers, checkpoints, experiment
+// spans — append the pending tail and fsync, so after Checkpoint
+// returns the point survives SIGKILL. A kill mid-append can tear at
+// most the final line, which ReadJournal drops; every record behind
+// the last fsync is intact. Each record's bytes are written exactly
+// once, so a long sweep pays O(journal) total I/O, not O(journal^2).
+// Window/point spans buffer between flushes; losing an unflushed span
+// tail costs observability, never resumability. Timestamps are
+// monotonic durations since the journal was opened.
 type Journal struct {
-	mu    sync.Mutex
-	w     io.Writer // stream mode; nil in file mode
-	epoch time.Time
-
-	// File mode state.
+	mu      sync.Mutex
+	epoch   time.Time
 	f       *os.File // append-mode journal file
 	pending []byte   // span records awaiting the next durable flush
 	err     error    // first write error, surfaced by Close
 }
 
-// NewJournal returns a stream-mode journal writing to w. Timestamps are
-// monotonic durations since this call.
-func NewJournal(w io.Writer) *Journal {
-	return &Journal{w: w, epoch: time.Now()}
-}
-
-// OpenJournal returns a file-mode journal persisted at path (see
-// Journal). Any previous contents are truncated — a fresh run owns its
+// OpenJournal returns a journal persisted at path (see Journal). Any previous contents are truncated — a fresh run owns its
 // journal; `reqlens resume` uses ResumeJournal to preserve the run it
 // is resuming. The file is created (empty) immediately so a crash
 // before the first record still leaves a readable journal.
@@ -170,11 +155,10 @@ func (j *Journal) syncLocked() {
 	}
 }
 
-// Close flushes a file-mode journal's buffered tail, closes the file,
-// and reports the first error any write hit. Stream-mode journals and
-// nil journals return nil (the caller owns the writer).
+// Close flushes the journal's buffered tail, closes the file, and
+// reports the first error any write hit. A nil journal returns nil.
 func (j *Journal) Close() error {
-	if j == nil || j.f == nil {
+	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
@@ -188,7 +172,7 @@ func (j *Journal) Close() error {
 
 // RunHeader records the invocation this journal checkpoints: the
 // command name and its argument list, which `resume` replays to
-// reconstruct the run's configuration. Flushed atomically in file mode.
+// reconstruct the run's configuration. Flushed atomically.
 // No-op on a nil journal.
 func (j *Journal) RunHeader(name string, args []string) {
 	if j == nil {
@@ -201,9 +185,8 @@ func (j *Journal) RunHeader(name string, args []string) {
 // Checkpoint records one completed (or abandoned) point. The record's
 // Kind is forced to KindCheckpoint and its timestamp to now; everything
 // else — label in Name, Experiment, Index, Seed, Status, Result or
-// Error — is the caller's. Appended and fsynced in file mode, so after
-// Checkpoint returns the point survives SIGKILL. No-op on a nil
-// journal.
+// Error — is the caller's. Appended and fsynced, so after Checkpoint
+// returns the point survives SIGKILL. No-op on a nil journal.
 func (j *Journal) Checkpoint(rec Record) {
 	if j == nil {
 		return
@@ -254,19 +237,14 @@ func (j *Journal) emit(rec Record) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f != nil {
-		j.pending = append(j.pending, line...)
-		j.pending = append(j.pending, '\n')
-		// Only durability-bearing records pay the write+fsync; span
-		// records ride along on the next flush or Close.
-		switch rec.Kind {
-		case KindRun, KindCheckpoint, KindExperiment:
-			j.syncLocked()
-		}
-		return
+	j.pending = append(j.pending, line...)
+	j.pending = append(j.pending, '\n')
+	// Only durability-bearing records pay the write+fsync; span records
+	// ride along on the next flush or Close.
+	switch rec.Kind {
+	case KindRun, KindCheckpoint, KindExperiment:
+		j.syncLocked()
 	}
-	j.w.Write(line)
-	j.w.Write([]byte{'\n'})
 }
 
 // ReadJournal parses a JSONL journal back into records, in file order.

@@ -19,9 +19,29 @@ func TestJournalNilSafety(t *testing.T) {
 	sp.End(map[string]float64{"a": 1}) // must not panic
 }
 
+// tempJournal opens a journal on a file under t.TempDir() and returns
+// it with a reader that closes it and parses what it wrote.
+func tempJournal(t *testing.T) (*Journal, func() ([]Record, error)) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, func() ([]Record, error) {
+		if err := j.Close(); err != nil {
+			return nil, err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return ReadJournal(bytes.NewReader(data))
+	}
+}
+
 func TestJournalRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
+	j, read := tempJournal(t)
 
 	exp := j.Begin(KindExperiment, "fig2 silo")
 	pt := j.Begin(KindPoint, "silo level=0.50")
@@ -30,7 +50,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	pt.End(map[string]float64{"sim_events_total": 42, "ringbuf_records_dropped_total": 3})
 	exp.End(nil)
 
-	recs, err := ReadJournal(&buf)
+	recs, err := read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +79,7 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 func TestJournalConcurrentEmits(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
+	j, read := tempJournal(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -72,7 +91,7 @@ func TestJournalConcurrentEmits(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	recs, err := ReadJournal(&buf)
+	recs, err := read()
 	if err != nil {
 		t.Fatalf("interleaved writes corrupted the journal: %v", err)
 	}
@@ -291,8 +310,7 @@ func TestRenderJournal(t *testing.T) {
 		t.Fatalf("empty render = %q", out)
 	}
 
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
+	j, read := tempJournal(t)
 	exp := j.Begin(KindExperiment, "fig2 silo")
 	for i := 0; i < 3; i++ {
 		pt := j.Begin(KindPoint, "silo level="+string(rune('1'+i)))
@@ -304,7 +322,7 @@ func TestRenderJournal(t *testing.T) {
 		})
 	}
 	exp.End(nil)
-	recs, err := ReadJournal(&buf)
+	recs, err := read()
 	if err != nil {
 		t.Fatal(err)
 	}

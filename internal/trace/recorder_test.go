@@ -17,7 +17,7 @@ type Recorder struct {
 func NewRecorder(k *kernel.Kernel, tgid int, limit int) *Recorder {
 	r := &Recorder{tgid: tgid, limit: limit}
 	k.Tracer().AddListener(func(ev kernel.SyscallEvent) {
-		if r.tgid != 0 && ev.Thread.Process().TGID() != r.tgid {
+		if r.tgid != 0 && int(ev.Thread.PidTgid()>>32) != r.tgid {
 			return
 		}
 		if r.limit > 0 && len(r.events) >= r.limit {

@@ -22,9 +22,6 @@ type Event struct {
 // TID returns the thread id half of PidTgid.
 func (e Event) TID() int { return int(uint32(e.PidTgid)) }
 
-// TGID returns the process id half of PidTgid.
-func (e Event) TGID() int { return int(e.PidTgid >> 32) }
-
 // String renders the event as a trace line.
 func (e Event) String() string {
 	dir := "exit "

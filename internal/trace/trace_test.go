@@ -35,7 +35,7 @@ func TestRecorderCapturesAndFilters(t *testing.T) {
 	if len(evs) != 2 {
 		t.Fatalf("captured %d events, want 2 (other tgid filtered)", len(evs))
 	}
-	if evs[0].TGID() != srv.TGID() {
+	if int(evs[0].PidTgid>>32) != srv.TGID() {
 		t.Fatal("wrong tgid captured")
 	}
 	rec.Reset()

@@ -114,7 +114,7 @@ func TestDemandSamplerFloor(t *testing.T) {
 func record(k *kernel.Kernel, tgid int) *[]trace.Event {
 	evs := new([]trace.Event)
 	k.Tracer().AddListener(func(ev kernel.SyscallEvent) {
-		if ev.Thread.Process().TGID() == tgid {
+		if int(ev.Thread.PidTgid()>>32) == tgid {
 			*evs = append(*evs, trace.Event{Time: ev.Time, PidTgid: ev.Thread.PidTgid(), NR: ev.NR, Enter: ev.Enter, Ret: ev.Ret})
 		}
 	})

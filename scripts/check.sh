@@ -28,11 +28,11 @@
 #   deadapi                               every top-level internal/
 #                                         declaration, method and
 #                                         unexported struct field has a
-#                                         reader besides its own
-#                                         package's tests (resolved with
-#                                         go/types; a write is no read),
-#                                         or an allowlist entry with a
-#                                         reason (scripts/deadapi)
+#                                         reader outside every _test.go
+#                                         file (resolved with go/types;
+#                                         a write is no read), or an
+#                                         allowlist entry with a reason
+#                                         (scripts/deadapi)
 #   bench smoke                           the substrate benchmarks that
 #                                         scripts/bench.sh records run
 #                                         for one iteration each, and
@@ -96,7 +96,7 @@ leg "doclint (internal/ebpf)"
 # scripts/doclint).
 go run ./scripts/doclint ./internal/ebpf
 
-leg "deadapi (internal/ API and state with no reader but its own tests)"
+leg "deadapi (internal/ API and state with no reader but tests)"
 go run ./scripts/deadapi
 
 leg "go build"

@@ -1,14 +1,14 @@
 // Command deadapi, run from the repository root, fails on internal/ API
-// and state that only its own package's tests read. It type-checks the
-// tree with go/types (in-package tests and build constraints included,
-// stdlib from source) and prints each package-level name, method and
-// unexported field of a non-test internal/ file that no non-test file
-// and no other package's test reads. A use reads what it resolves to,
-// never a namesake; a method is also read when its type implements a read
-// interface method. Writes are not reads: the left of = or op=, ++/--, a
-// composite literal's key, the receiver of a sync/atomic Add or Store.
-// Exported fields are not gated (encoding/json reads them). Each line of
-// allow.txt exempts a name or a file (format in its header), with a reason.
+// and state that only tests read. It type-checks the tree with go/types
+// (tests and build constraints included, stdlib from source) and prints
+// each package-level name, method and unexported field of a non-test
+// internal/ file that no non-test file reads. A use reads what it
+// resolves to, never a namesake; a method is also read when its type
+// implements a read interface method. Writes are not reads: the left of
+// = or op=, ++/--, a composite literal's key, the receiver of a
+// sync/atomic Add or Store. Exported fields are not gated
+// (encoding/json reads them). Each line of allow.txt exempts a name or
+// a file (format in its header), with a reason.
 package main
 
 import (
@@ -119,7 +119,7 @@ func check(root, allowFile string) []string {
 					}
 				case *ast.Ident:
 					obj := info.Uses[n]
-					if obj == nil || writes[n] || strings.HasSuffix(name, "_test.go") && filepath.Dir(fset.Position(obj.Pos()).Filename) == filepath.Dir(name) {
+					if obj == nil || writes[n] || strings.HasSuffix(name, "_test.go") {
 						break
 					} else if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
 						ifaces[obj.(*types.Func)] = sig.Recv().Type().Underlying().(*types.Interface)

@@ -2,7 +2,7 @@ package a
 
 func OwnTestOnly()       {}                 // read only by a_test.go: flagged
 func ReadByCmd()         { T{}.Shadowed() } // read by cmd/x: passes
-func ReadByOtherTest()   {}                 // read only by internal/b's test: passes
+func ReadByOtherTest()   {}                 // read only by internal/b's test: flagged
 func Allowed()           {}                 // read only by a_test.go, allowlisted: passes
 func Stale()             {}                 // allowlisted but read by cmd/x: the entry is flagged
 func unused()            {}                 // no reader at all: flagged

@@ -73,15 +73,9 @@ func main() {
 	if len(files) == 0 {
 		files = targets
 	}
-	data, err := os.ReadFile(survivorsFile)
+	notes, err := readNotes(survivorsFile)
 	if err != nil && !os.IsNotExist(err) {
 		fail(err)
-	}
-	notes := map[string]string{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if key, note, _ := strings.Cut(line, "\t"); key != "" && key[0] != '#' {
-			notes[key] = note
-		}
 	}
 	var all []*mutant
 	for _, f := range files {
@@ -104,6 +98,57 @@ func main() {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "mutate:", err)
 	os.Exit(1)
+}
+
+// readNotes reads a survivors file: its entries' notes by key.
+func readNotes(path string) (map[string]string, error) {
+	data, err := os.ReadFile(path)
+	notes := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if key, note, _ := strings.Cut(line, "\t"); key != "" && key[0] != '#' {
+			notes[key] = note
+		}
+	}
+	return notes, err
+}
+
+// A site is one mutation of one node of a file: flip applies it and
+// returns the undo.
+type site struct {
+	pos      token.Pos
+	from, to string
+	flip     func() (undo func())
+}
+
+// key names s the way survivors.txt does: file:line:col from→to.
+func (s site) key(fset *token.FileSet, file string) string {
+	p := fset.Position(s.pos)
+	return fmt.Sprintf("%s:%d:%d %s→%s", file, p.Line, p.Column, s.from, s.to)
+}
+
+// sites lists f's mutation sites in AST order: every swappable binary
+// operator, and every if condition negated.
+func sites(f *ast.File) []site {
+	var out []site
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			if from, to := n.Op, swaps[n.Op]; to != token.ILLEGAL {
+				out = append(out, site{n.OpPos, from.String(), to.String(), func() func() {
+					n.Op = to
+					return func() { n.Op = from }
+				}})
+			}
+		case *ast.IfStmt:
+			cond := n.Cond
+			out = append(out, site{n.If, "if", "!if", func() func() {
+				n.Cond = &ast.UnaryExpr{Op: token.NOT, X: &ast.ParenExpr{X: cond}}
+				return func() { n.Cond = cond }
+			}})
+		}
+		return true
+	})
+	return out
 }
 
 // run mutates file, a path under the module at root, site by site and
@@ -137,32 +182,6 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 		return goTest(root, "./"+filepath.ToSlash(filepath.Dir(file)), overlay, timeout)
 	}
 
-	// Each site flips its node and returns the undo.
-	type site struct {
-		pos      token.Pos
-		from, to string
-		flip     func() (undo func())
-	}
-	var sites []site
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BinaryExpr:
-			if from, to := n.Op, swaps[n.Op]; to != token.ILLEGAL {
-				sites = append(sites, site{n.OpPos, from.String(), to.String(), func() func() {
-					n.Op = to
-					return func() { n.Op = from }
-				}})
-			}
-		case *ast.IfStmt:
-			cond := n.Cond
-			sites = append(sites, site{n.If, "if", "!if", func() func() {
-				n.Cond = &ast.UnaryExpr{Op: token.NOT, X: &ast.ParenExpr{X: cond}}
-				return func() { n.Cond = cond }
-			}})
-		}
-		return true
-	})
-
 	// The unmutated package must pass; its time sets the timeout.
 	start := time.Now()
 	if m, err := test(10 * time.Minute); err != nil || m.invalid || len(m.killers) > 0 {
@@ -170,7 +189,8 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 	}
 	timeout := max(30*time.Second, 10*time.Since(start))
 	var ms []*mutant
-	for i, s := range sites {
+	ss := sites(f)
+	for i, s := range ss {
 		undo := s.flip()
 		t0 := time.Now()
 		m, err := test(timeout)
@@ -178,9 +198,8 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := fset.Position(s.pos)
-		m.key = fmt.Sprintf("%s:%d:%d %s→%s", file, p.Line, p.Column, s.from, s.to)
-		fmt.Fprintf(log, "[%d/%d] %v (%.1fs)\n", i+1, len(sites), m, time.Since(t0).Seconds())
+		m.key = s.key(fset, file)
+		fmt.Fprintf(log, "[%d/%d] %v (%.1fs)\n", i+1, len(ss), m, time.Since(t0).Seconds())
 		ms = append(ms, m)
 	}
 	return ms, nil

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -74,5 +77,40 @@ func TestPanicReruns(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("mutants:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestSurvivorsNameSites fails on a testdata/survivors.txt entry that
+// names no mutation site of the tree: its file, line, column and
+// operators must be a site run would mutate today, or its note has
+// gone stale.
+func TestSurvivorsNameSites(t *testing.T) {
+	root := filepath.Join("..", "..")
+	notes, err := readNotes(filepath.Join(root, survivorsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []string
+	for key := range notes {
+		entries = append(entries, key)
+	}
+	slices.Sort(entries)
+	keys := map[string]map[string]bool{} // by file, its sites' keys
+	for _, key := range entries {
+		file, _, _ := strings.Cut(key, ":")
+		if keys[file] == nil {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, filepath.Join(root, file), nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[file] = map[string]bool{}
+			for _, s := range sites(f) {
+				keys[file][s.key(fset, file)] = true
+			}
+		}
+		if !keys[file][key] {
+			t.Errorf("%s names no mutation site: rerun go run ./scripts/mutate %s", key, file)
+		}
 	}
 }

@@ -18,8 +18,8 @@
 // -streambytes), supervision (-deadline, -retries, -chaos; any of them
 // turns a failing point into a marked gap instead of a crash),
 // self-telemetry (-metrics, -journal) and the few flags single entries
-// read (fleet's -nodes/-epochs/-topk/-scrape-interval/-skew/-staleness/
-// -missrate, attribution's -trials, telemetry's -top). Results are
+// read (fleet's -nodes/-epochs/-scrape-interval/-skew/-missrate,
+// attribution's -trials, telemetry's -top). Results are
 // bit-identical at any -parallel, with or without supervision, metrics
 // or a journal. A journal holds a fsynced checkpoint per completed
 // point, so `reqlens resume -journal F` after a kill replays them,
@@ -108,10 +108,8 @@ func dispatch(name string, args []string, resume map[string]telemetry.Record, st
 	nodes := fs.Int("nodes", 16, "fleet subcommand: cluster size")
 	fs.DurationVar(&rc.fleet.Scrape.Interval, "scrape-interval", 0, "fleet subcommand: scrape period (0 = 250ms)")
 	fs.DurationVar(&rc.fleet.Scrape.Skew, "skew", 0, "fleet subcommand: per-node scrape jitter bound (0 = interval/10, negative = none)")
-	fs.DurationVar(&rc.fleet.Scrape.Staleness, "staleness", 0, "fleet subcommand: max sample age before a node is excluded as stale (0 = 2*interval+skew)")
 	fs.Float64Var(&rc.fleet.Scrape.MissRate, "missrate", 0.05, "fleet subcommand: probability a scrape attempt fails")
 	fs.IntVar(&rc.fleet.Epochs, "epochs", 8, "fleet subcommand: scrape rounds per load level")
-	fs.IntVar(&rc.fleet.TopK, "topk", 3, "fleet subcommand: entries in the per-epoch saturation/noise rankings")
 	fs.IntVar(&rc.trials, "trials", 5, "attribution subcommand: trials per fault scenario")
 	fs.Parse(args) // ExitOnError: a bad flag has already exited with status 2
 	rc.fleet.Nodes = fleet.DefaultSpecs(*nodes)

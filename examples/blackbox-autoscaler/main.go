@@ -63,7 +63,7 @@ func main() {
 	rig.Warmup(2 * time.Second)
 
 	detector := control.NewSaturationDetector(control.DetectorConfig{Warmup: 4})
-	slack := core.NewSlackEstimator()
+	var slack core.SlackEstimator
 	scaler := control.NewAutoscaler(startCores, control.AutoscalerConfig{
 		Min: 3, Max: workloads.ServerCores,
 		Cooldown: 3 * time.Second,
@@ -84,21 +84,21 @@ func main() {
 		m := rig.Measure(time.Second)
 		now += time.Second
 		_, alarmed := detector.Observe(now, m.Evidence())
-		sl := slack.Observe(time.Duration(m.PollMeanNS))
+		sl := slack.Observe(m.Obs.Poll.MeanDuration)
 
 		action := "hold"
 		if d, ok := scaler.Observe(now, alarmed, sl); ok {
 			action = fmt.Sprintf("%v -> %d cores (%s)", d.Action, d.To, d.Reason)
 			if lead := d.EffectiveAt - now; lead > 0 {
 				target := d.To
-				rig.Env.Schedule(lead, func() { rig.ServerK.SetOnlineCPUs(target) })
+				rig.Env.Post(lead, func() { rig.ServerK.SetOnlineCPUs(target) })
 			} else {
 				rig.ServerK.SetOnlineCPUs(d.To)
 			}
 		}
 		log = append(log, decision{
 			tick: tick, action: action, alarmed: alarmed, slack: sl,
-			rps: m.RPSObsv, cores: scaler.Target(), trueP99: m.Load.P99,
+			rps: m.Obs.RPSObsv(), cores: scaler.Target(), trueP99: m.Load.P99,
 		})
 	}
 	// Attribution read-out: the sketch path names the hot process; the

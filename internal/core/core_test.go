@@ -131,7 +131,7 @@ func TestWaitProfileWindow(t *testing.T) {
 }
 
 func TestSlackEstimator(t *testing.T) {
-	s := NewSlackEstimator()
+	var s SlackEstimator
 	// First observation defines the idle ceiling.
 	if got := s.Observe(10 * time.Millisecond); got != 1 {
 		t.Fatalf("slack at idle = %v", got)
@@ -153,7 +153,7 @@ func TestSlackEstimator(t *testing.T) {
 }
 
 func TestSlackEstimatorNoBaseline(t *testing.T) {
-	s := NewSlackEstimator()
+	var s SlackEstimator
 	if s.Slack(0) != 1 {
 		t.Fatal("without an idle reference, slack defaults to 1")
 	}

@@ -5,19 +5,15 @@ import "time"
 // SlackEstimator implements Section IV-C.2: the mean duration of poll
 // syscalls measures idleness; normalized against the largest observed
 // idle duration it yields a saturation slack in [0,1] — 1 means fully
-// idle, ~0 means the application is at its saturation point.
+// idle, ~0 means the application is at its saturation point. The zero
+// value is ready to use.
 type SlackEstimator struct {
-	// Floor is the poll duration treated as zero slack (defaults to
-	// 50us: pure dispatch latency with data already queued).
-	Floor time.Duration
-
 	maxSeen time.Duration
 }
 
-// NewSlackEstimator returns an estimator with the default floor.
-func NewSlackEstimator() *SlackEstimator {
-	return &SlackEstimator{Floor: 50 * time.Microsecond}
-}
+// slackFloor is the poll duration treated as zero slack: pure dispatch
+// latency with data already queued.
+const slackFloor = 50 * time.Microsecond
 
 // Observe folds one window's mean poll duration and returns the current
 // slack estimate in [0,1].
@@ -31,10 +27,10 @@ func (s *SlackEstimator) Observe(meanPoll time.Duration) float64 {
 // Slack converts a poll duration to a slack fraction against the
 // observed idle maximum.
 func (s *SlackEstimator) Slack(meanPoll time.Duration) float64 {
-	if s.maxSeen <= s.Floor {
+	if s.maxSeen <= slackFloor {
 		return 1
 	}
-	v := float64(meanPoll-s.Floor) / float64(s.maxSeen-s.Floor)
+	v := float64(meanPoll-slackFloor) / float64(s.maxSeen-slackFloor)
 	if v < 0 {
 		return 0
 	}

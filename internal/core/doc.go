@@ -30,7 +30,7 @@
 //     bounded ring, folded into map-identical integer aggregates, with
 //     a producer-side Dropped counter. A lossless stream reconstructs
 //     the map sink's windows bit-for-bit.
-//   - NewSlackEstimator — normalized idle headroom from poll durations.
+//   - SlackEstimator — normalized idle headroom from poll durations.
 //
 // The experiment harness (internal/harness) evaluates this library
 // against client-side ground truth; this package itself never reads

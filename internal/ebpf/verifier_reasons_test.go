@@ -125,6 +125,9 @@ func rejectionCases() []rejectionCase {
 		{"div_by_zero_imm",
 			ret0(Instruction{Op: ClassALU64 | ALUDiv | SrcK, Dst: R0, Imm: 0}),
 			"division by zero immediate"},
+		{"mod_by_zero_imm",
+			[]Instruction{Mov64Imm(R0, 10), Mod64Imm(R0, 0), Exit()},
+			"division by zero immediate"},
 		{"invalid_jump_op",
 			ret0(Instruction{Op: ClassJMP | 0xe0, Dst: R0}),
 			"invalid jump op"},
@@ -146,6 +149,9 @@ func rejectionCases() []rejectionCase {
 		{"jump32_past_end",
 			[]Instruction{JmpImm32(JmpJEQ, R0, 0, 1), Exit()},
 			"jump target 2 out of range"},
+		{"jump_far_out_of_range",
+			[]Instruction{Mov64Imm(R0, 0), JmpImm(JmpJEQ, R0, 0, 100), Exit()},
+			"jump target 102 out of range"},
 		{"jump_into_lddw",
 			cat([]Instruction{JmpImm(JmpJEQ, R0, 0, 1)},
 				wide(LoadImm64(R1, 1), Mov64Imm(R0, 0), Exit())),
@@ -270,6 +276,14 @@ func rejectionCases() []rejectionCase {
 		{"uninit_stack_read",
 			ret0(LoadMem(R0, R10, -8, SizeDW)),
 			"read of uninitialized stack byte"},
+		{"partially_initialized_stack_read",
+			[]Instruction{
+				Mov64Imm(R2, 1),
+				StoreMem(R10, -8, R2, SizeW), // 4 of 8 bytes
+				LoadMem(R0, R10, -8, SizeDW), // read all 8
+				Exit(),
+			},
+			"read of uninitialized stack byte 508"},
 		{"spill_maybe_null",
 			lookup(ret0(StoreMem(R10, -16, R0, SizeDW))...),
 			"spilling possibly-null map value"},

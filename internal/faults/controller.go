@@ -35,15 +35,15 @@ type injector struct {
 	f      Fault
 	rng    *rand.Rand
 	active bool
-	stop   bool       // polled by NoisyNeighbor tenant threads
-	tick   *sim.Event // MigrationStorm's pending flush
+	stop   bool      // polled by NoisyNeighbor tenant threads
+	tick   sim.Timer // MigrationStorm's pending flush
 }
 
 // Controller is an armed plan: it owns the scheduled events and can
 // undo everything with Clear.
 type Controller struct {
 	tgt     Target
-	events  []*sim.Event
+	events  []sim.Timer
 	injs    []*injector
 	stalls  int // active RingStall windows
 	applied map[string]int
@@ -83,9 +83,9 @@ func Arm(plan Plan, tgt Target) (*Controller, error) {
 	for i, f := range plan.Faults {
 		inj := &injector{f: f.withDefaults(), rng: rand.New(rand.NewSource(faultSeed(plan.Seed, i)))}
 		c.injs = append(c.injs, inj)
-		c.events = append(c.events, env.Schedule(f.Start, func() { c.start(inj) }))
+		c.events = append(c.events, env.Post(f.Start, func() { c.start(inj) }))
 		if f.Duration > 0 {
-			c.events = append(c.events, env.Schedule(f.Start+f.Duration, func() { c.end(inj) }))
+			c.events = append(c.events, env.Post(f.Start+f.Duration, func() { c.end(inj) }))
 		}
 	}
 	return c, nil
@@ -151,10 +151,7 @@ func (c *Controller) end(inj *injector) {
 		// do not compose (the standard plans never overlap them).
 		k.OnlineAllCPUs()
 	case MigrationStorm:
-		if inj.tick != nil {
-			inj.tick.Cancel()
-			inj.tick = nil
-		}
+		inj.tick.Cancel()
 	case ClockJitter:
 		k.Tracer().SetClockWarp(nil)
 	case NoisyNeighbor:
@@ -177,7 +174,7 @@ func (c *Controller) flush(inj *injector) {
 	}
 	c.tgt.Kernel.FlushCPUAffinity()
 	c.note("affinity-flush")
-	inj.tick = c.tgt.Kernel.Env().Schedule(inj.f.Period, func() { c.flush(inj) })
+	inj.tick = c.tgt.Kernel.Env().Post(inj.f.Period, func() { c.flush(inj) })
 }
 
 // spawnNeighbor launches the background tenant: Threads phase-staggered

@@ -85,8 +85,8 @@ func TestCPUOfflineWindow(t *testing.T) {
 	plan := Plan{Faults: []Fault{{Kind: CPUOffline, Start: time.Millisecond, Duration: 2 * time.Millisecond, CPUs: 2}}}
 	MustArm(plan, Target{Kernel: k})
 	var during, after int
-	env.Schedule(1500*time.Microsecond, func() { during = k.OnlineCPUs() })
-	env.Schedule(3500*time.Microsecond, func() { after = k.OnlineCPUs() })
+	env.Post(1500*time.Microsecond, func() { during = k.OnlineCPUs() })
+	env.Post(3500*time.Microsecond, func() { after = k.OnlineCPUs() })
 	env.RunFor(5 * time.Millisecond)
 	if during != 2 || after != 4 {
 		t.Fatalf("online CPUs during/after window = %d/%d, want 2/4", during, after)
@@ -184,7 +184,7 @@ func TestProbeChurnDetachesAndReattaches(t *testing.T) {
 	plan := ProbeChurnPlan(time.Millisecond, 2*time.Millisecond)
 	MustArm(plan, Target{Kernel: k, Probes: probes})
 	var midAttached bool
-	env.Schedule(2*time.Millisecond, func() { midAttached = probes.attached })
+	env.Post(2*time.Millisecond, func() { midAttached = probes.attached })
 	env.RunFor(5 * time.Millisecond)
 	if midAttached {
 		t.Fatal("probes still attached inside churn window")
@@ -199,8 +199,8 @@ func TestRingStallWindow(t *testing.T) {
 	defer env.Shutdown()
 	c := MustArm(Plan{Faults: []Fault{{Kind: RingStall, Start: time.Millisecond, Duration: 2 * time.Millisecond}}}, Target{Kernel: k})
 	var during, after bool
-	env.Schedule(2*time.Millisecond, func() { during = c.RingStalled() })
-	env.Schedule(4*time.Millisecond, func() { after = c.RingStalled() })
+	env.Post(2*time.Millisecond, func() { during = c.RingStalled() })
+	env.Post(4*time.Millisecond, func() { after = c.RingStalled() })
 	env.RunFor(5 * time.Millisecond)
 	if !during || after {
 		t.Fatalf("RingStalled during/after = %v/%v, want true/false", during, after)
@@ -266,8 +266,8 @@ func TestNetemShiftWindow(t *testing.T) {
 	plan := netemShift(time.Millisecond, 2*time.Millisecond, cfg)
 	c := MustArm(plan, Target{Kernel: k, Net: net})
 	var during, after bool
-	env.Schedule(1500*time.Microsecond, func() { during = net.Shaped() })
-	env.Schedule(3500*time.Microsecond, func() { after = net.Shaped() })
+	env.Post(1500*time.Microsecond, func() { during = net.Shaped() })
+	env.Post(3500*time.Microsecond, func() { after = net.Shaped() })
 	env.RunFor(5 * time.Millisecond)
 	if !during || after {
 		t.Fatalf("Shaped() during/after window = %v/%v, want true/false", during, after)

@@ -19,36 +19,18 @@ type ScrapeConfig struct {
 	// epoch-k scrape lands at nominal + U[0, Skew], modeling scraper
 	// fan-out and clock skew between targets. 0 defaults to
 	// Interval/10; negative disables jitter.
+	//
+	// A sample older than 2*Interval + Skew (the resolved Skew) marks
+	// its node stale, excluded from rollups (explicit gap, never
+	// zero-fill): one missed scrape leaves the previous sample usable,
+	// two consecutive misses mark the node.
 	Skew time.Duration
-
-	// Staleness is the maximum sample age before a node is marked
-	// stale and excluded from rollups (explicit gap, never zero-fill).
-	// 0 defaults to 2*Interval + Skew: one missed scrape leaves the
-	// previous sample usable, two consecutive misses mark the node.
-	Staleness time.Duration
 
 	// MissRate is the probability a scrape attempt fails (exporter
 	// timeout, dropped connection). Misses are drawn from each node's
 	// private seeded RNG, so a given cluster seed replays the same miss
 	// pattern at any parallelism.
 	MissRate float64
-}
-
-// withDefaults resolves the zero values.
-func (s ScrapeConfig) withDefaults() ScrapeConfig {
-	if s.Interval <= 0 {
-		s.Interval = 250 * time.Millisecond
-	}
-	if s.Skew == 0 {
-		s.Skew = s.Interval / 10
-	}
-	if s.Skew < 0 {
-		s.Skew = 0
-	}
-	if s.Staleness <= 0 {
-		s.Staleness = 2*s.Interval + s.Skew
-	}
-	return s
 }
 
 // Options configures one cluster run.
@@ -69,9 +51,6 @@ type Options struct {
 	// Scrape configures the aggregation plane.
 	Scrape ScrapeConfig
 
-	// TopK sizes the rollup rankings (0 defaults to 3).
-	TopK int
-
 	// Warmup is simulated time driven before measurement and scraping
 	// begin (0 defaults to 1s).
 	Warmup time.Duration
@@ -91,7 +70,8 @@ type Options struct {
 	Telemetry *telemetry.Registry
 }
 
-// withDefaults resolves zero values.
+// withDefaults resolves zero values, the scrape plane's included: the
+// one place they are resolved.
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 42
@@ -99,16 +79,22 @@ func (o Options) withDefaults() Options {
 	if o.Level <= 0 {
 		o.Level = 0.5
 	}
-	if o.TopK <= 0 {
-		o.TopK = 3
-	}
 	if o.Warmup <= 0 {
 		o.Warmup = time.Second
 	}
 	if o.Parallelism < 1 {
 		o.Parallelism = 1
 	}
-	o.Scrape = o.Scrape.withDefaults()
+	s := &o.Scrape
+	if s.Interval <= 0 {
+		s.Interval = 250 * time.Millisecond
+	}
+	if s.Skew == 0 {
+		s.Skew = s.Interval / 10
+	}
+	if s.Skew < 0 {
+		s.Skew = 0
+	}
 	return o
 }
 
@@ -212,7 +198,8 @@ func (c *Cluster) collect(nominal sim.Time) Rollup {
 		n.last.At = c.targets[i]
 		n.lastOK = true
 	}
-	return computeRollup(c.epoch, nominal, c.Nodes, c.opt.TopK, missed, c.opt.Scrape.Staleness)
+	cfg := c.opt.Scrape
+	return computeRollup(c.epoch, nominal, c.Nodes, missed, 2*cfg.Interval+cfg.Skew)
 }
 
 // Run warms up (if not already) and executes epochs scrape rounds,

@@ -1,7 +1,7 @@
 // Package fleet lifts the repo's one-rig/one-kernel core to cluster
 // scale: a simulated fleet of nodes — each a private kernel + workload
-// + observer + telemetry registry (harness.Node wired into a
-// harness.Rig) on its own deterministic timeline — advanced in lockstep
+// + observer + telemetry registry + load generator (a harness.Rig) on
+// its own deterministic timeline — advanced in lockstep
 // (sim.Lockstep), with the paper's open-loop load split across the
 // nodes and a scrape/merge aggregation plane on top.
 //

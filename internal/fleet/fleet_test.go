@@ -176,6 +176,18 @@ func TestScrapeMissesBecomeStaleGaps(t *testing.T) {
 	}
 }
 
+// TestSweepNegativeSkewMeansNoJitter pins the -skew flag's "negative =
+// none": the options a sweep cell hands NewCluster must resolve a
+// negative Skew to zero jitter, not to the Interval/10 default that a
+// zero Skew means.
+func TestSweepNegativeSkewMeansNoJitter(t *testing.T) {
+	fopt := SweepOptions{Scrape: ScrapeConfig{Interval: 100 * time.Millisecond, Skew: -1}}
+	fopt = fopt.withDefaults(harness.Quick())
+	if got := fopt.cluster(harness.PointCtx{}, harness.Cell{}).withDefaults().Scrape.Skew; got != 0 {
+		t.Fatalf("resolved Skew = %v, want 0 (no jitter)", got)
+	}
+}
+
 // TestRollupExcludesStaleNotZeroFill is the white-box gap-convention
 // check: a stale node contributes nothing to sums or denominators —
 // excluding it is observably different from folding in a zero.
@@ -189,7 +201,7 @@ func TestRollupExcludesStaleNotZeroFill(t *testing.T) {
 	aged := &Node{ID: 1, lastOK: true, last: Sample{At: at.Add(-time.Second), Metrics: view(50, 0.5)}}
 	never := &Node{ID: 2}
 
-	r := computeRollup(1, at, []*Node{fresh, aged, never}, 2, 0, staleness)
+	r := computeRollup(1, at, []*Node{fresh, aged, never}, 0, staleness)
 	if r.Fresh != 1 {
 		t.Fatalf("fresh = %d, want 1", r.Fresh)
 	}

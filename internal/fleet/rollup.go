@@ -71,14 +71,17 @@ type Rollup struct {
 // the knee rather than past it.
 const saturationThreshold = 0.9
 
+// rollupTopK is the length of each rollup ranking.
+const rollupTopK = 3
+
 // computeRollup folds the nodes' freshest samples into one epoch
 // rollup. A node is stale when it has never been scraped or when its
 // last successful sample is older than the staleness bound at the
 // epoch's nominal instant. Nodes are folded in ID order, so float sums
 // are bit-stable at any worker count.
-func computeRollup(epoch int, at sim.Time, nodes []*Node, topK int, missed int, staleness time.Duration) Rollup {
+func computeRollup(epoch int, at sim.Time, nodes []*Node, missed int, staleness time.Duration) Rollup {
 	r := Rollup{Epoch: epoch, At: at, Missed: missed}
-	k := min(topK, len(nodes)) // a ranking holds no more than the fleet
+	k := min(rollupTopK, len(nodes)) // a ranking holds no more than the fleet
 	for _, n := range nodes {
 		if !n.lastOK || at.Sub(n.last.At) > staleness {
 			r.Stale = append(r.Stale, n.ID)

@@ -22,12 +22,9 @@ type SweepOptions struct {
 	// Epochs is the number of scrape rounds per level (0 defaults to 8).
 	Epochs int
 
-	// Scrape configures the aggregation plane (zero values default per
-	// ScrapeConfig).
+	// Scrape configures the aggregation plane; NewCluster resolves its
+	// zero values per ScrapeConfig.
 	Scrape ScrapeConfig
-
-	// TopK sizes the rollup rankings (0 defaults to 3).
-	TopK int
 
 	// ClusterParallelism bounds the lockstep workers inside each
 	// cluster. 0 inherits the experiment's Parallelism (resolved like
@@ -44,16 +41,12 @@ func (f SweepOptions) withDefaults(opt harness.ExpOptions) SweepOptions {
 	if f.Epochs <= 0 {
 		f.Epochs = 8
 	}
-	if f.TopK <= 0 {
-		f.TopK = 3
-	}
 	if f.ClusterParallelism <= 0 {
 		f.ClusterParallelism = opt.Parallelism
 	}
 	if f.ClusterParallelism <= 0 {
 		f.ClusterParallelism = runtime.GOMAXPROCS(0)
 	}
-	f.Scrape = f.Scrape.withDefaults()
 	return f
 }
 
@@ -97,22 +90,27 @@ type SweepResult struct {
 	Gaps []string `json:",omitempty"`
 }
 
+// cluster is the cluster configuration of one sweep cell. Scrape passes
+// through unresolved: NewCluster resolves it, once.
+func (f SweepOptions) cluster(pc harness.PointCtx, cell harness.Cell) Options {
+	return Options{
+		Seed:        cell.Seed,
+		Nodes:       f.Nodes,
+		Level:       cell.Level,
+		Scrape:      f.Scrape,
+		Warmup:      cell.Warm,
+		Parallelism: f.ClusterParallelism,
+		Clock:       pc.Clock,
+		Telemetry:   pc.Telemetry,
+	}
+}
+
 // sweepLevel runs one cluster at one load level. The cluster seed is
 // the cell's, derived from the root seed and the level index only, so
 // the result is bit-identical at any engine or lockstep parallelism —
 // and across supervision retries.
 func sweepLevel(fopt SweepOptions, pc harness.PointCtx, cell harness.Cell) LevelPoint {
-	c := NewCluster(Options{
-		Seed:        cell.Seed,
-		Nodes:       fopt.Nodes,
-		Level:       cell.Level,
-		Scrape:      fopt.Scrape,
-		TopK:        fopt.TopK,
-		Warmup:      cell.Warm,
-		Parallelism: fopt.ClusterParallelism,
-		Clock:       pc.Clock,
-		Telemetry:   pc.Telemetry,
-	})
+	c := NewCluster(fopt.cluster(pc, cell))
 	// Deferred so a deadline kill unwinding out of any node's event loop
 	// still drains every node's goroutines instead of leaking them.
 	defer c.Close()

@@ -442,7 +442,7 @@ func autoscalePoint(latency time.Duration, pc PointCtx, c Cell) AutoscalePoint {
 	det := control.NewSaturationDetector(control.DetectorConfig{
 		Warmup: autoDetWarm, Telemetry: pc.Telemetry,
 	})
-	slack := core.NewSlackEstimator()
+	var slack core.SlackEstimator
 	as := control.NewAutoscaler(autoCPUs, control.AutoscalerConfig{
 		Min: autoCPUs, Max: workloads.ServerCores,
 		Cooldown: 4 * win, Latency: latency,
@@ -458,7 +458,7 @@ func autoscalePoint(latency time.Duration, pc PointCtx, c Cell) AutoscalePoint {
 		m := rig.Measure(win)
 		now += win
 		_, alarmed := det.Observe(now, m.Evidence())
-		sl := slack.Observe(time.Duration(m.PollMeanNS))
+		sl := slack.Observe(m.Obs.Poll.MeanDuration)
 		if d, ok := as.Observe(now, alarmed, sl); ok {
 			switch d.Action {
 			case control.ActionScaleUp:
@@ -470,9 +470,7 @@ func autoscalePoint(latency time.Duration, pc PointCtx, c Cell) AutoscalePoint {
 			if d.EffectiveAt <= now {
 				rig.ServerK.SetOnlineCPUs(to)
 			} else {
-				rig.Env.Schedule(d.EffectiveAt-now, func() {
-					rig.ServerK.SetOnlineCPUs(to)
-				})
+				rig.Env.Post(d.EffectiveAt-now, func() { rig.ServerK.SetOnlineCPUs(to) })
 			}
 		}
 		return m.Load

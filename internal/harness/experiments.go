@@ -323,10 +323,10 @@ func sweepLevel(pc PointCtx, c Cell) SweepPoint {
 	p := SweepPoint{
 		Level:      c.Level,
 		RealRPS:    m.Load.RealRPS,
-		ObsvRPS:    m.RPSObsv,
-		SendVarUS2: m.SendVarUS2,
-		RecvVarUS2: m.RecvVarUS2,
-		PollMeanNS: m.PollMeanNS,
+		ObsvRPS:    m.Obs.RPSObsv(),
+		SendVarUS2: m.Obs.Send.VarianceUS2,
+		RecvVarUS2: m.Obs.Recv.VarianceUS2,
+		PollMeanNS: float64(m.Obs.Poll.MeanDuration),
 		P99:        m.Load.P99,
 		QoSFail:    m.Load.P99 > c.Spec.QoS,
 	}
@@ -552,7 +552,7 @@ func IOUring(level float64, opt ExpOptions) IOUringResult {
 		m := rig.Measure(windowFor(opt.MinSends, c.Rate()))
 		return IOUringResult{
 			RealRPS:     m.Load.RealRPS,
-			ObsvRPS:     m.RPSObsv,
+			ObsvRPS:     m.Obs.RPSObsv(),
 			PollCount:   m.Obs.Poll.Calls,
 			IoUringRate: uring.Snapshot().RateObsv(),
 		}

@@ -19,11 +19,11 @@ func TestRigEndToEnd(t *testing.T) {
 	if m.Load.RealRPS < 0.25*spec.FailureRPS {
 		t.Fatalf("RealRPS = %v", m.Load.RealRPS)
 	}
-	if m.RPSObsv == 0 || m.PollMeanNS == 0 {
+	if m.Obs.RPSObsv() == 0 || m.Obs.Poll.MeanDuration == 0 {
 		t.Fatalf("missing observations: %+v", m)
 	}
 	// Eq. 1 tracks the real rate closely at steady load.
-	ratio := m.RPSObsv / m.Load.RealRPS
+	ratio := m.Obs.RPSObsv() / m.Load.RealRPS
 	if ratio < 0.9 || ratio > 1.1 {
 		t.Fatalf("RPSObsv/RealRPS = %v", ratio)
 	}

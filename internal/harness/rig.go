@@ -65,7 +65,7 @@ type RigOptions struct {
 	// results to an uninstrumented one. Nil (the default) leaves every
 	// hot-path counter a nil no-op: one nil check per event. The fleet
 	// layer reads the registry back *after the fact* through the node's
-	// Prometheus export (Node.Reg); that aggregation-plane read cannot
+	// Prometheus export (Rig.Reg); that aggregation-plane read cannot
 	// reach back into the simulation.
 	Telemetry *telemetry.Registry
 
@@ -84,18 +84,19 @@ type RigOptions struct {
 // ring are then reproducible for a given seed.
 const streamDrainEvery = 50 * time.Millisecond
 
-// Node is one served instance: a server kernel running one workload
-// with the observer(s) under evaluation attached, plus the node's own
-// telemetry registry — everything a fleet member exports, and nothing
-// client-side. It is the unit internal/fleet replicates: a Rig is one
-// Node wired to a co-located load generator; a fleet.Cluster is many
-// Nodes, each on a private simulation timeline, with the load plane
-// split across them and the aggregation plane scraping Reg.
-type Node struct {
+// Rig is one fully wired experiment: a server kernel running one
+// workload with the observer(s) under evaluation attached, the node's
+// own telemetry registry, and the client side — the ground-truth load
+// generator, co-located or on its own machine. A fleet.Cluster is many
+// Rigs, each on a private simulation timeline, with the aggregation
+// plane scraping each Reg.
+type Rig struct {
 	Env     *sim.Env
 	ServerK *kernel.Kernel
 	Net     *netsim.Network
 	Server  workloads.Server
+	ClientK *kernel.Kernel
+	Client  *loadgen.Client
 
 	// Obs is the attached core.Observer with the map sink — the library
 	// under evaluation. Nil when RigOptions.Probes is false.
@@ -116,21 +117,21 @@ type Node struct {
 	// Faults is the armed fault controller. Nil until Arm is called.
 	Faults *faults.Controller
 
-	// Reg is the registry the node's hot paths are instrumented into
+	// Reg is the registry the rig's hot paths are instrumented into
 	// (RigOptions.Telemetry; nil when uninstrumented). The fleet scraper
 	// serializes it with telemetry.AppendProm — this is the node's
 	// "metrics endpoint".
 	Reg *telemetry.Registry
 }
 
-// NewNode builds and starts the server side of an experiment on env: a
-// server kernel with the given hardware profile, the workload, the
-// observers selected by opt, and hot-path telemetry into opt.Telemetry.
-// It does not create a client; NewRig adds the co-located load
-// generator, and internal/fleet attaches one load-share client per
-// node. opt.Rate, Poisson and SeparateClient are client-side options
-// and ignored here.
-func NewNode(env *sim.Env, spec workloads.Spec, opt RigOptions) *Node {
+// NewRig builds and starts a rig for spec: a server kernel with the
+// given hardware profile, the workload, the observers selected by opt,
+// hot-path telemetry into opt.Telemetry, and the load generator.
+// Traffic flows as soon as the simulation runs; call Warmup then
+// Measure.
+func NewRig(spec workloads.Spec, opt RigOptions) *Rig {
+	env := sim.NewEnv(opt.Seed)
+	env.SetClock(opt.Clock)
 	if opt.Profile.Name == "" {
 		opt.Profile = machine.AMD()
 	}
@@ -141,131 +142,54 @@ func NewNode(env *sim.Env, spec workloads.Spec, opt RigOptions) *Node {
 	serverProf.CoresPerSock = workloads.ServerCores
 	serverProf.ThreadsPerCore = 1
 
-	n := &Node{
+	r := &Rig{
 		Env:     env,
 		ServerK: kernel.New(env, serverProf),
 		Net:     netsim.New(env),
 		Reg:     opt.Telemetry,
 	}
-	n.Server = workloads.Launch(n.ServerK, n.Net, spec, opt.Netem)
+	r.Server = workloads.Launch(r.ServerK, r.Net, spec, opt.Netem)
 
 	cfg := core.Config{
-		TGID:         n.Server.Process().TGID(),
+		TGID:         r.Server.Process().TGID(),
 		SendSyscalls: []int{spec.SendNR},
 		RecvSyscalls: []int{spec.RecvNR},
 		PollSyscalls: []int{spec.PollNR},
 	}
+	// Every Instrument call is a no-op on a nil opt.Telemetry.
 	if opt.Probes {
-		n.Obs = core.MustAttach(n.ServerK, cfg)
+		r.Obs = core.MustAttach(r.ServerK, cfg)
+		r.Obs.Instrument(opt.Telemetry)
 	}
 	if opt.Stream {
-		n.Stream = core.MustAttachStream(n.ServerK, cfg, opt.StreamBytes)
+		r.Stream = core.MustAttachStream(r.ServerK, cfg, opt.StreamBytes)
+		r.Stream.Instrument(opt.Telemetry)
 	}
 	if opt.Attribution {
-		n.Attr = core.MustAttachAttribution(n.ServerK, probes.AttributionConfig{
+		r.Attr = core.MustAttachAttribution(r.ServerK, probes.AttributionConfig{
 			SendSyscalls: []int{spec.SendNR},
 			Oracle:       opt.AttributionOracle,
 		})
+		r.Attr.Instrument(opt.Telemetry)
 	}
 	if opt.WaitStates {
-		n.Wait = core.MustAttachWaitProfile(n.ServerK, cfg.TGID)
+		r.Wait = core.MustAttachWaitProfile(r.ServerK, cfg.TGID)
+		r.Wait.Instrument(opt.Telemetry)
 	}
-	if opt.Telemetry != nil {
-		// The server kernel carries the signals under study; a separate
-		// client kernel stays uninstrumented so its ideal-machine
-		// scheduling does not pollute the scheduler counters.
-		env.Instrument(opt.Telemetry)
-		n.ServerK.Instrument(opt.Telemetry)
-		if n.Obs != nil {
-			n.Obs.Instrument(opt.Telemetry)
-		}
-		if n.Stream != nil {
-			n.Stream.Instrument(opt.Telemetry)
-		}
-		if n.Attr != nil {
-			n.Attr.Instrument(opt.Telemetry)
-		}
-		if n.Wait != nil {
-			n.Wait.Instrument(opt.Telemetry)
-		}
-	}
-	return n
-}
+	// The server kernel carries the signals under study; a separate
+	// client kernel stays uninstrumented so its ideal-machine scheduling
+	// does not pollute the scheduler counters.
+	env.Instrument(opt.Telemetry)
+	r.ServerK.Instrument(opt.Telemetry)
 
-// Arm schedules plan's faults against the node's kernel (and the batch
-// observer, for probe-churn), with offsets relative to the current
-// simulated time — call it after warmup so fault windows land inside
-// the measurement. The plan's Netem field is not applied here: link
-// shaping is a whole-run property that experiments fold into
-// RigOptions.Netem when building the node.
-func (n *Node) Arm(plan faults.Plan) *faults.Controller {
-	tgt := faults.Target{Kernel: n.ServerK, Net: n.Net}
-	if n.Obs != nil {
-		tgt.Probes = n.Obs
-	}
-	n.Faults = faults.MustArm(plan, tgt)
-	return n.Faults
-}
-
-// Advance drives the node's simulation forward by d. With a streaming
-// observer attached, it advances in fixed streamDrainEvery chunks and
-// drains the ring after each, keeping the consumer ahead of the
-// producers at deterministic simulation instants; without one it is
-// Env.RunFor.
-func (n *Node) Advance(d time.Duration) {
-	if n.Stream == nil {
-		n.Env.RunFor(d)
-		return
-	}
-	for d > 0 {
-		step := streamDrainEvery
-		if d < step {
-			step = d
-		}
-		n.Env.RunFor(step)
-		// A RingStall fault pauses the consumer: producers keep filling
-		// the ring and start dropping once it is full, exactly like a
-		// wedged userspace reader.
-		if n.Faults == nil || !n.Faults.RingStalled() {
-			n.Stream.Poll()
-		}
-		d -= step
-	}
-}
-
-// Close terminates all simulation goroutines of the node's environment.
-// The node (and anything else sharing the environment) is unusable
-// after.
-func (n *Node) Close() { n.Env.Shutdown() }
-
-// Rig is one fully wired experiment: a Node (simulation, server kernel,
-// network, workload, observers) plus the client side — the ground-truth
-// load generator, co-located or on its own machine.
-type Rig struct {
-	Node
-	ClientK *kernel.Kernel
-	Client  *loadgen.Client
-}
-
-// NewRig builds and starts a rig for spec. Traffic flows as soon as the
-// simulation runs; call Warmup then Measure.
-func NewRig(spec workloads.Spec, opt RigOptions) *Rig {
-	env := sim.NewEnv(opt.Seed)
-	env.SetClock(opt.Clock)
-	r := &Rig{Node: *NewNode(env, spec, opt)}
-	if opt.SeparateClient {
-		clientProf := machine.Profile{
-			Name: "client", Sockets: 1, CoresPerSock: 8, ThreadsPerCore: 1,
-			TimeSlice: time.Millisecond, // ideal client: no syscall/switch cost
-		}
-		r.ClientK = kernel.New(env, clientProf)
-	} else {
-		// Paper setup: client and server containers share the machine.
-		r.ClientK = r.ServerK
-	}
-
+	// Paper setup: client and server containers share the machine.
+	r.ClientK = r.ServerK
 	perOp := spec.ClientPerOpCost()
 	if opt.SeparateClient {
+		r.ClientK = kernel.New(env, machine.Profile{
+			Name: "client", Sockets: 1, CoresPerSock: 8, ThreadsPerCore: 1,
+			TimeSlice: time.Millisecond, // ideal client: no syscall/switch cost
+		})
 		perOp = 0
 	}
 	r.Client = loadgen.New(r.ClientK, r.Server.Listener(), loadgen.Options{
@@ -277,6 +201,48 @@ func NewRig(spec workloads.Spec, opt RigOptions) *Rig {
 	})
 	return r
 }
+
+// Arm schedules plan's faults against the rig's server kernel (and the
+// batch observer, for probe-churn), with offsets relative to the
+// current simulated time — call it after warmup so fault windows land
+// inside the measurement. The plan's Netem field is not applied here:
+// link shaping is a whole-run property that experiments fold into
+// RigOptions.Netem when building the rig.
+func (r *Rig) Arm(plan faults.Plan) *faults.Controller {
+	tgt := faults.Target{Kernel: r.ServerK, Net: r.Net}
+	if r.Obs != nil {
+		tgt.Probes = r.Obs
+	}
+	r.Faults = faults.MustArm(plan, tgt)
+	return r.Faults
+}
+
+// Advance drives the rig's simulation forward by d. With a streaming
+// observer attached, it advances in fixed streamDrainEvery chunks and
+// drains the ring after each, keeping the consumer ahead of the
+// producers at deterministic simulation instants; without one it is
+// Env.RunFor.
+func (r *Rig) Advance(d time.Duration) {
+	if r.Stream == nil {
+		r.Env.RunFor(d)
+		return
+	}
+	for d > 0 {
+		step := min(d, streamDrainEvery)
+		r.Env.RunFor(step)
+		// A RingStall fault pauses the consumer: producers keep filling
+		// the ring and start dropping once it is full, exactly like a
+		// wedged userspace reader.
+		if r.Faults == nil || !r.Faults.RingStalled() {
+			r.Stream.Poll()
+		}
+		d -= step
+	}
+}
+
+// Close terminates all simulation goroutines of the rig's environment.
+// The rig is unusable after.
+func (r *Rig) Close() { r.Env.Shutdown() }
 
 // Warmup advances the simulation without measuring.
 func (r *Rig) Warmup(d time.Duration) {
@@ -301,7 +267,10 @@ func (r *Rig) rebase() {
 // Measurement is one window's paired ground truth and eBPF observations.
 type Measurement struct {
 	Load loadgen.Results
-	Obs  core.Window // the library's view of the same window
+
+	// Obs is the library's view of the same window (Eq. 1 Obs.RPSObsv,
+	// Eq. 2 variances, Fig. 4 Obs.Poll.MeanDuration); zero without Probes.
+	Obs core.Window
 
 	// Stream is the streaming observer's view of the same window (zero
 	// when RigOptions.Stream is false). Its embedded Window equals Obs
@@ -311,11 +280,6 @@ type Measurement struct {
 	// Wait is the scheduler-state decomposition of the same window (zero
 	// when RigOptions.WaitStates is false).
 	Wait core.WaitWindow
-
-	RPSObsv    float64 // Eq. 1 estimate from the send probe
-	SendVarUS2 float64 // Eq. 2 variance of send deltas
-	RecvVarUS2 float64
-	PollMeanNS float64 // Fig. 4 slack signal
 }
 
 // Evidence is the window's probe read-out as the control stage's input.
@@ -326,7 +290,8 @@ func (m Measurement) Evidence() control.Evidence {
 	on, run, blk := m.Wait.Shares()
 	return control.Evidence{
 		OnCPUShare: on, RunnableShare: run, BlockedShare: blk,
-		RPS: m.RPSObsv, SendVarUS2: m.SendVarUS2, PollMeanNS: m.PollMeanNS,
+		RPS: m.Obs.RPSObsv(), SendVarUS2: m.Obs.Send.VarianceUS2,
+		PollMeanNS: float64(m.Obs.Poll.MeanDuration),
 	}
 }
 
@@ -338,12 +303,7 @@ func (r *Rig) Measure(d time.Duration) Measurement {
 	r.Advance(d)
 	m := Measurement{Load: r.Client.Snapshot()}
 	if r.Obs != nil {
-		w := r.Obs.Sample().Window
-		m.Obs = w
-		m.RPSObsv = w.Send.RatePerSec
-		m.SendVarUS2 = w.Send.VarianceUS2
-		m.RecvVarUS2 = w.Recv.VarianceUS2
-		m.PollMeanNS = float64(w.Poll.MeanDuration)
+		m.Obs = r.Obs.Sample().Window
 	}
 	if r.Stream != nil {
 		m.Stream = r.Stream.Sample()

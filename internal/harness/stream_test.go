@@ -101,7 +101,7 @@ func TestRigStreamOnly(t *testing.T) {
 	if m.Stream.Send.Calls == 0 || m.Stream.Poll.Calls == 0 {
 		t.Fatalf("stream window empty: %+v", m.Stream.Window)
 	}
-	if m.RPSObsv != 0 {
+	if m.Obs.RPSObsv() != 0 {
 		t.Fatal("batch fields should stay zero without Probes")
 	}
 }

@@ -95,7 +95,7 @@ func waitPoint(pc PointCtx, c Cell) WaitPoint {
 		RealRPS: m.Load.RealRPS, P99: m.Load.P99, QoSFail: m.Load.P99 > c.Spec.QoS,
 		OnCPU: m.Wait.OnCPU, Runnable: m.Wait.Runnable, Blocked: m.Wait.Blocked,
 		OnCPUShare: on, RunnableShare: run, BlockedShare: blk,
-		PollMeanNS: m.PollMeanNS, SendVarUS2: m.SendVarUS2,
+		PollMeanNS: float64(m.Obs.Poll.MeanDuration), SendVarUS2: m.Obs.Send.VarianceUS2,
 	}
 }
 

@@ -84,8 +84,8 @@ func (k *Kernel) OfflineCPUs(n int) int { return k.sched.offlineCPUs(n) }
 // dispatches queued threads onto the freed CPUs.
 func (k *Kernel) OnlineAllCPUs() { k.sched.onlineAllCPUs() }
 
-// SetOnlineCPUs adjusts the online CPU count to n (clamped to
-// [1, CPUs()]), offlining highest-id CPUs or onlining lowest-id ones as
+// SetOnlineCPUs adjusts the online CPU count to n (clamped to 1 and
+// the profile's CPU count), offlining highest-id CPUs or onlining lowest-id ones as
 // needed and dispatching queued threads onto freed CPUs. Returns the
 // resulting online count. This is the autoscaler's actuation primitive:
 // capacity changes in whole-CPU steps, as a cgroup cpuset resize would.

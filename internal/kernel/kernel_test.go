@@ -167,7 +167,7 @@ func TestRunQueueVisibility(t *testing.T) {
 			t.Compute(2 * time.Millisecond)
 		})
 	}
-	env.Schedule(500*time.Microsecond, func() {
+	env.Post(500*time.Microsecond, func() {
 		if k.sched.runq.Len() > 0 {
 			sawQueue = true
 		}
@@ -347,7 +347,7 @@ func TestOnlineAllDispatchesWaiters(t *testing.T) {
 			done++
 		})
 	}
-	env.Schedule(2*time.Millisecond, func() { k.OnlineAllCPUs() })
+	env.Post(2*time.Millisecond, func() { k.OnlineAllCPUs() })
 	env.Run()
 	if done != 3 {
 		t.Fatalf("only %d/3 threads completed after re-online", done)
@@ -418,7 +418,7 @@ func TestSetOnlineCPUs(t *testing.T) {
 			}
 		})
 	}
-	env.Schedule(2*time.Millisecond, func() { k.SetOnlineCPUs(4) })
+	env.Post(2*time.Millisecond, func() { k.SetOnlineCPUs(4) })
 	env.Run()
 	if done != 4 {
 		t.Fatalf("only %d/4 threads completed after scale-up", done)

@@ -141,7 +141,7 @@ func TestMutexFIFOWaitersDrain(t *testing.T) {
 			mu.Unlock(th)
 		})
 	}
-	env.Schedule(time.Millisecond, func() { maxParked = len(mu.waiters) })
+	env.Post(time.Millisecond, func() { maxParked = len(mu.waiters) })
 	env.Run()
 	if maxParked != 3 {
 		t.Fatalf("parked population while held = %d, want 3", maxParked)

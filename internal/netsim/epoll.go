@@ -74,7 +74,7 @@ func (ep *Epoll) ready(out []*Sock) []*Sock {
 // thread's own and is reused by its next Wait.
 func (ep *Epoll) Wait(t *kernel.Thread, nr int, timeout time.Duration) []*Sock {
 	f := frameOf(t)
-	f.ep, f.timeout, f.deadline, f.timer, f.ready = ep, timeout, -1, nil, f.ready[:0]
+	f.ep, f.timeout, f.deadline, f.timer, f.ready = ep, timeout, -1, sim.Timer{}, f.ready[:0]
 	t.Syscall(nr, [6]uint64{}, waitBody)
 	return f.ready
 }
@@ -88,16 +88,14 @@ func waitBody(t *kernel.Thread) (int64, bool) {
 		f.deadline = t.Now().Add(f.timeout)
 	}
 	if f.ready = f.ep.ready(f.ready); len(f.ready) > 0 {
-		if f.timer != nil {
-			f.timer.Cancel()
-		}
+		f.timer.Cancel()
 		return int64(len(f.ready)), true
 	}
 	if f.deadline >= 0 && t.Now() >= f.deadline {
 		return 0, true
 	}
 	f.ep.waiters = append(f.ep.waiters, t.Waker())
-	if f.deadline >= 0 && f.timer == nil {
+	if f.deadline >= 0 && f.timer == (sim.Timer{}) {
 		f.timer = t.Waker().WakeAfter(f.deadline.Sub(t.Now()))
 	}
 	return 0, false

@@ -76,9 +76,9 @@ type frame struct {
 	got      bool // the last receive popped msg; false for EAGAIN
 	block    bool // wait for a message or connection instead of returning EAGAIN
 	timeout  time.Duration
-	deadline sim.Time   // Wait's, -1 until its body first runs or with no timeout
-	timer    *sim.Event // Wait's timeout wake-up, once armed
-	ready    []*Sock    // Wait's result, reused by the thread's next Wait
+	deadline sim.Time  // Wait's, -1 until its body first runs or with no timeout
+	timer    sim.Timer // Wait's timeout wake-up, once armed
+	ready    []*Sock   // Wait's result, reused by the thread's next Wait
 }
 
 // frameOf returns t's frame, making it on t's first netsim syscall.

@@ -167,7 +167,7 @@ func TestDeltaSnapshotWindows(t *testing.T) {
 		}
 	})
 	var win DeltaSnapshot
-	env.Schedule(50*time.Millisecond, func() {
+	env.Post(50*time.Millisecond, func() {
 		win = probe.Snapshot()
 	})
 	env.Run()

@@ -169,8 +169,8 @@ func TestChaosHangKillsRealEventLoop(t *testing.T) {
 		env := sim.NewEnv(1)
 		env.SetClock(clock)
 		var tick func()
-		tick = func() { env.Schedule(time.Microsecond, tick) }
-		env.Schedule(0, tick)
+		tick = func() { env.Post(time.Microsecond, tick) }
+		env.Post(0, tick)
 		env.RunFor(time.Second)
 		return 1
 	})

@@ -16,8 +16,8 @@ func TestClockExpiryUnwindsRun(t *testing.T) {
 
 	// A self-rescheduling event: the heap never drains, like a hung rig.
 	var tick func()
-	tick = func() { env.Schedule(time.Microsecond, tick) }
-	env.Schedule(0, tick)
+	tick = func() { env.Post(time.Microsecond, tick) }
+	env.Post(0, tick)
 
 	c.Expire()
 	defer func() {
@@ -42,8 +42,8 @@ func TestClockWallDeadline(t *testing.T) {
 		env := NewEnv(2)
 		env.SetClock(c)
 		var tick func()
-		tick = func() { env.Schedule(time.Nanosecond, tick) }
-		env.Schedule(0, tick)
+		tick = func() { env.Post(time.Nanosecond, tick) }
+		env.Post(0, tick)
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(Timeout); !ok {
@@ -121,10 +121,10 @@ func TestClockDoesNotPerturbResults(t *testing.T) {
 		tick = func() {
 			n++
 			if n < 1000 {
-				env.Schedule(time.Duration(env.NewRNG().Intn(100))*time.Nanosecond, tick)
+				env.Post(time.Duration(env.NewRNG().Intn(100))*time.Nanosecond, tick)
 			}
 		}
-		env.Schedule(0, tick)
+		env.Post(0, tick)
 		env.Run()
 		return env.Now(), env.executed
 	}

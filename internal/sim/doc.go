@@ -33,7 +33,8 @@
 // Key entry points:
 //
 //   - NewEnv(seed) — build an environment; Env.Run / RunFor / RunUntil
-//     drive it; Env.Schedule posts events.
+//     drive it; Env.Post schedules a callback and returns a Timer
+//     that can cancel it.
 //   - Env.Spawn — start a Proc (a simulated thread of control); Proc
 //     offers Sleep, Block/Elapse for multi-stage waits, and Wakers
 //     that end a Block from another proc; sim_proc_switches_total

@@ -21,24 +21,40 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // String formats t as a duration since simulation start.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. It can be canceled before it fires.
-type Event struct {
+// event is a scheduled callback. The environment owns it: Step hands
+// it back to a free list once it fires or is popped canceled, and the
+// next Post reuses it, so a steady-state simulation allocates no
+// events. Callers hold a Timer, never an *event.
+type event struct {
 	at       Time
 	seq      uint64
 	fn       func()
 	canceled bool
-	poolable bool // fire-and-forget (Post/PostAt): recycled after firing
 }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
+// Timer is the handle Post and PostAt return: the event and the
+// sequence number that scheduling gave it. The zero Timer cancels
+// nothing.
+type Timer struct {
+	ev  *event
+	seq uint64
+}
+
+// Cancel prevents the scheduling from firing. It acts only while the
+// event still carries the Timer's sequence number, so canceling after
+// the fire time is a no-op even once the event has been recycled for a
+// later Post.
+func (t Timer) Cancel() {
+	if t.ev != nil && t.ev.seq == t.seq {
+		t.ev.canceled = true
+	}
+}
 
 // Env is a discrete-event simulation environment.
 type Env struct {
 	now      Time
 	seq      uint64
-	events   []*Event // binary min-heap on (at, seq); see push and pop
+	events   []*event // binary min-heap on (at, seq); see push and pop
 	rng      *rand.Rand
 	procs    Proc // sentinel of the circular list of live procs, in spawn order
 	live     int  // length of that list
@@ -63,14 +79,9 @@ type Env struct {
 	telEvents   *telemetry.Counter
 	telSwitches *telemetry.Counter
 
-	// free is the recycle list for fire-and-forget events (Post/PostAt).
-	// Step returns a poolable event here after it fires, so a steady-state
-	// simulation reuses a small working set of Events instead of pressuring
-	// the garbage collector once per event. Events handed out by
-	// Schedule/ScheduleAt are never pooled: their handles escape to callers
-	// who may hold them past the fire time (Cancel, At), so recycling one
-	// would let a stale handle cancel an unrelated reused event.
-	free []*Event
+	// free is the recycle list of fired and canceled events; Post and
+	// PostAt take from it before allocating.
+	free []*event
 }
 
 // NewEnv returns an environment with the virtual clock at zero. The seed
@@ -102,56 +113,32 @@ func (e *Env) NewRNG() *rand.Rand {
 	return rand.New(rand.NewSource(e.rng.Int63()))
 }
 
-// Schedule arranges for fn to run at now+d. It returns the event so the
-// caller may cancel it. Scheduling in the past panics: it would break
-// the monotonicity of virtual time.
-func (e *Env) Schedule(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: schedule %v in the past", d))
-	}
-	return e.ScheduleAt(e.now.Add(d), fn)
-}
+// Post arranges for fn to run at now+d and returns the Timer that can
+// cancel it. Posting in the past panics: it would break the
+// monotonicity of virtual time.
+func (e *Env) Post(d time.Duration, fn func()) Timer { return e.PostAt(e.now.Add(d), fn) }
 
-// ScheduleAt arranges for fn to run at absolute virtual time t.
-func (e *Env) ScheduleAt(t Time, fn func()) *Event {
+// PostAt arranges for fn to run at absolute virtual time t; see Post.
+func (e *Env) PostAt(t Time, fn func()) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	e.seq++
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	e.push(ev)
-	return ev
-}
-
-// Post arranges for fn to run at now+d, like Schedule, but returns no
-// handle: the event cannot be canceled, and in exchange the environment
-// recycles its Event allocation after it fires. Hot paths that schedule
-// unconditionally (proc wakeups, packet delivery) should prefer Post;
-// steady-state posting allocates nothing. Posting in the past panics.
-func (e *Env) Post(d time.Duration, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: schedule %v in the past", d))
-	}
-	e.PostAt(e.now.Add(d), fn)
-}
-
-// PostAt arranges for fn to run at absolute virtual time t with no
-// cancellation handle; see Post.
-func (e *Env) PostAt(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	e.seq++
-	var ev *Event
+	var ev *event
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		*ev = Event{at: t, seq: e.seq, fn: fn, poolable: true}
+		ev, e.free = e.free[n-1], e.free[:n-1]
 	} else {
-		ev = &Event{at: t, seq: e.seq, fn: fn, poolable: true}
+		ev = new(event)
 	}
+	*ev = event{at: t, seq: e.seq, fn: fn}
 	e.push(ev)
+	return Timer{ev, e.seq}
+}
+
+// recycle hands a popped event back to the free list.
+func (e *Env) recycle(ev *event) {
+	ev.fn = nil
+	e.free = append(e.free, ev)
 }
 
 // idle is Env.until outside Run and RunUntil: before every valid time.
@@ -182,18 +169,15 @@ func (e *Env) Step() bool {
 	for len(e.events) > 0 {
 		ev := e.pop()
 		if ev.canceled {
+			e.recycle(ev)
 			continue
 		}
 		e.advance(ev.at)
 		fn := ev.fn
-		if ev.poolable {
-			// Recycle before running fn: the callback may itself Post, and
-			// handing the slot back first lets a self-rescheduling tick
-			// reuse its own Event. Poolable events have no outside handle,
-			// so nothing can observe the reuse.
-			ev.fn = nil
-			e.free = append(e.free, ev)
-		}
+		// Recycle before running fn: the callback may itself Post, and
+		// handing the slot back first lets a self-rescheduling tick
+		// reuse its own event.
+		e.recycle(ev)
 		fn()
 		return true
 	}
@@ -228,11 +212,11 @@ func (e *Env) RunUntil(t Time) {
 // RunFor advances the simulation by d.
 func (e *Env) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
 
-func (e *Env) peek() *Event {
+func (e *Env) peek() *event {
 	for len(e.events) > 0 {
 		ev := e.events[0]
 		if ev.canceled {
-			e.pop()
+			e.recycle(e.pop())
 			continue
 		}
 		return ev
@@ -259,14 +243,14 @@ func (e *Env) Shutdown() {
 }
 
 // before is the heap's total order: virtual time, then insertion sequence.
-func (a *Event) before(b *Event) bool {
+func (a *event) before(b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // push inserts ev into the heap. The sift loops are typed, not
 // container/heap: heap.Interface costs an interface call per comparison
 // and swap, on what is the event loop's largest cost (DESIGN.md §7).
-func (e *Env) push(ev *Event) {
+func (e *Env) push(ev *event) {
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -282,7 +266,7 @@ func (e *Env) push(ev *Event) {
 }
 
 // pop removes and returns the earliest event of a non-empty heap.
-func (e *Env) pop() *Event {
+func (e *Env) pop() *event {
 	h := e.events
 	n := len(h) - 1
 	top, ev := h[0], h[n]

@@ -64,9 +64,9 @@ func TestSleepZeroAllocs(t *testing.T) {
 }
 
 // TestWakeAfterAllocatesOnlyItsEvent pins the timed wake-up (one per
-// timed epoll_wait) at a single allocation, the cancelable Event it
-// returns: the callback is the proc's hoisted activate, not a closure
-// built per call.
+// timed epoll_wait) at zero allocations: its event comes off the free
+// list like any other, and the callback is the proc's hoisted activate,
+// not a closure built per call.
 func TestWakeAfterAllocatesOnlyItsEvent(t *testing.T) {
 	e := NewEnv(1)
 	var w *Waker
@@ -79,22 +79,19 @@ func TestWakeAfterAllocatesOnlyItsEvent(t *testing.T) {
 		w.WakeAfter(time.Microsecond).Cancel()
 		e.Step() // pops the canceled event, so the heap does not grow
 	})
-	if allocs != 1 {
-		t.Fatalf("WakeAfter allocated %v allocs/op, want 1 (the Event)", allocs)
+	if allocs != 0 {
+		t.Fatalf("WakeAfter allocated %v allocs/op, want 0", allocs)
 	}
 	e.Shutdown()
 }
 
-// TestPostRecyclesEvents verifies the Event recycle loop: a fired
-// poolable event lands on the free list and the next Post reuses it.
+// TestPostRecyclesEvents verifies the event recycle loop: a fired
+// event lands on the free list and the next Post reuses it.
 func TestPostRecyclesEvents(t *testing.T) {
 	e := NewEnv(1)
 	fn := func() {}
 	e.Post(0, fn)
 	ev1 := e.events[0]
-	if !ev1.poolable {
-		t.Fatal("Post produced a non-poolable event")
-	}
 	e.Step()
 	if len(e.free) != 1 {
 		t.Fatalf("free list has %d events after fire, want 1", len(e.free))
@@ -107,50 +104,51 @@ func TestPostRecyclesEvents(t *testing.T) {
 		t.Fatalf("free list has %d events after reuse, want 0", len(e.free))
 	}
 	if ev2 := e.events[0]; ev2 != ev1 {
-		t.Fatal("Post allocated a fresh Event instead of reusing the free list")
+		t.Fatal("Post allocated a fresh event instead of reusing the free list")
 	}
 }
 
-// TestScheduleEventsNotPooled verifies that cancelable events handed
-// out by Schedule never enter the recycle loop: a caller holding the
-// handle past the fire time must not be able to cancel a reused slot.
-func TestScheduleEventsNotPooled(t *testing.T) {
+// TestStaleTimerCannotCancelReusedEvent verifies that a Timer kept past
+// its fire time cannot cancel the scheduling that reuses its event.
+func TestStaleTimerCannotCancelReusedEvent(t *testing.T) {
 	e := NewEnv(1)
-	ev := e.Schedule(0, func() {})
-	if ev.poolable {
-		t.Fatal("Schedule produced a poolable event")
-	}
+	stale := e.Post(0, func() {})
 	e.Step()
-	if len(e.free) != 0 {
-		t.Fatalf("free list has %d events, want 0: Schedule events must not be recycled", len(e.free))
+	fired := false
+	fresh := e.Post(0, func() { fired = true })
+	if fresh.ev != stale.ev {
+		t.Fatal("Post did not reuse the fired event")
 	}
-	ev.Cancel() // stale cancel after fire: must stay a harmless no-op
-	e.Post(0, func() {})
-	if e.events[0].canceled {
-		t.Fatal("stale Cancel leaked into a pooled event")
+	stale.Cancel()
+	e.Run()
+	if !fired {
+		t.Fatal("a stale Timer canceled the scheduling that reused its event")
 	}
 }
 
-// TestPostOrderingMatchesSchedule verifies Post events interleave with
-// Schedule events in strict submission (seq) order at equal timestamps,
-// so switching a call site to Post cannot perturb determinism.
+// TestPostOrderingMatchesSchedule verifies events at equal timestamps
+// fire in strict submission (seq) order around a canceled one, so
+// recycling canceled events cannot perturb determinism.
 func TestPostOrderingMatchesSchedule(t *testing.T) {
 	e := NewEnv(1)
 	var got []int
-	e.Schedule(10*time.Nanosecond, func() { got = append(got, 0) })
-	e.Post(10*time.Nanosecond, func() { got = append(got, 1) })
-	e.Schedule(10*time.Nanosecond, func() { got = append(got, 2) })
+	e.Post(10*time.Nanosecond, func() { got = append(got, 0) })
+	e.Post(10*time.Nanosecond, func() { got = append(got, 1) }).Cancel()
+	e.Post(10*time.Nanosecond, func() { got = append(got, 2) })
 	e.Post(5*time.Nanosecond, func() { got = append(got, 3) })
 	e.Run()
-	want := []int{3, 0, 1, 2}
+	want := []int{3, 0, 2}
+	if len(got) != len(want) {
+		t.Fatalf("fire order %v, want %v", got, want)
+	}
 	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
+		if got[i] != want[i] {
 			t.Fatalf("fire order %v, want %v", got, want)
 		}
 	}
 }
 
-// TestPostPastPanics mirrors the Schedule contract: posting in the past
+// TestPostPastPanics pins the monotonicity contract: posting in the past
 // breaks virtual-time monotonicity and must panic.
 func TestPostPastPanics(t *testing.T) {
 	e := NewEnv(1)

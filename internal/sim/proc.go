@@ -193,8 +193,8 @@ func (w *Waker) Wake() {
 	w.p.env.Post(0, w.fire)
 }
 
-// WakeAfter schedules the proc to resume after d. It returns the event
+// WakeAfter schedules the proc to resume after d. It returns the Timer
 // so callers may cancel the wake-up (e.g. a timeout raced by readiness).
-func (w *Waker) WakeAfter(d time.Duration) *Event {
-	return w.p.env.Schedule(d, w.p.activate0)
+func (w *Waker) WakeAfter(d time.Duration) Timer {
+	return w.p.env.Post(d, w.p.activate0)
 }

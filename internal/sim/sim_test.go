@@ -23,9 +23,9 @@ func TestClockStartsAtZero(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEnv(1)
 	var got []int
-	e.Schedule(30*time.Nanosecond, func() { got = append(got, 3) })
-	e.Schedule(10*time.Nanosecond, func() { got = append(got, 1) })
-	e.Schedule(20*time.Nanosecond, func() { got = append(got, 2) })
+	e.Post(30*time.Nanosecond, func() { got = append(got, 3) })
+	e.Post(10*time.Nanosecond, func() { got = append(got, 1) })
+	e.Post(20*time.Nanosecond, func() { got = append(got, 2) })
 	e.Run()
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -43,7 +43,7 @@ func TestTieBreakBySequence(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5*time.Nanosecond, func() { got = append(got, i) })
+		e.Post(5*time.Nanosecond, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i := range got {
@@ -56,14 +56,14 @@ func TestTieBreakBySequence(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEnv(1)
 	fired := false
-	ev := e.Schedule(time.Nanosecond, func() { fired = true })
+	ev := e.Post(time.Nanosecond, func() { fired = true })
 	ev.Cancel()
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.canceled {
-		t.Fatal("Canceled() = false after Cancel")
+	if !ev.ev.canceled {
+		t.Fatal("Cancel left the event unmarked")
 	}
 }
 
@@ -71,17 +71,17 @@ func TestSchedulePastPanics(t *testing.T) {
 	e := NewEnv(1)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
+			t.Fatal("PostAt before now did not panic")
 		}
 	}()
-	e.Schedule(-time.Nanosecond, func() {})
+	e.PostAt(-1, func() {})
 }
 
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	e := NewEnv(1)
 	var fired []Time
-	e.Schedule(10*time.Nanosecond, func() { fired = append(fired, e.Now()) })
-	e.Schedule(20*time.Nanosecond, func() { fired = append(fired, e.Now()) })
+	e.Post(10*time.Nanosecond, func() { fired = append(fired, e.Now()) })
+	e.Post(20*time.Nanosecond, func() { fired = append(fired, e.Now()) })
 	e.RunUntil(Time(15))
 	if len(fired) != 1 {
 		t.Fatalf("fired %d events, want 1", len(fired))
@@ -171,7 +171,7 @@ func TestWakeAfterCancelable(t *testing.T) {
 	e.Spawn("p", func(p *Proc) {
 		w := p.NewWaker()
 		ev := w.WakeAfter(1000 * time.Nanosecond) // timeout
-		e.Schedule(100*time.Nanosecond, func() { ev.Cancel(); w.Wake() })
+		e.Post(100*time.Nanosecond, func() { ev.Cancel(); w.Wake() })
 		park(p)
 		woke = p.env.Now()
 		p.Sleep(2000 * time.Nanosecond) // outlive the canceled timeout
@@ -222,7 +222,7 @@ func TestPropertyMonotonicClock(t *testing.T) {
 		last := Time(-1)
 		ok := true
 		for _, d := range delays {
-			e.Schedule(time.Duration(d)*time.Nanosecond, func() {
+			e.Post(time.Duration(d)*time.Nanosecond, func() {
 				if e.Now() < last {
 					ok = false
 				}
@@ -237,11 +237,12 @@ func TestPropertyMonotonicClock(t *testing.T) {
 	}
 }
 
-// Property: under a random mix of Schedule, Post and Cancel, issued both
+// Property: under a random mix of Post and Timer.Cancel, issued both
 // before the run and from inside callbacks, events fire in exactly
 // (time, submission order) — the order of a sort.Slice oracle over the
-// events that were not canceled in time. Pins the heap independently of
-// the goldens.
+// events that were not canceled in time. A Cancel after the fire time,
+// often on a recycled event, must change nothing. Pins the heap
+// independently of the goldens.
 func TestPropertyHeapOrderMatchesSortOracle(t *testing.T) {
 	type rec struct {
 		at Time
@@ -251,8 +252,7 @@ func TestPropertyHeapOrderMatchesSortOracle(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		e := NewEnv(1)
 		var submitted, fired []rec
-		var handles []*Event // handles[i] belongs to submitted[ids[i]]
-		var ids []int
+		var timers []Timer     // timers[i] belongs to submitted[i]
 		dead := map[int]bool{} // canceled before firing
 		done := map[int]bool{}
 		var submit func(depth int)
@@ -260,30 +260,24 @@ func TestPropertyHeapOrderMatchesSortOracle(t *testing.T) {
 			for k := rng.Intn(4); k > 0; k-- {
 				submit(depth)
 			}
-			if len(handles) > 0 && rng.Intn(2) == 0 {
-				h := rng.Intn(len(handles))
-				handles[h].Cancel()
-				if !done[ids[h]] {
-					dead[ids[h]] = true
+			if len(timers) > 0 && rng.Intn(2) == 0 {
+				h := rng.Intn(len(timers))
+				timers[h].Cancel()
+				if !done[h] {
+					dead[h] = true
 				}
 			}
 		}
 		submit = func(depth int) {
 			r := rec{e.Now().Add(time.Duration(rng.Intn(40))), len(submitted)}
 			submitted = append(submitted, r)
-			fn := func() {
+			timers = append(timers, e.PostAt(r.at, func() {
 				fired = append(fired, r)
 				done[r.id] = true
 				if depth < 4 {
 					mutate(depth + 1)
 				}
-			}
-			if rng.Intn(2) == 0 {
-				e.PostAt(r.at, fn)
-			} else {
-				handles = append(handles, e.ScheduleAt(r.at, fn))
-				ids = append(ids, r.id)
-			}
+			}))
 		}
 		for k := 0; k < 1+rng.Intn(30); k++ {
 			mutate(0)
@@ -322,7 +316,7 @@ func TestPropertyRunUntilBoundary(t *testing.T) {
 		e := NewEnv(5)
 		bad := false
 		for _, d := range delays {
-			e.Schedule(time.Duration(d)*time.Nanosecond, func() {
+			e.Post(time.Duration(d)*time.Nanosecond, func() {
 				if e.Now() > Time(horizon) {
 					bad = true
 				}

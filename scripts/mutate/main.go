@@ -7,7 +7,9 @@
 // file of the tree. The failing tests are the mutant's kill row
 // (stderr), rerun past any test that panics, each test once, so the
 // row names every killer; one that does not build is invalid and left
-// out of the score, and one that outlives the timeout is killed.
+// out of the score. Each mutant runs under go test -timeout, ten times
+// the unmutated test binary's run time plus a second, so one that hangs
+// is killed by the test it hangs in.
 //
 // stdout gets each file's score. testdata/survivors.txt lists each
 // mutant that survived a run as `file:line:col from→to`, a tab, then
@@ -56,6 +58,7 @@ type mutant struct {
 	invalid bool     // the mutant did not build
 	killers []string // failing top-level tests, or "(timeout)" or "(package)"
 	ran     []string // every top-level test's report, in order, over all rounds
+	elapsed float64  // seconds the test binaries reported, over all rounds
 }
 
 func (m *mutant) String() string {
@@ -171,7 +174,7 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 	if err := os.WriteFile(overlay, js, 0o644); err != nil {
 		return nil, err
 	}
-	test := func(timeout time.Duration) (*mutant, error) {
+	test := func(limit time.Duration) (*mutant, error) {
 		var buf bytes.Buffer
 		if err := (&printer.Config{Mode: printer.UseSpaces | printer.TabIndent, Tabwidth: 8}).Fprint(&buf, fset, f); err != nil {
 			return nil, err
@@ -179,21 +182,22 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 		if err := os.WriteFile(mutated, buf.Bytes(), 0o644); err != nil {
 			return nil, err
 		}
-		return goTest(root, "./"+filepath.ToSlash(filepath.Dir(file)), overlay, timeout)
+		return goTest(root, "./"+filepath.ToSlash(filepath.Dir(file)), overlay, limit)
 	}
 
-	// The unmutated package must pass; its time sets the timeout.
-	start := time.Now()
-	if m, err := test(10 * time.Minute); err != nil || m.invalid || len(m.killers) > 0 {
-		return nil, fmt.Errorf("%s: tests fail before any mutation: %v %v", file, m, err)
+	// The unmutated package must pass; its test binary's run time sets
+	// the -timeout.
+	base, err := test(0)
+	if err != nil || base.invalid || len(base.killers) > 0 {
+		return nil, fmt.Errorf("%s: tests fail before any mutation: %v %v", file, base, err)
 	}
-	timeout := max(30*time.Second, 10*time.Since(start))
+	limit := time.Duration(10*base.elapsed*float64(time.Second)) + time.Second
 	var ms []*mutant
 	ss := sites(f)
 	for i, s := range ss {
 		undo := s.flip()
 		t0 := time.Now()
-		m, err := test(timeout)
+		m, err := test(limit)
 		undo()
 		if err != nil {
 			return nil, err
@@ -210,11 +214,11 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 // it the tests after it, so the package is rerun with every test that
 // has reported skipped until a round completes or runs nothing new:
 // each test runs once, and the kill row is the union.
-func goTest(root, pkg, overlay string, timeout time.Duration) (*mutant, error) {
+func goTest(root, pkg, overlay string, limit time.Duration) (*mutant, error) {
 	m := &mutant{}
 	for {
 		n := len(m.ran)
-		panicked, err := goTestOnce(root, pkg, overlay, timeout, m)
+		panicked, err := goTestOnce(root, pkg, overlay, limit, m)
 		if err != nil || m.invalid || !panicked || len(m.ran) == n {
 			slices.Sort(m.killers)
 			return m, err
@@ -222,13 +226,16 @@ func goTest(root, pkg, overlay string, timeout time.Duration) (*mutant, error) {
 	}
 }
 
-// goTestOnce runs pkg's tests but those in m.ran, adds the failing ones
-// to m.killers and every one that reports to m.ran, and tells whether
-// a test panicked.
-func goTestOnce(root, pkg, overlay string, timeout time.Duration, m *mutant) (panicked bool, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// goTestOnce runs pkg's tests but those in m.ran under -timeout limit
+// (0 for none), adds the failing ones to m.killers and every one that
+// reports to m.ran, and tells whether a test panicked. The test that
+// hits the limit reports no result: its timeout panic makes it a
+// killer that ran. A deadline ten minutes past the limit guards a hang
+// outside the test binary.
+func goTestOnce(root, pkg, overlay string, limit time.Duration, m *mutant) (panicked bool, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), limit+10*time.Minute)
 	defer cancel()
-	args := []string{"test", "-count=1", "-json", "-overlay", overlay}
+	args := []string{"test", "-count=1", "-json", "-timeout", limit.String(), "-overlay", overlay}
 	if len(m.ran) > 0 {
 		args = append(args, "-skip", "^("+strings.Join(m.ran, "|")+")$")
 	}
@@ -244,7 +251,10 @@ func goTestOnce(root, pkg, overlay string, timeout time.Duration, m *mutant) (pa
 	}
 	failed := false
 	for _, line := range bytes.Split(out, []byte("\n")) {
-		var ev struct{ Action, Test, Output, FailedBuild string }
+		var ev struct {
+			Action, Test, Output, FailedBuild string
+			Elapsed                           float64 // on the package's last event: its run time
+		}
 		if json.Unmarshal(line, &ev) != nil {
 			continue
 		}
@@ -254,18 +264,19 @@ func goTestOnce(root, pkg, overlay string, timeout time.Duration, m *mutant) (pa
 		}
 		name, _, _ := strings.Cut(ev.Test, "/")
 		if name == "" {
+			m.elapsed += ev.Elapsed
 			continue
 		}
-		switch ev.Action {
-		case "output":
-			panicked = panicked || strings.HasPrefix(ev.Output, "panic: ")
-		case "fail":
+		died := ev.Action == "output" && strings.HasPrefix(ev.Output, "panic: ")
+		timedOut := died && strings.HasPrefix(ev.Output, "panic: test timed out")
+		panicked = panicked || died
+		if ev.Action == "fail" || timedOut {
 			failed = true
 			if !slices.Contains(m.killers, name) {
 				m.killers = append(m.killers, name)
 			}
 		}
-		if name == ev.Test && (ev.Action == "pass" || ev.Action == "fail" || ev.Action == "skip") {
+		if timedOut || name == ev.Test && (ev.Action == "pass" || ev.Action == "fail" || ev.Action == "skip") {
 			m.ran = append(m.ran, name)
 		}
 	}

@@ -12,6 +12,23 @@ import (
 	"testing"
 )
 
+// runTiny mutates file of testdata/tiny and checks each mutant's row.
+func runTiny(t *testing.T, file string, want ...string) []*mutant {
+	t.Helper()
+	ms, err := run("testdata/tiny", file, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range ms {
+		got = append(got, m.String())
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("mutants:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	return ms
+}
+
 // TestTinyPackage mutates testdata/tiny, whose three mutants are one of
 // each kind, and requires the target to be untouched afterwards.
 func TestTinyPackage(t *testing.T) {
@@ -20,22 +37,10 @@ func TestTinyPackage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := run("testdata/tiny", "tiny.go", io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, m := range ms {
-		got = append(got, m.String())
-	}
-	want := []string{
+	ms := runTiny(t, "tiny.go",
 		"tiny.go:9:2 if→!if: killed by TestMax",
 		"tiny.go:9:7 >→>=: SURVIVED",
-		"tiny.go:16:47 +→-: invalid",
-	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("mutants:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
+		"tiny.go:16:47 +→-: invalid")
 	if score := score("tiny.go", ms); score != "tiny.go: 1/2 killed (50.0 %), 1 invalid" {
 		t.Errorf("score: %s", score)
 	}
@@ -58,26 +63,23 @@ func TestTinyPackage(t *testing.T) {
 // it and fails without panicking, and the rerun runs only what the
 // panic cut off, so each top-level test reports once across the rounds.
 func TestPanicReruns(t *testing.T) {
-	ms, err := run("testdata/tiny", "at.go", io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
+	ms := runTiny(t, "at.go",
+		"at.go:6:2 if→!if: killed by TestAtEnd TestAtRecovers",
+		"at.go:6:7 <→<=: killed by TestAtEnd TestAtRecovers")
 	for _, m := range ms {
-		got = append(got, m.String())
 		ran := slices.Clone(m.ran)
 		slices.Sort(ran)
-		if want := []string{"TestAtEnd", "TestAtRecovers", "TestMax"}; !slices.Equal(ran, want) {
+		if want := []string{"TestAtEnd", "TestAtRecovers", "TestMax", "TestSpin"}; !slices.Equal(ran, want) {
 			t.Errorf("%s: tests reported %v across the rounds, want each of %v once", m.key, m.ran, want)
 		}
 	}
-	want := []string{
-		"at.go:6:2 if→!if: killed by TestAtEnd TestAtRecovers",
-		"at.go:6:7 <→<=: killed by TestAtEnd TestAtRecovers",
-	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("mutants:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
+}
+
+// TestHangNamesItsTest mutates testdata/tiny's Spin, whose + mutant
+// never returns: go test's -timeout ends it, not the deadline on the
+// whole command, and the kill row names the test it hung in.
+func TestHangNamesItsTest(t *testing.T) {
+	runTiny(t, "spin.go", "spin.go:5:8 !=→==: killed by TestSpin", "spin.go:6:9 -→+: killed by TestSpin")
 }
 
 // TestSurvivorsNameSites fails on a testdata/survivors.txt entry that

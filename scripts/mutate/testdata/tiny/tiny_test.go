@@ -22,3 +22,9 @@ func TestAtRecovers(t *testing.T) {
 	}()
 	At([]int{1}, 1)
 }
+
+func TestSpin(t *testing.T) {
+	if Spin(3) != 0 {
+		t.Fatal("Spin")
+	}
+}

@@ -312,7 +312,15 @@ func BenchmarkSweepParallelism(b *testing.B) {
 // allocations per run. It reports insns/op, accumulated through the
 // telemetry registry (the same counter the kernel tracer feeds), so
 // ns/insn can be derived.
-func BenchmarkEBPFCompiledListing1(b *testing.B) {
+func BenchmarkEBPFCompiledListing1(b *testing.B) { benchListing1(b, 232) }
+
+// BenchmarkEBPFCompiledListing1Filtered is the same program on a
+// syscall its filter rejects: the filter table's row answers the run,
+// with no interpreter entry and zero allocations.
+func BenchmarkEBPFCompiledListing1Filtered(b *testing.B) { benchListing1(b, 233) }
+
+// benchListing1 runs Listing 1 against a sys_enter ctx for syscall nr.
+func benchListing1(b *testing.B, nr byte) {
 	start := ebpf.NewHashMap("start", 8, 8, 4096)
 	a := ebpf.NewAssembler()
 	a.Emit(ebpf.Mov64Reg(ebpf.R6, ebpf.R1))
@@ -341,7 +349,7 @@ func BenchmarkEBPFCompiledListing1(b *testing.B) {
 		Maps: map[int32]ebpf.Map{1: start}, CtxSize: 64,
 	})
 	ctx := make([]byte, 64)
-	ctx[8] = 232
+	ctx[8] = nr
 	env := &ebpf.FixedEnv{TimeNS: 1, PidTgid: 7}
 	reg := telemetry.New()
 	insns := reg.Counter("vm_instructions_total")

@@ -923,10 +923,8 @@ func runDifferential(t *testing.T, prog *Program, spec ProgramSpec, ctx []byte) 
 		t.Fatalf("%s\nprogram:\n%s", fmt.Sprintf(format, args...), disassemble(insns, nil))
 	}
 
+	hit := prog.filter(ctx, env) != nil
 	ret, st, err := prog.Run(ctx, env)
-	// The run state parks on the Program, its registers and stack as
-	// the run left them.
-	m := prog.rsCache
 	ref := newRefMachine(insns, ctx, env)
 	refRet, refErr := ref.exec()
 
@@ -942,6 +940,18 @@ func runDifferential(t *testing.T, prog *Program, spec ProgramSpec, ctx []byte) 
 	if st.Instructions != ref.insnN || st.HelperCalls != ref.helperN {
 		fail("stats: Run (%d insns, %d helpers), ref (%d, %d)", st.Instructions, st.HelperCalls, ref.insnN, ref.helperN)
 	}
+	diffCompareMaps(fail, "Run", spec.Maps, ref)
+	// A run the filter table settled parked nothing: the VM-only path
+	// reruns it (the prefix is pure) for its register and stack image,
+	// and must agree with Run. Either way the run state parks on the
+	// Program, its registers and stack as the run left them.
+	if hit {
+		vret, vst, verr := prog.runVM(ctx, env)
+		if vret != ret || vst != st || verr != nil {
+			fail("VM-only path: (%#x, %+v, %v), Run (%#x, %+v)", vret, vst, verr, ret, st)
+		}
+	}
+	m := prog.rsCache
 	for r := 0; r < NumRegisters; r++ {
 		if got, want := vmRegDesc(m.regs[r]), refRegDesc(ref.regs[r]); got != want {
 			fail("register r%d: Run %s, ref %s", r, got, want)
@@ -950,7 +960,6 @@ func runDifferential(t *testing.T, prog *Program, spec ProgramSpec, ctx []byte) 
 	if !bytes.Equal(m.stackMem, ref.stack[:]) {
 		fail("final stack image differs (Run vs ref)")
 	}
-	diffCompareMaps(fail, "Run", spec.Maps, ref)
 	return ret, st
 }
 

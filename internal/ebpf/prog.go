@@ -29,7 +29,8 @@ type Program struct {
 	code       []op
 	genericOps int
 	coldOps    uint64
-	rsCache    *vm // parked run state; see getVM (Run is single-goroutine)
+	rows       []row // the filter table (prefix.go), read-only after Load
+	rsCache    *vm   // parked run state; see getVM (Run is single-goroutine)
 }
 
 // Load verifies and loads a program. It fails exactly when the verifier
@@ -45,7 +46,9 @@ func Load(spec ProgramSpec) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ebpf: load %q: %w", spec.Name, err)
 	}
-	return build(spec, states), nil
+	p := build(spec, states)
+	p.rows = prefixRows(p.code, p.ctxSize)
+	return p, nil
 }
 
 // build assembles the Program for an instruction stream the caller
@@ -115,7 +118,8 @@ func (p *Program) Disassemble() string {
 
 // Run executes the decoded program once against ctx. The context length
 // must match the spec's CtxSize. The returned RunStats lets the caller
-// charge execution cost to the traced thread.
+// charge execution cost to the traced thread. A run the filter table
+// (prefix.go) settles skips the VM, unless opTrace is set.
 //
 // Run is not safe for concurrent use of one Program (it recycles
 // per-Program run state and counts ColdOps); each simulated CPU
@@ -127,6 +131,14 @@ func (p *Program) Run(ctx []byte, env HelperEnv) (uint64, RunStats, error) {
 	if len(ctx) != p.ctxSize {
 		return 0, RunStats{}, fmt.Errorf("ebpf: run %q: ctx size %d, verified for %d", p.name, len(ctx), p.ctxSize)
 	}
+	if r := p.filter(ctx, env); r != nil && opTrace == nil {
+		return r.r0, r.stats, nil
+	}
+	return p.runVM(ctx, env)
+}
+
+// runVM is Run without the filter table: the interpreter from slot 0.
+func (p *Program) runVM(ctx []byte, env HelperEnv) (uint64, RunStats, error) {
 	m := getVM(p, ctx, env)
 	ret, err := p.execCompiled(m)
 	st := m.stats

@@ -88,9 +88,9 @@ func CtxSizeOf(tp Tracepoint) int { return tp.info().ctxSize }
 // Probe execution cost model: the price charged to the traced thread per
 // program run, calibrated to JITed eBPF on modern x86 (tracepoint
 // trampoline ~15ns, ~1ns per straight-line instruction, helper calls
-// ~10ns each). Programs filtered out by the tgid/syscall checks exit
-// within a handful of instructions and cost ~25ns, which is what keeps
-// the paper's overhead under 1% even at memcached syscall rates.
+// ~10ns each). Programs filtered out by the tgid/syscall checks cost 33ns
+// (8 insns + 1 helper) or 36-38ns (11-13 insns + 1 helper), which is what
+// keeps the paper's overhead under 1% even at memcached syscall rates.
 const (
 	hookBaseCost  = 15 * time.Nanosecond
 	perInsnCost   = 1 * time.Nanosecond

@@ -11,7 +11,8 @@ import (
 // name that has a reader now and one that is gone, and the non-test
 // readers of OwnTestOnly under testdata/ and .hidden/ are skipped. tag_on.go and
 // tag_off.go both declare Mode; only tag_off.go's build constraint
-// holds, so the pair type-checks and OnOnly is not reported.
+// holds, so the pair type-checks and OnOnly is not reported. ext_test.go,
+// an external test package, reads ReadByOtherTest as a test does.
 func TestCheckFixture(t *testing.T) {
 	got := check("testdata", "testdata/allow.txt")
 	want := []string{

@@ -80,7 +80,7 @@ var programs = []struct {
 		return prog(p, err, 1)
 	}},
 	{"attribution", "per-tgid syscall/send/time sketches and top-K (all processes; -tgid unused)", func(int) (*ebpf.Program, error) {
-		p, err := probes.NewAttributionProbe("attr", probes.AttributionConfig{})
+		p, err := probes.NewAttributionProbe("attr", nil)
 		return prog(p, err, 0)
 	}},
 }

@@ -112,6 +112,11 @@ func dispatch(name string, args []string, resume map[string]telemetry.Record, st
 	fs.IntVar(&rc.fleet.Epochs, "epochs", 8, "fleet subcommand: scrape rounds per load level")
 	fs.IntVar(&rc.trials, "trials", 5, "attribution subcommand: trials per fault scenario")
 	fs.Parse(args) // ExitOnError: a bad flag has already exited with status 2
+	// A ring is a power of two no smaller than its 8-byte record header.
+	if n := *streamBytes; n < 0 || n != 0 && (n < 8 || n&(n-1) != 0) {
+		fmt.Fprintf(stderr, "-streambytes %d: want 0 or a power of two >= 8\n", n)
+		return 2
+	}
 	rc.fleet.Nodes = fleet.DefaultSpecs(*nodes)
 	if exp.offline != nil {
 		return exp.offline(rc, stdout)

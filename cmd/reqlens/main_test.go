@@ -72,6 +72,17 @@ func TestUsage(t *testing.T) {
 	}
 }
 
+// TestStreamBytesRejected: a ring size the ring buffer cannot take exits
+// 2 with a message before any point runs, as an unknown -workload does.
+func TestStreamBytesRejected(t *testing.T) {
+	for _, n := range []string{"-1", "4", "1000"} {
+		out, stderr, status := runEntry("stream", "-quick", "-workload", "silo", "-streambytes", n)
+		if status != 2 || out != "" || !strings.Contains(stderr, "-streambytes "+n) {
+			t.Errorf("-streambytes %s: exit %d, stdout %q, stderr %q", n, status, out, stderr)
+		}
+	}
+}
+
 // TestResumeReproducesUninterrupted: a journal cut off after its first
 // checkpoint resumes to the bytes of the uninterrupted run.
 func TestResumeReproducesUninterrupted(t *testing.T) {

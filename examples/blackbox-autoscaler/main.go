@@ -12,10 +12,10 @@
 //
 // The controller also answers "scale up *what*": the sketch-based
 // attribution pipeline (count-min + HashPipe in fixed map space) names
-// the process driving the load. The run keeps the exact per-tgid
-// oracle alongside and exits non-zero if the sketch blames a different
-// hot process than the oracle, so the examples-smoke gate enforces the
-// agreement.
+// the process driving the load. A ground-truth tracer listener, which
+// costs the traced threads nothing, counts syscalls per tgid exactly
+// alongside; the run exits non-zero if the sketch blames a different
+// hot process, so the examples-smoke gate enforces the agreement.
 //
 //	go run ./examples/blackbox-autoscaler
 package main
@@ -28,6 +28,7 @@ import (
 	"reqlens/internal/control"
 	"reqlens/internal/core"
 	"reqlens/internal/harness"
+	"reqlens/internal/kernel"
 	"reqlens/internal/loadgen"
 	"reqlens/internal/workloads"
 )
@@ -47,13 +48,19 @@ type decision struct {
 func main() {
 	spec := workloads.Silo()
 	rig := harness.NewRig(spec, harness.RigOptions{
-		Seed:              23,
-		Rate:              0.3 * spec.FailureRPS,
-		Probes:            true,
-		Attribution:       true,
-		AttributionOracle: true, // exact per-tgid truth, for the agreement check
+		Seed:        23,
+		Rate:        0.3 * spec.FailureRPS,
+		Probes:      true,
+		Attribution: true,
 	})
 	defer rig.Close()
+	// Exact per-tgid truth for the agreement check.
+	exact := map[uint64]uint64{}
+	rig.ServerK.Tracer().AddListener(func(ev kernel.SyscallEvent) {
+		if ev.Enter {
+			exact[ev.Thread.PidTgid()>>32]++
+		}
+	})
 
 	// The service starts on half the machine; the autoscaler may grow it
 	// back. Actuation takes a modeled second — cores requested now
@@ -102,9 +109,8 @@ func main() {
 		})
 	}
 	// Attribution read-out: the sketch path names the hot process; the
-	// exact oracle (a real deployment would not carry one) verifies it.
-	offenders := rig.Attr.TopOffenders(3)
-	exact := rig.Attr.ExactCounts()
+	// exact counts (a real deployment would not have them) verify it.
+	offenders := rig.Attr.Sketches().TopOffenders(3)
 
 	fmt.Printf("controller input: RPS_obsv + slack + chart alarms (no app metrics)\n\n")
 	fmt.Printf("%-5s %10s %6s %8s %6s %14s   %s\n",

@@ -7,8 +7,8 @@
 // one count-min sketch per metric plus a HashPipe top-K table, all
 // fixed-size regardless of how many processes show up. It then merges a
 // second node's sketches into the first — the cross-node fold the fleet
-// rollup performs — and checks the merged ranking against the exact
-// per-tgid oracle.
+// rollup performs — and checks the merged ranking against exact per-tgid
+// counts that a ground-truth listener takes outside the measured path.
 //
 //	go run ./examples/topk-attribution [-procs N]
 package main
@@ -29,17 +29,24 @@ import (
 // node simulates one host: procs processes invoking syscalls with a
 // skewed intensity (process i performs work/(i+1) operations — a
 // harmonic profile, so rank 0 dominates), observed by an attribution
-// probe with the exact oracle enabled for the final comparison.
-func node(seed int64, procs, work int) *probes.AttributionProbe {
+// probe. It returns the probe and the exact sys_enter count per tgid,
+// taken by a tracer listener that costs the traced threads nothing.
+func node(seed int64, procs, work int) (*probes.AttributionProbe, map[uint64]uint64) {
 	env := sim.NewEnv(seed)
 	k := kernel.New(env, machine.Profile{
 		Name: "demo", Sockets: 1, CoresPerSock: 4, ThreadsPerCore: 1,
 		TimeSlice: time.Millisecond,
 	})
-	probe := probes.Must(probes.NewAttributionProbe("attr", probes.AttributionConfig{Oracle: true}))
+	probe := probes.Must(probes.NewAttributionProbe("attr", nil))
 	if err := probe.Attach(k.Tracer()); err != nil {
 		panic(err)
 	}
+	exact := map[uint64]uint64{}
+	k.Tracer().AddListener(func(ev kernel.SyscallEvent) {
+		if ev.Enter {
+			exact[ev.Thread.PidTgid()>>32]++
+		}
+	})
 	for i := 0; i < procs; i++ {
 		ops := work / (i + 1)
 		if ops < 1 {
@@ -59,7 +66,7 @@ func node(seed int64, procs, work int) *probes.AttributionProbe {
 		})
 	}
 	env.Run()
-	return probe
+	return probe, exact
 }
 
 func main() {
@@ -67,8 +74,8 @@ func main() {
 	flag.Parse()
 
 	fmt.Printf("two nodes, %d processes each, harmonic load skew\n", *procs)
-	a := node(7, *procs, 600)
-	b := node(8, *procs, 600)
+	a, truth := node(7, *procs, 600)
+	b, truthB := node(8, *procs, 600)
 
 	// Scrape both nodes (clones of the live maps) and fold node B into
 	// node A — element-wise count-min addition plus the deterministic
@@ -79,9 +86,8 @@ func main() {
 		panic(err)
 	}
 
-	// Exact truth: the oracles' union, summed per tgid.
-	truth := a.ExactCounts()
-	for tgid, n := range b.ExactCounts() {
+	// Exact truth: both nodes' counts, summed per tgid.
+	for tgid, n := range truthB {
 		truth[tgid] += n
 	}
 	type tc struct {
@@ -112,7 +118,7 @@ func main() {
 		fmt.Printf("%-4d | %-22s | tgid %d %d calls\n", i+1, s, exact[i].tgid, exact[i].n)
 	}
 
-	// The smoke gate: the sketch's top offender must match the oracle's.
+	// The smoke gate: the sketch's top offender must match the exact one.
 	if len(top) == 0 || len(exact) == 0 || top[0].TGID != exact[0].tgid {
 		fmt.Fprintln(os.Stderr, "top offender mismatch between sketch and oracle")
 		os.Exit(1)

@@ -31,6 +31,11 @@
 //     a producer-side Dropped counter. A lossless stream reconstructs
 //     the map sink's windows bit-for-bit.
 //   - SlackEstimator — normalized idle headroom from poll durations.
+//   - AttachWaitProfile — the wait-state probe pair for one tgid,
+//     windowed into on-CPU / runnable / blocked time.
+//
+// Sketch attribution has no wrapper here: harness.Rig attaches
+// probes.AttributionProbe directly and reads its Sketches.
 //
 // The experiment harness (internal/harness) evaluates this library
 // against client-side ground truth; this package itself never reads

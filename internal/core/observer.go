@@ -90,7 +90,7 @@ func attach(k *kernel.Kernel, cfg Config, ringBytes int) (*Observer, error) {
 type probe interface {
 	Attach(*kernel.Tracer) error
 	Detach()
-	Programs() []*ebpf.Program
+	Instrument(*telemetry.Registry)
 }
 
 // set is the probe set in attach order.
@@ -201,20 +201,12 @@ func (o *Observer) Sample() StreamWindow {
 	return w
 }
 
-// programs returns every program of the set, in attach order.
-func (o *Observer) programs() []*ebpf.Program {
-	var progs []*ebpf.Program
-	for _, p := range o.set() {
-		progs = append(progs, p.Programs()...)
-	}
-	return progs
-}
-
 // ProbePrograms returns the verified instruction counts of the attached
 // programs (diagnostics and documentation).
 func (o *Observer) ProbePrograms() map[string]int {
-	p := o.programs()
-	return map[string]int{"send": p[0].Len(), "recv": p[1].Len(), "poll_enter": p[2].Len(), "poll_exit": p[3].Len()}
+	poll := o.poll.Programs()
+	return map[string]int{"send": o.send.Programs()[0].Len(), "recv": o.recv.Programs()[0].Len(),
+		"poll_enter": poll[0].Len(), "poll_exit": poll[1].Len()}
 }
 
 // Instrument records the probe set's one-time verification cost into r:
@@ -230,19 +222,7 @@ func (o *Observer) Instrument(r *telemetry.Registry) {
 	if o.ring != nil {
 		o.instrumentRing(r)
 	}
-	recordVerifierCost(r, o.programs()...)
-}
-
-// recordVerifierCost adds each program's verifier state count to the
-// registry's load-time totals.
-func recordVerifierCost(r *telemetry.Registry, progs ...*ebpf.Program) {
-	if r == nil {
-		return
-	}
-	states := r.Counter("verifier_states_total")
-	count := r.Counter("verifier_programs_total")
-	for _, p := range progs {
-		states.Add(uint64(p.VerifierStates()))
-		count.Inc()
+	for _, p := range o.set() {
+		p.Instrument(r)
 	}
 }

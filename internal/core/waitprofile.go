@@ -11,8 +11,8 @@ import (
 // WaitProfile is the attached scheduler-state observer: the wait-state
 // probe pair on sched:sched_switch / sched:sched_wakeup plus window
 // bookkeeping for one tgid. Where Observer reads the request path
-// (syscall deltas) and Attribution reads "who" (sketches), WaitProfile
-// reads "why": it decomposes a process's wall-clock into on-CPU,
+// (syscall deltas) and probes.AttributionProbe reads "who" (sketches),
+// WaitProfile reads "why": it decomposes a process's wall-clock into on-CPU,
 // runnable (runqueue wait) and blocked time, turning the latency slack
 // the poll signal exposes into an explanation — queueing for the CPU
 // looks saturated, blocking on I/O looks delayed.
@@ -84,5 +84,5 @@ func (wp *WaitProfile) Sample() WaitWindow {
 
 // Instrument records the probe pair's verification cost into r.
 func (wp *WaitProfile) Instrument(r *telemetry.Registry) {
-	recordVerifierCost(r, wp.probe.Programs()...)
+	wp.probe.Instrument(r)
 }

@@ -27,8 +27,7 @@ func shippedPair(tgid int) (names []string, run, vm []*ebpf.Program) {
 			probes.Must(probes.NewStreamProbe("raw", tgid, 1<<10)),
 			probes.Must(probes.NewHistProbe("hist", tgid, nrs)),
 			probes.Must(probes.NewWaitStateProbe("ws", tgid)),
-			probes.Must(probes.NewAttributionProbe("attr", probes.AttributionConfig{})),
-			probes.Must(probes.NewAttributionProbe("attr", probes.AttributionConfig{Oracle: true})),
+			probes.Must(probes.NewAttributionProbe("attr", nil)),
 		}
 	}
 	for i, pr := range build() {

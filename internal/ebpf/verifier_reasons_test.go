@@ -104,6 +104,9 @@ func rejectionCases() []rejectionCase {
 		{"truncated_lddw",
 			[]Instruction{{Op: OpLdImmDW, Dst: R1, Imm: 1}},
 			"truncated lddw pair"},
+		{"truncated_lddw_builder_half",
+			[]Instruction{LoadImm64(R1, 1)[0]},
+			"truncated lddw pair"},
 		{"malformed_lddw_second_slot",
 			[]Instruction{{Op: OpLdImmDW, Dst: R1, Imm: 1}, Mov64Imm(R0, 0), Exit()},
 			"malformed lddw second slot"},
@@ -122,6 +125,9 @@ func rejectionCases() []rejectionCase {
 		{"write_to_r10",
 			ret0(Mov64Imm(R10, 1)),
 			"write to frame pointer r10"},
+		{"write_to_r10_then_exit",
+			[]Instruction{Mov64Imm(R10, 0), Exit()},
+			"write to frame pointer r10"},
 		{"div_by_zero_imm",
 			ret0(Instruction{Op: ClassALU64 | ALUDiv | SrcK, Dst: R0, Imm: 0}),
 			"division by zero immediate"},
@@ -137,6 +143,9 @@ func rejectionCases() []rejectionCase {
 		{"unknown_helper",
 			ret0(Call(99)),
 			"unknown helper function 99"},
+		{"unknown_helper_then_exit",
+			[]Instruction{Call(9999), Exit()},
+			"unknown helper function 9999"},
 		{"jump_out_of_range",
 			[]Instruction{JmpImm(JmpJEQ, R0, 0, 1), Exit()},
 			"jump target 2 out of range"},

@@ -48,22 +48,6 @@ func TestVerifierRejectsTooLong(t *testing.T) {
 	wantAccept(t, insns[1:], nil)
 }
 
-func TestVerifierRejectsWriteToR10(t *testing.T) {
-	wantReject(t, []Instruction{Mov64Imm(R10, 0), Exit()}, nil, "frame pointer")
-}
-
-func TestVerifierRejectsUnknownHelper(t *testing.T) {
-	wantReject(t, []Instruction{
-		Call(9999),
-		Exit(),
-	}, nil, "unknown helper")
-}
-
-func TestVerifierRejectsTruncatedWideLoad(t *testing.T) {
-	pair := LoadImm64(R1, 1)
-	wantReject(t, []Instruction{pair[0]}, nil, "truncated lddw")
-}
-
 func TestVerifierRejectsJumpIntoWideLoad(t *testing.T) {
 	a := NewAssembler()
 	a.Emit(Mov64Imm(R0, 0))

@@ -32,14 +32,14 @@ func quickSweep(par int) (harness.ExpOptions, SweepOptions) {
 			Skew:     20 * time.Millisecond,
 			MissRate: 0.2,
 		},
-		ClusterParallelism: par,
 	}
 	return opt, fopt
 }
 
 // TestFleetParallelDeterminism is the tentpole invariant: a fleet sweep
 // is bit-identical at any parallelism — both the engine's point workers
-// and the lockstep workers inside each cluster. Serialized results are
+// and the lockstep workers inside each cluster, which ExpOptions.
+// Parallelism sets alike. Serialized results are
 // compared byte-for-byte at parallelism 1, 4 and GOMAXPROCS.
 func TestFleetParallelDeterminism(t *testing.T) {
 	run := func(par int) []byte {

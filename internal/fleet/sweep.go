@@ -26,11 +26,10 @@ type SweepOptions struct {
 	// zero values per ScrapeConfig.
 	Scrape ScrapeConfig
 
-	// ClusterParallelism bounds the lockstep workers inside each
-	// cluster. 0 inherits the experiment's Parallelism (resolved like
-	// the engine resolves it: 0 means GOMAXPROCS). Results are
-	// identical at any setting.
-	ClusterParallelism int
+	// workers bounds the lockstep workers inside each cluster: the
+	// experiment's Parallelism, resolved as the engine resolves it (0
+	// means GOMAXPROCS). Results are identical at any setting.
+	workers int
 }
 
 // withDefaults resolves the zero values against the experiment options.
@@ -41,11 +40,9 @@ func (f SweepOptions) withDefaults(opt harness.ExpOptions) SweepOptions {
 	if f.Epochs <= 0 {
 		f.Epochs = 8
 	}
-	if f.ClusterParallelism <= 0 {
-		f.ClusterParallelism = opt.Parallelism
-	}
-	if f.ClusterParallelism <= 0 {
-		f.ClusterParallelism = runtime.GOMAXPROCS(0)
+	f.workers = opt.Parallelism
+	if f.workers <= 0 {
+		f.workers = runtime.GOMAXPROCS(0)
 	}
 	return f
 }
@@ -99,7 +96,7 @@ func (f SweepOptions) cluster(pc harness.PointCtx, cell harness.Cell) Options {
 		Level:       cell.Level,
 		Scrape:      f.Scrape,
 		Warmup:      cell.Warm,
-		Parallelism: f.ClusterParallelism,
+		Parallelism: f.workers,
 		Clock:       pc.Clock,
 		Telemetry:   pc.Telemetry,
 	}

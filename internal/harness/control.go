@@ -8,6 +8,7 @@ import (
 	"reqlens/internal/control"
 	"reqlens/internal/core"
 	"reqlens/internal/loadgen"
+	"reqlens/internal/probes"
 	"reqlens/internal/workloads"
 )
 
@@ -112,12 +113,12 @@ type AttributionResult struct {
 // attrSketchCursor diffs the attribution probe's cumulative sketch
 // rankings into per-window foreign syscall share.
 type attrSketchCursor struct {
-	attr  *core.Attribution
+	attr  *probes.AttributionProbe
 	allow map[int]bool // tgids whose syscalls are expected (server, clients)
 	prev  map[uint64]uint64
 }
 
-func newAttrSketchCursor(attr *core.Attribution) *attrSketchCursor {
+func newAttrSketchCursor(attr *probes.AttributionProbe) *attrSketchCursor {
 	return &attrSketchCursor{attr: attr, allow: make(map[int]bool), prev: make(map[uint64]uint64)}
 }
 
@@ -130,7 +131,7 @@ func (c *attrSketchCursor) expect(tgid int) { c.allow[tgid] = true }
 // per-window activity is the delta between scrapes.
 func (c *attrSketchCursor) foreignShare() float64 {
 	var foreign, total float64
-	for _, o := range c.attr.TopOffenders(attrTopK) {
+	for _, o := range c.attr.Sketches().TopOffenders(attrTopK) {
 		d := float64(o.Syscalls) - float64(c.prev[o.TGID])
 		c.prev[o.TGID] = o.Syscalls
 		if d <= 0 {

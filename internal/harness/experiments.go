@@ -111,12 +111,6 @@ type ExpOptions struct {
 	// the results they describe stay deterministic.
 	Journal *telemetry.Journal
 
-	// Supervise forces supervised execution even with no deadline,
-	// retries or chaos configured: panicking points become RunStats.Gaps
-	// entries instead of crashing the process. Setting any of the three
-	// fields below implies it.
-	Supervise bool
-
 	// Deadline is the wall-clock budget of a single point attempt.
 	// Supervised points receive a budget clock through PointCtx and wire
 	// it into their rig (RigOptions.Clock); the simulation event loop
@@ -145,9 +139,11 @@ type ExpOptions struct {
 }
 
 // Supervised reports whether the engine should wrap points in a
-// resilience.Supervisor.
+// resilience.Supervisor: whether any of Deadline, Retries or Chaos is
+// set. A supervised point that panics becomes a RunStats.Gaps entry
+// instead of crashing the process.
 func (o ExpOptions) Supervised() bool {
-	return o.Supervise || o.Deadline > 0 || o.Retries > 0 || o.Chaos != nil
+	return o.Deadline > 0 || o.Retries > 0 || o.Chaos != nil
 }
 
 // withDefaults fills zero-valued scale fields; see the field docs for

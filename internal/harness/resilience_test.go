@@ -31,6 +31,10 @@ func tinyOpts() ExpOptions {
 	}
 }
 
+// superviseOnly is a Deadline no point comes near: it supervises a run
+// (panics become gaps) without retries and without ever expiring.
+const superviseOnly = time.Hour
+
 // TestRunPointsPanicIsolation is the tentpole isolation contract: a
 // panicking point neither terminates the process nor perturbs any other
 // point's bytes, at every Parallelism setting.
@@ -50,7 +54,7 @@ func TestRunPointsPanicIsolation(t *testing.T) {
 		reg := telemetry.New()
 		var mu sync.Mutex
 		var done []PointDone
-		opt := ExpOptions{Parallelism: par, Supervise: true, Telemetry: reg,
+		opt := ExpOptions{Parallelism: par, Deadline: superviseOnly, Telemetry: reg,
 			Progress: func(p PointDone) { mu.Lock(); done = append(done, p); mu.Unlock() }}
 		out, st := runPoints(opt, "", labels, func(_ PointCtx, i int) []float64 {
 			if i == 2 {
@@ -124,7 +128,7 @@ func TestRunPointsThreadPanicIsolation(t *testing.T) {
 	}
 	clean, _ := runPoints(ExpOptions{Parallelism: 1}, "", labels, point(-1))
 	for _, par := range []int{1, 2} {
-		out, st := runPoints(ExpOptions{Parallelism: par, Supervise: true}, "", labels, point(1))
+		out, st := runPoints(ExpOptions{Parallelism: par, Deadline: superviseOnly}, "", labels, point(1))
 		if out[0] != clean[0] || out[2] != clean[2] || clean[0] == 0 || clean[2] == 0 {
 			t.Fatalf("par=%d: bystander points perturbed: %v vs clean %v", par, out, clean)
 		}
@@ -382,7 +386,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		full, cps := journalThenKill(t, func(o ExpOptions) Fig2Result { return Fig2(spec, o) })
 		for _, par := range []int{1, 3} {
 			ropt := Quick()
-			ropt.Supervise = true
+			ropt.Deadline = superviseOnly
 			ropt.Parallelism = par
 			ropt.Resume = cps
 			resumed := Fig2(spec, ropt)
@@ -400,7 +404,7 @@ func TestResumeBitIdentical(t *testing.T) {
 	t.Run("StreamAgreement", func(t *testing.T) {
 		full, cps := journalThenKill(t, func(o ExpOptions) StreamAgreementResult { return StreamAgreement(spec, o) })
 		ropt := Quick()
-		ropt.Supervise = true
+		ropt.Deadline = superviseOnly
 		ropt.Resume = cps
 		if resumed := StreamAgreement(spec, ropt); !reflect.DeepEqual(full, resumed) {
 			t.Fatalf("resumed StreamAgreement diverged from the uninterrupted run:\n%+v\n%+v", full, resumed)
@@ -420,7 +424,7 @@ func journalThenKill[R any](t *testing.T, run func(ExpOptions) R) (R, map[string
 		t.Fatal(err)
 	}
 	opt := Quick()
-	opt.Supervise = true
+	opt.Deadline = superviseOnly
 	opt.Journal = j
 	full := run(opt)
 	if err := j.Close(); err != nil {

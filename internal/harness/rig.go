@@ -33,10 +33,10 @@ type RigOptions struct {
 	// the drop path.
 	StreamBytes int
 
-	// Attribution attaches the sketch-based attribution pipeline
-	// (core.Attribution): an unfiltered sys_enter probe attributing
-	// syscall activity to every process through count-min + HashPipe
-	// maps instead of exact per-PID state.
+	// Attribution attaches the sketch-based attribution probe
+	// (probes.AttributionProbe): an unfiltered sys_enter program
+	// attributing syscall activity to every process through count-min
+	// + HashPipe maps instead of exact per-PID state.
 	Attribution bool
 
 	// WaitStates attaches the scheduler-state observer
@@ -44,10 +44,6 @@ type RigOptions struct {
 	// the server process's time into on-CPU / runnable / blocked — the
 	// explanatory counterpart to the poll slack signal.
 	WaitStates bool
-	// AttributionOracle additionally maintains the exact per-tgid
-	// counter map inside the attribution probe, for accuracy audits.
-	// Implies nothing unless Attribution is set.
-	AttributionOracle bool
 
 	// SeparateClient puts the load generator on its own machine instead
 	// of co-locating it with the server (the paper co-locates both
@@ -106,9 +102,10 @@ type Rig struct {
 	// ring-buffer event pipeline. Nil when RigOptions.Stream is false.
 	Stream *core.Observer
 
-	// Attr is the attached sketch-based attribution pipeline. Nil when
-	// RigOptions.Attribution is false.
-	Attr *core.Attribution
+	// Attr is the attached sketch-based attribution probe, counting the
+	// workload's send syscall as its send family; its Sketches are the
+	// read-out. Nil when RigOptions.Attribution is false.
+	Attr *probes.AttributionProbe
 
 	// Wait is the attached scheduler-state observer. Nil when
 	// RigOptions.WaitStates is false.
@@ -166,10 +163,10 @@ func NewRig(spec workloads.Spec, opt RigOptions) *Rig {
 		r.Stream.Instrument(opt.Telemetry)
 	}
 	if opt.Attribution {
-		r.Attr = core.MustAttachAttribution(r.ServerK, probes.AttributionConfig{
-			SendSyscalls: []int{spec.SendNR},
-			Oracle:       opt.AttributionOracle,
-		})
+		r.Attr = probes.Must(probes.NewAttributionProbe("attr", []int{spec.SendNR}))
+		if err := r.Attr.Attach(r.ServerK.Tracer()); err != nil {
+			panic(err)
+		}
 		r.Attr.Instrument(opt.Telemetry)
 	}
 	if opt.WaitStates {

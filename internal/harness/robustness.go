@@ -90,7 +90,6 @@ func ChaosOptions(opt ExpOptions) ExpOptions {
 	if opt.Retries < 1 {
 		opt.Retries = 2
 	}
-	opt.Supervise = true
 	return opt
 }
 

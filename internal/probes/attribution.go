@@ -16,7 +16,6 @@ const (
 	fdAttrTime     = 3 // CMS: summed inter-syscall gap (ns) per tgid
 	fdAttrTop      = 4 // HashPipe: top-K candidate tgids
 	fdAttrLast     = 5 // LRU: last syscall timestamp per thread
-	fdAttrExact    = 6 // optional oracle: exact syscall count per tgid
 )
 
 // Map sizes of an AttributionProbe, chosen so the sketch-side state
@@ -33,20 +32,7 @@ const (
 	// attrLastEntries bounds the per-thread last-timestamp LRU map
 	// (512 threads before eviction).
 	attrLastEntries = 512
-	// attrOracleEntries bounds the oracle map (4096 tgids).
-	attrOracleEntries = 4096
 )
-
-// AttributionConfig configures an AttributionProbe.
-type AttributionConfig struct {
-	// SendSyscalls is the send family counted into the Sends sketch
-	// (default: sendto, sendmsg, write — the paper's response markers).
-	SendSyscalls []int
-	// Oracle additionally maintains an exact per-tgid syscall counter
-	// in a plain hash map — the ground truth the sketch read-out is
-	// validated against. Costs exact-map memory; off in production.
-	Oracle bool
-}
 
 // AttributionProbe attributes syscall activity to processes wholly in
 // map space: one raw_syscalls:sys_enter program, unfiltered by tgid,
@@ -67,18 +53,17 @@ type AttributionProbe struct {
 	// Last holds the per-thread last-syscall timestamp the gap is
 	// computed against (LRU, so thread churn evicts instead of erroring).
 	Last *ebpf.HashMap
-	// Exact is the ground-truth per-tgid counter, nil unless
-	// AttributionConfig.Oracle was set.
-	Exact *ebpf.HashMap
 }
 
 // NewAttributionProbe builds and verifies the attribution program.
-func NewAttributionProbe(name string, cfg AttributionConfig) (*AttributionProbe, error) {
-	if len(cfg.SendSyscalls) == 0 {
-		cfg.SendSyscalls = []int{kernel.SysSendto, kernel.SysSendmsg, kernel.SysWrite}
+// sendNRs is the send family counted into the Sends sketch; nil means
+// sendto, sendmsg and write, the paper's response markers.
+func NewAttributionProbe(name string, sendNRs []int) (*AttributionProbe, error) {
+	if len(sendNRs) == 0 {
+		sendNRs = []int{kernel.SysSendto, kernel.SysSendmsg, kernel.SysWrite}
 	}
-	if len(cfg.SendSyscalls) > 4 {
-		return nil, fmt.Errorf("probes: need 1..4 send syscall numbers, got %d", len(cfg.SendSyscalls))
+	if len(sendNRs) > 4 {
+		return nil, fmt.Errorf("probes: need 1..4 send syscall numbers, got %d", len(sendNRs))
 	}
 	p := &AttributionProbe{
 		Syscalls: ebpf.NewCMS(name+"_syscalls", 8, attrCMSWidth, attrCMSDepth),
@@ -94,14 +79,9 @@ func NewAttributionProbe(name string, cfg AttributionConfig) (*AttributionProbe,
 		fdAttrTop:      p.Top,
 		fdAttrLast:     p.Last,
 	}
-	if cfg.Oracle {
-		p.Exact = ebpf.NewHashMap(name+"_exact", 8, 8, attrOracleEntries)
-		maps[fdAttrExact] = p.Exact
-	}
 
-	// Frame layout: tgid key at -8, pid_tgid (thread) key at -16, the
-	// clock reading at -24 (value for the last-ts update), and the
-	// oracle's initial count at -32.
+	// Frame layout: tgid key at -8, pid_tgid (thread) key at -16 and
+	// the clock reading at -24 (value for the last-ts update).
 	a := ebpf.NewAssembler()
 	emitTgidFilter(a, 0) // R6 = ctx, R9 = pid_tgid; no tgid filter
 	a.Emit(
@@ -160,36 +140,8 @@ func NewAttributionProbe(name string, cfg AttributionConfig) (*AttributionProbe,
 		ebpf.Mov64Imm(ebpf.R4, 0),
 		ebpf.Call(ebpf.HelperMapUpdateElem),
 	)
-	if cfg.Oracle {
-		// exact[tgid]++ (insert 1 on first sight)
-		a.EmitWide(ebpf.LoadMapFD(ebpf.R1, fdAttrExact))
-		a.Emit(
-			ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
-			ebpf.Add64Imm(ebpf.R2, -8),
-			ebpf.Call(ebpf.HelperMapLookupElem),
-		)
-		a.JumpImm(ebpf.JmpJEQ, ebpf.R0, 0, "exinit")
-		a.Emit(
-			ebpf.LoadMem(ebpf.R1, ebpf.R0, 0, ebpf.SizeDW),
-			ebpf.Add64Imm(ebpf.R1, 1),
-			ebpf.StoreMem(ebpf.R0, 0, ebpf.R1, ebpf.SizeDW),
-		)
-		a.Jump("exdone")
-		a.Label("exinit")
-		a.Emit(ebpf.StoreImm(ebpf.R10, -32, 1, ebpf.SizeDW))
-		a.EmitWide(ebpf.LoadMapFD(ebpf.R1, fdAttrExact))
-		a.Emit(
-			ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
-			ebpf.Add64Imm(ebpf.R2, -8),
-			ebpf.Mov64Reg(ebpf.R3, ebpf.R10),
-			ebpf.Add64Imm(ebpf.R3, -32),
-			ebpf.Mov64Imm(ebpf.R4, 0),
-			ebpf.Call(ebpf.HelperMapUpdateElem),
-		)
-		a.Label("exdone")
-	}
 	// sends[tgid] += 1, only for the send family
-	emitSyscallFilter(a, cfg.SendSyscalls)
+	emitSyscallFilter(a, sendNRs)
 	a.EmitWide(ebpf.LoadMapFD(ebpf.R1, fdAttrSends))
 	a.Emit(
 		ebpf.Mov64Reg(ebpf.R2, ebpf.R10),
@@ -203,8 +155,7 @@ func NewAttributionProbe(name string, cfg AttributionConfig) (*AttributionProbe,
 	return p, nil
 }
 
-// Bytes returns the sketch-side map footprint (excludes the thread LRU
-// and any oracle map).
+// Bytes returns the sketch-side map footprint (excludes the thread LRU).
 func (p *AttributionProbe) Bytes() int {
 	return p.Syscalls.Bytes() + p.Sends.Bytes() + p.TimeNS.Bytes() + p.Top.Bytes()
 }
@@ -219,20 +170,6 @@ func (p *AttributionProbe) Sketches() AttrSketches {
 		TimeNS:   p.TimeNS.Clone(),
 		Top:      p.Top.Clone(),
 	}
-}
-
-// ExactCounts reads the oracle map into a per-tgid count table.
-// Returns nil when the probe was built without Oracle.
-func (p *AttributionProbe) ExactCounts() map[uint64]uint64 {
-	if p.Exact == nil {
-		return nil
-	}
-	out := make(map[uint64]uint64, p.Exact.Len())
-	for _, k := range p.Exact.Keys() {
-		v, _ := p.Exact.Lookup(k)
-		out[binary.LittleEndian.Uint64(k)] = binary.LittleEndian.Uint64(v)
-	}
-	return out
 }
 
 // AttrSketches is one scrape of attribution state — one node's, or the

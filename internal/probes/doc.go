@@ -16,6 +16,11 @@
 //   - HistProbe: beyond the paper's minimum, a bcc-style in-kernel log2
 //     latency histogram with atomically bumped bucket counters (the
 //     Buckets map); QuantileUS interpolates quantiles from their counts.
+//   - AttributionProbe: one unfiltered sys_enter program attributing
+//     syscalls, sends and inter-syscall time to every tgid through
+//     count-min sketches and a HashPipe top-K table; Sketches is its
+//     read-out. It keeps no exact per-tgid count: tests take those from
+//     a kernel.Tracer listener, which costs the traced threads nothing.
 //
 // NewDeltaProbe and NewPollProbe take a ring buffer (nil for
 // aggregate-only): given one, the same programs additionally commit one
@@ -26,12 +31,14 @@
 // probes' own integer arithmetic reconstructs the aggregate maps
 // bit-for-bit when the ring never overflowed.
 //
-// All programs filter by tgid in-kernel, exactly as the paper's Listing
-// 1 filters PID_TGID, so an attached probe observes one application.
+// All programs but attribution's filter by tgid in-kernel, exactly as
+// the paper's Listing 1 filters PID_TGID, so an attached probe observes
+// one application.
 //
 // Every probe embeds one base: it loads each program with the shared
 // exit tail and the ctx size of its tracepoint, and gives the probe
-// Attach (all or nothing), Detach and Programs.
+// Attach (all or nothing), Detach, Programs and Instrument, which
+// records the verifier cost into a telemetry.Registry.
 //
 // Map sizes are package constants, not options: a probe's map space is
 // fixed when it loads, as in the kernel. WaitStateProbe holds 61 440 B

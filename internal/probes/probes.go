@@ -6,6 +6,7 @@ import (
 
 	"reqlens/internal/ebpf"
 	"reqlens/internal/kernel"
+	"reqlens/internal/telemetry"
 )
 
 // Map fds used inside the probe programs.
@@ -65,6 +66,18 @@ func (p *probe) Detach() {
 // Programs returns the verified programs in attach order (disassembly,
 // verifier cost, direct runs).
 func (p *probe) Programs() []*ebpf.Program { return p.progs }
+
+// Instrument records the probe's one-time verification cost into r:
+// verifier_programs_total (programs admitted) and verifier_states_total
+// (abstract states the verifier explored across them). A nil registry
+// is a no-op.
+func (p *probe) Instrument(r *telemetry.Registry) {
+	states, count := r.Counter("verifier_states_total"), r.Counter("verifier_programs_total")
+	for _, prog := range p.progs {
+		states.Add(uint64(prog.VerifierStates()))
+		count.Inc()
+	}
+}
 
 // Must returns p, or panics with err: Must(NewDeltaProbe(...)).
 func Must[P any](p P, err error) P {

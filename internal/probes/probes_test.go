@@ -381,8 +381,8 @@ type shipped struct {
 
 // shippedProbes builds every probe this package ships — delta and poll
 // with and without a ring, hist, stream, wait-state tracking every tgid
-// or one, attribution with and without its oracle — filtered to tgid 42
-// where the probe has a filter. The delta and poll ring variants share
+// or one, attribution — filtered to tgid 42 where the probe has a
+// filter. The delta and poll ring variants share
 // one ring of ringCap bytes, the raw stream probe has its own.
 func shippedProbes(ringCap int) ([]shipped, []*ebpf.RingBuf) {
 	nrs := []int{kernel.SysEpollWait, kernel.SysSelect}
@@ -397,8 +397,7 @@ func shippedProbes(ringCap int) ([]shipped, []*ebpf.RingBuf) {
 		{"stream", stream},
 		{"waitstate", Must(NewWaitStateProbe("ws", 0))},
 		{"waitstate-42", Must(NewWaitStateProbe("ws", 42))},
-		{"attr", Must(NewAttributionProbe("attr", AttributionConfig{}))},
-		{"attr-oracle", Must(NewAttributionProbe("attr", AttributionConfig{Oracle: true}))},
+		{"attr", Must(NewAttributionProbe("attr", nil))},
 	}, []*ebpf.RingBuf{ring, stream.Ring}
 }
 
@@ -444,8 +443,8 @@ func TestProbeAttachDetach(t *testing.T) {
 // would run through the generic per-op routine on every tracepoint hit.
 func TestShippedProgramsHaveNoGenericOps(t *testing.T) {
 	progs, _ := shippedPrograms(1 << 16)
-	if len(progs) != 16 {
-		t.Fatalf("%d shipped programs, want 16", len(progs))
+	if len(progs) != 15 {
+		t.Fatalf("%d shipped programs, want 15", len(progs))
 	}
 	for _, p := range progs {
 		if n := p.GenericOps(); n != 0 {

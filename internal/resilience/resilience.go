@@ -49,13 +49,10 @@ type Options struct {
 	// Deadline is the wall-clock budget of a single attempt; each
 	// attempt gets a fresh sim.Clock primed with it. 0 = unlimited.
 	Deadline time.Duration
-	// Retries is how many additional attempts a failed point gets.
+	// Retries is how many additional attempts a failed point gets; the
+	// sleep before retry n is firstBackoff doubled n-1 times, capped at
+	// maxBackoff.
 	Retries int
-	// Backoff is the sleep before the first retry; it doubles per retry
-	// up to MaxBackoff. 0 defaults to 10ms.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential backoff. 0 defaults to 1s.
-	MaxBackoff time.Duration
 	// Sleep replaces time.Sleep between attempts (tests inject a no-op
 	// so retry storms finish instantly). Nil = time.Sleep.
 	Sleep func(time.Duration)
@@ -82,15 +79,16 @@ type Supervisor struct {
 	gaps      *telemetry.Counter
 }
 
-// New returns a Supervisor for opt, filling backoff defaults and wiring
-// the telemetry counters (nil-safe).
+// The retry backoff: 10 ms before the first retry, doubling per retry
+// up to 1 s.
+const (
+	firstBackoff = 10 * time.Millisecond
+	maxBackoff   = time.Second
+)
+
+// New returns a Supervisor for opt, wiring the telemetry counters
+// (nil-safe).
 func New(opt Options) *Supervisor {
-	if opt.Backoff <= 0 {
-		opt.Backoff = 10 * time.Millisecond
-	}
-	if opt.MaxBackoff <= 0 {
-		opt.MaxBackoff = time.Second
-	}
 	if opt.Sleep == nil {
 		opt.Sleep = time.Sleep
 	}
@@ -105,18 +103,12 @@ func New(opt Options) *Supervisor {
 
 // backoffFor returns the capped exponential sleep before retry n
 // (n >= 1).
-func (s *Supervisor) backoffFor(n int) time.Duration {
-	d := s.opt.Backoff
-	for i := 1; i < n; i++ {
+func backoffFor(n int) time.Duration {
+	d := firstBackoff
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
-		if d >= s.opt.MaxBackoff {
-			return s.opt.MaxBackoff
-		}
 	}
-	if d > s.opt.MaxBackoff {
-		d = s.opt.MaxBackoff
-	}
-	return d
+	return min(d, maxBackoff)
 }
 
 // Run executes fn under s's supervision and returns its result, or the
@@ -132,7 +124,7 @@ func Run[T any](s *Supervisor, p Point, fn func(attempt int, clock *sim.Clock) T
 	for attempt := 0; attempt <= s.opt.Retries; attempt++ {
 		if attempt > 0 {
 			s.retries.Inc()
-			s.opt.Sleep(s.backoffFor(attempt))
+			s.opt.Sleep(backoffFor(attempt))
 		}
 		v, perr := runAttempt(s, p, attempt, fn)
 		if perr == nil {

@@ -71,8 +71,7 @@ func TestRetrySameResultAsFirstTrySuccess(t *testing.T) {
 
 	var backoffs []time.Duration
 	reg := telemetry.New()
-	s := New(Options{Retries: 3, Backoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond,
-		Sleep: noSleep(&backoffs), Telemetry: reg})
+	s := New(Options{Retries: 3, Sleep: noSleep(&backoffs), Telemetry: reg})
 
 	v, perr := Run(s, Point{Index: 9}, func(attempt int, clock *sim.Clock) []int64 {
 		if attempt < 2 {
@@ -93,22 +92,25 @@ func TestRetrySameResultAsFirstTrySuccess(t *testing.T) {
 	if got := reg.Counter("resilience_gaps_total").Value(); got != 0 {
 		t.Fatalf("gap counter = %d, want 0 (recovered)", got)
 	}
-	// Capped exponential: 1ms, 2ms (the third attempt succeeds).
-	if len(backoffs) != 2 || backoffs[0] != time.Millisecond || backoffs[1] != 2*time.Millisecond {
+	// Exponential: 10ms, 20ms (the third attempt succeeds).
+	if len(backoffs) != 2 || backoffs[0] != 10*time.Millisecond || backoffs[1] != 20*time.Millisecond {
 		t.Fatalf("backoffs = %v", backoffs)
 	}
 }
 
+// TestBackoffCap pins the retry schedule: 10 ms doubling to 640 ms,
+// then clamped to 1 s for the rest.
 func TestBackoffCap(t *testing.T) {
 	var backoffs []time.Duration
-	s := New(Options{Retries: 5, Backoff: time.Millisecond, MaxBackoff: 3 * time.Millisecond,
-		Sleep: noSleep(&backoffs)})
+	s := New(Options{Retries: 9, Sleep: noSleep(&backoffs)})
 	_, perr := Run(s, Point{}, func(int, *sim.Clock) int { panic("always") })
-	if perr == nil || perr.Attempts != 6 {
+	if perr == nil || perr.Attempts != 10 {
 		t.Fatalf("error = %+v", perr)
 	}
-	// 1, 2, then clamped to 3 for the rest.
-	want := []time.Duration{1, 2, 3, 3, 3}
+	want := []time.Duration{10, 20, 40, 80, 160, 320, 640, 1000, 1000}
+	if len(backoffs) != len(want) {
+		t.Fatalf("backoffs = %v", backoffs)
+	}
 	for i, b := range backoffs {
 		if b != want[i]*time.Millisecond {
 			t.Fatalf("backoffs = %v", backoffs)
@@ -184,9 +186,6 @@ func TestChaosHangKillsRealEventLoop(t *testing.T) {
 
 func TestNilTelemetryAndDefaults(t *testing.T) {
 	s := New(Options{})
-	if s.opt.Backoff != 10*time.Millisecond || s.opt.MaxBackoff != time.Second {
-		t.Fatalf("defaults = %+v", s.opt)
-	}
 	if s.opt.Retries != 0 {
 		t.Fatalf("resolved options = %+v", s.opt)
 	}

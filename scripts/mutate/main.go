@@ -2,12 +2,13 @@
 // tests of the verifier, the eBPF engine, the scheduler, the socket
 // layer and the change-point charts (or of the files named). Each mutant
 // swaps one operator (< and <=, > and >=, == and !=, + and -, && and ||)
-// or negates one if condition, in AST order, and runs its package's
-// tests through `go test -overlay`, one mutant at a time, writing no
-// file of the tree. The failing tests are the mutant's kill row
-// (stderr), rerun past any test that panics, each test once, so the
-// row names every killer; one that does not build is invalid and left
-// out of the score. Each mutant runs under go test -timeout, ten times
+// or negates one if condition, in AST order, builds its package's test
+// binary once through `go test -c -overlay`, one mutant at a time,
+// writing no file of the tree, and runs it in the package directory
+// under `go tool test2json`. The failing tests are the mutant's kill
+// row (stderr), rerun past any test that panics, each test once, so the
+// row names every killer; one that does not build or vet is invalid and
+// left out of the score. Each mutant runs under -test.timeout, ten times
 // the unmutated test binary's run time plus a second, so one that hangs
 // is killed by the test it hangs in.
 //
@@ -209,39 +210,51 @@ func run(root, file string, log io.Writer) ([]*mutant, error) {
 	return ms, nil
 }
 
-// goTest runs pkg's tests under the overlay and collects the failing
-// top-level tests. A test that panics ends its binary's run, and with
-// it the tests after it, so the package is rerun with every test that
-// has reported skipped until a round completes or runs nothing new:
-// each test runs once, and the kill row is the union.
+// goTest builds pkg's test binary under the overlay, into the overlay's
+// directory, and collects the failing top-level tests; a build or vet
+// error makes the mutant invalid. A test that panics ends the binary's
+// run, and with it the tests after it, so the binary is rerun with every
+// test that has reported skipped until a round completes or runs
+// nothing new: each test runs once, and the kill row is the union.
 func goTest(root, pkg, overlay string, limit time.Duration) (*mutant, error) {
 	m := &mutant{}
+	bin := filepath.Join(filepath.Dir(overlay), "pkg.test")
+	build := exec.Command("go", "test", "-c", "-o", bin, "-overlay", overlay, pkg)
+	build.Dir = root
+	if err := build.Run(); err != nil {
+		if _, exited := err.(*exec.ExitError); !exited {
+			return nil, err
+		}
+		m.invalid = true
+		return m, nil
+	}
 	for {
 		n := len(m.ran)
-		panicked, err := goTestOnce(root, pkg, overlay, limit, m)
-		if err != nil || m.invalid || !panicked || len(m.ran) == n {
+		panicked, err := goTestOnce(filepath.Join(root, pkg), bin, limit, m)
+		if err != nil || !panicked || len(m.ran) == n {
 			slices.Sort(m.killers)
 			return m, err
 		}
 	}
 }
 
-// goTestOnce runs pkg's tests but those in m.ran under -timeout limit
-// (0 for none), adds the failing ones to m.killers and every one that
-// reports to m.ran, and tells whether a test panicked. The test that
-// hits the limit reports no result: its timeout panic makes it a
-// killer that ran. A deadline ten minutes past the limit guards a hang
-// outside the test binary.
-func goTestOnce(root, pkg, overlay string, limit time.Duration, m *mutant) (panicked bool, err error) {
+// goTestOnce runs the test binary bin in dir, its package's directory,
+// on every test but those in m.ran under -test.timeout limit (0 for
+// none), adds the failing ones to m.killers and every one that reports
+// to m.ran, and tells whether a test panicked. The test that hits the
+// limit reports no result: its timeout panic makes it a killer that
+// ran. A deadline ten minutes past the limit guards a hang outside the
+// test binary.
+func goTestOnce(dir, bin string, limit time.Duration, m *mutant) (panicked bool, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), limit+10*time.Minute)
 	defer cancel()
-	args := []string{"test", "-count=1", "-json", "-timeout", limit.String(), "-overlay", overlay}
+	args := []string{"tool", "test2json", "-t", bin, "-test.v=test2json", "-test.paniconexit0", "-test.count=1", "-test.timeout=" + limit.String()}
 	if len(m.ran) > 0 {
-		args = append(args, "-skip", "^("+strings.Join(m.ran, "|")+")$")
+		args = append(args, "-test.skip=^("+strings.Join(m.ran, "|")+")$")
 	}
-	cmd := exec.CommandContext(ctx, "go", append(args, pkg)...)
-	cmd.Dir = root
-	// go and the test binary share a process group: kill both.
+	cmd := exec.CommandContext(ctx, "go", args...)
+	cmd.Dir = dir
+	// test2json and the test binary share a process group: kill both.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
 	out, err := cmd.Output()
@@ -252,15 +265,11 @@ func goTestOnce(root, pkg, overlay string, limit time.Duration, m *mutant) (pani
 	failed := false
 	for _, line := range bytes.Split(out, []byte("\n")) {
 		var ev struct {
-			Action, Test, Output, FailedBuild string
-			Elapsed                           float64 // on the package's last event: its run time
+			Action, Test, Output string
+			Elapsed              float64 // on the package's last event (-t): its run time
 		}
 		if json.Unmarshal(line, &ev) != nil {
 			continue
-		}
-		if ev.FailedBuild != "" { // a compile or vet error
-			m.invalid = true
-			return false, nil
 		}
 		name, _, _ := strings.Cut(ev.Test, "/")
 		if name == "" {

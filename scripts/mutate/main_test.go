@@ -76,8 +76,8 @@ func TestPanicReruns(t *testing.T) {
 }
 
 // TestHangNamesItsTest mutates testdata/tiny's Spin, whose + mutant
-// never returns: go test's -timeout ends it, not the deadline on the
-// whole command, and the kill row names the test it hung in.
+// never returns: the binary's -test.timeout ends it, not the deadline
+// on the whole command, and the kill row names the test it hung in.
 func TestHangNamesItsTest(t *testing.T) {
 	runTiny(t, "spin.go", "spin.go:5:8 !=→==: killed by TestSpin", "spin.go:6:9 -→+: killed by TestSpin")
 }
